@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint chaos smbsimd-smoke bench bench-json bench-assert panels lowerbounds arch faults obs-demo report examples clean
+.PHONY: all build test test-race stress benchsuite-test vet lint chaos smbsimd-smoke bench bench-json bench-assert panels lowerbounds arch faults obs-demo report examples clean
 
 all: build vet lint test test-race
 
@@ -32,8 +32,21 @@ test:
 test-race:
 	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/cli/... ./internal/traffic/... ./internal/adversary/... ./internal/lease ./internal/shard ./internal/obs ./cmd/smbsimd
 
+# Stress pass over the concurrent packages: the race detector, twenty
+# runs each at GOMAXPROCS 1, 2 and 8, so interleaving bugs surface here
+# instead of as one-in-N failures of the plain test run.
+stress:
+	$(GO) test -race -count=20 -cpu 1,2,8 ./internal/lease ./internal/shard ./internal/obs ./cmd/smbsimd
+	$(GO) test -race -count=20 -cpu 1,2,8 -run 'Lease' ./internal/sim
+
+# The benchmark module (benchsuite/, its own go.mod) sits outside ./...,
+# so the plain test run never compiles it; vet and short-test it here so
+# API drift in the packages it drives fails a build, not a benchmark run.
+benchsuite-test:
+	cd benchsuite && $(GO) vet . && $(GO) test -short .
+
 # Sharded-runtime smoke (DESIGN.md §17): the shard and daemon suites
-# under the race detector — SPSC rings, pool manager, stream lifecycle,
+# under the race detector — SPSC rings, stream lifecycle,
 # SIGTERM drain, mid-stream disconnect — then the seeded in-process
 # loadgen selftest at 1 and 4 shards, where every shard must be
 # bit-identical to its single-threaded sim.RunTrace oracle. The -race

@@ -479,11 +479,6 @@ func (d *daemon) expvars() any {
 		"shards":    d.rt.Shards(),
 		"streaming": d.rt.Streaming(),
 		"live":      live,
-		"staging": map[string]int64{
-			"budget_cap":  d.rt.Budget().Cap(),
-			"budget_free": d.rt.Budget().Free(),
-			"emergencies": d.rt.Budget().Emergencies(),
-		},
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // decision sequence the policy's Admit would produce packet by packet,
 // in arrival order, calling exactly one executor op (Accept, Drop,
 // DropMemo, DropAll or PushOut) per packet. The differential and fuzz
-// suites enforce this for every roster policy against the per-packet
-// Arrive reference.
+// suites enforce this for every roster policy against the same policy
+// driven through Batch.PerPacket.
 type BatchPolicy interface {
 	Policy
 	// AdmitBatch decides every packet of ps in arrival order via b.
@@ -27,52 +27,21 @@ type BatchPolicy interface {
 	AdmitBatch(b *Batch, ps []pkt.Packet)
 }
 
-// Undo-log operation kinds: each records how to invert one structural
-// mutation of the arrival phase.
-const (
-	opInsert = iota // a packet was inserted into port's queue
-	opEvict         // a packet was evicted from port's queue
-)
-
-// Undo-log entries are packed into one word each — the log is appended
-// to on every accept, so the hot path stores 8 bytes, not a struct:
-// bit 0 is the op kind, bits 1..31 the port, bits 32..63 the value
-// (both validated non-negative and far below 2³¹). Evictions carry
-// their extra pre-mutation facts in a parallel side log (evictUndo),
-// appended only when a push-out happens.
-const undoKindMask = 1
-
-// packUndo encodes one undo entry.
-func packUndo(kind, port, val int) uint64 {
-	return uint64(kind) | uint64(port)<<1 | uint64(val)<<32
-}
-
-// evictUndo carries the facts an eviction must restore beyond its
-// packed log entry: the FIFO disciplines' head-of-line residual,
-// queue work and evicted arrival slot. (The evicted value — the
-// popped minimum in the value model, the popped tail value in the
-// combined model — rides in the packed entry itself.)
-type evictUndo struct {
-	hol  int   // pre-eviction head-of-line residual
-	wrk  int   // pre-eviction queue total work
-	slot int64 // arrival slot of the evicted tail
-}
-
 // ArriveBatch runs one arrival phase over a whole burst, in order,
 // through the policy's batch kernel when it implements BatchPolicy and
-// through per-packet Admit calls otherwise. Unlike the sequential
-// ArriveBurst reference it is transactional: every packet is validated
-// up front, and a mid-batch failure (a malformed decision from the
-// policy, an undecided packet, a CheckInvariants violation) rolls back
-// every queue mutation, Stats and per-port counter movement, and obs
-// counter of the batch, leaving the switch in its exact pre-batch
-// state. The returned *BurstError then carries Applied == 0. Decision
-// trace events are buffered and delivered to the recorder only on
-// commit, preserving the per-packet event order.
+// through per-packet Admit calls otherwise. It is the engine's only
+// arrival path.
 //
-// On success the resulting Stats, PortCounters and obs counters are
-// bit-identical to ArriveBurst on the same burst — the differential
-// contract the batch suites enforce for all roster policies.
+// Every packet is validated up front: a malformed packet fails the
+// burst before anything is applied, reported as a *BurstError with
+// Applied == 0. Admission decisions are final, and every executor op
+// checks its decision before it mutates, so a failing decision (an
+// accept into a full buffer, an invalid push-out victim, a kernel that
+// leaves packets undecided) leaves exactly the decided prefix applied:
+// the *BurstError carries Applied == Index, and Stats, PortCounters,
+// obs counters and trace events reflect packets [0, Index) only. A
+// CheckInvariants violation reports engine corruption after packet
+// Index was applied (Applied == Index+1).
 //
 //smb:hotpath
 func (s *Switch) ArriveBatch(ps []pkt.Packet) error {
@@ -89,8 +58,11 @@ func (s *Switch) ArriveBatch(ps []pkt.Packet) error {
 			return &BurstError{Index: i, Err: fmt.Errorf("core: packet work %d does not match port %d configuration %d", ps[i].Work, ps[i].Port, s.works[ps[i].Port])}
 		}
 	}
-	s.beginBatch()
+	// The transmission phase since the previous burst mutated the
+	// queues, so no earlier drop-memo stamp may validate.
+	s.memoEpoch++
 	b := &s.batch
+	b.idx, b.err, b.errIdx = 0, nil, 0
 	if s.batchPol != nil {
 		s.batchPol.AdmitBatch(b, ps)
 	} else {
@@ -98,182 +70,22 @@ func (s *Switch) ArriveBatch(ps []pkt.Packet) error {
 	}
 	if b.err == nil && b.idx != len(ps) {
 		//smb:alloc-ok kernel-contract failure path, never taken by a conforming policy
-		b.err = fmt.Errorf("core: policy %s batch kernel decided %d of %d packets", s.policy.Name(), b.idx, len(ps))
-		b.errIdx = b.idx
+		b.fail(fmt.Errorf("core: policy %s batch kernel decided %d of %d packets", s.policy.Name(), b.idx, len(ps)))
 	}
 	if b.err != nil {
-		idx, err := b.errIdx, b.err
-		s.rollbackBatch()
-		//smb:alloc-ok burst rollback, error path only
-		return &BurstError{Index: idx, Applied: 0, Err: err}
+		//smb:alloc-ok decision failure path, never taken by a correct policy
+		return &BurstError{Index: b.errIdx, Applied: b.idx, Err: b.err}
 	}
-	s.commitBatch()
 	return nil
 }
 
-// beginBatch opens a transaction: it advances the batch serial and the
-// drop-memo epoch, snapshots Stats and (when a recorder is attached)
-// the obs counter slab, and rewinds the undo log, the dirty-port
-// journal and the trace buffer. All scratch is preallocated or reused,
-// so steady-state batches stay allocation-free.
-//
-//smb:hotpath
-func (s *Switch) beginBatch() {
-	s.batchSerial++
-	s.memoEpoch++
-	s.statsSnap = s.stats
-	s.undo = s.undo[:0]
-	s.undoEv = s.undoEv[:0]
-	s.dirtyPorts = s.dirtyPorts[:0]
-	s.evBuf = s.evBuf[:0]
-	if s.rec != nil {
-		//smb:alloc-ok checkpoint slab grows on first use, reused every batch after
-		s.recSnap = s.rec.SaveCounts(s.recSnap)
-	}
-	s.batch.idx = 0
-	s.batch.err = nil
-	s.batch.errIdx = 0
-}
-
-// commitBatch closes a successful transaction. Counters were written
-// in place, so the only remaining work is delivering the buffered
-// trace events in decision order.
-//
-//smb:hotpath
-func (s *Switch) commitBatch() {
-	if s.rec != nil {
-		for i := range s.evBuf {
-			e := &s.evBuf[i]
-			s.rec.Trace(e.Slot, e.Port, e.Kind, e.Work, e.Value)
-		}
-	}
-	s.evBuf = s.evBuf[:0]
-}
-
-// rollbackBatch restores the exact pre-batch state: structural
-// mutations are inverted by replaying the undo log backwards, Stats
-// and the touched per-port counters are restored from their
-// checkpoints, the obs counter slab is restored, and the buffered
-// trace events are discarded. The argmax caches are force-invalidated
-// instead of replayed — a rescan is behaviorally identical to any
-// valid cache state.
-//
-//smb:hotpath
-func (s *Switch) rollbackBatch() {
-	ev := len(s.undoEv)
-	for i := len(s.undo) - 1; i >= 0; i-- {
-		u := s.undo[i]
-		port, val := int(u>>1&0x7fffffff), int(u>>32)
-		if u&undoKindMask == opInsert {
-			s.undoInsert(port, val)
-		} else {
-			ev--
-			s.undoEvict(port, val, s.undoEv[ev])
-		}
-	}
-	s.undo = s.undo[:0]
-	s.undoEv = s.undoEv[:0]
-	s.lenMax.invalidate()
-	s.workMax.invalidate()
-	s.stats = s.statsSnap
-	for _, i := range s.dirtyPorts {
-		s.perPort[i] = s.savedPC[i]
-	}
-	s.dirtyPorts = s.dirtyPorts[:0]
-	if s.rec != nil {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		s.rec.RestoreCounts(s.recSnap)
-	}
-	s.evBuf = s.evBuf[:0]
-}
-
-// undoInsert inverts one insert: the inserted packet is the newest in
-// its queue (the FIFO tail / the recorded value), so popping it
-// restores the previous queue exactly.
-//
-//smb:hotpath
-func (s *Switch) undoInsert(i, val int) {
-	s.qLen[i]--
-	if s.fifo {
-		s.arrivals[i].PopBack()
-		if s.qLen[i] == 0 {
-			s.holRes[i] = 0
-			s.qWork[i] = 0
-		} else {
-			s.qWork[i] -= s.works[i]
-		}
-	} else {
-		s.qWork[i]--
-	}
-	if s.valued {
-		if s.vals != nil {
-			s.vals[i].PopBack()
-		}
-		s.vq[i].Remove(val)
-		s.vSum[i] -= int64(val)
-		if s.qLen[i] == 0 {
-			s.vMin[i] = 0
-		} else {
-			s.vMin[i] = s.vq[i].Min()
-		}
-	} else {
-		s.vSum[i]--
-		if s.qLen[i] == 0 {
-			s.vMin[i] = 0
-		}
-	}
-	s.occ--
-}
-
-// undoEvict inverts one eviction by re-adding the evicted packet with
-// its recorded pre-eviction facts (arrival slot, head-of-line
-// residual and queue work under the FIFO disciplines; the evicted
-// value under the valued ones).
-//
-//smb:hotpath
-func (s *Switch) undoEvict(i, val int, d evictUndo) {
-	s.qLen[i]++
-	if s.fifo {
-		s.arrivals[i].PushBack(d.slot)
-		s.holRes[i] = d.hol
-		s.qWork[i] = d.wrk
-	} else {
-		s.qWork[i]++
-	}
-	if s.valued {
-		if s.vals != nil {
-			s.vals[i].PushBack(int64(val))
-		}
-		s.vq[i].Add(val)
-		s.vSum[i] += int64(val)
-		s.vMin[i] = s.vq[i].Min()
-	} else {
-		s.vSum[i]++
-		s.vMin[i] = 1
-	}
-	s.occ++
-}
-
-// touchPort checkpoints one port's counters on its first mutation in
-// the current batch, so rollback restores exactly the touched ports
-// without a per-slot copy of the whole counter table.
-//
-//smb:hotpath
-func (s *Switch) touchPort(i int) {
-	if s.dirtyStamp[i] != s.batchSerial {
-		s.dirtyStamp[i] = s.batchSerial
-		s.savedPC[i] = s.perPort[i]
-		s.dirtyPorts = append(s.dirtyPorts, i)
-	}
-}
-
-// Batch executes one burst's admission decisions against the switch,
-// inside the transaction ArriveBatch opened. Exactly one op — Accept,
-// Drop, DropMemo, DropAll or PushOut — must be called per packet, in
-// arrival order. Errors are sticky: after a failed op every further op
-// is a no-op, Err reports the failure, and ArriveBatch rolls the whole
-// batch back. A Batch is only valid inside the AdmitBatch call it is
-// passed to; kernels must not retain it.
+// Batch executes one burst's admission decisions against the switch.
+// Exactly one op — Accept, Drop, DropMemo, DropAll or PushOut — must
+// be called per packet, in arrival order. Errors are sticky: after a
+// failed op every further op is a no-op, Err reports the failure, and
+// ArriveBatch reports the decided prefix as applied. A Batch is only
+// valid inside the AdmitBatch call it is passed to; kernels must not
+// retain it.
 type Batch struct {
 	s      *Switch
 	idx    int // packets decided so far
@@ -305,9 +117,8 @@ func (b *Batch) Free() int {
 }
 
 // Accept admits the next packet into its destination queue without an
-// eviction, executing the same sequence as the per-packet path: the
-// arrival and acceptance counters move, the admit event records, and
-// the occupancy high-water mark updates.
+// eviction. A plain accept needs room below the effective (possibly
+// squeezed) buffer; without it the op fails and mutates nothing.
 //
 //smb:hotpath
 func (b *Batch) Accept(p pkt.Packet) {
@@ -319,26 +130,7 @@ func (b *Batch) Accept(p pkt.Packet) {
 		b.failFull(s.occ, s.effBuf)
 		return
 	}
-	s.stats.Arrived++
-	s.touchPort(p.Port)
-	pc := &s.perPort[p.Port]
-	pc.Arrived++
-	s.insert(p)
-	s.undo = append(s.undo, packUndo(opInsert, p.Port, p.Value))
-	s.stats.Accepted++
-	pc.Accepted++
-	if s.rec != nil {
-		s.rec.Inc(p.Port, obs.KindAdmit)
-		if s.rec.Tracing() {
-			b.traceEvent(p.Port, obs.KindAdmit, p.Work, p.Value)
-		}
-	}
-	s.stats.observeOccupancy(s.occ)
-	s.memoEpoch++
-	b.idx++
-	if s.cfg.CheckInvariants {
-		b.checkInvariants()
-	}
+	b.admit(p)
 }
 
 // Drop rejects the next packet: the arrival and drop counters move and
@@ -352,15 +144,12 @@ func (b *Batch) Drop(p pkt.Packet) {
 	s := b.s
 	s.stats.Arrived++
 	s.stats.Dropped++
-	s.touchPort(p.Port)
 	pc := &s.perPort[p.Port]
 	pc.Arrived++
 	pc.Dropped++
 	if s.rec != nil {
 		s.rec.Inc(p.Port, obs.KindTailDrop)
-		if s.rec.Tracing() {
-			b.traceEvent(p.Port, obs.KindTailDrop, p.Work, p.Value)
-		}
+		s.rec.Trace(s.slot, p.Port, obs.KindTailDrop, p.Work, p.Value)
 	}
 	b.idx++
 }
@@ -394,11 +183,13 @@ func (b *Batch) DropMemo(p pkt.Packet) {
 // DropMemo with no state mutation since. The memo is sound because
 // policies are pure functions of (View, Packet), a packet is fully
 // determined by (port, value) given the switch configuration (work is
-// per-port), and the memo epoch advances on every accept and push-out:
-// a stamped drop therefore replays the exact same policy evaluation.
+// per-port), and the memo epoch advances on every accept and push-out
+// and at the start of every burst (covering the transmission phase in
+// between): a stamped drop therefore replays the exact same policy
+// evaluation.
 //
 // The epoch is monotone over the switch's whole lifetime — Reset and
-// SetPolicy leave it in place and the next batch advances past it, so
+// SetPolicy leave it in place and the next burst advances past it, so
 // a stamp from before a reset or policy swap can never validate — and
 // its int64 width makes wraparound (the other way a stale stamp could
 // alias a live epoch) infeasible even for an unbounded daemon; see the
@@ -412,8 +203,10 @@ func (b *Batch) KnownDrop(p pkt.Packet) bool {
 
 // PushOut evicts one packet from queue victim (the FIFO tail in the
 // processing and combined models, the minimum value in the value
-// model) and admits p in its place, executing the same validation,
-// counter and event sequence as the per-packet path.
+// model) and admits p in its place. The victim and the buffer bound
+// are checked before the eviction, so a violating decision mutates
+// nothing. A push-out admission is occupancy-neutral, so during a
+// buffer squeeze it only needs the physical bound.
 //
 //smb:hotpath
 func (b *Batch) PushOut(victim int, p pkt.Packet) {
@@ -429,49 +222,34 @@ func (b *Batch) PushOut(victim int, p pkt.Packet) {
 		b.failFull(s.occ-1, s.cfg.Buffer)
 		return
 	}
-	var (
-		d    evictUndo
-		eval int
-	)
-	if s.fifo {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		d.slot = s.arrivals[victim].Back()
-		d.hol = s.holRes[victim]
-		d.wrk = s.qWork[victim]
-		if s.valued {
-			//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-			eval = int(s.vals[victim].Back())
-		}
-	} else {
-		eval = s.vq[victim].Min()
-	}
 	remWork, remValue := s.evict(victim)
-	s.undo = append(s.undo, packUndo(opEvict, victim, eval))
-	s.undoEv = append(s.undoEv, d)
 	s.stats.PushedOut++
-	s.touchPort(victim)
 	s.perPort[victim].PushedOut++
 	if s.rec != nil {
 		s.rec.Inc(victim, obs.KindPushOut)
 		s.rec.Add(victim, obs.KindPushedOutWork, uint64(remWork))
 		s.rec.Add(victim, obs.KindPushedOutValue, uint64(remValue))
-		if s.rec.Tracing() {
-			b.traceEvent(victim, obs.KindPushOut, remWork, remValue)
-		}
+		s.rec.Trace(s.slot, victim, obs.KindPushOut, remWork, remValue)
 	}
+	b.admit(p)
+}
+
+// admit inserts the next packet, already cleared for admission: the
+// arrival and acceptance counters move, the admit event records, the
+// occupancy high-water mark updates and the memo epoch advances.
+//
+//smb:hotpath
+func (b *Batch) admit(p pkt.Packet) {
+	s := b.s
 	s.stats.Arrived++
-	s.touchPort(p.Port)
 	pc := &s.perPort[p.Port]
 	pc.Arrived++
 	s.insert(p)
-	s.undo = append(s.undo, packUndo(opInsert, p.Port, p.Value))
 	s.stats.Accepted++
 	pc.Accepted++
 	if s.rec != nil {
 		s.rec.Inc(p.Port, obs.KindAdmit)
-		if s.rec.Tracing() {
-			b.traceEvent(p.Port, obs.KindAdmit, p.Work, p.Value)
-		}
+		s.rec.Trace(s.slot, p.Port, obs.KindAdmit, p.Work, p.Value)
 	}
 	s.stats.observeOccupancy(s.occ)
 	s.memoEpoch++
@@ -482,7 +260,7 @@ func (b *Batch) PushOut(victim int, p pkt.Packet) {
 }
 
 // Apply executes one per-packet Decision through the batch ops,
-// bridging Admit-style decisions into a transaction.
+// bridging Admit-style decisions into the executor.
 //
 //smb:hotpath
 func (b *Batch) Apply(d Decision, p pkt.Packet) {
@@ -497,8 +275,7 @@ func (b *Batch) Apply(d Decision, p pkt.Packet) {
 }
 
 // PerPacket decides the burst with one policy.Admit call per packet —
-// the fallback for policies without a batch kernel, still inside the
-// batch transaction.
+// the path for policies without a batch kernel.
 //
 //smb:hotpath
 func (b *Batch) PerPacket(ps []pkt.Packet) {
@@ -508,14 +285,6 @@ func (b *Batch) PerPacket(ps []pkt.Packet) {
 		}
 		b.Apply(b.s.policy.Admit(b.s, ps[i]), ps[i])
 	}
-}
-
-// traceEvent buffers one decision event for delivery on commit. Only
-// called with tracing enabled; the buffer grows amortized to the
-// largest traced burst.
-func (b *Batch) traceEvent(port int, k obs.Kind, work, value int) {
-	s := b.s
-	s.evBuf = append(s.evBuf, obs.Event{Slot: s.slot, Port: port, Kind: k, Work: work, Value: value})
 }
 
 // checkInvariants runs verify after an applied packet (CheckInvariants
@@ -528,8 +297,7 @@ func (b *Batch) checkInvariants() {
 	}
 }
 
-// failFull records the sticky full-buffer failure, matching the
-// per-packet path's error text.
+// failFull records the sticky full-buffer failure.
 //
 //smb:hotpath
 func (b *Batch) failFull(occ, limit int) {
@@ -537,8 +305,7 @@ func (b *Batch) failFull(occ, limit int) {
 	b.fail(fmt.Errorf("core: policy %s accepted into a full buffer (occ=%d, B=%d)", b.s.policy.Name(), occ, limit))
 }
 
-// failEvict records the sticky eviction-validation failure, matching
-// the per-packet path's error text.
+// failEvict records the sticky eviction-validation failure.
 //
 //smb:hotpath
 func (b *Batch) failEvict(err error) {

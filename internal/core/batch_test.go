@@ -10,8 +10,9 @@ import (
 	"smbm/internal/pkt"
 )
 
-// snapState captures everything ArriveBatch promises to leave untouched
-// on a mid-batch failure.
+// snapState captures the switch state the prefix-applied contract
+// speaks about: queues, Stats, per-port counters and the recorder's
+// counters and trace events.
 type snapState struct {
 	stats   Stats
 	perPort []PortCounters
@@ -29,11 +30,9 @@ func captureState(s *Switch, rec *obs.Recorder) snapState {
 		perPort: s.PortCounters(),
 		occ:     s.Occupancy(),
 		lens:    append([]int(nil), s.QueueLens()...),
-		works:   append([]int(nil), s.PortWorks()...),
-	}
-	if s.Model() == ModelValue {
-		st.mins = append([]int(nil), s.QueueMinValues()...)
-		st.sums = append([]int64(nil), s.QueueSums()...)
+		works:   append([]int(nil), s.QueueTotalWorks()...),
+		mins:    append([]int(nil), s.QueueMinValues()...),
+		sums:    append([]int64(nil), s.QueueSums()...),
 	}
 	if rec != nil {
 		st.obsSnap = rec.Snapshot()
@@ -41,39 +40,36 @@ func captureState(s *Switch, rec *obs.Recorder) snapState {
 	return st
 }
 
-func requireState(t *testing.T, s *Switch, rec *obs.Recorder, want snapState) {
+func requireState(t *testing.T, got, want snapState) {
 	t.Helper()
-	if got := s.Stats(); got != want.stats {
-		t.Errorf("Stats not restored\n got: %+v\nwant: %+v", got, want.stats)
+	if got.stats != want.stats {
+		t.Errorf("Stats differ\n got: %+v\nwant: %+v", got.stats, want.stats)
 	}
-	if got := s.PortCounters(); !reflect.DeepEqual(got, want.perPort) {
-		t.Errorf("PortCounters not restored\n got: %+v\nwant: %+v", got, want.perPort)
+	if !reflect.DeepEqual(got.perPort, want.perPort) {
+		t.Errorf("PortCounters differ\n got: %+v\nwant: %+v", got.perPort, want.perPort)
 	}
-	if got := s.Occupancy(); got != want.occ {
-		t.Errorf("Occupancy not restored: got %d, want %d", got, want.occ)
+	if got.occ != want.occ {
+		t.Errorf("Occupancy = %d, want %d", got.occ, want.occ)
 	}
-	if got := s.QueueLens(); !reflect.DeepEqual(got, want.lens) {
-		t.Errorf("QueueLens not restored: got %v, want %v", got, want.lens)
+	if !reflect.DeepEqual(got.lens, want.lens) {
+		t.Errorf("QueueLens = %v, want %v", got.lens, want.lens)
 	}
-	if got := s.PortWorks(); !reflect.DeepEqual(got, want.works) {
-		t.Errorf("PortWorks not restored: got %v, want %v", got, want.works)
+	if !reflect.DeepEqual(got.works, want.works) {
+		t.Errorf("QueueTotalWorks = %v, want %v", got.works, want.works)
 	}
-	if s.Model() == ModelValue {
-		if got := s.QueueMinValues(); !reflect.DeepEqual(got, want.mins) {
-			t.Errorf("QueueMinValues not restored: got %v, want %v", got, want.mins)
-		}
-		if got := s.QueueSums(); !reflect.DeepEqual(got, want.sums) {
-			t.Errorf("QueueSums not restored: got %v, want %v", got, want.sums)
-		}
+	if !reflect.DeepEqual(got.mins, want.mins) {
+		t.Errorf("QueueMinValues = %v, want %v", got.mins, want.mins)
 	}
-	if rec != nil {
-		if got := rec.Snapshot(); !reflect.DeepEqual(got, want.obsSnap) {
-			t.Errorf("obs counters not restored\n got: %+v\nwant: %+v", got, want.obsSnap)
-		}
+	if !reflect.DeepEqual(got.sums, want.sums) {
+		t.Errorf("QueueSums = %v, want %v", got.sums, want.sums)
+	}
+	if !reflect.DeepEqual(got.obsSnap, want.obsSnap) {
+		t.Errorf("obs snapshots differ\n got: %+v\nwant: %+v", got.obsSnap, want.obsSnap)
 	}
 }
 
-// scriptPolicy admits according to a fixed per-call decision script.
+// scriptPolicy admits according to a fixed per-call decision script
+// and drops once the script is exhausted.
 type scriptPolicy struct {
 	script []Decision
 	calls  int
@@ -82,97 +78,101 @@ type scriptPolicy struct {
 func (p *scriptPolicy) Name() string { return "script" }
 
 func (p *scriptPolicy) Admit(View, pkt.Packet) Decision {
+	if p.calls >= len(p.script) {
+		return Drop()
+	}
 	d := p.script[p.calls]
 	p.calls++
 	return d
 }
 
-// TestArriveBatchRollbackProcessing: a batch whose policy first performs
-// a valid push-out admission and then returns an invalid victim must
-// leave the switch exactly in its pre-batch state — queues, residuals,
-// Stats, per-port counters and obs counters all restored, the batch
-// reported as zero packets applied.
-func TestArriveBatchRollbackProcessing(t *testing.T) {
-	cfg := validProcCfg()
-	cfg.Buffer = 4
+// checkPrefixApplied pins the prefix-applied contract. Two switches
+// accept fill, then one offers burst under the decisions decided
+// followed by the failing decision bad, the other offers only
+// burst[:len(decided)] under decided. The failing burst must report
+// the failing index with exactly that many packets applied, leave the
+// switch identical to the prefix run — queues, Stats, PortCounters,
+// obs counters and trace events — and the switch must keep stepping
+// with invariant checking on.
+func checkPrefixApplied(t *testing.T, cfg Config, fill, burst []pkt.Packet, decided []Decision, bad Decision, wantErr string) {
+	t.Helper()
 	cfg.CheckInvariants = true
-	// Decisions 0-3 fill the buffer; in the faulty batch, decision 4 is a
-	// valid push-out from port 1 (mutates queues and counters) and
-	// decision 5 an out-of-range victim (fails); decision 6 serves the
-	// post-rollback liveness check.
-	script := &scriptPolicy{script: []Decision{
-		Accept(), Accept(), Accept(), Accept(),
-		PushOut(1), PushOut(99),
-		Accept(),
-	}}
-	sw := MustNew(cfg, script)
-	rec := obs.NewRecorder(cfg.Ports, 16)
-	sw.SetRecorder(rec)
-
-	// Fill the buffer: two packets on port 1, one on ports 0 and 2.
-	fill := []pkt.Packet{pkt.NewWork(1, 2), pkt.NewWork(1, 2), pkt.NewWork(0, 1), pkt.NewWork(2, 3)}
-	if err := sw.ArriveBurst(fill); err != nil {
-		t.Fatal(err)
+	i := len(decided)
+	run := func(tail ...Decision) (*Switch, *obs.Recorder) {
+		script := make([]Decision, len(fill), len(fill)+len(tail))
+		for k := range script {
+			script[k] = Accept()
+		}
+		sw := MustNew(cfg, &scriptPolicy{script: append(script, tail...)})
+		rec := obs.NewRecorder(cfg.Ports, 32)
+		sw.SetRecorder(rec)
+		if err := sw.ArriveBatch(fill); err != nil {
+			t.Fatalf("fill: %v", err)
+		}
+		return sw, rec
 	}
-	sw.Transmit() // advance a slot so latency bookkeeping is nontrivial
+	faulty, faultyRec := run(append(append([]Decision(nil), decided...), bad)...)
+	prefix, prefixRec := run(decided...)
+	preEvents := len(faultyRec.Snapshot().Events)
 
-	want := captureState(sw, rec)
-
-	err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(3, 6), pkt.NewWork(3, 6)})
+	err := faulty.ArriveBatch(burst)
 	var be *BurstError
 	if !errors.As(err, &be) {
 		t.Fatalf("ArriveBatch error = %v, want *BurstError", err)
 	}
-	if be.Index != 1 || be.Applied != 0 {
-		t.Errorf("BurstError = {Index: %d, Applied: %d}, want {Index: 1, Applied: 0}", be.Index, be.Applied)
+	if be.Index != i || be.Applied != i {
+		t.Errorf("BurstError = {Index: %d, Applied: %d}, want {Index: %d, Applied: %d}", be.Index, be.Applied, i, i)
 	}
-	requireState(t, sw, rec, want)
+	if !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("error %q does not mention %q", err, wantErr)
+	}
+	if err := prefix.ArriveBatch(burst[:i]); err != nil {
+		t.Fatalf("prefix ArriveBatch: %v", err)
+	}
+	got, want := captureState(faulty, faultyRec), captureState(prefix, prefixRec)
+	requireState(t, got, want)
 
-	// The rolled-back switch must remain fully operational, with
-	// invariant checking still passing.
-	if err := sw.Step([]pkt.Packet{pkt.NewWork(0, 1)}); err != nil {
-		t.Fatalf("post-rollback Step: %v", err)
+	// Every decided packet traced its events (a push-out traces the
+	// eviction and the admission); the failing packet traced nothing.
+	wantEvents := preEvents
+	for _, d := range decided {
+		wantEvents++
+		if d.Push {
+			wantEvents++
+		}
+	}
+	if n := len(got.obsSnap.Events); n != wantEvents {
+		t.Errorf("trace holds %d events, want %d", n, wantEvents)
+	}
+
+	if err := faulty.verify(); err != nil {
+		t.Fatalf("invariants after the failed burst: %v", err)
+	}
+	if err := faulty.Step(burst[:1]); err != nil {
+		t.Fatalf("Step after the failed burst: %v", err)
 	}
 }
 
-// TestArriveBatchRollbackValue exercises the value-model undo paths:
-// rolling back a push-out admission must re-insert the evicted minimum
-// into the victim's multiset and remove the accepted value again,
-// restoring lengths, minima and sums exactly.
-func TestArriveBatchRollbackValue(t *testing.T) {
+// TestArriveBatchPrefixAppliedProcessing: a tail-drop and a valid
+// push-out stay applied when the next decision names an out-of-range
+// victim.
+func TestArriveBatchPrefixAppliedProcessing(t *testing.T) {
+	cfg := validProcCfg()
+	cfg.Buffer = 4
+	fill := []pkt.Packet{pkt.NewWork(1, 2), pkt.NewWork(1, 2), pkt.NewWork(0, 1), pkt.NewWork(2, 3)}
+	burst := []pkt.Packet{pkt.NewWork(3, 6), pkt.NewWork(3, 6), pkt.NewWork(3, 6), pkt.NewWork(0, 1)}
+	checkPrefixApplied(t, cfg, fill, burst, []Decision{Drop(), PushOut(1)}, PushOut(99), "out of range")
+}
+
+// TestArriveBatchPrefixAppliedValue: a push-out of the victim's
+// minimum and a tail-drop stay applied when the next decision accepts
+// into the full buffer.
+func TestArriveBatchPrefixAppliedValue(t *testing.T) {
 	cfg := validValCfg()
 	cfg.Buffer = 4
-	cfg.CheckInvariants = true
-	// Decisions 0-3 fill the buffer; in the faulty batch, decision 4
-	// evicts port 0's minimum (value 1) to admit value 4, and decision 5
-	// plain-accepts into the full buffer (fails).
-	script := &scriptPolicy{script: []Decision{
-		Accept(), Accept(), Accept(), Accept(),
-		PushOut(0), Accept(),
-	}}
-	sw := MustNew(cfg, script)
-	rec := obs.NewRecorder(cfg.Ports, 16)
-	sw.SetRecorder(rec)
-
 	fill := []pkt.Packet{pkt.NewValue(0, 1), pkt.NewValue(0, 3), pkt.NewValue(1, 2), pkt.NewValue(2, 4)}
-	if err := sw.ArriveBurst(fill); err != nil {
-		t.Fatal(err)
-	}
-
-	want := captureState(sw, rec)
-
-	err := sw.ArriveBatch([]pkt.Packet{pkt.NewValue(0, 4), pkt.NewValue(1, 4)})
-	var be *BurstError
-	if !errors.As(err, &be) {
-		t.Fatalf("ArriveBatch error = %v, want *BurstError", err)
-	}
-	if be.Index != 1 || be.Applied != 0 {
-		t.Errorf("BurstError = {Index: %d, Applied: %d}, want {Index: 1, Applied: 0}", be.Index, be.Applied)
-	}
-	if !strings.Contains(err.Error(), "full buffer") {
-		t.Errorf("error %q does not name the full-buffer violation", err)
-	}
-	requireState(t, sw, rec, want)
+	burst := []pkt.Packet{pkt.NewValue(0, 4), pkt.NewValue(3, 1), pkt.NewValue(1, 4)}
+	checkPrefixApplied(t, cfg, fill, burst, []Decision{PushOut(0), Drop()}, Accept(), "full buffer")
 }
 
 // lazyBatch is a BatchPolicy whose kernel forgets the tail of the burst.
@@ -195,48 +195,60 @@ func (lazyBatch) AdmitBatch(b *Batch, ps []pkt.Packet) {
 
 // TestArriveBatchUndecidedKernel: a kernel that decides fewer packets
 // than it was handed is a policy bug; the engine must report it and
-// roll the decided prefix back.
+// keep the decided prefix applied.
 func TestArriveBatchUndecidedKernel(t *testing.T) {
 	cfg := validProcCfg()
+	cfg.CheckInvariants = true
 	sw := MustNew(cfg, lazyBatch{})
-	want := captureState(sw, nil)
 	err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(0, 1), pkt.NewWork(0, 1)})
 	if err == nil || !strings.Contains(err.Error(), "decided 1 of 2") {
 		t.Fatalf("ArriveBatch error = %v, want undecided-packet report", err)
 	}
-	requireState(t, sw, nil, want)
+	var be *BurstError
+	if !errors.As(err, &be) || be.Index != 1 || be.Applied != 1 {
+		t.Fatalf("ArriveBatch error = %#v, want {Index: 1, Applied: 1}", err)
+	}
+	if st := sw.Stats(); st.Arrived != 1 || st.Accepted != 1 || sw.Occupancy() != 1 {
+		t.Errorf("after the undecided burst: stats %+v occupancy %d, want the one decided accept", st, sw.Occupancy())
+	}
+	if err := sw.Step([]pkt.Packet{pkt.NewWork(1, 2)}); err != nil {
+		t.Fatalf("Step after the undecided burst: %v", err)
+	}
 }
 
-// TestArriveBurstPartialFailure pins the sequential burst semantics: the
-// error names the failing packet's index, Applied equals that index, and
-// the counters reflect exactly the applied prefix.
-func TestArriveBurstPartialFailure(t *testing.T) {
-	sw := MustNew(validProcCfg(), greedy)
-	burst := []pkt.Packet{
-		pkt.NewWork(0, 1),
-		pkt.NewWork(1, 2),
-		pkt.NewWork(99, 1), // invalid port
-		pkt.NewWork(2, 3),
-	}
-	err := sw.ArriveBurst(burst)
-	var be *BurstError
-	if !errors.As(err, &be) {
-		t.Fatalf("ArriveBurst error = %v, want *BurstError", err)
-	}
-	if be.Index != 2 || be.Applied != 2 {
-		t.Errorf("BurstError = {Index: %d, Applied: %d}, want {Index: 2, Applied: 2}", be.Index, be.Applied)
-	}
-	if be.Unwrap() == nil {
-		t.Error("BurstError.Unwrap returned nil")
-	}
-	if got := sw.Stats().Arrived; got != 2 {
-		t.Errorf("Stats.Arrived = %d, want 2 (only the applied prefix)", got)
-	}
-	if got := sw.Stats().Accepted; got != 2 {
-		t.Errorf("Stats.Accepted = %d, want 2", got)
-	}
-	if got := sw.Occupancy(); got != 2 {
-		t.Errorf("Occupancy = %d, want 2", got)
+// TestArriveBatchValidationAppliesNothing: a malformed packet anywhere
+// in the burst fails it before the first decision, so even the
+// well-formed packets before it leave no trace.
+func TestArriveBatchValidationAppliesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  pkt.Packet
+	}{
+		{"invalid port", pkt.NewWork(99, 1)},
+		{"work/port mismatch", pkt.NewWork(1, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := MustNew(validProcCfg(), greedy)
+			rec := obs.NewRecorder(sw.Ports(), 16)
+			sw.SetRecorder(rec)
+			err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(0, 1), pkt.NewWork(1, 2), tc.bad, pkt.NewWork(2, 3)})
+			var be *BurstError
+			if !errors.As(err, &be) {
+				t.Fatalf("ArriveBatch error = %v, want *BurstError", err)
+			}
+			if be.Index != 2 || be.Applied != 0 {
+				t.Errorf("BurstError = {Index: %d, Applied: %d}, want {Index: 2, Applied: 0}", be.Index, be.Applied)
+			}
+			if be.Unwrap() == nil {
+				t.Error("BurstError.Unwrap returned nil")
+			}
+			if st := sw.Stats(); st != (Stats{}) || sw.Occupancy() != 0 {
+				t.Errorf("validation failure applied packets: stats %+v occupancy %d", st, sw.Occupancy())
+			}
+			if n := len(rec.Snapshot().Events); n != 0 {
+				t.Errorf("validation failure traced %d events", n)
+			}
+		})
 	}
 }
 
@@ -247,7 +259,7 @@ func TestArriveBurstPartialFailure(t *testing.T) {
 // the same reason.
 func TestQueueTotalWorksValueModel(t *testing.T) {
 	sw := MustNew(validValCfg(), greedy)
-	if err := sw.ArriveBurst([]pkt.Packet{
+	if err := sw.ArriveBatch([]pkt.Packet{
 		pkt.NewValue(0, 2), pkt.NewValue(0, 3), pkt.NewValue(2, 1),
 	}); err != nil {
 		t.Fatal(err)
@@ -309,51 +321,5 @@ func TestFastViewAliasingDetected(t *testing.T) {
 	sw2 := MustNew(cfg, lenMutator)
 	if err := sw2.Arrive(pkt.NewWork(0, 1)); err == nil {
 		t.Error("queue-length tamper went undetected under CheckInvariants")
-	}
-}
-
-// TestArriveBatchTraceBuffering: decision events from a failed batch
-// must never reach the trace ring — they are buffered and only flushed
-// on commit.
-func TestArriveBatchTraceBuffering(t *testing.T) {
-	cfg := validProcCfg()
-	cfg.Buffer = 4
-	// Decisions 0-3 fill the buffer; the faulty batch drops (decision 4,
-	// traced into the event buffer) then accepts into the full buffer
-	// (decision 5, fails); decision 6 is the committed drop.
-	script := &scriptPolicy{script: []Decision{
-		Accept(), Accept(), Accept(), Accept(),
-		Drop(), Accept(),
-		Drop(),
-	}}
-	sw := MustNew(cfg, script)
-	rec := obs.NewRecorder(cfg.Ports, 16)
-	sw.SetRecorder(rec)
-
-	if err := sw.ArriveBurst([]pkt.Packet{
-		pkt.NewWork(0, 1), pkt.NewWork(0, 1), pkt.NewWork(0, 1), pkt.NewWork(0, 1),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	preEvents := len(rec.Snapshot().Events)
-
-	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(1, 2), pkt.NewWork(1, 2)}); err == nil {
-		t.Fatal("faulty batch succeeded")
-	}
-	if got := len(rec.Snapshot().Events); got != preEvents {
-		t.Errorf("trace ring holds %d events after rollback, want %d (failed batch must not trace)", got, preEvents)
-	}
-
-	// A committed batch delivers its events in decision order.
-	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(1, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	events := rec.Snapshot().Events
-	if len(events) != preEvents+1 {
-		t.Fatalf("trace ring holds %d events, want %d", len(events), preEvents+1)
-	}
-	last := events[len(events)-1]
-	if last.Kind != obs.KindTailDrop || last.Port != 1 {
-		t.Errorf("last event = %+v, want tail-drop on port 1 (buffer full)", last)
 	}
 }

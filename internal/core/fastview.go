@@ -98,15 +98,6 @@ func (a *argmax) drop(i int) {
 	}
 }
 
-// invalidate unconditionally forces the next top query to rescan. The
-// batch rollback path uses it instead of replaying bump/drop inverses:
-// a valid cache always holds the exact largest-index argmax and an
-// invalid one rescans, so forcing a rescan is behaviorally equivalent
-// and keeps the undo log free of cache bookkeeping.
-//
-//smb:hotpath
-func (a *argmax) invalidate() { a.ok = false }
-
 // top returns the argmax index and key, rescanning if invalidated. The
 // rescan walks backward with a strict comparison — identical result to
 // a forward walk that takes ties, but the replacement branch almost

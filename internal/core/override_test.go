@@ -89,7 +89,7 @@ func TestSetPortSpeedupPanicsOutOfRange(t *testing.T) {
 
 func TestSetBufferLimitSqueezesView(t *testing.T) {
 	s := MustNew(overrideCfg(), greedy)
-	if err := s.ArriveBurst(pkt.Burst(pkt.NewWork(0, 1), 6)); err != nil {
+	if err := s.ArriveBatch(pkt.Burst(pkt.NewWork(0, 1), 6)); err != nil {
 		t.Fatal(err)
 	}
 	s.SetBufferLimit(4)
@@ -129,7 +129,7 @@ func TestSqueezeAllowsPushOutAdmissions(t *testing.T) {
 	// A push-out policy stays occupancy-neutral, so admissions remain
 	// legal even when occupancy already exceeds the squeezed limit.
 	s := MustNew(overrideCfg(), evictFrom(0))
-	if err := s.ArriveBurst(pkt.Burst(pkt.NewWork(0, 1), 6)); err != nil {
+	if err := s.ArriveBatch(pkt.Burst(pkt.NewWork(0, 1), 6)); err != nil {
 		t.Fatal(err)
 	}
 	s.SetBufferLimit(2)

@@ -6,15 +6,15 @@ import (
 	"smbm/internal/pkt"
 )
 
-// These tests pin the lifetime contract of the epoch-stamped batch
-// state (batchSerial, memoEpoch, and the stamp tables they guard):
-// both counters are monotone across Reset and SetPolicy — they are
-// never rezeroed — so a stamp recorded in any earlier incarnation of
-// the switch state can never alias a live one. That is what lets an
-// unbounded daemon (cmd/smbsimd) run stream after stream over one
-// Switch without ever clearing the memo tables; the wraparound story
-// (int64, a few increments per packet, centuries to overflow) is
-// documented on the field declarations in switch.go.
+// These tests pin the lifetime contract of the drop-memo epoch
+// (memoEpoch and the memoStamp table it guards): the epoch is monotone
+// across Reset and SetPolicy — it is never rezeroed — so a stamp
+// recorded in any earlier incarnation of the switch state can never
+// alias a live one. That is what lets an unbounded daemon
+// (cmd/smbsimd) run stream after stream over one Switch without ever
+// clearing the memo table; the wraparound story (int64, a few
+// increments per packet, centuries to overflow) is documented on the
+// field declaration in switch.go.
 
 // stampedDropper drops everything through the memo so every burst
 // leaves live memo stamps behind.
@@ -27,30 +27,30 @@ func TestBatchStampsMonotoneAcrossResetAndPolicySwap(t *testing.T) {
 	sw := MustNew(cfg, greedy)
 	burst := []pkt.Packet{{Port: 0, Work: 1, Value: 1}, {Port: 1, Work: 2, Value: 2}}
 
-	if sw.batchSerial != 0 || sw.memoEpoch != 0 {
-		t.Fatalf("fresh switch stamps = (%d, %d), want (0, 0)", sw.batchSerial, sw.memoEpoch)
+	if sw.memoEpoch != 0 {
+		t.Fatalf("fresh switch epoch = %d, want 0", sw.memoEpoch)
 	}
 	if err := sw.ArriveBatch(burst); err != nil {
 		t.Fatalf("ArriveBatch: %v", err)
 	}
-	serial1, epoch1 := sw.batchSerial, sw.memoEpoch
-	if serial1 <= 0 || epoch1 <= 0 {
-		t.Fatalf("stamps after one batch = (%d, %d), want both positive", serial1, epoch1)
+	epoch1 := sw.memoEpoch
+	if epoch1 <= 0 {
+		t.Fatalf("epoch after one batch = %d, want positive", epoch1)
 	}
 
-	// Reset clears every queue and counter but must leave the stamps in
-	// place: rezeroing them would let pre-Reset memo entries validate
+	// Reset clears every queue and counter but must leave the epoch in
+	// place: rezeroing it would let pre-Reset memo entries validate
 	// against post-Reset epochs.
 	sw.Reset()
-	if sw.batchSerial != serial1 || sw.memoEpoch != epoch1 {
-		t.Fatalf("Reset moved stamps: (%d, %d) -> (%d, %d)", serial1, epoch1, sw.batchSerial, sw.memoEpoch)
+	if sw.memoEpoch != epoch1 {
+		t.Fatalf("Reset moved the epoch: %d -> %d", epoch1, sw.memoEpoch)
 	}
 	if err := sw.ArriveBatch(burst); err != nil {
 		t.Fatalf("ArriveBatch after Reset: %v", err)
 	}
-	serial2, epoch2 := sw.batchSerial, sw.memoEpoch
-	if serial2 <= serial1 || epoch2 <= epoch1 {
-		t.Fatalf("stamps not monotone across Reset: (%d, %d) then (%d, %d)", serial1, epoch1, serial2, epoch2)
+	epoch2 := sw.memoEpoch
+	if epoch2 <= epoch1 {
+		t.Fatalf("epoch not monotone across Reset: %d then %d", epoch1, epoch2)
 	}
 
 	// Same across a policy swap — the daemon's between-streams path is
@@ -59,20 +59,19 @@ func TestBatchStampsMonotoneAcrossResetAndPolicySwap(t *testing.T) {
 	if err := sw.SetPolicy(stampedDropper); err != nil {
 		t.Fatalf("SetPolicy: %v", err)
 	}
-	if sw.batchSerial != serial2 || sw.memoEpoch != epoch2 {
-		t.Fatalf("SetPolicy moved stamps: (%d, %d) -> (%d, %d)", serial2, epoch2, sw.batchSerial, sw.memoEpoch)
+	if sw.memoEpoch != epoch2 {
+		t.Fatalf("SetPolicy moved the epoch: %d -> %d", epoch2, sw.memoEpoch)
 	}
 	if err := sw.ArriveBatch(burst); err != nil {
 		t.Fatalf("ArriveBatch after SetPolicy: %v", err)
 	}
-	if sw.batchSerial <= serial2 || sw.memoEpoch <= epoch2 {
-		t.Fatalf("stamps not monotone across SetPolicy: (%d, %d) then (%d, %d)",
-			serial2, epoch2, sw.batchSerial, sw.memoEpoch)
+	if sw.memoEpoch <= epoch2 {
+		t.Fatalf("epoch not monotone across SetPolicy: %d then %d", epoch2, sw.memoEpoch)
 	}
 }
 
 // TestMemoStampNeverRevivesAcrossReset drives the aliasing scenario the
-// monotone epochs rule out: a (port, value) memoized as a drop before
+// monotone epoch rules out: a (port, value) memoized as a drop before
 // Reset must not register as a known drop in any batch after it.
 func TestMemoStampNeverRevivesAcrossReset(t *testing.T) {
 	cfg := validProcCfg()

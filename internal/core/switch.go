@@ -107,34 +107,25 @@ type Switch struct {
 	stats   Stats
 	perPort []PortCounters
 
-	// Batched arrival phase state (see batch.go): the reusable Batch
-	// executor, the policy's optional batch kernel, the undo log and
-	// counter checkpoints backing transactional commit/rollback, the
-	// buffered trace events, and the epoch-stamped drop-decision memo.
-	batchPol   BatchPolicy
-	batch      Batch
-	undo       []uint64
-	undoEv     []evictUndo
-	evBuf      []obs.Event
-	recSnap    []uint64
-	statsSnap  Stats
-	savedPC    []PortCounters
-	dirtyPorts []int
-	dirtyStamp []int64
-	// batchSerial and memoEpoch are monotone for the lifetime of the
-	// Switch: they only ever increment (beginBatch advances both;
-	// accepts and push-outs advance memoEpoch) and survive Reset and
-	// SetPolicy untouched, so a dirtyStamp or memoStamp written before
-	// either can never alias a stamp issued after — the stamp tables
-	// never need clearing. Overflow is a non-concern by construction:
-	// both are int64, advanced at most a few times per arriving packet,
-	// so even an unbounded daemon (cmd/smbsimd) stepping 10⁹ packets
-	// per second would take centuries to wrap. Do not "economize" by
-	// rezeroing them on Reset; that would revive stale stamps.
-	batchSerial int64
-	memoStamp   []int64
-	memoStride  int
-	memoEpoch   int64
+	// Arrival phase state (see batch.go): the reusable Batch executor,
+	// the policy's optional batch kernel, Arrive's one-packet burst, and
+	// the epoch-stamped drop-decision memo.
+	batchPol BatchPolicy
+	batch    Batch
+	one      [1]pkt.Packet
+	// memoEpoch is monotone for the lifetime of the Switch: it only
+	// ever increments (every burst start, accept and push-out advances
+	// it) and survives Reset and SetPolicy untouched, so a memoStamp
+	// written before either can never alias a stamp issued after — the
+	// stamp table never needs clearing. Overflow is a non-concern by
+	// construction: it is int64, advanced at most a few times per
+	// arriving packet, so even an unbounded daemon (cmd/smbsimd)
+	// stepping 10⁹ packets per second would take centuries to wrap. Do
+	// not "economize" by rezeroing it on Reset; that would revive stale
+	// stamps.
+	memoStamp  []int64
+	memoStride int
+	memoEpoch  int64
 
 	// Optional observability recorder (see SetRecorder). Every recording
 	// site is branch-on-nil, so a detached switch pays one predictable
@@ -205,14 +196,8 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	for _, w := range s.works {
 		s.invWorkSum += 1 / float64(w)
 	}
-	// Batched arrival scratch: preallocated so ArriveBatch stays
-	// allocation-free in steady state (the undo log and trace buffer
-	// grow amortized to the largest burst seen).
 	s.batch.s = s
 	s.batchPol, _ = policy.(BatchPolicy)
-	s.savedPC = make([]PortCounters, n)
-	s.dirtyPorts = make([]int, 0, n)
-	s.dirtyStamp = make([]int64, n)
 	s.memoStride = cfg.MaxLabel + 1
 	s.memoStamp = make([]int64, n*s.memoStride)
 	return s, nil
@@ -500,88 +485,35 @@ var _ FastView = (*Switch)(nil)
 // --- Simulation -----------------------------------------------------------
 
 // Arrive offers one packet to the policy during the arrival phase and
-// executes its decision. It returns an error when the packet is malformed
-// for this switch or the policy's decision violates the model (accepting
-// into a full buffer, evicting from an empty queue).
-//
-// Arrive is atomic per packet: a failing packet contributes nothing —
-// no queue mutation, no Stats or per-port counter movement, no obs
-// event — because every validation (packet shape, victim, buffer
-// bound) runs before the first mutation. The one exception is a
+// executes its decision: it is ArriveBatch over a one-packet burst,
+// with the *BurstError unwrapped. It returns an error when the packet
+// is malformed for this switch or the policy's decision violates the
+// model (accepting into a full buffer, evicting from an empty queue).
+// A failing packet contributes nothing — no queue mutation, no Stats
+// or per-port counter movement, no obs event — except under a
 // CheckInvariants verify failure, which reports engine corruption
-// *after* the triggering packet was applied. Arrive is the executable
-// per-packet reference the batched ArriveBatch path is differentially
-// tested against.
+// *after* the triggering packet was applied.
 func (s *Switch) Arrive(p pkt.Packet) error {
-	if err := p.Validate(s.cfg.Ports, s.cfg.MaxLabel); err != nil {
-		return err
+	s.one[0] = p
+	err := s.ArriveBatch(s.one[:])
+	if be, ok := err.(*BurstError); ok {
+		return be.Err
 	}
-	if s.fifo && p.Work != s.works[p.Port] {
-		return fmt.Errorf("core: packet work %d does not match port %d configuration %d", p.Work, p.Port, s.works[p.Port])
-	}
-	d := s.policy.Admit(s, p)
-	if !d.Accept {
-		s.stats.Arrived++
-		s.perPort[p.Port].Arrived++
-		s.stats.Dropped++
-		s.perPort[p.Port].Dropped++
-		if s.rec != nil {
-			s.rec.Inc(p.Port, obs.KindTailDrop)
-			s.rec.Trace(s.slot, p.Port, obs.KindTailDrop, p.Work, p.Value)
-		}
-		return nil
-	}
-	if d.Push {
-		if err := s.canEvict(d.Victim); err != nil {
-			return fmt.Errorf("core: policy %s: %w", s.policy.Name(), err)
-		}
-		// A push-out admission is occupancy-neutral, so during a buffer
-		// squeeze it only needs the physical bound — checked against the
-		// post-eviction occupancy before evicting, so a violating
-		// decision mutates nothing.
-		if s.occ-1 >= s.cfg.Buffer {
-			return fmt.Errorf("core: policy %s accepted into a full buffer (occ=%d, B=%d)", s.policy.Name(), s.occ-1, s.cfg.Buffer)
-		}
-		remWork, remValue := s.evict(d.Victim)
-		s.stats.PushedOut++
-		s.perPort[d.Victim].PushedOut++
-		if s.rec != nil {
-			s.rec.Inc(d.Victim, obs.KindPushOut)
-			s.rec.Add(d.Victim, obs.KindPushedOutWork, uint64(remWork))
-			s.rec.Add(d.Victim, obs.KindPushedOutValue, uint64(remValue))
-			s.rec.Trace(s.slot, d.Victim, obs.KindPushOut, remWork, remValue)
-		}
-	} else if s.occ >= s.effBuf {
-		// A plain accept needs room below the effective (possibly
-		// squeezed) buffer.
-		return fmt.Errorf("core: policy %s accepted into a full buffer (occ=%d, B=%d)", s.policy.Name(), s.occ, s.effBuf)
-	}
-	s.stats.Arrived++
-	s.perPort[p.Port].Arrived++
-	s.insert(p)
-	s.stats.Accepted++
-	s.perPort[p.Port].Accepted++
-	if s.rec != nil {
-		s.rec.Inc(p.Port, obs.KindAdmit)
-		s.rec.Trace(s.slot, p.Port, obs.KindAdmit, p.Work, p.Value)
-	}
-	s.stats.observeOccupancy(s.occ)
-	if s.cfg.CheckInvariants {
-		return s.verify()
-	}
-	return nil
+	return err
 }
 
 // BurstError reports a failure inside a burst arrival: which packet
-// failed and how many packets of the burst had been fully applied (and
+// failed and how many packets of the burst had been applied (and
 // remain applied) when the failure surfaced.
 type BurstError struct {
 	// Index is the position of the failing packet within the burst.
 	Index int
-	// Applied counts the burst's packets whose effects remain in Stats
-	// and the per-port counters: Index for the sequential ArriveBurst
-	// path (everything before the failure sticks), 0 for the
-	// transactional ArriveBatch path (everything rolls back).
+	// Applied counts the burst's packets whose effects remain in Stats,
+	// the per-port counters and the obs recorder: 0 when up-front
+	// validation rejected the burst, Index when a policy decision
+	// failed (the decided prefix stays applied), and Index+1 when a
+	// CheckInvariants verify failure surfaced after packet Index was
+	// applied.
 	Applied int
 	// Err is the underlying per-packet failure.
 	Err error
@@ -594,24 +526,6 @@ func (e *BurstError) Error() string {
 
 // Unwrap exposes the underlying failure to errors.Is and errors.As.
 func (e *BurstError) Unwrap() error { return e.Err }
-
-// ArriveBurst offers packets in order through the per-packet Arrive
-// path, stopping at the first error. A failure is returned as a
-// *BurstError whose Index names the failing packet and whose Applied
-// count equals Index: Arrive is atomic per packet, so exactly the
-// packets preceding the failure contributed to Stats and the per-port
-// counters, and the failing packet contributed nothing. (Exception:
-// with CheckInvariants set, a verify failure surfaces after the
-// triggering packet was applied; the error then describes engine
-// corruption, not a rejected packet.)
-func (s *Switch) ArriveBurst(ps []pkt.Packet) error {
-	for i, p := range ps {
-		if err := s.Arrive(p); err != nil {
-			return &BurstError{Index: i, Applied: i, Err: err}
-		}
-	}
-	return nil
-}
 
 // Transmit runs one transmission phase: every non-empty queue receives
 // Speedup processing cycles (processing and combined models) or
@@ -839,11 +753,10 @@ func (s *Switch) transmitCombined() {
 }
 
 // Step runs one full time slot: the arrival phase over the given burst
-// (in order), then the transmission phase. The arrival phase runs
-// through the batched ArriveBatch path, which is differentially tested
-// to be bit-identical to the per-packet ArriveBurst reference; on
-// error the slot's arrivals are rolled back wholesale and the
-// transmission phase does not run.
+// (in order, through ArriveBatch), then the transmission phase. On
+// error the transmission phase does not run and the decided prefix of
+// the burst stays applied (see ArriveBatch); admission decisions are
+// final, so callers treat the error as fatal for the run.
 //
 //smb:hotpath
 func (s *Switch) Step(arrivalsInOrder []pkt.Packet) error {
@@ -917,8 +830,8 @@ func (s *Switch) Reset() {
 	s.recomputeEffBuf()
 	// Restore the work table from the pristine configuration so a Reset
 	// also clears any corruption a rogue FastView-slice write left
-	// behind. The batch serial and memo epoch stay monotone: stale
-	// stamps can never match a future batch.
+	// behind. The memo epoch stays monotone: stale stamps can never
+	// match a future burst.
 	copy(s.works, s.cfgWorks)
 }
 
@@ -932,8 +845,7 @@ func (s *Switch) TotalWork() int {
 }
 
 // canEvict validates a push-out victim without mutating anything, so
-// the admission paths can reject a violating decision before touching
-// state (per-packet atomicity, batch transactionality).
+// Batch.PushOut can reject a violating decision before touching state.
 //
 //smb:hotpath
 func (s *Switch) canEvict(victim int) error {
@@ -956,9 +868,8 @@ func (s *Switch) canEvict(victim int) error {
 // head-of-line packet, whose partial progress is wasted) plus, in the
 // combined model, the tail's intrinsic value; in the value model the
 // popped minimum. The victim must have been validated with canEvict
-// first. Counter and recorder updates belong to the callers: the
-// per-packet Arrive path records directly, the batched path
-// transactionally.
+// first. Counter and recorder updates belong to the caller,
+// Batch.PushOut.
 //
 //smb:hotpath
 func (s *Switch) evict(victim int) (remWork, remValue int) {

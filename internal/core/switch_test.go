@@ -131,7 +131,7 @@ func TestPushOutTailSemantics(t *testing.T) {
 	// queue 0 when port 1 traffic arrives.
 	cfg := Config{Model: ModelProcessing, Ports: 2, Buffer: 2, MaxLabel: 2, Speedup: 1, PortWork: []int{2, 2}}
 	sw := MustNew(cfg, evictFrom(0))
-	if err := sw.ArriveBurst(pkt.Burst(pkt.NewWork(0, 2), 2)); err != nil {
+	if err := sw.ArriveBatch(pkt.Burst(pkt.NewWork(0, 2), 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Arrive(pkt.NewWork(1, 2)); err != nil {
@@ -153,7 +153,7 @@ func TestPushOutLastPacketResetsResidual(t *testing.T) {
 	// spent are wasted and the queue's residual resets.
 	cfg := Config{Model: ModelProcessing, Ports: 2, Buffer: 2, MaxLabel: 4, Speedup: 1, PortWork: []int{4, 4}}
 	sw := MustNew(cfg, evictFrom(0))
-	if err := sw.ArriveBurst([]pkt.Packet{pkt.NewWork(0, 4), pkt.NewWork(1, 4)}); err != nil {
+	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(0, 4), pkt.NewWork(1, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	sw.Transmit() // both HOL packets now have residual 3
@@ -189,7 +189,7 @@ func TestPolicyErrorsSurface(t *testing.T) {
 	t.Run("evict from empty queue", func(t *testing.T) {
 		cfg := Config{Model: ModelProcessing, Ports: 2, Buffer: 2, MaxLabel: 1, Speedup: 1, PortWork: []int{1, 1}}
 		sw := MustNew(cfg, evictFrom(1)) // queue 1 stays empty
-		if err := sw.ArriveBurst(pkt.Burst(pkt.NewWork(0, 1), 2)); err != nil {
+		if err := sw.ArriveBatch(pkt.Burst(pkt.NewWork(0, 1), 2)); err != nil {
 			t.Fatal(err)
 		}
 		err := sw.Arrive(pkt.NewWork(0, 1))
@@ -238,7 +238,7 @@ func TestValueModelTransmitsMaxFirst(t *testing.T) {
 func TestValueModelEvictsMin(t *testing.T) {
 	cfg := Config{Model: ModelValue, Ports: 2, Buffer: 2, MaxLabel: 9, Speedup: 1}
 	sw := MustNew(cfg, evictFrom(0))
-	if err := sw.ArriveBurst([]pkt.Packet{pkt.NewValue(0, 5), pkt.NewValue(0, 2)}); err != nil {
+	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewValue(0, 5), pkt.NewValue(0, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Arrive(pkt.NewValue(1, 9)); err != nil {
@@ -270,7 +270,7 @@ func TestValueModelSpeedup(t *testing.T) {
 func TestDrainAndReset(t *testing.T) {
 	cfg := validProcCfg()
 	sw := MustNew(cfg, greedy)
-	if err := sw.ArriveBurst([]pkt.Packet{pkt.NewWork(3, 6), pkt.NewWork(0, 1)}); err != nil {
+	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(3, 6), pkt.NewWork(0, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	slots := sw.Drain()
@@ -300,7 +300,7 @@ func TestViewAccessors(t *testing.T) {
 	if sw.Model() != ModelProcessing || sw.Ports() != 4 || sw.Buffer() != 8 || sw.MaxLabel() != 6 {
 		t.Error("view accessors disagree with config")
 	}
-	if err := sw.ArriveBurst([]pkt.Packet{pkt.NewWork(2, 3), pkt.NewWork(2, 3)}); err != nil {
+	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(2, 3), pkt.NewWork(2, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := sw.QueueLen(2); got != 2 {
@@ -386,7 +386,7 @@ func TestPortCountersProcessing(t *testing.T) {
 func TestPortCountersValueModel(t *testing.T) {
 	cfg := validValCfg()
 	sw := MustNew(cfg, evictFrom(0))
-	if err := sw.ArriveBurst(pkt.Burst(pkt.NewValue(0, 2), 8)); err != nil {
+	if err := sw.ArriveBatch(pkt.Burst(pkt.NewValue(0, 2), 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Arrive(pkt.NewValue(1, 4)); err != nil {

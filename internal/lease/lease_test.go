@@ -463,6 +463,52 @@ func TestIntraProcessHeldSet(t *testing.T) {
 	}
 }
 
+// TestAcquireSkipsCellCompletedDuringClaim pins the claim race between
+// sibling goroutines of one worker: B scans cell c as free; before B
+// takes its in-process hold, A leases c, completes it and releases the
+// hold. B's hold then succeeds and B appends a lease under its stale
+// token — the token A completed under, so the verify scan shows B's own
+// worker as the live holder. B must see the completion, drop the claim
+// and report the sweep done instead of running c a second time. The
+// interleaving is injected through the scanned hook, not timing.
+func TestAcquireSkipsCellCompletedDuringClaim(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	cells := []Cell{{X: 1, SeedIndex: 0}}
+	ctx := context.Background()
+	l := openWorker(t, dir, "a", clk, time.Minute, 3)
+
+	injected := false
+	l.scanned = func(Cell) {
+		if injected {
+			return
+		}
+		injected = true
+		// Sibling A runs its whole lease lifecycle inside B's window.
+		ls, status, err := l.Acquire(ctx, cells)
+		if err != nil || status != StatusAcquired {
+			t.Errorf("sibling Acquire = %v, %v", status, err)
+			return
+		}
+		if err := l.Complete(ls, payload("a")); err != nil {
+			t.Errorf("sibling Complete: %v", err)
+		}
+	}
+	ls, status, err := l.Acquire(ctx, cells)
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	if !injected {
+		t.Fatal("scanned hook never ran")
+	}
+	if status != StatusDone {
+		t.Fatalf("Acquire claimed completed cell %s (token %d, status %v), want StatusDone", ls.Cell, ls.Token, status)
+	}
+	if c := l.Counters(); c.Leases != 1 || c.Conflicts != 0 {
+		t.Fatalf("counters = %+v, want the sibling's 1 lease and no conflicts", c)
+	}
+}
+
 // TestOpenRejectsSecondLiveWriter pins the live-writer lock: two live
 // processes (here, two handles — flock binds to the open file
 // description, so the in-process case exercises the same kernel path)

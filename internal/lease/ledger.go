@@ -100,6 +100,12 @@ type Ledger struct {
 	rng    *rand.Rand
 	held   map[Cell]bool
 	counts obs.LeaseCounts
+
+	// scanned, when set, runs after Acquire's scan picks a free cell and
+	// before it takes the in-process hold — the window in which a
+	// sibling goroutine can lease, complete and release that cell.
+	// Tests set it to inject that interleaving deterministically.
+	scanned func(Cell)
 }
 
 // Open joins (or creates) the ledger at o.Dir as worker o.Worker. If
@@ -354,6 +360,9 @@ func (l *Ledger) Acquire(ctx context.Context, cells []Cell) (Lease, Status, erro
 		c := free[int(workerHash(l.worker)%uint64(len(free)))]
 		cs := st.Cell(c)
 		ls := Lease{Cell: c, Token: cs.NextToken, Attempt: cs.NextAttempt}
+		if l.scanned != nil {
+			l.scanned(c)
+		}
 		if !l.hold(c) {
 			continue // a sibling goroutine claimed it since the scan
 		}
@@ -365,6 +374,14 @@ func (l *Ledger) Acquire(ctx context.Context, cells []Cell) (Lease, Status, erro
 		if err != nil {
 			l.release(c)
 			return Lease{}, StatusAcquired, err
+		}
+		if p := verify.Phase(c, l.retries); p == PhaseCompleted || p == PhaseDegraded {
+			// A sibling finished c between our scan and our hold, and our
+			// stale-token lease may share its token, which would pass the
+			// holder check below. The cell needs no claim; rescan for
+			// other work. This is not a lost race, so no conflict counts.
+			l.release(c)
+			continue
 		}
 		got := verify.Cell(c)
 		if got.Holder == l.worker && got.HolderToken == ls.Token {

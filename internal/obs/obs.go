@@ -143,18 +143,9 @@ func (r *Recorder) Trace(slot int64, port int, k Kind, work, value int) {
 	r.tracer.Record(Event{Slot: slot, Port: port, Kind: k, Work: work, Value: value})
 }
 
-// Tracing reports whether an event ring is attached. The engine's
-// batched arrival phase consults it once per batch to decide whether
-// decision events must be buffered for transactional replay (an
-// overwriting ring cannot be rewound, so events are only delivered on
-// commit — see core.ArriveBatch).
-func (r *Recorder) Tracing() bool { return r.tracer != nil }
-
 // SaveCounts copies the flat counter slab into dst, growing it as
-// needed, and returns the (possibly reallocated) slice. Together with
-// RestoreCounts it gives the engine's transactional batch path a
-// counter checkpoint: allocation happens at most once per recorder
-// lifetime because callers reuse the returned slice.
+// needed, and returns the (possibly reallocated) slice. Callers that
+// reuse the returned slice allocate at most once per recorder.
 func (r *Recorder) SaveCounts(dst []uint64) []uint64 {
 	if cap(dst) < len(r.counts) {
 		dst = make([]uint64, len(r.counts))
@@ -162,16 +153,6 @@ func (r *Recorder) SaveCounts(dst []uint64) []uint64 {
 	dst = dst[:len(r.counts)]
 	copy(dst, r.counts)
 	return dst
-}
-
-// RestoreCounts overwrites the counter slab from a SaveCounts
-// checkpoint taken on this recorder. It panics on a size mismatch,
-// which indicates a checkpoint from a differently-sized recorder.
-func (r *Recorder) RestoreCounts(src []uint64) {
-	if len(src) != len(r.counts) {
-		panic("obs: RestoreCounts checkpoint size mismatch")
-	}
-	copy(r.counts, src)
 }
 
 // Count returns one port's counter for lane k.

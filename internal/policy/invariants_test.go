@@ -170,10 +170,10 @@ func TestMVDBeatsLQDOnBufferedValue(t *testing.T) {
 	}
 	mvd := core.MustNew(cfg, MVD{})
 	lqd := core.MustNew(cfg, VLQD{})
-	if err := mvd.ArriveBurst(burst); err != nil {
+	if err := mvd.ArriveBatch(burst); err != nil {
 		t.Fatal(err)
 	}
-	if err := lqd.ArriveBurst(burst); err != nil {
+	if err := lqd.ArriveBatch(burst); err != nil {
 		t.Fatal(err)
 	}
 	sum := func(sw *core.Switch) int64 {

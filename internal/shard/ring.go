@@ -10,13 +10,11 @@
 // deterministic engine doubles as the differential oracle for the
 // concurrent runtime.
 //
-// The package has three layers:
+// The package has two layers:
 //
 //   - Ring: the SPSC ingress ring carrying packed 8-byte arrival and
 //     control entries between exactly one producer goroutine and one
 //     shard goroutine;
-//   - Budget/Pool: shared atomic staging-buffer accounting and the
-//     per-shard packet-slab pools grown and shrunk off the hot path;
 //   - Shard/Runtime: the shard event loop around core.Switch and the
 //     port-partitioned runtime that routes arrivals, advances slots,
 //     drains, and collects per-shard results.

@@ -90,20 +90,11 @@ type Options struct {
 	// RingCap is each shard's ingress-ring capacity in entries
 	// (rounded up to a power of two; default 1<<14).
 	RingCap int
-	// StagingBudget is the shared staging-slab budget in packets
-	// (default four times the global buffer, floored at one maximum
-	// slab per shard).
-	StagingBudget int64
-	// PoolHiWater is the per-pool free-capacity watermark above which
-	// the manager shrinks (default Pool's own).
-	PoolHiWater int64
 }
 
 // Runtime is the sharded concurrent switch: N shards, each owning a
 // contiguous port partition and stepping a private deterministic
-// core.Switch, fed through per-shard SPSC rings, with staging memory
-// drawn from one shared atomic Budget and returned by a pool-manager
-// goroutine off the hot path.
+// core.Switch, fed through per-shard SPSC rings.
 //
 // Producer-side methods (BeginStream, Ingest, Advance, Finish,
 // EndStream, SetPolicy, Stop) must be called from one goroutine at a
@@ -114,17 +105,11 @@ type Runtime struct {
 	cfg    core.Config
 	parts  []Partition
 	owner  []int32
-	budget *Budget
-	pools  []*Pool
 	shards []*Shard
 
 	started   bool
 	stopped   bool
 	streaming atomic.Bool
-
-	kick        chan struct{}
-	managerStop chan struct{}
-	managerDone chan struct{}
 }
 
 // NewRuntime builds a runtime of the given shard count over the global
@@ -149,21 +134,10 @@ func NewRuntime(cfg core.Config, shards int, factory func() core.Policy, opt Opt
 	if ringCap <= 0 {
 		ringCap = 1 << 14
 	}
-	budgetCap := opt.StagingBudget
-	if budgetCap <= 0 {
-		budgetCap = 4 * int64(cfg.Buffer)
-		if floor := int64(shards) * minSlab << (poolClasses - 1); budgetCap < floor {
-			budgetCap = floor
-		}
-	}
 	rt := &Runtime{
-		cfg:         cfg,
-		parts:       PartitionPorts(cfg.Ports, shards),
-		owner:       make([]int32, cfg.Ports),
-		budget:      NewBudget(budgetCap),
-		kick:        make(chan struct{}, 1),
-		managerStop: make(chan struct{}),
-		managerDone: make(chan struct{}),
+		cfg:   cfg,
+		parts: PartitionPorts(cfg.Ports, shards),
+		owner: make([]int32, cfg.Ports),
 	}
 	for s, p := range rt.parts {
 		if p.Ports() >= CtlPort {
@@ -172,17 +146,14 @@ func NewRuntime(cfg core.Config, shards int, factory func() core.Policy, opt Opt
 		for g := p.Lo; g < p.Hi; g++ {
 			rt.owner[g] = int32(s)
 		}
-		pool := NewPool(rt.budget, opt.PoolHiWater)
-		pool.kick = rt.kick
 		pol := factory()
 		if pol == nil {
 			return nil, errors.New("shard: policy factory returned nil")
 		}
-		sh, err := newShard(s, ShardConfig(cfg, rt.parts, s), pol, ringCap, pool)
+		sh, err := newShard(s, ShardConfig(cfg, rt.parts, s), pol, ringCap)
 		if err != nil {
 			return nil, err
 		}
-		rt.pools = append(rt.pools, pool)
 		rt.shards = append(rt.shards, sh)
 	}
 	return rt, nil
@@ -200,9 +171,6 @@ func (rt *Runtime) Partition(i int) Partition { return rt.parts[i] }
 // ShardConfig returns shard i's partition-local engine configuration.
 func (rt *Runtime) ShardConfig(i int) core.Config { return rt.shards[i].cfg }
 
-// Budget returns the shared staging budget, for observability.
-func (rt *Runtime) Budget() *Budget { return rt.budget }
-
 // Shard returns shard i, for its read-only observability surfaces
 // (Mirror, Live).
 func (rt *Runtime) Shard(i int) *Shard { return rt.shards[i] }
@@ -217,8 +185,8 @@ func (rt *Runtime) LiveTotal() LiveSnapshot {
 	return total
 }
 
-// Start launches the shard goroutines and the pool manager. It must be
-// called exactly once before any stream.
+// Start launches the shard goroutines. It must be called exactly once
+// before any stream.
 func (rt *Runtime) Start() {
 	if rt.started {
 		panic("shard: Runtime started twice")
@@ -226,27 +194,6 @@ func (rt *Runtime) Start() {
 	rt.started = true
 	for _, sh := range rt.shards {
 		go sh.run()
-	}
-	go rt.manage()
-}
-
-// manage is the pool-manager goroutine: it waits for shrink requests
-// (posted by pools crossing their free-capacity watermark, and on
-// stream boundaries) and returns surplus slabs to the shared budget —
-// growth and shrink both stay off the admission hot path.
-func (rt *Runtime) manage() {
-	defer close(rt.managerDone)
-	for {
-		select {
-		case <-rt.managerStop:
-			return
-		case <-rt.kick:
-			for _, p := range rt.pools {
-				if p.NeedShrink() {
-					p.Shrink()
-				}
-			}
-		}
 	}
 }
 
@@ -271,10 +218,6 @@ func (rt *Runtime) BeginStream() error {
 // EndStream disarms the runtime after a stream's drain barrier.
 func (rt *Runtime) EndStream() {
 	rt.streaming.Store(false)
-	select {
-	case rt.kick <- struct{}{}:
-	default:
-	}
 }
 
 // Streaming reports whether a stream is active.
@@ -356,7 +299,7 @@ func (rt *Runtime) SetPolicy(factory func() core.Policy) error {
 // PolicyName returns the active policy's name.
 func (rt *Runtime) PolicyName() string { return rt.shards[0].sw.Name() }
 
-// Stop terminates the shard goroutines and the pool manager. The
+// Stop terminates the shard goroutines and waits for them to exit. The
 // runtime cannot be restarted.
 func (rt *Runtime) Stop() {
 	if !rt.started || rt.stopped {
@@ -369,8 +312,6 @@ func (rt *Runtime) Stop() {
 	for _, sh := range rt.shards {
 		<-sh.done
 	}
-	close(rt.managerStop)
-	<-rt.managerDone
 }
 
 // Feeder is one shard's producer handle for sharded loadgen: exactly

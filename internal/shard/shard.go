@@ -158,15 +158,15 @@ type Shard struct {
 	id   int
 	cfg  core.Config
 	ring *Ring
-	pool *Pool
 
 	sw     *core.Switch
 	rec    *obs.Recorder
 	mirror *obs.Mirror
 	live   *Live
 
-	// batch stages the current slot's arrivals; always belongs to
-	// slot `slot` (arrivals are non-decreasing in slot).
+	// batch stages the current slot's arrivals, grown by append and
+	// reused from [:0] every slot; always belongs to slot `slot`
+	// (arrivals are non-decreasing in slot).
 	batch []pkt.Packet
 	// slot is the number of slots stepped so far == the next slot to
 	// execute.
@@ -183,7 +183,7 @@ type Shard struct {
 }
 
 // newShard builds a shard over its partition-local configuration.
-func newShard(id int, cfg core.Config, pol core.Policy, ringCap int, pool *Pool) (*Shard, error) {
+func newShard(id int, cfg core.Config, pol core.Policy, ringCap int) (*Shard, error) {
 	sw, err := core.New(cfg, pol)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
@@ -194,7 +194,7 @@ func newShard(id int, cfg core.Config, pol core.Policy, ringCap int, pool *Pool)
 		id:     id,
 		cfg:    cfg,
 		ring:   NewRing(ringCap),
-		pool:   pool,
+		batch:  make([]pkt.Packet, 0, 64),
 		sw:     sw,
 		rec:    rec,
 		mirror: obs.NewMirror(cfg.Ports),
@@ -202,7 +202,6 @@ func newShard(id int, cfg core.Config, pol core.Policy, ringCap int, pool *Pool)
 		ack:    make(chan error, 1),
 		done:   make(chan struct{}),
 	}
-	sh.batch = pool.Get(minSlab)
 	return sh, nil
 }
 
@@ -258,13 +257,6 @@ func (sh *Shard) stage(e Entry) {
 		if sh.err != nil {
 			return
 		}
-	}
-	if len(sh.batch) == cap(sh.batch) {
-		grown := sh.pool.Get(2 * cap(sh.batch))
-		grown = grown[:len(sh.batch)]
-		copy(grown, sh.batch)
-		sh.pool.Put(sh.batch)
-		sh.batch = grown
 	}
 	sh.batch = append(sh.batch, e.Packet())
 }

@@ -1,16 +1,16 @@
-// Differential tests for the batched arrival phase: every roster policy
+// Differential tests for the batch kernels: every roster policy
 // replays the same fixed-seed traces through core.Switch twice — once
-// through the transactional ArriveBatch path (what Step drives, using
-// the policy's AdmitBatch kernel when it has one) and once through the
-// per-packet Arrive reference path — and the two runs must agree bit
-// for bit on Stats, per-port counters, obs decision counters and traced
-// events. The fault-injected variants pin the equivalence off the
-// nominal point, where buffer squeezes force Free() == 0 mid-burst and
-// burst amplification stretches the batches.
+// driven by the policy itself (its AdmitBatch kernel when it has one)
+// and once through admitOnly, which hides the kernel so ArriveBatch
+// falls back to Batch.PerPacket and one Admit per packet — and the two
+// runs must agree bit for bit on Stats, per-port counters, obs
+// decision counters and traced events. The fault-injected variants pin
+// the equivalence off the nominal point, where buffer squeezes force
+// Free() == 0 mid-burst and burst amplification stretches the batches.
 //
-// Together with differential_test.go (optimized engine vs naive
-// reference) this closes the triangle: per-packet == reference and
-// batched == per-packet, so batched == reference.
+// Together with differential_test.go (engine vs the naive refSwitch
+// over plain-View scans) this closes the triangle: per-packet Admit ==
+// reference and kernel == per-packet Admit, so kernel == reference.
 package sim_test
 
 import (
@@ -21,38 +21,20 @@ import (
 	"smbm/internal/core"
 	"smbm/internal/faults"
 	"smbm/internal/obs"
-	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
 	"smbm/internal/traffic"
 )
 
-// perPacketSwitch drives a core.Switch through the per-packet reference
-// path: its Step calls ArriveBurst (one atomic Arrive per packet)
-// instead of the batched ArriveBatch that core.Switch.Step uses.
-type perPacketSwitch struct {
-	*core.Switch
-}
+// admitOnly hides a policy's AdmitBatch kernel, so the switch decides
+// every burst through Batch.PerPacket.
+type admitOnly struct{ core.Policy }
 
-func (s perPacketSwitch) Step(arrivals []pkt.Packet) error {
-	if err := s.ArriveBurst(arrivals); err != nil {
-		return err
-	}
-	s.Transmit()
-	return nil
-}
-
-var (
-	_ sim.System         = perPacketSwitch{}
-	_ sim.BoundedDrainer = perPacketSwitch{}
-	_ faults.Throttled   = perPacketSwitch{}
-	_ faults.Squeezed    = perPacketSwitch{}
-)
-
-// batchDiffRun replays tr through the batched and per-packet arrival
-// paths of two identically configured switches (CheckInvariants on,
-// recorders with tracing attached) and requires bit-identical Stats,
-// per-port counters and obs snapshots.
+// batchDiffRun replays tr through two identically configured switches,
+// one deciding through pol's batch kernel and one through its
+// per-packet Admit (CheckInvariants on, recorders with tracing
+// attached), and requires bit-identical Stats, per-port counters and
+// obs snapshots.
 func batchDiffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, spec faults.Spec, seed int64) {
 	t.Helper()
 	cfg.CheckInvariants = true
@@ -61,7 +43,7 @@ func batchDiffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	perPkt, err := core.New(cfg, pol)
+	perPkt, err := core.New(cfg, admitOnly{pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +53,7 @@ func batchDiffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Tra
 	batched.SetRecorder(recB)
 	perPkt.SetRecorder(recP)
 
-	var sysB, sysP sim.System = batched, perPacketSwitch{perPkt}
+	var sysB, sysP sim.System = batched, perPkt
 	if !spec.Empty() {
 		if sysB, err = faults.New(sysB, spec, cfg.Ports, seed); err != nil {
 			t.Fatal(err)
@@ -83,11 +65,11 @@ func batchDiffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Tra
 	const flushEvery = 64
 	sb, err := sim.RunTrace(sysB, tr, flushEvery)
 	if err != nil {
-		t.Fatalf("batched path: %v", err)
+		t.Fatalf("batch kernel: %v", err)
 	}
 	sp, err := sim.RunTrace(sysP, tr, flushEvery)
 	if err != nil {
-		t.Fatalf("per-packet path: %v", err)
+		t.Fatalf("per-packet Admit: %v", err)
 	}
 	if sb != sp {
 		t.Errorf("%s: stats diverged\n batched: %+v\n per-pkt: %+v", pol.Name(), sb, sp)
@@ -112,7 +94,7 @@ func batchRosterProcessing() []core.Policy {
 }
 
 // TestBatchDifferentialProcessing drives the full processing-model
-// roster through batched vs per-packet arrivals, nominal and under a
+// roster through batch kernels vs per-packet Admit, nominal and under a
 // dense fault mix.
 func TestBatchDifferentialProcessing(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -140,8 +122,8 @@ func TestBatchDifferentialProcessing(t *testing.T) {
 }
 
 // TestBatchDifferentialValue drives the value-model rosters (uniform
-// values, value-by-port, and the experimental set) through batched vs
-// per-packet arrivals, nominal and under a dense fault mix.
+// values, value-by-port, and the experimental set) through batch
+// kernels vs per-packet Admit, nominal and under a dense fault mix.
 func TestBatchDifferentialValue(t *testing.T) {
 	t.Run("uniform", func(t *testing.T) {
 		pols := append(policy.ForValueUniform(), policy.ValueExperimental()...)
@@ -194,7 +176,7 @@ func TestBatchDifferentialValue(t *testing.T) {
 }
 
 // TestBatchDifferentialCombined drives the combined work×value roster
-// through batched vs per-packet arrivals, nominal and under a dense
+// through batch kernels vs per-packet Admit, nominal and under a dense
 // fault mix.
 func TestBatchDifferentialCombined(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {

@@ -8,12 +8,12 @@ import (
 	"smbm/internal/policy"
 )
 
-// FuzzArriveBatchDifferential fuzzes the batched-vs-per-packet
+// FuzzArriveBatchDifferential fuzzes the kernel-vs-per-packet
 // equivalence directly: a byte stream is decoded into arbitrary bursts
-// (the high bit ends a slot) and replayed through two identically
-// configured switches, one stepping via the transactional ArriveBatch
-// (policy kernels active) and one via the per-packet Arrive reference,
-// both with invariant checking on. Stats must agree after every slot
+// (the high bit ends a slot) and replayed through ArriveBatch on two
+// identically configured switches, one deciding through the policy's
+// batch kernel and one through its per-packet Admit (admitOnly), both
+// with invariant checking on. Stats must agree after every slot
 // and per-port counters at the end. The roster byte picks the policy,
 // covering every processing-, value- and combined-model kernel
 // (combined takes precedence over valueModel when both bools are set).
@@ -54,11 +54,11 @@ func FuzzArriveBatchDifferential(f *testing.F) {
 			}
 		}
 		batched := core.MustNew(cfg, pol)
-		perPkt := core.MustNew(cfg, pol)
+		perPkt := core.MustNew(cfg, admitOnly{pol})
 
 		var burst []pkt.Packet
 		flush := func() {
-			if errB, errP := batched.ArriveBatch(burst), perPkt.ArriveBurst(burst); errB != nil || errP != nil {
+			if errB, errP := batched.ArriveBatch(burst), perPkt.ArriveBatch(burst); errB != nil || errP != nil {
 				t.Fatalf("%s: arrival errors: batched=%v per-packet=%v", pol.Name(), errB, errP)
 			}
 			batched.Transmit()

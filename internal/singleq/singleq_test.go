@@ -193,7 +193,7 @@ func TestFIFOLazyDeletionAfterEviction(t *testing.T) {
 	}
 }
 
-// ArriveBurstForTest mirrors core.Switch.ArriveBurst.
+// ArriveBurstForTest offers packets in order, stopping at the first error.
 func (s *Switch) ArriveBurstForTest(t *testing.T, ps []pkt.Packet) error {
 	t.Helper()
 	for _, p := range ps {
