@@ -175,6 +175,57 @@ func TestArriveBatchPrefixAppliedValue(t *testing.T) {
 	checkPrefixApplied(t, cfg, fill, burst, []Decision{PushOut(0), Drop()}, Accept(), "full buffer")
 }
 
+// TestArriveBatchTraceBuffering: a failed batch traces the events of
+// its decided prefix, in decision order, and none for the failing
+// packet; a later batch appends its own events after them.
+func TestArriveBatchTraceBuffering(t *testing.T) {
+	cfg := validProcCfg()
+	cfg.Buffer = 4
+	// Decisions 0-3 fill the buffer; the faulty batch drops (decision 4,
+	// traced) then accepts into the full buffer (decision 5, fails and
+	// traces nothing); decision 6 is the next batch's drop.
+	script := &scriptPolicy{script: []Decision{
+		Accept(), Accept(), Accept(), Accept(),
+		Drop(), Accept(),
+		Drop(),
+	}}
+	sw := MustNew(cfg, script)
+	rec := obs.NewRecorder(cfg.Ports, 16)
+	sw.SetRecorder(rec)
+
+	if err := sw.ArriveBatch([]pkt.Packet{
+		pkt.NewWork(0, 1), pkt.NewWork(0, 1), pkt.NewWork(0, 1), pkt.NewWork(0, 1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	preEvents := len(rec.Snapshot().Events)
+
+	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(1, 2), pkt.NewWork(2, 3)}); err == nil {
+		t.Fatal("faulty batch succeeded")
+	}
+	events := rec.Snapshot().Events
+	if len(events) != preEvents+1 {
+		t.Fatalf("trace ring holds %d events after the failed batch, want %d (the prefix's drop only)", len(events), preEvents+1)
+	}
+	if last := events[len(events)-1]; last.Kind != obs.KindTailDrop || last.Port != 1 {
+		t.Errorf("failed batch traced %+v, want the prefix's tail-drop on port 1", last)
+	}
+
+	if err := sw.ArriveBatch([]pkt.Packet{pkt.NewWork(3, 6)}); err != nil {
+		t.Fatal(err)
+	}
+	events = rec.Snapshot().Events
+	if len(events) != preEvents+2 {
+		t.Fatalf("trace ring holds %d events, want %d", len(events), preEvents+2)
+	}
+	if e := events[len(events)-2]; e.Kind != obs.KindTailDrop || e.Port != 1 {
+		t.Errorf("event %d = %+v, want the failed batch's tail-drop on port 1", len(events)-2, e)
+	}
+	if last := events[len(events)-1]; last.Kind != obs.KindTailDrop || last.Port != 3 {
+		t.Errorf("last event = %+v, want tail-drop on port 3", last)
+	}
+}
+
 // lazyBatch is a BatchPolicy whose kernel forgets the tail of the burst.
 type lazyBatch struct{}
 
