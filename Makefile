@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race stress benchsuite-test vet lint chaos smbsimd-smoke bench bench-json bench-assert panels lowerbounds arch faults obs-demo report examples clean
+.PHONY: all build test test-race stress benchsuite-test vet lint chaos smbsimd-smoke bench-daemon bench bench-json bench-assert panels lowerbounds arch faults obs-demo report examples clean
 
 all: build vet lint test test-race
 
@@ -56,6 +56,15 @@ benchsuite-test:
 smbsimd-smoke:
 	$(GO) test -race ./internal/shard ./internal/obs ./cmd/smbsimd
 	$(GO) run -race ./cmd/smbsimd -selftest -shards 4 -slots 5000 -reps 2
+
+# Daemon benchmark: the two smbsimd workloads of benchsuite/
+# (daemon-stream, daemon-short) with end-to-end metrics only, built
+# from this checkout (about a minute and a half). To compare two
+# checkouts, run it in each and pass the two printed results files to
+# `.bench_build/bin/benchsuite compare OLD NEW`.
+bench-daemon:
+	bash benchsuite/run.sh --workload daemon-stream,daemon-short --trace 0
+	@echo "results: $(CURDIR)/.bench_build/results/daemon-stream+daemon-short-seed1-trace0.json"
 
 # Crash-chaos harness for the lease ledger: fork real worker
 # subprocesses, SIGKILL them mid-cell, truncate their journals at random

@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,6 +53,7 @@ import (
 
 	"smbm/internal/core"
 	"smbm/internal/obs"
+	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/shard"
 )
@@ -226,7 +228,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	d := &daemon{rt: rt, policyModel: m}
+	d := &daemon{rt: rt, policyModel: m, in: bufio.NewReaderSize(nil, streamBufSize)}
 	d.policyName.Store(*polName)
 	rt.Start()
 
@@ -292,6 +294,10 @@ type daemon struct {
 	// runtime's producer side. It also serializes shutdown against an
 	// active stream.
 	streamMu sync.Mutex
+	// in and burst are the stream loop's socket reader and slot buffer,
+	// reused across streams; guarded by streamMu.
+	in    *bufio.Reader
+	burst []pkt.Packet
 	// lastMu guards lastResponse, the bit-exact outcome of the most
 	// recently finished (or aborted) stream, served at /results.
 	lastMu       sync.Mutex
@@ -359,7 +365,7 @@ func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 
-	cur, slots, err := streamOpen(conn)
+	cur, slots, err := streamOpen(d.in, conn)
 	if err != nil {
 		fmt.Fprintf(conn, `{"error":%q}`+"\n", err.Error())
 		return
@@ -377,27 +383,19 @@ func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 			abortErr = ctx.Err()
 			break
 		}
-		burst := cur.Next()
+		d.burst = cur.AppendNext(d.burst[:0])
 		if err := cur.Err(); err != nil {
 			abortErr = err
 			break
 		}
-		ok := true
-		for _, p := range burst {
-			if err := d.rt.Ingest(int64(t), p); err != nil {
-				abortErr = err
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if err := d.rt.IngestSlot(int64(t), d.burst); err != nil {
+			abortErr = err
 			break
 		}
-		d.rt.Advance(int64(t) + 1)
 		processed++
 	}
 	if abortErr == nil {
-		// The in-loop check runs right after every Next, so a non-nil
+		// The in-loop check runs right after every read, so a non-nil
 		// sticky error here is unreachable; the check closes the
 		// cursor contract anyway.
 		abortErr = cur.Err()

@@ -376,6 +376,58 @@ func TestDaemonMidStreamDisconnect(t *testing.T) {
 	d.terminate(t)
 }
 
+// TestDaemonInvalidPacketMidSlot streams a trace whose slot k carries an
+// out-of-range port in its second record, after a valid first record:
+// the daemon must abort with exactly k slots processed on every shard,
+// never stepping the valid part of slot k, and answer with results
+// bit-identical to the oracle over tr[:k].
+func TestDaemonInvalidPacketMidSlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test; skipped with -short")
+	}
+	d := startDaemon(t, filepath.Join(t.TempDir(), "final.obs.json"), 2)
+	cfg := e2eConfig()
+	tr := e2eTrace(cfg, 40)
+	const k = 17
+
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatalf("encoding trace: %v", err)
+	}
+	// Header 10 bytes, 16 bytes per slot; the port is the little-endian
+	// uint16 at offset 4 of a record.
+	raw := buf.Bytes()
+	raw[10+k*16+8+4], raw[10+k*16+8+5] = byte(cfg.Ports), 0
+	conn, err := net.Dial("tcp", d.streamAddr)
+	if err != nil {
+		t.Fatalf("dialing daemon: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatalf("writing stream: %v", err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatalf("half-close: %v", err)
+	}
+	var resp streamResponse
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	if !resp.Aborted || !strings.Contains(resp.Error, "out of range") {
+		t.Fatalf("invalid packet did not abort the stream: %+v", resp)
+	}
+	if resp.ProcessedSlots != k {
+		t.Fatalf("processed %d slots, want %d", resp.ProcessedSlots, k)
+	}
+	for _, res := range resp.Results {
+		if res.Slots != k {
+			t.Fatalf("shard %d stepped %d slots, want %d", res.Shard, res.Slots, k)
+		}
+	}
+	checkResponseOracle(t, &resp, tr[:k], func() core.Policy { return policy.LQD{} })
+	d.terminate(t)
+}
+
 // TestSelftestSmoke runs the in-process loadgen subcommand end to end
 // at a small scale: it must report a bit-identical oracle differential
 // for both shard counts and exit 0.

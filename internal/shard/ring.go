@@ -14,10 +14,13 @@
 //
 //   - Ring: the SPSC ingress ring carrying packed 8-byte arrival and
 //     control entries between exactly one producer goroutine and one
-//     shard goroutine;
+//     shard goroutine, in batches that publish a cursor once each;
 //   - Shard/Runtime: the shard event loop around core.Switch and the
 //     port-partitioned runtime that routes arrivals, advances slots,
-//     drains, and collects per-shard results.
+//     drains, and collects per-shard results. Runtime.IngestSlot is the
+//     batched producer path: it validates a whole slot, then hands each
+//     shard its part of the slot and the slot's advance in one ring
+//     batch.
 package shard
 
 import (
@@ -104,34 +107,50 @@ const spinBudget = 128
 type pad [64]byte
 
 // Ring is a lock-free single-producer/single-consumer ring of packed
-// entries. Exactly one goroutine may call the producer side (TryPush,
-// Push) and exactly one the consumer side (TryPop, Pop); the two may
-// differ. Both sides are wait-free while the ring is neither full nor
-// empty and park on a wake channel otherwise, so an idle ring costs no
-// CPU. The capacity is rounded up to a power of two.
+// entries. Exactly one goroutine may call the producer side (PushBatch,
+// Push, TryPush) and exactly one the consumer side (PopBatch, Pop,
+// TryPop); the two may differ. The capacity is rounded up to a power of
+// two.
 //
-// Memory ordering: the producer publishes buf[tail&mask] before its
+// Entries move in batches: PushBatch copies a run of entries in and
+// publishes the tail cursor once, PopBatch copies a run out and
+// publishes the head cursor once, and each checks the other side's park
+// flag once per batch. The single-entry operations are one-entry
+// batches, so there is one publish protocol. Each side keeps a private
+// copy of the opposite cursor (the producer of head, the consumer of
+// tail) and reloads it only when the copy shows too little room or
+// nothing to pop, so the cache line the other side writes is read about
+// once per batch rather than once per entry. Both sides are wait-free
+// while the ring is neither full nor empty and spin briefly, then park
+// on a wake channel otherwise, so an idle ring costs no CPU.
+//
+// Memory ordering: the producer writes buf[tail..tail+k) before its
 // atomic tail store, and the consumer's atomic tail load therefore
-// observes the element write (release/acquire pairing per the Go
-// memory model); symmetrically for head on the reuse path.
+// observes the element writes (release/acquire pairing per the Go
+// memory model); symmetrically for head on the reuse path. A cached
+// cursor is only ever behind the real one, so it can understate room or
+// entries, never overstate them.
 type Ring struct {
 	_    pad
 	buf  []Entry
 	mask uint64
 	_    pad
-	// head is the consumer cursor: the next index to pop.
-	head atomic.Uint64
-	// consumer parking state: the consumer sets consParked before
-	// re-checking emptiness, and the producer hands it a token after
-	// every push that observes the flag.
-	consParked atomic.Bool
-	consWake   chan struct{}
-	_          pad
-	// tail is the producer cursor: the next index to fill.
-	tail atomic.Uint64
-	// producer parking state, mirror-image of the consumer's.
+	// Consumer-written line. head is the next index to pop; tailCache
+	// is the consumer's copy of tail. prodParked lives here because the
+	// consumer reads it after every pop batch: the producer sets it
+	// before re-checking fullness and parking on prodWake.
+	head       atomic.Uint64
+	tailCache  uint64
 	prodParked atomic.Bool
 	prodWake   chan struct{}
+	_          pad
+	// Producer-written line, the mirror image: tail is the next index to
+	// fill, headCache the producer's copy of head, and consParked the
+	// flag the consumer sets before parking on consWake.
+	tail       atomic.Uint64
+	headCache  uint64
+	consParked atomic.Bool
+	consWake   chan struct{}
 	_          pad
 }
 
@@ -160,39 +179,79 @@ func (r *Ring) Len() int {
 	return int(r.tail.Load() - r.head.Load())
 }
 
-// TryPush appends e and reports success, failing when the ring is
-// full. Producer side only.
-func (r *Ring) TryPush(e Entry) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.buf)) {
-		return false
-	}
-	r.buf[t&r.mask] = e
-	r.tail.Store(t + 1)
-	if r.consParked.Load() {
-		r.consParked.Store(false)
+// wake hands a parked peer its token: clear the flag, then send without
+// blocking (a token already waiting costs only a spurious wakeup).
+func wake(parked *atomic.Bool, ch chan struct{}) {
+	if parked.Load() {
+		parked.Store(false)
 		select {
-		case r.consWake <- struct{}{}:
+		case ch <- struct{}{}:
 		default:
 		}
 	}
-	return true
 }
 
-// Push appends e, spinning briefly and then parking while the ring is
-// full. Producer side only.
-func (r *Ring) Push(e Entry) {
+// tryPush publishes the longest prefix of es that fits and returns its
+// length. This is the ring's one producer-side publish: every push goes
+// through it, which keeps tail − headCache ≤ Cap at all times.
+func (r *Ring) tryPush(es []Entry) int {
+	t := r.tail.Load()
+	n := uint64(len(r.buf))
+	free := n - (t - r.headCache)
+	if free < uint64(len(es)) {
+		r.headCache = r.head.Load()
+		free = n - (t - r.headCache)
+	}
+	k := min(free, uint64(len(es)))
+	if k == 0 {
+		return 0
+	}
+	for i, e := range es[:k] {
+		r.buf[(t+uint64(i))&r.mask] = e
+	}
+	r.tail.Store(t + k)
+	wake(&r.consParked, r.consWake)
+	return int(k)
+}
+
+// tryPop moves up to len(dst) of the oldest entries into dst and
+// returns how many. This is the ring's one consumer-side publish.
+func (r *Ring) tryPop(dst []Entry) int {
+	h := r.head.Load()
+	if r.tailCache == h {
+		r.tailCache = r.tail.Load()
+		if r.tailCache == h {
+			return 0
+		}
+	}
+	k := min(r.tailCache-h, uint64(len(dst)))
+	for i := range dst[:k] {
+		dst[i] = r.buf[(h+uint64(i))&r.mask]
+	}
+	r.head.Store(h + k)
+	wake(&r.prodParked, r.prodWake)
+	return int(k)
+}
+
+// PushBatch appends every entry of es in order, publishing as much of
+// the batch as fits at once and spinning briefly, then parking, while
+// the ring is full. A batch larger than the capacity is published in
+// several parts. Producer side only.
+func (r *Ring) PushBatch(es []Entry) {
 	for spins := 0; ; spins++ {
-		if r.TryPush(e) {
+		k := r.tryPush(es)
+		if es = es[k:]; len(es) == 0 {
 			return
+		}
+		if k > 0 {
+			spins = 0
 		}
 		if spins < spinBudget {
 			runtime.Gosched()
 			continue
 		}
 		// Park: set the flag, then re-check fullness so a pop that
-		// raced ahead of the flag store cannot strand us. A stale
-		// token in prodWake only costs one spurious wakeup.
+		// raced ahead of the flag store cannot strand us.
 		r.prodParked.Store(true)
 		if r.tail.Load()-r.head.Load() < uint64(len(r.buf)) {
 			r.prodParked.Store(false)
@@ -204,31 +263,14 @@ func (r *Ring) Push(e Entry) {
 	}
 }
 
-// TryPop removes and returns the oldest entry, reporting failure when
-// the ring is empty. Consumer side only.
-func (r *Ring) TryPop() (Entry, bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return 0, false
-	}
-	e := r.buf[h&r.mask]
-	r.head.Store(h + 1)
-	if r.prodParked.Load() {
-		r.prodParked.Store(false)
-		select {
-		case r.prodWake <- struct{}{}:
-		default:
-		}
-	}
-	return e, true
-}
-
-// Pop removes and returns the oldest entry, spinning briefly and then
-// parking while the ring is empty. Consumer side only.
-func (r *Ring) Pop() Entry {
+// PopBatch moves the oldest buffered entries into dst, at least one
+// and at most len(dst), spinning briefly and then parking while the
+// ring is empty, and returns how many it moved. dst must not be empty.
+// Consumer side only.
+func (r *Ring) PopBatch(dst []Entry) int {
 	for spins := 0; ; spins++ {
-		if e, ok := r.TryPop(); ok {
-			return e
+		if k := r.tryPop(dst); k > 0 {
+			return k
 		}
 		if spins < spinBudget {
 			runtime.Gosched()
@@ -243,4 +285,34 @@ func (r *Ring) Pop() Entry {
 		<-r.consWake
 		spins = 0
 	}
+}
+
+// TryPush appends e and reports success, failing when the ring is
+// full. Producer side only.
+func (r *Ring) TryPush(e Entry) bool {
+	one := [1]Entry{e}
+	return r.tryPush(one[:]) == 1
+}
+
+// Push appends e, spinning briefly and then parking while the ring is
+// full. Producer side only.
+func (r *Ring) Push(e Entry) {
+	one := [1]Entry{e}
+	r.PushBatch(one[:])
+}
+
+// TryPop removes and returns the oldest entry, reporting failure when
+// the ring is empty. Consumer side only.
+func (r *Ring) TryPop() (Entry, bool) {
+	var one [1]Entry
+	ok := r.tryPop(one[:]) == 1
+	return one[0], ok
+}
+
+// Pop removes and returns the oldest entry, spinning briefly and then
+// parking while the ring is empty. Consumer side only.
+func (r *Ring) Pop() Entry {
+	var one [1]Entry
+	r.PopBatch(one[:])
+	return one[0]
 }

@@ -2,7 +2,12 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"smbm/internal/pkt"
 )
@@ -78,5 +83,113 @@ func TestRingConcurrent(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRingBatchConcurrent streams a long entry sequence through tiny
+// rings (capacity 2 and 4) with batched pushes larger than the ring,
+// single control words pushed one at a time between batches, and pops
+// of varying width. Occasional pauses on either side let the other
+// fill or drain the ring and park. The consumer checks FIFO order entry
+// by entry, and the producer checks after every push that its cached
+// head never lets the tail run more than a capacity ahead — the
+// invariant whose violation overwrote unconsumed entries.
+func TestRingBatchConcurrent(t *testing.T) {
+	const total = 1 << 15
+	want := func(i int) Entry {
+		if i%7 == 6 {
+			return Control(OpAdvance, int64(i))
+		}
+		return Arrival(int64(i), pkt.Packet{Port: i % 5, Work: 1 + i%3, Value: 1})
+	}
+	for _, capacity := range []int{2, 4} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			r := NewRing(capacity)
+			done := make(chan error, 1)
+			go func() {
+				rng := rand.New(rand.NewSource(2))
+				dst := make([]Entry, 2*capacity)
+				for i := 0; i < total; {
+					if rng.Intn(512) == 0 {
+						time.Sleep(50 * time.Microsecond) // let the producer fill the ring and park
+					}
+					n := r.PopBatch(dst[:1+rng.Intn(len(dst))])
+					for _, e := range dst[:n] {
+						if e != want(i) {
+							done <- fmt.Errorf("entry %d = %#x, want %#x", i, e, want(i))
+							return
+						}
+						i++
+					}
+				}
+				done <- nil
+			}()
+			rng := rand.New(rand.NewSource(1))
+			var batch []Entry
+			for i := 0; i < total; {
+				if rng.Intn(512) == 0 {
+					time.Sleep(50 * time.Microsecond) // let the consumer drain the ring and park
+				}
+				if want(i).IsControl() {
+					r.Push(want(i))
+					i++
+				} else {
+					batch = batch[:0]
+					for n := 1 + rng.Intn(3*capacity); n > 0 && i < total && !want(i).IsControl(); n-- {
+						batch = append(batch, want(i))
+						i++
+					}
+					r.PushBatch(batch)
+				}
+				if d := r.tail.Load() - r.headCache; d > uint64(r.Cap()) {
+					t.Fatalf("tail runs %d entries ahead of the cached head in a ring of %d", d, r.Cap())
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRingParking drives both parking paths deterministically: a
+// consumer parked on an empty ring is woken by a batch push, and a
+// producer parked on a full ring with a batch larger than the capacity
+// is woken by pops and completes the batch in order.
+func TestRingParking(t *testing.T) {
+	r := NewRing(2)
+	waitFor := func(flag *atomic.Bool) {
+		for !flag.Load() {
+			runtime.Gosched()
+		}
+	}
+
+	got := make(chan []Entry, 1)
+	go func() {
+		dst := make([]Entry, 4)
+		n := r.PopBatch(dst)
+		got <- dst[:n]
+	}()
+	waitFor(&r.consParked)
+	r.PushBatch([]Entry{10, 11})
+	if es := <-got; !slices.Equal(es, []Entry{10, 11}) {
+		t.Fatalf("woken consumer popped %v, want [10 11]", es)
+	}
+
+	r.PushBatch([]Entry{0, 1}) // full
+	pushed := make(chan struct{})
+	go func() {
+		r.PushBatch([]Entry{2, 3, 4, 5, 6})
+		close(pushed)
+	}()
+	waitFor(&r.prodParked)
+	for i := 0; i < 7; i++ {
+		if e := r.Pop(); e != Entry(i) {
+			t.Fatalf("pop %d = %d", i, e)
+		}
+	}
+	<-pushed
+	if r.Len() != 0 {
+		t.Fatalf("len = %d after draining", r.Len())
 	}
 }

@@ -96,16 +96,19 @@ type Options struct {
 // contiguous port partition and stepping a private deterministic
 // core.Switch, fed through per-shard SPSC rings.
 //
-// Producer-side methods (BeginStream, Ingest, Advance, Finish,
-// EndStream, SetPolicy, Stop) must be called from one goroutine at a
-// time — the stream driver. For sharded producers (one goroutine per
-// shard, as in the selftest loadgen), use Feeder, which preserves the
-// per-ring SPSC discipline.
+// Producer-side methods (BeginStream, IngestSlot, Ingest, Advance,
+// Finish, EndStream, SetPolicy, Stop) must be called from one goroutine
+// at a time — the stream's producer. For sharded producers (one goroutine
+// per shard, as in the selftest loadgen), use Feeder, which preserves
+// the per-ring SPSC discipline.
 type Runtime struct {
 	cfg    core.Config
 	parts  []Partition
 	owner  []int32
 	shards []*Shard
+	// stage holds IngestSlot's per-shard batches, reused from [:0] every
+	// slot; producer side only.
+	stage [][]Entry
 
 	started   bool
 	stopped   bool
@@ -155,6 +158,7 @@ func NewRuntime(cfg core.Config, shards int, factory func() core.Policy, opt Opt
 			return nil, err
 		}
 		rt.shards = append(rt.shards, sh)
+		rt.stage = append(rt.stage, make([]Entry, 0, 64))
 	}
 	return rt, nil
 }
@@ -234,9 +238,43 @@ func (rt *Runtime) Ingest(slot int64, p pkt.Packet) error {
 		return err
 	}
 	s := rt.owner[p.Port]
-	local := p
-	local.Port = p.Port - rt.parts[s].Lo
-	rt.shards[s].ring.Push(Arrival(slot, local))
+	rt.shards[s].ring.Push(rt.arrival(s, slot, p))
+	return nil
+}
+
+// arrival packs a global-port arrival as an entry for its owner shard s.
+func (rt *Runtime) arrival(s int32, slot int64, p pkt.Packet) Entry {
+	p.Port -= rt.parts[s].Lo
+	return Arrival(slot, p)
+}
+
+// IngestSlot hands one complete slot to the shards: the burst's
+// arrivals (global ports) followed by the advance past slot, one ring
+// batch per shard. It is equivalent to Ingest for every packet and then
+// Advance(slot+1), except that the whole burst is validated before
+// anything is published: on an error no shard sees any of the slot, so
+// a Finish at slot steps exactly the slots already handed over. Slots
+// must increase per stream and stay below 2^32-1. It blocks only while
+// a shard's ring is full (back-pressure).
+func (rt *Runtime) IngestSlot(slot int64, burst []pkt.Packet) error {
+	if uint64(slot) >= 1<<32-1 {
+		return fmt.Errorf("shard: slot %d exceeds the ring encoding's 32 bits", slot)
+	}
+	for _, p := range burst {
+		if err := p.Validate(rt.cfg.Ports, rt.cfg.MaxLabel); err != nil {
+			return fmt.Errorf("shard: slot %d: %w", slot, err)
+		}
+	}
+	for _, p := range burst {
+		s := rt.owner[p.Port]
+		rt.stage[s] = append(rt.stage[s], rt.arrival(s, slot, p))
+	}
+	adv := Control(OpAdvance, slot+1)
+	for s, sh := range rt.shards {
+		rt.stage[s] = append(rt.stage[s], adv)
+		sh.ring.PushBatch(rt.stage[s])
+		rt.stage[s] = rt.stage[s][:0]
+	}
 	return nil
 }
 

@@ -134,6 +134,8 @@ func TestRuntimeOracleDifferential(t *testing.T) {
 			}
 			rt.Start()
 			defer rt.Stop()
+			// One stream per producer path: per packet (Ingest, then
+			// Advance), and per slot (IngestSlot).
 			if err := rt.BeginStream(); err != nil {
 				t.Fatalf("BeginStream: %v", err)
 			}
@@ -150,7 +152,112 @@ func TestRuntimeOracleDifferential(t *testing.T) {
 				t.Fatalf("Finish: %v", err)
 			}
 			checkOracle(t, rt, factory, tr, results)
+
+			if err := rt.BeginStream(); err != nil {
+				t.Fatalf("BeginStream: %v", err)
+			}
+			for slot, burst := range tr {
+				if err := rt.IngestSlot(int64(slot), burst); err != nil {
+					t.Fatalf("IngestSlot: %v", err)
+				}
+			}
+			if results, err = rt.Finish(int64(len(tr))); err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			checkOracle(t, rt, factory, tr, results)
 		})
+	}
+}
+
+// TestInvalidPacketCutsAtSlotBoundary rejects a packet partway through
+// slot k, after packets of slot k that route to other shards, and then
+// cuts the stream with Finish(k): every shard must have stepped exactly
+// k slots and match the oracle over tr[:k], whichever producer path
+// fed it. Per slot, IngestSlot publishes nothing of a slot it rejects;
+// per packet, the drain barrier discards the staged part of slot k.
+func TestInvalidPacketCutsAtSlotBoundary(t *testing.T) {
+	cfg := testConfig()
+	const k = 60
+	tr := testTrace(t, cfg, 120, 5)
+	bad := append([]pkt.Packet{}, tr[k]...)
+	bad = append(bad, pkt.Packet{Port: 0, Work: 1, Value: 1}, pkt.Packet{Port: cfg.Ports - 1, Work: cfg.PortWork[cfg.Ports-1], Value: 1})
+	bad = append(bad, pkt.Packet{Port: cfg.Ports, Work: 1, Value: 1})
+	factory := func() core.Policy { return policy.LQD{} }
+
+	rt, err := NewRuntime(cfg, 3, factory, Options{RingCap: 64})
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	for _, path := range []string{"slot", "packet"} {
+		t.Run(path, func(t *testing.T) {
+			if err := rt.BeginStream(); err != nil {
+				t.Fatalf("BeginStream: %v", err)
+			}
+			feed := func(slot int, burst []pkt.Packet) error {
+				if path == "slot" {
+					return rt.IngestSlot(int64(slot), burst)
+				}
+				for _, p := range burst {
+					if err := rt.Ingest(int64(slot), p); err != nil {
+						return err
+					}
+				}
+				rt.Advance(int64(slot) + 1)
+				return nil
+			}
+			for slot := 0; slot < k; slot++ {
+				if err := feed(slot, tr[slot]); err != nil {
+					t.Fatalf("slot %d: %v", slot, err)
+				}
+			}
+			if err := feed(k, bad); err == nil {
+				t.Fatalf("slot %d with an out-of-range port accepted", k)
+			}
+			results, err := rt.Finish(k)
+			if err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			for _, res := range results {
+				if res.Slots != k {
+					t.Fatalf("shard %d stepped %d slots, want %d", res.Shard, res.Slots, k)
+				}
+			}
+			checkOracle(t, rt, factory, tr[:k], results)
+		})
+	}
+}
+
+// TestIngestSlotZeroAllocs pins the per-slot producer path at zero
+// allocations once the staging slices have grown.
+func TestIngestSlotZeroAllocs(t *testing.T) {
+	cfg := testConfig()
+	tr := testTrace(t, cfg, 600, 3)
+	rt, err := NewRuntime(cfg, 2, func() core.Policy { return policy.LQD{} }, Options{RingCap: 256})
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	if err := rt.BeginStream(); err != nil {
+		t.Fatalf("BeginStream: %v", err)
+	}
+	slot := 0
+	ingest := func() {
+		if err := rt.IngestSlot(int64(slot), tr[slot]); err != nil {
+			t.Fatalf("IngestSlot: %v", err)
+		}
+		slot++
+	}
+	for slot < 100 {
+		ingest()
+	}
+	if allocs := testing.AllocsPerRun(400, ingest); allocs != 0 {
+		t.Errorf("IngestSlot allocates %.2f times per slot, want 0", allocs)
+	}
+	if _, err := rt.Finish(int64(slot)); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
 }
 
@@ -320,6 +427,9 @@ func TestRuntimeGuards(t *testing.T) {
 	}
 	if err := rt.Ingest(1<<32, pkt.New(0)); err == nil {
 		t.Fatalf("slot beyond 32 bits ingested")
+	}
+	if err := rt.IngestSlot(1<<32-1, nil); err == nil {
+		t.Fatalf("slot whose advance overflows 32 bits ingested")
 	}
 	if _, err := rt.Finish(0); err != nil {
 		t.Fatalf("Finish: %v", err)

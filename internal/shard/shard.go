@@ -158,6 +158,8 @@ type Shard struct {
 	id   int
 	cfg  core.Config
 	ring *Ring
+	// in receives each PopBatch; shard goroutine only.
+	in []Entry
 
 	sw     *core.Switch
 	rec    *obs.Recorder
@@ -194,6 +196,7 @@ func newShard(id int, cfg core.Config, pol core.Policy, ringCap int) (*Shard, er
 		id:     id,
 		cfg:    cfg,
 		ring:   NewRing(ringCap),
+		in:     make([]Entry, popBatch),
 		batch:  make([]pkt.Packet, 0, 64),
 		sw:     sw,
 		rec:    rec,
@@ -217,26 +220,35 @@ func (sh *Shard) Mirror() *obs.Mirror { return sh.mirror }
 // Live returns the shard's atomically readable progress gauge.
 func (sh *Shard) Live() *Live { return sh.live }
 
-// run is the shard event loop; exactly one goroutine executes it.
+// popBatch bounds how many entries one PopBatch moves into the shard:
+// enough to amortize the head publish over a busy slot's arrivals.
+const popBatch = 256
+
+// run is the shard event loop; exactly one goroutine executes it. It
+// drains the ring a batch at a time and handles the entries in ring
+// order. A drain barrier's ack is always the last entry of its batch,
+// because the producer pushes nothing more until it has the ack.
 func (sh *Shard) run() {
 	defer close(sh.done)
 	for {
-		e := sh.ring.Pop()
-		if !e.IsControl() {
-			sh.stage(e)
-			continue
-		}
-		switch e.Op() {
-		case OpAdvance:
-			sh.advanceTo(e.Slot())
-			sh.publish()
-		case OpDrain:
-			sh.advanceTo(e.Slot())
-			sh.drain()
-			sh.publish()
-			sh.ack <- sh.err
-		case OpStop:
-			return
+		n := sh.ring.PopBatch(sh.in)
+		for _, e := range sh.in[:n] {
+			if !e.IsControl() {
+				sh.stage(e)
+				continue
+			}
+			switch e.Op() {
+			case OpAdvance:
+				sh.advanceTo(e.Slot())
+				sh.publish()
+			case OpDrain:
+				sh.advanceTo(e.Slot())
+				sh.drain()
+				sh.publish()
+				sh.ack <- sh.err
+			case OpStop:
+				return
+			}
 		}
 	}
 }
@@ -281,18 +293,14 @@ func (sh *Shard) advanceTo(target int64) {
 }
 
 // drain empties the switch, bounded the same way the sim harness
-// bounds drains so a wedged shard errors instead of spinning.
+// bounds drains so a wedged shard errors instead of spinning. Arrivals
+// still staged here belong to a slot at or past the barrier, one the
+// producer never completed (a stream cut mid-slot), so they are
+// discarded: a barrier steps exactly the slots below it.
 func (sh *Shard) drain() {
+	sh.batch = sh.batch[:0]
 	if sh.err != nil {
 		return
-	}
-	if len(sh.batch) > 0 {
-		// A drain with staged arrivals means the producer skipped the
-		// advance past the last armed slot; step it first.
-		sh.advanceTo(sh.slot + 1)
-		if sh.err != nil {
-			return
-		}
 	}
 	if slots, ok := sh.sw.DrainMax(drainBound(sh.cfg)); !ok {
 		sh.err = fmt.Errorf("shard %d: drain did not empty the buffer within %d slots", sh.id, slots)

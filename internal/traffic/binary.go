@@ -49,22 +49,46 @@ func (tr Trace) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinaryTrace parses the binary format produced by WriteBinary.
-func ReadBinaryTrace(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
+// recordSize is the binary format's fixed record width in bytes.
+const recordSize = 8
+
+// readBinaryHeader consumes the binary format's magic and slot-count
+// header and returns the slot count.
+func readBinaryHeader(br *bufio.Reader) (uint32, error) {
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("traffic: reading binary magic: %w", err)
+		return 0, fmt.Errorf("traffic: reading binary magic: %w", err)
 	}
 	if string(magic) != string(binaryMagic) {
-		return nil, fmt.Errorf("traffic: bad binary magic %q", magic)
+		return 0, fmt.Errorf("traffic: bad binary magic %q", magic)
 	}
 	var slots uint32
 	if err := binary.Read(br, binary.LittleEndian, &slots); err != nil {
-		return nil, fmt.Errorf("traffic: reading slot count: %w", err)
+		return 0, fmt.Errorf("traffic: reading slot count: %w", err)
+	}
+	return slots, nil
+}
+
+// decodeRecord unpacks one fixed-width record: its slot and packet.
+func decodeRecord(rec []byte) (uint32, pkt.Packet) {
+	_ = rec[recordSize-1]
+	return binary.LittleEndian.Uint32(rec), pkt.Packet{
+		Port:  int(binary.LittleEndian.Uint16(rec[4:])),
+		Work:  int(rec[6]),
+		Value: int(rec[7]),
+	}
+}
+
+// ReadBinaryTrace parses the binary format produced by WriteBinary.
+// Unlike the streaming cursor it accepts records in any slot order.
+func ReadBinaryTrace(r io.Reader) (Trace, error) {
+	br := bufio.NewReader(r)
+	slots, err := readBinaryHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	tr := make(Trace, slots)
-	var rec [8]byte
+	var rec [recordSize]byte
 	for {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			if err == io.EOF {
@@ -72,15 +96,11 @@ func ReadBinaryTrace(r io.Reader) (Trace, error) {
 			}
 			return nil, fmt.Errorf("traffic: reading record: %w", err)
 		}
-		t := binary.LittleEndian.Uint32(rec[0:])
+		t, p := decodeRecord(rec[:])
 		if t >= slots {
 			return nil, fmt.Errorf("traffic: record slot %d out of [0,%d)", t, slots)
 		}
-		tr[t] = append(tr[t], pkt.Packet{
-			Port:  int(binary.LittleEndian.Uint16(rec[4:])),
-			Work:  int(rec[6]),
-			Value: int(rec[7]),
-		})
+		tr[t] = append(tr[t], p)
 	}
 }
 

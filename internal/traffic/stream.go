@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -145,102 +144,110 @@ func (s *textStream) Close() error { return nil }
 
 // StreamBinary opens a streaming cursor over the v1 binary format,
 // returning the cursor and the declared slot count. Like StreamText,
-// records must be grouped by non-decreasing slot.
+// records must be grouped by non-decreasing slot. The cursor is an
+// OpenBinary stream.
 func StreamBinary(r io.Reader) (Cursor, int, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, 0, fmt.Errorf("traffic: reading binary magic: %w", err)
+	s, slots, err := OpenBinary(r)
+	if err != nil {
+		return nil, 0, err
 	}
-	if string(magic) != string(binaryMagic) {
-		return nil, 0, fmt.Errorf("traffic: bad binary magic %q", magic)
-	}
-	var slots uint32
-	if err := binary.Read(br, binary.LittleEndian, &slots); err != nil {
-		return nil, 0, fmt.Errorf("traffic: reading slot count: %w", err)
-	}
-	return &binaryStream{br: br, slots: int(slots), pendingSlot: -1}, int(slots), nil
+	return s, slots, nil
 }
 
-// binaryStream is the binary-format streaming cursor.
-type binaryStream struct {
+// OpenBinary is StreamBinary returning the concrete cursor, whose
+// AppendNext reads a slot into a caller-owned buffer.
+func OpenBinary(r io.Reader) (*BinaryStream, int, error) {
+	br := bufio.NewReader(r)
+	slots, err := readBinaryHeader(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &BinaryStream{br: br, slots: int(slots)}, int(slots), nil
+}
+
+// BinaryStream is the binary-format streaming cursor. It decodes
+// records in place from its bufio.Reader's buffer and peeks at the
+// first record past a slot without consuming it, so reading a slot
+// allocates nothing beyond the slice it appends to.
+type BinaryStream struct {
 	br    *bufio.Reader
 	slots int
-	cur   int
-
-	pendingSlot int
-	pending     pkt.Packet
-
-	err error
+	cur   int // next slot to emit
+	err   error
 }
 
 // fail records the first stream error.
-func (s *binaryStream) fail(err error) {
+func (s *BinaryStream) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
 }
 
-// readRecord reads the next fixed-width record. ok is false at end of
-// stream or on error.
-func (s *binaryStream) readRecord() (slot int, p pkt.Packet, ok bool) {
-	var rec [8]byte
-	if _, err := io.ReadFull(s.br, rec[:]); err != nil {
-		if err != io.EOF {
-			s.fail(fmt.Errorf("traffic: reading record: %w", err))
-		}
-		return 0, pkt.Packet{}, false
-	}
-	t := int(binary.LittleEndian.Uint32(rec[0:]))
-	if t >= s.slots {
-		s.fail(fmt.Errorf("traffic: record slot %d out of [0,%d)", t, s.slots))
-		return 0, pkt.Packet{}, false
-	}
-	return t, pkt.Packet{
-		Port:  int(binary.LittleEndian.Uint16(rec[4:])),
-		Work:  int(rec[6]),
-		Value: int(rec[7]),
-	}, true
-}
+// Next implements Source: the next slot's packets in a fresh slice.
+func (s *BinaryStream) Next() []pkt.Packet { return s.AppendNext(nil) }
 
-// Next implements Source.
-func (s *binaryStream) Next() []pkt.Packet {
+// AppendNext appends the packets of the next slot to dst, in stream
+// order, and returns the extended slice; a caller that passes the
+// previous result back as dst[:0] reads the whole stream without
+// allocating. A slot is complete once the first record of a later slot
+// (or a clean end of input at a record boundary) is in view. If the
+// stream fails instead — a record cut short, out of range or out of
+// order — AppendNext records the sticky error, appends nothing for the
+// slot, and appends nothing ever after.
+func (s *BinaryStream) AppendNext(dst []pkt.Packet) []pkt.Packet {
 	if s.err != nil || s.cur >= s.slots {
-		return nil
+		return dst
 	}
-	t := s.cur
+	t := uint32(s.cur)
 	s.cur++
-	var out []pkt.Packet
-	if s.pendingSlot >= 0 {
-		if s.pendingSlot > t {
-			return nil
-		}
-		out = append(out, s.pending)
-		s.pendingSlot = -1
-	}
+	base := len(dst)
 	for {
-		slot, p, ok := s.readRecord()
-		if !ok {
-			return out
+		n := s.br.Buffered() &^ (recordSize - 1)
+		if n == 0 {
+			// Fewer than one whole record buffered: block until there is
+			// one, or the input ends.
+			if _, err := s.br.Peek(recordSize); err != nil {
+				if err == io.EOF && s.br.Buffered() == 0 {
+					return dst
+				}
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				s.fail(fmt.Errorf("traffic: reading record: %w", err))
+				return dst[:base]
+			}
+			n = s.br.Buffered() &^ (recordSize - 1)
 		}
-		switch {
-		case slot == t:
-			out = append(out, p)
-		case slot > t:
-			s.pendingSlot, s.pending = slot, p
-			return out
-		default:
-			s.fail(fmt.Errorf("traffic: record slot %d after slot %d (streaming requires non-decreasing slots)", slot, t))
-			return nil
+		// n <= Buffered, so neither this Peek nor the Discards below do
+		// I/O or fail.
+		buf, _ := s.br.Peek(n)
+		used := 0
+		for ; used < n; used += recordSize {
+			slot, p := decodeRecord(buf[used : used+recordSize])
+			if slot == t {
+				dst = append(dst, p)
+				continue
+			}
+			s.br.Discard(used)
+			switch {
+			case int(slot) >= s.slots:
+				s.fail(fmt.Errorf("traffic: record slot %d out of [0,%d)", slot, s.slots))
+			case slot < t:
+				s.fail(fmt.Errorf("traffic: record slot %d after slot %d (streaming requires non-decreasing slots)", slot, t))
+			default:
+				return dst
+			}
+			return dst[:base]
 		}
+		s.br.Discard(used)
 	}
 }
 
 // Err implements Cursor.
-func (s *binaryStream) Err() error { return s.err }
+func (s *BinaryStream) Err() error { return s.err }
 
 // Close implements Cursor.
-func (s *binaryStream) Close() error { return nil }
+func (s *BinaryStream) Close() error { return nil }
 
 // StreamAny sniffs the input and opens the matching streaming cursor
 // (text or binary), returning it with the declared slot count.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -400,4 +401,62 @@ func nilNormalize(tr Trace) Trace {
 		}
 	}
 	return out
+}
+
+// longBinaryTrace encodes a seeded MMPP trace of the given length in the
+// binary format, returning the trace and its bytes.
+func longBinaryTrace(t *testing.T, slots int) (Trace, []byte) {
+	t.Helper()
+	g, err := NewMMPP(MMPPConfig{
+		Sources: 16, LambdaOn: 1.5, POnOff: 0.1, POffOn: 0.2,
+		Label: LabelWorkByPort, Ports: 8, MaxLabel: 4, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := Record(g, slots)
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return tr, buf.Bytes()
+}
+
+// TestAppendNextZeroAllocs pins the daemon's slot read: with a reused
+// buffer, AppendNext decodes a slot without allocating.
+func TestAppendNextZeroAllocs(t *testing.T) {
+	tr, raw := longBinaryTrace(t, 2000)
+	cur, slots, err := OpenBinary(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]pkt.Packet, 0, 256)
+	slot := 0
+	read := func() {
+		buf = cur.AppendNext(buf[:0])
+		if !slices.Equal(buf, tr[slot]) {
+			t.Fatalf("slot %d = %v, want %v", slot, buf, tr[slot])
+		}
+		slot++
+	}
+	if allocs := testing.AllocsPerRun(slots-1, read); allocs != 0 {
+		t.Errorf("AppendNext allocates %.2f times per slot, want 0", allocs)
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBinaryNextResultsDoNotAlias keeps every Next result of a long
+// stream and checks them all at the end: each is caller-owned, so no
+// later slot may overwrite an earlier one.
+func TestBinaryNextResultsDoNotAlias(t *testing.T) {
+	tr, raw := longBinaryTrace(t, 500)
+	cur, slots, err := StreamBinary(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainCursor(t, cur, slots); !equalTraces(got, tr) {
+		t.Fatal("Next results changed after later slots were read")
+	}
 }
