@@ -256,11 +256,12 @@ func PanelIDs() []string { return experiments.PanelIDs() }
 // Parameter sweeps — single-process or distributed across a fleet.
 type (
 	// Sweep describes a one-dimensional parameter sweep replicated over
-	// seeds. Set Checkpoint for resumable single-process runs, or Ledger
-	// plus LedgerWorker to divide the grid crash-safely among several
-	// processes through a shared lease-ledger directory (internal/lease):
-	// workers survive crashes, hangs and torn journal writes, and the
-	// merged result stays bit-identical to a single-process run.
+	// seeds. Set Ledger plus LedgerWorker for a resumable run through a
+	// lease-ledger directory (internal/lease): one worker on a private
+	// ledger resumes after a crash or interrupt, and several processes
+	// sharing one divide the grid crash-safely. Workers survive crashes,
+	// hangs and torn journal writes, and the merged result stays
+	// bit-identical to a single-process run.
 	Sweep = sim.Sweep
 	// SweepResult is a completed — or gracefully partial — sweep.
 	SweepResult = sim.SweepResult

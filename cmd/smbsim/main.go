@@ -20,7 +20,7 @@
 //
 // Robustness flags for long runs:
 //
-//	smbsim -checkpoint run.ckpt     # journal cells; re-run to resume
+//	smbsim -checkpoint run.ckpt     # journal cells to a ledger dir; re-run to resume
 //	smbsim -cell-timeout 5m         # fail runaway cells, keep the rest
 //	smbsim -faults "blackout;squeeze:b=32"  # inject faults into a sweep
 //
@@ -108,8 +108,8 @@ func (v *progressVar) String() string {
 	}
 	p := v.latest
 	return fmt.Sprintf(
-		`{"state":"running","sweep":%q,"x_label":%q,"x":%d,"seed_index":%d,"done":%d,"failed":%d,"skipped":%d,"total":%d,"checkpoint_lag":%d}`,
-		p.Sweep, p.XLabel, p.X, p.SeedIndex, p.Done, p.Failed, p.Skipped, p.Total, p.CheckpointLag)
+		`{"state":"running","sweep":%q,"x_label":%q,"x":%d,"seed_index":%d,"done":%d,"failed":%d,"skipped":%d,"total":%d}`,
+		p.Sweep, p.XLabel, p.X, p.SeedIndex, p.Done, p.Failed, p.Skipped, p.Total)
 }
 
 // startNonce is drawn once per process start. Hostname plus pid alone
@@ -175,7 +175,7 @@ func main() {
 		specPath    = flag.String("spec", "", "run a custom JSON experiment spec instead of the paper's panels")
 		faultSpec   = flag.String("faults", "", `inject a fault plan into every sweep cell, e.g. "blackout;squeeze:b=32:period=500:dur=100" (see internal/faults)`)
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell deadline; a timed-out cell fails without killing the sweep (0 = unbounded)")
-		checkpoint  = flag.String("checkpoint", "", "journal completed sweep cells to this file and resume from it on re-runs")
+		checkpoint  = flag.String("checkpoint", "", "journal completed sweep cells to a single-worker lease ledger in this directory and resume from it on re-runs")
 		ledger      = flag.String("ledger", "", "distributed mode: share sweep cells with other smbsim processes through the crash-safe lease ledger in this directory (conflicts with -checkpoint)")
 		workerMode  = flag.Bool("worker", false, "fleet worker: compute leased cells and print one summary line per sweep instead of tables (requires -ledger)")
 		coordinator = flag.Bool("coordinator", false, "fleet coordinator: compute nothing, wait for the workers to finish each sweep, render the merged tables (requires -ledger)")
@@ -224,7 +224,10 @@ func main() {
 		fail("-worker and -coordinator are mutually exclusive")
 	}
 	if *ledger != "" && *checkpoint != "" {
-		fail("-ledger and -checkpoint are mutually exclusive; the ledger subsumes checkpointing")
+		fail("-ledger and -checkpoint are mutually exclusive; -checkpoint is a single-worker ledger")
+	}
+	if *workerID != "" && *ledger == "" {
+		fail(fmt.Sprintf("-worker-id requires -ledger; a -checkpoint run always uses the identity %q", cli.CheckpointWorker))
 	}
 
 	opts := cli.PanelOptions{
@@ -233,7 +236,6 @@ func main() {
 		Plot:        *asPlot,
 		CSV:         *asCSV,
 		CellTimeout: *cellTimeout,
-		Checkpoint:  *checkpoint,
 		Ledger:      *ledger,
 		LeaseTTL:    *leaseTTL,
 		CellRetries: *cellRetries,
@@ -242,7 +244,13 @@ func main() {
 		Obs:         *obsFlag,
 		TraceEvents: *traceEvents,
 	}
-	if *ledger != "" {
+	switch {
+	case *checkpoint != "":
+		if fi, err := os.Stat(*checkpoint); err == nil && !fi.IsDir() {
+			fail(fmt.Sprintf("-checkpoint %s is a file: a pre-ledger checkpoint journal, which this build cannot resume; finish it with the previous build or move it aside", *checkpoint))
+		}
+		opts.Ledger, opts.LedgerWorker = *checkpoint, cli.CheckpointWorker
+	case *ledger != "":
 		opts.LedgerWorker = *workerID
 		if opts.LedgerWorker == "" {
 			opts.LedgerWorker = defaultWorkerID()
@@ -309,7 +317,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "smbsim: re-run with -checkpoint %s to resume\n", *checkpoint)
 			}
 			if *ledger != "" {
-				fmt.Fprintf(os.Stderr, "smbsim: re-run with -ledger %s to resume; cells this process was running become reclaimable after the lease TTL\n", *ledger)
+				fmt.Fprintf(os.Stderr, "smbsim: re-run with -ledger %s to resume; the cells this process was running are free for any worker at once\n", *ledger)
 			}
 			stop() // restore default SIGINT behaviour for the exit path
 			os.Exit(exitInterrupted)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -44,28 +45,29 @@ func sweepArgs(extra ...string) []string {
 	return append(args, extra...)
 }
 
-// waitForCellRecord polls the checkpoint journal until it holds at
-// least one complete cell record beyond the fingerprint header —
-// i.e. a second newline-terminated line — so the SIGINT lands after
-// some work is durably journaled but before the sweep finishes.
+// waitForCellRecord polls a worker's ledger journal until it holds a
+// complete record, so the SIGINT lands after some work is durably
+// journaled but before the sweep finishes.
 func waitForCellRecord(t *testing.T, path string) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		raw, err := os.ReadFile(path)
-		if err == nil && bytes.Count(raw, []byte("\n")) >= 2 {
+		if err == nil && bytes.Contains(raw, []byte(`"kind":"complete"`)) {
 			return
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatalf("no checkpoint cell record appeared in %s within the deadline", path)
+	t.Fatalf("no complete cell record appeared in %s within the deadline", path)
 }
 
 // TestSIGINTPartialThenResumeBitIdentical covers the graceful-interrupt
 // contract end to end: a checkpointed run killed with SIGINT mid-sweep
 // must exit with code 2 and announce partial results and the resume
-// path on stderr; a second run on the same journal must complete and
-// print output bit-identical to an uninterrupted run.
+// path on stderr; a second run on the same ledger must complete —
+// without waiting out the default lease TTL, because the interrupted
+// run released its in-flight cells — and print output bit-identical to
+// an uninterrupted run.
 func TestSIGINTPartialThenResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second subprocess test; skipped with -short")
@@ -95,7 +97,7 @@ func TestSIGINTPartialThenResumeBitIdentical(t *testing.T) {
 	if err := interrupted.Start(); err != nil {
 		t.Fatalf("starting interrupted run: %v", err)
 	}
-	waitForCellRecord(t, ckpt)
+	waitForCellRecord(t, filepath.Join(ckpt, "local.jsonl"))
 	if err := interrupted.Process.Signal(os.Interrupt); err != nil {
 		t.Fatalf("sending SIGINT: %v", err)
 	}
@@ -114,10 +116,12 @@ func TestSIGINTPartialThenResumeBitIdentical(t *testing.T) {
 		t.Fatalf("stderr missing the resume hint:\n%s", s)
 	}
 
-	// Resume: same flags, same journal — must finish clean and match
-	// the oracle byte for byte.
+	// Resume: same flags, same ledger — must finish clean, well inside
+	// the one-minute lease TTL, and match the oracle byte for byte.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	var resumeOut bytes.Buffer
-	resume := exec.Command(bin, sweepArgs("-checkpoint", ckpt)...)
+	resume := exec.CommandContext(ctx, bin, sweepArgs("-checkpoint", ckpt)...)
 	resume.Stdout = &resumeOut
 	resume.Stderr = os.Stderr
 	if err := resume.Run(); err != nil {
@@ -177,4 +181,58 @@ func TestSIGINTLedgerResumeHint(t *testing.T) {
 	if s := out.String(); !strings.Contains(s, "worker w2 done") {
 		t.Fatalf("successor summary missing:\n%s", s)
 	}
+}
+
+// smbsimFails runs smbsim with args, asserting it exits 1 with a
+// stderr message containing every one of wants.
+func smbsimFails(t *testing.T, args []string, wants ...string) {
+	t.Helper()
+	bin, err := binary()
+	if err != nil {
+		t.Fatalf("building smbsim: %v", err)
+	}
+	var errOut bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = &errOut
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("smbsim %v: want exit 1, got %v\nstderr: %s", args, err, errOut.String())
+	}
+	for _, want := range wants {
+		if !strings.Contains(errOut.String(), want) {
+			t.Fatalf("smbsim %v: stderr missing %q:\n%s", args, want, errOut.String())
+		}
+	}
+}
+
+// TestCheckpointRefusesPreLedgerJournal pins the no-upgrade contract: a
+// -checkpoint path holding a regular file is a journal from a build
+// before -checkpoint became a ledger directory, and smbsim refuses it
+// with a message saying how to proceed instead of touching it.
+func TestCheckpointRefusesPreLedgerJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	old := `{"sweep":"fig5.1","header_v":1,"x_label":"k","xs_hash":"0","seeds":2,"base_seed":1}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	smbsimFails(t, sweepArgs("-checkpoint", path), "pre-ledger checkpoint journal", "previous build", "move it aside")
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != old {
+		t.Fatalf("refused journal was modified: %q, %v", raw, err)
+	}
+}
+
+// TestCheckpointConflictsWithLedger pins that -checkpoint, itself a
+// single-worker ledger, cannot be combined with -ledger.
+func TestCheckpointConflictsWithLedger(t *testing.T) {
+	dir := t.TempDir()
+	smbsimFails(t, sweepArgs("-checkpoint", filepath.Join(dir, "a"), "-ledger", filepath.Join(dir, "b")), "mutually exclusive")
+}
+
+// TestWorkerIDRequiresLedger pins that -worker-id is refused outside a
+// fleet run instead of being silently ignored: a -checkpoint run's
+// identity is fixed, and a plain run has none.
+func TestWorkerIDRequiresLedger(t *testing.T) {
+	dir := t.TempDir()
+	smbsimFails(t, sweepArgs("-checkpoint", filepath.Join(dir, "a"), "-worker-id", "w1"), "-worker-id requires -ledger", `"local"`)
+	smbsimFails(t, sweepArgs("-worker-id", "w1"), "-worker-id requires -ledger")
 }

@@ -19,6 +19,13 @@ import (
 	"smbm/internal/tablefmt"
 )
 
+// CheckpointWorker is the fixed ledger identity of a resumable
+// single-process run (smbsim -checkpoint DIR), so a restart reopens —
+// and resumes — its own journal. Its reports carry no per-process lease
+// footer: those counters vary with timing and would make a resumed
+// report differ from an uninterrupted run's.
+const CheckpointWorker = "local"
+
 // PanelOptions drives Panels (cmd/smbsim).
 type PanelOptions struct {
 	// Experiment selects one panel, "arch", "latency" or "faults";
@@ -35,15 +42,13 @@ type PanelOptions struct {
 	Faults faults.Spec
 	// CellTimeout bounds each sweep cell (0 = unbounded).
 	CellTimeout time.Duration
-	// Checkpoint journals completed sweep cells to this file and
-	// resumes from it on a re-run (empty = no checkpointing).
-	Checkpoint string
 	// Ledger runs every sweep through the crash-safe work-leasing ledger
-	// in this directory (internal/lease): several smbsim processes
-	// sharing the directory divide each sweep's cells among themselves.
-	// Mutually exclusive with Checkpoint.
+	// in this directory (internal/lease): a re-run resumes from it, and
+	// several smbsim processes sharing the directory divide each sweep's
+	// cells among themselves.
 	Ledger string
-	// LedgerWorker is this process's worker identity in the ledger.
+	// LedgerWorker is this process's worker identity in the ledger;
+	// CheckpointWorker marks a private single-worker ledger.
 	LedgerWorker string
 	// LeaseTTL bounds how long a crashed worker holds a cell before
 	// reclamation (0 = lease.DefaultTTL).
@@ -174,11 +179,10 @@ func panelReport(ctx context.Context, w io.Writer, id string, o PanelOptions) er
 }
 
 // harden applies the robustness and observability options — fault
-// injection, per-cell deadline, checkpoint journal, decision counters,
+// injection, per-cell deadline, lease ledger, decision counters,
 // event tracing, progress publication — to a sweep before it runs.
 func harden(sweep *sim.Sweep, o PanelOptions) {
 	sweep.CellTimeout = o.CellTimeout
-	sweep.Checkpoint = o.Checkpoint
 	sweep.Ledger = o.Ledger
 	sweep.LedgerWorker = o.LedgerWorker
 	sweep.LeaseTTL = o.LeaseTTL
@@ -213,8 +217,8 @@ func harden(sweep *sim.Sweep, o PanelOptions) {
 	if fs.Horizon == 0 {
 		fs.Horizon = int64(o.slots())
 	}
-	// The fault plan shapes every cell, so it belongs in the checkpoint
-	// fingerprint: resuming a faulted journal without -faults (or vice
+	// The fault plan shapes every cell, so it belongs in the ledger
+	// fingerprint: resuming a faulted ledger without -faults (or vice
 	// versa) must fail loudly.
 	sweep.ConfigDigest += ";faults=" + fs.String()
 	build := sweep.Build
@@ -289,7 +293,7 @@ func writeSweepReport(w io.Writer, result *sim.SweepResult, o PanelOptions, elap
 			return err
 		}
 	}
-	if t := result.LeaseTable(); t != "" {
+	if t := result.LeaseTable(); t != "" && o.LedgerWorker != CheckpointWorker {
 		if _, err := fmt.Fprintf(w, "-- lease ledger (this process) --\n%s", t); err != nil {
 			return err
 		}

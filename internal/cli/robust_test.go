@@ -85,27 +85,38 @@ func TestRunSpecCanceledRendersPartialTable(t *testing.T) {
 	}
 }
 
+// TestPanelsCheckpointResume drives the options smbsim -checkpoint DIR
+// sets — a single-worker ledger in DIR under CheckpointWorker — and
+// requires both the journaling run and its resume to print the same
+// text report as a plain run, elapsed times aside.
 func TestPanelsCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cli.ckpt")
-	o := PanelOptions{Experiment: "fig5.1", Opts: smallOpts(), Checkpoint: path}
+	var plain bytes.Buffer
+	if err := Panels(context.Background(), &plain, PanelOptions{Experiment: "fig5.1", Opts: smallOpts()}); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "cli.ckpt")
+	o := PanelOptions{Experiment: "fig5.1", Opts: smallOpts(), Ledger: dir, LedgerWorker: CheckpointWorker}
 	var first bytes.Buffer
 	if err := Panels(context.Background(), &first, o); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(path)
+	info, err := os.Stat(filepath.Join(dir, CheckpointWorker+".jsonl"))
 	if err != nil {
-		t.Fatalf("checkpoint journal missing: %v", err)
+		t.Fatalf("checkpoint ledger missing: %v", err)
 	}
 	if info.Size() == 0 {
-		t.Fatal("checkpoint journal empty")
+		t.Fatal("checkpoint ledger empty")
 	}
 	// The resumed run replays nothing and reproduces the identical table.
 	var second bytes.Buffer
 	if err := Panels(context.Background(), &second, o); err != nil {
 		t.Fatal(err)
 	}
-	if first.String() == "" || stripTimings(first.String()) != stripTimings(second.String()) {
-		t.Errorf("resumed table differs:\n%s\nvs\n%s", first.String(), second.String())
+	want := stripTimings(plain.String())
+	for name, got := range map[string]string{"checkpointed": first.String(), "resumed": second.String()} {
+		if want == "" || stripTimings(got) != want {
+			t.Errorf("%s report differs from a plain run's:\n%s\nvs\n%s", name, got, plain.String())
+		}
 	}
 }
 

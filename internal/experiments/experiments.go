@@ -163,8 +163,8 @@ func policyNames(ps []core.Policy) string {
 // its cells — model, the fixed k/B/C dimensions (the swept one marked
 // "swept" since the Xs are fingerprinted separately), the policy
 // roster and the traffic scale — for sim.Sweep.ConfigDigest, so a
-// checkpoint resume after any flag change is refused instead of
-// silently merging stale cells.
+// ledger resume after any flag change is refused instead of silently
+// merging stale cells.
 func cellDigest(model, swept string, k, b, c int, policies string, o Options) string {
 	dim := func(name string, v int) string {
 		if name == swept {

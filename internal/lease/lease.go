@@ -29,8 +29,12 @@
 //	complete  worker W finished the cell under token T; results carries
 //	          the serialized per-policy results. fsynced before the
 //	          worker moves on.
-//	abandon   worker W gave the cell up under token T (the cell failed);
-//	          error says why. The cell becomes retryable immediately.
+//	abandon   worker W gave the cell up under token T (the cell failed,
+//	          or W crashed holding it and restarted); error says why. The
+//	          cell becomes retryable immediately and one attempt is spent.
+//	release   worker W gave the cell back under token T unfailed (its run
+//	          was interrupted). The cell is free immediately and no
+//	          attempt is spent.
 //
 // # Fencing rules
 //
@@ -59,10 +63,13 @@
 //
 // A lease whose deadline passes without renewal or completion is
 // expired: any worker may reclaim the cell under the next token. Every
-// expiry or abandonment consumes one attempt; a cell whose failed
-// attempts exceed the configured retry budget is degraded — reported,
-// skipped by workers, and omitted from the merged grid so partial
-// tables still render (the graceful-degradation contract).
+// expiry or abandonment consumes one attempt (a release does not); a
+// worker restarting under its old identity abandons the leases its
+// crashed incarnation left live, so they need not wait out the TTL. A
+// cell whose failed attempts exceed the configured retry budget is
+// degraded — reported, skipped by workers, and omitted from the merged
+// grid so partial tables still render (the graceful-degradation
+// contract).
 //
 // Wall-clock reads are confined to the //smb:leaseclock-annotated clock
 // in clock.go; the smblint leaseclock analyzer enforces that this
@@ -77,7 +84,7 @@ import (
 )
 
 // Cell identifies one unit of leased work: one (x, seedIndex) sweep
-// cell, keyed exactly like the checkpoint journal.
+// cell.
 type Cell struct {
 	// X is the swept parameter value.
 	X int
@@ -137,8 +144,11 @@ const (
 	KindLease = "lease"
 	// KindComplete journals a finished cell's results.
 	KindComplete = "complete"
-	// KindAbandon releases a failed cell for retry.
+	// KindAbandon gives up a failed cell for retry, spending an attempt.
 	KindAbandon = "abandon"
+	// KindRelease gives back an interrupted cell without spending an
+	// attempt.
+	KindRelease = "release"
 )
 
 // recordV is the ledger schema version this build writes and accepts.
@@ -169,11 +179,13 @@ type record struct {
 	Token uint64 `json:"token,omitempty"`
 	// Attempt is the 1-based attempt number this token represents.
 	Attempt int `json:"attempt,omitempty"`
-	// DeadlineMS is the lease expiry as Unix milliseconds (KindLease).
+	// DeadlineMS is the lease expiry as Unix milliseconds (KindLease),
+	// or the moment of release (KindRelease): a release counts only if
+	// the lease was still live then.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Results is the opaque serialized cell payload (KindComplete).
 	Results json.RawMessage `json:"results,omitempty"`
-	// Error says why the cell was given up (KindAbandon).
+	// Error says why the cell was abandoned (KindAbandon).
 	Error string `json:"error,omitempty"`
 }
 

@@ -540,3 +540,150 @@ func TestOpenRejectsSecondLiveWriter(t *testing.T) {
 	}
 	reopened.Close()
 }
+
+// TestReleaseSpendsNoAttempt pins the interrupted-run contract: a
+// released cell is free at once, counts no failed attempt — not even
+// after its lease deadline passes — and is reclaimed as attempt 1 under
+// the next token, not as a reclaim of a crashed worker's cell.
+func TestReleaseSpendsNoAttempt(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	cells := []Cell{{X: 1, SeedIndex: 0}}
+	ctx := context.Background()
+	l := openWorker(t, dir, "a", clk, time.Minute, 3)
+
+	ls, _, err := l.Acquire(ctx, cells)
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	if err := l.Release(ls); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	for _, wait := range []time.Duration{0, 2 * time.Minute} {
+		clk.advance(wait)
+		st, err := l.Scan()
+		if err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		cs := st.Cell(cells[0])
+		if p := st.Phase(cells[0], l.Retries()); p != PhaseFree || cs.Failed != 0 || cs.NextAttempt != 1 || cs.TopExpired {
+			t.Fatalf("after release (+%v): phase %v failed %d next attempt %d top expired %v, want free/0/1/false",
+				wait, p, cs.Failed, cs.NextAttempt, cs.TopExpired)
+		}
+	}
+	b := openWorker(t, dir, "b", clk, time.Minute, 3)
+	lsB, status, err := b.Acquire(ctx, cells)
+	if err != nil || status != StatusAcquired {
+		t.Fatalf("b.Acquire = %v, %v", status, err)
+	}
+	if lsB.Token != 2 || lsB.Attempt != 1 {
+		t.Fatalf("claim after release = token %d attempt %d, want 2/1", lsB.Token, lsB.Attempt)
+	}
+	if c := b.Counters(); c.Reclaims != 0 {
+		t.Fatalf("b counters = %+v, want no reclaim of a released cell", c)
+	}
+}
+
+// TestReleaseAfterExpirySpendsTheAttempt pins that a release only counts
+// while its lease is live: a hung worker whose lease expired — and was
+// reclaimed under the next token — cannot take back the failed attempt
+// by releasing late, neither before nor after the reclaim completes.
+func TestReleaseAfterExpirySpendsTheAttempt(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	cells := []Cell{{X: 1, SeedIndex: 0}}
+	ctx := context.Background()
+	a := openWorker(t, dir, "a", clk, time.Minute, 3)
+	b := openWorker(t, dir, "b", clk, time.Minute, 3)
+
+	lsA, _, err := a.Acquire(ctx, cells)
+	if err != nil {
+		t.Fatalf("a.Acquire: %v", err)
+	}
+	clk.advance(2 * time.Minute)
+	if err := a.Release(lsA); err != nil {
+		t.Fatalf("late Release: %v", err)
+	}
+	st, err := b.Scan()
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if cs := st.Cell(cells[0]); cs.Failed != 1 || cs.NextAttempt != 2 || !cs.TopExpired {
+		t.Fatalf("after late release: failed %d next attempt %d top expired %v, want 1/2/true",
+			cs.Failed, cs.NextAttempt, cs.TopExpired)
+	}
+
+	lsB, _, err := b.Acquire(ctx, cells)
+	if err != nil {
+		t.Fatalf("b.Acquire: %v", err)
+	}
+	if lsB.Token != 2 || lsB.Attempt != 2 {
+		t.Fatalf("reclaim = token %d attempt %d, want 2/2", lsB.Token, lsB.Attempt)
+	}
+	if err := a.Release(lsA); err != nil {
+		t.Fatalf("late Release after reclaim: %v", err)
+	}
+	if st, err = b.Scan(); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if cs := st.Cell(cells[0]); cs.Holder != "b" || cs.HolderToken != 2 || cs.Failed != 1 {
+		t.Fatalf("after late release over a reclaim: %+v, want b holding token 2 with 1 failed attempt", cs)
+	}
+}
+
+// TestReopenAbandonsCrashedIncarnationLeases pins the restart contract:
+// a worker that dies holding a lease (Close without Complete stands in
+// for the crash) and reopens under the same identity gets the cell back
+// at once — no TTL wait — as attempt 2, while its completed cells and
+// another worker's live lease are left alone.
+func TestReopenAbandonsCrashedIncarnationLeases(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	done, mine, theirs := Cell{X: 0, SeedIndex: 0}, Cell{X: 1, SeedIndex: 0}, Cell{X: 2, SeedIndex: 0}
+	ctx := context.Background()
+
+	b := openWorker(t, dir, "b", clk, time.Minute, 3)
+	if _, _, err := b.Acquire(ctx, []Cell{theirs}); err != nil {
+		t.Fatalf("b.Acquire: %v", err)
+	}
+	a := openWorker(t, dir, "a", clk, time.Minute, 3)
+	for _, c := range []Cell{done, mine} {
+		ls, _, err := a.Acquire(ctx, []Cell{c})
+		if err != nil {
+			t.Fatalf("a.Acquire(%s): %v", c, err)
+		}
+		if c == done {
+			if err := a.Complete(ls, payload("done")); err != nil {
+				t.Fatalf("a.Complete: %v", err)
+			}
+		}
+	}
+	a.Close()
+
+	a2 := openWorker(t, dir, "a", clk, time.Minute, 3)
+	// Check the phase first: on a still-leased cell Acquire would block
+	// for as long as the fake clock stands still.
+	st, err := a2.Scan()
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if p := st.Phase(mine, a2.Retries()); p != PhaseFree {
+		t.Fatalf("crashed incarnation's cell is %v after reopen, want free", p)
+	}
+	ls, status, err := a2.Acquire(ctx, []Cell{mine})
+	if err != nil || status != StatusAcquired {
+		t.Fatalf("reopened a.Acquire = %v, %v", status, err)
+	}
+	if ls.Token != 2 || ls.Attempt != 2 {
+		t.Fatalf("reclaim after restart = token %d attempt %d, want 2/2", ls.Token, ls.Attempt)
+	}
+	if c := a2.Counters(); c.Abandons != 1 {
+		t.Fatalf("reopened a counters = %+v, want 1 abandon", c)
+	}
+	if st, err = a2.Scan(); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if cs := st.Cell(theirs); cs.Holder != "b" || cs.Failed != 0 {
+		t.Fatalf("b's live lease disturbed by a's restart: %+v", cs)
+	}
+}

@@ -112,7 +112,11 @@ type Ledger struct {
 // the worker's journal file already exists — a restart under the same
 // identity — its headers are verified against the fingerprint and a
 // torn final line (the crash artifact of the previous incarnation) is
-// truncated away; the single-writer discipline makes that safe.
+// truncated away; the single-writer discipline makes that safe. Any
+// lease still live under this identity belongs to that crashed
+// incarnation, so Open abandons it: the crash spends one attempt, as it
+// would by expiry, but the cell is free at once instead of after the
+// TTL.
 //
 // Open enforces that discipline: it takes an exclusive flock on the
 // journal and hard-fails if another live process already holds it, so
@@ -201,12 +205,30 @@ func Open(o Options) (*Ledger, error) {
 			return nil, err
 		}
 	}
+	// The flock proves no earlier incarnation under this identity is
+	// alive, so its live leases are crash leftovers.
+	st, err := l.Scan()
+	if err != nil {
+		l.f.Close()
+		return nil, err
+	}
+	for c, cs := range st.Cells {
+		if cs.Completed || cs.Holder != l.worker {
+			continue
+		}
+		ls := Lease{Cell: c, Token: cs.HolderToken, Attempt: cs.NextAttempt}
+		if err := l.Abandon(ls, "worker "+l.worker+" restarted: its previous incarnation died holding the cell"); err != nil {
+			l.f.Close()
+			return nil, err
+		}
+	}
 	return l, nil
 }
 
 // Close releases the worker's journal file and with it the live-writer
-// lock, making the identity reusable. Held leases are left to expire;
-// call Abandon first for a prompt release.
+// lock, making the identity reusable. Held leases are left to expire
+// (or to the next Open under this identity); call Release or Abandon
+// first to free them at once.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -283,8 +305,8 @@ func (l *Ledger) hold(c Cell) bool {
 	return true
 }
 
-// release clears the in-process hold on c.
-func (l *Ledger) release(c Cell) {
+// unhold clears the in-process hold on c.
+func (l *Ledger) unhold(c Cell) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.held, c)
@@ -367,12 +389,12 @@ func (l *Ledger) Acquire(ctx context.Context, cells []Cell) (Lease, Status, erro
 			continue // a sibling goroutine claimed it since the scan
 		}
 		if _, err := l.appendLease(ls); err != nil {
-			l.release(c)
+			l.unhold(c)
 			return Lease{}, StatusAcquired, err
 		}
 		verify, err := l.Scan()
 		if err != nil {
-			l.release(c)
+			l.unhold(c)
 			return Lease{}, StatusAcquired, err
 		}
 		if p := verify.Phase(c, l.retries); p == PhaseCompleted || p == PhaseDegraded {
@@ -380,7 +402,7 @@ func (l *Ledger) Acquire(ctx context.Context, cells []Cell) (Lease, Status, erro
 			// stale-token lease may share its token, which would pass the
 			// holder check below. The cell needs no claim; rescan for
 			// other work. This is not a lost race, so no conflict counts.
-			l.release(c)
+			l.unhold(c)
 			continue
 		}
 		got := verify.Cell(c)
@@ -395,7 +417,7 @@ func (l *Ledger) Acquire(ctx context.Context, cells []Cell) (Lease, Status, erro
 		}
 		// Lost the fencing race; our same-token record is shadowed by
 		// the winner and never counts as a failed attempt.
-		l.release(c)
+		l.unhold(c)
 		l.bump(func(cnt *obs.LeaseCounts) { cnt.Conflicts++ })
 		if err := l.pause(ctx, delay); err != nil {
 			return Lease{}, StatusAcquired, err
@@ -487,12 +509,12 @@ func (l *Ledger) Complete(ls Lease, results json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("lease: %s: fsync after complete: %w", l.f.Name(), err)
 	}
-	l.release(ls.Cell)
+	l.unhold(ls.Cell)
 	l.bump(func(c *obs.LeaseCounts) { c.Completes++ })
 	return nil
 }
 
-// Abandon releases ls because the cell failed, making it immediately
+// Abandon gives ls up because the cell failed, making it immediately
 // retryable (by any worker) and consuming one attempt.
 func (l *Ledger) Abandon(ls Lease, reason string) error {
 	rec := l.cellRecord(KindAbandon, ls)
@@ -500,8 +522,22 @@ func (l *Ledger) Abandon(ls Lease, reason string) error {
 	if err := l.append(rec); err != nil {
 		return err
 	}
-	l.release(ls.Cell)
+	l.unhold(ls.Cell)
 	l.bump(func(c *obs.LeaseCounts) { c.Abandons++ })
+	return nil
+}
+
+// Release gives ls back unfailed because its run was interrupted: the
+// cell is free at once, for any worker, and no attempt is spent. A
+// release after the lease's deadline changes nothing: the expiry has
+// already spent the attempt, and the cell may have been reclaimed.
+func (l *Ledger) Release(ls Lease) error {
+	rec := l.cellRecord(KindRelease, ls)
+	rec.DeadlineMS = l.nowMS()
+	if err := l.append(rec); err != nil {
+		return err
+	}
+	l.unhold(ls.Cell)
 	return nil
 }
 

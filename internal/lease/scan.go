@@ -23,7 +23,8 @@ type Phase int
 // The cell phases, in lifecycle order.
 const (
 	// PhaseFree means no live lease holds the cell: it has never been
-	// claimed, or every claim expired or was abandoned within budget.
+	// claimed, or every claim expired, was abandoned within budget or
+	// was released.
 	PhaseFree Phase = iota
 	// PhaseLeased means a live (unexpired) lease holds the cell.
 	PhaseLeased
@@ -49,14 +50,24 @@ func (p Phase) String() string {
 	return "phase?"
 }
 
-// tokenState folds every lease/abandon record of one (cell, token)
-// pair. The token's winner is the lexicographically smallest worker
-// that wrote a lease under it; only the winner's deadlines count, so a
-// losing racer's records can neither extend nor shorten the lease.
+// tokenState folds every lease/abandon/release record of one (cell,
+// token) pair. The token's winner is the lexicographically smallest
+// worker that wrote a lease under it; only the winner's deadlines count,
+// so a losing racer's records can neither extend nor shorten the lease.
 type tokenState struct {
 	winner     string
 	deadlineMS int64
 	abandoned  bool
+	// releaser and releasedMS record the token's earliest release.
+	releaser   string
+	releasedMS int64
+}
+
+// released reports whether the token was given back unfailed: by its
+// winner, while its lease was still live. A release that comes after
+// the deadline is too late — the expiry already spent the attempt.
+func (ts *tokenState) released() bool {
+	return !ts.abandoned && ts.releaser != "" && ts.releaser == ts.winner && ts.releasedMS <= ts.deadlineMS
 }
 
 // CellState is the merged view of one cell after a scan.
@@ -80,6 +91,7 @@ type CellState struct {
 	HolderDeadlineMS int64
 	// Failed counts terminally failed attempts: tokens that were
 	// abandoned, or whose winner's deadline passed without completion.
+	// Released tokens are neither live nor failed.
 	Failed int
 	// TopExpired reports that the newest token failed by expiry rather
 	// than abandonment — the signature of a crashed or hung worker, and
@@ -185,7 +197,7 @@ func scanFile(path string, fp Fingerprint) (fileScan, error) {
 				return fs, fmt.Errorf("lease: %s: sweep %q configuration changed since the ledger was written — %w; finish with the original flags or move the ledger aside to start over", path, fp.Sweep, err)
 			}
 			fs.hasHeader = true
-		case KindLease, KindComplete, KindAbandon:
+		case KindLease, KindComplete, KindAbandon, KindRelease:
 			fs.records = append(fs.records, rec)
 		default:
 			return fs, fmt.Errorf("lease: %s:%d: unknown record kind %q (written by a newer build?); refusing to scan past it", path, lineNo, rec.Kind)
@@ -267,11 +279,17 @@ func (st *State) fold(rec record) {
 		case rec.Worker == ts.winner && rec.DeadlineMS > ts.deadlineMS:
 			ts.deadlineMS = rec.DeadlineMS // heartbeat renewal
 		}
-	case KindAbandon:
+	case KindAbandon, KindRelease:
 		ts := cs.tokens[rec.Token]
 		if ts == nil {
 			ts = &tokenState{}
 			cs.tokens[rec.Token] = ts
+		}
+		if rec.Kind == KindRelease {
+			if ts.releaser == "" || rec.DeadlineMS < ts.releasedMS {
+				ts.releaser, ts.releasedMS = rec.Worker, rec.DeadlineMS
+			}
+			break
 		}
 		ts.abandoned = true
 		if rec.Error != "" {
@@ -305,6 +323,9 @@ func (cs *CellState) finalize(nowMS int64) {
 		}
 	}
 	for tok, ts := range cs.tokens {
+		if ts.released() {
+			continue // given back unfailed: neither live nor an attempt
+		}
 		live := !ts.abandoned && ts.deadlineMS >= nowMS
 		if tok == top && live {
 			cs.Holder = ts.winner

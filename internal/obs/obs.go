@@ -245,7 +245,7 @@ func (c *KindCounts) Accumulate(o KindCounts) {
 // Snapshot is the JSON-serializable export of one replay's observability
 // data: per-port counters, their totals, and — when tracing was enabled
 // — the ring's surviving events. It rides in sim.Result and the sweep
-// checkpoint journal.
+// ledger's complete records.
 type Snapshot struct {
 	// Ports is the port count the counters are indexed by.
 	Ports int `json:"ports"`

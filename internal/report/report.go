@@ -156,22 +156,22 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
   internal/sim/stream_differential_test.go). DESIGN.md §10 documents
   the Provider contract.
 - **Checkpointed resume.** Paper-scale sweeps (-scale paper -seeds 5)
-  run for hours; smbsim -checkpoint run.ckpt journals every completed
-  (x, seed) sweep cell as a JSON line, and a re-run with the same flag
-  loads the journal and skips finished cells, so a crash or Ctrl-C
-  (which prints the completed points as a partial table and exits with
-  code 2) costs only the in-flight cells. The journal is keyed by sweep
-  name, so one file serves a whole multi-panel run; -cell-timeout bounds
-  runaway cells without killing the sweep. Every journal opens with a
-  fingerprint of the sweep's configuration (swept values, seeds, base
-  seed, fixed parameters, policy roster, fault spec): resuming after a
-  flag change fails loudly naming the changed field, so cells computed
-  under different configurations can never merge into one table. Legacy
-  journals without a fingerprint resume with a warning and are upgraded
-  in place.
+  run for hours; smbsim -checkpoint run.ckpt runs them through the
+  lease ledger below with a single worker, journaling every completed
+  (x, seed) sweep cell to run.ckpt/local.jsonl, and a re-run with the
+  same flag skips finished cells, so a crash or Ctrl-C (which prints
+  the completed points as a partial table and exits with code 2) costs
+  only the in-flight cells, which the re-run takes back at once. The
+  ledger is keyed by sweep name, so one directory serves a whole
+  multi-panel run; -cell-timeout bounds runaway cells without killing
+  the sweep. The ledger carries a fingerprint of each sweep's
+  configuration (swept values, seeds, base seed, fixed parameters,
+  policy roster, fault spec): resuming after a flag change fails loudly
+  naming the changed field, so cells computed under different
+  configurations can never merge into one table.
 - **Distributed sweeps.** To split a paper-scale run across processes
-  (or machines sharing a filesystem), swap the journal for the lease
-  ledger — same flags on every process, one shared directory:
+  (or machines sharing a filesystem), share the lease ledger among
+  several workers — same flags on every process, one shared directory:
 
   ` + "```" + `
   mkdir -p ledger
@@ -185,7 +185,8 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
   append-only files), and print one summary line per sweep; the
   coordinator computes nothing and renders the merged tables once the
   grid is done. A SIGKILLed worker costs only its in-flight cells:
-  its leases expire after -lease-ttl and are reclaimed, a resumed
+  its leases expire after -lease-ttl and are reclaimed (at once if it
+  restarts under the same -worker-id), a resumed
   zombie cannot clobber newer results (fencing tokens), and the merged
   tables are bit-identical to a single-process run — the chaos harness
   (make chaos) asserts exactly that under seeded kills and journal

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -163,119 +161,5 @@ func TestSweepValidatesDuplicatesAndParallelism(t *testing.T) {
 	s.Parallelism = -3
 	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "Parallelism") {
 		t.Errorf("negative parallelism: got %v", err)
-	}
-}
-
-func TestSweepCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	var builds int32
-	counting := func(x int, seed int64) (Instance, error) {
-		atomic.AddInt32(&builds, 1)
-		return buildCell(x, seed)
-	}
-
-	clean, err := testSweep().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := testSweep()
-	s.Checkpoint = path
-	s.Build = counting
-	first, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&builds); got != 9 {
-		t.Fatalf("first run built %d cells, want 9", got)
-	}
-	if !reflect.DeepEqual(first, clean) {
-		t.Error("checkpointed run differs from plain run")
-	}
-
-	// A re-run against the same journal skips every cell.
-	s = testSweep()
-	s.Checkpoint = path
-	s.Build = counting
-	second, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&builds); got != 9 {
-		t.Fatalf("resumed run rebuilt cells: %d total builds, want 9", got)
-	}
-	if !reflect.DeepEqual(second, clean) {
-		t.Error("resumed result differs from plain run")
-	}
-}
-
-func TestSweepCheckpointResumesInterruptedRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var builds int32
-	s := testSweep()
-	s.Parallelism = 1
-	s.Checkpoint = path
-	s.Build = func(x int, seed int64) (Instance, error) {
-		if atomic.AddInt32(&builds, 1) == 4 {
-			cancel()
-		}
-		return buildCell(x, seed)
-	}
-	res, err := s.RunContext(ctx)
-	if !errors.Is(err, context.Canceled) || res == nil || !res.Partial {
-		t.Fatalf("interrupted run: res=%+v err=%v", res, err)
-	}
-
-	// Resume: only the six cells the interruption lost are rebuilt.
-	var resumedBuilds int32
-	s = testSweep()
-	s.Checkpoint = path
-	s.Build = func(x int, seed int64) (Instance, error) {
-		atomic.AddInt32(&resumedBuilds, 1)
-		return buildCell(x, seed)
-	}
-	resumed, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&resumedBuilds); got != 6 {
-		t.Errorf("resume rebuilt %d cells, want 6", got)
-	}
-	if resumed.Partial {
-		t.Error("resumed run still partial")
-	}
-	clean, err := testSweep().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, clean) {
-		t.Error("resumed result differs from an uninterrupted run")
-	}
-}
-
-func TestSweepCheckpointIgnoresOtherSweeps(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shared.ckpt")
-	s := testSweep()
-	s.Checkpoint = path
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// A differently named sweep sharing the journal rebuilds everything.
-	var builds int32
-	other := testSweep()
-	other.Name = "other"
-	other.Checkpoint = path
-	other.Build = func(x int, seed int64) (Instance, error) {
-		atomic.AddInt32(&builds, 1)
-		return buildCell(x, seed)
-	}
-	if _, err := other.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&builds); got != 9 {
-		t.Errorf("other sweep built %d cells, want 9", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -40,32 +39,27 @@ type Sweep struct {
 	// unbounded). A timed-out cell fails with a CellError naming the
 	// cell; the remaining cells keep running.
 	CellTimeout time.Duration
-	// Checkpoint, when non-empty, journals every completed cell to
-	// this file as a JSON line and, on a later run, skips cells already
-	// journaled — making paper-scale sweeps resumable after a crash or
-	// SIGINT. The journal is keyed by sweep Name, so several sweeps can
-	// share one file. Each sweep writes one fingerprint header line
-	// (XLabel, Xs digest, Seeds, BaseSeed, ConfigDigest); resuming
-	// under changed flags fails loudly naming the differing field.
-	Checkpoint string
 	// ConfigDigest canonically renders everything Build bakes into a
 	// cell that the sweep struct cannot see — B, C, speedup, policy
-	// roster, fault spec, trace shape. It rides in the checkpoint
+	// roster, fault spec, trace shape. It rides in the ledger
 	// fingerprint so a resume after a flag change is refused instead of
 	// silently merging stale cells. Leave empty to fingerprint the
 	// sweep identity only.
 	ConfigDigest string
 	// Ledger, when non-empty, runs the sweep through the crash-safe
 	// work-leasing ledger in this directory (internal/lease) instead of
-	// the single-process pool: several worker processes — each with a
-	// distinct LedgerWorker identity — divide the grid cell by cell,
-	// surviving worker crashes, hangs and restarts. Mutually exclusive
-	// with Checkpoint: the ledger subsumes it (every completed cell is
-	// journaled durably and a re-run resumes from the ledger).
+	// the in-memory pool: every completed cell is journaled durably and
+	// a re-run resumes from the ledger, skipping them. One worker on a
+	// private ledger is a resumable single-process run (smbsim
+	// -checkpoint); several worker processes — each with a distinct
+	// LedgerWorker identity — divide the grid cell by cell, surviving
+	// worker crashes, hangs and restarts. Ledgers are keyed by sweep
+	// Name, so several sweeps can share one directory.
 	Ledger string
 	// LedgerWorker is this process's unique worker identity in the
 	// ledger; required when Ledger is set. Two live processes must never
-	// share one.
+	// share one, and a restart should reuse it so the ledger frees the
+	// cells its crashed incarnation held at once.
 	LedgerWorker string
 	// LeaseTTL bounds how long a crashed or hung worker holds a cell
 	// before any other worker may reclaim it (0 = lease.DefaultTTL).
@@ -106,13 +100,10 @@ type SweepProgress struct {
 	// X and SeedIndex identify the cell this notification is about.
 	X, SeedIndex int
 	// Done counts cells completed by this run so far; Failed counts
-	// confined cell failures; Skipped counts cells resumed from the
-	// checkpoint journal; Total is the full grid size.
+	// confined cell failures; Skipped counts cells the ledger already
+	// held completed or degraded when the run started; Total is the
+	// full grid size.
 	Done, Failed, Skipped, Total int
-	// CheckpointLag counts completed cells whose journal append failed
-	// (0 when journaling is off or healthy): a growing lag means a
-	// crash would lose that many cells.
-	CheckpointLag int
 	// Err is the cell's failure (a *CellError), nil when it completed.
 	Err error
 	// Results are the completed cell's per-policy results (nil on
@@ -182,9 +173,8 @@ type SweepResult struct {
 	// completed cell, keyed by policy name; nil unless the instances
 	// attached recorders (Sweep.Obs / Instance.Obs).
 	Obs map[string]obs.KindCounts `json:"obs,omitempty"`
-	// Warnings carries non-fatal anomalies the run noticed — a legacy
-	// checkpoint journal without a fingerprint header, a torn record
-	// dropped on resume, a degraded cell — for the caller to surface.
+	// Warnings carries non-fatal anomalies the run noticed — a degraded
+	// cell of a leased run — for the caller to surface.
 	Warnings []string `json:"warnings,omitempty"`
 	// Lease aggregates this process's lease-ledger activity when the
 	// sweep ran in leased (distributed) mode; nil otherwise. Like
@@ -274,6 +264,58 @@ func (s *Sweep) runCell(ctx context.Context, sc *Scratch, xi, si, intra int) (re
 	return res, nil
 }
 
+// cellError returns a cell outcome's failure as a *CellError: runCell
+// already returns one for every failure, anything else is wrapped
+// naming cell (xi, si).
+func (s *Sweep) cellError(xi, si int, err error) *CellError {
+	var ce *CellError
+	if errors.As(err, &ce) {
+		return ce
+	}
+	return &CellError{Sweep: s.Name, XLabel: s.XLabel, X: s.Xs[xi],
+		SeedIndex: si, Seed: s.cellSeed(xi, si), Err: err}
+}
+
+// budget splits the sweep's worker budget (Parallelism, default
+// GOMAXPROCS) for a run with pending cells left. With fewer pending
+// cells than workers — the paper-scale shape, one long cell per panel
+// point, or a resume with few cells left — the spare workers go inside
+// the cells, fanning each cell's OPT proxy and per-policy replays out
+// in parallel. Results stay bit-identical because every replay opens
+// its own cursor over the cell's Provider. Both the in-memory pool and
+// the leased path split through here.
+func (s *Sweep) budget(pending int) (cellWorkers, intra int) {
+	workers := s.Parallelism
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	switch {
+	case pending >= workers:
+		return workers, 1
+	case pending == 0:
+		return 0, 1
+	}
+	return pending, workers / pending
+}
+
+// joinSweepErrs joins a sweep's failures in deterministic order: ctx's
+// error, the cell errors by grid position (not scheduling), then the
+// harness error, if any.
+func joinSweepErrs(ctx context.Context, cellErrs []*CellError, harness error) error {
+	sort.Slice(cellErrs, func(i, j int) bool {
+		if cellErrs[i].X != cellErrs[j].X {
+			return cellErrs[i].X < cellErrs[j].X
+		}
+		return cellErrs[i].SeedIndex < cellErrs[j].SeedIndex
+	})
+	errs := make([]error, 0, len(cellErrs)+2)
+	errs = append(errs, ctx.Err())
+	for _, ce := range cellErrs {
+		errs = append(errs, ce)
+	}
+	return errors.Join(append(errs, harness)...)
+}
+
 // RunContext executes all (x, seed) cells on a bounded worker pool and
 // folds replications in deterministic order. Robustness semantics:
 //
@@ -285,12 +327,7 @@ func (s *Sweep) runCell(ctx context.Context, sc *Scratch, xi, si, intra int) (re
 //     abort at their next slot boundary. The completed cells are
 //     returned as a Partial SweepResult alongside ctx's error, instead
 //     of being discarded.
-//   - With Checkpoint set, completed cells are journaled (fsynced per
-//     cell) and a re-run with the same file resumes, skipping journaled
-//     cells. A journal append failure aborts the run — losing the disk
-//     under a resumable sweep must not silently turn it into a
-//     non-resumable one — surfacing the partial-write position.
-//   - With Ledger set, the run is delegated to the distributed
+//   - With Ledger set, the run is delegated to the resumable,
 //     work-leasing path (runLeased); see the Ledger field.
 //
 // Whenever the returned SweepResult is non-nil its Points are valid
@@ -301,66 +338,6 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	}
 	if s.Ledger != "" {
 		return s.runLeased(ctx)
-	}
-	workers := s.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// An unrecoverable harness failure mid-run (a journal append error)
-	// stops dispatching without canceling the caller's ctx; runCtx is
-	// what workers and the dispatcher watch.
-	runCtx, stopRun := context.WithCancel(ctx)
-	defer stopRun()
-
-	// Resume: prefill the grid from the checkpoint journal — verifying
-	// its fingerprint header against the current sweep — and open it
-	// for appending new cells.
-	var journal *os.File
-	var warnings []string
-	done := map[cellKey][]Result{}
-	if s.Checkpoint != "" {
-		j, err := loadCheckpoint(s.Checkpoint, s.header())
-		if err != nil {
-			return nil, err
-		}
-		done = j.done
-		if j.torn {
-			// Drop the torn tail before appending, so the journal stays
-			// one-record-per-line for the next resume.
-			if err := os.Truncate(s.Checkpoint, j.validSize); err != nil {
-				return nil, fmt.Errorf("sim: checkpoint %s: dropping torn final record: %w", s.Checkpoint, err)
-			}
-			warnings = append(warnings, fmt.Sprintf(
-				"checkpoint %s: dropped a torn final record (crash mid-append); %d intact cells resumed", s.Checkpoint, len(done)))
-		}
-		if !j.hasHeader {
-			if _, statErr := os.Stat(s.Checkpoint); statErr == nil {
-				// Legacy journal: upgrade it by rewriting to a temp file
-				// with the header prepended, fsyncing, and renaming over
-				// the original — atomic, so a crash mid-upgrade leaves
-				// either the old journal or the new one, never a
-				// half-written hybrid.
-				if len(done) > 0 {
-					warnings = append(warnings, fmt.Sprintf(
-						"checkpoint %s: legacy journal has no fingerprint header; cannot verify that its %d cells match the current configuration — resuming on trust", s.Checkpoint, len(done)))
-				}
-				if err := upgradeCheckpoint(s.Checkpoint, s.header()); err != nil {
-					return nil, err
-				}
-				j.hasHeader = true
-			}
-		}
-		if journal, err = os.OpenFile(s.Checkpoint, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s: %w", s.Checkpoint, err)
-		}
-		defer journal.Close()
-		if !j.hasHeader {
-			// Fresh journal: the header is simply its first record.
-			if err := appendHeader(journal, s.header()); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	type cell struct{ xi, si int }
@@ -374,32 +351,16 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	// of scheduling; okGrid marks which cells actually completed.
 	grid := make([][][]Result, len(s.Xs))
 	okGrid := make([][]bool, len(s.Xs))
-	completed, total := 0, len(s.Xs)*s.Seeds
-	var todo []cell
+	total := len(s.Xs) * s.Seeds
+	todo := make([]cell, 0, total)
 	for xi := range s.Xs {
 		grid[xi] = make([][]Result, s.Seeds)
 		okGrid[xi] = make([]bool, s.Seeds)
 		for si := 0; si < s.Seeds; si++ {
-			if res, ok := done[cellKey{s.Xs[xi], si}]; ok {
-				grid[xi][si], okGrid[xi][si] = res, true
-				completed++
-				continue
-			}
 			todo = append(todo, cell{xi, si})
 		}
 	}
-
-	// Budget split: with fewer pending cells than workers (the
-	// paper-scale shape — one long cell per panel point), spend the
-	// spare workers inside the cells, fanning each cell's OPT proxy and
-	// per-policy replays out in parallel. Results stay bit-identical
-	// because every replay opens its own cursor over the cell's
-	// Provider.
-	cellWorkers, intra := workers, 1
-	if n := len(todo); n > 0 && n < workers {
-		cellWorkers = n
-		intra = workers / n
-	}
+	cellWorkers, intra := s.budget(len(todo))
 
 	jobs := make(chan cell)
 	outcomes := make(chan outcome)
@@ -412,11 +373,11 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 			// reuse its systems; runCell resets them before each use.
 			var sc Scratch
 			for c := range jobs {
-				if runCtx.Err() != nil {
-					outcomes <- outcome{cell: c, err: runCtx.Err()}
+				if ctx.Err() != nil {
+					outcomes <- outcome{cell: c, err: ctx.Err()}
 					continue
 				}
-				res, err := s.runCell(runCtx, &sc, c.xi, c.si, intra)
+				res, err := s.runCell(ctx, &sc, c.xi, c.si, intra)
 				outcomes <- outcome{cell: c, results: res, err: err}
 			}
 		}()
@@ -426,7 +387,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		for _, c := range todo {
 			select {
 			case jobs <- c:
-			case <-runCtx.Done():
+			case <-ctx.Done():
 				return
 			}
 		}
@@ -437,9 +398,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	}()
 
 	var cellErrs []*CellError
-	var journalErr error
-	skipped := completed
-	runDone, failed, journalLag := 0, 0, 0
+	completed, failed := 0, 0
 	notify := func(o outcome, err error) {
 		if s.Progress == nil {
 			return
@@ -447,25 +406,19 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		s.Progress(SweepProgress{
 			Sweep: s.Name, XLabel: s.XLabel,
 			X: s.Xs[o.xi], SeedIndex: o.si,
-			Done: runDone, Failed: failed, Skipped: skipped, Total: total,
-			CheckpointLag: journalLag,
-			Err:           err,
-			Results:       o.results,
+			Done: completed, Failed: failed, Total: total,
+			Err:     err,
+			Results: o.results,
 		})
 	}
 	for o := range outcomes {
 		if o.err != nil {
-			// A cancellation-induced abort — the caller's ctx or the
-			// internal journal-failure stop — is an interruption, not a
+			// A cancellation-induced abort is an interruption, not a
 			// cell failure: the cell simply did not complete.
-			if runCtx.Err() != nil && errors.Is(o.err, runCtx.Err()) {
+			if ctx.Err() != nil && errors.Is(o.err, ctx.Err()) {
 				continue
 			}
-			var ce *CellError
-			if !errors.As(o.err, &ce) {
-				ce = &CellError{Sweep: s.Name, XLabel: s.XLabel, X: s.Xs[o.xi],
-					SeedIndex: o.si, Seed: s.cellSeed(o.xi, o.si), Err: o.err}
-			}
+			ce := s.cellError(o.xi, o.si, o.err)
 			cellErrs = append(cellErrs, ce)
 			failed++
 			notify(outcome{cell: o.cell}, ce)
@@ -473,52 +426,12 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		}
 		grid[o.xi][o.si], okGrid[o.xi][o.si] = o.results, true
 		completed++
-		runDone++
-		if journal != nil && journalErr == nil {
-			err := appendCheckpoint(journal, s.Name, s.Xs[o.xi], o.si, o.results)
-			if err == nil {
-				// fsync-on-complete: an acknowledged cell survives a
-				// crash or power loss immediately after.
-				if serr := journal.Sync(); serr != nil {
-					err = fmt.Errorf("sim: checkpoint %s: fsync after cell: %w", s.Checkpoint, serr)
-				}
-			}
-			if err != nil {
-				journalErr = err
-				journalLag++
-				// Keep folding outcomes already in flight, but stop
-				// dispatching: burning hours of compute that cannot be
-				// journaled under a sweep the caller asked to be
-				// resumable is worse than failing loudly now.
-				stopRun()
-			}
-		} else if journal != nil {
-			journalLag++
-		}
 		notify(o, nil)
 	}
 
-	out := &SweepResult{Name: s.Name, XLabel: s.XLabel, Partial: completed < total, Warnings: warnings}
+	out := &SweepResult{Name: s.Name, XLabel: s.XLabel, Partial: completed < total}
 	s.fold(out, grid, okGrid)
-
-	// Deterministic error order: by cell position, not scheduling.
-	sort.Slice(cellErrs, func(i, j int) bool {
-		if cellErrs[i].X != cellErrs[j].X {
-			return cellErrs[i].X < cellErrs[j].X
-		}
-		return cellErrs[i].SeedIndex < cellErrs[j].SeedIndex
-	})
-	errs := make([]error, 0, len(cellErrs)+2)
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	for _, ce := range cellErrs {
-		errs = append(errs, ce)
-	}
-	if journalErr != nil {
-		errs = append(errs, journalErr)
-	}
-	return out, errors.Join(errs...)
+	return out, joinSweepErrs(ctx, cellErrs, nil)
 }
 
 // fold aggregates the completed cells of the (Xs × Seeds) grid into

@@ -1,40 +1,112 @@
 package sim
 
-// Distributed sweeps: with Sweep.Ledger set, the (x, seed) grid is
-// divided among worker processes through the crash-safe lease ledger
-// (internal/lease) instead of an in-process job queue. Each worker
-// acquires cells under fencing tokens, heartbeats while running them,
-// journals completions durably, and finally merges the whole ledger —
-// its own cells and everyone else's — through the same fold as a
-// single-process run, so the merged SweepResult is bit-identical to
-// running the sweep in one process.
+// Resumable sweeps: with Sweep.Ledger set, the (x, seed) grid runs
+// through the crash-safe lease ledger (internal/lease) instead of an
+// in-process job queue. A single worker on a private ledger is a
+// resumable run (smbsim -checkpoint); several worker processes sharing
+// one directory divide the grid. Each worker acquires cells under
+// fencing tokens, heartbeats while running them, journals completions
+// durably, and finally merges the whole ledger — its own cells and
+// everyone else's — through the same fold as a single-process run, so
+// the merged SweepResult is bit-identical to running the sweep in one
+// process.
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
+	"hash/fnv"
+	"strconv"
 	"sync"
 
+	"smbm/internal/core"
 	"smbm/internal/lease"
+	"smbm/internal/obs"
 )
 
-// leaseFingerprint renders the sweep's identity as a ledger
-// fingerprint, mirroring the checkpoint journal header field for field.
+// leaseFingerprint renders the sweep's identity as a ledger fingerprint:
+// its name, XLabel, a digest of the Xs, Seeds, BaseSeed and the
+// Build-supplied ConfigDigest. Resuming under a changed one is refused,
+// naming the differing field.
 func (s *Sweep) leaseFingerprint() lease.Fingerprint {
-	h := s.header()
 	return lease.Fingerprint{
-		Sweep:    h.Sweep,
-		XLabel:   h.XLabel,
-		XsHash:   h.XsHash,
-		Seeds:    h.Seeds,
-		BaseSeed: h.BaseSeed,
-		Config:   h.Config,
+		Sweep:    s.Name,
+		XLabel:   s.XLabel,
+		XsHash:   xsDigest(s.Xs),
+		Seeds:    s.Seeds,
+		BaseSeed: s.BaseSeed,
+		Config:   s.ConfigDigest,
 	}
 }
 
-// runLeased executes the sweep as one worker of a distributed run (see
+// xsDigest hashes the swept values (count, then each value) with
+// FNV-1a, rendering a compact hex fingerprint.
+func xsDigest(xs []int) string {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(len(xs)))
+	h.Write(b[:])
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		h.Write(b[:])
+	}
+	return strconv.FormatUint(h.Sum64(), 16)
+}
+
+// cellResult is the serialized form of one Result in a ledger complete
+// record. The empirical ratio is recomputed on decode because JSON
+// cannot encode +Inf.
+type cellResult struct {
+	Policy        string        `json:"policy"`
+	Throughput    int64         `json:"throughput"`
+	OptThroughput int64         `json:"opt_throughput"`
+	Stats         core.Stats    `json:"stats"`
+	Obs           *obs.Snapshot `json:"obs,omitempty"`
+}
+
+// encodeCellResults serializes one cell's per-policy results as the
+// opaque payload carried by lease-ledger complete records.
+func encodeCellResults(results []Result) (json.RawMessage, error) {
+	crs := make([]cellResult, len(results))
+	for i, r := range results {
+		crs[i] = cellResult{
+			Policy:        r.Policy,
+			Throughput:    r.Throughput,
+			OptThroughput: r.OptThroughput,
+			Stats:         r.Stats,
+			Obs:           r.Obs,
+		}
+	}
+	raw, err := json.Marshal(crs)
+	if err != nil {
+		return nil, fmt.Errorf("sim: cell results: %w", err)
+	}
+	return raw, nil
+}
+
+// decodeCellResults rehydrates a lease-ledger complete payload.
+func decodeCellResults(raw json.RawMessage) ([]Result, error) {
+	var crs []cellResult
+	if err := json.Unmarshal(raw, &crs); err != nil {
+		return nil, fmt.Errorf("sim: cell results: %w", err)
+	}
+	out := make([]Result, len(crs))
+	for i, cr := range crs {
+		out[i] = Result{
+			Policy:        cr.Policy,
+			Throughput:    cr.Throughput,
+			OptThroughput: cr.OptThroughput,
+			Ratio:         ratio(cr.OptThroughput, cr.Throughput),
+			Stats:         cr.Stats,
+			Obs:           cr.Obs,
+		}
+	}
+	return out, nil
+}
+
+// runLeased executes the sweep as one worker of a ledger run (see
 // Sweep.Ledger). Robustness semantics, on top of RunContext's:
 //
 //   - Cells completed by any worker — this run, a previous incarnation,
@@ -44,15 +116,9 @@ func (s *Sweep) leaseFingerprint() lease.Fingerprint {
 //     reported degraded (a warning plus Partial), and the rest of the
 //     grid still folds into valid partial tables.
 //   - Canceling ctx stops acquiring; running cells abort and their
-//     leases are left to expire, so other workers reclaim them after
-//     LeaseTTL without the interruption consuming an attempt.
+//     leases are released, so any worker — this one re-run, or another —
+//     takes them at once without the interruption consuming an attempt.
 func (s *Sweep) runLeased(ctx context.Context) (*SweepResult, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if s.Checkpoint != "" {
-		return nil, fmt.Errorf("sim: sweep %q sets both Checkpoint and Ledger; the ledger subsumes checkpointing — drop one", s.Name)
-	}
 	led, err := lease.Open(lease.Options{
 		Dir:         s.Ledger,
 		Worker:      s.LedgerWorker,
@@ -78,13 +144,20 @@ func (s *Sweep) runLeased(ctx context.Context) (*SweepResult, error) {
 	}
 	total := len(cells)
 
-	workers := s.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// The opening scan sizes the run: cells already completed or
+	// degraded are skipped (and reported as such), the rest split the
+	// worker budget exactly as RunContext's pending cells do.
+	st, err := led.Scan()
+	if err != nil {
+		return nil, err
 	}
-	if workers > total {
-		workers = total
+	skipped := 0
+	for _, c := range cells {
+		if p := st.Phase(c, led.Retries()); p == lease.PhaseCompleted || p == lease.PhaseDegraded {
+			skipped++
+		}
 	}
+	workers, intra := s.budget(total - skipped)
 
 	// A ledger failure (disk gone, corrupt file) stops this worker's
 	// acquisition loop without canceling the caller's ctx.
@@ -119,7 +192,7 @@ func (s *Sweep) runLeased(ctx context.Context) (*SweepResult, error) {
 		p := SweepProgress{
 			Sweep: s.Name, XLabel: s.XLabel,
 			X: c.X, SeedIndex: c.SeedIndex,
-			Done: runDone, Failed: failed, Total: total,
+			Done: runDone, Failed: failed, Skipped: skipped, Total: total,
 			Err:     err,
 			Results: results,
 		}
@@ -156,19 +229,18 @@ func (s *Sweep) runLeased(ctx context.Context) (*SweepResult, error) {
 				// cell actually runs; a renewal failure is advisory (the
 				// lease lapses and another worker reclaims the cell).
 				stopHB := led.Heartbeat(runCtx, ls)
-				res, runErr := s.runCell(runCtx, &sc, xIndex[ls.Cell.X], ls.Cell.SeedIndex, 1)
+				res, runErr := s.runCell(runCtx, &sc, xIndex[ls.Cell.X], ls.Cell.SeedIndex, intra)
 				stopHB()
 				if runErr != nil {
 					if runCtx.Err() != nil && errors.Is(runErr, runCtx.Err()) {
-						// Interrupted, not failed: leave the lease to
-						// expire without consuming an attempt.
+						// Interrupted, not failed: give the cell back
+						// without consuming an attempt.
+						if err := led.Release(ls); err != nil {
+							abort(err)
+						}
 						return
 					}
-					var ce *CellError
-					if !errors.As(runErr, &ce) {
-						ce = &CellError{Sweep: s.Name, XLabel: s.XLabel, X: ls.Cell.X,
-							SeedIndex: ls.Cell.SeedIndex, Seed: s.cellSeed(xIndex[ls.Cell.X], ls.Cell.SeedIndex), Err: runErr}
-					}
+					ce := s.cellError(xIndex[ls.Cell.X], ls.Cell.SeedIndex, runErr)
 					mu.Lock()
 					cellErrs = append(cellErrs, ce)
 					failed++
@@ -234,24 +306,7 @@ func (s *Sweep) runLeased(ctx context.Context) (*SweepResult, error) {
 	counts := led.Counters()
 	out.Lease = &counts
 
-	// Deterministic error order: by cell position, not scheduling.
-	sort.Slice(cellErrs, func(i, j int) bool {
-		if cellErrs[i].X != cellErrs[j].X {
-			return cellErrs[i].X < cellErrs[j].X
-		}
-		return cellErrs[i].SeedIndex < cellErrs[j].SeedIndex
-	})
-	errs := make([]error, 0, len(cellErrs)+2)
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	for _, ce := range cellErrs {
-		errs = append(errs, ce)
-	}
 	mu.Lock()
-	if ledgerErr != nil {
-		errs = append(errs, ledgerErr)
-	}
-	mu.Unlock()
-	return out, errors.Join(errs...)
+	defer mu.Unlock()
+	return out, joinSweepErrs(ctx, cellErrs, ledgerErr)
 }

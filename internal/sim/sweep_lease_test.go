@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,14 +210,6 @@ func TestLeasedDegradedCellStillRendersPartialTables(t *testing.T) {
 	}
 	if res.Table() == "" {
 		t.Fatal("partial table did not render")
-	}
-}
-
-func TestLeasedRefusesCheckpointCombo(t *testing.T) {
-	s := leaseTestSweep(t.TempDir(), "w0")
-	s.Checkpoint = filepath.Join(t.TempDir(), "ckpt.jsonl")
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "Ledger") {
-		t.Fatalf("err = %v, want the Checkpoint+Ledger combination refused", err)
 	}
 }
 

@@ -202,7 +202,7 @@ func (e *Experiment) ToSweep() (*sim.Sweep, error) {
 	}
 	// The whole spec re-marshaled is its own canonical cell-config
 	// digest: struct field order is fixed, so equal specs render equal
-	// strings for the checkpoint fingerprint.
+	// strings for the sweep ledger fingerprint.
 	digest, err := json.Marshal(e)
 	if err != nil {
 		return nil, fmt.Errorf("spec: digest: %w", err)
