@@ -451,7 +451,7 @@ func (d *daemon) writeSnapshot(path string) error {
 	return enc.Encode(snap)
 }
 
-// obsSnapshot aggregates every shard's mirror into one snapshot over
+// obsSnapshot aggregates every shard's latest cut into one snapshot over
 // the global port space.
 func (d *daemon) obsSnapshot() *obs.Snapshot {
 	total := &obs.Snapshot{
@@ -460,8 +460,9 @@ func (d *daemon) obsSnapshot() *obs.Snapshot {
 	}
 	for i := 0; i < d.rt.Shards(); i++ {
 		part := d.rt.Partition(i)
-		s := d.rt.Shard(i).Mirror().Snapshot()
-		for lp, kc := range s.PerPort {
+		c := d.rt.Shard(i).Cut()
+		for lp := 0; lp < part.Ports(); lp++ {
+			kc := obs.SlabCounts(c.Counts, lp)
 			total.PerPort[part.Lo+lp] = kc
 			total.Totals.Accumulate(kc)
 		}

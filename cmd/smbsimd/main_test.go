@@ -452,3 +452,105 @@ func TestSelftestSmoke(t *testing.T) {
 		t.Fatalf("selftest output missing expected lines:\n%s", s)
 	}
 }
+
+// liveVars is the part of /debug/vars the live-conservation test reads.
+type liveVars struct {
+	Smbsimd struct {
+		Streaming bool               `json:"streaming"`
+		Live      shard.LiveSnapshot `json:"live"`
+	} `json:"smbsimd"`
+}
+
+// scrapeLive reads smbsimd.live from /debug/vars and fails the test
+// unless the aggregated counters close the first two conservation
+// identities. Each addend is one shard's consistent cut, so the sums
+// close them even mid-stream.
+func (d *daemonProc) scrapeLive(t *testing.T) liveVars {
+	t.Helper()
+	code, body := d.adminGet(t, "/debug/vars")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/vars = %d: %s", code, body)
+	}
+	var v liveVars
+	if err := json.Unmarshal([]byte(body), &v); err != nil {
+		t.Fatalf("/debug/vars JSON: %v", err)
+	}
+	l := v.Smbsimd.Live
+	if l.Arrived != l.Accepted+l.Dropped || l.Accepted != l.PushedOut+l.Transmitted+l.Occupancy {
+		t.Fatalf("live counters break conservation (streaming=%v): %+v", v.Smbsimd.Streaming, l)
+	}
+	return v
+}
+
+// TestDaemonLiveConservationUnderLoad scrapes /debug/vars repeatedly
+// while one long stream runs. The first half of the trace is written
+// and the test waits until the daemon's published slots show it, so at
+// least one scrape lands mid-stream; then it scrapes after each chunk of
+// the rest. Every scrape must close the conservation identities,
+// and the stream must still match its oracle.
+func TestDaemonLiveConservationUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test; skipped with -short")
+	}
+	const shards = 2
+	d := startDaemon(t, filepath.Join(t.TempDir(), "final.obs.json"), shards)
+	tr := e2eTrace(e2eConfig(), 60000)
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatalf("encoding trace: %v", err)
+	}
+	half := 10 + len(tr)/2*16
+
+	conn, err := net.Dial("tcp", d.streamAddr)
+	if err != nil {
+		t.Fatalf("dialing daemon: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(buf.Bytes()[:half]); err != nil {
+		t.Fatalf("writing first half: %v", err)
+	}
+	// The daemon ingests a slot once it sees the next one's first
+	// record, so it can step all but the last slot of the first half.
+	want := int64(shards * (len(tr)/2 - 1))
+	deadline := time.Now().Add(20 * time.Second)
+	scrapes := 0
+	for {
+		v := d.scrapeLive(t)
+		scrapes++
+		if v.Smbsimd.Streaming && v.Smbsimd.Live.Slots >= want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon published %+v mid-stream, want %d slots", v.Smbsimd.Live, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The rest goes in chunks with a scrape after each, so the daemon
+	// is scraped while it steps them.
+	const chunks = 16
+	rest := buf.Bytes()[half:]
+	for i := 0; i < chunks; i++ {
+		if _, err := conn.Write(rest[i*len(rest)/chunks : (i+1)*len(rest)/chunks]); err != nil {
+			t.Fatalf("writing chunk %d: %v", i, err)
+		}
+		d.scrapeLive(t)
+		scrapes++
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatalf("half-close: %v", err)
+	}
+	var resp streamResponse
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	if resp.Aborted || resp.ProcessedSlots != len(tr) {
+		t.Fatalf("stream aborted or short: processed %d/%d, error %q", resp.ProcessedSlots, len(tr), resp.Error)
+	}
+	checkResponseOracle(t, &resp, tr, func() core.Policy { return policy.LQD{} })
+	if final := d.scrapeLive(t); final.Smbsimd.Live.Arrived != int64(2*len(tr)) {
+		t.Fatalf("final live arrivals %d, want %d", final.Smbsimd.Live.Arrived, 2*len(tr))
+	}
+	t.Logf("%d scrapes", scrapes)
+	d.terminate(t)
+}

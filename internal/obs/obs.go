@@ -188,7 +188,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 		PerPort: make([]KindCounts, r.ports),
 	}
 	for p := 0; p < r.ports; p++ {
-		s.PerPort[p] = r.kindCounts(p)
+		s.PerPort[p] = SlabCounts(r.counts, p)
 		s.Totals.Accumulate(s.PerPort[p])
 	}
 	if r.tracer != nil {
@@ -198,17 +198,19 @@ func (r *Recorder) Snapshot() *Snapshot {
 	return s
 }
 
-// kindCounts copies one port's flat lanes into the named struct.
-func (r *Recorder) kindCounts(port int) KindCounts {
+// SlabCounts copies one port's lanes out of a flat counter slab in the
+// Recorder's layout (port-major, NumKinds lanes per port; see
+// SaveCounts) into the named struct.
+func SlabCounts(counts []uint64, port int) KindCounts {
 	base := port * int(NumKinds)
 	return KindCounts{
-		Admits:         r.counts[base+int(KindAdmit)],
-		TailDrops:      r.counts[base+int(KindTailDrop)],
-		PushOuts:       r.counts[base+int(KindPushOut)],
-		PushedOutWork:  r.counts[base+int(KindPushedOutWork)],
-		PushedOutValue: r.counts[base+int(KindPushedOutValue)],
-		HOLTransmits:   r.counts[base+int(KindHOLTransmit)],
-		FaultEvents:    r.counts[base+int(KindFaultEvent)],
+		Admits:         counts[base+int(KindAdmit)],
+		TailDrops:      counts[base+int(KindTailDrop)],
+		PushOuts:       counts[base+int(KindPushOut)],
+		PushedOutWork:  counts[base+int(KindPushedOutWork)],
+		PushedOutValue: counts[base+int(KindPushedOutValue)],
+		HOLTransmits:   counts[base+int(KindHOLTransmit)],
+		FaultEvents:    counts[base+int(KindFaultEvent)],
 	}
 }
 

@@ -176,15 +176,17 @@ func (rt *Runtime) Partition(i int) Partition { return rt.parts[i] }
 func (rt *Runtime) ShardConfig(i int) core.Config { return rt.shards[i].cfg }
 
 // Shard returns shard i, for its read-only observability surfaces
-// (Mirror, Live).
+// (Cut, Live).
 func (rt *Runtime) Shard(i int) *Shard { return rt.shards[i] }
 
-// LiveTotal aggregates every shard's live gauge.
+// LiveTotal sums every shard's latest cut. Shards publish
+// independently, so the total mixes slot boundaries across shards, but
+// each addend is a consistent cut and the linear conservation
+// identities hold for the sum.
 func (rt *Runtime) LiveTotal() LiveSnapshot {
 	var total LiveSnapshot
 	for _, sh := range rt.shards {
-		s := sh.live.Snapshot()
-		total.Add(s)
+		total.Add(sh.Live())
 	}
 	return total
 }
@@ -229,9 +231,10 @@ func (rt *Runtime) Streaming() bool { return rt.streaming.Load() }
 
 // Ingest routes one global-port arrival into its owner shard's ring,
 // blocking only when that ring is full (back-pressure). Slot numbers
-// must be non-decreasing per stream and below 2^32.
+// must be non-decreasing per stream and below 2^32-1, so that the
+// advance and drain past them still fit the ring encoding.
 func (rt *Runtime) Ingest(slot int64, p pkt.Packet) error {
-	if uint64(slot) >= 1<<32 {
+	if uint64(slot) >= 1<<32-1 {
 		return fmt.Errorf("shard: slot %d exceeds the ring encoding's 32 bits", slot)
 	}
 	if err := p.Validate(rt.cfg.Ports, rt.cfg.MaxLabel); err != nil {
@@ -279,8 +282,8 @@ func (rt *Runtime) IngestSlot(slot int64, burst []pkt.Packet) error {
 }
 
 // Advance tells every shard to step all slots strictly below upto, so
-// shards with no recent arrivals keep pace and their live gauges stay
-// fresh.
+// shards with no recent arrivals keep pace and their published cuts
+// stay fresh.
 func (rt *Runtime) Advance(upto int64) {
 	for _, sh := range rt.shards {
 		sh.ring.Push(Control(OpAdvance, upto))
@@ -291,10 +294,15 @@ func (rt *Runtime) Advance(upto int64) {
 // upto-1, drains its switch empty, and publishes; Finish then collects
 // the bit-exact per-shard results and ends the stream. The error joins
 // every shard's failure (nil when all succeeded); results are returned
-// even on error, for diagnosis.
+// even on error, for diagnosis. An upto the ring encoding cannot carry
+// (outside [0, 2^32)) is refused before any shard sees it, and the
+// stream stays active.
 func (rt *Runtime) Finish(upto int64) ([]Result, error) {
 	if !rt.streaming.Load() {
 		return nil, errors.New("shard: Finish without an active stream")
+	}
+	if uint64(upto) >= 1<<32 {
+		return nil, fmt.Errorf("shard: drain slot %d exceeds the ring encoding's 32 bits", upto)
 	}
 	for _, sh := range rt.shards {
 		sh.ring.Push(Control(OpDrain, upto))

@@ -428,14 +428,120 @@ func TestRuntimeGuards(t *testing.T) {
 	if err := rt.Ingest(1<<32, pkt.New(0)); err == nil {
 		t.Fatalf("slot beyond 32 bits ingested")
 	}
+	// Both producer paths refuse slot 2^32-1: its advance and drain at
+	// 2^32 would wrap to slot 0 in the ring encoding.
+	if err := rt.Ingest(1<<32-1, pkt.New(0)); err == nil {
+		t.Fatalf("arrival whose drain overflows 32 bits ingested")
+	}
 	if err := rt.IngestSlot(1<<32-1, nil); err == nil {
 		t.Fatalf("slot whose advance overflows 32 bits ingested")
 	}
-	if _, err := rt.Finish(0); err != nil {
+	results, err := rt.Finish(0)
+	if err != nil {
 		t.Fatalf("Finish: %v", err)
+	}
+	for _, res := range results {
+		if res.Stats.Arrived != 0 {
+			t.Fatalf("shard %d saw %d arrivals from refused ingests", res.Shard, res.Stats.Arrived)
+		}
 	}
 	rt.Stop()
 	if err := rt.BeginStream(); err == nil {
 		t.Fatalf("BeginStream after Stop succeeded")
 	}
+}
+
+// TestFinishRefusesWideSlot refuses drain slots the ring encoding would
+// wrap, before any shard sees them: the stream stays active and a valid
+// Finish still ends it.
+func TestFinishRefusesWideSlot(t *testing.T) {
+	cfg := testConfig()
+	tr := testTrace(t, cfg, 30, 4)
+	factory := func() core.Policy { return policy.LQD{} }
+	rt, err := NewRuntime(cfg, 2, factory, Options{RingCap: 64})
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	if err := rt.BeginStream(); err != nil {
+		t.Fatalf("BeginStream: %v", err)
+	}
+	for slot, burst := range tr {
+		if err := rt.IngestSlot(int64(slot), burst); err != nil {
+			t.Fatalf("IngestSlot: %v", err)
+		}
+	}
+	for _, upto := range []int64{1 << 32, 1<<32 + int64(len(tr)), -1} {
+		if _, err := rt.Finish(upto); err == nil {
+			t.Fatalf("Finish(%d) accepted", upto)
+		}
+		if !rt.Streaming() {
+			t.Fatalf("refused Finish(%d) ended the stream", upto)
+		}
+	}
+	results, err := rt.Finish(int64(len(tr)))
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	checkOracle(t, rt, factory, tr, results)
+}
+
+// BenchmarkRuntimeIngestSlot streams pre-decoded MMPP slots through a
+// 2-shard runtime in smbsimd's benchmark configuration (16 ports,
+// contiguous works, k = 16, B = 128, LWD), one stream per iteration from
+// BeginStream through Finish, and reports ns per packet.
+func BenchmarkRuntimeIngestSlot(b *testing.B) {
+	const ports, slots = 16, 4096
+	cfg := core.Config{
+		Model:    core.ModelProcessing,
+		Ports:    ports,
+		Buffer:   128,
+		MaxLabel: ports,
+		Speedup:  1,
+		PortWork: core.ContiguousWorks(ports),
+	}
+	mc := traffic.MMPPConfig{
+		Sources:      100,
+		POnOff:       0.1,
+		POffOn:       0.01,
+		Label:        traffic.LabelWorkByPort,
+		Ports:        ports,
+		MaxLabel:     ports,
+		PortWork:     cfg.PortWork,
+		PortAffinity: true,
+		Seed:         1,
+	}
+	mc.LambdaOn = mc.LambdaForRate(1.5 * ports)
+	g, err := traffic.NewMMPP(mc)
+	if err != nil {
+		b.Fatalf("mmpp: %v", err)
+	}
+	tr := traffic.Record(g, slots)
+	var packets int
+	for _, burst := range tr {
+		packets += len(burst)
+	}
+	rt, err := NewRuntime(cfg, 2, func() core.Policy { return policy.LWD{} }, Options{})
+	if err != nil {
+		b.Fatalf("NewRuntime: %v", err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rt.BeginStream(); err != nil {
+			b.Fatalf("BeginStream: %v", err)
+		}
+		for slot, burst := range tr {
+			if err := rt.IngestSlot(int64(slot), burst); err != nil {
+				b.Fatalf("IngestSlot: %v", err)
+			}
+		}
+		if _, err := rt.Finish(slots); err != nil {
+			b.Fatalf("Finish: %v", err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/pkt")
 }

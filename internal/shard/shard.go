@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"smbm/internal/core"
@@ -34,20 +35,8 @@ func drainBound(cfg core.Config) int {
 	return b + drainSlack
 }
 
-// Live is a shard's atomically readable progress gauge, published by
-// the shard goroutine at slot granularity and safe to read from any
-// goroutine. It is the coarse companion of the per-port obs.Mirror:
-// enough for expvar and dashboards, while bit-exact results come from
-// Result after a drain barrier.
-type Live struct {
-	arrived, accepted, dropped, pushedOut atomic.Int64
-	transmitted, transmittedValue, slots  atomic.Int64
-	occupancy                             atomic.Int64
-}
-
-// LiveSnapshot is one consistent-enough read of a Live gauge: each
-// field is individually atomic, monotone between stream resets except
-// Occupancy.
+// LiveSnapshot is the progress part of a shard's published cut: the
+// engine counters and the buffer occupancy as of one slot boundary.
 type LiveSnapshot struct {
 	// Arrived counts packets offered to the shard's policy.
 	Arrived int64 `json:"arrived"`
@@ -63,34 +52,8 @@ type LiveSnapshot struct {
 	TransmittedValue int64 `json:"transmitted_value"`
 	// Slots counts completed time slots, drains included.
 	Slots int64 `json:"slots"`
-	// Occupancy is the buffered-packet gauge at the last publish.
+	// Occupancy is the buffered-packet gauge.
 	Occupancy int64 `json:"occupancy"`
-}
-
-// publish stores one stats snapshot; shard goroutine only.
-func (l *Live) publish(s core.Stats, occ int) {
-	l.arrived.Store(s.Arrived)
-	l.accepted.Store(s.Accepted)
-	l.dropped.Store(s.Dropped)
-	l.pushedOut.Store(s.PushedOut)
-	l.transmitted.Store(s.Transmitted)
-	l.transmittedValue.Store(s.TransmittedValue)
-	l.slots.Store(s.Slots)
-	l.occupancy.Store(int64(occ))
-}
-
-// Snapshot reads the gauge from any goroutine.
-func (l *Live) Snapshot() LiveSnapshot {
-	return LiveSnapshot{
-		Arrived:          l.arrived.Load(),
-		Accepted:         l.accepted.Load(),
-		Dropped:          l.dropped.Load(),
-		PushedOut:        l.pushedOut.Load(),
-		Transmitted:      l.transmitted.Load(),
-		TransmittedValue: l.transmittedValue.Load(),
-		Slots:            l.slots.Load(),
-		Occupancy:        l.occupancy.Load(),
-	}
 }
 
 // Add accumulates o into the snapshot, for aggregating across shards.
@@ -103,6 +66,74 @@ func (s *LiveSnapshot) Add(o LiveSnapshot) {
 	s.TransmittedValue += o.TransmittedValue
 	s.Slots += o.Slots
 	s.Occupancy += o.Occupancy
+}
+
+// liveWords is the number of cut words the LiveSnapshot lanes occupy,
+// ahead of the recorder slab.
+const liveWords = 8
+
+// encode writes the snapshot's lanes into w[:liveWords].
+func (s LiveSnapshot) encode(w []uint64) {
+	w[0], w[1], w[2], w[3] = uint64(s.Arrived), uint64(s.Accepted), uint64(s.Dropped), uint64(s.PushedOut)
+	w[4], w[5], w[6], w[7] = uint64(s.Transmitted), uint64(s.TransmittedValue), uint64(s.Slots), uint64(s.Occupancy)
+}
+
+// decodeLive reads the lanes encode wrote.
+func decodeLive(w []uint64) LiveSnapshot {
+	return LiveSnapshot{
+		Arrived: int64(w[0]), Accepted: int64(w[1]), Dropped: int64(w[2]), PushedOut: int64(w[3]),
+		Transmitted: int64(w[4]), TransmittedValue: int64(w[5]), Slots: int64(w[6]), Occupancy: int64(w[7]),
+	}
+}
+
+// Cut is one consistent read of a shard's telemetry: the live counters
+// and the per-port decision slab, all as of the same publish. Every cut
+// closes the conservation identities exactly (Arrived = Accepted +
+// Dropped, Accepted = PushedOut + Transmitted + Occupancy, and the slab's
+// admit, tail-drop and push-out lanes sum to Accepted, Dropped and
+// PushedOut), which a per-counter read cannot promise mid-stream.
+type Cut struct {
+	// Live holds the engine counters and occupancy.
+	Live LiveSnapshot
+	// Counts is the obs recorder's flat counter slab (port-major,
+	// obs.NumKinds lanes per port).
+	Counts []uint64
+}
+
+// seqCut is a single-writer seqlock over a fixed vector of words. The
+// writer makes the sequence odd, stores the words, and makes it even
+// again; a reader retries until it loads the same even sequence before
+// and after its word loads. Every word access is atomic, so a reader
+// racing the writer reads stale or mixed words, never torn ones, and
+// the sequence check rejects the mixed reads.
+type seqCut struct {
+	seq   atomic.Uint64
+	words []uint64
+}
+
+// store publishes src as the next cut; one writer at a time.
+func (c *seqCut) store(src []uint64) {
+	c.seq.Add(1)
+	for i, v := range src {
+		atomic.StoreUint64(&c.words[i], v)
+	}
+	c.seq.Add(1)
+}
+
+// load copies the first len(dst) words of the latest complete cut into
+// dst, from any goroutine.
+func (c *seqCut) load(dst []uint64) {
+	for {
+		if s := c.seq.Load(); s&1 == 0 {
+			for i := range dst {
+				dst[i] = atomic.LoadUint64(&c.words[i])
+			}
+			if c.seq.Load() == s {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
 }
 
 // Result is one shard's bit-exact outcome after a drain barrier: the
@@ -152,8 +183,8 @@ func DiffResult(got Result, wantStats core.Stats, wantPorts []core.PortCounters,
 // core.Switch stepped single-threaded by the shard goroutine, fed
 // packed entries through an SPSC ingress ring. All mutable switch
 // state is confined to the shard goroutine; the only cross-goroutine
-// surfaces are the ring, the Live gauge, the obs.Mirror, and the ack
-// channel that publishes drain barriers.
+// surfaces are the ring, the published cut, and the ack channel that
+// publishes drain barriers.
 type Shard struct {
 	id   int
 	cfg  core.Config
@@ -161,10 +192,13 @@ type Shard struct {
 	// in receives each PopBatch; shard goroutine only.
 	in []Entry
 
-	sw     *core.Switch
-	rec    *obs.Recorder
-	mirror *obs.Mirror
-	live   *Live
+	sw  *core.Switch
+	rec *obs.Recorder
+	// words stages the next cut (LiveSnapshot lanes, then the recorder
+	// slab) and cut publishes it; written by the shard goroutine, or by
+	// the producer while the shard is parked (see reset).
+	words []uint64
+	cut   seqCut
 
 	// batch stages the current slot's arrivals, grown by append and
 	// reused from [:0] every slot; always belongs to slot `slot`
@@ -192,18 +226,19 @@ func newShard(id int, cfg core.Config, pol core.Policy, ringCap int) (*Shard, er
 	}
 	rec := obs.NewRecorder(cfg.Ports, 0)
 	sw.SetRecorder(rec)
+	n := liveWords + cfg.Ports*int(obs.NumKinds)
 	sh := &Shard{
-		id:     id,
-		cfg:    cfg,
-		ring:   NewRing(ringCap),
-		in:     make([]Entry, popBatch),
-		batch:  make([]pkt.Packet, 0, 64),
-		sw:     sw,
-		rec:    rec,
-		mirror: obs.NewMirror(cfg.Ports),
-		live:   &Live{},
-		ack:    make(chan error, 1),
-		done:   make(chan struct{}),
+		id:    id,
+		cfg:   cfg,
+		ring:  NewRing(ringCap),
+		in:    make([]Entry, popBatch),
+		batch: make([]pkt.Packet, 0, 64),
+		sw:    sw,
+		rec:   rec,
+		words: make([]uint64, n),
+		cut:   seqCut{words: make([]uint64, n)},
+		ack:   make(chan error, 1),
+		done:  make(chan struct{}),
 	}
 	return sh, nil
 }
@@ -214,11 +249,20 @@ func (sh *Shard) ID() int { return sh.id }
 // Config returns the shard's partition-local configuration.
 func (sh *Shard) Config() core.Config { return sh.cfg }
 
-// Mirror returns the shard's atomically readable per-port counters.
-func (sh *Shard) Mirror() *obs.Mirror { return sh.mirror }
+// Cut reads the shard's latest published cut, from any goroutine.
+func (sh *Shard) Cut() Cut {
+	w := make([]uint64, len(sh.words))
+	sh.cut.load(w)
+	return Cut{Live: decodeLive(w), Counts: w[liveWords:]}
+}
 
-// Live returns the shard's atomically readable progress gauge.
-func (sh *Shard) Live() *Live { return sh.live }
+// Live reads the live counters of the shard's latest published cut,
+// from any goroutine, without allocating.
+func (sh *Shard) Live() LiveSnapshot {
+	var w [liveWords]uint64
+	sh.cut.load(w[:])
+	return decodeLive(w[:])
+}
 
 // popBatch bounds how many entries one PopBatch moves into the shard:
 // enough to amortize the head publish over a busy slot's arrivals.
@@ -228,10 +272,18 @@ const popBatch = 256
 // drains the ring a batch at a time and handles the entries in ring
 // order. A drain barrier's ack is always the last entry of its batch,
 // because the producer pushes nothing more until it has the ack.
+//
+// Telemetry is published once per batch, not per slot: after the last
+// entry, if the batch stepped at least one slot. A backed-up ring thus
+// pays one publish for many slots, and an idle shard has published its
+// last stepped slot before PopBatch parks it. A drain publishes before
+// its ack and nothing after it: once acked, the shard's state belongs to
+// the producer, whose BeginStream resets it.
 func (sh *Shard) run() {
 	defer close(sh.done)
 	for {
 		n := sh.ring.PopBatch(sh.in)
+		from, acked := sh.slot, false
 		for _, e := range sh.in[:n] {
 			if !e.IsControl() {
 				sh.stage(e)
@@ -240,15 +292,18 @@ func (sh *Shard) run() {
 			switch e.Op() {
 			case OpAdvance:
 				sh.advanceTo(e.Slot())
-				sh.publish()
 			case OpDrain:
 				sh.advanceTo(e.Slot())
 				sh.drain()
 				sh.publish()
+				acked = true
 				sh.ack <- sh.err
 			case OpStop:
 				return
 			}
+		}
+		if !acked && sh.slot != from {
+			sh.publish()
 		}
 	}
 }
@@ -307,10 +362,22 @@ func (sh *Shard) drain() {
 	}
 }
 
-// publish refreshes the cross-goroutine gauges; shard goroutine only.
+// publish stores the shard's counters as its next cut; shard goroutine
+// only, or the producer while the shard is parked (see reset).
 func (sh *Shard) publish() {
-	sh.live.publish(sh.sw.Stats(), sh.sw.Occupancy())
-	sh.mirror.Publish(sh.rec)
+	s := sh.sw.Stats()
+	LiveSnapshot{
+		Arrived:          s.Arrived,
+		Accepted:         s.Accepted,
+		Dropped:          s.Dropped,
+		PushedOut:        s.PushedOut,
+		Transmitted:      s.Transmitted,
+		TransmittedValue: s.TransmittedValue,
+		Slots:            s.Slots,
+		Occupancy:        int64(sh.sw.Occupancy()),
+	}.encode(sh.words)
+	sh.rec.SaveCounts(sh.words[liveWords:])
+	sh.cut.store(sh.words)
 }
 
 // result snapshots the shard's bit-exact outcome. Only safe after a
