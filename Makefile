@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race stress benchsuite-test vet lint chaos smbsimd-smoke bench-daemon bench bench-json bench-assert panels lowerbounds arch faults obs-demo report examples clean
+.PHONY: all build test test-race stress benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report examples clean
 
 all: build vet lint test test-race
 
@@ -45,18 +45,6 @@ stress:
 benchsuite-test:
 	cd benchsuite && $(GO) vet . && $(GO) test -short .
 
-# Sharded-runtime smoke (DESIGN.md §17): the shard and daemon suites
-# under the race detector — SPSC rings, stream lifecycle,
-# SIGTERM drain, mid-stream disconnect — then the seeded in-process
-# loadgen selftest at 1 and 4 shards, where every shard must be
-# bit-identical to its single-threaded sim.RunTrace oracle. The -race
-# selftest run keeps the wall-clock numbers honest about what the
-# detector costs; scaling assertions (-minscale) are left to operators
-# who know their core count.
-smbsimd-smoke:
-	$(GO) test -race ./internal/shard ./internal/obs ./cmd/smbsimd
-	$(GO) run -race ./cmd/smbsimd -selftest -shards 4 -slots 5000 -reps 2
-
 # Daemon benchmark: the two smbsimd workloads of benchsuite/
 # (daemon-stream, daemon-short) with end-to-end metrics only, built
 # from this checkout (about a minute and a half). To compare two
@@ -77,20 +65,6 @@ chaos:
 # Full benchmark pass (tables, figures, substrates, ablations).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable performance snapshot: per-policy engine micro-benches
-# (ns/slot, allocs/op) and per-panel sweep-cell costs (cells/sec). See
-# DESIGN.md §9 for methodology. BENCH_pr8.json (unified engine + combined
-# model, DESIGN.md §15) sits next to BENCH_pr7.json (batched arrival
-# phase) and BENCH_baseline.json (per-packet seed) so the speedups are
-# diffable.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr8.json
-
-# Fast overhead gate: re-measure the per-policy micro-benchmarks and
-# fail if any policy's steady state (observability detached) allocates.
-bench-assert:
-	$(GO) run ./cmd/benchjson -benchtime 100ms -assert-zero-allocs -out /dev/null
 
 # Regenerate the paper's evaluation artifacts.
 panels:

@@ -9,17 +9,13 @@
 // The deterministic engine is the daemon's differential oracle: each
 // shard's Stats, per-port counters and obs slab are bit-identical to a
 // single-threaded sim.RunTrace replay of the shard's traffic
-// partition. `smbsimd -selftest` drives a seeded in-process loadgen
-// through that differential at 1 and N shards and reports the
-// admission-throughput scaling.
+// partition.
 //
 // Usage:
 //
 //	smbsimd -listen unix:/tmp/smbsimd.sock            # serve streams
 //	smbsimd -listen tcp:127.0.0.1:9090 -shards 4
 //	smbsimd -http 127.0.0.1:0                         # expvar, pprof, admin
-//	smbsimd -selftest -shards 4 -slots 20000          # scaling benchmark
-//	smbsimd -selftest -minscale 2.5                   # fail below 2.5x
 //
 // The admin server (standard library mux) exposes /debug/vars (expvar,
 // including "smbsimd" live counters), /debug/pprof, GET /results (the
@@ -162,12 +158,6 @@ func main() {
 		listen   = flag.String("listen", "", `stream listener, "unix:/path" or "tcp:host:port"`)
 		httpAddr = flag.String("http", "", `admin/debug address for expvar, pprof, /policy, /results (e.g. "127.0.0.1:6060")`)
 		snapshot = flag.String("snapshot", "", "write the final obs snapshot JSON here on shutdown (default stdout)")
-		selftest = flag.Bool("selftest", false, "run the seeded in-process loadgen scaling benchmark and exit")
-		slots    = flag.Int("slots", 20000, "selftest: trace length in slots")
-		sources  = flag.Int("sources", 0, "selftest: MMPP on-off sources (default 2*ports)")
-		seed     = flag.Int64("seed", 1, "selftest: trace seed")
-		reps     = flag.Int("reps", 3, "selftest: timed repetitions per shard count (best rate wins)")
-		minScale = flag.Float64("minscale", 0, "selftest: fail unless throughput scales by at least this factor from 1 shard to -shards (0 disables)")
 	)
 	flag.Parse()
 
@@ -197,27 +187,8 @@ func main() {
 		fail(err)
 	}
 
-	if *selftest {
-		err := runSelftest(os.Stdout, selftestOptions{
-			cfg:      cfg,
-			policy:   *polName,
-			factory:  factory,
-			shards:   *shardsN,
-			ringCap:  *ringCap,
-			slots:    *slots,
-			sources:  *sources,
-			seed:     *seed,
-			reps:     *reps,
-			minScale: *minScale,
-		})
-		if err != nil {
-			fail(err)
-		}
-		return
-	}
-
 	if *listen == "" {
-		fail(errors.New("need -listen (or -selftest)"))
+		fail(errors.New("need -listen"))
 	}
 	network, addr, err := splitListen(*listen)
 	if err != nil {

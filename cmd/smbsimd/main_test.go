@@ -428,31 +428,6 @@ func TestDaemonInvalidPacketMidSlot(t *testing.T) {
 	d.terminate(t)
 }
 
-// TestSelftestSmoke runs the in-process loadgen subcommand end to end
-// at a small scale: it must report a bit-identical oracle differential
-// for both shard counts and exit 0.
-func TestSelftestSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test; skipped with -short")
-	}
-	bin, err := binary()
-	if err != nil {
-		t.Fatalf("building smbsimd: %v", err)
-	}
-	cmd := exec.Command(bin, "-selftest", "-shards", "4", "-ports", "16", "-buffer", "64",
-		"-slots", "2000", "-reps", "1", "-seed", "7")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("selftest failed: %v\n%s", err, out)
-	}
-	s := string(out)
-	if !strings.Contains(s, "oracle differential: 1/1 shards bit-identical") ||
-		!strings.Contains(s, "oracle differential: 4/4 shards bit-identical") ||
-		!strings.Contains(s, "scaling ") {
-		t.Fatalf("selftest output missing expected lines:\n%s", s)
-	}
-}
-
 // liveVars is the part of /debug/vars the live-conservation test reads.
 type liveVars struct {
 	Smbsimd struct {

@@ -10,10 +10,10 @@
 // This closes the two holes the syntactic hotalloc gate leaves open:
 // allocations hotalloc has no pattern for (append growth, string
 // concatenation, make with non-constant size, boxing hidden behind
-// type inference), and hot functions no benchmark exercises — the
-// dynamic `benchjson -assert-zero-allocs` gate only covers the
-// benched subset, while every annotated function compiles on every
-// build. //smb:alloc-ok <reason> remains the cold-line escape hatch,
+// type inference), and hot functions no test exercises — the dynamic
+// zero-allocation test (internal/sim TestSteadyStateZeroAllocs) only
+// covers the replayed subset, while every annotated function compiles
+// on every build. //smb:alloc-ok <reason> remains the cold-line escape hatch,
 // shared with hotalloc.
 //
 // The compiler's -m output is versioned with the toolchain (DESIGN.md

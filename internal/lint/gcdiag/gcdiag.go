@@ -18,8 +18,8 @@
 // Go 1 compatibility promise, and inlining budgets shift between
 // releases, so a toolchain upgrade can change which call sites report
 // as inlined. DESIGN.md §16 records this sensitivity; the dynamic
-// `benchjson -assert-zero-allocs` gate is the release-independent
-// cross-check.
+// zero-allocation test (internal/sim TestSteadyStateZeroAllocs) is the
+// release-independent cross-check.
 package gcdiag
 
 import (

@@ -257,14 +257,11 @@ var enginePackages = map[string]bool{
 }
 
 // wallclockExempt names the packages where reading the wall clock is
-// the point: operator-facing progress reporting, benchmark
-// timestamping, and the smbsimd selftest's throughput measurement.
-// Everything else must not observe real time.
+// the point: operator-facing progress reporting and report
+// timestamping. Everything else must not observe real time.
 var wallclockExempt = map[string]bool{
-	"cli":       true,
-	"report":    true,
-	"benchjson": true,
-	"smbsimd":   true,
+	"cli":    true,
+	"report": true,
 }
 
 // policyPackages names the packages that hold buffer-management

@@ -1,7 +1,7 @@
 // Package wallclock implements the determinism analyzer for real-time
 // reads: simulation results must be pure functions of configuration
 // and seed, so nothing outside the allow-listed reporting packages
-// (cli, report, benchjson — where wall-clock timing is the point) may
+// (cli, report — where wall-clock timing is the point) may
 // call time.Now, time.Since or time.Until. Lease-ledger packages are
 // delegated to the leaseclock analyzer, which permits wall-clock reads
 // only inside //smb:leaseclock-annotated deadline functions.
@@ -18,7 +18,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "wallclock",
 	Doc: "forbid time.Now/time.Since/time.Until outside the allow-listed " +
-		"reporting packages (cli, report, benchjson)",
+		"reporting packages (cli, report)",
 	Run: run,
 }
 
@@ -48,7 +48,7 @@ func run(pass *lint.Pass) error {
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !forbidden[fn.Name()] {
 				return true
 			}
-			pass.Reportf(call.Pos(), "time.%s reads the wall clock in deterministic code; wall-clock timing belongs in cli/report/benchjson", fn.Name())
+			pass.Reportf(call.Pos(), "time.%s reads the wall clock in deterministic code; wall-clock timing belongs in cli/report", fn.Name())
 			return true
 		})
 	}

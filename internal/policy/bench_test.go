@@ -11,7 +11,7 @@ import (
 // benchAdmit measures one policy's per-packet decision cost on a full
 // 64-port switch of the given model — the single parameterized harness
 // behind every per-model benchmark below. Benchmark names are stable
-// across the package unification for benchjson comparisons.
+// across the package unification, so older runs stay comparable.
 func benchAdmit(b *testing.B, model core.Model, p core.Policy) {
 	b.Helper()
 	const n = 64

@@ -16,7 +16,7 @@ import (
 //
 // Rules are value types and the kernels are generic over them, so the
 // compiler stencils one loop per rule with static dispatch — the batch
-// hot paths stay allocation-free under the benchjson zero-alloc gate.
+// hot paths stay allocation-free (internal/sim TestSteadyStateZeroAllocs).
 //
 // The same rule structs back the per-packet Admit FastView fast paths
 // (see victimDecision), so each victim ordering and threshold

@@ -150,9 +150,10 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
   (experiments.PaperScale); explicit -slots/-seeds/-sources flags still
   override individual fields. Arrivals stream from seeded MMPP cursors
   instead of materialized traces, so per-worker trace memory is O(1) in
-  the slot count — benchjson's trace_memory metric records the
-  measured bytes/slot for both modes — and the same seeds reproduce the
-  same ratios bit-for-bit at any -workers setting (enforced by
+  the slot count — an open cursor retains a few KB after 10^5 slots
+  (bounded by internal/traffic TestMMPPProviderStreamedMemoryBound),
+  where the materialized trace holds about 1.4 KB per slot — and the
+  same seeds reproduce the same ratios bit-for-bit at any -workers setting (enforced by
   internal/sim/stream_differential_test.go). DESIGN.md §10 documents
   the Provider contract.
 - **Checkpointed resume.** Paper-scale sweeps (-scale paper -seeds 5)
@@ -209,13 +210,14 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
       -pprof localhost:6060                             # watch a long run:
   curl -s localhost:6060/debug/vars | grep smbsim.progress
   make obs-demo                                         # all of it, small
-  make bench-assert                                     # overhead gate: 0 allocs/op
+  go test -run SteadyStateZeroAllocs ./internal/sim     # overhead gate: 0 allocs/op
   ` + "```" + `
 
   Counters are recorded branch-on-nil in the engine, so runs without
   -obs pay one pointer compare per decision and remain allocation-free
-  (asserted by benchjson -assert-zero-allocs in CI). The OPT proxy is
-  not instrumented: counters describe the policies under study.
+  (asserted for all 24 roster policies by TestSteadyStateZeroAllocs).
+  The OPT proxy is not instrumented: counters describe the policies
+  under study.
 
 `
 

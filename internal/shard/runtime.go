@@ -98,9 +98,8 @@ type Options struct {
 //
 // Producer-side methods (BeginStream, IngestSlot, Ingest, Advance,
 // Finish, EndStream, SetPolicy, Stop) must be called from one goroutine
-// at a time — the stream's producer. For sharded producers (one goroutine
-// per shard, as in the selftest loadgen), use Feeder, which preserves
-// the per-ring SPSC discipline.
+// at a time — the stream's producer — which keeps every ring
+// single-producer.
 type Runtime struct {
 	cfg    core.Config
 	parts  []Partition
@@ -358,38 +357,4 @@ func (rt *Runtime) Stop() {
 	for _, sh := range rt.shards {
 		<-sh.done
 	}
-}
-
-// Feeder is one shard's producer handle for sharded loadgen: exactly
-// one goroutine may drive each feeder, preserving the ring's SPSC
-// discipline while different shards' feeders run concurrently.
-// Arrivals are shard-local (ports already remapped into [0,
-// Partition.Ports())).
-type Feeder struct {
-	sh *Shard
-}
-
-// Feeder returns shard i's producer handle.
-func (rt *Runtime) Feeder(i int) Feeder { return Feeder{sh: rt.shards[i]} }
-
-// Arrive pushes one shard-local arrival. The packet must already be
-// valid for the shard's configuration; slots must be non-decreasing
-// and below 2^32.
-func (f Feeder) Arrive(slot int64, p pkt.Packet) {
-	f.sh.ring.Push(Arrival(slot, p))
-}
-
-// Advance tells the shard to step all slots strictly below upto.
-func (f Feeder) Advance(upto int64) {
-	f.sh.ring.Push(Control(OpAdvance, upto))
-}
-
-// Finish is the per-shard drain barrier: it advances through upto-1,
-// drains, waits for the shard's ack, and returns the bit-exact result.
-// The caller owns ending the stream via EndStream once every feeder
-// finished.
-func (f Feeder) Finish(upto int64) (Result, error) {
-	f.sh.ring.Push(Control(OpDrain, upto))
-	err := <-f.sh.ack
-	return f.sh.result(), err
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"smbm/internal/core"
@@ -59,15 +58,22 @@ func TestShardConfigBufferSplit(t *testing.T) {
 }
 
 // testTrace materializes a seeded bursty MMPP trace for the given
-// global configuration.
+// global configuration, labelled to match its model.
 func testTrace(t *testing.T, cfg core.Config, slots int, seed int64) traffic.Trace {
 	t.Helper()
+	label := traffic.LabelWorkByPort
+	switch cfg.Model {
+	case core.ModelValue:
+		label = traffic.LabelValueUniform
+	case core.ModelCombined:
+		label = traffic.LabelWorkValue
+	}
 	mc := traffic.MMPPConfig{
 		Sources:  2 * cfg.Ports,
 		LambdaOn: 1.2,
 		POnOff:   0.05,
 		POffOn:   0.2,
-		Label:    traffic.LabelWorkByPort,
+		Label:    label,
 		Ports:    cfg.Ports,
 		MaxLabel: cfg.MaxLabel,
 		PortWork: cfg.PortWork,
@@ -121,52 +127,75 @@ func testConfig() core.Config {
 	}
 }
 
+// TestRuntimeOracleDifferential checks every model's shards against
+// the single-threaded oracle, through both producer paths, at 1..4
+// shards.
 func TestRuntimeOracleDifferential(t *testing.T) {
-	cfg := testConfig()
-	tr := testTrace(t, cfg, 400, 42)
-	factory := func() core.Policy { return policy.LQD{} }
-
+	proc := testConfig()
+	value := proc
+	value.Model, value.PortWork = core.ModelValue, nil
+	combined := proc
+	combined.Model = core.ModelCombined
+	models := []struct {
+		name    string
+		cfg     core.Config
+		factory func() core.Policy
+	}{
+		{"proc", proc, func() core.Policy { return policy.LQD{} }},
+		{"value", value, func() core.Policy { return policy.MRD{} }},
+		{"combined", combined, func() core.Policy { return policy.RVD{} }},
+	}
 	for _, shards := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rt, err := NewRuntime(cfg, shards, factory, Options{RingCap: 64})
-			if err != nil {
-				t.Fatalf("NewRuntime: %v", err)
+			for _, m := range models {
+				t.Run(m.name, func(t *testing.T) {
+					oracleDifferential(t, m.cfg, shards, m.factory)
+				})
 			}
-			rt.Start()
-			defer rt.Stop()
-			// One stream per producer path: per packet (Ingest, then
-			// Advance), and per slot (IngestSlot).
-			if err := rt.BeginStream(); err != nil {
-				t.Fatalf("BeginStream: %v", err)
-			}
-			for slot, burst := range tr {
-				for _, p := range burst {
-					if err := rt.Ingest(int64(slot), p); err != nil {
-						t.Fatalf("Ingest: %v", err)
-					}
-				}
-				rt.Advance(int64(slot) + 1)
-			}
-			results, err := rt.Finish(int64(len(tr)))
-			if err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
-			checkOracle(t, rt, factory, tr, results)
-
-			if err := rt.BeginStream(); err != nil {
-				t.Fatalf("BeginStream: %v", err)
-			}
-			for slot, burst := range tr {
-				if err := rt.IngestSlot(int64(slot), burst); err != nil {
-					t.Fatalf("IngestSlot: %v", err)
-				}
-			}
-			if results, err = rt.Finish(int64(len(tr))); err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
-			checkOracle(t, rt, factory, tr, results)
 		})
 	}
+}
+
+// oracleDifferential runs one seeded trace through an n-shard runtime
+// once per producer path — per packet (Ingest, then Advance) and per
+// slot (IngestSlot) — and checks each stream against the oracle.
+func oracleDifferential(t *testing.T, cfg core.Config, shards int, factory func() core.Policy) {
+	tr := testTrace(t, cfg, 400, 42)
+	rt, err := NewRuntime(cfg, shards, factory, Options{RingCap: 64})
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	if err := rt.BeginStream(); err != nil {
+		t.Fatalf("BeginStream: %v", err)
+	}
+	for slot, burst := range tr {
+		for _, p := range burst {
+			if err := rt.Ingest(int64(slot), p); err != nil {
+				t.Fatalf("Ingest: %v", err)
+			}
+		}
+		rt.Advance(int64(slot) + 1)
+	}
+	results, err := rt.Finish(int64(len(tr)))
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	checkOracle(t, rt, factory, tr, results)
+
+	if err := rt.BeginStream(); err != nil {
+		t.Fatalf("BeginStream: %v", err)
+	}
+	for slot, burst := range tr {
+		if err := rt.IngestSlot(int64(slot), burst); err != nil {
+			t.Fatalf("IngestSlot: %v", err)
+		}
+	}
+	if results, err = rt.Finish(int64(len(tr))); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	checkOracle(t, rt, factory, tr, results)
 }
 
 // TestInvalidPacketCutsAtSlotBoundary rejects a packet partway through
@@ -288,51 +317,6 @@ func TestRuntimeLazyAdvance(t *testing.T) {
 	results, err := rt.Finish(int64(len(tr)))
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
-	}
-	checkOracle(t, rt, factory, tr, results)
-}
-
-// TestFeederSharded drives each shard from its own producer goroutine
-// over the pre-partitioned trace — the selftest loadgen's shape — and
-// checks the oracle differential per shard.
-func TestFeederSharded(t *testing.T) {
-	cfg := testConfig()
-	tr := testTrace(t, cfg, 400, 99)
-	factory := func() core.Policy { return policy.LQD{} }
-
-	rt, err := NewRuntime(cfg, 4, factory, Options{RingCap: 64})
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	rt.Start()
-	defer rt.Stop()
-	if err := rt.BeginStream(); err != nil {
-		t.Fatalf("BeginStream: %v", err)
-	}
-
-	results := make([]Result, rt.Shards())
-	errs := make([]error, rt.Shards())
-	var wg sync.WaitGroup
-	for i := 0; i < rt.Shards(); i++ {
-		local := FilterTrace(tr, rt.Partition(i))
-		f := rt.Feeder(i)
-		wg.Add(1)
-		go func(i int, local traffic.Trace) {
-			defer wg.Done()
-			for slot, burst := range local {
-				for _, p := range burst {
-					f.Arrive(int64(slot), p)
-				}
-			}
-			results[i], errs[i] = f.Finish(int64(len(local)))
-		}(i, local)
-	}
-	wg.Wait()
-	rt.EndStream()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
 	}
 	checkOracle(t, rt, factory, tr, results)
 }

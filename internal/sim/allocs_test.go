@@ -1,0 +1,65 @@
+package sim_test
+
+import (
+	"testing"
+
+	"smbm/internal/core"
+	"smbm/internal/policy"
+)
+
+// TestSteadyStateZeroAllocs replays the congested micro trace through
+// every roster policy of all three models and requires the warm
+// steady state (Step per slot, then Drain and Reset) to allocate
+// nothing. The first replay grows the deques and multisets to their
+// working size; every later replay must reuse them.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	proc := core.Config{
+		Model: core.ModelProcessing, Ports: 16, Buffer: 128, MaxLabel: 16,
+		Speedup: 1, PortWork: core.ContiguousWorks(16),
+	}
+	value := core.Config{
+		Model: core.ModelValue, Ports: 16, Buffer: 128, MaxLabel: 16, Speedup: 1,
+	}
+	combined := proc
+	combined.Model = core.ModelCombined
+	rosters := []struct {
+		cfg      core.Config
+		policies []core.Policy
+	}{
+		{proc, append(policy.ForProcessing(), policy.Experimental()...)},
+		{value, append(policy.ForValueUniform(), policy.ValueExperimental()...)},
+		{combined, policy.ForCombined()},
+	}
+
+	checked := 0
+	for _, r := range rosters {
+		tr := microTraceB(r.cfg, 256, 8)
+		for _, pol := range r.policies {
+			checked++
+			t.Run(r.cfg.Model.String()+"/"+pol.Name(), func(t *testing.T) {
+				sw := core.MustNew(r.cfg, pol)
+				var err error
+				replay := func() {
+					for _, burst := range tr {
+						if err = sw.Step(burst); err != nil {
+							return
+						}
+					}
+					sw.Drain()
+					sw.Reset()
+				}
+				replay()
+				allocs := testing.AllocsPerRun(5, replay)
+				if err != nil {
+					t.Fatalf("Step: %v", err)
+				}
+				if allocs != 0 {
+					t.Errorf("steady state allocates %.0f times per replay", allocs)
+				}
+			})
+		}
+	}
+	if checked != 24 {
+		t.Fatalf("checked %d roster policies, want 24", checked)
+	}
+}

@@ -1,7 +1,7 @@
-// In-tree equivalents of cmd/benchjson's micro workload (a congested
-// 16-port switch over a fixed 256-slot, 8-packets/slot trace driven
-// through Step+Drain+Reset), so `go test -bench BenchmarkMicro` can
-// profile the batched arrival hot path without the JSON harness.
+// The micro workload: a congested 16-port switch over a fixed 256-slot,
+// 8-packets/slot trace driven through Step+Drain+Reset. `go test -bench
+// BenchmarkMicro` profiles the batched arrival hot path on it, and
+// TestSteadyStateZeroAllocs gates every roster policy on it.
 package sim_test
 
 import (
@@ -20,9 +20,12 @@ func microTraceB(cfg core.Config, slots, burst int) [][]pkt.Packet {
 		bs := make([]pkt.Packet, burst)
 		for i := range bs {
 			port := rng.Intn(cfg.Ports)
-			if cfg.Model == core.ModelValue {
+			switch cfg.Model {
+			case core.ModelValue:
 				bs[i] = pkt.NewValue(port, 1+rng.Intn(cfg.MaxLabel))
-			} else {
+			case core.ModelCombined:
+				bs[i] = pkt.NewWorkValue(port, cfg.PortWork[port], 1+rng.Intn(cfg.MaxLabel))
+			default:
 				bs[i] = pkt.NewWork(port, cfg.PortWork[port])
 			}
 		}
