@@ -19,7 +19,9 @@ import (
 // in arrival order, calling exactly one executor op (Accept, Drop,
 // DropMemo, DropAll or PushOut) per packet. The differential and fuzz
 // suites enforce this for every roster policy against the same policy
-// driven through Batch.PerPacket.
+// with its kernel hidden, which the engine drives through one Admit
+// call per packet. A kernel cannot route back into Admit: the
+// per-packet bridge is internal to the engine.
 type BatchPolicy interface {
 	Policy
 	// AdmitBatch decides every packet of ps in arrival order via b.
@@ -66,7 +68,7 @@ func (s *Switch) ArriveBatch(ps []pkt.Packet) error {
 	if s.batchPol != nil {
 		s.batchPol.AdmitBatch(b, ps)
 	} else {
-		b.PerPacket(ps)
+		b.perPacket(ps)
 	}
 	if b.err == nil && b.idx != len(ps) {
 		//smb:alloc-ok kernel-contract failure path, never taken by a conforming policy
@@ -259,11 +261,11 @@ func (b *Batch) admit(p pkt.Packet) {
 	}
 }
 
-// Apply executes one per-packet Decision through the batch ops,
+// apply executes one per-packet Decision through the batch ops,
 // bridging Admit-style decisions into the executor.
 //
 //smb:hotpath
-func (b *Batch) Apply(d Decision, p pkt.Packet) {
+func (b *Batch) apply(d Decision, p pkt.Packet) {
 	switch {
 	case !d.Accept:
 		b.Drop(p)
@@ -274,16 +276,16 @@ func (b *Batch) Apply(d Decision, p pkt.Packet) {
 	}
 }
 
-// PerPacket decides the burst with one policy.Admit call per packet —
+// perPacket decides the burst with one policy.Admit call per packet —
 // the path for policies without a batch kernel.
 //
 //smb:hotpath
-func (b *Batch) PerPacket(ps []pkt.Packet) {
+func (b *Batch) perPacket(ps []pkt.Packet) {
 	for i := range ps {
 		if b.err != nil {
 			return
 		}
-		b.Apply(b.s.policy.Admit(b.s, ps[i]), ps[i])
+		b.apply(b.s.policy.Admit(b.s, ps[i]), ps[i])
 	}
 }
 

@@ -240,7 +240,7 @@ func (lazyBatch) Admit(v View, _ pkt.Packet) Decision {
 
 func (lazyBatch) AdmitBatch(b *Batch, ps []pkt.Packet) {
 	if len(ps) > 0 {
-		b.Apply(Accept(), ps[0])
+		b.apply(Accept(), ps[0])
 	}
 }
 

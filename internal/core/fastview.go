@@ -1,12 +1,10 @@
 package core
 
-// FastView is an optional extension of View implemented by engines that
-// maintain per-queue aggregates incrementally instead of recomputing
-// them per query. Policies type-assert their View to FastView and take
-// an allocation-free fast path when it succeeds; every policy keeps its
-// plain-View scan as the fallback (and as the executable reference the
-// differential tests replay), so foreign View implementations keep
-// working unchanged.
+// FastView is the extension of View that Switch implements by
+// maintaining per-queue aggregates incrementally instead of recomputing
+// them per query. Batch kernels read it through Batch.View; the roster
+// policies' Admit scans use only View methods, so custom View
+// implementations need not provide it.
 //
 // All slice-returning methods expose live engine state: callers must
 // treat the slices as read-only and must not retain them across engine
@@ -45,8 +43,8 @@ type FastView interface {
 	PortWorks() []int
 
 	// PortInvWorkSum returns Z = Σ_j 1/w_j, precomputed once from the
-	// configuration with the same summation order as the NHST fallback
-	// scan so thresholds are bit-identical.
+	// configuration with the same summation order as NHST's Admit scan
+	// so thresholds are bit-identical.
 	//smb:hotpath
 	PortInvWorkSum() float64
 

@@ -83,7 +83,7 @@ type Switch struct {
 	// Incrementally maintained argmax caches over the per-queue length
 	// and total-work keys, and the precomputed NHST normalizer
 	// Z = sum_j 1/w_j (summed in ascending port order so FastView
-	// consumers match the fallback scan bit for bit).
+	// consumers match NHST's Admit scan bit for bit).
 	lenMax     argmax
 	workMax    argmax
 	invWorkSum float64
@@ -191,7 +191,7 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	copy(s.works, s.cfgWorks)
 	s.recomputeSpeedTab()
 	s.recomputeEffBuf()
-	// Same ascending-port summation order as the NHST fallback scan so
+	// Same ascending-port summation order as NHST's Admit scan so
 	// FastView thresholds are bit-identical to the plain-View path.
 	for _, w := range s.works {
 		s.invWorkSum += 1 / float64(w)

@@ -43,7 +43,7 @@ func (Greedy) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 
 // nhstRule is NHST's admission predicate with Z, the work table and
 // the buffer bound hoisted. Z is precomputed by the engine with the
-// same ascending-port summation as the Admit fallback, so the
+// same ascending-port summation as NHST's Admit scan, so the
 // threshold comparison is bit-identical.
 type nhstRule struct {
 	lens, works []int
@@ -69,7 +69,7 @@ func (nhstRule) memo() bool { return false }
 
 // AdmitBatch implements core.BatchPolicy. The length slice is live, so
 // each accept is observed by the next threshold comparison exactly as
-// in the per-packet path.
+// by consecutive Admit calls.
 //
 //smb:hotpath
 func (NHST) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
@@ -203,9 +203,8 @@ func (NHSTV) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 
 // AdmitBatch implements core.BatchPolicy: the congested tail resolves
 // every push-out against the engine's incrementally maintained argmax
-// plus the analytic virtual add, exactly like the per-packet fast
-// path, but with the free-space prefix accepted without any per-packet
-// policy evaluation.
+// plus the analytic virtual add (lqdRule), and the free-space prefix is
+// accepted without any per-packet policy evaluation.
 //
 //smb:hotpath
 func (LQD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {

@@ -106,9 +106,6 @@ func (RVD) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() > 0 {
 		return core.Accept()
 	}
-	if f, ok := v.(core.FastView); ok {
-		return victimDecision(newRVDRule(f).victim(p))
-	}
 	victim := -1
 	var bestW, bestV int64
 	globalMin := 0

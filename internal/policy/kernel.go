@@ -18,11 +18,11 @@ import (
 // compiler stencils one loop per rule with static dispatch — the batch
 // hot paths stay allocation-free (internal/sim TestSteadyStateZeroAllocs).
 //
-// The same rule structs back the per-packet Admit FastView fast paths
-// (see victimDecision), so each victim ordering and threshold
-// expression exists exactly once; the plain-View scans in each
-// policy's Admit remain the executable reference the differential
-// suites replay against both.
+// Only the kernels use the rule structs. Each policy's Admit is a
+// separate plain-View scan, the paper-literal reference that custom
+// View implementations and kernel-less wrappers run. Because the two
+// share no code, the differential suites that replay one against the
+// other check every rule independently.
 
 // thresholdRule is the cost trait of a non-push-out policy: a pure
 // admission predicate over the rule's hoisted state and the arriving
@@ -111,16 +111,4 @@ func pushOutBatch[R victimRule](b *core.Batch, ps []pkt.Packet, r R) {
 			b.Drop(p)
 		}
 	}
-}
-
-// victimDecision converts a victimRule result into a per-packet
-// Decision; the Admit FastView fast paths share the rule structs with
-// the batch kernels through it.
-//
-//smb:hotpath
-func victimDecision(j int) core.Decision {
-	if j >= 0 {
-		return core.PushOut(j)
-	}
-	return core.Drop()
 }

@@ -37,30 +37,15 @@ func (NHDTW) Admit(v core.View, p pkt.Packet) core.Decision {
 		return core.Drop()
 	}
 	var m, sum int
-	if f, ok := v.(core.FastView); ok {
-		works, lens := f.QueueTotalWorks(), f.QueueLens()
-		pw := f.PortWorks()[p.Port]
-		wi := works[p.Port] + pw // virtual add
-		for j, w := range works {
-			if j == p.Port {
-				w += pw
-			}
-			if w >= wi {
-				m++
-				sum += lens[j]
-			}
+	wi := v.QueueWork(p.Port) + v.PortWork(p.Port) // virtual add
+	for j := 0; j < v.Ports(); j++ {
+		w := v.QueueWork(j)
+		if j == p.Port {
+			w += v.PortWork(p.Port)
 		}
-	} else {
-		wi := v.QueueWork(p.Port) + v.PortWork(p.Port) // virtual add
-		for j := 0; j < v.Ports(); j++ {
-			w := v.QueueWork(j)
-			if j == p.Port {
-				w += v.PortWork(p.Port)
-			}
-			if w >= wi {
-				m++
-				sum += v.QueueLen(j)
-			}
+		if w >= wi {
+			m++
+			sum += v.QueueLen(j)
 		}
 	}
 	threshold := float64(v.Buffer()) * hmath.Harmonic(m) / hmath.Harmonic(v.Ports())

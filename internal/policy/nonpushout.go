@@ -41,16 +41,6 @@ func (NHST) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() == 0 {
 		return core.Drop()
 	}
-	if f, ok := v.(core.FastView); ok {
-		// Z is precomputed by the engine with the same ascending-port
-		// summation as the fallback below, so the threshold comparison
-		// is bit-identical.
-		z := f.PortInvWorkSum()
-		if float64(f.QueueLens()[p.Port])*float64(f.PortWorks()[p.Port])*z < float64(v.Buffer()) {
-			return core.Accept()
-		}
-		return core.Drop()
-	}
 	z := 0.0
 	for j := 0; j < v.Ports(); j++ {
 		z += 1 / float64(v.PortWork(j))
@@ -109,24 +99,11 @@ func (NHDT) Admit(v core.View, p pkt.Packet) core.Decision {
 		return core.Drop()
 	}
 	var m, sum int
-	if f, ok := v.(core.FastView); ok {
-		// Same rank-and-sum scan over the live length slice; the
-		// Harmonic values come from hmath's precomputed table either way.
-		lens := f.QueueLens()
-		li := lens[p.Port]
-		for _, l := range lens {
-			if l >= li {
-				m++
-				sum += l
-			}
-		}
-	} else {
-		li := v.QueueLen(p.Port)
-		for j := 0; j < v.Ports(); j++ {
-			if l := v.QueueLen(j); l >= li {
-				m++
-				sum += l
-			}
+	li := v.QueueLen(p.Port)
+	for j := 0; j < v.Ports(); j++ {
+		if l := v.QueueLen(j); l >= li {
+			m++
+			sum += l
 		}
 	}
 	threshold := float64(v.Buffer()) * hmath.Harmonic(m) / hmath.Harmonic(v.Ports())

@@ -8,11 +8,12 @@
 //
 // Every policy is a pure core.Policy: it inspects the read-only switch
 // view and returns a decision; the engine executes it. Tie-breaking rules
-// follow the paper text and are documented per policy. Victim orderings
-// and threshold predicates exist exactly once, as the rule structs the
-// generic kernels in kernel.go and the Admit FastView fast paths share;
-// each policy additionally keeps a plain-View scan as the executable
-// reference the differential suites replay.
+// follow the paper text and are documented per policy. Each policy has
+// two implementations: its batch kernel (AdmitBatch, usually a rule
+// struct driving a generic kernel in kernel.go), which the engine runs,
+// and its Admit, a plain-View scan that states the paper's per-packet
+// definition literally and serves custom View implementations. The
+// differential suites replay each kernel against its Admit.
 package policy
 
 import "smbm/internal/core"

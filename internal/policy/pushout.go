@@ -59,12 +59,8 @@ func (LQD) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() > 0 {
 		return core.Accept()
 	}
-	if f, ok := v.(core.FastView); ok {
-		return victimDecision(newLQDRule(f).victim(p))
-	}
-	// Reference scan: the executable definition of the ordering, kept as
-	// the fallback for foreign View implementations and replayed by the
-	// differential tests against the shared rule above.
+	// Reference scan: the executable definition of the ordering, which
+	// the differential suites replay against lqdRule's kernel.
 	i := p.Port
 	longest, longestLen := -1, -1
 	for j := 0; j < v.Ports(); j++ {
@@ -136,17 +132,6 @@ func (BPD1) Admit(v core.View, p pkt.Packet) core.Decision {
 //
 //smb:hotpath
 func biggestNonEmpty(v core.View, minLen int) int {
-	if f, ok := v.(core.FastView); ok {
-		// Same top-down scan over the live length slice: no per-queue
-		// interface dispatch on the admission hot path.
-		lens := f.QueueLens()
-		for j := len(lens) - 1; j >= 0; j-- {
-			if lens[j] >= minLen {
-				return j
-			}
-		}
-		return -1
-	}
 	for j := v.Ports() - 1; j >= 0; j-- {
 		if v.QueueLen(j) >= minLen {
 			return j
@@ -207,9 +192,6 @@ func (lwdRule) memo() bool { return false }
 func (LWD) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() > 0 {
 		return core.Accept()
-	}
-	if f, ok := v.(core.FastView); ok {
-		return victimDecision(newLWDRule(f).victim(p))
 	}
 	i := p.Port
 	heaviest, heaviestWork := -1, -1

@@ -77,9 +77,6 @@ func (TVD) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() > 0 {
 		return core.Accept()
 	}
-	if f, ok := v.(core.FastView); ok {
-		return victimDecision(newTVDRule(f).victim(p))
-	}
 	victim := -1
 	var bestSum int64
 	globalMin := 0

@@ -61,12 +61,6 @@ func (NHSTV) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() == 0 {
 		return core.Drop()
 	}
-	if f, ok := v.(core.FastView); ok {
-		if newNHSTVRule(f).admit(p) {
-			return core.Accept()
-		}
-		return core.Drop()
-	}
 	k := v.MaxLabel()
 	lhs := float64(v.QueueLen(p.Port)) * float64(k-p.Value+1) * hmath.Harmonic(k)
 	if lhs < float64(v.Buffer()) {
@@ -138,9 +132,6 @@ func (vlqdRule) memo() bool { return true }
 func (VLQD) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() > 0 {
 		return core.Accept()
-	}
-	if f, ok := v.(core.FastView); ok {
-		return victimDecision(newVLQDRule(f).victim(p))
 	}
 	i := p.Port
 	longest, longestLen := -1, -1
@@ -247,9 +238,6 @@ func (MVD1) Admit(v core.View, p pkt.Packet) core.Decision {
 func mvdAdmit(v core.View, p pkt.Packet, minLen int) core.Decision {
 	if v.Free() > 0 {
 		return core.Accept()
-	}
-	if f, ok := v.(core.FastView); ok {
-		return victimDecision(newMVDRule(f, minLen).victim(p))
 	}
 	victim, minVal := -1, 0
 	for j := 0; j < v.Ports(); j++ {
@@ -358,9 +346,6 @@ func (MRD) Admit(v core.View, p pkt.Packet) core.Decision {
 	if v.Free() > 0 {
 		return core.Accept()
 	}
-	if f, ok := v.(core.FastView); ok {
-		return victimDecision(newMRDRule(f).victim(p))
-	}
 	victim := -1
 	var bestNum, bestDen int64
 	globalMin := 0
@@ -416,7 +401,7 @@ func minOrInf(v core.View, j int) int {
 	return v.QueueMinValue(j)
 }
 
-// minOrInfSlices is minOrInf over the FastView slices.
+// minOrInfSlices is minOrInf over the kernels' hoisted FastView slices.
 //
 //smb:hotpath
 func minOrInfSlices(lens, mins []int, j int) int {

@@ -215,7 +215,7 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
 
   Counters are recorded branch-on-nil in the engine, so runs without
   -obs pay one pointer compare per decision and remain allocation-free
-  (asserted for all 24 roster policies by TestSteadyStateZeroAllocs).
+  (asserted for all 25 roster policies by TestSteadyStateZeroAllocs).
   The OPT proxy is not instrumented: counters describe the policies
   under study.
 
@@ -351,8 +351,8 @@ ablations DESIGN.md calls out:
   (TestAblationTVDVsMRD) executes the paper's "total value per queue is a
   poor choice" argument; the NHDTW probe (TestNHDTWOnTheorem3Construction)
   records a negative result on the paper's NHDT-generalization question.
-- ` + "`internal/policy`" + `: per-packet Admit cost of every policy in
-  every model on a full 64-port switch.
+- ` + "`internal/policy`" + `: per-packet admission cost of every policy's
+  batch kernel (ns/pkt) in every model on a congested 64-port switch.
 
 See bench_output.txt for a recorded run.
 `

@@ -12,6 +12,10 @@ import (
 // steady state (Step per slot, then Drain and Reset) to allocate
 // nothing. The first replay grows the deques and multisets to their
 // working size; every later replay must reuse them.
+//
+// Every roster policy must also have a batch kernel: without one the
+// engine would silently fall back to the policy's O(n) plain-View
+// reference scan, one Admit per packet.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	proc := core.Config{
 		Model: core.ModelProcessing, Ports: 16, Buffer: 128, MaxLabel: 16,
@@ -27,7 +31,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		policies []core.Policy
 	}{
 		{proc, append(policy.ForProcessing(), policy.Experimental()...)},
-		{value, append(policy.ForValueUniform(), policy.ValueExperimental()...)},
+		{value, append(policy.ForValueByPort(), policy.ValueExperimental()...)},
 		{combined, policy.ForCombined()},
 	}
 
@@ -37,6 +41,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		for _, pol := range r.policies {
 			checked++
 			t.Run(r.cfg.Model.String()+"/"+pol.Name(), func(t *testing.T) {
+				if _, ok := pol.(core.BatchPolicy); !ok {
+					t.Fatalf("%T has no batch kernel (core.BatchPolicy)", pol)
+				}
 				sw := core.MustNew(r.cfg, pol)
 				var err error
 				replay := func() {
@@ -59,7 +66,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			})
 		}
 	}
-	if checked != 24 {
-		t.Fatalf("checked %d roster policies, want 24", checked)
+	if checked != 25 {
+		t.Fatalf("checked %d roster policies, want 25", checked)
 	}
 }

@@ -2,15 +2,18 @@
 // replays the same fixed-seed traces through core.Switch twice — once
 // driven by the policy itself (its AdmitBatch kernel when it has one)
 // and once through admitOnly, which hides the kernel so ArriveBatch
-// falls back to Batch.PerPacket and one Admit per packet — and the two
-// runs must agree bit for bit on Stats, per-port counters, obs
-// decision counters and traced events. The fault-injected variants pin
-// the equivalence off the nominal point, where buffer squeezes force
-// Free() == 0 mid-burst and burst amplification stretches the batches.
+// falls back to one Admit call per packet — and the two runs must
+// agree bit for bit on Stats, per-port counters, obs decision counters
+// and traced events. The fault-injected variants pin the equivalence
+// off the nominal point, where buffer squeezes force Free() == 0
+// mid-burst and burst amplification stretches the batches.
 //
-// Together with differential_test.go (engine vs the naive refSwitch
-// over plain-View scans) this closes the triangle: per-packet Admit ==
-// reference and kernel == per-packet Admit, so kernel == reference.
+// Admit is each policy's plain-View reference scan and shares no code
+// with the kernel's rule struct, so this suite checks every kernel —
+// victim ordering, threshold predicate, drop memo and executor
+// bookkeeping — against an independent statement of the policy, on the
+// same production engine. differential_test.go then checks that engine
+// against the naive refSwitch.
 package sim_test
 
 import (
@@ -27,7 +30,7 @@ import (
 )
 
 // admitOnly hides a policy's AdmitBatch kernel, so the switch decides
-// every burst through Batch.PerPacket.
+// every burst with one Admit call per packet.
 type admitOnly struct{ core.Policy }
 
 // batchDiffRun replays tr through two identically configured switches,

@@ -8,9 +8,9 @@
 //   - refSwitch recomputes every View query from first principles (raw
 //     slices, per-call scans) instead of the incremental mirrors and
 //     argmax caches the production core.Switch maintains;
-//   - refSwitch implements only core.View, not core.FastView, so every
-//     policy falls back to its retained plain-View reference scan
-//     instead of its slice-based fast path.
+//   - refSwitch decides every arrival with the policy's Admit, its
+//     plain-View reference scan, while the production switch runs the
+//     policy's batch kernel over the FastView lanes.
 //
 // The production switch additionally runs with CheckInvariants enabled,
 // so its incremental state is also cross-checked against recomputation

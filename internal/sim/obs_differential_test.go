@@ -27,8 +27,8 @@ import (
 // countingPolicy wraps a policy and recomputes, from the pre-decision
 // View, exactly the counters the engine's instrumentation records: a
 // second, independent implementation of the bookkeeping. Wrapping also
-// hides the policy's FastView fast path, so the recomputation reads
-// only plain View queries.
+// hides the policy's batch kernel, so the engine decides through the
+// policy's plain-View reference scan, one Admit per packet.
 type countingPolicy struct {
 	core.Policy
 	admits, drops, pushouts []uint64

@@ -87,6 +87,9 @@ func ReadBinaryTrace(r io.Reader) (Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkMaterializedSlots(int(slots)); err != nil {
+		return nil, err
+	}
 	tr := make(Trace, slots)
 	var rec [recordSize]byte
 	for {

@@ -42,6 +42,14 @@ func TestBinaryRejects(t *testing.T) {
 			t.Error("truncated header accepted")
 		}
 	})
+	t.Run("huge slot count", func(t *testing.T) {
+		// A 10-byte header declaring 2^32−1 slots: refused before the
+		// slot table is allocated.
+		_, err := ReadBinaryTrace(strings.NewReader("SMBT1\n\xff\xff\xff\xff"))
+		if err == nil || !strings.Contains(err.Error(), "OpenFile") {
+			t.Errorf("err = %v, want a refusal pointing at the streaming path", err)
+		}
+	})
 	t.Run("slot out of range", func(t *testing.T) {
 		var buf bytes.Buffer
 		tr := Slots([]pkt.Packet{pkt.New(0)})

@@ -17,6 +17,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add("# smbm-trace v1 slots=1\n# comment\n\n0 0 1 1\n")
 	f.Add("garbage")
 	f.Add("# smbm-trace v1 slots=-3\n")
+	f.Add("# smbm-trace v1 slots=99999999999999\n")
 	f.Add("# smbm-trace v1 slots=1\n0 -1 0 99999999999999999999\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ReadTrace(strings.NewReader(input))

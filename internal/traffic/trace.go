@@ -53,6 +53,23 @@ func (r *replay) Next() []pkt.Packet {
 	return out
 }
 
+// MaxMaterializedSlots bounds the slot count ReadTrace and
+// ReadBinaryTrace accept from a trace header. Both allocate the whole
+// slot table before the first record, so an unchecked header of a few
+// bytes could demand any amount of memory. The bound is 8× the paper's
+// 2·10⁶-slot traces; longer traces stream through OpenFile in memory
+// independent of their length.
+const MaxMaterializedSlots = 1 << 24
+
+// checkMaterializedSlots refuses a header slot count above
+// MaxMaterializedSlots, pointing at the streaming path.
+func checkMaterializedSlots(slots int) error {
+	if slots > MaxMaterializedSlots {
+		return fmt.Errorf("traffic: trace header declares %d slots, above the %d a materialized trace may hold; stream the file instead (tracegen -in, traffic.OpenFile)", slots, MaxMaterializedSlots)
+	}
+	return nil
+}
+
 // traceHeader is the first line of the v1 text format.
 const traceHeader = "# smbm-trace v1"
 
@@ -97,6 +114,9 @@ func ReadTrace(r io.Reader) (Trace, error) {
 	}
 	if slots < 0 {
 		return nil, fmt.Errorf("traffic: negative slot count %d", slots)
+	}
+	if err := checkMaterializedSlots(slots); err != nil {
+		return nil, err
 	}
 	tr := make(Trace, slots)
 	line := 1

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -89,6 +90,8 @@ func TestReadTraceErrors(t *testing.T) {
 		{"short line", "# smbm-trace v1 slots=1\n0 1\n"},
 		{"non-numeric", "# smbm-trace v1 slots=1\n0 a 1 1\n"},
 		{"slot out of range", "# smbm-trace v1 slots=1\n5 0 1 1\n"},
+		{"slot count beyond makeslice", "# smbm-trace v1 slots=99999999999999\n"},
+		{"slot count above bound", fmt.Sprintf("# smbm-trace v1 slots=%d\n", MaxMaterializedSlots+1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
