@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race stress benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report examples clean
+.PHONY: all build test test-race stress benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples clean
 
 all: build vet lint test test-race
 
@@ -89,6 +89,12 @@ obs-demo:
 # Regenerate EXPERIMENTS.md from a fresh evaluation run.
 report:
 	$(GO) run ./cmd/report > EXPERIMENTS.md
+
+# Fail if EXPERIMENTS.md is stale: the full-scale run (nine panels, arch,
+# latency, theorems at 4000 slots x 3 seeds) must reproduce it byte for
+# byte.
+report-check:
+	$(GO) run ./cmd/report | cmp - EXPERIMENTS.md
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -38,7 +38,7 @@ type PanelOptions struct {
 	Plot, CSV bool
 	// Faults, when non-empty, wraps every sweep cell's systems (each
 	// policy and the OPT proxy) with this fault plan; its Horizon
-	// defaults to the run's slot count.
+	// defaults to each cell's trace length.
 	Faults faults.Spec
 	// CellTimeout bounds each sweep cell (0 = unbounded).
 	CellTimeout time.Duration
@@ -76,14 +76,6 @@ type PanelOptions struct {
 	// Progress, when non-nil, receives every sweep's per-cell progress
 	// notifications — cmd/smbsim publishes them through expvar.
 	Progress func(sim.SweepProgress)
-}
-
-// slots returns the effective trace length of the run.
-func (o PanelOptions) slots() int {
-	if o.Opts.Slots > 0 {
-		return o.Opts.Slots
-	}
-	return experiments.Defaults().Slots
 }
 
 // Panels runs the requested evaluation experiments, writing reports to
@@ -213,19 +205,20 @@ func harden(sweep *sim.Sweep, o PanelOptions) {
 	if o.Faults.Empty() {
 		return
 	}
-	fs := o.Faults
-	if fs.Horizon == 0 {
-		fs.Horizon = int64(o.slots())
-	}
 	// The fault plan shapes every cell, so it belongs in the ledger
 	// fingerprint: resuming a faulted ledger without -faults (or vice
-	// versa) must fail loudly.
-	sweep.ConfigDigest += ";faults=" + fs.String()
+	// versa) must fail loudly. An unset horizon renders as 0; each cell
+	// then covers its own trace, whose length the digest already holds.
+	sweep.ConfigDigest += ";faults=" + o.Faults.String()
 	build := sweep.Build
 	sweep.Build = func(x int, seed int64) (sim.Instance, error) {
 		inst, err := build(x, seed)
 		if err != nil {
 			return inst, err
+		}
+		fs := o.Faults
+		if fs.Horizon == 0 {
+			fs.Horizon = int64(inst.Provider.Slots())
 		}
 		inst.Wrap = faults.Wrapper(fs, inst.Cfg.Ports, seed)
 		return inst, nil

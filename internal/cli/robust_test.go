@@ -49,6 +49,32 @@ func TestPanelsWithFaultInjection(t *testing.T) {
 	}
 }
 
+// TestSpecFaultHorizonIsTraceLength: a fault plan without a horizon
+// covers each cell's whole trace, so on a spec longer than the default
+// 4000 slots it matches the same plan with the spec's length spelled out.
+func TestSpecFaultHorizonIsTraceLength(t *testing.T) {
+	const specJSON = `{
+	  "name": "horizon", "model": "processing", "sweep": "C", "values": [1],
+	  "k": 4, "B": 16, "policies": ["LWD"], "slots": 4800, "seeds": 1,
+	  "traffic": {"sources": 10}
+	}`
+	fs, err := faults.ParseSpec("blackout:period=100:dur=40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(horizon int64) string {
+		fs.Horizon = horizon
+		var buf bytes.Buffer
+		if err := RunSpec(context.Background(), &buf, strings.NewReader(specJSON), PanelOptions{CSV: true, Faults: fs}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if unset, full := run(0), run(4800); unset != full {
+		t.Errorf("unset horizon:\n%s\nwant the spec's 4800 slots:\n%s", unset, full)
+	}
+}
+
 func TestPanelsCanceledSweepRendersPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before the sweep dispatches any cell

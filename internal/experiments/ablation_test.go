@@ -36,7 +36,11 @@ var lwdSmallTie = core.PolicyFunc{PolicyName: "LWD-smalltie", Func: func(v core.
 // ablationCell runs the fig5.1 mid cell with extra policies appended.
 func ablationCell(t testing.TB, extra ...core.Policy) map[string]float64 {
 	o := smallOpts()
-	inst, err := procInstance(16, 200, 1, loadProcessing*procCapacity(16, 1), o, 11)
+	e, err := panelSpec("fig5.1", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.Instance(16, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

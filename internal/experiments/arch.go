@@ -6,11 +6,10 @@ import (
 
 	"smbm/internal/core"
 	"smbm/internal/metrics"
-	"smbm/internal/policy"
 	"smbm/internal/sim"
 	"smbm/internal/singleq"
+	"smbm/internal/spec"
 	"smbm/internal/tablefmt"
-	"smbm/internal/traffic"
 )
 
 // ArchRow compares one buffer architecture on the shared traffic of the
@@ -51,33 +50,12 @@ func Architectures(o Options) ([]ArchRow, error) {
 		k = 8
 		b = 128
 	)
-	works := core.ContiguousWorks(k)
-
-	mcfg := traffic.MMPPConfig{
-		Sources:      o.Sources,
-		POnOff:       pOnOff,
-		POffOn:       pOffOn,
-		Label:        traffic.LabelWorkByPort,
-		Ports:        k,
-		MaxLabel:     k,
-		PortWork:     works,
-		PortAffinity: true,
-		Seed:         o.BaseSeed,
-	}
-	mcfg.LambdaOn = mcfg.LambdaForRate(2.0 * procCapacity(k, 1))
-	prov, err := traffic.NewMMPPProvider(mcfg, o.Slots)
+	inst, err := o.scaled(spec.Experiment{Name: "arch", Model: "processing", Sweep: "B", Values: []int{b},
+		K: k, C: 1, Policies: []string{"LWD", "LQD", "Greedy"}, Traffic: spec.Traffic{Load: 2.0}}).Instance(b, o.BaseSeed)
 	if err != nil {
 		return nil, err
 	}
 
-	sharedCfg := core.Config{
-		Model:    core.ModelProcessing,
-		Ports:    k,
-		Buffer:   b,
-		MaxLabel: k,
-		Speedup:  1,
-		PortWork: works,
-	}
 	singleCfg := func(order singleq.Order, pushOut bool) singleq.Config {
 		return singleq.Config{Buffer: b, MaxWork: k, Cores: k, Order: order, PushOut: pushOut}
 	}
@@ -120,7 +98,7 @@ func Architectures(o Options) ([]ArchRow, error) {
 		return nil
 	}
 	addShared := func(p core.Policy) error {
-		sw, err := core.New(sharedCfg, p)
+		sw, err := core.New(inst.Cfg, p)
 		if err != nil {
 			return err
 		}
@@ -150,7 +128,7 @@ func Architectures(o Options) ([]ArchRow, error) {
 	if err := addSingle(singleq.OrderFIFO, false); err != nil {
 		return nil, err
 	}
-	for _, p := range []core.Policy{policy.LWD{}, policy.LQD{}, policy.Greedy{}} {
+	for _, p := range inst.Policies {
 		if err := addShared(p); err != nil {
 			return nil, err
 		}
@@ -159,7 +137,7 @@ func Architectures(o Options) ([]ArchRow, error) {
 	rows := make([]ArchRow, 0, len(entries))
 	var best int64
 	for _, e := range entries {
-		stats, err := sim.RunTrace(e.sys, prov, o.FlushEvery)
+		stats, err := sim.RunTrace(e.sys, inst.Provider, inst.FlushEvery)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,9 @@
 // Package experiments defines the paper's evaluation as runnable
-// artifacts: the nine panels of Fig. 5 as seeded parameter sweeps over
-// MMPP traffic, and the theorem lower-bound constructions. cmd/smbsim,
-// cmd/lowerbound and the benchmark harness are thin wrappers over this
-// package.
+// artifacts: the nine panels of Fig. 5 as spec.Experiment values, which
+// spec.ToSweep compiles into seeded parameter sweeps over MMPP traffic,
+// and the arch, latency and faults experiments, whose cells come from
+// spec.Experiment.Instance too. cmd/smbsim, cmd/report and the benchmark
+// harness are thin wrappers over this package.
 //
 // The paper's graph captions (and hence exact traffic parameters) are not
 // part of the text, so the defaults here are chosen to reproduce the
@@ -13,13 +14,10 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
-	"smbm/internal/core"
 	"smbm/internal/hmath"
-	"smbm/internal/policy"
 	"smbm/internal/sim"
-	"smbm/internal/traffic"
+	"smbm/internal/spec"
 )
 
 // Options tunes the scale of a panel run. Zero fields take defaults.
@@ -99,17 +97,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// MMPP burstiness defaults: sources spend ~9% of slots "on" and emit in
-// bursts roughly 10 slots long (1/pOnOff).
-const (
-	pOnOff = 0.1
-	pOffOn = 0.01
-)
-
 // Congestion levels (offered load as a multiple of service capacity).
+// Every panel keeps the spec's default MMPP burstiness — sources spend
+// ~9% of slots "on" and emit in bursts roughly 10 slots long — except
+// the spiky panels 6 and 9.
 const (
 	loadProcessing = 2.5 // panels 1–2
-	loadSpeedupRef = 3.0 // panels 3, 6, 9: load 1 is crossed at C = 3
+	loadSpeedupRef = 3.0 // panel 3: load 1 is crossed at C = 3
 	loadValue      = 2.5 // panels 4–5, 7–8
 	spikyLoad      = 4.0 // panels 6, 9: slot-scale megabursts, load 1 at C = 4
 )
@@ -123,282 +117,71 @@ func PanelIDs() []string {
 	}
 }
 
-// Panel builds the sweep for one Fig. 5 panel.
+// Panel builds the sweep for one Fig. 5 panel: its spec at o's scale,
+// compiled by spec.ToSweep.
 func Panel(id string, o Options) (*sim.Sweep, error) {
+	e, err := panelSpec(id, o)
+	if err != nil {
+		return nil, err
+	}
+	sweep, err := e.ToSweep()
+	if err != nil {
+		return nil, err
+	}
+	sweep.Parallelism = o.Parallelism
+	return sweep, nil
+}
+
+// panelSpec returns the spec of one Fig. 5 panel at o's scale. In the
+// value model n = k: the by-port panels 7–9 identify values with ports,
+// and the uniform panels 4–6 keep the same geometry for comparability.
+func panelSpec(id string, o Options) (*spec.Experiment, error) {
 	o = o.withDefaults()
+	label := "uniform"
+	if id == "fig5.7" || id == "fig5.8" || id == "fig5.9" {
+		label = "by-port"
+	}
+	var e spec.Experiment
 	switch id {
-	case "fig5.1":
-		return panelProcK(o), nil
-	case "fig5.2":
-		return panelProcB(o), nil
-	case "fig5.3":
-		return panelProcC(o), nil
-	case "fig5.4":
-		return panelValK(o, traffic.LabelValueUniform), nil
-	case "fig5.5":
-		return panelValB(o, traffic.LabelValueUniform), nil
-	case "fig5.6":
-		return panelValC(o, traffic.LabelValueUniform), nil
-	case "fig5.7":
-		return panelValK(o, traffic.LabelValueByPort), nil
-	case "fig5.8":
-		return panelValB(o, traffic.LabelValueByPort), nil
-	case "fig5.9":
-		return panelValC(o, traffic.LabelValueByPort), nil
+	case "fig5.1": // ratio vs k at constant relative load
+		e = spec.Experiment{Model: "processing", Sweep: "k", Values: []int{2, 4, 8, 12, 16, 24, 32},
+			B: 200, C: 1, Traffic: spec.Traffic{Load: loadProcessing}}
+	case "fig5.2": // ratio vs B, from congested to uncongested
+		e = spec.Experiment{Model: "processing", Sweep: "B", Values: []int{32, 64, 128, 256, 512, 1024, 2048},
+			K: 16, C: 1, Traffic: spec.Traffic{Load: loadProcessing}}
+	case "fig5.3": // ratio vs C at a fixed offered rate (load crosses 1 at C = 3)
+		e = spec.Experiment{Model: "processing", Sweep: "C", Values: []int{1, 2, 3, 4, 5, 6, 8},
+			K: 16, B: 200, Traffic: spec.Traffic{Rate: loadSpeedupRef * hmath.Harmonic(16)}}
+	case "fig5.4", "fig5.7": // ratio vs k at a fixed offered rate: more ports relieve congestion
+		e = spec.Experiment{Model: "value", Sweep: "k", Values: []int{2, 4, 8, 16, 24, 32},
+			B: 200, C: 1, Label: label, Traffic: spec.Traffic{Rate: loadValue * 16}}
+	case "fig5.5", "fig5.8": // ratio vs B
+		e = spec.Experiment{Model: "value", Sweep: "B", Values: []int{32, 64, 128, 256, 512, 1024, 2048},
+			K: 16, C: 1, Label: label, Traffic: spec.Traffic{Rate: loadValue * 16}}
+	case "fig5.6", "fig5.9":
+		// Ratio vs C: a few heavy sources emit slot-scale megabursts
+		// that fit in a slot's service at large C but not in the buffer,
+		// letting MVD shine. In the uniform case they are port-uniform,
+		// so a megaburst floods the whole buffer at once.
+		affinity := label == "by-port"
+		e = spec.Experiment{Model: "value", Sweep: "C", Values: []int{1, 2, 4, 8, 12, 16},
+			K: 16, B: 200, Label: label, Traffic: spec.Traffic{Sources: max(4, o.Sources/5), Rate: spikyLoad * 16,
+				POnOff: 0.5, POffOn: 0.005, Affinity: &affinity}}
 	default:
 		return nil, fmt.Errorf("experiments: unknown panel %q (want one of %v)", id, PanelIDs())
 	}
+	e.Name = id
+	return o.scaled(e), nil
 }
 
-// policyNames renders a roster compactly for config digests.
-func policyNames(ps []core.Policy) string {
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name()
+// scaled returns e at o's scale: trace length, replications, flush
+// period, base seed and, unless e fixes its own, the source count.
+func (o Options) scaled(e spec.Experiment) *spec.Experiment {
+	e.Slots, e.Seeds, e.FlushEvery, e.BaseSeed = o.Slots, o.Seeds, o.FlushEvery, o.BaseSeed
+	if e.Traffic.Sources == 0 {
+		e.Traffic.Sources = o.Sources
 	}
-	return strings.Join(names, ",")
-}
-
-// cellDigest canonically renders everything a panel's Build bakes into
-// its cells — model, the fixed k/B/C dimensions (the swept one marked
-// "swept" since the Xs are fingerprinted separately), the policy
-// roster and the traffic scale — for sim.Sweep.ConfigDigest, so a
-// ledger resume after any flag change is refused instead of silently
-// merging stale cells.
-func cellDigest(model, swept string, k, b, c int, policies string, o Options) string {
-	dim := func(name string, v int) string {
-		if name == swept {
-			return name + "=swept"
-		}
-		return fmt.Sprintf("%s=%d", name, v)
-	}
-	return fmt.Sprintf("model=%s;%s;%s;%s;policies=%s;slots=%d;sources=%d;flush=%d",
-		model, dim("k", k), dim("B", b), dim("C", c), policies, o.Slots, o.Sources, o.FlushEvery)
-}
-
-// procCapacity is the processing model's aggregate service rate in
-// packets per slot under the contiguous configuration: Σ C/w_i = C·H_k.
-func procCapacity(k, speedup int) float64 {
-	return float64(speedup) * hmath.Harmonic(k)
-}
-
-// procInstance assembles one processing-model cell.
-func procInstance(k, b, c int, rate float64, o Options, seed int64) (sim.Instance, error) {
-	cfg := core.Config{
-		Model:    core.ModelProcessing,
-		Ports:    k,
-		Buffer:   b,
-		MaxLabel: k,
-		Speedup:  c,
-		PortWork: core.ContiguousWorks(k),
-	}
-	mcfg := traffic.MMPPConfig{
-		Sources:      o.Sources,
-		POnOff:       pOnOff,
-		POffOn:       pOffOn,
-		Label:        traffic.LabelWorkByPort,
-		Ports:        k,
-		MaxLabel:     k,
-		PortWork:     cfg.PortWork,
-		PortAffinity: true,
-		Seed:         seed,
-	}
-	mcfg.LambdaOn = mcfg.LambdaForRate(rate)
-	prov, err := traffic.NewMMPPProvider(mcfg, o.Slots)
-	if err != nil {
-		return sim.Instance{}, err
-	}
-	return sim.Instance{
-		Cfg:        cfg,
-		Policies:   policy.ForProcessing(),
-		Provider:   prov,
-		FlushEvery: o.FlushEvery,
-	}, nil
-}
-
-// panelProcK is Fig. 5(1): processing model, ratio vs k at constant
-// relative load.
-func panelProcK(o Options) *sim.Sweep {
-	return &sim.Sweep{
-		Name:         "fig5.1",
-		XLabel:       "k",
-		Xs:           []int{2, 4, 8, 12, 16, 24, 32},
-		Seeds:        o.Seeds,
-		BaseSeed:     o.BaseSeed,
-		Parallelism:  o.Parallelism,
-		ConfigDigest: cellDigest("processing", "k", 0, 200, 1, policyNames(policy.ForProcessing()), o),
-		Build: func(k int, seed int64) (sim.Instance, error) {
-			return procInstance(k, 200, 1, loadProcessing*procCapacity(k, 1), o, seed)
-		},
-	}
-}
-
-// panelProcB is Fig. 5(2): processing model, ratio vs B from congested to
-// uncongested.
-func panelProcB(o Options) *sim.Sweep {
-	const k = 16
-	return &sim.Sweep{
-		Name:         "fig5.2",
-		XLabel:       "B",
-		Xs:           []int{32, 64, 128, 256, 512, 1024, 2048},
-		Seeds:        o.Seeds,
-		BaseSeed:     o.BaseSeed,
-		Parallelism:  o.Parallelism,
-		ConfigDigest: cellDigest("processing", "B", k, 0, 1, policyNames(policy.ForProcessing()), o),
-		Build: func(b int, seed int64) (sim.Instance, error) {
-			return procInstance(k, b, 1, loadProcessing*procCapacity(k, 1), o, seed)
-		},
-	}
-}
-
-// panelProcC is Fig. 5(3): processing model, ratio vs per-queue speedup C
-// at fixed offered rate (load crosses 1 at C = 3).
-func panelProcC(o Options) *sim.Sweep {
-	const k = 16
-	return &sim.Sweep{
-		Name:         "fig5.3",
-		XLabel:       "C",
-		Xs:           []int{1, 2, 3, 4, 5, 6, 8},
-		Seeds:        o.Seeds,
-		BaseSeed:     o.BaseSeed,
-		Parallelism:  o.Parallelism,
-		ConfigDigest: cellDigest("processing", "C", k, 200, 0, policyNames(policy.ForProcessing()), o),
-		Build: func(c int, seed int64) (sim.Instance, error) {
-			return procInstance(k, 200, c, loadSpeedupRef*procCapacity(k, 1), o, seed)
-		},
-	}
-}
-
-// valInstance assembles one value-model cell. In the value model n = k:
-// the by-port special case identifies values with ports, and the uniform
-// case keeps the same geometry for comparability. With spiky set, a few
-// heavy sources emit slot-scale megabursts that exceed the buffer — the
-// regime of Fig. 5(6) where large speedups let MVD shine.
-func valInstance(k, b, c int, rate float64, label traffic.LabelMode, spiky bool, o Options, seed int64) (sim.Instance, error) {
-	cfg := core.Config{
-		Model:    core.ModelValue,
-		Ports:    k,
-		Buffer:   b,
-		MaxLabel: k,
-		Speedup:  c,
-	}
-	policies := policy.ForValueUniform()
-	if label == traffic.LabelValueByPort {
-		policies = policy.ForValueByPort()
-	}
-	mcfg := traffic.MMPPConfig{
-		Sources:      o.Sources,
-		POnOff:       pOnOff,
-		POffOn:       pOffOn,
-		Label:        label,
-		Ports:        k,
-		MaxLabel:     k,
-		PortAffinity: true,
-		Seed:         seed,
-	}
-	if spiky {
-		// A handful of heavy sources, port-uniform in the uniform-value
-		// case, so a megaburst floods the whole buffer at once.
-		mcfg.Sources = max(4, o.Sources/5)
-		mcfg.POnOff = 0.5
-		mcfg.POffOn = 0.005
-		mcfg.PortAffinity = label == traffic.LabelValueByPort
-	}
-	mcfg.LambdaOn = mcfg.LambdaForRate(rate)
-	prov, err := traffic.NewMMPPProvider(mcfg, o.Slots)
-	if err != nil {
-		return sim.Instance{}, err
-	}
-	return sim.Instance{
-		Cfg:        cfg,
-		Policies:   policies,
-		Provider:   prov,
-		FlushEvery: o.FlushEvery,
-	}, nil
-}
-
-// valDigestModel renders the value-model tag for cellDigest, folding in
-// the label mode and the spiky-traffic switch.
-func valDigestModel(label traffic.LabelMode, spiky bool) string {
-	tag := fmt.Sprintf("value/%v", label)
-	if spiky {
-		tag += "/spiky"
-	}
-	return tag
-}
-
-// valRoster returns the competing roster for the label mode.
-func valRoster(label traffic.LabelMode) []core.Policy {
-	if label == traffic.LabelValueByPort {
-		return policy.ForValueByPort()
-	}
-	return policy.ForValueUniform()
-}
-
-// panelValK is Fig. 5(4)/(7): value model, ratio vs k at a fixed offered
-// rate, so growing k (= more ports) relieves congestion.
-func panelValK(o Options, label traffic.LabelMode) *sim.Sweep {
-	name := "fig5.4"
-	if label == traffic.LabelValueByPort {
-		name = "fig5.7"
-	}
-	const rate = loadValue * 16 // calibrated to load 1.5 at the middle point k=16
-	return &sim.Sweep{
-		Name:         name,
-		XLabel:       "k",
-		Xs:           []int{2, 4, 8, 16, 24, 32},
-		Seeds:        o.Seeds,
-		BaseSeed:     o.BaseSeed,
-		Parallelism:  o.Parallelism,
-		ConfigDigest: cellDigest(valDigestModel(label, false), "k", 0, 200, 1, policyNames(valRoster(label)), o),
-		Build: func(k int, seed int64) (sim.Instance, error) {
-			return valInstance(k, 200, 1, rate, label, false, o, seed)
-		},
-	}
-}
-
-// panelValB is Fig. 5(5)/(8): value model, ratio vs B.
-func panelValB(o Options, label traffic.LabelMode) *sim.Sweep {
-	name := "fig5.5"
-	if label == traffic.LabelValueByPort {
-		name = "fig5.8"
-	}
-	const k = 16
-	return &sim.Sweep{
-		Name:         name,
-		XLabel:       "B",
-		Xs:           []int{32, 64, 128, 256, 512, 1024, 2048},
-		Seeds:        o.Seeds,
-		BaseSeed:     o.BaseSeed,
-		Parallelism:  o.Parallelism,
-		ConfigDigest: cellDigest(valDigestModel(label, false), "B", k, 0, 1, policyNames(valRoster(label)), o),
-		Build: func(b int, seed int64) (sim.Instance, error) {
-			return valInstance(k, b, 1, loadValue*float64(k), label, false, o, seed)
-		},
-	}
-}
-
-// panelValC is Fig. 5(6)/(9): value model, ratio vs speedup C at fixed
-// offered rate (load crosses 1 at C = 3); the regime where bursts fit in
-// a slot's service but not in the buffer, letting MVD shine.
-func panelValC(o Options, label traffic.LabelMode) *sim.Sweep {
-	name := "fig5.6"
-	if label == traffic.LabelValueByPort {
-		name = "fig5.9"
-	}
-	const k = 16
-	return &sim.Sweep{
-		Name:         name,
-		XLabel:       "C",
-		Xs:           []int{1, 2, 4, 8, 12, 16},
-		Seeds:        o.Seeds,
-		BaseSeed:     o.BaseSeed,
-		Parallelism:  o.Parallelism,
-		ConfigDigest: cellDigest(valDigestModel(label, true), "C", k, 200, 0, policyNames(valRoster(label)), o),
-		Build: func(c int, seed int64) (sim.Instance, error) {
-			return valInstance(k, 200, c, spikyLoad*float64(k), label, true, o, seed)
-		},
-	}
+	return &e
 }
 
 // SortedPolicyNames returns the union of policy names across points, in

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"smbm/internal/core"
-	"smbm/internal/traffic"
+	"smbm/internal/spec"
 )
 
 // smallOpts shrinks the panels to seconds-scale for tests.
@@ -45,7 +45,8 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestProcInstanceShape(t *testing.T) {
-	inst, err := procInstance(8, 100, 2, 10, smallOpts(), 3)
+	inst, err := smallOpts().scaled(spec.Experiment{Name: "shape", Model: "processing", Sweep: "C", Values: []int{2},
+		K: 8, B: 100, Traffic: spec.Traffic{Rate: 10}}).Instance(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,8 @@ func TestProcInstanceShape(t *testing.T) {
 }
 
 func TestValInstanceShape(t *testing.T) {
-	inst, err := valInstance(8, 100, 1, 12, traffic.LabelValueByPort, false, smallOpts(), 3)
+	inst, err := smallOpts().scaled(spec.Experiment{Name: "shape", Model: "value", Sweep: "B", Values: []int{100},
+		K: 8, C: 1, Label: "by-port", Traffic: spec.Traffic{Rate: 12}}).Instance(100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 
 	"smbm/internal/faults"
 	"smbm/internal/metrics"
-	"smbm/internal/policy"
+	"smbm/internal/spec"
 	"smbm/internal/tablefmt"
 )
 
@@ -45,18 +45,18 @@ const (
 func FaultDegradation(o Options) ([]FaultRow, error) {
 	o = o.withDefaults()
 	mix := faults.CanonicalMix(faultPanelK, faultPanelB, faultPanelC, int64(o.Slots))
+	e := o.scaled(spec.Experiment{Name: "faults", Model: "processing", Sweep: "C", Values: []int{faultPanelC},
+		K: faultPanelK, B: faultPanelB, Traffic: spec.Traffic{Load: loadProcessing}})
 
 	nominal := map[string]*metrics.Welford{}
 	faulted := map[string]*metrics.Welford{}
 	var order []string
 	for si := 0; si < o.Seeds; si++ {
 		seed := o.BaseSeed + int64(si)*7_919
-		rate := loadProcessing * procCapacity(faultPanelK, faultPanelC)
-		inst, err := procInstance(faultPanelK, faultPanelB, faultPanelC, rate, o, seed)
+		inst, err := e.Instance(faultPanelC, seed)
 		if err != nil {
 			return nil, err
 		}
-		inst.Policies = policy.ForProcessing()
 
 		base, err := inst.Run()
 		if err != nil {

@@ -58,7 +58,11 @@ func TestNHDTWOnTheorem3Construction(t *testing.T) {
 // generalization must not lose to NHDT.
 func TestNHDTWOnStochasticTraffic(t *testing.T) {
 	o := smallOpts()
-	inst, err := procInstance(16, 200, 1, loadProcessing*procCapacity(16, 1), o, 3)
+	e, err := panelSpec("fig5.1", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.Instance(16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

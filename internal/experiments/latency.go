@@ -5,8 +5,8 @@ import (
 	"strconv"
 
 	"smbm/internal/core"
-	"smbm/internal/policy"
 	"smbm/internal/sim"
+	"smbm/internal/spec"
 	"smbm/internal/tablefmt"
 )
 
@@ -31,10 +31,11 @@ type LatencyRow struct {
 func Latency(o Options) ([]LatencyRow, error) {
 	o = o.withDefaults()
 	const k = 8
-	policies := []core.Policy{policy.LWD{}, policy.LQD{}, policy.Greedy{}}
+	e := o.scaled(spec.Experiment{Name: "latency", Model: "processing", Sweep: "B", Values: []int{32, 64, 128, 256, 512},
+		K: k, C: 1, Policies: []string{"LWD", "LQD", "Greedy"}, Traffic: spec.Traffic{Load: loadProcessing}})
 	var rows []LatencyRow
-	for _, b := range []int{32, 64, 128, 256, 512} {
-		inst, err := procInstance(k, b, 1, loadProcessing*procCapacity(k, 1), o, o.BaseSeed)
+	for _, b := range e.Values {
+		inst, err := e.Instance(b, o.BaseSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +47,7 @@ func Latency(o Options) ([]LatencyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range policies {
+		for _, p := range inst.Policies {
 			sw, err := core.New(inst.Cfg, p)
 			if err != nil {
 				return nil, err

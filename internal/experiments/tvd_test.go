@@ -6,7 +6,6 @@ import (
 	"smbm/internal/core"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
-	"smbm/internal/traffic"
 )
 
 // TestAblationTVDVsMRD executes the paper's Section IV design argument:
@@ -18,7 +17,11 @@ import (
 func TestAblationTVDVsMRD(t *testing.T) {
 	o := smallOpts()
 	o.Slots = 1500
-	inst, err := valInstance(16, 200, 1, loadValue*16, traffic.LabelValueByPort, false, o, 5)
+	e, err := panelSpec("fig5.7", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.Instance(16, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

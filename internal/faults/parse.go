@@ -16,8 +16,8 @@ import (
 //	amplify:factor=2:period=500:dur=100      // BurstAmplify
 //
 // Defaults: port=-1 (rotate), period=1000, dur=250, c=1, b=16,
-// factor=2. The caller sets Spec.Horizon (the CLI uses the run's slot
-// count). Example:
+// factor=2. The caller sets Spec.Horizon (the CLI uses each cell's trace
+// length). Example:
 //
 //	-faults "blackout;squeeze:b=32:period=500:dur=100"
 func ParseSpec(s string) (Spec, error) {

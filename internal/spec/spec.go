@@ -1,5 +1,9 @@
-// Package spec lets users define custom parameter-sweep experiments in
-// JSON and run them through the same harness as the paper's panels
+// Package spec is the one compiler from a sweep description to
+// simulation cells. An Experiment names a switch model, the swept
+// parameter (k, B or C) and its values, the fixed parameters, the policy
+// roster and the MMPP traffic; ToSweep compiles it into a sim.Sweep whose
+// Build is Instance. The nine Fig. 5 panels (internal/experiments) are
+// Experiment values, and users write their own in JSON
 // (cmd/smbsim -spec experiment.json).
 //
 // A minimal spec:
@@ -132,13 +136,18 @@ func (e *Experiment) validate() error {
 	return nil
 }
 
-// resolvePolicies maps names to policies for the spec's model.
+// resolvePolicies maps names to policies for the spec's model. The
+// default value-model roster follows the label: NHSTV is defined only
+// for the value≡port case, so it joins the "by-port" roster alone.
 func (e *Experiment) resolvePolicies() ([]core.Policy, error) {
 	roster := policy.ForProcessing()
 	byName := policy.ByName
 	switch e.Model {
 	case "value":
-		roster = policy.ForValueByPort()
+		roster = policy.ForValueUniform()
+		if e.Label == "by-port" {
+			roster = policy.ForValueByPort()
+		}
 		byName = policy.ValueByName
 	case "combined":
 		roster = policy.ForCombined()
@@ -181,13 +190,9 @@ func (e *Experiment) params(x int) (k, b, c int) {
 	return k, b, c
 }
 
-// ToSweep compiles the spec into a runnable sweep.
-func (e *Experiment) ToSweep() (*sim.Sweep, error) {
-	policies, err := e.resolvePolicies()
-	if err != nil {
-		return nil, err
-	}
-	slots, seeds, flush, baseSeed := e.Slots, e.Seeds, e.FlushEvery, e.BaseSeed
+// scale resolves the run-scale fields to their defaults.
+func (e *Experiment) scale() (slots, seeds, flush int, baseSeed int64) {
+	slots, seeds, flush, baseSeed = e.Slots, e.Seeds, e.FlushEvery, e.BaseSeed
 	if slots == 0 {
 		slots = 4000
 	}
@@ -200,6 +205,16 @@ func (e *Experiment) ToSweep() (*sim.Sweep, error) {
 	if baseSeed == 0 {
 		baseSeed = 1
 	}
+	return slots, seeds, flush, baseSeed
+}
+
+// ToSweep validates the spec and compiles it into a runnable sweep
+// whose Build is Instance.
+func (e *Experiment) ToSweep() (*sim.Sweep, error) {
+	if err := e.validate(); err != nil {
+		return nil, err
+	}
+	_, seeds, _, baseSeed := e.scale()
 	// The whole spec re-marshaled is its own canonical cell-config
 	// digest: struct field order is fixed, so equal specs render equal
 	// strings for the sweep ledger fingerprint.
@@ -214,29 +229,35 @@ func (e *Experiment) ToSweep() (*sim.Sweep, error) {
 		Seeds:        seeds,
 		BaseSeed:     baseSeed,
 		ConfigDigest: string(digest),
-		Build: func(x int, seed int64) (sim.Instance, error) {
-			k, b, c := e.params(x)
-			cfg, mcfg, err := e.buildConfigs(k, b, c, seed)
-			if err != nil {
-				return sim.Instance{}, err
-			}
-			prov, err := traffic.NewMMPPProvider(mcfg, slots)
-			if err != nil {
-				return sim.Instance{}, err
-			}
-			return sim.Instance{
-				Cfg:        cfg,
-				Policies:   policies,
-				Provider:   prov,
-				FlushEvery: flush,
-			}, nil
-		},
+		Build:        e.Instance,
+	}, nil
+}
+
+// Instance builds the cell at swept value x: the switch configuration,
+// the policy roster and the MMPP provider seeded with seed.
+func (e *Experiment) Instance(x int, seed int64) (sim.Instance, error) {
+	policies, err := e.resolvePolicies()
+	if err != nil {
+		return sim.Instance{}, err
+	}
+	slots, _, flush, _ := e.scale()
+	k, b, c := e.params(x)
+	cfg, mcfg := e.buildConfigs(k, b, c, seed)
+	prov, err := traffic.NewMMPPProvider(mcfg, slots)
+	if err != nil {
+		return sim.Instance{}, err
+	}
+	return sim.Instance{
+		Cfg:        cfg,
+		Policies:   policies,
+		Provider:   prov,
+		FlushEvery: flush,
 	}, nil
 }
 
 // buildConfigs assembles the switch and traffic configurations for one
 // cell.
-func (e *Experiment) buildConfigs(k, b, c int, seed int64) (core.Config, traffic.MMPPConfig, error) {
+func (e *Experiment) buildConfigs(k, b, c int, seed int64) (core.Config, traffic.MMPPConfig) {
 	t := e.Traffic
 	if t.Sources == 0 {
 		t.Sources = 100
@@ -270,7 +291,13 @@ func (e *Experiment) buildConfigs(k, b, c int, seed int64) (core.Config, traffic
 	if e.Model == "processing" || e.Model == "combined" {
 		works := e.PortWork
 		if works == nil {
+			// Contiguous works serve C·H_k packets per slot. Harmonic sums
+			// backward, so at k = 16 and 32 it differs from
+			// InverseWorkSum(1..k) in the last bit.
 			works = core.ContiguousWorks(k)
+			capacity = float64(c) * hmath.Harmonic(k)
+		} else {
+			capacity = float64(c) * hmath.InverseWorkSum(works)
 		}
 		model, label := core.ModelProcessing, traffic.LabelWorkByPort
 		if e.Model == "combined" {
@@ -287,7 +314,6 @@ func (e *Experiment) buildConfigs(k, b, c int, seed int64) (core.Config, traffic
 		mcfg.Label = label
 		mcfg.Ports = len(works)
 		mcfg.PortWork = works
-		capacity = float64(c) * hmath.InverseWorkSum(works)
 	} else {
 		cfg = core.Config{
 			Model:    core.ModelValue,
@@ -308,5 +334,5 @@ func (e *Experiment) buildConfigs(k, b, c int, seed int64) (core.Config, traffic
 		rate = load * capacity
 	}
 	mcfg.LambdaOn = mcfg.LambdaForRate(rate)
-	return cfg, mcfg, nil
+	return cfg, mcfg
 }

@@ -118,23 +118,35 @@ func TestRunValueSpec(t *testing.T) {
 }
 
 func TestDefaultRoster(t *testing.T) {
-	e, err := Load(strings.NewReader(`{
-	  "name": "full", "model": "processing", "sweep": "C", "values": [1],
-	  "k": 4, "B": 16, "slots": 100, "seeds": 1, "traffic": {"sources": 5}
-	}`))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, fields string
+		want         int
+	}{
+		{"processing", `"model": "processing"`, 8},
+		// NHSTV is defined for value≡port only, so the uniform roster
+		// leaves it out.
+		{"value/uniform", `"model": "value", "label": "uniform"`, 7},
+		{"value/by-port", `"model": "value", "label": "by-port"`, 8},
 	}
-	sweep, err := e.ToSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sweep.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Policies) != 8 {
-		t.Errorf("default roster %v", res.Policies)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := Load(strings.NewReader(`{"name": "full", ` + c.fields + `, "sweep": "C", "values": [1],
+			  "k": 4, "B": 16, "slots": 100, "seeds": 1, "traffic": {"sources": 5}}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweep, err := e.ToSweep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sweep.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Policies) != c.want {
+				t.Errorf("default roster %v, want %d policies", res.Policies, c.want)
+			}
+		})
 	}
 }
 
