@@ -26,7 +26,7 @@ func main() {
 	var (
 		slots    = flag.Int("slots", 10000, "trace length in slots")
 		ports    = flag.Int("ports", 16, "number of output ports")
-		maxLabel = flag.Int("k", 0, "max work/value label (default: ports)")
+		maxLabel = flag.Int("k", 0, "max label (default: ports); -mode work requires k = ports, -mode work-value bounds values only (works are 1..ports)")
 		sources  = flag.Int("sources", 100, "MMPP on-off sources")
 		rate     = flag.Float64("rate", 0, "mean packets per slot (default: 1.5x ports)")
 		mode     = flag.String("mode", "work", `labeling: "work" (processing model, contiguous works), "value" (uniform values), "value-by-port", "work-value" (combined model)`)

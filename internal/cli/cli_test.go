@@ -245,3 +245,32 @@ func TestReplayValidation(t *testing.T) {
 		t.Error("stats on garbage accepted")
 	}
 }
+
+// TestWorkModeRejectsMismatchedK: in work mode the works are 1..ports,
+// so Generate and Replay refuse an explicit -k other than -ports rather
+// than silently ignoring it. work-value keeps -k as its value bound.
+func TestWorkModeRejectsMismatchedK(t *testing.T) {
+	trace := "# smbm-trace v1 slots=1\n0 0 1 1\n"
+	for _, k := range []int{4, 20} {
+		err := Generate(&bytes.Buffer{}, GenerateOptions{Slots: 10, Ports: 8, MaxLabel: k, Sources: 5, Mode: "work", Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "-k") {
+			t.Errorf("Generate -k %d: err = %v, want one naming -k", k, err)
+		}
+		err = Replay(&bytes.Buffer{}, strings.NewReader(trace), ReplayOptions{Policy: "LWD", Ports: 8, MaxLabel: k, Mode: "work"})
+		if err == nil || !strings.Contains(err.Error(), "-k") {
+			t.Errorf("Replay -k %d: err = %v, want one naming -k", k, err)
+		}
+	}
+	for _, o := range []GenerateOptions{
+		{Slots: 10, Ports: 8, MaxLabel: 8, Sources: 5, Mode: "work", Seed: 1},
+		{Slots: 10, Ports: 8, Sources: 5, Mode: "work", Seed: 1},
+		{Slots: 10, Ports: 8, MaxLabel: 4, Sources: 5, Mode: "work-value", Seed: 1},
+	} {
+		if err := Generate(&bytes.Buffer{}, o); err != nil {
+			t.Errorf("Generate %+v: %v", o, err)
+		}
+	}
+	if err := Replay(&bytes.Buffer{}, strings.NewReader(trace), ReplayOptions{Policy: "LWD", Ports: 8, MaxLabel: 8, Mode: "work"}); err != nil {
+		t.Errorf("Replay -k = -ports: %v", err)
+	}
+}

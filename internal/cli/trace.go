@@ -48,6 +48,9 @@ func (o GenerateOptions) buildMMPP() (traffic.MMPPConfig, error) {
 	}
 	switch o.Mode {
 	case "work":
+		if err := checkWorkLabel(o.MaxLabel, o.Ports); err != nil {
+			return cfg, err
+		}
 		cfg.Label = traffic.LabelWorkByPort
 		cfg.PortWork = core.ContiguousWorks(o.Ports)
 		cfg.MaxLabel = o.Ports
@@ -63,6 +66,16 @@ func (o GenerateOptions) buildMMPP() (traffic.MMPPConfig, error) {
 	}
 	cfg.LambdaOn = cfg.LambdaForRate(rate)
 	return cfg, nil
+}
+
+// checkWorkLabel rejects an explicit -k in work mode that differs from
+// -ports: there the works are contiguous, 1 through ports, so the
+// largest label is fixed.
+func checkWorkLabel(maxLabel, ports int) error {
+	if maxLabel != 0 && maxLabel != ports {
+		return fmt.Errorf("-k %d must equal -ports %d in -mode work (works are 1..ports)", maxLabel, ports)
+	}
+	return nil
 }
 
 // Generate writes a synthetic trace to w.
@@ -168,6 +181,9 @@ func Replay(w io.Writer, r io.Reader, o ReplayOptions) error {
 	var pol core.Policy
 	switch o.Mode {
 	case "work":
+		if err := checkWorkLabel(o.MaxLabel, o.Ports); err != nil {
+			return err
+		}
 		cfg.Model = core.ModelProcessing
 		cfg.PortWork = core.ContiguousWorks(o.Ports)
 		cfg.MaxLabel = o.Ports

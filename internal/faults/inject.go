@@ -12,7 +12,7 @@ import (
 
 // Throttled is the capability a System needs for CoreSlowdown and
 // PortBlackout faults: per-port transmission-rate overrides.
-// core.Switch, opt.SPQProc and opt.SPQVal all implement it.
+// core.Switch and opt.SPQ both implement it.
 type Throttled interface {
 	// SetPortSpeedup overrides port i's per-slot speedup (0 = blacked
 	// out, negative = restore nominal).

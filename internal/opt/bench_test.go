@@ -13,7 +13,7 @@ func BenchmarkSPQProcStep(b *testing.B) {
 		Model: core.ModelProcessing, Ports: 16, Buffer: 256,
 		MaxLabel: 16, Speedup: 1, PortWork: core.ContiguousWorks(16),
 	}
-	s, err := NewSPQProc(cfg)
+	s, err := NewSPQ(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func BenchmarkSPQProcStep(b *testing.B) {
 
 func BenchmarkSPQValStep(b *testing.B) {
 	cfg := core.Config{Model: core.ModelValue, Ports: 16, Buffer: 256, MaxLabel: 16, Speedup: 1}
-	s, err := NewSPQVal(cfg)
+	s, err := NewSPQ(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,6 +41,29 @@ func BenchmarkSPQValStep(b *testing.B) {
 	burst := make([]pkt.Packet, 32)
 	for i := range burst {
 		burst[i] = pkt.NewValue(rng.Intn(16), 1+rng.Intn(16))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Step(burst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSPQCombStep(b *testing.B) {
+	cfg := core.Config{
+		Model: core.ModelCombined, Ports: 16, Buffer: 256,
+		MaxLabel: 16, Speedup: 1, PortWork: core.ContiguousWorks(16),
+	}
+	s, err := NewSPQ(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	burst := make([]pkt.Packet, 32)
+	for i := range burst {
+		port := rng.Intn(16)
+		burst[i] = pkt.NewWorkValue(port, port+1, 1+rng.Intn(16))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

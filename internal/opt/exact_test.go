@@ -230,7 +230,7 @@ func TestSPQProxyIsNotAStrictUpperBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spq, err := NewSPQProc(cfg)
+	spq, err := NewSPQ(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestQuickValueExactDominates(t *testing.T) {
 				return false
 			}
 		}
-		spq, err := NewSPQVal(cfg)
+		spq, err := NewSPQ(cfg)
 		if err != nil {
 			t.Log(err)
 			return false

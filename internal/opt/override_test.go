@@ -7,7 +7,7 @@ import (
 )
 
 func TestSPQProcSpeedupOverrides(t *testing.T) {
-	s, err := NewSPQProc(procCfg()) // 3 ports, speedup 1: 3 cores
+	s, err := NewSPQ(procCfg()) // 3 ports, speedup 1: 3 cores
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSPQProcSpeedupOverrides(t *testing.T) {
 }
 
 func TestSPQProcBufferSqueeze(t *testing.T) {
-	s, err := NewSPQProc(procCfg()) // B = 4
+	s, err := NewSPQ(procCfg()) // B = 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSPQProcBufferSqueeze(t *testing.T) {
 }
 
 func TestSPQValOverrides(t *testing.T) {
-	s, err := NewSPQVal(valCfg()) // 3 ports, speedup 1, B = 4
+	s, err := NewSPQ(valCfg()) // 3 ports, speedup 1, B = 4
 	if err != nil {
 		t.Fatal(err)
 	}

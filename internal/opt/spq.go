@@ -1,13 +1,14 @@
 // Package opt provides the reference algorithms the paper compares
 // against:
 //
-//   - SPQProc / SPQVal / SPQComb: the simulation study's OPT proxy — a
-//     single priority queue over the whole buffer with n·C cores,
-//     processing smallest-work-first (processing model),
-//     largest-value-first (value model) or densest-first, value per
-//     remaining cycle (combined model), with greedy push-out admission.
-//     Optimal in the single-queue model, hence an upper bound on the
-//     shared-memory OPT.
+//   - SPQ: the simulation study's OPT proxy — a single priority queue
+//     over the whole buffer with n·C cores, processing densest-first
+//     (value per remaining cycle) with greedy push-out admission. In the
+//     processing model that is smallest-work-first, in the value model
+//     largest-value-first. It is a baseline, not an upper bound on the
+//     shared-memory OPT: with several cores smallest-first service is
+//     suboptimal, and TestSPQProxyIsNotAStrictUpperBound pins an
+//     instance the exact optimum wins.
 //   - ExactProcessing / ExactValue: exhaustive offline optimum for tiny
 //     instances, used by tests to validate competitive bounds as
 //     executable invariants.
@@ -15,24 +16,43 @@ package opt
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
-	"smbm/internal/bmset"
 	"smbm/internal/core"
 	"smbm/internal/pkt"
 )
 
-// SPQProc is the processing-model OPT proxy: one shared priority queue
-// ordered by residual work, n·C cores each applying one cycle per slot to
-// a distinct smallest-residual packet, and push-out admission evicting
-// the largest residual when a smaller packet arrives to a full buffer.
-type SPQProc struct {
-	cfg   core.Config
-	cores int
-	res   []int64 // res[r] = packets with residual work r, 1-based
-	occ   int
-	hi    int // upper bound on the largest non-empty residual (lazily tightened)
-	slot  int64
-	stats core.Stats
+// SPQ is the OPT proxy of every model: one shared priority queue over
+// the whole buffer with n·C cores, ordered by value density — intrinsic
+// value per remaining processing cycle. Each slot every core applies one
+// cycle to a distinct densest packet, crediting the packet's value on
+// completion; push-out admission evicts a least-dense packet when a
+// strictly denser one arrives to a full buffer.
+//
+// The model picks the labels a packet carries: a processing packet
+// counts as value 1 and a value packet as work 1, whatever its other
+// field holds. Density order is then smallest residual first in the
+// processing model and largest value first in the value model.
+//
+// State is a histogram over (value, residual) cells laid out densest
+// first — k cells in the processing and value models, k² in the
+// combined one — so a transmission phase costs O(cells + cores)
+// regardless of occupancy. Equal densities prefer the higher value,
+// then the smaller residual, so they complete sooner rather than later.
+type SPQ struct {
+	cfg  core.Config
+	cnt  []int64 // cnt[i] = buffered packets in cell i
+	val  []int64 // val[i] = the value of cell i
+	down []int   // down[i] = the cell one cycle closer to completion, -1 at residual 1
+	rank []int   // rank[i] = density rank of cell i; equal densities share a rank
+	// pos[p.Value*va + p.Work*wa] is packet p's cell. The weight of a
+	// label the model does not carry is 0.
+	pos    []int
+	va, wa int
+	occ    int
+	hi     int // upper bound on the last non-empty cell (lazily tightened)
+	stats  core.Stats
 
 	// Fault-injection overrides, mirroring core.Switch: speedOv holds
 	// per-port speedup overrides (negative = nominal) that shrink the
@@ -42,96 +62,168 @@ type SPQProc struct {
 	bufLimit int
 }
 
-// NewSPQProc builds the proxy for the given switch configuration.
-func NewSPQProc(cfg core.Config) (*SPQProc, error) {
+// NewSPQ builds the proxy for the given switch configuration.
+func NewSPQ(cfg core.Config) (*SPQ, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Model != core.ModelProcessing {
-		return nil, fmt.Errorf("%w: SPQProc requires the processing model", core.ErrBadConfig)
+	vmax, rmax := cfg.MaxLabel, cfg.MaxLabel
+	switch cfg.Model {
+	case core.ModelProcessing:
+		vmax = 1
+	case core.ModelValue:
+		rmax = 1
 	}
-	return &SPQProc{
-		cfg:   cfg,
-		cores: cfg.Ports * cfg.Speedup,
-		res:   make([]int64, cfg.MaxLabel+1),
-	}, nil
+	type cell struct{ v, r int }
+	cells := make([]cell, 0, vmax*rmax)
+	for v := 1; v <= vmax; v++ {
+		for r := 1; r <= rmax; r++ {
+			cells = append(cells, cell{v, r})
+		}
+	}
+	// Densest first (v/r descending, compared by cross-multiplying);
+	// ties prefer the higher value, then the smaller residual.
+	sort.Slice(cells, func(i, j int) bool {
+		a, b := cells[i], cells[j]
+		if d := a.v*b.r - b.v*a.r; d != 0 {
+			return d > 0
+		}
+		if a.v != b.v {
+			return a.v > b.v
+		}
+		return a.r < b.r
+	})
+	s := &SPQ{
+		cfg:  cfg,
+		cnt:  make([]int64, len(cells)),
+		val:  make([]int64, len(cells)),
+		down: make([]int, len(cells)),
+		rank: make([]int, len(cells)),
+	}
+	if vmax > 1 {
+		s.va = rmax + 1
+	}
+	if rmax > 1 {
+		s.wa = 1
+	}
+	s.pos = make([]int, vmax*s.va+rmax*s.wa+1)
+	for i, c := range cells {
+		s.pos[c.v*s.va+c.r*s.wa] = i
+		s.val[i] = int64(c.v)
+		if i > 0 {
+			s.rank[i] = s.rank[i-1]
+			if p := cells[i-1]; p.v*c.r != c.v*p.r {
+				s.rank[i]++
+			}
+		}
+	}
+	for i, c := range cells {
+		s.down[i] = -1
+		if c.r > 1 {
+			s.down[i] = s.pos[c.v*s.va+(c.r-1)*s.wa]
+		}
+	}
+	return s, nil
 }
 
 // Name implements the sim.System contract.
-func (s *SPQProc) Name() string { return "OPT(SPQ)" }
+func (s *SPQ) Name() string { return "OPT(SPQ)" }
 
 // Stats returns accumulated counters. TransmittedWork and latency are not
 // tracked by the proxy and stay zero.
-func (s *SPQProc) Stats() core.Stats { return s.stats }
+func (s *SPQ) Stats() core.Stats { return s.stats }
 
 // Occupancy returns the buffered packet count.
-func (s *SPQProc) Occupancy() int { return s.occ }
+func (s *SPQ) Occupancy() int { return s.occ }
 
 // SetPortSpeedup overrides port i's contribution to the proxy's core
 // budget (c == 0 removes it, negative restores the configured Speedup),
 // so the OPT proxy degrades by exactly the capacity a faulted
 // shared-memory switch loses.
-func (s *SPQProc) SetPortSpeedup(i, c int) {
-	s.speedOv = setPortSpeedup(s.speedOv, s.cfg.Ports, i, c)
+func (s *SPQ) SetPortSpeedup(i, c int) {
+	if i < 0 || i >= s.cfg.Ports {
+		panic(fmt.Sprintf("opt: SetPortSpeedup port %d out of [0,%d)", i, s.cfg.Ports))
+	}
+	if s.speedOv == nil {
+		if c < 0 {
+			return
+		}
+		s.speedOv = make([]int, s.cfg.Ports)
+		s.ResetSpeedups()
+	}
+	s.speedOv[i] = c
 }
 
 // ResetSpeedups clears all per-port speedup overrides.
-func (s *SPQProc) ResetSpeedups() { resetSpeedups(s.speedOv) }
+func (s *SPQ) ResetSpeedups() {
+	for i := range s.speedOv {
+		s.speedOv[i] = -1
+	}
+}
 
 // SetBufferLimit transiently caps the proxy's effective buffer at b
 // packets; b <= 0 restores the configured B.
-func (s *SPQProc) SetBufferLimit(b int) { s.bufLimit = clampLimit(b) }
+func (s *SPQ) SetBufferLimit(b int) { s.bufLimit = max(b, 0) }
 
 // coreBudget returns the aggregate cores per slot under any active
 // overrides.
-func (s *SPQProc) coreBudget() int {
-	return coreBudget(s.speedOv, s.cfg.Ports, s.cfg.Speedup)
+func (s *SPQ) coreBudget() int {
+	if s.speedOv == nil {
+		return s.cfg.Ports * s.cfg.Speedup
+	}
+	var total int
+	for _, c := range s.speedOv {
+		if c < 0 {
+			c = s.cfg.Speedup
+		}
+		total += c
+	}
+	return total
 }
 
 // effBuffer returns the effective buffer under any active squeeze.
-func (s *SPQProc) effBuffer() int { return effBuffer(s.bufLimit, s.cfg.Buffer) }
+func (s *SPQ) effBuffer() int {
+	if s.bufLimit > 0 && s.bufLimit < s.cfg.Buffer {
+		return s.bufLimit
+	}
+	return s.cfg.Buffer
+}
 
-// Arrive admits p greedily with push-out of the largest residual.
-func (s *SPQProc) Arrive(p pkt.Packet) error {
+// Arrive admits p greedily with push-out of a least-dense packet.
+func (s *SPQ) Arrive(p pkt.Packet) error {
 	if err := p.Validate(s.cfg.Ports, s.cfg.MaxLabel); err != nil {
 		return err
 	}
 	s.stats.Arrived++
+	c := s.pos[p.Value*s.va+p.Work*s.wa]
 	if s.occ >= s.effBuffer() {
-		// Evict the largest residual if strictly larger than the arrival.
-		// hi bounds the scan: buckets above it are empty by invariant, so
-		// the scan starts where the last one left off instead of at
-		// MaxLabel, and tightens hi for the next congested arrival.
-		worst := 0
-		for r := s.hi; r >= 1; r-- {
-			if s.res[r] > 0 {
-				worst = r
-				break
-			}
+		// The sparsest packet sits in the last non-empty cell. Cells
+		// above hi are empty by invariant, so the scan starts there and
+		// tightens hi for the next congested arrival.
+		w := s.hi
+		for s.cnt[w] == 0 {
+			w--
 		}
-		s.hi = worst
-		if worst <= p.Work {
+		s.hi = w
+		// Evict only for a strictly denser arrival.
+		if s.rank[c] >= s.rank[w] {
 			s.stats.Dropped++
 			return nil
 		}
-		s.res[worst]--
+		s.cnt[w]--
 		s.occ--
 		s.stats.PushedOut++
 	}
-	s.res[p.Work]++
-	if p.Work > s.hi {
-		s.hi = p.Work
-	}
+	s.cnt[c]++
+	s.hi = max(s.hi, c)
 	s.occ++
 	s.stats.Accepted++
-	if s.occ > s.stats.MaxOccupancy {
-		s.stats.MaxOccupancy = s.occ
-	}
+	s.stats.MaxOccupancy = max(s.stats.MaxOccupancy, s.occ)
 	return nil
 }
 
 // Step runs one slot: arrivals then transmission.
-func (s *SPQProc) Step(arrivals []pkt.Packet) error {
+func (s *SPQ) Step(arrivals []pkt.Packet) error {
 	for _, p := range arrivals {
 		if err := s.Arrive(p); err != nil {
 			return err
@@ -142,51 +234,43 @@ func (s *SPQProc) Step(arrivals []pkt.Packet) error {
 }
 
 // Transmit applies one cycle to each of the min(occupancy, cores)
-// smallest-residual packets.
-func (s *SPQProc) Transmit() {
+// densest packets, crediting the values of the packets that complete.
+func (s *SPQ) Transmit() {
 	budget := int64(s.coreBudget())
-	// Cycles only move packets to smaller residuals, so hi stays a valid
-	// upper bound and the scan never visits the empty buckets above it.
-	for r := 1; r <= s.hi && budget > 0; r++ {
-		n := s.res[r]
+	// Cycles only move packets to earlier cells, so hi stays a valid
+	// upper bound and the scan never visits the empty cells above it.
+	for i := 0; i <= s.hi && budget > 0; i++ {
+		n := min(s.cnt[i], budget)
 		if n == 0 {
 			continue
 		}
-		if n > budget {
-			n = budget
-		}
 		budget -= n
-		s.res[r] -= n
+		s.cnt[i] -= n
 		s.stats.CyclesUsed += n
-		if r == 1 {
+		if d := s.down[i]; d >= 0 {
+			// d is strictly denser than i, so it was already passed this
+			// slot: the moved packets cannot receive a second cycle now.
+			s.cnt[d] += n
+		} else {
 			s.occ -= int(n)
 			s.stats.Transmitted += n
-			s.stats.TransmittedValue += n
-		} else {
-			// r-1 < r was already served this slot, so these packets
-			// cannot receive a second cycle now.
-			s.res[r-1] += n
+			s.stats.TransmittedValue += n * s.val[i]
 		}
 	}
-	s.slot++
 	s.stats.Slots++
 }
 
 // Drain transmits with no arrivals until empty, returning slots used.
 // Like core.Switch.Drain it cannot terminate while every port is
 // blacked out; fault injectors clear overrides before draining.
-func (s *SPQProc) Drain() int {
-	var slots int
-	for s.occ > 0 {
-		s.Transmit()
-		slots++
-	}
+func (s *SPQ) Drain() int {
+	slots, _ := s.DrainMax(math.MaxInt)
 	return slots
 }
 
 // DrainMax is Drain bounded to at most max transmission phases,
 // returning the slots used and whether the proxy actually emptied.
-func (s *SPQProc) DrainMax(max int) (int, bool) {
+func (s *SPQ) DrainMax(max int) (int, bool) {
 	var slots int
 	for s.occ > 0 {
 		if slots >= max {
@@ -199,221 +283,10 @@ func (s *SPQProc) DrainMax(max int) (int, bool) {
 }
 
 // Reset clears all buffered packets, statistics and fault overrides.
-func (s *SPQProc) Reset() {
-	for i := range s.res {
-		s.res[i] = 0
-	}
+func (s *SPQ) Reset() {
+	clear(s.cnt)
 	s.occ = 0
 	s.hi = 0
-	s.slot = 0
-	s.stats = core.Stats{}
-	s.speedOv = nil
-	s.bufLimit = 0
-}
-
-// --- shared fault-override helpers ---------------------------------------
-
-// setPortSpeedup records an override for port i in ov (allocating it
-// lazily for n ports), returning the possibly-new slice. c < 0 restores
-// nominal.
-func setPortSpeedup(ov []int, n, i, c int) []int {
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("opt: SetPortSpeedup port %d out of [0,%d)", i, n))
-	}
-	if ov == nil {
-		if c < 0 {
-			return nil
-		}
-		ov = make([]int, n)
-		for j := range ov {
-			ov[j] = -1
-		}
-	}
-	ov[i] = c
-	return ov
-}
-
-// resetSpeedups restores every entry of ov to nominal.
-func resetSpeedups(ov []int) {
-	for i := range ov {
-		ov[i] = -1
-	}
-}
-
-// coreBudget sums per-port effective speedups under overrides ov.
-func coreBudget(ov []int, ports, speedup int) int {
-	if ov == nil {
-		return ports * speedup
-	}
-	var total int
-	for i := 0; i < ports; i++ {
-		if ov[i] >= 0 {
-			total += ov[i]
-		} else {
-			total += speedup
-		}
-	}
-	return total
-}
-
-// clampLimit normalizes a buffer-limit argument (<= 0 means "none").
-func clampLimit(b int) int {
-	if b <= 0 {
-		return 0
-	}
-	return b
-}
-
-// effBuffer applies limit to the configured buffer.
-func effBuffer(limit, buffer int) int {
-	if limit > 0 && limit < buffer {
-		return limit
-	}
-	return buffer
-}
-
-// SPQVal is the value-model OPT proxy: one shared priority queue ordered
-// by value, n·C transmissions of the most valuable packets per slot, and
-// push-out admission evicting the minimum value.
-type SPQVal struct {
-	cfg   core.Config
-	cores int
-	vals  *bmset.Set
-	slot  int64
-	stats core.Stats
-
-	// Fault-injection overrides; see SPQProc.
-	speedOv  []int
-	bufLimit int
-}
-
-// NewSPQVal builds the proxy for the given switch configuration.
-func NewSPQVal(cfg core.Config) (*SPQVal, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Model != core.ModelValue {
-		return nil, fmt.Errorf("%w: SPQVal requires the value model", core.ErrBadConfig)
-	}
-	return &SPQVal{
-		cfg:   cfg,
-		cores: cfg.Ports * cfg.Speedup,
-		vals:  bmset.New(cfg.MaxLabel),
-	}, nil
-}
-
-// Name implements the sim.System contract.
-func (s *SPQVal) Name() string { return "OPT(SPQ)" }
-
-// Stats returns accumulated counters.
-func (s *SPQVal) Stats() core.Stats { return s.stats }
-
-// Occupancy returns the buffered packet count.
-func (s *SPQVal) Occupancy() int { return s.vals.Len() }
-
-// SetPortSpeedup overrides port i's contribution to the proxy's
-// transmission budget; see SPQProc.SetPortSpeedup.
-func (s *SPQVal) SetPortSpeedup(i, c int) {
-	s.speedOv = setPortSpeedup(s.speedOv, s.cfg.Ports, i, c)
-}
-
-// ResetSpeedups clears all per-port speedup overrides.
-func (s *SPQVal) ResetSpeedups() { resetSpeedups(s.speedOv) }
-
-// SetBufferLimit transiently caps the proxy's effective buffer at b
-// packets; b <= 0 restores the configured B.
-func (s *SPQVal) SetBufferLimit(b int) { s.bufLimit = clampLimit(b) }
-
-// coreBudget returns per-slot transmissions under any active overrides.
-func (s *SPQVal) coreBudget() int {
-	return coreBudget(s.speedOv, s.cfg.Ports, s.cfg.Speedup)
-}
-
-// effBuffer returns the effective buffer under any active squeeze.
-func (s *SPQVal) effBuffer() int { return effBuffer(s.bufLimit, s.cfg.Buffer) }
-
-// Arrive admits p greedily with push-out of the minimum value.
-func (s *SPQVal) Arrive(p pkt.Packet) error {
-	if err := p.Validate(s.cfg.Ports, s.cfg.MaxLabel); err != nil {
-		return err
-	}
-	s.stats.Arrived++
-	if s.vals.Len() >= s.effBuffer() {
-		if s.vals.Min() >= p.Value {
-			s.stats.Dropped++
-			return nil
-		}
-		s.vals.PopMin()
-		s.stats.PushedOut++
-	}
-	s.vals.Add(p.Value)
-	s.stats.Accepted++
-	if n := s.vals.Len(); n > s.stats.MaxOccupancy {
-		s.stats.MaxOccupancy = n
-	}
-	return nil
-}
-
-// Step runs one slot: arrivals then transmission.
-func (s *SPQVal) Step(arrivals []pkt.Packet) error {
-	for _, p := range arrivals {
-		if err := s.Arrive(p); err != nil {
-			return err
-		}
-	}
-	s.Transmit()
-	return nil
-}
-
-// Transmit sends the min(occupancy, cores) most valuable packets.
-func (s *SPQVal) Transmit() {
-	// coreBudget is O(n) under active overrides and cannot change
-	// mid-phase: hoist it, pop the exact count, batch the counters.
-	pops := s.coreBudget()
-	if n := s.vals.Len(); pops > n {
-		pops = n
-	}
-	var sum int64
-	for c := 0; c < pops; c++ {
-		sum += int64(s.vals.PopMax())
-	}
-	p64 := int64(pops)
-	s.stats.Transmitted += p64
-	s.stats.TransmittedValue += sum
-	s.stats.CyclesUsed += p64
-	s.slot++
-	s.stats.Slots++
-}
-
-// Drain transmits with no arrivals until empty, returning slots used.
-// See SPQProc.Drain for the blackout caveat.
-func (s *SPQVal) Drain() int {
-	var slots int
-	for !s.vals.Empty() {
-		s.Transmit()
-		slots++
-	}
-	return slots
-}
-
-// DrainMax is Drain bounded to at most max transmission phases,
-// returning the slots used and whether the proxy actually emptied.
-func (s *SPQVal) DrainMax(max int) (int, bool) {
-	var slots int
-	for !s.vals.Empty() {
-		if slots >= max {
-			return slots, false
-		}
-		s.Transmit()
-		slots++
-	}
-	return slots, true
-}
-
-// Reset clears all buffered packets, statistics and fault overrides.
-func (s *SPQVal) Reset() {
-	s.vals.Clear()
-	s.slot = 0
 	s.stats = core.Stats{}
 	s.speedOv = nil
 	s.bufLimit = 0

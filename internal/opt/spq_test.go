@@ -29,19 +29,18 @@ func valCfg() core.Config {
 }
 
 func TestNewSPQRejectsWrongModel(t *testing.T) {
-	if _, err := NewSPQProc(valCfg()); err == nil {
-		t.Error("SPQProc accepted a value-model config")
+	cfg := procCfg()
+	cfg.Model = core.Model(99)
+	if _, err := NewSPQ(cfg); err == nil {
+		t.Error("SPQ accepted an unknown model")
 	}
-	if _, err := NewSPQVal(procCfg()); err == nil {
-		t.Error("SPQVal accepted a processing-model config")
-	}
-	if _, err := NewSPQProc(core.Config{}); err == nil {
-		t.Error("SPQProc accepted a zero config")
+	if _, err := NewSPQ(core.Config{}); err == nil {
+		t.Error("SPQ accepted a zero config")
 	}
 }
 
 func TestSPQProcAdmission(t *testing.T) {
-	s, err := NewSPQProc(procCfg())
+	s, err := NewSPQ(procCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestSPQProcAdmission(t *testing.T) {
 
 func TestSPQProcServesSmallestFirst(t *testing.T) {
 	// 3 cores (3 ports x speedup 1); packets of works 1, 2, 3, 3.
-	s, err := NewSPQProc(procCfg())
+	s, err := NewSPQ(procCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestSPQProcServesSmallestFirst(t *testing.T) {
 func TestSPQProcOneCyclePerPacketPerSlot(t *testing.T) {
 	// 4 packets of work 2, 3 cores: a packet cannot absorb two cycles
 	// in one slot, so slot 1 completes nothing.
-	s, err := NewSPQProc(procCfg())
+	s, err := NewSPQ(procCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestSPQProcOneCyclePerPacketPerSlot(t *testing.T) {
 }
 
 func TestSPQProcReset(t *testing.T) {
-	s, err := NewSPQProc(procCfg())
+	s, err := NewSPQ(procCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestSPQProcReset(t *testing.T) {
 }
 
 func TestSPQValAdmissionAndOrder(t *testing.T) {
-	s, err := NewSPQVal(valCfg())
+	s, err := NewSPQ(valCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestSPQValAdmissionAndOrder(t *testing.T) {
 }
 
 func TestSPQValReset(t *testing.T) {
-	s, err := NewSPQVal(valCfg())
+	s, err := NewSPQ(valCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +191,14 @@ func TestSPQValReset(t *testing.T) {
 }
 
 func TestSPQRejectsInvalidPackets(t *testing.T) {
-	s, err := NewSPQProc(procCfg())
+	s, err := NewSPQ(procCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Arrive(pkt.NewWork(9, 1)); err == nil {
 		t.Error("invalid port accepted")
 	}
-	v, err := NewSPQVal(valCfg())
+	v, err := NewSPQ(valCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

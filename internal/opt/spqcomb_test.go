@@ -18,20 +18,11 @@ func combCfg() core.Config {
 	}
 }
 
-func TestNewSPQCombRejectsWrongModel(t *testing.T) {
-	if _, err := NewSPQComb(procCfg()); err == nil {
-		t.Error("SPQComb accepted a processing-model config")
-	}
-	if _, err := NewSPQComb(valCfg()); err == nil {
-		t.Error("SPQComb accepted a value-model config")
-	}
-}
-
 // TestSPQCombAdmission pins the density push-out rule: a full buffer of
 // sparse packets (value 1, work 4) makes way for a strictly denser
 // arrival, but an equal- or lower-density one is dropped.
 func TestSPQCombAdmission(t *testing.T) {
-	s, err := NewSPQComb(combCfg())
+	s, err := NewSPQ(combCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +54,7 @@ func TestSPQCombAdmission(t *testing.T) {
 func TestSPQCombTransmitDensestFirst(t *testing.T) {
 	cfg := combCfg()
 	cfg.Speedup = 1 // 3 ports * 1 = 3 cores
-	s, err := NewSPQComb(cfg)
+	s, err := NewSPQ(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +91,10 @@ func TestSPQCombTransmitDensestFirst(t *testing.T) {
 	}
 }
 
-// TestSPQCombDegeneracies: under unit works SPQComb serves and evicts
-// exactly like SPQVal (largest value first, evict the minimum), and
-// under unit values exactly like SPQProc (smallest residual first,
+// TestSPQCombDegeneracies is the projection check: under unit works a
+// combined-model SPQ serves and evicts exactly like a value-model one
+// (largest value first, evict the minimum), and under unit values
+// exactly like a processing-model one (smallest residual first,
 // evict the largest).
 func TestSPQCombDegeneracies(t *testing.T) {
 	t.Run("unit-works", func(t *testing.T) {
@@ -113,11 +105,11 @@ func TestSPQCombDegeneracies(t *testing.T) {
 		vcfg := cfg
 		vcfg.Model = core.ModelValue
 		vcfg.PortWork = nil
-		comb, err := NewSPQComb(cfg)
+		comb, err := NewSPQ(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		val, err := NewSPQVal(vcfg)
+		val, err := NewSPQ(vcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +130,7 @@ func TestSPQCombDegeneracies(t *testing.T) {
 		val.Drain()
 		sc, sv := comb.Stats(), val.Stats()
 		if sc.TransmittedValue != sv.TransmittedValue || sc.Dropped != sv.Dropped || sc.PushedOut != sv.PushedOut {
-			t.Errorf("diverged from SPQVal\n comb: %+v\n  val: %+v", sc, sv)
+			t.Errorf("diverged from the value-model SPQ\n comb: %+v\n  val: %+v", sc, sv)
 		}
 	})
 	t.Run("unit-values", func(t *testing.T) {
@@ -148,11 +140,11 @@ func TestSPQCombDegeneracies(t *testing.T) {
 		}
 		pcfg := cfg
 		pcfg.Model = core.ModelProcessing
-		comb, err := NewSPQComb(cfg)
+		comb, err := NewSPQ(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		proc, err := NewSPQProc(pcfg)
+		proc, err := NewSPQ(pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +167,7 @@ func TestSPQCombDegeneracies(t *testing.T) {
 		sc, sp := comb.Stats(), proc.Stats()
 		if sc.Transmitted != sp.Transmitted || sc.Dropped != sp.Dropped ||
 			sc.PushedOut != sp.PushedOut || sc.CyclesUsed != sp.CyclesUsed {
-			t.Errorf("diverged from SPQProc\n comb: %+v\n proc: %+v", sc, sp)
+			t.Errorf("diverged from the processing-model SPQ\n comb: %+v\n proc: %+v", sc, sp)
 		}
 	})
 }

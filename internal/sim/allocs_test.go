@@ -4,11 +4,14 @@ import (
 	"testing"
 
 	"smbm/internal/core"
+	"smbm/internal/pkt"
 	"smbm/internal/policy"
+	"smbm/internal/sim"
 )
 
 // TestSteadyStateZeroAllocs replays the congested micro trace through
-// every roster policy of all three models and requires the warm
+// every roster policy of all three models, and through each model's OPT
+// proxy (one of the replays in every sweep cell), and requires the warm
 // steady state (Step per slot, then Drain and Reset) to allocate
 // nothing. The first replay grows the deques and multisets to their
 // working size; every later replay must reuse them.
@@ -44,29 +47,44 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				if _, ok := pol.(core.BatchPolicy); !ok {
 					t.Fatalf("%T has no batch kernel (core.BatchPolicy)", pol)
 				}
-				sw := core.MustNew(r.cfg, pol)
-				var err error
-				replay := func() {
-					for _, burst := range tr {
-						if err = sw.Step(burst); err != nil {
-							return
-						}
-					}
-					sw.Drain()
-					sw.Reset()
-				}
-				replay()
-				allocs := testing.AllocsPerRun(5, replay)
-				if err != nil {
-					t.Fatalf("Step: %v", err)
-				}
-				if allocs != 0 {
-					t.Errorf("steady state allocates %.0f times per replay", allocs)
-				}
+				requireZeroAllocReplay(t, core.MustNew(r.cfg, pol), tr)
 			})
 		}
+		checked++
+		t.Run(r.cfg.Model.String()+"/OPT(SPQ)", func(t *testing.T) {
+			proxy, err := sim.NewOptProxy(r.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireZeroAllocReplay(t, proxy, tr)
+		})
 	}
-	if checked != 25 {
-		t.Fatalf("checked %d roster policies, want 25", checked)
+	if checked != 28 {
+		t.Fatalf("checked %d systems, want 25 roster policies and 3 OPT proxies", checked)
+	}
+}
+
+// requireZeroAllocReplay replays tr through sys once to warm it, then
+// requires every further replay (Step per slot, Drain, Reset) to
+// allocate nothing.
+func requireZeroAllocReplay(t *testing.T, sys sim.System, tr [][]pkt.Packet) {
+	t.Helper()
+	var err error
+	replay := func() {
+		for _, burst := range tr {
+			if err = sys.Step(burst); err != nil {
+				return
+			}
+		}
+		sys.Drain()
+		sys.Reset()
+	}
+	replay()
+	allocs := testing.AllocsPerRun(5, replay)
+	if err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("steady state allocates %.0f times per replay", allocs)
 	}
 }

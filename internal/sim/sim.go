@@ -58,12 +58,10 @@ type BoundedDrainer interface {
 
 var (
 	_ System = (*core.Switch)(nil)
-	_ System = (*opt.SPQProc)(nil)
-	_ System = (*opt.SPQVal)(nil)
+	_ System = (*opt.SPQ)(nil)
 
 	_ BoundedDrainer = (*core.Switch)(nil)
-	_ BoundedDrainer = (*opt.SPQProc)(nil)
-	_ BoundedDrainer = (*opt.SPQVal)(nil)
+	_ BoundedDrainer = (*opt.SPQ)(nil)
 )
 
 // DefaultDrainMax is the absolute per-drain slot ceiling, applied when
@@ -195,14 +193,7 @@ func drain(sys System, max int) error {
 // NewOptProxy builds the paper's OPT proxy matching the configuration's
 // model: a single priority queue with Ports·Speedup cores.
 func NewOptProxy(cfg core.Config) (System, error) {
-	switch cfg.Model {
-	case core.ModelValue:
-		return opt.NewSPQVal(cfg)
-	case core.ModelCombined:
-		return opt.NewSPQComb(cfg)
-	default:
-		return opt.NewSPQProc(cfg)
-	}
+	return opt.NewSPQ(cfg)
 }
 
 // Instance is one simulation cell: a switch configuration, the competing
