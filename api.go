@@ -37,7 +37,8 @@ type (
 	// Trace is a materialized arrival sequence, one burst per slot. A
 	// Trace is itself a Provider, so it drops into every streaming API.
 	Trace = traffic.Trace
-	// Source produces per-slot arrival bursts.
+	// Source produces per-slot arrival bursts. A burst is borrowed: it
+	// is valid until the next call and must not be written to.
 	Source = traffic.Source
 	// Provider is a re-derivable arrival stream of known length; every
 	// replay opens its own cursor, so runs are bit-identical without
@@ -207,7 +208,8 @@ func ExactOptimum(cfg Config, trace Trace) (int64, error) {
 // NewMMPP builds the paper's Markov-modulated Poisson traffic generator.
 func NewMMPP(cfg MMPPConfig) (Source, error) { return traffic.NewMMPP(cfg) }
 
-// RecordTrace materializes the next slots slots of src.
+// RecordTrace materializes the next slots slots of src, copying each
+// borrowed burst.
 func RecordTrace(src Source, slots int) Trace { return traffic.Record(src, slots) }
 
 // NewMMPPProvider wraps a seeded MMPP spec as a Provider of the given

@@ -20,7 +20,8 @@ import (
 )
 
 // benchPanel runs one cell (the panel's middle x, one seed) per
-// iteration and reports the named policy's empirical competitive ratio.
+// iteration and reports the named policy's empirical competitive ratio
+// and the cell's allocations.
 func benchPanel(b *testing.B, id, reportPolicy string) {
 	b.Helper()
 	opts := experiments.Options{
@@ -36,6 +37,7 @@ func benchPanel(b *testing.B, id, reportPolicy string) {
 	}
 	mid := sweep.Xs[len(sweep.Xs)/2]
 	var lastRatio float64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inst, err := sweep.Build(mid, opts.BaseSeed)

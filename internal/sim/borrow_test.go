@@ -1,0 +1,160 @@
+package sim_test
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"smbm/internal/core"
+	"smbm/internal/faults"
+	"smbm/internal/policy"
+	"smbm/internal/sim"
+	"smbm/internal/singleq"
+	"smbm/internal/traffic"
+)
+
+// countingProvider counts the cursors opened on the wrapped provider,
+// telling replays of a memoized recording apart from regenerations.
+type countingProvider struct {
+	traffic.Provider
+	opens atomic.Int64
+}
+
+// Open implements traffic.Provider.
+func (p *countingProvider) Open() (traffic.Cursor, error) {
+	p.opens.Add(1)
+	return p.Provider.Open()
+}
+
+// TestReplaysLeaveMemoizedTraceIntact pins the read side of the
+// borrowed-burst contract: a replay of a memoized trace lends each
+// recorded slot to the System in place, so no System may write to a
+// burst. One memoized MMPP cell per model replays to completion through
+// every System a cell can hold — core.Switch under every roster
+// policy, the OPT proxy, a fault injector that amplifies bursts and
+// squeezes the buffer around both, and singleq.Switch — at Parallelism
+// 1 and 4, and with the three runs concurrent on the shared trace.
+// After every run the installed trace must equal, packet for packet,
+// the deep copy taken while it was recorded.
+func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
+	const slots = 300
+	cells := streamCells(11)
+	// The value cell takes by-port labels so its roster can include
+	// NHSTV: the three rosters then hold all 25 policies.
+	val := &cells[1]
+	val.cfg.MaxLabel, val.mcfg.MaxLabel, val.mcfg.Label = val.cfg.Ports, val.cfg.Ports, traffic.LabelValueByPort
+	rosters := map[string][]core.Policy{
+		"processing": append(policy.ForProcessing(), policy.Experimental()...),
+		"value":      append(policy.ForValueByPort(), policy.ValueExperimental()...),
+		"combined":   policy.ForCombined(),
+	}
+	if n := len(rosters["processing"]) + len(rosters["value"]) + len(rosters["combined"]); n != 25 {
+		t.Fatalf("rosters hold %d policies, want 25", n)
+	}
+	amplifySqueeze := faults.Spec{
+		Horizon: slots,
+		Faults: []faults.Fault{
+			{Kind: faults.BufferSqueeze, Value: 4, Period: 80, Duration: 30},
+			{Kind: faults.BurstAmplify, Value: 3, Period: 70, Duration: 20},
+		},
+	}
+	for _, cell := range cells {
+		cell := cell
+		t.Run(cell.name, func(t *testing.T) {
+			prov, err := traffic.NewMMPPProvider(cell.mcfg, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &countingProvider{Provider: prov}
+			memo := traffic.Memoize(src, sim.DefaultMemoBytes)
+			// The recording pass installs the trace; Record copies every
+			// burst, so want is independent of the installed slots.
+			cur, err := memo.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := traffic.Record(cur, slots)
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// intact reads the installed trace back through a replay
+			// cursor, which lends the installed slots themselves.
+			intact := func(after string) {
+				t.Helper()
+				cur, err := memo.Open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+				for s := 0; s < slots; s++ {
+					got := cur.Next()
+					if len(got) != len(want[s]) {
+						t.Fatalf("after %s: slot %d: installed trace holds %d packets, recorded %d", after, s, len(got), len(want[s]))
+					}
+					for i := range got {
+						if got[i] != want[s][i] {
+							t.Fatalf("after %s: slot %d packet %d: installed trace holds %+v, recorded %+v", after, s, i, got[i], want[s][i])
+						}
+					}
+				}
+			}
+
+			sq := singleq.Config{Buffer: cell.cfg.Buffer, MaxWork: cell.cfg.MaxLabel, Cores: 1, Order: singleq.OrderPQ, PushOut: true}
+			wrap := faults.Wrapper(amplifySqueeze, cell.cfg.Ports, 5)
+			for _, par := range []int{1, 4} {
+				runs := []struct {
+					name string
+					run  func() error
+				}{
+					{"OPT proxy and roster", func() error {
+						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: memo, FlushEvery: 64, Parallelism: par}.Run()
+						return err
+					}},
+					{"faulted OPT proxy and roster", func() error {
+						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: memo, FlushEvery: 64, Parallelism: par, Wrap: wrap}.Run()
+						return err
+					}},
+					{"singleq", func() error {
+						sw, err := singleq.New(sq)
+						if err != nil {
+							return err
+						}
+						_, err = sim.RunTrace(sw, memo, 64)
+						return err
+					}},
+				}
+				if par == 1 {
+					// One System at a time, each checked on its own: a
+					// write that a second replay would undo cannot hide.
+					for _, r := range runs {
+						if err := r.run(); err != nil {
+							t.Fatalf("%s: %v", r.name, err)
+						}
+						intact(r.name)
+					}
+					continue
+				}
+				errs := make([]error, len(runs))
+				var wg sync.WaitGroup
+				for i, r := range runs {
+					wg.Add(1)
+					go func(i int, run func() error) {
+						defer wg.Done()
+						errs[i] = run()
+					}(i, r.run)
+				}
+				wg.Wait()
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("%s at parallelism %d: %v", runs[i].name, par, err)
+					}
+				}
+				intact("concurrent replays")
+			}
+			if n := src.opens.Load(); n != 1 {
+				t.Fatalf("generator opened %d times, want 1: replays regenerated instead of reading the installed trace", n)
+			}
+		})
+	}
+}

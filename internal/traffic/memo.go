@@ -129,8 +129,10 @@ func (c *recordingCursor) Next() []pkt.Packet {
 		if c.left < 0 {
 			c.trace = nil // over budget: stop retaining
 		} else {
-			// Copy rather than retain: generators may reuse burst
-			// storage between slots.
+			// Copy rather than retain: the burst is borrowed (Source
+			// contract), and a generator overwrites it on the next
+			// call. Replays of the installed trace then lend these
+			// copies out in place.
 			var rec []pkt.Packet
 			if len(burst) > 0 {
 				rec = append(rec, burst...)

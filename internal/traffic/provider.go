@@ -128,16 +128,15 @@ type repeatCursor struct {
 	pos   int
 }
 
-// Next implements Source.
+// Next implements Source, lending the round's slot in place like a
+// trace replay.
 func (c *repeatCursor) Next() []pkt.Packet {
 	if c.pos >= c.slots || len(c.round) == 0 {
 		return nil
 	}
 	slot := c.round[c.pos%len(c.round)]
 	c.pos++
-	out := make([]pkt.Packet, len(slot))
-	copy(out, slot)
-	return out
+	return slot[:len(slot):len(slot)]
 }
 
 // Interface conformance checks.

@@ -103,7 +103,9 @@ func (s *textStream) readRecord() (slot int, p pkt.Packet, ok bool) {
 	return 0, pkt.Packet{}, false
 }
 
-// Next implements Source: the packets of the next slot, in file order.
+// Next implements Source: the packets of the next slot, in file order,
+// in a fresh slice. That is more than the Source contract promises, and
+// callers that keep bursts across calls may rely on it.
 func (s *textStream) Next() []pkt.Packet {
 	if s.err != nil || s.cur >= s.slots {
 		return nil
@@ -183,7 +185,10 @@ func (s *BinaryStream) fail(err error) {
 	}
 }
 
-// Next implements Source: the next slot's packets in a fresh slice.
+// Next implements Source: the next slot's packets in a fresh slice
+// (AppendNext(nil)). That is more than the Source contract promises, and
+// callers that keep bursts across calls may rely on it; a caller that
+// reads one slot at a time reuses its own buffer through AppendNext.
 func (s *BinaryStream) Next() []pkt.Packet { return s.AppendNext(nil) }
 
 // AppendNext appends the packets of the next slot to dst, in stream

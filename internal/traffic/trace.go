@@ -13,11 +13,15 @@ import (
 // Trace is a materialized arrival sequence: one packet slice per slot.
 type Trace [][]pkt.Packet
 
-// Record materializes the next slots slots of src.
+// Record materializes the next slots slots of src. Each burst is
+// copied, since src may reuse its storage on the next call (the Source
+// contract); an empty slot is recorded as nil.
 func Record(src Source, slots int) Trace {
 	tr := make(Trace, slots)
 	for t := range tr {
-		tr[t] = src.Next()
+		if burst := src.Next(); len(burst) > 0 {
+			tr[t] = append([]pkt.Packet(nil), burst...)
+		}
 	}
 	return tr
 }
@@ -40,17 +44,20 @@ type replay struct {
 	pos   int
 }
 
-// Next returns a copy of the next slot's burst, nil once the trace is
-// exhausted.
+// Next returns the next slot's burst, nil once the trace is exhausted.
+// The burst is the recorded slot itself, lent under the Source
+// contract: the caller reads it in place and must not write to it. Its
+// capacity is capped at its length, so an append by the caller
+// reallocates instead of overwriting the slot recorded after it.
+//
+//smb:hotpath
 func (r *replay) Next() []pkt.Packet {
 	if r.pos >= len(r.trace) {
 		return nil
 	}
 	slot := r.trace[r.pos]
 	r.pos++
-	out := make([]pkt.Packet, len(slot))
-	copy(out, slot)
-	return out
+	return slot[:len(slot):len(slot)]
 }
 
 // MaxMaterializedSlots bounds the slot count ReadTrace and
@@ -163,6 +170,3 @@ func Concat(traces ...Trace) Trace {
 // Slots builds a trace directly from per-slot bursts; nil slices are
 // silent slots. Convenience for tests and adversarial constructions.
 func Slots(bursts ...[]pkt.Packet) Trace { return Trace(bursts) }
-
-// Silence returns a trace of n empty slots.
-func Silence(n int) Trace { return make(Trace, n) }

@@ -43,13 +43,22 @@ func TestReplay(t *testing.T) {
 	if got := src.Next(); got != nil {
 		t.Errorf("exhausted replay returned %v", got)
 	}
-	// The replayed slices are copies: mutating them must not corrupt
-	// the source trace.
-	src2 := tr.Replay()
-	burst := src2.Next()
-	burst[0].Port = 99
-	if tr[0][0].Port == 99 {
-		t.Error("replay aliases the underlying trace")
+	// The burst is borrowed: it is the trace slot itself, capped so an
+	// append by the caller cannot overwrite the next slot.
+	burst := tr.Replay().Next()
+	if len(burst) == 0 || &burst[0] != &tr[0][0] {
+		t.Fatal("replay copied the slot instead of lending it")
+	}
+	if len(burst) != cap(burst) {
+		t.Fatalf("burst len %d != cap %d", len(burst), cap(burst))
+	}
+	// Lay slots 0 and 1 out back to back in one array, so an uncapped
+	// append to slot 0 would land on slot 1.
+	backing := []pkt.Packet{pkt.NewWork(0, 1), pkt.NewWork(1, 2)}
+	adj := Slots(backing[:1], backing[1:])
+	_ = append(adj.Replay().Next(), pkt.NewWork(3, 4))
+	if adj[1][0] != pkt.NewWork(1, 2) {
+		t.Errorf("append to a replayed burst overwrote tr[1]: %v", adj[1])
 	}
 }
 
@@ -114,7 +123,7 @@ func TestReadTraceSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestConcatAndSilence(t *testing.T) {
-	a := Silence(2)
+	a := make(Trace, 2) // two silent slots
 	b := sampleTrace()
 	all := Concat(a, b)
 	if len(all) != 5 {

@@ -20,8 +20,12 @@ import (
 // within a slot are ordered (the paper serves input ports in fixed
 // order).
 type Source interface {
-	// Next returns the packets arriving in the next slot. The returned
-	// slice is owned by the caller.
+	// Next returns the packets arriving in the next slot. The slice is
+	// borrowed: it stays valid only until the next call to Next on the
+	// same source, and the caller must not write to it. A generator
+	// reuses one buffer across slots and a trace replay hands out the
+	// recorded slot itself, so a caller that keeps a burst past the
+	// next call (Record, a memoizing recorder) copies it.
 	Next() []pkt.Packet
 }
 
@@ -136,8 +140,10 @@ type MMPP struct {
 	cfg        MMPPConfig
 	rng        *rand.Rand
 	on         []bool
-	sourcePort []int     // fixed port per source when PortAffinity is set
-	portCDF    []float64 // cumulative Zipf weights when PortZipf > 0
+	sourcePort []int        // fixed port per source when PortAffinity is set
+	portCDF    []float64    // cumulative Zipf weights when PortZipf > 0
+	expNeg     float64      // e^−LambdaOn, the Poisson product threshold
+	buf        []pkt.Packet // burst storage reused by every Next
 }
 
 // NewMMPP builds the generator. Source states are initialized from the
@@ -147,9 +153,10 @@ func NewMMPP(cfg MMPPConfig) (*MMPP, error) {
 		return nil, err
 	}
 	g := &MMPP{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		on:  make([]bool, cfg.Sources),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		on:     make([]bool, cfg.Sources),
+		expNeg: math.Exp(-cfg.LambdaOn),
 	}
 	pOn := cfg.StationaryOnFraction()
 	for i := range g.on {
@@ -193,12 +200,13 @@ func (g *MMPP) drawPort() int {
 	return lo
 }
 
-// Next implements Source.
+// Next implements Source. The burst is built in a buffer the generator
+// keeps and overwrites on the next call.
 func (g *MMPP) Next() []pkt.Packet {
-	var out []pkt.Packet
+	out := g.buf[:0]
 	for i := 0; i < g.cfg.Sources; i++ {
 		if g.on[i] {
-			for n := poisson(g.rng, g.cfg.LambdaOn); n > 0; n-- {
+			for n := poisson(g.rng, g.cfg.LambdaOn, g.expNeg); n > 0; n-- {
 				out = append(out, g.emit(i))
 			}
 			if g.rng.Float64() < g.cfg.POnOff {
@@ -208,6 +216,7 @@ func (g *MMPP) Next() []pkt.Packet {
 			g.on[i] = true
 		}
 	}
+	g.buf = out
 	return out
 }
 
@@ -241,8 +250,10 @@ func (g *MMPP) emit(i int) pkt.Packet {
 
 // poisson samples a Poisson variate by Knuth's product method for small
 // means and a clipped normal approximation for large ones (λ in this
-// package stays small; the fallback only guards against misuse).
-func poisson(rng *rand.Rand, lambda float64) int {
+// package stays small; the fallback only guards against misuse). The
+// caller passes expNeg = e^−λ, the product method's threshold, so a
+// generator computes it once rather than once per draw.
+func poisson(rng *rand.Rand, lambda, expNeg float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -253,11 +264,10 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= expNeg {
 			return k
 		}
 		k++

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"smbm/internal/core"
+	"smbm/internal/hmath"
+	"smbm/internal/pkt"
 )
 
 func baseCfg() MMPPConfig {
@@ -246,17 +248,17 @@ func TestPortZipfValidation(t *testing.T) {
 
 func TestPoisson(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if got := poisson(rng, 0); got != 0 {
+	if got := poisson(rng, 0, 1); got != 0 {
 		t.Errorf("poisson(0) = %d", got)
 	}
-	if got := poisson(rng, -2); got != 0 {
+	if got := poisson(rng, -2, math.Exp(2)); got != 0 {
 		t.Errorf("poisson(-2) = %d", got)
 	}
 	for _, lambda := range []float64{0.5, 3, 12, 50} {
 		var sum float64
 		const n = 20000
 		for i := 0; i < n; i++ {
-			sum += float64(poisson(rng, lambda))
+			sum += float64(poisson(rng, lambda, math.Exp(-lambda)))
 		}
 		mean := sum / n
 		if math.Abs(mean-lambda) > 0.15*lambda {
@@ -269,7 +271,7 @@ func TestQuickPoissonNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func(l float64) bool {
 		lambda := math.Mod(math.Abs(l), 100)
-		return poisson(rng, lambda) >= 0
+		return poisson(rng, lambda, math.Exp(-lambda)) >= 0
 	}
 	if err := quick.Check(f, qcfg(200)); err != nil {
 		t.Error(err)
@@ -280,4 +282,80 @@ func TestQuickPoissonNonNegative(t *testing.T) {
 // reproducible run to run.
 func qcfg(n int) *quick.Config {
 	return &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(7))}
+}
+
+// fig51Cfg is the arrival stream of a Fig. 5(1) cell at k = 16: 100
+// sources, contiguous works 1..16 with port affinity, offered load 2.5
+// times the service capacity H_16.
+func fig51Cfg() MMPPConfig {
+	c := MMPPConfig{
+		Sources:      100,
+		POnOff:       0.1,
+		POffOn:       0.01,
+		Label:        LabelWorkByPort,
+		Ports:        16,
+		MaxLabel:     16,
+		PortWork:     core.ContiguousWorks(16),
+		PortAffinity: true,
+		Seed:         1,
+	}
+	c.LambdaOn = c.LambdaForRate(2.5 * hmath.Harmonic(16))
+	return c
+}
+
+// burstSink keeps the bursts TestWarmSourcesZeroAllocs reads reachable,
+// so a copy made per slot escapes to the heap and is counted even when
+// the compiler devirtualizes and inlines the call.
+var burstSink []pkt.Packet
+
+// TestWarmSourcesZeroAllocs pins the borrowed-burst contract's cost: a
+// trace cursor lends each recorded slot without copying it, and a warm
+// MMPP generator builds every burst in the buffer it reuses, so neither
+// allocates per slot. Each measured run reads slotsPerRun slots, so one
+// allocation per slot shows as slotsPerRun per run even with a few empty
+// slots, while AllocsPerRun's truncated mean tolerates the rare slot
+// that outgrows the generator's buffer.
+func TestWarmSourcesZeroAllocs(t *testing.T) {
+	const (
+		slots       = 2000
+		slotsPerRun = 10
+		runs        = slots/slotsPerRun - 1 // AllocsPerRun adds one warm-up run
+	)
+	read := func(src Source) func() {
+		return func() {
+			for i := 0; i < slotsPerRun; i++ {
+				burstSink = src.Next()
+			}
+		}
+	}
+	t.Run("trace-cursor", func(t *testing.T) {
+		g, err := NewMMPP(fig51Cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := Record(g, slots)
+		if tr.Packets() < slots {
+			t.Fatalf("trace too sparse to measure: %d packets in %d slots", tr.Packets(), slots)
+		}
+		cur, err := tr.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		if allocs := testing.AllocsPerRun(runs, read(cur)); allocs != 0 {
+			t.Errorf("trace cursor allocates %.0f times per %d slots, want 0", allocs, slotsPerRun)
+		}
+	})
+	t.Run("mmpp-fig5.1", func(t *testing.T) {
+		g, err := NewMMPP(fig51Cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < slots; i++ {
+			g.Next() // grow the burst buffer to its working size
+		}
+		if allocs := testing.AllocsPerRun(runs, read(g)); allocs != 0 {
+			t.Errorf("warm MMPP generator allocates %.0f times per %d slots, want 0", allocs, slotsPerRun)
+		}
+	})
 }
