@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// naiveSet is the O(k)-scan bucket implementation the Fenwick version
+// naiveSet is the O(k)-scan bucket implementation the bitmap version
 // replaces; kept here as the ablation baseline.
 type naiveSet struct {
 	count []int
@@ -59,7 +59,7 @@ func opsMix(b *testing.B, add func(int), popMin, popMax func() int, size func() 
 	}
 }
 
-func BenchmarkFenwickSetK64(b *testing.B) {
+func BenchmarkSetK64(b *testing.B) {
 	s := New(64)
 	opsMix(b, s.Add, s.PopMin, s.PopMax, s.Len, 64)
 }
@@ -69,7 +69,7 @@ func BenchmarkNaiveSetK64(b *testing.B) {
 	opsMix(b, s.Add, s.PopMin, s.PopMax, func() int { return s.size }, 64)
 }
 
-func BenchmarkFenwickSetK1024(b *testing.B) {
+func BenchmarkSetK1024(b *testing.B) {
 	s := New(1024)
 	opsMix(b, s.Add, s.PopMin, s.PopMax, s.Len, 1024)
 }
@@ -77,16 +77,4 @@ func BenchmarkFenwickSetK1024(b *testing.B) {
 func BenchmarkNaiveSetK1024(b *testing.B) {
 	s := newNaive(1024)
 	opsMix(b, s.Add, s.PopMin, s.PopMax, func() int { return s.size }, 1024)
-}
-
-func BenchmarkKth(b *testing.B) {
-	s := New(256)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		s.Add(1 + rng.Intn(256))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Kth(1 + i%s.Len())
-	}
 }

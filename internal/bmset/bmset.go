@@ -1,35 +1,40 @@
 // Package bmset implements a bounded multiset of integer values in [1,k]
-// backed by two Fenwick (binary indexed) trees: one over element counts and
-// one over value sums. It is the storage for value-model output queues,
-// which the paper treats as priority queues: transmission pops the maximum
-// value, push-out pops the minimum, and the MRD policy needs |Q| and the
-// value sum of Q to compute |Q|/avg(Q).
+// backed by a multiplicity array and a two-level presence bitmap. It is
+// the storage for value-model output queues, which the paper treats as
+// priority queues: transmission pops the maximum value, push-out pops the
+// minimum, and the MRD policy needs |Q| and the value sum of Q to compute
+// |Q|/avg(Q).
 //
-// Add, Remove, PopMin, PopMax, Kth and prefix queries are O(log k). A
-// direct multiplicity array alongside the Fenwick trees makes CountOf
-// O(1) and lets Min and Max cache their result: extremes are maintained
-// incrementally on every mutation and only fall back to an O(log k)
-// order-statistics descent when the extreme bucket itself empties. This
-// matters because the value-model admission policies (LQD, MVD, MRD)
-// consult every queue's minimum on every congested arrival — the single
-// hottest query in the paper-scale sweeps.
+// Bit v−1 of the presence bitmap is set iff v is present, and bit w of
+// the summary is set iff presence word w is non-zero. Add and Remove are
+// O(1): a multiplicity bump plus, when a bucket fills or empties, one bit
+// in each level. Min and Max cache their result, maintained on every
+// mutation, and only when the extreme bucket itself empties do they
+// probe the bitmap: one bits.TrailingZeros64/LeadingZeros64 on the
+// summary and one on the presence word, for any k ≤ 4096 (a single
+// summary word); larger bounds scan summary words. This matters because
+// the value-model push-out policies consult every queue's minimum on
+// every congested state, the hottest query in the paper-scale sweeps.
 package bmset
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Set is a multiset of values in [1,k]. The zero value is unusable; use
 // New.
 type Set struct {
-	k     int
-	count []int64 // Fenwick over multiplicities, 1-based
-	sum   []int64 // Fenwick over value·multiplicity, 1-based
-	mult  []int32 // direct multiplicities, 1-based
-	size  int
-	total int64 // sum of all elements
+	k       int
+	mult    []int32  // multiplicities, 1-based
+	present []uint64 // bit v−1 set iff mult[v] > 0
+	summary []uint64 // bit w set iff present[w] != 0
+	size    int
+	total   int64 // sum of all elements
 
 	// Cached extremes: valid only when the corresponding flag is set.
 	// Maintained O(1) on Add and on removals that leave the extreme
-	// bucket non-empty; recomputed lazily via Kth otherwise.
+	// bucket non-empty; recomputed lazily from the bitmap otherwise.
 	minv, maxv   int
 	minOK, maxOK bool
 }
@@ -39,16 +44,14 @@ func New(k int) *Set {
 	if k < 1 {
 		panic(fmt.Sprintf("bmset: bound k=%d must be >= 1", k))
 	}
+	words := (k + 63) / 64
 	return &Set{
-		k:     k,
-		count: make([]int64, k+1),
-		sum:   make([]int64, k+1),
-		mult:  make([]int32, k+1),
+		k:       k,
+		mult:    make([]int32, k+1),
+		present: make([]uint64, words),
+		summary: make([]uint64, (words+63)/64),
 	}
 }
-
-// Bound returns k, the inclusive upper bound on stored values.
-func (s *Set) Bound() int { return s.k }
 
 // Len returns the number of stored elements (with multiplicity).
 func (s *Set) Len() int { return s.size }
@@ -59,21 +62,20 @@ func (s *Set) Empty() bool { return s.size == 0 }
 // Sum returns the sum of all stored elements.
 func (s *Set) Sum() int64 { return s.total }
 
-// Avg returns the average stored value, or 0 for an empty set.
-func (s *Set) Avg() float64 {
-	if s.size == 0 {
-		return 0
-	}
-	return float64(s.total) / float64(s.size)
-}
-
 // Add inserts one copy of v.
 //
 //smb:hotpath
 func (s *Set) Add(v int) {
 	//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
 	s.check(v)
-	s.update(v, 1)
+	s.mult[v]++
+	if s.mult[v] == 1 {
+		b := v - 1
+		s.present[b>>6] |= 1 << (b & 63)
+		s.summary[b>>12] |= 1 << ((b >> 6) & 63)
+	}
+	s.size++
+	s.total += int64(v)
 	if s.size == 1 {
 		s.minv, s.maxv = v, v
 		s.minOK, s.maxOK = true, true
@@ -101,13 +103,22 @@ func (s *Set) Remove(v int) {
 	s.remove(v)
 }
 
-// remove deletes one present copy of v, maintaining the cached extremes.
+// remove deletes one present copy of v, maintaining the bitmap and the
+// cached extremes.
 //
 //smb:hotpath
 func (s *Set) remove(v int) {
-	s.update(v, -1)
+	s.mult[v]--
+	s.size--
+	s.total -= int64(v)
 	if s.mult[v] > 0 {
-		return // the extreme buckets are unchanged
+		return // the bitmap and the extreme buckets are unchanged
+	}
+	b := v - 1
+	w := b >> 6
+	s.present[w] &^= 1 << (b & 63)
+	if s.present[w] == 0 {
+		s.summary[w>>6] &^= 1 << (w & 63)
 	}
 	if s.minOK && v == s.minv {
 		s.minOK = false
@@ -117,65 +128,67 @@ func (s *Set) remove(v int) {
 	}
 }
 
-// CountOf returns the multiplicity of v.
-func (s *Set) CountOf(v int) int {
-	s.check(v)
-	return int(s.mult[v])
-}
-
-// CountLE returns the number of elements with value <= v. Values below 1
-// yield 0; values above k count everything.
-func (s *Set) CountLE(v int) int {
-	if v < 1 {
-		return 0
-	}
-	if v > s.k {
-		v = s.k
-	}
-	return int(s.prefixCount(v))
-}
-
-// SumLE returns the sum of elements with value <= v.
-func (s *Set) SumLE(v int) int64 {
-	if v < 1 {
-		return 0
-	}
-	if v > s.k {
-		v = s.k
-	}
-	return s.prefixSum(v)
-}
-
 // Min returns the smallest stored value. It panics on an empty set.
-// Amortized O(1): the cached minimum is reused until its bucket empties.
+// O(1) for k ≤ 4096: the cached minimum is reused until its bucket
+// empties, and a miss is two trailing-zero probes.
 //
 //smb:hotpath
 func (s *Set) Min() int {
-	if s.size == 0 {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		panic("bmset: Min on empty set")
-	}
 	if !s.minOK {
-		s.minv = s.Kth(1)
-		s.minOK = true
+		s.probeMin()
 	}
 	return s.minv
 }
 
 // Max returns the largest stored value. It panics on an empty set.
-// Amortized O(1), mirroring Min.
+// O(1) for k ≤ 4096, mirroring Min with leading-zero probes.
 //
 //smb:hotpath
 func (s *Set) Max() int {
+	if !s.maxOK {
+		s.probeMax()
+	}
+	return s.maxv
+}
+
+// probeMin refills the cached minimum from the bitmap. An empty set
+// never holds a valid cache (removing the last element empties the
+// extreme buckets), so the empty check lives here, off the cache hit.
+// It stays out of line: Min's cache hit inlines into its callers, and
+// the cold panic stays in this body, where its alloc-ok applies.
+//
+//smb:hotpath
+//go:noinline
+func (s *Set) probeMin() {
+	if s.size == 0 {
+		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
+		panic("bmset: Min on empty set")
+	}
+	si := 0
+	for s.summary[si] == 0 {
+		si++
+	}
+	w := si<<6 + bits.TrailingZeros64(s.summary[si])
+	s.minv = w<<6 + bits.TrailingZeros64(s.present[w]) + 1
+	s.minOK = true
+}
+
+// probeMax refills the cached maximum from the bitmap (see probeMin).
+//
+//smb:hotpath
+//go:noinline
+func (s *Set) probeMax() {
 	if s.size == 0 {
 		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
 		panic("bmset: Max on empty set")
 	}
-	if !s.maxOK {
-		s.maxv = s.Kth(s.size)
-		s.maxOK = true
+	si := len(s.summary) - 1
+	for s.summary[si] == 0 {
+		si--
 	}
-	return s.maxv
+	w := si<<6 + 63 - bits.LeadingZeros64(s.summary[si])
+	s.maxv = w<<6 + 63 - bits.LeadingZeros64(s.present[w]) + 1
+	s.maxOK = true
 }
 
 // PopMin removes and returns the smallest stored value.
@@ -196,44 +209,11 @@ func (s *Set) PopMax() int {
 	return v
 }
 
-// Kth returns the k-th smallest element, 1-based (Kth(1) == Min,
-// Kth(Len()) == Max). It panics if j is out of [1, Len()].
-//
-// The implementation descends the Fenwick tree: classic O(log k) order
-// statistics.
-//
-//smb:hotpath
-func (s *Set) Kth(j int) int {
-	if j < 1 || j > s.size {
-		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
-		panic(fmt.Sprintf("bmset: Kth(%d) out of range [1,%d]", j, s.size))
-	}
-	var (
-		pos    int
-		remain = int64(j)
-	)
-	// highestBit is the largest power of two <= k.
-	highestBit := 1
-	for highestBit<<1 <= s.k {
-		highestBit <<= 1
-	}
-	for step := highestBit; step > 0; step >>= 1 {
-		next := pos + step
-		if next <= s.k && s.count[next] < remain {
-			pos = next
-			remain -= s.count[next]
-		}
-	}
-	return pos + 1
-}
-
 // Clear removes all elements.
 func (s *Set) Clear() {
-	for i := range s.count {
-		s.count[i] = 0
-		s.sum[i] = 0
-		s.mult[i] = 0
-	}
+	clear(s.mult)
+	clear(s.present)
+	clear(s.summary)
 	s.size = 0
 	s.total = 0
 	s.minOK, s.maxOK = false, false
@@ -257,31 +237,4 @@ func (s *Set) check(v int) {
 		//smb:alloc-ok panic on a violated invariant, unreachable in a correct simulator
 		panic(fmt.Sprintf("bmset: value %d out of range [1,%d]", v, s.k))
 	}
-}
-
-//smb:hotpath
-func (s *Set) update(v int, delta int64) {
-	for i := v; i <= s.k; i += i & (-i) {
-		s.count[i] += delta
-		s.sum[i] += delta * int64(v)
-	}
-	s.mult[v] += int32(delta)
-	s.size += int(delta)
-	s.total += delta * int64(v)
-}
-
-func (s *Set) prefixCount(v int) int64 {
-	var t int64
-	for i := v; i > 0; i -= i & (-i) {
-		t += s.count[i]
-	}
-	return t
-}
-
-func (s *Set) prefixSum(v int) int64 {
-	var t int64
-	for i := v; i > 0; i -= i & (-i) {
-		t += s.sum[i]
-	}
-	return t
 }

@@ -2,6 +2,7 @@ package bmset
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -21,11 +22,8 @@ func TestEmptySet(t *testing.T) {
 	if !s.Empty() || s.Len() != 0 || s.Sum() != 0 {
 		t.Errorf("fresh set: Empty=%v Len=%d Sum=%d", s.Empty(), s.Len(), s.Sum())
 	}
-	if got := s.Avg(); got != 0 {
-		t.Errorf("Avg() on empty = %v, want 0", got)
-	}
-	if got := s.CountLE(10); got != 0 {
-		t.Errorf("CountLE(10) on empty = %d, want 0", got)
+	if got := s.Values(); len(got) != 0 {
+		t.Errorf("Values() on empty = %v, want []", got)
 	}
 }
 
@@ -34,8 +32,8 @@ func TestAddRemoveCounts(t *testing.T) {
 	s.Add(3)
 	s.Add(3)
 	s.Add(1)
-	if got := s.CountOf(3); got != 2 {
-		t.Errorf("CountOf(3) = %d, want 2", got)
+	if got := s.Values(); !slices.Equal(got, []int{1, 3, 3}) {
+		t.Errorf("Values() = %v, want [1 3 3]", got)
 	}
 	if got := s.Len(); got != 3 {
 		t.Errorf("Len() = %d, want 3", got)
@@ -44,8 +42,8 @@ func TestAddRemoveCounts(t *testing.T) {
 		t.Errorf("Sum() = %d, want 7", got)
 	}
 	s.Remove(3)
-	if got := s.CountOf(3); got != 1 {
-		t.Errorf("after Remove: CountOf(3) = %d, want 1", got)
+	if got := s.Values(); !slices.Equal(got, []int{1, 3}) {
+		t.Errorf("after Remove: Values() = %v, want [1 3]", got)
 	}
 	if got := s.Sum(); got != 4 {
 		t.Errorf("after Remove: Sum() = %d, want 4", got)
@@ -77,47 +75,6 @@ func TestMinMaxPop(t *testing.T) {
 	}
 }
 
-func TestKthOrderStatistics(t *testing.T) {
-	s := New(8)
-	vals := []int{4, 1, 8, 4, 6, 1, 1}
-	for _, v := range vals {
-		s.Add(v)
-	}
-	sort.Ints(vals)
-	for j := 1; j <= len(vals); j++ {
-		if got := s.Kth(j); got != vals[j-1] {
-			t.Errorf("Kth(%d) = %d, want %d", j, got, vals[j-1])
-		}
-	}
-}
-
-func TestPrefixQueries(t *testing.T) {
-	s := New(6)
-	for _, v := range []int{1, 3, 3, 6} {
-		s.Add(v)
-	}
-	cases := []struct {
-		v         int
-		count     int
-		sum       int64
-		nameSuits string
-	}{
-		{0, 0, 0, "below range"},
-		{1, 1, 1, "exactly min"},
-		{3, 3, 7, "middle"},
-		{6, 4, 13, "max"},
-		{99, 4, 13, "above range clamps"},
-	}
-	for _, c := range cases {
-		if got := s.CountLE(c.v); got != c.count {
-			t.Errorf("CountLE(%d) = %d, want %d (%s)", c.v, got, c.count, c.nameSuits)
-		}
-		if got := s.SumLE(c.v); got != c.sum {
-			t.Errorf("SumLE(%d) = %d, want %d (%s)", c.v, got, c.sum, c.nameSuits)
-		}
-	}
-}
-
 func TestClearReuse(t *testing.T) {
 	s := New(4)
 	s.Add(2)
@@ -134,13 +91,11 @@ func TestClearReuse(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, op := range map[string]func(*Set){
-		"Add out of range":     func(s *Set) { s.Add(11) },
-		"Add zero":             func(s *Set) { s.Add(0) },
-		"Remove absent":        func(s *Set) { s.Remove(5) },
-		"Min empty":            func(s *Set) { s.Min() },
-		"Max empty":            func(s *Set) { s.Max() },
-		"Kth out of range":     func(s *Set) { s.Kth(1) },
-		"CountOf out of range": func(s *Set) { s.CountOf(-1) },
+		"Add out of range": func(s *Set) { s.Add(11) },
+		"Add zero":         func(s *Set) { s.Add(0) },
+		"Remove absent":    func(s *Set) { s.Remove(5) },
+		"Min empty":        func(s *Set) { s.Min() },
+		"Max empty":        func(s *Set) { s.Max() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -174,80 +129,136 @@ func (r *reference) sum() int64 {
 	}
 	return t
 }
-func (r *reference) countLE(x int) int {
-	n := 0
-	for _, v := range r.vals {
-		if v <= x {
-			n++
-		}
+
+// edgeValue draws a value in [1,k] that sits on or next to a presence
+// word (64-value) or summary word (4096-value) boundary, so buckets at
+// the bitmap's edges empty and refill often.
+func edgeValue(rng *rand.Rand, k int) int {
+	edge := 64
+	if k > 4096 && rng.Intn(2) == 0 {
+		edge = 4096
 	}
-	return n
+	v := edge*rng.Intn(k/edge+1) + rng.Intn(3) - 1
+	return min(max(v, 1), k)
 }
 
-// TestQuickMatchesReference compares the Fenwick implementation with the
-// naive reference over random operation sequences.
+// TestQuickMatchesReference compares the bitmap implementation with the
+// naive reference over random operation sequences, at a small bound and
+// at every presence-word and summary-word boundary.
 func TestQuickMatchesReference(t *testing.T) {
-	f := func(ops []uint8, seed int64) bool {
-		const k = 12
-		rng := rand.New(rand.NewSource(seed))
-		s := New(k)
-		var ref reference
-		for _, op := range ops {
-			switch op % 4 {
-			case 0, 1: // bias toward Add so the set grows
-				v := 1 + rng.Intn(k)
-				s.Add(v)
-				ref.add(v)
-			case 2:
-				if len(ref.vals) == 0 {
-					continue
+	for _, k := range []int{12, 1, 63, 64, 65, 4095, 4096, 4097, 5000} {
+		f := func(ops []uint8, seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			s := New(k)
+			var ref reference
+			for _, op := range ops {
+				switch op % 5 {
+				case 0: // bias toward Add so the set grows
+					v := 1 + rng.Intn(k)
+					s.Add(v)
+					ref.add(v)
+				case 1:
+					v := edgeValue(rng, k)
+					s.Add(v)
+					ref.add(v)
+				case 2:
+					if len(ref.vals) == 0 {
+						continue
+					}
+					if s.PopMin() != ref.popMin() {
+						return false
+					}
+				case 3:
+					if len(ref.vals) == 0 {
+						continue
+					}
+					if s.PopMax() != ref.popMax() {
+						return false
+					}
+				case 4:
+					if len(ref.vals) == 0 {
+						continue
+					}
+					i := rng.Intn(len(ref.vals))
+					s.Remove(ref.vals[i])
+					ref.vals = slices.Delete(ref.vals, i, i+1)
 				}
-				if s.PopMin() != ref.popMin() {
+				if s.Len() != len(ref.vals) || s.Sum() != ref.sum() {
 					return false
 				}
-			case 3:
-				if len(ref.vals) == 0 {
-					continue
-				}
-				if s.PopMax() != ref.popMax() {
+				if len(ref.vals) > 0 && (s.Min() != ref.vals[0] || s.Max() != ref.vals[len(ref.vals)-1]) {
 					return false
 				}
 			}
-			if s.Len() != len(ref.vals) || s.Sum() != ref.sum() {
-				return false
-			}
-			probe := 1 + rng.Intn(k)
-			if s.CountLE(probe) != ref.countLE(probe) {
-				return false
-			}
-			if len(ref.vals) > 0 {
-				j := 1 + rng.Intn(len(ref.vals))
-				if s.Kth(j) != ref.vals[j-1] {
-					return false
-				}
-			}
+			return slices.Equal(s.Values(), ref.vals)
 		}
-		return true
-	}
-	if err := quick.Check(f, qcfg(150)); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, qcfg(150)); err != nil {
+			t.Errorf("k=%d: %v", k, err)
+		}
 	}
 }
 
-func TestLargeBoundKthDescent(t *testing.T) {
-	// Exercise the highestBit descent with a non-power-of-two bound.
-	s := New(1000)
-	for v := 1; v <= 1000; v += 7 {
-		s.Add(v)
+// TestWordEdgeRefill empties the minimum and the maximum bucket on
+// either side of a presence-word edge (64|65) and a summary-word edge
+// (4096|4097), then refills them, so the cache-miss probes must step
+// across each edge and back.
+func TestWordEdgeRefill(t *testing.T) {
+	for _, edge := range []int{64, 4096} {
+		s := New(5000)
+		lo, hi := edge, edge+1
+		s.Add(lo)
+		s.Add(hi)
+		if got := s.PopMin(); got != lo {
+			t.Fatalf("edge %d: PopMin = %d, want %d", edge, got, lo)
+		}
+		if got := s.Min(); got != hi {
+			t.Fatalf("edge %d: Min after emptying %d = %d, want %d", edge, lo, got, hi)
+		}
+		s.Add(lo)
+		if got := s.PopMax(); got != hi {
+			t.Fatalf("edge %d: PopMax = %d, want %d", edge, got, hi)
+		}
+		if got := s.Max(); got != lo {
+			t.Fatalf("edge %d: Max after emptying %d = %d, want %d", edge, hi, got, lo)
+		}
+		s.Add(hi)
+		s.Remove(lo)
+		if got, want := s.Min(), hi; got != want {
+			t.Fatalf("edge %d: Min after Remove(%d) = %d, want %d", edge, lo, got, want)
+		}
+		s.Add(lo)
+		s.Remove(hi)
+		if got, want := s.Max(), lo; got != want {
+			t.Fatalf("edge %d: Max after Remove(%d) = %d, want %d", edge, hi, got, want)
+		}
 	}
-	want := make([]int, 0, 143)
-	for v := 1; v <= 1000; v += 7 {
+}
+
+// TestLargeBoundOrder drains a set whose bound spans two summary words,
+// alternately from each end, through the summary-word scan.
+func TestLargeBoundOrder(t *testing.T) {
+	const k = 9000
+	s := New(k)
+	var want []int
+	for v := 1; v <= k; v += 97 {
+		s.Add(v)
 		want = append(want, v)
 	}
-	for j, w := range want {
-		if got := s.Kth(j + 1); got != w {
-			t.Fatalf("Kth(%d) = %d, want %d", j+1, got, w)
+	for len(want) > 0 {
+		if got := s.PopMin(); got != want[0] {
+			t.Fatalf("PopMin = %d, want %d", got, want[0])
 		}
+		want = want[1:]
+		if len(want) == 0 {
+			break
+		}
+		if got := s.PopMax(); got != want[len(want)-1] {
+			t.Fatalf("PopMax = %d, want %d", got, want[len(want)-1])
+		}
+		want = want[:len(want)-1]
+	}
+	if !s.Empty() {
+		t.Fatalf("Len = %d after draining", s.Len())
 	}
 }
 

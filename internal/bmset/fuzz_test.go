@@ -1,6 +1,7 @@
 package bmset
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -29,37 +30,38 @@ func (r refMultiset) sum() int64 {
 	return t
 }
 
-func (r refMultiset) countLE(v int) int { return sort.SearchInts(r, v+1) }
-
-func (r refMultiset) sumLE(v int) int64 {
-	var t int64
-	for _, x := range r {
-		if x <= v {
-			t += int64(x)
-		}
-	}
-	return t
-}
+// fuzzEdges are the bounds past 16 a fuzz program may pick: both sides
+// of the presence-word (64) and summary-word (4096) boundaries.
+var fuzzEdges = []int{63, 64, 65, 128, 4095, 4096, 4097, 5000}
 
 // FuzzSetVsSortedSlice interprets the fuzz input as a program over the
 // multiset and replays it against a sorted-slice model, cross-checking
-// every query — including the cached-extreme paths that this PR made
-// incremental (Min/Max validity across Add/Remove/Pop churn).
+// the full observable state (Values, Min, Max, Len, Sum) after every
+// operation — including the cached-extreme paths (Min/Max validity
+// across Add/Remove/Pop churn) and the bitmap probes behind them.
 //
-// The first byte picks the bound k in [1,16]; each following byte is an
-// operation: op = b % 8 (0-1 Add, 2 PopMin, 3 PopMax, 4 Remove, 5 Kth,
-// 6 CountLE/SumLE, 7 Clear), with the value/rank derived from b / 8.
+// The first byte picks the bound: b % 24 below 16 gives k in [1,16],
+// the rest index fuzzEdges. Each following byte is an operation:
+// op = b % 8 (0-1 Add from the bottom, 2 PopMin, 3 PopMax, 4 Remove,
+// 5-6 Add from the top, 7 Clear), with the value/rank derived from b / 8.
 func FuzzSetVsSortedSlice(f *testing.F) {
 	f.Add([]byte{4, 0, 8, 16, 2, 3, 0, 5, 6})              // add/pop churn, k=5
 	f.Add([]byte{0, 0, 0, 0, 2, 2})                        // k=1 degenerate
 	f.Add([]byte{15, 0, 9, 17, 25, 33, 4, 4, 3, 2, 7, 0})  // removes then clear
-	f.Add([]byte{7, 1, 9, 17, 25, 5, 13, 21, 6, 14, 22})   // ranks and prefixes
+	f.Add([]byte{7, 1, 9, 17, 25, 5, 13, 21, 6, 14, 22})   // both ends
 	f.Add([]byte{11, 0, 8, 3, 0, 8, 2, 0, 8, 4, 12, 5, 6}) // extreme-cache churn
+	f.Add([]byte{18, 0, 5, 2, 3, 0, 2, 5, 3})              // k=65 word edge
+	f.Add([]byte{21, 1, 253, 2, 3, 6, 246, 2, 3})          // k=4097 summary edge
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {
 			return
 		}
-		k := int(program[0]%16) + 1
+		k := int(program[0] % 24)
+		if k < 16 {
+			k++
+		} else {
+			k = fuzzEdges[k-16]
+		}
 		s := New(k)
 		var ref refMultiset
 		for step, b := range program[1:] {
@@ -90,22 +92,10 @@ func FuzzSetVsSortedSlice(f *testing.F) {
 				v := ref[arg%len(ref)] // always present
 				s.Remove(v)
 				ref.removeAt(sort.SearchInts(ref, v))
-			case 5:
-				if len(ref) == 0 {
-					continue
-				}
-				j := arg%len(ref) + 1
-				if got, want := s.Kth(j), ref[j-1]; got != want {
-					t.Fatalf("step %d: Kth(%d) = %d, want %d", step, j, got, want)
-				}
-			case 6:
-				v := arg%(k+2) - 1 // exercise out-of-range values too
-				if got, want := s.CountLE(v), ref.countLE(v); got != want {
-					t.Fatalf("step %d: CountLE(%d) = %d, want %d", step, v, got, want)
-				}
-				if got, want := s.SumLE(v), ref.sumLE(v); got != want {
-					t.Fatalf("step %d: SumLE(%d) = %d, want %d", step, v, got, want)
-				}
+			case 5, 6:
+				v := k - arg%k
+				s.Add(v)
+				ref.add(v)
 			case 7:
 				s.Clear()
 				ref = ref[:0]
@@ -128,21 +118,8 @@ func FuzzSetVsSortedSlice(f *testing.F) {
 					t.Fatalf("step %d: Max = %d, want %d", step, got, want)
 				}
 			}
-			for v := 1; v <= k; v++ {
-				want := ref.countLE(v) - ref.countLE(v-1)
-				if got := s.CountOf(v); got != want {
-					t.Fatalf("step %d: CountOf(%d) = %d, want %d", step, v, got, want)
-				}
-			}
-		}
-		// Final full-order comparison.
-		vals := s.Values()
-		if len(vals) != len(ref) {
-			t.Fatalf("final Values len %d, want %d", len(vals), len(ref))
-		}
-		for i, want := range ref {
-			if vals[i] != want {
-				t.Fatalf("final Values[%d] = %d, want %d", i, vals[i], want)
+			if vals := s.Values(); !slices.Equal(vals, ref) {
+				t.Fatalf("step %d: Values = %v, want %v", step, vals, ref)
 			}
 		}
 	})

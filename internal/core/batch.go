@@ -11,8 +11,11 @@ import (
 // whole slot's arrival burst through a Batch executor instead of one
 // Admit call per packet. A batch kernel sees the burst up front, so it
 // can hoist threshold computations, reuse argmax results across a
-// burst prefix, and memoize drop decisions (see Batch.KnownDrop) —
-// the per-burst evaluation the per-packet interface cannot express.
+// burst prefix, summarize a push-out victim ordering once per switch
+// state (a drop mutates nothing, so the summary stays valid until the
+// next accept or push-out), and memoize threshold drop decisions (see
+// Batch.KnownDrop) — the per-burst evaluation the per-packet interface
+// cannot express.
 //
 // The contract is bit-identity: AdmitBatch must execute exactly the
 // decision sequence the policy's Admit would produce packet by packet,
@@ -182,7 +185,10 @@ func (b *Batch) DropMemo(p pkt.Packet) {
 }
 
 // KnownDrop reports whether an identical packet was dropped via
-// DropMemo with no state mutation since. The memo is sound because
+// DropMemo with no state mutation since. Kernels whose admission
+// predicate is an O(n) scan (the NHDT family) use it; push-out kernels
+// instead hold a per-state summary, which already makes a repeated
+// drop O(1). The memo is sound because
 // policies are pure functions of (View, Packet), a packet is fully
 // determined by (port, value) given the switch configuration (work is
 // per-port), and the memo epoch advances on every accept and push-out

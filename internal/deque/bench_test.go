@@ -13,15 +13,13 @@ func BenchmarkPushPopFIFO(b *testing.B) {
 	}
 }
 
-func BenchmarkPushPopBothEnds(b *testing.B) {
+func BenchmarkPushBackPopBothEnds(b *testing.B) {
 	var d Deque
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		switch i % 4 {
-		case 0:
+		case 0, 1:
 			d.PushBack(int64(i))
-		case 1:
-			d.PushFront(int64(i))
 		case 2:
 			if !d.Empty() {
 				d.PopFront()

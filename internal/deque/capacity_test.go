@@ -63,12 +63,11 @@ func TestShrinkHysteresis(t *testing.T) {
 // backing array instead of retaining it.
 func TestClearReleasesLargeBuffer(t *testing.T) {
 	var d Deque
-	// PushFront exercises the wrapped layout too.
+	// Rotating every seventh step exercises the wrapped layout too.
 	for i := int64(0); i < 4*clearRetainLimit; i++ {
+		d.PushBack(i)
 		if i%7 == 0 {
-			d.PushFront(i)
-		} else {
-			d.PushBack(i)
+			d.PushBack(d.PopFront())
 		}
 	}
 	if d.Cap() <= clearRetainLimit {
@@ -110,8 +109,8 @@ func TestReservePinsCapacity(t *testing.T) {
 	if got := d.Cap(); got != 512 {
 		t.Fatalf("Cap() = %d after Reserve(300), want 512", got)
 	}
-	if got := d.Reserved(); got != 300 {
-		t.Fatalf("Reserved() = %d, want 300", got)
+	if got := d.reserved; got != 300 {
+		t.Fatalf("reserved = %d, want 300", got)
 	}
 	for i := int64(0); i < 300; i++ {
 		d.PushBack(i)

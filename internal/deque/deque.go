@@ -72,9 +72,6 @@ func (d *Deque) Reserve(n int) {
 	}
 }
 
-// Reserved returns the capacity floor set by Reserve (0 when unset).
-func (d *Deque) Reserved() int { return d.reserved }
-
 // floor returns the smallest capacity shrink and Clear may leave behind.
 // It is consulted on every pop (via shrink), so the power-of-two rounding
 // is precomputed in Reserve rather than recomputed here.
@@ -91,16 +88,6 @@ func (d *Deque) floor() int {
 func (d *Deque) PushBack(v int64) {
 	d.grow()
 	d.buf[d.index(d.count)] = v
-	d.count++
-}
-
-// PushFront prepends v at the front.
-//
-//smb:hotpath
-func (d *Deque) PushFront(v int64) {
-	d.grow()
-	d.head = d.index(len(d.buf) - 1)
-	d.buf[d.head] = v
 	d.count++
 }
 

@@ -34,12 +34,12 @@ func TestPushBackPopFrontFIFO(t *testing.T) {
 	}
 }
 
-func TestPushFrontPopBackFIFO(t *testing.T) {
+func TestPushBackPopBackLIFO(t *testing.T) {
 	var d Deque
 	for i := int64(0); i < 50; i++ {
-		d.PushFront(i)
+		d.PushBack(i)
 	}
-	for i := int64(0); i < 50; i++ {
+	for i := int64(49); i >= 0; i-- {
 		if got := d.PopBack(); got != i {
 			t.Fatalf("PopBack() = %d, want %d", got, i)
 		}
@@ -147,10 +147,12 @@ func TestQuickMatchesReference(t *testing.T) {
 				d.PushBack(next)
 				ref = append(ref, next)
 				next++
-			case 1: // PushFront
-				d.PushFront(next)
-				ref = append([]int64{next}, ref...)
-				next++
+			case 1: // rotate: PopFront then PushBack, wrapping the ring
+				if len(ref) == 0 {
+					continue
+				}
+				d.PushBack(d.PopFront())
+				ref = append(ref[1:], ref[0])
 			case 2: // PopFront
 				if len(ref) == 0 {
 					continue

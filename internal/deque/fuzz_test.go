@@ -8,17 +8,17 @@ import (
 // the front at index 0.
 type refDeque []int64
 
-func (r *refDeque) pushBack(v int64)  { *r = append(*r, v) }
-func (r *refDeque) pushFront(v int64) { *r = append([]int64{v}, *r...) }
-func (r *refDeque) popFront() int64   { v := (*r)[0]; *r = (*r)[1:]; return v }
-func (r *refDeque) popBack() int64    { v := (*r)[len(*r)-1]; *r = (*r)[:len(*r)-1]; return v }
+func (r *refDeque) pushBack(v int64) { *r = append(*r, v) }
+func (r *refDeque) popFront() int64  { v := (*r)[0]; *r = (*r)[1:]; return v }
+func (r *refDeque) popBack() int64   { v := (*r)[len(*r)-1]; *r = (*r)[:len(*r)-1]; return v }
 
 // FuzzDequeVsSlice interprets the fuzz input as a program over the deque
 // and replays it against the slice model, checking full observable state
 // after every operation, plus the capacity-management contracts (power-of
 // -two capacity, reserve floor, shrink hysteresis, Clear release bound).
 //
-// Opcode (b % 8): 0 PushBack, 1 PushFront, 2 PopFront, 3 PopBack,
+// Opcode (b % 8): 0 PushBack, 1 rotate (PopFront then PushBack),
+// 2 PopFront, 3 PopBack,
 // 4 Clear, 5 Reserve(b/8), 6 At(b/8 mod len), 7 Front/Back probe. The
 // pushed value is the running operation index, so order bugs surface as
 // value mismatches.
@@ -38,8 +38,15 @@ func FuzzDequeVsSlice(f *testing.F) {
 				d.PushBack(int64(step))
 				ref.pushBack(int64(step))
 			case 1:
-				d.PushFront(int64(step))
-				ref.pushFront(int64(step))
+				if len(ref) == 0 {
+					continue
+				}
+				v := ref.popFront()
+				if got := d.PopFront(); got != v {
+					t.Fatalf("step %d: rotate PopFront = %d, want %d", step, got, v)
+				}
+				d.PushBack(v)
+				ref.pushBack(v)
 			case 2:
 				if len(ref) == 0 {
 					continue
@@ -68,8 +75,8 @@ func FuzzDequeVsSlice(f *testing.F) {
 				}
 			case 5:
 				d.Reserve(arg)
-				if d.Reserved() != arg {
-					t.Fatalf("step %d: Reserved = %d, want %d", step, d.Reserved(), arg)
+				if d.reserved != arg {
+					t.Fatalf("step %d: reserved = %d, want %d", step, d.reserved, arg)
 				}
 				if arg > 0 && d.Cap() < arg {
 					t.Fatalf("step %d: Reserve(%d) left cap %d", step, arg, d.Cap())
@@ -106,7 +113,7 @@ func FuzzDequeVsSlice(f *testing.F) {
 			if d.Cap() < d.Len() {
 				t.Fatalf("step %d: cap %d < len %d", step, d.Cap(), d.Len())
 			}
-			if d.Reserved() > minCapacity && d.Cap() < d.floor() && d.Cap() != 0 {
+			if d.reserved > minCapacity && d.Cap() < d.floor() && d.Cap() != 0 {
 				t.Fatalf("step %d: cap %d below reserve floor %d", step, d.Cap(), d.floor())
 			}
 		}

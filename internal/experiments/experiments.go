@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"smbm/internal/hmath"
 	"smbm/internal/sim"
@@ -182,21 +181,4 @@ func (o Options) scaled(e spec.Experiment) *spec.Experiment {
 		e.Traffic.Sources = o.Sources
 	}
 	return &e
-}
-
-// SortedPolicyNames returns the union of policy names across points, in
-// stable order; convenient for report rendering.
-func SortedPolicyNames(r *sim.SweepResult) []string {
-	set := map[string]bool{}
-	for _, p := range r.Points {
-		for name := range p.Ratio {
-			set[name] = true
-		}
-	}
-	names := make([]string, 0, len(set))
-	for name := range set {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

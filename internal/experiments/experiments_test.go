@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"smbm/internal/core"
@@ -148,24 +147,5 @@ func TestPanel7Shape(t *testing.T) {
 		if !(mvd > mrd) {
 			t.Errorf("k=%d: MVD %.3f not trailing MRD %.3f", p.X, mvd, mrd)
 		}
-	}
-}
-
-func TestSortedPolicyNames(t *testing.T) {
-	sweep, err := Panel("fig5.1", smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep.Xs = []int{4}
-	res, err := sweep.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := SortedPolicyNames(res)
-	if len(names) != 8 {
-		t.Fatalf("%d names: %v", len(names), names)
-	}
-	if !strings.HasPrefix(names[0], "BPD") {
-		t.Errorf("not sorted: %v", names)
 	}
 }

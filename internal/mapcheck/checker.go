@@ -366,9 +366,3 @@ func (c *checker) verify(when string) error {
 	}
 	return nil
 }
-
-// RunOnTraceSource is a convenience wrapper recording slots slots from a
-// source first.
-func RunOnTraceSource(cfg core.Config, opponent core.Policy, src traffic.Source, slots int) (Report, error) {
-	return Run(cfg, opponent, traffic.Record(src, slots))
-}

@@ -111,15 +111,6 @@ func Concat(bursts ...[]Packet) []Packet {
 	return out
 }
 
-// TotalValue sums the values of the given packets.
-func TotalValue(ps []Packet) int {
-	var sum int
-	for _, p := range ps {
-		sum += p.Value
-	}
-	return sum
-}
-
 // TotalWork sums the required work of the given packets.
 func TotalWork(ps []Packet) int {
 	var sum int

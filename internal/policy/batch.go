@@ -11,12 +11,14 @@ import (
 // evaluation its per-packet Admit cannot express — thresholds and
 // normalizers hoisted out of the loop, burst suffixes dropped
 // wholesale once free space is exhausted (free space never grows
-// during an arrival phase), repeated congested arrivals resolved
-// through the engine's drop memo, and the push-out victim pointer
-// maintained incrementally across the burst.
+// during an arrival phase), repeated congested threshold drops
+// resolved through the engine's drop memo, push-out victim orderings
+// summarized once per switch state rather than rescanned per
+// congested arrival, and the BPD victim pointer maintained
+// incrementally across the burst.
 //
 // With the engine unified across models, the kernels are too: every
-// policy instantiates one of the two generic skeletons in kernel.go
+// policy instantiates one of the three generic skeletons in kernel.go
 // with its rule struct, except Greedy (whose accept/drop split is a
 // pure prefix) and BPD/BPD1 (whose maintained-victim repair invariant
 // is stronger than a per-packet victim ordering can express).
@@ -208,7 +210,7 @@ func (NHSTV) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 //
 //smb:hotpath
 func (LQD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
-	pushOutBatch(b, ps, newLQDRule(b.View()))
+	argmaxBatch(b, ps, newLQDRule(b.View()))
 }
 
 // AdmitBatch implements core.BatchPolicy (LQD's kernel on the
@@ -216,7 +218,7 @@ func (LQD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 //
 //smb:hotpath
 func (LWD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
-	pushOutBatch(b, ps, newLWDRule(b.View()))
+	argmaxBatch(b, ps, newLWDRule(b.View()))
 }
 
 // AdmitBatch implements core.BatchPolicy.
@@ -276,7 +278,7 @@ func (BPD1) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 // port never exceeds the victim), so j is repaired by a downward scan
 // only when the victim's queue drops below the bar. The maintained j
 // always equals what biggestNonEmpty would recompute — a cross-packet
-// invariant the per-packet victimRule shape cannot express, so this
+// invariant the per-packet victim-rule shapes cannot express, so this
 // kernel stays outside the generic family.
 //
 //smb:hotpath

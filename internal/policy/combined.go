@@ -56,48 +56,61 @@ func newRVDRule(f core.FastView) rvdRule {
 	return rvdRule{f.QueueLens(), f.QueueTotalWorks(), f.PortWorks(), f.QueueMinValues(), f.QueueSums()}
 }
 
-// victim implements victimRule: W_j/V_j compared by cross-multiplying
-// in int64 (W ≤ B·k and V ≤ B·k keep the products far from overflow).
+// summarize implements victimRule: the max-ratio and runner-up
+// non-empty queues by real W_j/V_j, ties to the smaller minimum, then
+// the lower index, plus the buffer's minimum value. Ratios compare by
+// cross-multiplying in int64 (W ≤ B·k and V ≤ B·k keep the products
+// far from overflow).
 //
 //smb:hotpath
-func (r rvdRule) victim(p pkt.Packet) int {
-	victim := -1
-	var bestW, bestV int64
-	globalMin := 0
-	for j := range r.lens {
-		w, sum := int64(r.qworks[j]), r.sums[j]
-		if j == p.Port {
-			w += int64(r.works[j]) // virtually add p
-			sum += int64(p.Value)
+func (r rvdRule) summarize() summary {
+	qworks, mins := r.qworks[:len(r.sums)], r.mins[:len(r.sums)]
+	s := summary{top: -1, next: -1}
+	// Running (W, V, min) keys of top and next; the ratio −1/1 ranks
+	// below every non-empty queue.
+	tw, tv, tm := int64(-1), int64(1), 0
+	nw, nv, nm := int64(-1), int64(1), 0
+	for j, v := range r.sums {
+		if v == 0 {
+			continue // empty
 		}
-		if sum == 0 {
-			continue // empty even with the virtual add
+		m := mins[j]
+		if s.min == 0 || m < s.min {
+			s.min = m
 		}
-		mv := r.mins[j] // 0 on an empty queue: only possible for j == p.Port
-		if mv > 0 && (globalMin == 0 || mv < globalMin) {
-			globalMin = mv
-		}
-		switch {
-		case victim == -1 || w*bestV > bestW*sum:
-			victim, bestW, bestV = j, w, sum
-		case w*bestV == bestW*sum && minOrInfSlices(r.lens, r.mins, j) < minOrInfSlices(r.lens, r.mins, victim):
-			victim, bestW, bestV = j, w, sum
+		w := int64(qworks[j])
+		if a, b := w*tv, tw*v; a > b || a == b && m < tm {
+			s.top, s.next = j, s.top
+			tw, tv, tm, nw, nv, nm = w, v, m, tw, tv, tm
+		} else if a, b := w*nv, nw*v; a > b || a == b && m < nm {
+			s.next = j
+			nw, nv, nm = w, v, m
 		}
 	}
-	if victim != p.Port {
-		if globalMin <= p.Value {
-			return victim
-		}
-		return -1
-	}
-	if r.lens[p.Port] > 0 && r.mins[p.Port] < p.Value {
-		return p.Port
-	}
-	return -1
+	return s
 }
 
-// memo implements victimRule (see vlqdRule.memo).
-func (rvdRule) memo() bool { return true }
+// victim implements victimRule: p's queue i, grown virtually by p,
+// against the best other queue o on W/V, then minimum (an empty i
+// counts as unbeatably expensive), then index.
+//
+//smb:hotpath
+func (r rvdRule) victim(s summary, p pkt.Packet) int {
+	i := p.Port
+	victim := i
+	o := s.top
+	if o == i {
+		o = s.next
+	}
+	if o >= 0 {
+		wi, vi := int64(r.qworks[i]+r.works[i]), r.sums[i]+int64(p.Value)
+		a, b := int64(r.qworks[o])*vi, wi*r.sums[o]
+		if mi := minOrInfSlices(r.lens, r.mins, i); a > b || a == b && (r.mins[o] < mi || r.mins[o] == mi && o < i) {
+			victim = o
+		}
+	}
+	return guardedVictim(r.lens, r.mins, s.min, victim, p)
+}
 
 // Admit implements core.Policy.
 //

@@ -5,14 +5,16 @@ import (
 	"smbm/internal/pkt"
 )
 
-// This file holds the two generic admission kernels every roster policy
-// instantiates — the single admit/push-out skeleton the unified engine
-// exposes across the processing, value and combined models. A policy
-// supplies its cost trait as a small rule struct (its per-packet
-// admission predicate or its push-out victim ordering, with the
-// FastView slices hoisted at construction); the kernels own the shared
-// skeleton: the free-space prefix, the burst-suffix wholesale drop,
-// the engine drop memo, and the accept/drop/push-out bookkeeping.
+// This file holds the three generic admission kernels every roster
+// policy but Greedy and BPD/BPD1 instantiates — the admit/push-out
+// skeletons the unified engine exposes across the processing, value and
+// combined models. A policy supplies its cost trait as a small rule
+// struct (its per-packet admission predicate or its push-out victim
+// ordering, with the FastView slices hoisted at construction); the
+// kernels own the shared skeleton: the free-space prefix, the
+// burst-suffix wholesale drop, the engine drop memo (threshold rules),
+// the once-per-state summary (summarized push-out rules), and the
+// accept/drop/push-out bookkeeping.
 //
 // Rules are value types and the kernels are generic over them, so the
 // compiler stencils one loop per rule with static dispatch — the batch
@@ -64,45 +66,27 @@ func thresholdBatch[R thresholdRule](b *core.Batch, ps []pkt.Packet, r R) {
 	}
 }
 
-// victimRule is the cost trait of a push-out policy: given a congested
-// arrival, the queue to push out of, or -1 to drop the arrival. The
-// rule encodes the whole victim ordering — drop-candidate ranking,
-// virtual add of the arrival, own-queue displacement guards. memo as
-// in thresholdRule.
-type victimRule interface {
+// argmaxRule is the cost trait of a push-out policy whose victim is an
+// O(1) read of the engine's incrementally maintained argmax (LQD, LWD):
+// given a congested arrival, the queue to push out of, or -1 to drop
+// the arrival.
+type argmaxRule interface {
 	//smb:hotpath
 	victim(p pkt.Packet) int
-	//smb:hotpath
-	memo() bool
 }
 
-// pushOutBatch decides a burst under a push-out rule: the free-space
+// argmaxBatch decides a burst under an argmax rule: the free-space
 // prefix is accepted without any policy evaluation, and every
-// congested arrival resolves through the rule's victim ordering (with
-// the engine drop memo collapsing repeated identical drops when the
-// rule opts in).
+// congested arrival resolves through the rule's O(1) victim query.
 //
 //smb:hotpath
-func pushOutBatch[R victimRule](b *core.Batch, ps []pkt.Packet, r R) {
+func argmaxBatch[R argmaxRule](b *core.Batch, ps []pkt.Packet, r R) {
 	free := b.Free()
-	m := r.memo() // constant per rule: hoisted off the per-packet path
 	for x := range ps {
 		p := ps[x]
 		if free > 0 {
 			b.Accept(p)
 			free--
-			continue
-		}
-		if m {
-			if b.KnownDrop(p) {
-				b.Drop(p)
-				continue
-			}
-			if j := r.victim(p); j >= 0 {
-				b.PushOut(j, p)
-			} else {
-				b.DropMemo(p)
-			}
 			continue
 		}
 		if j := r.victim(p); j >= 0 {
@@ -111,4 +95,81 @@ func pushOutBatch[R victimRule](b *core.Batch, ps []pkt.Packet, r R) {
 			b.Drop(p)
 		}
 	}
+}
+
+// summary is a push-out rule's digest of one switch state, computed by
+// a single O(n) scan that leaves the arrival's virtual add out: the
+// best and runner-up drop candidates under the rule's exact ordering,
+// tie-breaks included (-1 when absent), and the minimum buffered value
+// over the rule's candidate queues (0 when there is none).
+type summary struct {
+	top, next int
+	min       int
+}
+
+// victimRule is the cost trait of a push-out policy whose victim
+// ordering is an O(n) scan over the queues (VLQD, MVD/MVD1, MRD, TVD,
+// RVD), split in two: summarize is the scan over the current state,
+// and victim folds a congested arrival's own port — the only queue its
+// virtual add changes — into that summary in O(1), returning the queue
+// to push out of or -1 to drop the arrival. Whenever the top candidate
+// is the arrival's own port, the runner-up is the best other queue.
+type victimRule interface {
+	//smb:hotpath
+	summarize() summary
+	//smb:hotpath
+	victim(s summary, p pkt.Packet) int
+}
+
+// pushOutBatch decides a burst under a summarized push-out rule: the
+// free-space prefix is accepted without any policy evaluation, and
+// every congested arrival resolves through the rule's victim against
+// the current state's summary. A drop mutates nothing, so the summary
+// is recomputed only when an accept or a push-out changed the state
+// since it was taken: one scan per state, not one per congested
+// arrival.
+//
+//smb:hotpath
+func pushOutBatch[R victimRule](b *core.Batch, ps []pkt.Packet, r R) {
+	free := b.Free()
+	var s summary
+	stale := true
+	for x := range ps {
+		p := ps[x]
+		if free > 0 {
+			b.Accept(p)
+			free--
+			continue
+		}
+		if stale {
+			s = r.summarize()
+			stale = false
+		}
+		if j := r.victim(s, p); j >= 0 {
+			b.PushOut(j, p)
+			stale = true
+		} else {
+			b.Drop(p)
+		}
+	}
+}
+
+// guardedVictim is the closing case split MRD, TVD and RVD share over
+// their max-rank queue: a cross-queue push-out requires the arrival to
+// be worth at least the cheapest buffered value anywhere (globalMin),
+// and an arrival for the max-rank queue itself only displaces a
+// strictly cheaper minimum.
+//
+//smb:hotpath
+func guardedVictim(lens, mins []int, globalMin, victim int, p pkt.Packet) int {
+	if victim != p.Port {
+		if globalMin <= p.Value {
+			return victim
+		}
+		return -1
+	}
+	if lens[p.Port] > 0 && mins[p.Port] < p.Value {
+		return p.Port
+	}
+	return -1
 }

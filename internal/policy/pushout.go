@@ -32,7 +32,7 @@ type lqdRule struct {
 // newLQDRule hoists the live length slice once.
 func newLQDRule(f core.FastView) lqdRule { return lqdRule{f, f.QueueLens()} }
 
-// victim implements victimRule.
+// victim implements argmaxRule.
 //
 //smb:hotpath
 func (r lqdRule) victim(p pkt.Packet) int {
@@ -47,10 +47,6 @@ func (r lqdRule) victim(p pkt.Packet) int {
 	}
 	return -1
 }
-
-// memo implements victimRule: a push-out alters the state, so memoized
-// drops would rarely survive, and the argmax query is O(1) anyway.
-func (lqdRule) memo() bool { return false }
 
 // Admit implements core.Policy.
 //
@@ -167,7 +163,7 @@ func newLWDRule(f core.FastView) lwdRule {
 	return lwdRule{f, f.QueueTotalWorks(), f.PortWorks()}
 }
 
-// victim implements victimRule.
+// victim implements argmaxRule.
 //
 //smb:hotpath
 func (r lwdRule) victim(p pkt.Packet) int {
@@ -182,9 +178,6 @@ func (r lwdRule) victim(p pkt.Packet) int {
 	}
 	return -1
 }
-
-// memo implements victimRule (see lqdRule.memo).
-func (lwdRule) memo() bool { return false }
 
 // Admit implements core.Policy.
 //

@@ -37,38 +37,35 @@ func newTVDRule(f core.FastView) tvdRule {
 	return tvdRule{f.QueueLens(), f.QueueMinValues(), f.QueueSums()}
 }
 
-// victim implements victimRule.
+// summarize implements victimRule: TVD adds no virtual arrival, so
+// the summary is the max-sum non-empty queue itself (ties to the lower
+// index) with the buffer's minimum value.
 //
 //smb:hotpath
-func (r tvdRule) victim(p pkt.Packet) int {
-	victim := -1
-	var bestSum int64
-	globalMin := 0
+func (r tvdRule) summarize() summary {
+	mins, sums := r.mins[:len(r.lens)], r.sums[:len(r.lens)]
+	s := summary{top: -1, next: -1}
+	bestSum := int64(-1) // every non-empty queue's sum exceeds it
 	for j, l := range r.lens {
 		if l == 0 {
 			continue
 		}
-		if mv := r.mins[j]; globalMin == 0 || mv < globalMin {
-			globalMin = mv
+		if mv := mins[j]; s.min == 0 || mv < s.min {
+			s.min = mv
 		}
-		if sum := r.sums[j]; victim == -1 || sum > bestSum {
-			victim, bestSum = j, sum
+		if sum := sums[j]; sum > bestSum {
+			s.top, bestSum = j, sum
 		}
 	}
-	if victim != p.Port {
-		if globalMin <= p.Value {
-			return victim
-		}
-		return -1
-	}
-	if r.lens[p.Port] > 0 && r.mins[p.Port] < p.Value {
-		return p.Port
-	}
-	return -1
+	return s
 }
 
-// memo implements victimRule (see vlqdRule.memo).
-func (tvdRule) memo() bool { return true }
+// victim implements victimRule.
+//
+//smb:hotpath
+func (r tvdRule) victim(s summary, p pkt.Packet) int {
+	return guardedVictim(r.lens, r.mins, s.min, s.top, p)
+}
 
 // Admit implements core.Policy.
 //
@@ -92,24 +89,7 @@ func (TVD) Admit(v core.View, p pkt.Packet) core.Decision {
 			victim, bestSum = j, sum
 		}
 	}
-	return tvdDecide(v, p, victim, globalMin)
-}
-
-// tvdDecide turns TVD's max-sum scan result into a decision — the
-// plain-View reference twin of tvdRule.victim's closing case split.
-//
-//smb:hotpath
-func tvdDecide(v core.View, p pkt.Packet, victim, globalMin int) core.Decision {
-	if victim != p.Port {
-		if globalMin <= p.Value {
-			return core.PushOut(victim)
-		}
-		return core.Drop()
-	}
-	if v.QueueLen(p.Port) > 0 && v.QueueMinValue(p.Port) < p.Value {
-		return core.PushOut(p.Port)
-	}
-	return core.Drop()
+	return mrdDecide(v, p, victim, globalMin)
 }
 
 var _ core.Policy = TVD{}

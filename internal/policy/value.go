@@ -96,35 +96,50 @@ func newVLQDRule(f core.FastView) vlqdRule {
 	return vlqdRule{f.QueueLens(), f.QueueMinValues()}
 }
 
-// victim implements victimRule.
+// summarize implements victimRule: the longest and runner-up queues
+// by real length, ties to the cheaper minimum, then the lower index
+// (a later queue must strictly outrank the earlier one to displace it).
 //
 //smb:hotpath
-func (r vlqdRule) victim(p pkt.Packet) int {
-	i := p.Port
-	longest, longestLen := -1, -1
+func (r vlqdRule) summarize() summary {
+	mins := r.mins[:len(r.lens)]
+	top, next := -1, -1
+	tl, tm, nl, nm := -1, 0, -1, 0 // length −1: every queue outranks it
 	for j, l := range r.lens {
-		if j == i {
-			l++ // virtually add p
-		}
+		m := mins[j]
 		switch {
-		case l > longestLen:
-			longest, longestLen = j, l
-		case l == longestLen && r.mins[j] < r.mins[longest]:
-			longest = j
+		case l > tl || l == tl && m < tm:
+			top, next, nl, nm = j, top, tl, tm
+			tl, tm = l, m
+		case l > nl || l == nl && m < nm:
+			next, nl, nm = j, l, m
 		}
 	}
-	if longest != i {
-		return longest
+	return summary{top: top, next: next}
+}
+
+// victim implements victimRule: the best other queue o stays the
+// longest over p's virtually grown queue i if it is longer, as long
+// with a cheaper minimum, or fully tied at a lower index.
+//
+//smb:hotpath
+func (r vlqdRule) victim(s summary, p pkt.Packet) int {
+	i := p.Port
+	o := s.top
+	if o == i {
+		o = s.next
+	}
+	if o >= 0 {
+		lo, li := r.lens[o], r.lens[i]+1
+		if lo > li || lo == li && (r.mins[o] < r.mins[i] || r.mins[o] == r.mins[i] && o < i) {
+			return o
+		}
 	}
 	if r.lens[i] > 0 && r.mins[i] < p.Value {
 		return i
 	}
 	return -1
 }
-
-// memo implements victimRule: the O(n) scan is worth collapsing when a
-// congested burst keeps offering the same (port, value).
-func (vlqdRule) memo() bool { return true }
 
 // Admit implements core.Policy.
 //
@@ -190,32 +205,39 @@ func newMVDRule(f core.FastView, minLen int) mvdRule {
 	return mvdRule{f.QueueLens(), f.QueueMinValues(), minLen}
 }
 
-// victim implements victimRule.
+// summarize implements victimRule: MVD's victim does not depend on
+// the arrival's port, so the summary is the victim itself — the
+// cheapest minimum over queues of at least minLen packets, ties to the
+// longest queue, then the lower index — with that minimum.
 //
 //smb:hotpath
-func (r mvdRule) victim(p pkt.Packet) int {
-	victim, minVal := -1, 0
+func (r mvdRule) summarize() summary {
+	mins := r.mins[:len(r.lens)]
+	victim, minVal, victimLen := -1, int(^uint(0)>>1), 0
 	for j, l := range r.lens {
 		if l < r.minLen {
 			continue
 		}
-		mv := r.mins[j]
-		switch {
-		case victim == -1 || mv < minVal:
-			victim, minVal = j, mv
-		case mv == minVal && l > r.lens[victim]:
-			// Ties: the longest queue among those holding the minimum.
-			victim = j
+		// Ties: the longest queue among those holding the minimum.
+		if mv := mins[j]; mv < minVal || mv == minVal && l > victimLen {
+			victim, minVal, victimLen = j, mv, l
 		}
 	}
-	if victim >= 0 && minVal < p.Value {
-		return victim
+	if victim < 0 {
+		return summary{top: -1, next: -1}
+	}
+	return summary{top: victim, next: -1, min: minVal}
+}
+
+// victim implements victimRule.
+//
+//smb:hotpath
+func (mvdRule) victim(s summary, p pkt.Packet) int {
+	if s.top >= 0 && s.min < p.Value {
+		return s.top
 	}
 	return -1
 }
-
-// memo implements victimRule (see vlqdRule.memo).
-func (mvdRule) memo() bool { return true }
 
 // Admit implements core.Policy.
 //
@@ -294,50 +316,61 @@ func newMRDRule(f core.FastView) mrdRule {
 	return mrdRule{f.QueueLens(), f.QueueMinValues(), f.QueueSums()}
 }
 
-// victim implements victimRule:
-// |Q_j|/a_j = |Q_j|²/sum_j; compare fractions by cross-multiplying
-// in int64 (|Q| ≤ B, sums ≤ B·k keep this far from overflow).
+// summarize implements victimRule: the max-ratio and runner-up
+// non-empty queues by real |Q_j|/a_j = |Q_j|²/sum_j, ties to the
+// smaller minimum, then the lower index, plus the buffer's minimum
+// value. Ratios compare by cross-multiplying in int64 (|Q| ≤ B, sums
+// ≤ B·k keep this far from overflow).
 //
 //smb:hotpath
-func (r mrdRule) victim(p pkt.Packet) int {
-	victim := -1
-	var bestNum, bestDen int64
-	globalMin := 0
-	for j := range r.lens {
-		l, sum := int64(r.lens[j]), r.sums[j]
-		if j == p.Port {
-			l++ // virtually add p
-			sum += int64(p.Value)
-		}
+func (r mrdRule) summarize() summary {
+	mins, sums := r.mins[:len(r.lens)], r.sums[:len(r.lens)]
+	s := summary{top: -1, next: -1}
+	// Running (|Q|², sum, min) keys of top and next; the ratio −1/1
+	// ranks below every non-empty queue.
+	tn, td, tm := int64(-1), int64(1), 0
+	nn, nd, nm := int64(-1), int64(1), 0
+	for j, l := range r.lens {
 		if l == 0 {
 			continue
 		}
-		mv := r.mins[j] // 0 on an empty queue: only possible for j == p.Port
-		if mv > 0 && (globalMin == 0 || mv < globalMin) {
-			globalMin = mv
+		m := mins[j]
+		if s.min == 0 || m < s.min {
+			s.min = m
 		}
-		num, den := l*l, sum
-		switch {
-		case victim == -1 || num*bestDen > bestNum*den:
-			victim, bestNum, bestDen = j, num, den
-		case num*bestDen == bestNum*den && minOrInfSlices(r.lens, r.mins, j) < minOrInfSlices(r.lens, r.mins, victim):
-			victim, bestNum, bestDen = j, num, den
+		num, den := int64(l)*int64(l), sums[j]
+		if a, b := num*td, tn*den; a > b || a == b && m < tm {
+			s.top, s.next = j, s.top
+			tn, td, tm, nn, nd, nm = num, den, m, tn, td, tm
+		} else if a, b := num*nd, nn*den; a > b || a == b && m < nm {
+			s.next = j
+			nn, nd, nm = num, den, m
 		}
 	}
-	if victim != p.Port {
-		if globalMin <= p.Value {
-			return victim
-		}
-		return -1
-	}
-	if r.lens[p.Port] > 0 && r.mins[p.Port] < p.Value {
-		return p.Port
-	}
-	return -1
+	return s
 }
 
-// memo implements victimRule (see vlqdRule.memo).
-func (mrdRule) memo() bool { return true }
+// victim implements victimRule: p's queue i, grown virtually by p,
+// against the best other queue o on ratio, then minimum (an empty i
+// counts as unbeatably expensive), then index.
+//
+//smb:hotpath
+func (r mrdRule) victim(s summary, p pkt.Packet) int {
+	i := p.Port
+	victim := i
+	o := s.top
+	if o == i {
+		o = s.next
+	}
+	if o >= 0 {
+		li, lo := int64(r.lens[i]+1), int64(r.lens[o])
+		a, b := lo*lo*(r.sums[i]+int64(p.Value)), li*li*r.sums[o]
+		if mi := minOrInfSlices(r.lens, r.mins, i); a > b || a == b && (r.mins[o] < mi || r.mins[o] == mi && o < i) {
+			victim = o
+		}
+	}
+	return guardedVictim(r.lens, r.mins, s.min, victim, p)
+}
 
 // Admit implements core.Policy.
 //
@@ -373,8 +406,8 @@ func (MRD) Admit(v core.View, p pkt.Packet) core.Decision {
 	return mrdDecide(v, p, victim, globalMin)
 }
 
-// mrdDecide turns MRD's max-ratio scan result into a decision — the
-// plain-View reference twin of mrdRule.victim's closing case split.
+// mrdDecide turns the max-rank scan result of MRD, TVD or RVD into a
+// decision — the plain-View reference twin of guardedVictim.
 //
 //smb:hotpath
 func mrdDecide(v core.View, p pkt.Packet, victim, globalMin int) core.Decision {

@@ -341,8 +341,8 @@ reports the measured ratio as a custom metric alongside ns/op and
 allocations. Package-level micro-benchmarks cover the substrates and the
 ablations DESIGN.md calls out:
 
-- ` + "`internal/bmset`" + `: Fenwick-backed bounded multiset vs the naive O(k)
-  bucket scan it replaces, at k=64 and k=1024.
+- ` + "`internal/bmset`" + `: the bitmap bounded multiset (BenchmarkSetK64/K1024)
+  vs the naive O(k) bucket scan it replaces, at k=64 and k=1024.
 - ` + "`internal/core`" + `: BenchmarkInvariantCheckingOverhead (the
   CheckInvariants flag) vs the plain step loop.
 - ` + "`internal/experiments`" + `: BenchmarkAblationLWDTieBreak — LWD with

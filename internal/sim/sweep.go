@@ -552,26 +552,6 @@ func (r *SweepResult) Series(policy string) (xs []int, means []float64) {
 	return xs, means
 }
 
-// BestPolicy returns the policy with the lowest mean ratio at each point.
-func (r *SweepResult) BestPolicy() []string {
-	out := make([]string, len(r.Points))
-	for i, p := range r.Points {
-		names := make([]string, 0, len(p.Ratio))
-		for name := range p.Ratio {
-			names = append(names, name)
-		}
-		sort.Strings(names) // deterministic tie-break
-		best, bestMean := "", math.Inf(1)
-		for _, name := range names {
-			if m := p.Ratio[name].Mean; m < bestMean {
-				best, bestMean = name, m
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
 // formatRatio renders a ratio cell, normalizing the non-finite cases:
 // strconv would render NaN as "NaN" and -Inf as a misleading numeric
 // "-Inf" mid-table, so both are spelled out like "inf" already was.
