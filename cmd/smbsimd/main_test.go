@@ -377,10 +377,12 @@ func TestDaemonMidStreamDisconnect(t *testing.T) {
 }
 
 // TestDaemonInvalidPacketMidSlot streams a trace whose slot k carries an
-// out-of-range port in its second record, after a valid first record:
-// the daemon must abort with exactly k slots processed on every shard,
-// never stepping the valid part of slot k, and answer with results
-// bit-identical to the oracle over tr[:k].
+// invalid second record, after a valid first record: the daemon must
+// abort with exactly k slots processed on every shard, never stepping
+// the valid part of slot k, and answer with results bit-identical to
+// the oracle over tr[:k]. The "port" case writes an out-of-range port;
+// the "work" case keeps the port and writes another port's work, which
+// only the engine's per-port work match refuses.
 func TestDaemonInvalidPacketMidSlot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test; skipped with -short")
@@ -389,42 +391,57 @@ func TestDaemonInvalidPacketMidSlot(t *testing.T) {
 	cfg := e2eConfig()
 	tr := e2eTrace(cfg, 40)
 	const k = 17
-
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatalf("encoding trace: %v", err)
+	// Header 10 bytes, 16 bytes per slot; within a record the port is
+	// the little-endian uint16 at offset 4 and the work the byte at
+	// offset 6.
+	rec := 10 + k*16 + 8
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(raw []byte)
+	}{
+		{"port", "out of range", func(raw []byte) {
+			raw[rec+4], raw[rec+5] = byte(cfg.Ports), 0
+		}},
+		{"work", "does not match", func(raw []byte) {
+			raw[rec+6] = byte(tr[k][1].Work%cfg.MaxLabel + 1)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tr.WriteBinary(&buf); err != nil {
+				t.Fatalf("encoding trace: %v", err)
+			}
+			raw := buf.Bytes()
+			c.corrupt(raw)
+			conn, err := net.Dial("tcp", d.streamAddr)
+			if err != nil {
+				t.Fatalf("dialing daemon: %v", err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(raw); err != nil {
+				t.Fatalf("writing stream: %v", err)
+			}
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatalf("half-close: %v", err)
+			}
+			var resp streamResponse
+			if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+				t.Fatalf("decoding response: %v", err)
+			}
+			if !resp.Aborted || !strings.Contains(resp.Error, c.want) {
+				t.Fatalf("invalid packet did not abort the stream with %q: %+v", c.want, resp)
+			}
+			if resp.ProcessedSlots != k {
+				t.Fatalf("processed %d slots, want %d", resp.ProcessedSlots, k)
+			}
+			for _, res := range resp.Results {
+				if res.Slots != k {
+					t.Fatalf("shard %d stepped %d slots, want %d", res.Shard, res.Slots, k)
+				}
+			}
+			checkResponseOracle(t, &resp, tr[:k], func() core.Policy { return policy.LQD{} })
+		})
 	}
-	// Header 10 bytes, 16 bytes per slot; the port is the little-endian
-	// uint16 at offset 4 of a record.
-	raw := buf.Bytes()
-	raw[10+k*16+8+4], raw[10+k*16+8+5] = byte(cfg.Ports), 0
-	conn, err := net.Dial("tcp", d.streamAddr)
-	if err != nil {
-		t.Fatalf("dialing daemon: %v", err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(raw); err != nil {
-		t.Fatalf("writing stream: %v", err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatalf("half-close: %v", err)
-	}
-	var resp streamResponse
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("decoding response: %v", err)
-	}
-	if !resp.Aborted || !strings.Contains(resp.Error, "out of range") {
-		t.Fatalf("invalid packet did not abort the stream: %+v", resp)
-	}
-	if resp.ProcessedSlots != k {
-		t.Fatalf("processed %d slots, want %d", resp.ProcessedSlots, k)
-	}
-	for _, res := range resp.Results {
-		if res.Slots != k {
-			t.Fatalf("shard %d stepped %d slots, want %d", res.Shard, res.Slots, k)
-		}
-	}
-	checkResponseOracle(t, &resp, tr[:k], func() core.Policy { return policy.LQD{} })
 	d.terminate(t)
 }
 

@@ -37,8 +37,9 @@ type BatchPolicy interface {
 // through per-packet Admit calls otherwise. It is the engine's only
 // arrival path.
 //
-// Every packet is validated up front: a malformed packet fails the
-// burst before anything is applied, reported as a *BurstError with
+// Every packet is validated up front (PacketCheck, against the
+// engine's own work table): a malformed packet fails the burst before
+// anything is applied, reported as a *BurstError with
 // Applied == 0. Admission decisions are final, and every executor op
 // checks its decision before it mutates, so a failing decision (an
 // accept into a full buffer, an invalid push-out victim, a kernel that
@@ -53,14 +54,11 @@ func (s *Switch) ArriveBatch(ps []pkt.Packet) error {
 	if len(ps) == 0 {
 		return nil
 	}
+	chk := &s.check
 	for i := range ps {
-		if err := ps[i].Validate(s.cfg.Ports, s.cfg.MaxLabel); err != nil {
+		if !chk.ok(ps[i]) {
 			//smb:alloc-ok validation failure path, never taken by well-formed input
-			return &BurstError{Index: i, Err: err}
-		}
-		if s.fifo && ps[i].Work != s.works[ps[i].Port] {
-			//smb:alloc-ok validation failure path, never taken by well-formed input
-			return &BurstError{Index: i, Err: fmt.Errorf("core: packet work %d does not match port %d configuration %d", ps[i].Work, ps[i].Port, s.works[ps[i].Port])}
+			return &BurstError{Index: i, Err: chk.reject(ps[i])}
 		}
 	}
 	// The transmission phase since the previous burst mutated the

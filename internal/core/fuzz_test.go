@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"smbm/internal/pkt"
@@ -70,6 +72,94 @@ func FuzzDecisionExecutor(f *testing.F) {
 		}
 		if st.Accepted != st.Transmitted+st.PushedOut {
 			t.Fatalf("conservation broken after drain: %+v", st)
+		}
+	})
+}
+
+// refArriveCheck is the two-step arrival validation PacketCheck fuses:
+// pkt.Validate's range checks, then the FIFO models' per-port work
+// match. It is the reference FuzzArriveValidation holds ArriveBatch to.
+func refArriveCheck(cfg Config, p pkt.Packet) error {
+	if err := p.Validate(cfg.Ports, cfg.MaxLabel); err != nil {
+		return err
+	}
+	if cfg.Model != ModelValue && p.Work != cfg.portWork()[p.Port] {
+		return fmt.Errorf("core: packet work %d does not match port %d configuration %d", p.Work, p.Port, cfg.portWork()[p.Port])
+	}
+	return nil
+}
+
+// validationConfig derives a small switch configuration from the fuzz
+// selectors: model = sel%3, unit works (nil PortWork) when sel/3 is
+// odd, n and MaxLabel in [1,4].
+func validationConfig(sel, n, ml uint8) Config {
+	cfg := Config{
+		Model:    Model(1 + sel%3),
+		Ports:    1 + int(n%4),
+		MaxLabel: 1 + int(ml%4),
+		Speedup:  1,
+	}
+	cfg.Buffer = 2 * cfg.Ports
+	if cfg.Model != ModelValue && sel/3%2 == 0 {
+		cfg.PortWork = make([]int, cfg.Ports)
+		for i := range cfg.PortWork {
+			cfg.PortWork[i] = min(1+i, cfg.MaxLabel)
+		}
+	}
+	return cfg
+}
+
+// FuzzArriveValidation holds ArriveBatch's one-branch arrival check to
+// the two-step reference, in every model: the same packets pass, and a
+// refused one fails with the same *BurstError text. The seed corpus
+// covers, exhaustively for two configurations per model, every port in
+// [-1, n], every work and value in [-1, MaxLabel+1], and the int
+// extremes.
+func FuzzArriveValidation(f *testing.F) {
+	for sel := uint8(0); sel < 6; sel++ {
+		for _, dims := range [][2]uint8{{0, 0}, {2, 3}} {
+			cfg := validationConfig(sel, dims[0], dims[1])
+			ports := []int{math.MinInt, math.MaxInt}
+			for p := -1; p <= cfg.Ports; p++ {
+				ports = append(ports, p)
+			}
+			labels := []int{math.MinInt, math.MaxInt}
+			for l := -1; l <= cfg.MaxLabel+1; l++ {
+				labels = append(labels, l)
+			}
+			for _, port := range ports {
+				for _, work := range labels {
+					for _, value := range labels {
+						f.Add(sel, dims[0], dims[1], port, work, value)
+					}
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel, n, ml uint8, port, work, value int) {
+		cfg := validationConfig(sel, n, ml)
+		sw := MustNew(cfg, PolicyFunc{PolicyName: "greedy", Func: func(v View, _ pkt.Packet) Decision {
+			if v.Free() > 0 {
+				return Accept()
+			}
+			return Drop()
+		}})
+		p := pkt.Packet{Port: port, Work: work, Value: value}
+		want := refArriveCheck(cfg, p)
+		err := sw.ArriveBatch([]pkt.Packet{p})
+		switch {
+		case want == nil && err != nil:
+			t.Fatalf("%v %v: ArriveBatch refused a valid packet: %v", cfg.Model, p, err)
+		case want != nil && err == nil:
+			t.Fatalf("%v %v: ArriveBatch accepted a packet the reference refuses: %v", cfg.Model, p, want)
+		case want != nil:
+			ref := &BurstError{Index: 0, Applied: 0, Err: want}
+			if err.Error() != ref.Error() {
+				t.Fatalf("%v %v: error %q, want %q", cfg.Model, p, err, ref)
+			}
+		}
+		if chk := NewPacketCheck(cfg); fmt.Sprint(chk.Check(p)) != fmt.Sprint(want) {
+			t.Fatalf("%v %v: PacketCheck.Check = %v, want %v", cfg.Model, p, chk.Check(p), want)
 		}
 	})
 }

@@ -22,6 +22,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"smbm/internal/pkt"
 )
 
 // Model selects which of the paper's two generalizations a Switch
@@ -156,4 +158,55 @@ func (c Config) portWork() []int {
 		return UniformWorks(c.Ports, 1)
 	}
 	return c.PortWork
+}
+
+// PacketCheck is the engine's arrival validation for one configuration,
+// shared by Switch.ArriveBatch and the sharded runtime's producer side:
+// a packet is accepted when its port, work and value are in range
+// (pkt.Validate) and, in the FIFO models, its work matches its port's
+// configured work. Build one with NewPacketCheck.
+type PacketCheck struct {
+	ports    uint
+	maxLabel uint
+	fifo     bool
+	works    []int
+}
+
+// NewPacketCheck returns cfg's packet check. cfg must be valid.
+func NewPacketCheck(cfg Config) PacketCheck {
+	return PacketCheck{
+		ports:    uint(cfg.Ports),
+		maxLabel: uint(cfg.MaxLabel),
+		fifo:     cfg.Model != ModelValue,
+		works:    cfg.portWork(),
+	}
+}
+
+// ok reports whether p passes the check, in one fused branch: each
+// unsigned compare folds a range's lower and upper bound into one.
+//
+//smb:hotpath
+func (c *PacketCheck) ok(p pkt.Packet) bool {
+	return uint(p.Port) < c.ports && uint(p.Work-1) < c.maxLabel &&
+		uint(p.Value-1) < c.maxLabel && (!c.fifo || p.Work == c.works[p.Port])
+}
+
+// Check returns nil when p passes the check, and otherwise the reason:
+// pkt.Validate's range error, or the work mismatch.
+//
+//smb:hotpath
+func (c *PacketCheck) Check(p pkt.Packet) error {
+	if c.ok(p) {
+		return nil
+	}
+	//smb:alloc-ok validation failure path, never taken by well-formed input
+	return c.reject(p)
+}
+
+// reject explains why p failed ok.
+func (c *PacketCheck) reject(p pkt.Packet) error {
+	if err := p.Validate(int(c.ports), int(c.maxLabel)); err != nil {
+		return err
+	}
+	return fmt.Errorf("core: packet work %d does not match port %d configuration %d", p.Work, p.Port, c.works[p.Port])
 }

@@ -11,6 +11,10 @@ import (
 
 // Switch is a shared-memory switch instance driven by a Policy. Create
 // with New; not safe for concurrent use (run one Switch per goroutine).
+// The three models share one engine parameterized by two traits, fifo
+// and valued (fields below): one arrival path (ArriveBatch) and one
+// transmission phase per queue discipline, FIFO or priority
+// (Transmit).
 type Switch struct {
 	cfg    Config
 	policy Policy
@@ -59,9 +63,11 @@ type Switch struct {
 	// Per-queue state. qLen is the packet count (every model). A FIFO
 	// queue holding len packets with head-of-line residual hol has total
 	// residual work (len-1)*w_i + hol, mirrored incrementally in qWork;
-	// the value model mirrors qWork ≡ qLen (unit works). arrivals
-	// records the arrival slot of each buffered packet in FIFO order for
-	// latency accounting (fifo models only).
+	// the value model mirrors qWork ≡ qLen (unit works). holRes[i] is 0
+	// exactly when FIFO queue i is empty (verify checks it), which lets
+	// transmitFIFO's hot tier skip empty queues without reading qLen.
+	// arrivals records the arrival slot of each buffered packet in FIFO
+	// order for latency accounting (fifo models only).
 	qLen     []int
 	holRes   []int
 	qWork    []int
@@ -108,10 +114,12 @@ type Switch struct {
 	perPort []PortCounters
 
 	// Arrival phase state (see batch.go): the reusable Batch executor,
-	// the policy's optional batch kernel, Arrive's one-packet burst, and
-	// the epoch-stamped drop-decision memo.
+	// the policy's optional batch kernel, the packet check over the
+	// works lane, Arrive's one-packet burst, and the epoch-stamped
+	// drop-decision memo.
 	batchPol BatchPolicy
 	batch    Batch
+	check    PacketCheck
 	one      [1]pkt.Packet
 	// memoEpoch is monotone for the lifetime of the Switch: it only
 	// ever increments (every burst start, accept and push-out advances
@@ -197,6 +205,10 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 		s.invWorkSum += 1 / float64(w)
 	}
 	s.batch.s = s
+	// The check reads the engine's own work lane, not the caller's
+	// configuration.
+	s.check = NewPacketCheck(cfg)
+	s.check.works = s.works
 	s.batchPol, _ = policy.(BatchPolicy)
 	s.memoStride = cfg.MaxLabel + 1
 	s.memoStamp = make([]int64, n*s.memoStride)
@@ -528,19 +540,16 @@ func (e *BurstError) Error() string {
 func (e *BurstError) Unwrap() error { return e.Err }
 
 // Transmit runs one transmission phase: every non-empty queue receives
-// Speedup processing cycles (processing and combined models) or
-// transmits up to Speedup packets (value model). It advances the slot
-// counter.
+// Speedup processing cycles (the fifo models, processing and combined,
+// through transmitFIFO) or transmits up to Speedup packets (the value
+// model, through transmitValue). It advances the slot counter.
 //
 //smb:hotpath
 func (s *Switch) Transmit() {
-	switch s.cfg.Model {
-	case ModelProcessing:
-		s.transmitProcessing()
-	case ModelValue:
+	if s.fifo {
+		s.transmitFIFO()
+	} else {
 		s.transmitValue()
-	default:
-		s.transmitCombined()
 	}
 	s.slot++
 	s.stats.Slots++
@@ -552,82 +561,120 @@ func (s *Switch) Transmit() {
 	}
 }
 
+// transmitFIFO is the fifo models' transmission phase: each port spends
+// its speedTab cycles on its head-of-line packet. It runs in two tiers.
+// The hot tier relies on the invariant holRes[i] == 0 exactly when
+// queue i is empty (verify checks it), so use = min(speedup, holRes) is
+// 0 for empty and blacked-out ports; when use falls short of the
+// residual, the port only loses use cycles of residual work, with no
+// counter, deque or perPort traffic. Only a finished head-of-line
+// packet enters the completion tier, completeFIFO.
+//
 //smb:hotpath
-func (s *Switch) transmitProcessing() {
-	// Hoist the SoA lanes into locals: the inner loop then indexes flat
-	// slices instead of reloading switch fields around every store, and
-	// the slot's consumed cycles accumulate into one register flushed to
-	// Stats once per phase.
+func (s *Switch) transmitFIFO() {
 	var (
-		speedTab    = s.speedTab
-		qLen        = s.qLen
-		holRes      = s.holRes
-		qWork       = s.qWork
-		works       = s.works
-		cyclesTotal int64
+		holRes   = s.holRes
+		speedTab = s.speedTab[:len(holRes)]
+		qWork    = s.qWork[:len(holRes)]
+		cycles   int64
 	)
-	for i := 0; i < s.cfg.Ports; i++ {
-		budget := speedTab[i]
-		if budget == 0 || qLen[i] == 0 {
+	// Every served port's total work (the workMax key) falls, but only
+	// the cached argmax's fall can invalidate the cache: one check per
+	// slot instead of one per port. A queue's length (the lenMax key)
+	// only changes on a completion.
+	if wm := &s.workMax; wm.ok && min(speedTab[wm.idx], holRes[wm.idx]) > 0 {
+		wm.ok = false
+	}
+	for i, res := range holRes {
+		use := min(speedTab[i], res)
+		if use == 0 {
 			continue
 		}
-		// Per-port accumulators: counters are batched into stats and
-		// perPort once per port instead of per completion.
-		var (
-			cycles    int64
-			completed int64
-			latSum    int64
-		)
-		pc := &s.perPort[i]
-		for budget > 0 && qLen[i] > 0 {
-			use := min(budget, holRes[i])
-			holRes[i] -= use
-			qWork[i] -= use
-			budget -= use
-			cycles += int64(use)
-			if holRes[i] > 0 {
-				break
-			}
-			// Head-of-line packet completed: transmit it.
-			qLen[i]--
-			s.occ--
-			completed++
-			latency := s.slot - s.arrivals[i].PopFront()
-			latSum += latency
-			if latency > pc.MaxLatency {
-				pc.MaxLatency = latency
-			}
-			if qLen[i] > 0 {
-				holRes[i] = works[i]
+		cycles += int64(use)
+		qWork[i] -= use
+		if use < res {
+			holRes[i] = res - use
+			continue
+		}
+		holRes[i] = 0
+		cycles += s.completeFIFO(i, speedTab[i]-use)
+	}
+	s.stats.CyclesUsed += cycles
+}
+
+// completeFIFO is transmitFIFO's completion tier: port i's head-of-line
+// packet has just finished with budget cycles of the slot left over. It
+// transmits that packet, carries the leftover budget into the next
+// ones, transmitting each that finishes, and returns the cycles spent
+// past the first. Counters are batched into Stats and perPort once per
+// call. The combined model credits each packet's intrinsic value from
+// the vals deque; the processing model credits unit values and keeps
+// its degenerate value mirrors.
+//
+//smb:hotpath
+func (s *Switch) completeFIFO(i, budget int) int64 {
+	var (
+		w         = s.works[i]
+		pc        = &s.perPort[i]
+		cycles    int64
+		completed int64
+		latSum    int64
+		valSum    int64
+		minHit    bool
+	)
+	for {
+		s.qLen[i]--
+		s.occ--
+		completed++
+		latency := s.slot - s.arrivals[i].PopFront()
+		latSum += latency
+		if latency > pc.MaxLatency {
+			pc.MaxLatency = latency
+		}
+		if s.valued {
+			v := int(s.vals[i].PopFront())
+			s.vq[i].Remove(v)
+			valSum += int64(v)
+			// s.vMin[i] is not touched inside the loop, so comparing the
+			// popped value against it detects whether any completion may
+			// have removed the last copy of the pre-phase minimum.
+			if v == s.vMin[i] {
+				minHit = true
 			}
 		}
-		if cycles > 0 {
-			// Any consumed cycle lowers the queue's total work, but its
-			// length (the lenMax key) only changes on a completion.
-			s.workMax.drop(i)
-			cyclesTotal += cycles
+		if s.qLen[i] == 0 {
+			break
 		}
-		if completed > 0 {
-			s.lenMax.drop(i)
-			// Degenerate value mirrors (unit values): the sum lane tracks
-			// the queue length, the min lane drops to 0 on empty.
-			s.vSum[i] -= completed
-			if qLen[i] == 0 {
-				s.vMin[i] = 0
-			}
-			s.stats.Transmitted += completed
-			s.stats.TransmittedValue += completed
-			s.stats.TransmittedWork += completed * int64(works[i])
-			s.stats.LatencySlots += latSum
-			pc.Transmitted += completed
-			pc.TransmittedValue += completed
-			pc.LatencySlots += latSum
-			if s.rec != nil {
-				s.rec.Add(i, obs.KindHOLTransmit, uint64(completed))
-			}
+		use := min(budget, w)
+		budget -= use
+		cycles += int64(use)
+		s.qWork[i] -= use
+		if use < w {
+			s.holRes[i] = w - use
+			break
 		}
 	}
-	s.stats.CyclesUsed += cyclesTotal
+	if !s.valued {
+		valSum = completed
+	}
+	s.vSum[i] -= valSum
+	if s.qLen[i] == 0 {
+		s.vMin[i] = 0
+	} else if minHit {
+		s.vMin[i] = s.vq[i].Min()
+	}
+	s.lenMax.drop(i)
+	s.stats.Transmitted += completed
+	s.stats.TransmittedValue += valSum
+	s.stats.TransmittedWork += completed * int64(w)
+	s.stats.LatencySlots += latSum
+	pc.Transmitted += completed
+	pc.TransmittedValue += valSum
+	pc.LatencySlots += latSum
+	if s.rec != nil {
+		s.rec.Add(i, obs.KindHOLTransmit, uint64(completed))
+	}
+	return cycles
 }
 
 //smb:hotpath
@@ -663,93 +710,6 @@ func (s *Switch) transmitValue() {
 			s.rec.Add(i, obs.KindHOLTransmit, uint64(pops))
 		}
 	}
-}
-
-// transmitCombined is the combined-model transmission phase: FIFO
-// head-of-line processing exactly like transmitProcessing, with each
-// completion crediting the head packet's intrinsic value (tracked in
-// the per-queue vals deque) instead of a unit.
-//
-//smb:hotpath
-func (s *Switch) transmitCombined() {
-	var (
-		speedTab    = s.speedTab
-		qLen        = s.qLen
-		holRes      = s.holRes
-		qWork       = s.qWork
-		works       = s.works
-		cyclesTotal int64
-	)
-	for i := 0; i < s.cfg.Ports; i++ {
-		budget := speedTab[i]
-		if budget == 0 || qLen[i] == 0 {
-			continue
-		}
-		var (
-			cycles    int64
-			completed int64
-			latSum    int64
-			valSum    int64
-			minHit    bool
-		)
-		pc := &s.perPort[i]
-		for budget > 0 && qLen[i] > 0 {
-			use := min(budget, holRes[i])
-			holRes[i] -= use
-			qWork[i] -= use
-			budget -= use
-			cycles += int64(use)
-			if holRes[i] > 0 {
-				break
-			}
-			// Head-of-line packet completed: transmit it, crediting its
-			// value.
-			qLen[i]--
-			s.occ--
-			completed++
-			latency := s.slot - s.arrivals[i].PopFront()
-			latSum += latency
-			if latency > pc.MaxLatency {
-				pc.MaxLatency = latency
-			}
-			v := int(s.vals[i].PopFront())
-			s.vq[i].Remove(v)
-			s.vSum[i] -= int64(v)
-			valSum += int64(v)
-			// s.vMin[i] is not touched inside the loop, so comparing the
-			// popped value against it detects whether any completion may
-			// have removed the last copy of the pre-phase minimum.
-			if v == s.vMin[i] {
-				minHit = true
-			}
-			if qLen[i] > 0 {
-				holRes[i] = works[i]
-			}
-		}
-		if qLen[i] == 0 {
-			s.vMin[i] = 0
-		} else if minHit {
-			s.vMin[i] = s.vq[i].Min()
-		}
-		if cycles > 0 {
-			s.workMax.drop(i)
-			cyclesTotal += cycles
-		}
-		if completed > 0 {
-			s.lenMax.drop(i)
-			s.stats.Transmitted += completed
-			s.stats.TransmittedValue += valSum
-			s.stats.TransmittedWork += completed * int64(works[i])
-			s.stats.LatencySlots += latSum
-			pc.Transmitted += completed
-			pc.TransmittedValue += valSum
-			pc.LatencySlots += latSum
-			if s.rec != nil {
-				s.rec.Add(i, obs.KindHOLTransmit, uint64(completed))
-			}
-		}
-	}
-	s.stats.CyclesUsed += cyclesTotal
 }
 
 // Step runs one full time slot: the arrival phase over the given burst

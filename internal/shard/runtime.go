@@ -105,6 +105,10 @@ type Runtime struct {
 	parts  []Partition
 	owner  []int32
 	shards []*Shard
+	// check is the engine's packet check over the global configuration,
+	// so a packet its shard's switch would refuse is refused before any
+	// of its slot is published.
+	check core.PacketCheck
 	// stage holds IngestSlot's per-shard batches, reused from [:0] every
 	// slot; producer side only.
 	stage [][]Entry
@@ -138,6 +142,7 @@ func NewRuntime(cfg core.Config, shards int, factory func() core.Policy, opt Opt
 	}
 	rt := &Runtime{
 		cfg:   cfg,
+		check: core.NewPacketCheck(cfg),
 		parts: PartitionPorts(cfg.Ports, shards),
 		owner: make([]int32, cfg.Ports),
 	}
@@ -236,7 +241,7 @@ func (rt *Runtime) Ingest(slot int64, p pkt.Packet) error {
 	if uint64(slot) >= 1<<32-1 {
 		return fmt.Errorf("shard: slot %d exceeds the ring encoding's 32 bits", slot)
 	}
-	if err := p.Validate(rt.cfg.Ports, rt.cfg.MaxLabel); err != nil {
+	if err := rt.check.Check(p); err != nil {
 		return err
 	}
 	s := rt.owner[p.Port]
@@ -254,16 +259,17 @@ func (rt *Runtime) arrival(s int32, slot int64, p pkt.Packet) Entry {
 // arrivals (global ports) followed by the advance past slot, one ring
 // batch per shard. It is equivalent to Ingest for every packet and then
 // Advance(slot+1), except that the whole burst is validated before
-// anything is published: on an error no shard sees any of the slot, so
-// a Finish at slot steps exactly the slots already handed over. Slots
-// must increase per stream and stay below 2^32-1. It blocks only while
-// a shard's ring is full (back-pressure).
+// anything is published, by the engine's own core.PacketCheck (the
+// per-port work match included): on an error no shard sees any of the
+// slot, so a Finish at slot steps exactly the slots already handed
+// over. Slots must increase per stream and stay below 2^32-1. It blocks
+// only while a shard's ring is full (back-pressure).
 func (rt *Runtime) IngestSlot(slot int64, burst []pkt.Packet) error {
 	if uint64(slot) >= 1<<32-1 {
 		return fmt.Errorf("shard: slot %d exceeds the ring encoding's 32 bits", slot)
 	}
 	for _, p := range burst {
-		if err := p.Validate(rt.cfg.Ports, rt.cfg.MaxLabel); err != nil {
+		if err := rt.check.Check(p); err != nil {
 			return fmt.Errorf("shard: slot %d: %w", slot, err)
 		}
 	}

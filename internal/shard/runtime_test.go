@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"smbm/internal/core"
@@ -204,13 +205,15 @@ func oracleDifferential(t *testing.T, cfg core.Config, shards int, factory func(
 // k slots and match the oracle over tr[:k], whichever producer path
 // fed it. Per slot, IngestSlot publishes nothing of a slot it rejects;
 // per packet, the drain barrier discards the staged part of slot k.
+// The rejected packet has an out-of-range port, or (the "-work" cases)
+// an in-range port with another port's work, which only the engine's
+// per-port work match refuses.
 func TestInvalidPacketCutsAtSlotBoundary(t *testing.T) {
 	cfg := testConfig()
 	const k = 60
 	tr := testTrace(t, cfg, 120, 5)
-	bad := append([]pkt.Packet{}, tr[k]...)
-	bad = append(bad, pkt.Packet{Port: 0, Work: 1, Value: 1}, pkt.Packet{Port: cfg.Ports - 1, Work: cfg.PortWork[cfg.Ports-1], Value: 1})
-	bad = append(bad, pkt.Packet{Port: cfg.Ports, Work: 1, Value: 1})
+	valid := append([]pkt.Packet{}, tr[k]...)
+	valid = append(valid, pkt.Packet{Port: 0, Work: 1, Value: 1}, pkt.Packet{Port: cfg.Ports - 1, Work: cfg.PortWork[cfg.Ports-1], Value: 1})
 	factory := func() core.Policy { return policy.LQD{} }
 
 	rt, err := NewRuntime(cfg, 3, factory, Options{RingCap: 64})
@@ -219,42 +222,51 @@ func TestInvalidPacketCutsAtSlotBoundary(t *testing.T) {
 	}
 	rt.Start()
 	defer rt.Stop()
-	for _, path := range []string{"slot", "packet"} {
-		t.Run(path, func(t *testing.T) {
-			if err := rt.BeginStream(); err != nil {
-				t.Fatalf("BeginStream: %v", err)
-			}
-			feed := func(slot int, burst []pkt.Packet) error {
-				if path == "slot" {
-					return rt.IngestSlot(int64(slot), burst)
+	for _, c := range []struct {
+		suffix, want string
+		bad          pkt.Packet
+	}{
+		{"", "out of range", pkt.Packet{Port: cfg.Ports, Work: 1, Value: 1}},
+		{"-work", "does not match", pkt.Packet{Port: cfg.Ports - 1, Work: 1, Value: 1}},
+	} {
+		bad := append(append([]pkt.Packet{}, valid...), c.bad)
+		for _, path := range []string{"slot", "packet"} {
+			t.Run(path+c.suffix, func(t *testing.T) {
+				if err := rt.BeginStream(); err != nil {
+					t.Fatalf("BeginStream: %v", err)
 				}
-				for _, p := range burst {
-					if err := rt.Ingest(int64(slot), p); err != nil {
-						return err
+				feed := func(slot int, burst []pkt.Packet) error {
+					if path == "slot" {
+						return rt.IngestSlot(int64(slot), burst)
+					}
+					for _, p := range burst {
+						if err := rt.Ingest(int64(slot), p); err != nil {
+							return err
+						}
+					}
+					rt.Advance(int64(slot) + 1)
+					return nil
+				}
+				for slot := 0; slot < k; slot++ {
+					if err := feed(slot, tr[slot]); err != nil {
+						t.Fatalf("slot %d: %v", slot, err)
 					}
 				}
-				rt.Advance(int64(slot) + 1)
-				return nil
-			}
-			for slot := 0; slot < k; slot++ {
-				if err := feed(slot, tr[slot]); err != nil {
-					t.Fatalf("slot %d: %v", slot, err)
+				if err := feed(k, bad); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("slot %d with %v: error %v, want one containing %q", k, c.bad, err, c.want)
 				}
-			}
-			if err := feed(k, bad); err == nil {
-				t.Fatalf("slot %d with an out-of-range port accepted", k)
-			}
-			results, err := rt.Finish(k)
-			if err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
-			for _, res := range results {
-				if res.Slots != k {
-					t.Fatalf("shard %d stepped %d slots, want %d", res.Shard, res.Slots, k)
+				results, err := rt.Finish(k)
+				if err != nil {
+					t.Fatalf("Finish: %v", err)
 				}
-			}
-			checkOracle(t, rt, factory, tr[:k], results)
-		})
+				for _, res := range results {
+					if res.Slots != k {
+						t.Fatalf("shard %d stepped %d slots, want %d", res.Shard, res.Slots, k)
+					}
+				}
+				checkOracle(t, rt, factory, tr[:k], results)
+			})
+		}
 	}
 }
 

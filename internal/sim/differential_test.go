@@ -558,14 +558,31 @@ func valSetup(t *testing.T, seed int64, slots int) (core.Config, traffic.Trace) 
 // TestDifferentialProcessing replays fixed-seed heterogeneous-work traces
 // through the full processing-model roster on both engines.
 func TestDifferentialProcessing(t *testing.T) {
-	pols := append(policy.ForProcessing(), policy.Experimental()...)
+	diffFIFO(t, append(policy.ForProcessing(), policy.Experimental()...), procSetup)
+}
+
+// diffFIFO replays the fixed-seed traces of a FIFO-model setup through
+// pols on both engines at the setup's speedup C = 2 (subtests
+// policy/seedN) and again at C = 1 and C = MaxLabel+1 (subtests under
+// C1/ and C<MaxLabel+1>/). The speedup exercises the two tiers of the
+// engine's transmit phase: at C = 1 almost every slot only shortens a
+// head-of-line residual; at C = 2 unit-work ports finish two packets
+// per slot; at C = MaxLabel+1 every busy port finishes its head-of-line
+// packet each slot and carries the leftover cycles into the next.
+func diffFIFO(t *testing.T, pols []core.Policy, setup func(*testing.T, int64, int) (core.Config, traffic.Trace)) {
 	for _, seed := range []int64{1, 2, 3} {
-		cfg, tr := procSetup(t, seed, 300)
-		for _, p := range pols {
-			p := p
-			t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-				diffRun(t, cfg, p, tr, faults.Spec{}, seed)
-			})
+		cfg, tr := setup(t, seed, 300)
+		for _, c := range []int{cfg.Speedup, 1, cfg.MaxLabel + 1} {
+			cfg := cfg
+			prefix := ""
+			if c != cfg.Speedup {
+				cfg.Speedup, prefix = c, fmt.Sprintf("C%d/", c)
+			}
+			for _, p := range pols {
+				t.Run(fmt.Sprintf("%s%s/seed%d", prefix, p.Name(), seed), func(t *testing.T) {
+					diffRun(t, cfg, p, tr, faults.Spec{}, seed)
+				})
+			}
 		}
 	}
 }
@@ -656,16 +673,7 @@ func combSetup(t *testing.T, seed int64, slots int) (core.Config, traffic.Trace)
 // TestDifferentialCombined replays fixed-seed work×value traces through
 // the combined roster on both engines.
 func TestDifferentialCombined(t *testing.T) {
-	pols := policy.ForCombined()
-	for _, seed := range []int64{1, 2, 3} {
-		cfg, tr := combSetup(t, seed, 300)
-		for _, p := range pols {
-			p := p
-			t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-				diffRun(t, cfg, p, tr, faults.Spec{}, seed)
-			})
-		}
-	}
+	diffFIFO(t, policy.ForCombined(), combSetup)
 }
 
 // TestDifferentialUnderFaults pins engine equivalence off the nominal
