@@ -30,14 +30,14 @@ test:
 # the shared-state providers they drive, including the sharded runtime
 # and its daemon.
 test-race:
-	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/cli/... ./internal/traffic/... ./internal/adversary/... ./internal/lease ./internal/shard ./internal/obs ./cmd/smbsimd
+	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/cli/... ./internal/traffic/... ./internal/adversary/... ./internal/shard ./internal/obs ./cmd/smbsimd
 
 # Stress pass over the concurrent packages: the race detector, twenty
 # runs each at GOMAXPROCS 1, 2 and 8, so interleaving bugs surface here
 # instead of as one-in-N failures of the plain test run.
 stress:
-	$(GO) test -race -count=20 -cpu 1,2,8 ./internal/lease ./internal/shard ./internal/obs ./cmd/smbsimd
-	$(GO) test -race -count=20 -cpu 1,2,8 -run 'Lease' ./internal/sim
+	$(GO) test -race -count=20 -cpu 1,2,8 ./internal/shard ./internal/obs ./cmd/smbsimd
+	$(GO) test -race -count=20 -cpu 1,2,8 -run 'Journal|Checkpoint|Leased' ./internal/sim
 
 # The benchmark module (benchsuite/, its own go.mod) sits outside ./...,
 # so the plain test run never compiles it; vet and short-test it here so
@@ -54,13 +54,13 @@ bench-daemon:
 	bash benchsuite/run.sh --workload daemon-stream,daemon-short --trace 0
 	@echo "results: $(CURDIR)/.bench_build/results/daemon-stream+daemon-short-seed1-trace0.json"
 
-# Crash-chaos harness for the lease ledger: fork real worker
-# subprocesses, SIGKILL them mid-cell, truncate their journals at random
-# byte offsets, restart them, and require the merged sweep to be
-# bit-identical to a single-process run (DESIGN.md §13). Replay a
+# Crash-chaos harness for -checkpoint: SIGKILL a real smbsim process
+# mid-cell, tear its journal inside the final record, resume, and
+# require the -csv output to be byte-identical to an uninterrupted run;
+# repeated kills on one cell must degrade it (DESIGN.md §13). Replay a
 # schedule with SMBM_CHAOS_SEED=<n> make chaos.
 chaos:
-	$(GO) test ./internal/lease/chaostest -count=1 -v -run TestChaos
+	$(GO) test ./cmd/smbsim -count=1 -v -run TestChaos
 
 # Full benchmark pass (tables, figures, substrates, ablations).
 bench:

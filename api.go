@@ -6,7 +6,6 @@ import (
 	"smbm/internal/experiments"
 	"smbm/internal/faults"
 	"smbm/internal/mapcheck"
-	"smbm/internal/obs"
 	"smbm/internal/opt"
 	"smbm/internal/pkt"
 	"smbm/internal/policy"
@@ -255,15 +254,13 @@ func LowerBounds() ([]Construction, error) { return adversary.All() }
 // PanelIDs lists the Fig. 5 evaluation panels.
 func PanelIDs() []string { return experiments.PanelIDs() }
 
-// Parameter sweeps — single-process or distributed across a fleet.
+// Parameter sweeps.
 type (
 	// Sweep describes a one-dimensional parameter sweep replicated over
-	// seeds. Set Ledger plus LedgerWorker for a resumable run through a
-	// lease-ledger directory (internal/lease): one worker on a private
-	// ledger resumes after a crash or interrupt, and several processes
-	// sharing one divide the grid crash-safely. Workers survive crashes,
-	// hangs and torn journal writes, and the merged result stays
-	// bit-identical to a single-process run.
+	// seeds. Set Checkpoint to a directory for a resumable run: every
+	// cell attempt is journaled there, and a re-run after a crash, kill
+	// or interrupt skips the completed cells and resumes to a result
+	// bit-identical to an uninterrupted run.
 	Sweep = sim.Sweep
 	// SweepResult is a completed — or gracefully partial — sweep.
 	SweepResult = sim.SweepResult
@@ -274,9 +271,6 @@ type (
 	SweepProgress = sim.SweepProgress
 	// CellError is a failure confined to one (x, seed) sweep cell.
 	CellError = sim.CellError
-	// LeaseCounts aggregates one process's lease-ledger activity during
-	// a distributed sweep (SweepResult.Lease).
-	LeaseCounts = obs.LeaseCounts
 )
 
 // Single-queue architecture (the paper's Fig. 1 baseline).

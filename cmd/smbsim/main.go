@@ -20,24 +20,17 @@
 //
 // Robustness flags for long runs:
 //
-//	smbsim -checkpoint run.ckpt     # journal cells to a ledger dir; re-run to resume
+//	smbsim -checkpoint run.ckpt     # journal cells to run.ckpt/local.jsonl; re-run to resume
+//	smbsim -checkpoint run.ckpt -cell-retries 5  # retry a failing cell 5 times, then degrade it
 //	smbsim -cell-timeout 5m         # fail runaway cells, keep the rest
 //	smbsim -faults "blackout;squeeze:b=32"  # inject faults into a sweep
 //
-// Distributed sweeps share one lease ledger directory (any shared
-// filesystem) among several smbsim processes; workers crash-safely
-// divide each sweep's (x, seed) cells and the merged result is
-// bit-identical to a single-process run:
-//
-//	smbsim -ledger run.ledger -worker &     # as many workers as you like,
-//	smbsim -ledger run.ledger -worker &     # on as many machines as you like
-//	smbsim -ledger run.ledger -coordinator  # waits, merges, renders tables
-//	smbsim -ledger run.ledger               # or: compute AND render in one
-//	smbsim -ledger run.ledger -lease-ttl 30s -cell-retries 5
-//
 // SIGINT cancels the run gracefully: completed points are printed as a
 // partial table and the process exits with code 2, so a checkpointed
-// run can be resumed later.
+// run can be resumed later. A checkpointed run killed outright (kill -9,
+// power loss) resumes too: the attempt it died in counts against
+// -cell-retries, and the resumed output is byte-identical to an
+// uninterrupted run's.
 //
 // Observability flags:
 //
@@ -52,8 +45,6 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"expvar"
 	"flag"
@@ -62,7 +53,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 
 	"smbm/internal/cli"
@@ -112,54 +102,6 @@ func (v *progressVar) String() string {
 		p.Sweep, p.XLabel, p.X, p.SeedIndex, p.Done, p.Failed, p.Skipped, p.Total)
 }
 
-// startNonce is drawn once per process start. Hostname plus pid alone
-// is not unique per incarnation: a worker restarted after pid reuse —
-// routine in pid-namespaced containers, where every worker can be
-// pid 1 on its own host-named node twin — would silently reopen the
-// previous incarnation's journal while that identity may still hold
-// live leases elsewhere in the fleet. Eight random hex digits make the
-// derived identity unique per incarnation; lease.Open's live-writer
-// lock then catches whatever collisions remain (e.g. an explicit
-// -worker-id used twice).
-var startNonce = sync.OnceValue(func() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// No randomness source: fall back to the bare hostname-pid
-		// identity rather than failing startup.
-		return ""
-	}
-	return hex.EncodeToString(b[:])
-})
-
-// defaultWorkerID derives a ledger identity that is unique per live
-// process incarnation — hostname, pid and a per-start nonce, sanitized
-// to the ledger's worker-ID alphabet — so a fleet launched without
-// -worker-id just works, even across restarts that reuse a pid.
-func defaultWorkerID() string {
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "worker"
-	}
-	clean := make([]byte, 0, len(host))
-	for i := 0; i < len(host); i++ {
-		c := host[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '.', c == '_', c == '-':
-			clean = append(clean, c)
-		default:
-			clean = append(clean, '-')
-		}
-	}
-	id := strings.Trim(string(clean), ".-_")
-	if id == "" {
-		id = "worker"
-	}
-	if nonce := startNonce(); nonce != "" {
-		return fmt.Sprintf("%s-%d-%s", id, os.Getpid(), nonce)
-	}
-	return fmt.Sprintf("%s-%d", id, os.Getpid())
-}
-
 func main() {
 	var (
 		experiment  = flag.String("experiment", "", "experiment to run (fig5.1 ... fig5.9, arch, latency, faults); empty runs the nine panels")
@@ -175,13 +117,8 @@ func main() {
 		specPath    = flag.String("spec", "", "run a custom JSON experiment spec instead of the paper's panels")
 		faultSpec   = flag.String("faults", "", `inject a fault plan into every sweep cell, e.g. "blackout;squeeze:b=32:period=500:dur=100" (see internal/faults)`)
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell deadline; a timed-out cell fails without killing the sweep (0 = unbounded)")
-		checkpoint  = flag.String("checkpoint", "", "journal completed sweep cells to a single-worker lease ledger in this directory and resume from it on re-runs")
-		ledger      = flag.String("ledger", "", "distributed mode: share sweep cells with other smbsim processes through the crash-safe lease ledger in this directory (conflicts with -checkpoint)")
-		workerMode  = flag.Bool("worker", false, "fleet worker: compute leased cells and print one summary line per sweep instead of tables (requires -ledger)")
-		coordinator = flag.Bool("coordinator", false, "fleet coordinator: compute nothing, wait for the workers to finish each sweep, render the merged tables (requires -ledger)")
-		workerID    = flag.String("worker-id", "", "ledger identity of this process (default <hostname>-<pid>-<nonce>, unique per start); two live processes must never share one")
-		leaseTTL    = flag.Duration("lease-ttl", 0, "lease expiry: how long a crashed or hung worker holds a cell before others reclaim it (default 1m)")
-		cellRetries = flag.Int("cell-retries", 0, "failed attempts per cell before it is reported degraded (default 3; negative = no retries)")
+		checkpoint  = flag.String("checkpoint", "", "journal every sweep cell to `DIR`/local.jsonl and resume from it on re-runs")
+		cellRetries = flag.Int("cell-retries", 0, "with -checkpoint: retries of a failed cell before it is reported degraded (default 3; negative = no retries)")
 		obsFlag     = flag.Bool("obs", false, "record per-policy decision counters and append them to each report")
 		traceEvents = flag.Int("trace-events", 0, "ring-buffer the last N decision events per replay and dump them after each cell (implies -obs)")
 		traceOut    = flag.String("trace-out", "", "write -trace-events dumps to this file instead of stderr")
@@ -213,21 +150,11 @@ func main() {
 	}
 	scaleOpts.Parallelism = *workers
 
-	fail := func(msg string) {
-		fmt.Fprintln(os.Stderr, "smbsim:", msg)
-		os.Exit(exitFailure)
-	}
-	if (*workerMode || *coordinator) && *ledger == "" {
-		fail("-worker and -coordinator require -ledger")
-	}
-	if *workerMode && *coordinator {
-		fail("-worker and -coordinator are mutually exclusive")
-	}
-	if *ledger != "" && *checkpoint != "" {
-		fail("-ledger and -checkpoint are mutually exclusive; -checkpoint is a single-worker ledger")
-	}
-	if *workerID != "" && *ledger == "" {
-		fail(fmt.Sprintf("-worker-id requires -ledger; a -checkpoint run always uses the identity %q", cli.CheckpointWorker))
+	if *checkpoint != "" {
+		if fi, err := os.Stat(*checkpoint); err == nil && !fi.IsDir() {
+			fmt.Fprintf(os.Stderr, "smbsim: -checkpoint %s is a file: a pre-ledger checkpoint journal, which this build cannot resume; finish it with the previous build or move it aside\n", *checkpoint)
+			os.Exit(exitFailure)
+		}
 	}
 
 	opts := cli.PanelOptions{
@@ -236,25 +163,10 @@ func main() {
 		Plot:        *asPlot,
 		CSV:         *asCSV,
 		CellTimeout: *cellTimeout,
-		Ledger:      *ledger,
-		LeaseTTL:    *leaseTTL,
+		Checkpoint:  *checkpoint,
 		CellRetries: *cellRetries,
-		WorkerMode:  *workerMode,
-		Coordinator: *coordinator,
 		Obs:         *obsFlag,
 		TraceEvents: *traceEvents,
-	}
-	switch {
-	case *checkpoint != "":
-		if fi, err := os.Stat(*checkpoint); err == nil && !fi.IsDir() {
-			fail(fmt.Sprintf("-checkpoint %s is a file: a pre-ledger checkpoint journal, which this build cannot resume; finish it with the previous build or move it aside", *checkpoint))
-		}
-		opts.Ledger, opts.LedgerWorker = *checkpoint, cli.CheckpointWorker
-	case *ledger != "":
-		opts.LedgerWorker = *workerID
-		if opts.LedgerWorker == "" {
-			opts.LedgerWorker = defaultWorkerID()
-		}
 	}
 	if *traceEvents > 0 {
 		opts.TraceWriter = os.Stderr
@@ -315,9 +227,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "smbsim: interrupted; partial results printed above")
 			if *checkpoint != "" {
 				fmt.Fprintf(os.Stderr, "smbsim: re-run with -checkpoint %s to resume\n", *checkpoint)
-			}
-			if *ledger != "" {
-				fmt.Fprintf(os.Stderr, "smbsim: re-run with -ledger %s to resume; the cells this process was running are free for any worker at once\n", *ledger)
 			}
 			stop() // restore default SIGINT behaviour for the exit path
 			os.Exit(exitInterrupted)

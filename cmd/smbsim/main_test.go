@@ -45,7 +45,7 @@ func sweepArgs(extra ...string) []string {
 	return append(args, extra...)
 }
 
-// waitForCellRecord polls a worker's ledger journal until it holds a
+// waitForCellRecord polls a checkpoint journal until it holds a
 // complete record, so the SIGINT lands after some work is durably
 // journaled but before the sweep finishes.
 func waitForCellRecord(t *testing.T, path string) {
@@ -64,10 +64,9 @@ func waitForCellRecord(t *testing.T, path string) {
 // TestSIGINTPartialThenResumeBitIdentical covers the graceful-interrupt
 // contract end to end: a checkpointed run killed with SIGINT mid-sweep
 // must exit with code 2 and announce partial results and the resume
-// path on stderr; a second run on the same ledger must complete —
-// without waiting out the default lease TTL, because the interrupted
-// run released its in-flight cells — and print output bit-identical to
-// an uninterrupted run.
+// path on stderr; a second run on the same checkpoint must complete —
+// the interrupted run released its in-flight cells, so they cost no
+// retry — and print output bit-identical to an uninterrupted run.
 func TestSIGINTPartialThenResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second subprocess test; skipped with -short")
@@ -116,8 +115,8 @@ func TestSIGINTPartialThenResumeBitIdentical(t *testing.T) {
 		t.Fatalf("stderr missing the resume hint:\n%s", s)
 	}
 
-	// Resume: same flags, same ledger — must finish clean, well inside
-	// the one-minute lease TTL, and match the oracle byte for byte.
+	// Resume: same flags, same checkpoint — must finish clean and match
+	// the oracle byte for byte.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var resumeOut bytes.Buffer
@@ -129,57 +128,6 @@ func TestSIGINTPartialThenResumeBitIdentical(t *testing.T) {
 	}
 	if resumeOut.String() != oracleOut.String() {
 		t.Fatalf("resumed output differs from uninterrupted oracle:\n got:\n%s\nwant:\n%s", resumeOut.String(), oracleOut.String())
-	}
-}
-
-// TestSIGINTLedgerResumeHint checks the distributed variant of the
-// interrupt path: a leased worker killed with SIGINT must exit 2 and
-// point the operator at the ledger, and a fresh worker on the same
-// ledger must finish the grid.
-func TestSIGINTLedgerResumeHint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second subprocess test; skipped with -short")
-	}
-	bin, err := binary()
-	if err != nil {
-		t.Fatalf("building smbsim: %v", err)
-	}
-
-	ledger := t.TempDir()
-	args := sweepArgs("-ledger", ledger, "-worker", "-worker-id", "w1", "-lease-ttl", "1s")
-
-	var errOut bytes.Buffer
-	worker := exec.Command(bin, args...)
-	worker.Stdout = &bytes.Buffer{}
-	worker.Stderr = &errOut
-	if err := worker.Start(); err != nil {
-		t.Fatalf("starting worker: %v", err)
-	}
-	// Let it lease and start computing, then interrupt mid-sweep.
-	waitForCellRecord(t, filepath.Join(ledger, "w1.jsonl"))
-	time.Sleep(150 * time.Millisecond)
-	if err := worker.Process.Signal(os.Interrupt); err != nil {
-		t.Fatalf("sending SIGINT: %v", err)
-	}
-	err = worker.Wait()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("interrupted worker: want exit 2, got %v\nstderr: %s", err, errOut.String())
-	}
-	if s := errOut.String(); !strings.Contains(s, "-ledger "+ledger) {
-		t.Fatalf("stderr missing the ledger resume hint:\n%s", s)
-	}
-
-	// A successor under a new identity picks the grid up and finishes.
-	var out bytes.Buffer
-	successor := exec.Command(bin, sweepArgs("-ledger", ledger, "-worker", "-worker-id", "w2", "-lease-ttl", "1s")...)
-	successor.Stdout = &out
-	successor.Stderr = os.Stderr
-	if err := successor.Run(); err != nil {
-		t.Fatalf("successor worker: %v", err)
-	}
-	if s := out.String(); !strings.Contains(s, "worker w2 done") {
-		t.Fatalf("successor summary missing:\n%s", s)
 	}
 }
 
@@ -207,7 +155,7 @@ func smbsimFails(t *testing.T, args []string, wants ...string) {
 
 // TestCheckpointRefusesPreLedgerJournal pins the no-upgrade contract: a
 // -checkpoint path holding a regular file is a journal from a build
-// before -checkpoint became a ledger directory, and smbsim refuses it
+// before -checkpoint became a journal directory, and smbsim refuses it
 // with a message saying how to proceed instead of touching it.
 func TestCheckpointRefusesPreLedgerJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -219,20 +167,4 @@ func TestCheckpointRefusesPreLedgerJournal(t *testing.T) {
 	if raw, err := os.ReadFile(path); err != nil || string(raw) != old {
 		t.Fatalf("refused journal was modified: %q, %v", raw, err)
 	}
-}
-
-// TestCheckpointConflictsWithLedger pins that -checkpoint, itself a
-// single-worker ledger, cannot be combined with -ledger.
-func TestCheckpointConflictsWithLedger(t *testing.T) {
-	dir := t.TempDir()
-	smbsimFails(t, sweepArgs("-checkpoint", filepath.Join(dir, "a"), "-ledger", filepath.Join(dir, "b")), "mutually exclusive")
-}
-
-// TestWorkerIDRequiresLedger pins that -worker-id is refused outside a
-// fleet run instead of being silently ignored: a -checkpoint run's
-// identity is fixed, and a plain run has none.
-func TestWorkerIDRequiresLedger(t *testing.T) {
-	dir := t.TempDir()
-	smbsimFails(t, sweepArgs("-checkpoint", filepath.Join(dir, "a"), "-worker-id", "w1"), "-worker-id requires -ledger", `"local"`)
-	smbsimFails(t, sweepArgs("-worker-id", "w1"), "-worker-id requires -ledger")
 }

@@ -19,13 +19,6 @@ import (
 	"smbm/internal/tablefmt"
 )
 
-// CheckpointWorker is the fixed ledger identity of a resumable
-// single-process run (smbsim -checkpoint DIR), so a restart reopens —
-// and resumes — its own journal. Its reports carry no per-process lease
-// footer: those counters vary with timing and would make a resumed
-// report differ from an uninterrupted run's.
-const CheckpointWorker = "local"
-
 // PanelOptions drives Panels (cmd/smbsim).
 type PanelOptions struct {
 	// Experiment selects one panel, "arch", "latency" or "faults";
@@ -42,28 +35,12 @@ type PanelOptions struct {
 	Faults faults.Spec
 	// CellTimeout bounds each sweep cell (0 = unbounded).
 	CellTimeout time.Duration
-	// Ledger runs every sweep through the crash-safe work-leasing ledger
-	// in this directory (internal/lease): a re-run resumes from it, and
-	// several smbsim processes sharing the directory divide each sweep's
-	// cells among themselves.
-	Ledger string
-	// LedgerWorker is this process's worker identity in the ledger;
-	// CheckpointWorker marks a private single-worker ledger.
-	LedgerWorker string
-	// LeaseTTL bounds how long a crashed worker holds a cell before
-	// reclamation (0 = lease.DefaultTTL).
-	LeaseTTL time.Duration
-	// CellRetries is the leased-mode per-cell retry budget before a cell
-	// is reported degraded (0 = lease.DefaultRetries, negative = none).
+	// Checkpoint journals every sweep's cells to this directory, and a
+	// re-run resumes from it (sim.Sweep.Checkpoint).
+	Checkpoint string
+	// CellRetries is a checkpointed run's per-cell retry budget before a
+	// cell is reported degraded (0 = 3, negative = none).
 	CellRetries int
-	// WorkerMode suppresses report rendering: a fleet worker computes
-	// cells and prints a one-line summary per sweep, leaving tables to
-	// the coordinator (or a plain re-run over the same ledger).
-	WorkerMode bool
-	// Coordinator makes this process an observer: it claims no cells,
-	// waits for the fleet to finish each sweep, and renders the merged
-	// reports.
-	Coordinator bool
 	// Obs attaches decision-counter recorders to every policy replay
 	// and appends the aggregated counter table to each report.
 	Obs bool
@@ -171,15 +148,12 @@ func panelReport(ctx context.Context, w io.Writer, id string, o PanelOptions) er
 }
 
 // harden applies the robustness and observability options — fault
-// injection, per-cell deadline, lease ledger, decision counters,
+// injection, per-cell deadline, checkpoint journal, decision counters,
 // event tracing, progress publication — to a sweep before it runs.
 func harden(sweep *sim.Sweep, o PanelOptions) {
 	sweep.CellTimeout = o.CellTimeout
-	sweep.Ledger = o.Ledger
-	sweep.LedgerWorker = o.LedgerWorker
-	sweep.LeaseTTL = o.LeaseTTL
+	sweep.Checkpoint = o.Checkpoint
 	sweep.CellRetries = o.CellRetries
-	sweep.LedgerObserver = o.Coordinator
 	if o.Obs || o.TraceEvents > 0 {
 		sweep.Obs = &obs.Options{TraceEvents: o.TraceEvents}
 	}
@@ -205,8 +179,8 @@ func harden(sweep *sim.Sweep, o PanelOptions) {
 	if o.Faults.Empty() {
 		return
 	}
-	// The fault plan shapes every cell, so it belongs in the ledger
-	// fingerprint: resuming a faulted ledger without -faults (or vice
+	// The fault plan shapes every cell, so it belongs in the checkpoint
+	// fingerprint: resuming a faulted checkpoint without -faults (or vice
 	// versa) must fail loudly. An unset horizon renders as 0; each cell
 	// then covers its own trace, whose length the digest already holds.
 	sweep.ConfigDigest += ";faults=" + o.Faults.String()
@@ -258,18 +232,6 @@ func writeSweepReport(w io.Writer, result *sim.SweepResult, o PanelOptions, elap
 			return err
 		}
 	}
-	if o.WorkerMode {
-		// A fleet worker prints only its contribution; tables are the
-		// coordinator's job (or a plain re-run over the same ledger).
-		var c obs.LeaseCounts
-		if result.Lease != nil {
-			c = *result.Lease
-		}
-		_, err := fmt.Fprintf(w, "== %s: worker %s done (%s%s): %d completed, %d abandoned, %d reclaimed, %d lease conflicts ==\n",
-			result.Name, o.LedgerWorker, elapsed.Round(time.Millisecond), marker,
-			c.Completes, c.Abandons, c.Reclaims, c.Conflicts)
-		return err
-	}
 	if o.CSV {
 		_, err := fmt.Fprintf(w, "# %s%s\n%s\n", result.Name, marker, result.CSV())
 		return err
@@ -283,11 +245,6 @@ func writeSweepReport(w io.Writer, result *sim.SweepResult, o PanelOptions, elap
 	}
 	if t := result.ObsTable(); t != "" {
 		if _, err := fmt.Fprintf(w, "-- decision counters (summed over cells) --\n%s", t); err != nil {
-			return err
-		}
-	}
-	if t := result.LeaseTable(); t != "" && o.LedgerWorker != CheckpointWorker {
-		if _, err := fmt.Fprintf(w, "-- lease ledger (this process) --\n%s", t); err != nil {
 			return err
 		}
 	}

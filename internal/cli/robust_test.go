@@ -111,9 +111,8 @@ func TestRunSpecCanceledRendersPartialTable(t *testing.T) {
 	}
 }
 
-// TestPanelsCheckpointResume drives the options smbsim -checkpoint DIR
-// sets — a single-worker ledger in DIR under CheckpointWorker — and
-// requires both the journaling run and its resume to print the same
+// TestPanelsCheckpointResume drives the option smbsim -checkpoint DIR
+// sets — a cell journal in DIR — and requires both the journaling run and its resume to print the same
 // text report as a plain run, elapsed times aside.
 func TestPanelsCheckpointResume(t *testing.T) {
 	var plain bytes.Buffer
@@ -121,17 +120,17 @@ func TestPanelsCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "cli.ckpt")
-	o := PanelOptions{Experiment: "fig5.1", Opts: smallOpts(), Ledger: dir, LedgerWorker: CheckpointWorker}
+	o := PanelOptions{Experiment: "fig5.1", Opts: smallOpts(), Checkpoint: dir}
 	var first bytes.Buffer
 	if err := Panels(context.Background(), &first, o); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(filepath.Join(dir, CheckpointWorker+".jsonl"))
+	info, err := os.Stat(filepath.Join(dir, "local.jsonl"))
 	if err != nil {
-		t.Fatalf("checkpoint ledger missing: %v", err)
+		t.Fatalf("checkpoint journal missing: %v", err)
 	}
 	if info.Size() == 0 {
-		t.Fatal("checkpoint ledger empty")
+		t.Fatal("checkpoint journal empty")
 	}
 	// The resumed run replays nothing and reproduces the identical table.
 	var second bytes.Buffer

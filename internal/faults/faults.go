@@ -89,7 +89,7 @@ type Fault struct {
 
 // String renders the fault in ParseSpec's descriptor syntax, with every
 // field explicit so equal renderings mean equal processes — the
-// canonical form sweep ledger fingerprints hash.
+// canonical form sweep checkpoint fingerprints hash.
 func (f Fault) String() string {
 	var b strings.Builder
 	b.WriteString(f.Kind.String())
@@ -158,7 +158,7 @@ func (sp Spec) Empty() bool { return len(sp.Faults) == 0 }
 
 // String renders the spec canonically: the faults in ParseSpec syntax
 // joined by ";" with the horizon appended, or "none" when empty. Equal
-// strings mean equal specs, so sweep ledger fingerprints embed it in
+// strings mean equal specs, so sweep checkpoint fingerprints embed it in
 // their cell-config digest.
 func (sp Spec) String() string {
 	if sp.Empty() {

@@ -18,7 +18,7 @@
 // reason is mandatory. The canonical example is traffic's Memoize
 // provider, whose mutex guards a cross-replay cache that never
 // influences the bit stream cursors observe. The harness packages
-// (sim, lease, cli, obs) are outside the fence: orchestrating
+// (sim, cli, obs) are outside the fence: orchestrating
 // goroutines is their job.
 package concfence
 

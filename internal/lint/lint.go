@@ -10,11 +10,11 @@
 // (see load.go).
 //
 // The analyzers themselves live in subpackages (detmap, seedrand,
-// wallclock, leaseclock, hotalloc, cursorerr, exporteddoc);
+// wallclock, hotalloc, cursorerr, exporteddoc);
 // internal/lint/suite aggregates them for cmd/smblint, `make lint`
 // and the CI lint job.
 //
-// Two source annotations steer the suite:
+// Four source annotations steer the suite:
 //
 //   - //smb:hotpath — placed in a function's doc comment, marks the
 //     function as an allocation-free hot path checked by hotalloc;
@@ -25,10 +25,6 @@
 //   - //smb:alloc-ok <reason> — placed on (or immediately above) a line
 //     inside a //smb:hotpath function, exempts that line from hotalloc
 //     (for provably cold branches such as error exits). The reason is
-//     mandatory.
-//   - //smb:leaseclock <reason> — placed in a function's doc comment in
-//     a lease-ledger package, licenses that function (and only it) to
-//     read the wall clock; checked by leaseclock. The reason is
 //     mandatory.
 //   - //smb:conc-ok <reason> — placed on (or immediately above) a line
 //     in a deterministic engine package, or in a function's doc
@@ -279,7 +275,7 @@ var policyPackages = map[string]bool{
 // sharded runtime's shard boundary auditable: each shard of
 // internal/shard steps a fenced core.Switch single-threaded, and the
 // deterministic engine stays the differential oracle. Concurrency
-// lives outside, in shard/sim/lease/cli/obs and cmd/smbsimd, which
+// lives outside, in shard/sim/cli/obs and cmd/smbsimd, which
 // are deliberately absent from this list.
 var concFencePackages = map[string]bool{
 	"core":    true,
@@ -321,14 +317,6 @@ func PolicyPackage(path string) bool { return policyPackages[PathBase(path)] }
 // WallclockExempt reports whether the import path is allow-listed for
 // wall-clock reads (matched on the final path element).
 func WallclockExempt(path string) bool { return wallclockExempt[PathBase(path)] }
-
-// LeaseClockPackage reports whether the import path names a
-// lease-ledger package (matched on the final path element). These
-// packages are neither fully exempt from the wall-clock contract nor
-// fully bound by it: wall-clock reads are legal there only inside
-// functions annotated //smb:leaseclock <reason>, enforced by the
-// leaseclock analyzer, to which wallclock delegates them.
-func LeaseClockPackage(path string) bool { return PathBase(path) == "lease" }
 
 // EnginePackageList returns the sorted engine package names, for
 // documentation and tests.

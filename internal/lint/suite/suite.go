@@ -14,7 +14,6 @@ import (
 	"smbm/internal/lint/fastviewro"
 	"smbm/internal/lint/hotalloc"
 	"smbm/internal/lint/hotcall"
-	"smbm/internal/lint/leaseclock"
 	"smbm/internal/lint/seedrand"
 	"smbm/internal/lint/wallclock"
 )
@@ -31,7 +30,6 @@ func Analyzers() []*lint.Analyzer {
 		fastviewro.Analyzer,
 		hotalloc.Analyzer,
 		hotcall.Analyzer,
-		leaseclock.Analyzer,
 		seedrand.Analyzer,
 		wallclock.Analyzer,
 	}

@@ -2,9 +2,7 @@
 // reads: simulation results must be pure functions of configuration
 // and seed, so nothing outside the allow-listed reporting packages
 // (cli, report — where wall-clock timing is the point) may
-// call time.Now, time.Since or time.Until. Lease-ledger packages are
-// delegated to the leaseclock analyzer, which permits wall-clock reads
-// only inside //smb:leaseclock-annotated deadline functions.
+// call time.Now, time.Since or time.Until.
 package wallclock
 
 import (
@@ -31,7 +29,7 @@ var forbidden = map[string]bool{
 
 // run applies wallclock to one package.
 func run(pass *lint.Pass) error {
-	if pass.NeedsTypes() || lint.WallclockExempt(pass.Path) || lint.LeaseClockPackage(pass.Path) {
+	if pass.NeedsTypes() || lint.WallclockExempt(pass.Path) {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -46,9 +46,11 @@ algorithm can make better use of it, but then congestion reduces and
 suboptimal algorithms catch up"; "MRD outperforms all other algorithms,
 but the difference with LQD is rather small. Both MVD and MVD1 trail
 relatively far behind."
-Measured: the non-preemptive hump matches the description; MRD <= LQD at
-every k and MVD/MVD1 trail. **Shape reproduced.** (The congestion knee
-sits at larger k here because the offered rate is calibrated at k=16.)`,
+Measured: there is no hump at 4,000 slots. The non-preemptive columns
+rise monotonically in k (Greedy 1.43 to 5.69, NEST 1.34 to 3.33, NHDT
+1.34 to 2.96), so the catch-up the paper describes does not appear in
+the measured range. MRD <= LQD at every k and MVD/MVD1 trail.
+**Partially reproduced:** the ordering holds, the hump does not.`,
 	"fig5.5": `Paper: larger buffers relieve congestion; MRD stays best, MVD
 trails.
 Measured: all ratios monotonically fall with B; MRD <= LQD in every row;
@@ -124,8 +126,9 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
   "may perform even better than optimal in our model" under congestion.
   Our exact-optimum solver shows the proxy is *not* a strict upper bound
   on shared-memory OPT — see TestSPQProxyIsNotAStrictUpperBound for a
-  9-packet counterexample — but under the congested workloads of Fig. 5
-  it consistently dominates, so measured ratios stay honest.
+  9-packet counterexample. Every ratio below is taken against the SPQ
+  proxy, and whether the proxy dominates shared-memory OPT on Fig. 5
+  traffic is not measured.
 - **Lower-bound constructions** use the proofs' scripted clairvoyant OPT
   strategies (static per-port thresholds) rather than the SPQ proxy, so
   the measured ratio is exactly the quantity each proof accounts. Each
@@ -157,42 +160,23 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
   internal/sim/stream_differential_test.go). DESIGN.md §10 documents
   the Provider contract.
 - **Checkpointed resume.** Paper-scale sweeps (-scale paper -seeds 5)
-  run for hours; smbsim -checkpoint run.ckpt runs them through the
-  lease ledger below with a single worker, journaling every completed
-  (x, seed) sweep cell to run.ckpt/local.jsonl, and a re-run with the
-  same flag skips finished cells, so a crash or Ctrl-C (which prints
-  the completed points as a partial table and exits with code 2) costs
-  only the in-flight cells, which the re-run takes back at once. The
-  ledger is keyed by sweep name, so one directory serves a whole
+  run for hours; smbsim -checkpoint run.ckpt journals every (x, seed)
+  sweep cell attempt to run.ckpt/local.jsonl (fsynced completions,
+  torn-tail-tolerant append-only lines), and a re-run with the same
+  flag skips finished cells. A Ctrl-C prints the completed points as a
+  partial table and exits with code 2; it and a kill -9 both cost only
+  the in-flight cells, and the resumed tables are bit-identical to an
+  uninterrupted run — the chaos harness (make chaos) asserts exactly
+  that under seeded kills and torn journals. An attempt the process
+  died in counts as failed, and a cell failing more than -cell-retries
+  times is reported degraded while the remaining tables still render.
+  The journal is keyed by sweep name, so one directory serves a whole
   multi-panel run; -cell-timeout bounds runaway cells without killing
-  the sweep. The ledger carries a fingerprint of each sweep's
+  the sweep. The journal carries a fingerprint of each sweep's
   configuration (swept values, seeds, base seed, fixed parameters,
   policy roster, fault spec): resuming after a flag change fails loudly
   naming the changed field, so cells computed under different
-  configurations can never merge into one table.
-- **Distributed sweeps.** To split a paper-scale run across processes
-  (or machines sharing a filesystem), share the lease ledger among
-  several workers — same flags on every process, one shared directory:
-
-  ` + "```" + `
-  mkdir -p ledger
-  go run ./cmd/smbsim -scale paper -ledger ledger -worker &   # as many
-  go run ./cmd/smbsim -scale paper -ledger ledger -worker &   # as you like
-  go run ./cmd/smbsim -scale paper -ledger ledger -coordinator
-  ` + "```" + `
-
-  Workers lease (x, seed) cells with expiring, fenced leases, journal
-  results crash-safely (fsynced completes, torn-tail-tolerant
-  append-only files), and print one summary line per sweep; the
-  coordinator computes nothing and renders the merged tables once the
-  grid is done. A SIGKILLed worker costs only its in-flight cells:
-  its leases expire after -lease-ttl and are reclaimed (at once if it
-  restarts under the same -worker-id), a resumed
-  zombie cannot clobber newer results (fencing tokens), and the merged
-  tables are bit-identical to a single-process run — the chaos harness
-  (make chaos) asserts exactly that under seeded kills and journal
-  truncation. A cell failing more than -cell-retries times is reported
-  degraded; the remaining tables still render. DESIGN.md §13 has the
+  configurations can never merge into one table. DESIGN.md §13 has the
   record grammar and crash matrix.
 - **Fault injection** (cmd/smbsim -experiment faults, -faults "<spec>")
   wraps every system — each policy and the OPT proxy — in an identical

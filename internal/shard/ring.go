@@ -108,15 +108,14 @@ type pad [64]byte
 
 // Ring is a lock-free single-producer/single-consumer ring of packed
 // entries. Exactly one goroutine may call the producer side (PushBatch,
-// Push, TryPush) and exactly one the consumer side (PopBatch, Pop,
-// TryPop); the two may differ. The capacity is rounded up to a power of
-// two.
+// Push) and exactly one the consumer side (PopBatch); the two may
+// differ. The capacity is rounded up to a power of two.
 //
 // Entries move in batches: PushBatch copies a run of entries in and
 // publishes the tail cursor once, PopBatch copies a run out and
 // publishes the head cursor once, and each checks the other side's park
-// flag once per batch. The single-entry operations are one-entry
-// batches, so there is one publish protocol. Each side keeps a private
+// flag once per batch. Push is a one-entry batch, so there is one
+// publish protocol. Each side keeps a private
 // copy of the opposite cursor (the producer of head, the consumer of
 // tail) and reloads it only when the copy shows too little room or
 // nothing to pop, so the cache line the other side writes is read about
@@ -287,32 +286,9 @@ func (r *Ring) PopBatch(dst []Entry) int {
 	}
 }
 
-// TryPush appends e and reports success, failing when the ring is
-// full. Producer side only.
-func (r *Ring) TryPush(e Entry) bool {
-	one := [1]Entry{e}
-	return r.tryPush(one[:]) == 1
-}
-
 // Push appends e, spinning briefly and then parking while the ring is
 // full. Producer side only.
 func (r *Ring) Push(e Entry) {
 	one := [1]Entry{e}
 	r.PushBatch(one[:])
-}
-
-// TryPop removes and returns the oldest entry, reporting failure when
-// the ring is empty. Consumer side only.
-func (r *Ring) TryPop() (Entry, bool) {
-	var one [1]Entry
-	ok := r.tryPop(one[:]) == 1
-	return one[0], ok
-}
-
-// Pop removes and returns the oldest entry, spinning briefly and then
-// parking while the ring is empty. Consumer side only.
-func (r *Ring) Pop() Entry {
-	var one [1]Entry
-	r.PopBatch(one[:])
-	return one[0]
 }

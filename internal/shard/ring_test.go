@@ -39,20 +39,21 @@ func TestRingSingleThreaded(t *testing.T) {
 	if r.Cap() != 8 {
 		t.Fatalf("cap = %d, want 8", r.Cap())
 	}
-	if _, ok := r.TryPop(); ok {
+	var one [1]Entry
+	if r.tryPop(one[:]) != 0 {
 		t.Fatalf("pop from empty ring succeeded")
 	}
 	for i := 0; i < 8; i++ {
-		if !r.TryPush(Entry(i)) {
+		if r.tryPush([]Entry{Entry(i)}) != 1 {
 			t.Fatalf("push %d failed below capacity", i)
 		}
 	}
-	if r.TryPush(Entry(99)) {
+	if r.tryPush([]Entry{99}) != 0 {
 		t.Fatalf("push into full ring succeeded")
 	}
 	for i := 0; i < 8; i++ {
-		e, ok := r.TryPop()
-		if !ok || e != Entry(i) {
+		ok := r.tryPop(one[:]) == 1
+		if e := one[0]; !ok || e != Entry(i) {
 			t.Fatalf("pop %d = %d ok=%v", i, e, ok)
 		}
 	}
@@ -69,9 +70,10 @@ func TestRingConcurrent(t *testing.T) {
 	r := NewRing(16)
 	done := make(chan error, 1)
 	go func() {
+		var one [1]Entry
 		for i := 0; i < total; i++ {
-			e := r.Pop()
-			if e != Entry(i) {
+			r.PopBatch(one[:])
+			if e := one[0]; e != Entry(i) {
 				done <- fmt.Errorf("entry %d = %d", i, e)
 				return
 			}
@@ -183,9 +185,10 @@ func TestRingParking(t *testing.T) {
 		close(pushed)
 	}()
 	waitFor(&r.prodParked)
+	var one [1]Entry
 	for i := 0; i < 7; i++ {
-		if e := r.Pop(); e != Entry(i) {
-			t.Fatalf("pop %d = %d", i, e)
+		if r.PopBatch(one[:]); one[0] != Entry(i) {
+			t.Fatalf("pop %d = %d", i, one[0])
 		}
 	}
 	<-pushed

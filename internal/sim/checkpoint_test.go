@@ -1,10 +1,9 @@
 package sim
 
-// Resumable runs as smbsim -checkpoint makes them: a private
-// single-worker lease ledger under a fixed identity. A re-run resumes
-// from the ledger, a changed configuration is refused naming the
-// differing field, and crash debris (a torn final record) costs at
-// most the cell it tore.
+// Resumable runs as smbsim -checkpoint makes them: a cell journal in a
+// checkpoint directory. A re-run resumes from the journal, a changed
+// configuration is refused naming the differing field, and crash
+// debris (a torn final record) costs at most the cell it tore.
 
 import (
 	"context"
@@ -19,12 +18,11 @@ import (
 	"time"
 )
 
-// ckptSweep is testSweep as a -checkpoint run: a single-worker ledger
-// in dir under the fixed identity "local", with the default lease TTL
-// and a representative cell-config digest.
+// ckptSweep is testSweep as a -checkpoint run: a journal in dir with a
+// representative cell-config digest.
 func ckptSweep(dir string) *Sweep {
 	s := testSweep()
-	s.Ledger, s.LedgerWorker = dir, "local"
+	s.Checkpoint = dir
 	s.ConfigDigest = "model=processing;B=4;C=1;policies=Greedy,LWD"
 	return s
 }
@@ -39,8 +37,8 @@ func countBuilds(s *Sweep, n *int32) *Sweep {
 	return s
 }
 
-// journalLines returns the non-empty lines of the -checkpoint run's own
-// ledger file in dir.
+// journalLines returns the non-empty lines of the -checkpoint run's
+// journal in dir.
 func journalLines(t *testing.T, dir string) []string {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, "local.jsonl"))
@@ -51,7 +49,7 @@ func journalLines(t *testing.T, dir string) []string {
 }
 
 // plainResult runs testSweep in memory, the oracle every resumed run
-// must equal once harness-only fields are stripped.
+// must equal once warnings are stripped.
 func plainResult(t *testing.T) *SweepResult {
 	t.Helper()
 	res, err := testSweep().Run()
@@ -62,7 +60,7 @@ func plainResult(t *testing.T) *SweepResult {
 }
 
 // TestCheckpointResumeRejectsChangedConfig pins the fingerprint end to
-// end, from ConfigDigest through leaseFingerprint to the ledger header:
+// end, from ConfigDigest through Sweep.fingerprint to the journal header:
 // after a run completes, re-running with any sweep parameter changed
 // must refuse to resume, naming the differing field instead of
 // silently merging cells journaled under different flags.
@@ -108,6 +106,7 @@ func TestCheckpointResumeMatchingConfigIsClean(t *testing.T) {
 	if _, err := ckptSweep(dir).Run(); err != nil {
 		t.Fatal(err)
 	}
+	before := len(journalLines(t, dir))
 	res, err := ckptSweep(dir).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -115,14 +114,14 @@ func TestCheckpointResumeMatchingConfigIsClean(t *testing.T) {
 	if len(res.Warnings) != 0 {
 		t.Errorf("clean resume warned: %q", res.Warnings)
 	}
-	if len(res.Points) != 3 || res.Partial || res.Lease.Completes != 0 || res.Lease.Abandons != 0 {
-		t.Errorf("resumed result: %d points, partial=%v, lease counters %+v; want 3, false, no ledger writes", len(res.Points), res.Partial, *res.Lease)
+	if after := len(journalLines(t, dir)); len(res.Points) != 3 || res.Partial || after != before {
+		t.Errorf("resumed result: %d points, partial=%v, journal %d → %d lines; want 3, false, no journal writes", len(res.Points), res.Partial, before, after)
 	}
 }
 
 // TestCheckpointMissingFileIsEmpty pins the first-run behaviour: a
-// ledger directory that does not exist yet is created, opens with the
-// fingerprint header, and the whole grid runs.
+// checkpoint directory that does not exist yet is created, its journal
+// opens with the fingerprint header, and the whole grid runs.
 func TestCheckpointMissingFileIsEmpty(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "absent", "run.ckpt")
 	var builds int32
@@ -261,7 +260,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 		t.Error("checkpointed run differs from plain run")
 	}
 
-	// A re-run against the same ledger skips every cell.
+	// A re-run against the same journal skips every cell.
 	second, err := countBuilds(ckptSweep(dir), &builds).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -274,12 +273,10 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointResumesInterruptedRun pins the SIGINT contract
-// under the default lease TTL: the interrupted run gives its in-flight
-// cell back at once and unfailed, so the resume neither waits out the
-// lease nor spends a retry — it rebuilds exactly the lost cells, well
-// inside a deadline far shorter than the TTL — and its progress still
-// adds up to the full grid.
+// TestSweepCheckpointResumesInterruptedRun pins the SIGINT contract:
+// the interrupted run releases its in-flight cell, so the resume spends
+// no retry on it — it rebuilds exactly the lost cells, well inside its
+// deadline — and its progress still adds up to the full grid.
 func TestSweepCheckpointResumesInterruptedRun(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -341,8 +338,8 @@ func TestSweepCheckpointIgnoresOtherSweeps(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeFansOutFewCells pins the budget split on the
-// leased path: a resume with two cells left on eight workers must spend
+// TestCheckpointResumeFansOutFewCells pins the budget split on a
+// checkpointed resume: a resume with two cells left on eight workers must spend
 // the spare workers inside the cells (four each), observed as each
 // cell's first replay overlapping a sibling replay of the same cell.
 func TestCheckpointResumeFansOutFewCells(t *testing.T) {
@@ -390,5 +387,242 @@ func TestCheckpointResumeFansOutFewCells(t *testing.T) {
 	}
 	if cells != 2 || fanned != 2 {
 		t.Fatalf("resume ran %d cells, %d with parallel replays; want 2 and 2", cells, fanned)
+	}
+}
+
+// stripHarness zeroes the warnings, the one field that legitimately
+// differs between a checkpointed and a plain run: a harness-level
+// observation that never enters the points.
+func stripHarness(r *SweepResult) *SweepResult {
+	cp := *r
+	cp.Warnings = nil
+	return &cp
+}
+
+// countRecords counts the journal records of one kind in dir.
+func countRecords(t *testing.T, dir, kind string) int {
+	t.Helper()
+	n := 0
+	for _, line := range journalLines(t, dir) {
+		if strings.Contains(line, `"kind":"`+kind+`"`) {
+			n++
+		}
+	}
+	return n
+}
+
+func TestLeasedMatchesPlainRun(t *testing.T) {
+	plain, err := testSweep().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	leased, err := ckptSweep(dir).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countRecords(t, dir, kindComplete); n != 9 {
+		t.Fatalf("journal holds %d complete records, want 9", n)
+	}
+	want, _ := json.Marshal(stripHarness(plain))
+	got, _ := json.Marshal(stripHarness(leased))
+	if string(got) != string(want) {
+		t.Fatalf("checkpointed result differs from plain run:\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestLeasedResumesAfterAbandonedRun(t *testing.T) {
+	dir := t.TempDir()
+
+	// First run completes part of the grid and stops: cancel after the
+	// first completion.
+	ctx, cancel := context.WithCancel(context.Background())
+	first := ckptSweep(dir)
+	first.Parallelism = 1
+	var firstDone int
+	first.Progress = func(p SweepProgress) {
+		if p.Err == nil {
+			firstDone++
+			cancel()
+		}
+	}
+	res1, err := first.RunContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	if !res1.Partial || firstDone == 0 {
+		t.Fatalf("interrupted run: partial=%v done=%d", res1.Partial, firstDone)
+	}
+
+	// A fresh run finishes the rest and folds to the full, bit-identical
+	// result.
+	second := ckptSweep(dir)
+	var secondDone int
+	second.Progress = func(p SweepProgress) {
+		if p.Err == nil {
+			secondDone++
+		}
+	}
+	res2, err := second.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Partial {
+		t.Fatal("resumed run still partial")
+	}
+	plain, err := testSweep().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(stripHarness(plain))
+	got, _ := json.Marshal(stripHarness(res2))
+	if string(got) != string(want) {
+		t.Fatalf("resumed result differs from plain run:\n got %s\nwant %s", got, want)
+	}
+	if secondDone >= len(testSweep().Xs)*3 {
+		t.Fatalf("second run re-ran everything (%d completes); cells from the first run were not resumed", secondDone)
+	}
+}
+
+func TestLeasedTransientFailureRetries(t *testing.T) {
+	var failures atomic.Int32
+	dir := t.TempDir()
+	s := ckptSweep(dir)
+	build := s.Build
+	s.Build = func(x int, seed int64) (Instance, error) {
+		// The first attempt at x=4 fails; the retry succeeds.
+		if x == 4 && failures.CompareAndSwap(0, 1) {
+			return Instance{}, errors.New("transient build failure")
+		}
+		return build(x, seed)
+	}
+	res, err := s.Run()
+	if err == nil || !strings.Contains(err.Error(), "transient build failure") {
+		t.Fatalf("err = %v, want the transient failure reported", err)
+	}
+	if res.Partial {
+		t.Fatal("partial despite successful retry")
+	}
+	if n := countRecords(t, dir, kindAbandon); n != 1 {
+		t.Fatalf("abandons = %d, want 1", n)
+	}
+	if len(res.Points) != 3 {
+		t.Fatalf("points %d, want 3 (retry completed the cell)", len(res.Points))
+	}
+}
+
+func TestLeasedDegradedCellStillRendersPartialTables(t *testing.T) {
+	s := ckptSweep(t.TempDir())
+	s.CellRetries = -1 // no retries: first failure degrades
+	build := s.Build
+	s.Build = func(x int, seed int64) (Instance, error) {
+		if x == 4 {
+			return Instance{}, errors.New("permanent failure")
+		}
+		return build(x, seed)
+	}
+	res, err := s.Run()
+	if err == nil {
+		t.Fatal("want cell errors reported")
+	}
+	if !res.Partial {
+		t.Fatal("degraded run must be partial")
+	}
+	// x=4 is omitted; the other points still render.
+	if len(res.Points) != 2 {
+		t.Fatalf("points %d, want 2", len(res.Points))
+	}
+	for _, p := range res.Points {
+		if p.X == 4 {
+			t.Fatal("degraded x=4 leaked into the points")
+		}
+	}
+	var degradedWarnings int
+	for _, w := range res.Warnings {
+		if strings.Contains(w, "degraded") {
+			degradedWarnings++
+		}
+	}
+	if degradedWarnings != 3 {
+		t.Fatalf("degraded warnings = %d (%q), want 3 (one per seed)", degradedWarnings, res.Warnings)
+	}
+	if res.Table() == "" {
+		t.Fatal("partial table did not render")
+	}
+}
+
+// TestLeasedProgressSerializedDelivery pins the Sweep.Progress
+// contract in a checkpointed run: deliveries are serialized even
+// though N worker goroutines produce cell outcomes, so a callback may
+// mutate its own unsynchronized state. The callback here does exactly
+// that — a plain counter and map, which the race detector would flag on
+// any concurrent delivery — and asserts the delivered Done counter is
+// monotone in delivery order.
+func TestLeasedProgressSerializedDelivery(t *testing.T) {
+	s := ckptSweep(t.TempDir())
+	s.Parallelism = 4
+	deliveries := 0
+	lastDone := 0
+	seen := map[[2]int]int{}
+	s.Progress = func(p SweepProgress) {
+		deliveries++
+		seen[[2]int{p.X, p.SeedIndex}]++
+		if p.Done < lastDone {
+			t.Errorf("Done went backwards: %d after %d", p.Done, lastDone)
+		}
+		lastDone = p.Done
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := len(s.Xs) * s.Seeds
+	if deliveries < total {
+		t.Fatalf("got %d progress deliveries, want at least %d", deliveries, total)
+	}
+	if len(seen) != total {
+		t.Fatalf("progress covered %d distinct cells, want %d", len(seen), total)
+	}
+	if lastDone < total {
+		t.Fatalf("final delivered Done = %d, want at least %d", lastDone, total)
+	}
+	if res.Partial {
+		t.Fatalf("checkpointed run came back partial")
+	}
+}
+
+// TestCheckpointCrashedAttemptSpendsRetry pins the fold's crash rule
+// end to end: a lease record that nothing closes — the process died
+// running the cell — spends one attempt, so with no retries left the
+// resume reports the cell degraded instead of running it, and the rest
+// of the grid still renders.
+func TestCheckpointCrashedAttemptSpendsRetry(t *testing.T) {
+	dir := t.TempDir()
+	s := ckptSweep(dir)
+	j, err := openJournal(dir, s.fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.append(record{Kind: kindLease, X: 4, SeedIndex: 1, Attempt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j.close()
+
+	var builds int32
+	s = countBuilds(ckptSweep(dir), &builds)
+	s.CellRetries = -1
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 8 {
+		t.Errorf("resume built %d cells, want 8 (the crashed cell is spent)", builds)
+	}
+	if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "x=4 seed[1] degraded after 1 failed attempts") ||
+		!strings.Contains(res.Warnings[0], "died") {
+		t.Errorf("warnings %q, want one naming x=4 seed[1] as degraded by a crash", res.Warnings)
+	}
+	if !res.Partial || len(res.Points) != 3 || res.Table() == "" {
+		t.Errorf("partial=%v, %d points; want a partial result with all 3 points", res.Partial, len(res.Points))
 	}
 }

@@ -41,47 +41,28 @@ type Sweep struct {
 	CellTimeout time.Duration
 	// ConfigDigest canonically renders everything Build bakes into a
 	// cell that the sweep struct cannot see — B, C, speedup, policy
-	// roster, fault spec, trace shape. It rides in the ledger
+	// roster, fault spec, trace shape. It rides in the checkpoint
 	// fingerprint so a resume after a flag change is refused instead of
 	// silently merging stale cells. Leave empty to fingerprint the
 	// sweep identity only.
 	ConfigDigest string
-	// Ledger, when non-empty, runs the sweep through the crash-safe
-	// work-leasing ledger in this directory (internal/lease) instead of
-	// the in-memory pool: every completed cell is journaled durably and
-	// a re-run resumes from the ledger, skipping them. One worker on a
-	// private ledger is a resumable single-process run (smbsim
-	// -checkpoint); several worker processes — each with a distinct
-	// LedgerWorker identity — divide the grid cell by cell, surviving
-	// worker crashes, hangs and restarts. Ledgers are keyed by sweep
-	// Name, so several sweeps can share one directory.
-	Ledger string
-	// LedgerWorker is this process's unique worker identity in the
-	// ledger; required when Ledger is set. Two live processes must never
-	// share one, and a restart should reuse it so the ledger frees the
-	// cells its crashed incarnation held at once.
-	LedgerWorker string
-	// LeaseTTL bounds how long a crashed or hung worker holds a cell
-	// before any other worker may reclaim it (0 = lease.DefaultTTL).
-	// Healthy workers renew well inside the TTL, so it only needs to
-	// exceed heartbeat jitter, not cell runtime.
-	LeaseTTL time.Duration
-	// CellRetries is the per-cell retry budget for leased runs: a cell
-	// whose failed attempts exceed it is reported degraded and omitted
-	// from the grid, so partial tables still render (0 =
-	// lease.DefaultRetries, negative = no retries).
+	// Checkpoint, when non-empty, journals every cell attempt to
+	// Checkpoint/local.jsonl, and a re-run resumes from the journal,
+	// skipping completed and degraded cells. The journal is keyed by
+	// sweep Name, so several sweeps share one directory; one process at
+	// a time may hold it.
+	Checkpoint string
+	// CellRetries is the per-cell retry budget of a checkpointed run: a
+	// failed cell is retried in place, and a cell whose failed attempts
+	// exceed the budget is reported degraded and omitted from the grid,
+	// so partial tables still render (0 = 3, negative = no retries).
+	// An attempt the process died in counts as failed.
 	CellRetries int
-	// LedgerObserver, in leased mode, makes this process a coordinator:
-	// it claims no cells, waits for the worker fleet to finish the grid,
-	// and merges the ledger into the final result.
-	LedgerObserver bool
 	// Progress, when non-nil, is called after every cell outcome
 	// (completed or failed) with a running progress snapshot — the hook
 	// smbsim's expvar publication and per-cell trace dumping hang off.
-	// Deliveries are serialized no matter how the sweep executes: a
-	// single-process run calls it from the fold goroutine, and a leased
-	// run (Ledger set) serializes delivery across its worker
-	// goroutines, so the callback may touch state of its own without
+	// Deliveries are serialized: the callback runs on the fold
+	// goroutine, so it may touch state of its own without
 	// synchronization. It must be fast — a slow callback stalls cell
 	// completion — and must not retain Results beyond the call.
 	Progress func(SweepProgress)
@@ -100,9 +81,9 @@ type SweepProgress struct {
 	// X and SeedIndex identify the cell this notification is about.
 	X, SeedIndex int
 	// Done counts cells completed by this run so far; Failed counts
-	// confined cell failures; Skipped counts cells the ledger already
-	// held completed or degraded when the run started; Total is the
-	// full grid size.
+	// confined cell failures; Skipped counts cells the checkpoint
+	// journal already held completed or degraded when the run started;
+	// Total is the full grid size.
 	Done, Failed, Skipped, Total int
 	// Err is the cell's failure (a *CellError), nil when it completed.
 	Err error
@@ -174,14 +155,8 @@ type SweepResult struct {
 	// attached recorders (Sweep.Obs / Instance.Obs).
 	Obs map[string]obs.KindCounts `json:"obs,omitempty"`
 	// Warnings carries non-fatal anomalies the run noticed — a degraded
-	// cell of a leased run — for the caller to surface.
+	// cell of a checkpointed run — for the caller to surface.
 	Warnings []string `json:"warnings,omitempty"`
-	// Lease aggregates this process's lease-ledger activity when the
-	// sweep ran in leased (distributed) mode; nil otherwise. Like
-	// Warnings these are harness-level observations: they never affect
-	// the merged Points, which stay bit-identical to a single-process
-	// run.
-	Lease *obs.LeaseCounts `json:"lease,omitempty"`
 }
 
 // Run executes all (x, seed) cells on a bounded worker pool and folds
@@ -282,8 +257,7 @@ func (s *Sweep) cellError(xi, si int, err error) *CellError {
 // point, or a resume with few cells left — the spare workers go inside
 // the cells, fanning each cell's OPT proxy and per-policy replays out
 // in parallel. Results stay bit-identical because every replay opens
-// its own cursor over the cell's Provider. Both the in-memory pool and
-// the leased path split through here.
+// its own cursor over the cell's Provider.
 func (s *Sweep) budget(pending int) (cellWorkers, intra int) {
 	workers := s.Parallelism
 	if workers == 0 {
@@ -327,8 +301,10 @@ func joinSweepErrs(ctx context.Context, cellErrs []*CellError, harness error) er
 //     abort at their next slot boundary. The completed cells are
 //     returned as a Partial SweepResult alongside ctx's error, instead
 //     of being discarded.
-//   - With Ledger set, the run is delegated to the resumable,
-//     work-leasing path (runLeased); see the Ledger field.
+//   - With Checkpoint set, cells the journal holds completed or
+//     degraded are skipped, a failed cell is retried in place up to
+//     CellRetries times, and a cell that cancellation interrupts is
+//     released without spending an attempt; see the Checkpoint field.
 //
 // Whenever the returned SweepResult is non-nil its Points are valid
 // aggregates of every completed cell, even when err is non-nil.
@@ -336,11 +312,24 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if s.Ledger != "" {
-		return s.runLeased(ctx)
+	var j *journal
+	if s.Checkpoint != "" {
+		var err error
+		if j, err = openJournal(s.Checkpoint, s.fingerprint()); err != nil {
+			return nil, err
+		}
+		defer j.close() // the success path checks the first close
+	}
+	retries := s.CellRetries
+	switch {
+	case retries == 0:
+		retries = defaultCellRetries
+	case retries < 0:
+		retries = 0
 	}
 
-	type cell struct{ xi, si int }
+	// failed counts the cell's spent attempts, journaled or this run's.
+	type cell struct{ xi, si, failed int }
 	type outcome struct {
 		cell
 		results []Result
@@ -348,19 +337,62 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	}
 
 	// The grid gives the Welford fold a deterministic order regardless
-	// of scheduling; okGrid marks which cells actually completed.
+	// of scheduling; okGrid marks which cells actually completed, and
+	// warn holds each degraded cell's warning in grid order.
 	grid := make([][][]Result, len(s.Xs))
 	okGrid := make([][]bool, len(s.Xs))
 	total := len(s.Xs) * s.Seeds
+	var warn []string
+	if j != nil {
+		warn = make([]string, total)
+	}
 	todo := make([]cell, 0, total)
-	for xi := range s.Xs {
+	resumed, skipped := 0, 0
+	for xi, x := range s.Xs {
 		grid[xi] = make([][]Result, s.Seeds)
 		okGrid[xi] = make([]bool, s.Seeds)
 		for si := 0; si < s.Seeds; si++ {
-			todo = append(todo, cell{xi, si})
+			c := cell{xi: xi, si: si}
+			var st *cellState
+			if j != nil {
+				st = j.cells[cellKey{x, si}]
+			}
+			if st != nil {
+				switch {
+				case st.results != nil:
+					res, err := decodeCellResults(st.results)
+					if err != nil {
+						return nil, fmt.Errorf("sim: checkpoint %s: cell %s=%d seed[%d]: %w", s.Checkpoint, s.XLabel, x, si, err)
+					}
+					grid[xi][si], okGrid[xi][si] = res, true
+					resumed++
+					skipped++
+					continue
+				case st.failed > retries:
+					warn[xi*s.Seeds+si] = s.degraded(xi, si, st.failed, st.lastErr)
+					skipped++
+					continue
+				}
+				c.failed = st.failed
+			}
+			todo = append(todo, c)
 		}
 	}
 	cellWorkers, intra := s.budget(len(todo))
+
+	// A journal write failure stops the run without canceling the
+	// caller's ctx.
+	runCtx, stopRun := context.WithCancel(ctx)
+	defer stopRun()
+	var journalErr error
+	var journalOnce sync.Once
+	abort := func(err error) {
+		journalOnce.Do(func() { journalErr = err })
+		stopRun()
+	}
+	interrupted := func(err error) bool {
+		return runCtx.Err() != nil && errors.Is(err, runCtx.Err())
+	}
 
 	jobs := make(chan cell)
 	outcomes := make(chan outcome)
@@ -373,12 +405,24 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 			// reuse its systems; runCell resets them before each use.
 			var sc Scratch
 			for c := range jobs {
-				if ctx.Err() != nil {
-					outcomes <- outcome{cell: c, err: ctx.Err()}
-					continue
+				for {
+					if runCtx.Err() != nil {
+						outcomes <- outcome{cell: c, err: runCtx.Err()}
+						break
+					}
+					res, err, jerr := s.attempt(runCtx, j, &sc, c.xi, c.si, c.failed+1, intra)
+					if jerr != nil {
+						abort(jerr)
+						break
+					}
+					if err != nil && !interrupted(err) {
+						c.failed++
+					}
+					outcomes <- outcome{cell: c, results: res, err: err}
+					if j == nil || err == nil || interrupted(err) || c.failed > retries {
+						break
+					}
 				}
-				res, err := s.runCell(ctx, &sc, c.xi, c.si, intra)
-				outcomes <- outcome{cell: c, results: res, err: err}
 			}
 		}()
 	}
@@ -387,7 +431,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		for _, c := range todo {
 			select {
 			case jobs <- c:
-			case <-ctx.Done():
+			case <-runCtx.Done():
 				return
 			}
 		}
@@ -406,7 +450,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		s.Progress(SweepProgress{
 			Sweep: s.Name, XLabel: s.XLabel,
 			X: s.Xs[o.xi], SeedIndex: o.si,
-			Done: completed, Failed: failed, Total: total,
+			Done: completed, Failed: failed, Skipped: skipped, Total: total,
 			Err:     err,
 			Results: o.results,
 		})
@@ -415,12 +459,15 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		if o.err != nil {
 			// A cancellation-induced abort is an interruption, not a
 			// cell failure: the cell simply did not complete.
-			if ctx.Err() != nil && errors.Is(o.err, ctx.Err()) {
+			if interrupted(o.err) {
 				continue
 			}
 			ce := s.cellError(o.xi, o.si, o.err)
 			cellErrs = append(cellErrs, ce)
 			failed++
+			if j != nil && o.failed > retries {
+				warn[o.xi*s.Seeds+o.si] = s.degraded(o.xi, o.si, o.failed, ce.Error())
+			}
 			notify(outcome{cell: o.cell}, ce)
 			continue
 		}
@@ -429,19 +476,63 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		notify(o, nil)
 	}
 
-	out := &SweepResult{Name: s.Name, XLabel: s.XLabel, Partial: completed < total}
+	out := &SweepResult{Name: s.Name, XLabel: s.XLabel, Partial: resumed+completed < total}
+	for _, w := range warn {
+		if w != "" {
+			out.Warnings = append(out.Warnings, w)
+		}
+	}
 	s.fold(out, grid, okGrid)
-	return out, joinSweepErrs(ctx, cellErrs, nil)
+	if j != nil && journalErr == nil {
+		journalErr = j.close()
+	}
+	return out, joinSweepErrs(ctx, cellErrs, journalErr)
+}
+
+// attempt runs cell (xi, si) once, journaling it as attempt number n
+// when j is non-nil: a lease record before the run, then a complete,
+// an abandon, or — when ctx interrupted it — a release. A journal write
+// failure comes back as jerr.
+func (s *Sweep) attempt(ctx context.Context, j *journal, sc *Scratch, xi, si, n, intra int) (res []Result, err, jerr error) {
+	if j == nil {
+		res, err = s.runCell(ctx, sc, xi, si, intra)
+		return res, err, nil
+	}
+	rec := record{Kind: kindLease, X: s.Xs[xi], SeedIndex: si, Attempt: n}
+	if jerr = j.append(rec); jerr != nil {
+		return nil, nil, jerr
+	}
+	res, err = s.runCell(ctx, sc, xi, si, intra)
+	switch {
+	case err == nil:
+		rec.Kind = kindComplete
+		rec.Results, jerr = encodeCellResults(res)
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+		rec.Kind = kindRelease
+	default:
+		rec.Kind, rec.Error = kindAbandon, s.cellError(xi, si, err).Error()
+	}
+	if jerr == nil {
+		jerr = j.append(rec)
+	}
+	return res, err, jerr
+}
+
+// degraded renders the warning for cell (xi, si), whose failed
+// attempts exhausted the retry budget.
+func (s *Sweep) degraded(xi, si, attempts int, lastErr string) string {
+	return fmt.Sprintf("checkpoint %s: cell %s=%d seed[%d] degraded after %d failed attempts: last error: %s",
+		s.Checkpoint, s.XLabel, s.Xs[xi], si, attempts, lastErr)
 }
 
 // fold aggregates the completed cells of the (Xs × Seeds) grid into
 // out: per-point Welford summaries in deterministic grid order, the
 // policy roster from the first completed cell, and the accumulated
 // decision counters. okGrid marks which grid cells completed; swept
-// values with no completed cell are omitted from out.Points. Both the
-// single-process pool and the leased (distributed) path fold through
-// this one function, which is what makes a merged multi-worker result
-// bit-identical to a single-process run.
+// values with no completed cell are omitted from out.Points. Cells
+// read back from a checkpoint journal fold in their grid position like
+// any other, which is what makes a resumed result bit-identical to an
+// uninterrupted one.
 func (s *Sweep) fold(out *SweepResult, grid [][][]Result, okGrid [][]bool) {
 	for xi, x := range s.Xs {
 		var any bool
@@ -593,23 +684,4 @@ func (r *SweepResult) ObsTable() string {
 		})
 	}
 	return tablefmt.Render(headers, rows)
-}
-
-// LeaseTable renders this process's lease-ledger counters as a one-row
-// aligned text table, or "" when the sweep did not run in leased mode.
-func (r *SweepResult) LeaseTable() string {
-	if r.Lease == nil {
-		return ""
-	}
-	headers := []string{"leases", "renewals", "completes", "abandons", "conflicts", "reclaims", "waits"}
-	row := []string{
-		strconv.FormatUint(r.Lease.Leases, 10),
-		strconv.FormatUint(r.Lease.Renewals, 10),
-		strconv.FormatUint(r.Lease.Completes, 10),
-		strconv.FormatUint(r.Lease.Abandons, 10),
-		strconv.FormatUint(r.Lease.Conflicts, 10),
-		strconv.FormatUint(r.Lease.Reclaims, 10),
-		strconv.FormatUint(r.Lease.Waits, 10),
-	}
-	return tablefmt.Render(headers, [][]string{row})
 }

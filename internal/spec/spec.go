@@ -217,7 +217,7 @@ func (e *Experiment) ToSweep() (*sim.Sweep, error) {
 	_, seeds, _, baseSeed := e.scale()
 	// The whole spec re-marshaled is its own canonical cell-config
 	// digest: struct field order is fixed, so equal specs render equal
-	// strings for the sweep ledger fingerprint.
+	// strings for the sweep checkpoint fingerprint.
 	digest, err := json.Marshal(e)
 	if err != nil {
 		return nil, fmt.Errorf("spec: digest: %w", err)
