@@ -192,15 +192,12 @@ func CombinedPolicies() []Policy { return policy.ForCombined() }
 // priority queue over the whole buffer with Ports·Speedup cores.
 func NewOptProxy(cfg Config) (System, error) { return sim.NewOptProxy(cfg) }
 
-// ExactOptimum returns the true offline optimum objective on a tiny
-// instance (see internal/opt for the size caps): transmitted packets in
-// the processing model, transmitted value in the value model.
-func ExactOptimum(cfg Config, trace Trace) (int64, error) {
-	if cfg.Model == ModelValue {
-		return opt.ExactValue(cfg, trace)
-	}
-	return opt.ExactProcessing(cfg, trace)
-}
+// ExactOptimum returns the true offline optimum objective of trace on a
+// small switch (at most 4 ports, B ≤ 8, k ≤ 8; the trace may be long):
+// transmitted packets in the processing model, transmitted value in the
+// value and combined models. It refuses every packet the engine
+// refuses.
+func ExactOptimum(cfg Config, trace Trace) (int64, error) { return opt.Exact(cfg, trace) }
 
 // Traffic and experiment plumbing.
 

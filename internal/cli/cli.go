@@ -5,6 +5,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -58,8 +59,19 @@ type PanelOptions struct {
 // Panels runs the requested evaluation experiments, writing reports to
 // w. Canceling ctx stops the run gracefully: the in-flight sweep
 // returns its completed points, which are rendered as a partial table
-// before the context's error is returned.
+// before the context's error is returned. The "arch", "latency" and
+// "faults" experiments are not sweeps: an option only a sweep honours
+// is an error there, naming its smbsim flag.
 func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
+	if err := o.check(); err != nil {
+		return err
+	}
+	switch o.Experiment {
+	case "arch", "latency", "faults":
+		if flag := o.sweepOnly(); flag != "" {
+			return fmt.Errorf("cli: %s applies only to sweeps, not to -experiment %s", flag, o.Experiment)
+		}
+	}
 	ids := experiments.PanelIDs()
 	if o.Experiment != "" {
 		ids = []string{o.Experiment}
@@ -84,6 +96,38 @@ func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 		}
 	}
 	return nil
+}
+
+// check refuses option combinations no run honours.
+func (o PanelOptions) check() error {
+	if o.CellRetries != 0 && o.Checkpoint == "" {
+		return errors.New("cli: -cell-retries needs -checkpoint")
+	}
+	return nil
+}
+
+// sweepOnly returns the smbsim flag of the first set option that only a
+// sweep honours, or "" when none is set.
+func (o PanelOptions) sweepOnly() string {
+	switch {
+	case o.Checkpoint != "":
+		return "-checkpoint"
+	case o.CellRetries != 0:
+		return "-cell-retries"
+	case o.CellTimeout != 0:
+		return "-cell-timeout"
+	case !o.Faults.Empty():
+		return "-faults"
+	case o.Obs:
+		return "-obs"
+	case o.TraceEvents != 0:
+		return "-trace-events"
+	case o.CSV:
+		return "-csv"
+	case o.Plot:
+		return "-plot"
+	}
+	return ""
 }
 
 // faultsReport runs the fault-degradation experiment.
@@ -125,6 +169,9 @@ func latencyReport(w io.Writer, opts experiments.Options) error {
 // RunSpec loads a JSON experiment spec from r, runs it, and renders the
 // report like a panel.
 func RunSpec(ctx context.Context, w io.Writer, r io.Reader, o PanelOptions) error {
+	if err := o.check(); err != nil {
+		return err
+	}
 	e, err := spec.Load(r)
 	if err != nil {
 		return err

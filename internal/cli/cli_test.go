@@ -5,9 +5,11 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"smbm/internal/adversary"
 	"smbm/internal/experiments"
+	"smbm/internal/faults"
 )
 
 func smallOpts() experiments.Options {
@@ -78,6 +80,44 @@ func TestPanelsLatency(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "delay/throughput trade-off") {
 		t.Errorf("latency output:\n%s", buf.String())
+	}
+}
+
+// TestPanelsRefusesIgnoredFlags: an option no run of the requested
+// experiment honours is an error naming its flag, before anything runs.
+func TestPanelsRefusesIgnoredFlags(t *testing.T) {
+	blackout, err := faults.ParseSpec("blackout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		experiment, flag string
+		set              func(*PanelOptions)
+	}{
+		{"arch", "-checkpoint", func(o *PanelOptions) { o.Checkpoint = t.TempDir() }},
+		{"latency", "-cell-retries", func(o *PanelOptions) { o.CellRetries = 2 }},
+		{"faults", "-cell-timeout", func(o *PanelOptions) { o.CellTimeout = time.Nanosecond }},
+		{"arch", "-faults", func(o *PanelOptions) { o.Faults = blackout }},
+		{"latency", "-obs", func(o *PanelOptions) { o.Obs = true }},
+		{"faults", "-trace-events", func(o *PanelOptions) { o.TraceEvents = 8 }},
+		{"arch", "-csv", func(o *PanelOptions) { o.CSV = true }},
+		{"latency", "-plot", func(o *PanelOptions) { o.Plot = true }},
+		{"fig5.1", "-cell-retries needs -checkpoint", func(o *PanelOptions) { o.CellRetries = 5 }},
+	} {
+		o := PanelOptions{Experiment: c.experiment, Opts: smallOpts()}
+		c.set(&o)
+		var buf bytes.Buffer
+		err := Panels(context.Background(), &buf, o)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s with %s: err = %v, want one naming %s", c.experiment, c.flag, err, c.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s with %s: wrote output before refusing:\n%s", c.experiment, c.flag, buf.String())
+		}
+	}
+	if err := RunSpec(context.Background(), &bytes.Buffer{}, strings.NewReader("{}"), PanelOptions{CellRetries: 5}); err == nil ||
+		!strings.Contains(err.Error(), "-cell-retries needs -checkpoint") {
+		t.Errorf("RunSpec with -cell-retries and no -checkpoint: err = %v", err)
 	}
 }
 

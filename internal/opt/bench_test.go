@@ -73,30 +73,33 @@ func BenchmarkSPQCombStep(b *testing.B) {
 	}
 }
 
-// BenchmarkExactProcessing tracks the exhaustive solver's cost on a
-// cap-sized instance (it guards the property-test budget).
+// BenchmarkExactProcessing, BenchmarkExactValue and
+// BenchmarkExactCombined track the exact solver's cost on a small
+// instance (it guards the property-test budget).
 func BenchmarkExactProcessing(b *testing.B) {
-	cfg := core.Config{
+	benchExact(b, core.Config{
 		Model: core.ModelProcessing, Ports: 3, Buffer: 4,
 		MaxLabel: 3, Speedup: 1, PortWork: []int{1, 2, 3},
-	}
-	rng := rand.New(rand.NewSource(1))
-	tr := randomTinyTrace(rng, cfg, 5, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExactProcessing(cfg, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 func BenchmarkExactValue(b *testing.B) {
-	cfg := core.Config{Model: core.ModelValue, Ports: 3, Buffer: 4, MaxLabel: 4, Speedup: 1}
+	benchExact(b, core.Config{Model: core.ModelValue, Ports: 3, Buffer: 4, MaxLabel: 4, Speedup: 1})
+}
+
+func BenchmarkExactCombined(b *testing.B) {
+	benchExact(b, core.Config{
+		Model: core.ModelCombined, Ports: 3, Buffer: 4,
+		MaxLabel: 4, Speedup: 1, PortWork: []int{1, 2, 3},
+	})
+}
+
+func benchExact(b *testing.B, cfg core.Config) {
 	rng := rand.New(rand.NewSource(1))
 	tr := randomTinyTrace(rng, cfg, 5, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExactValue(cfg, tr); err != nil {
+		if _, err := Exact(cfg, tr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,242 +2,179 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"smbm/internal/core"
 	"smbm/internal/pkt"
 )
 
-// Exact search limits. The exhaustive optimum branches on every
-// accept/drop decision; these caps keep the memoized state space small
-// enough for tests.
+// Exact solver limits. They bound the per-slot state space, a (queue
+// length, head-of-line residual) pair per port; the trace length only
+// scales the cost linearly.
 const (
-	maxExactPorts    = 4
-	maxExactBuffer   = 8
-	maxExactLabel    = 8
-	maxExactSlots    = 12
-	maxExactArrivals = 26
+	maxExactPorts  = 4
+	maxExactBuffer = 8
+	maxExactLabel  = 8
 )
 
-// ExactProcessing returns the maximum number of packets any offline
-// algorithm can transmit on the given per-slot arrival trace, including a
-// full drain after the last slot. Offline OPT never benefits from
-// push-out (it can simply not admit a packet it would later evict), so
-// the search branches only on accept/drop per arrival.
+// Exact returns the largest objective any offline algorithm achieves on
+// the per-slot arrival trace, including a full drain after the last
+// slot: packets transmitted in the processing model, value transmitted
+// in the value and combined models.
 //
-// Only tiny instances are supported; an error is returned when the
-// instance exceeds the documented caps.
-func ExactProcessing(cfg core.Config, trace [][]pkt.Packet) (int64, error) {
-	if err := checkExact(cfg, trace, core.ModelProcessing); err != nil {
+// Offline OPT never benefits from push-out (it can decline a packet it
+// would later evict), and the final drain transmits every accepted
+// packet, so a packet's reward is credited when it is accepted. The
+// packets of one port differ only in reward: in the FIFO models they
+// all need the port's work, in the value model unit work. A slot's only
+// decision is therefore how many of each port's arrivals to accept (the
+// highest-reward ones), with the total bounded by the free buffer, and
+// the state it leaves is each port's queue length and head-of-line
+// residual work. Exact is a forward dynamic program over slots on that
+// state.
+//
+// Only small switches are supported: an error is returned beyond the
+// port, buffer and label caps, and on any packet the engine refuses.
+func Exact(cfg core.Config, trace [][]pkt.Packet) (int64, error) {
+	if err := checkExact(cfg, trace); err != nil {
 		return 0, err
 	}
-	works := make([]int, cfg.Ports)
-	for i := range works {
-		works[i] = 1
+	d := exactDP{
+		cfg:  cfg,
+		unit: cfg.Model == core.ModelProcessing,
+		cur:  map[exactState]int64{{}: 0},
+		next: make(map[exactState]int64),
 	}
-	if cfg.PortWork != nil {
-		copy(works, cfg.PortWork)
-	}
-	e := &exactProc{cfg: cfg, works: works, trace: trace, memo: make(map[string]int64)}
-	// State: per queue, (length, head-of-line residual).
-	st := make([]byte, 2*cfg.Ports)
-	return e.best(0, 0, st, 0), nil
-}
-
-type exactProc struct {
-	cfg   core.Config
-	works []int
-	trace [][]pkt.Packet
-	memo  map[string]int64
-}
-
-// best returns the maximum future transmissions from the decision point
-// just before arrival idx of slot.
-func (e *exactProc) best(slot, idx int, st []byte, occ int) int64 {
-	if slot == len(e.trace) {
-		return e.drain(st)
-	}
-	key := fmt.Sprintf("%d.%d.%s", slot, idx, st)
-	if v, ok := e.memo[key]; ok {
-		return v
-	}
-	var out int64
-	if idx < len(e.trace[slot]) {
-		p := e.trace[slot][idx]
-		// Option 1: drop.
-		out = e.best(slot, idx+1, st, occ)
-		// Option 2: accept, if there is room.
-		if occ < e.cfg.Buffer {
-			st2 := append([]byte(nil), st...)
-			q := p.Port
-			st2[2*q]++
-			if st2[2*q] == 1 {
-				st2[2*q+1] = byte(e.works[q])
-			}
-			if got := e.best(slot, idx+1, st2, occ+1); got > out {
-				out = got
-			}
+	for i := range d.works[:cfg.Ports] {
+		d.works[i] = 1
+		if cfg.Model != core.ModelValue && cfg.PortWork != nil {
+			d.works[i] = uint8(cfg.PortWork[i])
 		}
-	} else {
-		st2 := append([]byte(nil), st...)
-		sent := e.transmit(st2)
-		out = sent + e.best(slot+1, 0, st2, occ-int(sent))
 	}
-	e.memo[key] = out
-	return out
+	for _, burst := range trace {
+		d.step(burst)
+	}
+	var best int64
+	//smb:nondet-ok the maximum over all states does not depend on their order
+	for _, v := range d.cur {
+		best = max(best, v)
+	}
+	return best, nil
 }
 
-// transmit applies one transmission phase in place and returns the number
-// of packets completed.
-func (e *exactProc) transmit(st []byte) int64 {
-	var sent int64
-	for q := 0; q < e.cfg.Ports; q++ {
-		budget := e.cfg.Speedup
-		for budget > 0 && st[2*q] > 0 {
-			hol := int(st[2*q+1])
-			use := min(budget, hol)
-			hol -= use
+// exactState holds port i's queue length at 2i and its head-of-line
+// residual work at 2i+1 (0 when the queue is empty).
+type exactState [2 * maxExactPorts]uint8
+
+// exactDP carries Exact's frontier from slot to slot: cur maps every
+// reachable state after a slot's transmission to the best reward
+// credited on the way there.
+type exactDP struct {
+	cfg   core.Config
+	works [maxExactPorts]uint8
+	// unit credits every packet 1 (processing model) instead of its
+	// value.
+	unit bool
+	// rewards[i] holds port i's arrival rewards this slot, and gain[i][c]
+	// the total of its c largest.
+	rewards   [maxExactPorts][]int64
+	gain      [maxExactPorts][]int64
+	cur, next map[exactState]int64
+}
+
+// step advances the frontier over one slot's arrivals and transmission.
+func (d *exactDP) step(burst []pkt.Packet) {
+	ports := d.cfg.Ports
+	for i := range d.rewards[:ports] {
+		d.rewards[i] = d.rewards[i][:0]
+	}
+	for _, p := range burst {
+		r := int64(p.Value)
+		if d.unit {
+			r = 1
+		}
+		d.rewards[p.Port] = append(d.rewards[p.Port], r)
+	}
+	for i, rs := range d.rewards[:ports] {
+		slices.Sort(rs)
+		g := append(d.gain[i][:0], 0)
+		for j := len(rs) - 1; j >= 0; j-- {
+			g = append(g, g[len(g)-1]+rs[j])
+		}
+		d.gain[i] = g
+	}
+	clear(d.next)
+	//smb:nondet-ok successors fold into next by maximum, which no order changes
+	for st, v := range d.cur {
+		free := d.cfg.Buffer
+		for i := 0; i < ports; i++ {
+			free -= int(st[2*i])
+		}
+		d.expand(st, 0, free, v)
+	}
+	d.cur, d.next = d.next, d.cur
+}
+
+// expand tries every count of port i's arrivals to accept, within the
+// free buffer, recursing over the later ports; a complete choice is
+// transmitted and folded into next.
+func (d *exactDP) expand(st exactState, i, free int, v int64) {
+	if i == d.cfg.Ports {
+		st = d.transmit(st)
+		if old, ok := d.next[st]; !ok || v > old {
+			d.next[st] = v
+		}
+		return
+	}
+	g := d.gain[i]
+	for c := 0; c < len(g) && c <= free; c++ {
+		s := st
+		if c > 0 && s[2*i] == 0 {
+			s[2*i+1] = d.works[i]
+		}
+		s[2*i] += uint8(c)
+		d.expand(s, i+1, free-c, v+g[c])
+	}
+}
+
+// transmit applies one transmission phase as the engine does: each
+// port's Speedup cycles go to its head-of-line packets in FIFO order,
+// the cycles left by a finished packet carrying over to the next.
+func (d *exactDP) transmit(st exactState) exactState {
+	for i := 0; i < d.cfg.Ports; i++ {
+		for budget := d.cfg.Speedup; budget > 0 && st[2*i] > 0; {
+			use := min(budget, int(st[2*i+1]))
 			budget -= use
-			if hol > 0 {
-				st[2*q+1] = byte(hol)
+			st[2*i+1] -= uint8(use)
+			if st[2*i+1] > 0 {
 				break
 			}
-			st[2*q]--
-			sent++
-			if st[2*q] > 0 {
-				st[2*q+1] = byte(e.works[q])
-			} else {
-				st[2*q+1] = 0
+			st[2*i]--
+			if st[2*i] > 0 {
+				st[2*i+1] = d.works[i]
 			}
 		}
 	}
-	return sent
+	return st
 }
 
-func (e *exactProc) drain(st []byte) int64 {
-	st2 := append([]byte(nil), st...)
-	var sent int64
-	for {
-		got := e.transmit(st2)
-		sent += got
-		if got == 0 {
-			empty := true
-			for q := 0; q < e.cfg.Ports; q++ {
-				if st2[2*q] > 0 {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				return sent
-			}
-		}
-	}
-}
-
-// ExactValue returns the maximum total value any offline algorithm can
-// transmit on the given per-slot arrival trace, including a full drain.
-// Same caps and push-out argument as ExactProcessing.
-func ExactValue(cfg core.Config, trace [][]pkt.Packet) (int64, error) {
-	if err := checkExact(cfg, trace, core.ModelValue); err != nil {
-		return 0, err
-	}
-	e := &exactVal{cfg: cfg, trace: trace, memo: make(map[string]int64)}
-	// State: per queue, count of each value 1..k.
-	st := make([]byte, cfg.Ports*cfg.MaxLabel)
-	return e.best(0, 0, st, 0), nil
-}
-
-type exactVal struct {
-	cfg   core.Config
-	trace [][]pkt.Packet
-	memo  map[string]int64
-}
-
-func (e *exactVal) best(slot, idx int, st []byte, occ int) int64 {
-	if slot == len(e.trace) {
-		return e.drain(st)
-	}
-	key := fmt.Sprintf("%d.%d.%s", slot, idx, st)
-	if v, ok := e.memo[key]; ok {
-		return v
-	}
-	var out int64
-	if idx < len(e.trace[slot]) {
-		p := e.trace[slot][idx]
-		out = e.best(slot, idx+1, st, occ)
-		if occ < e.cfg.Buffer {
-			st2 := append([]byte(nil), st...)
-			st2[p.Port*e.cfg.MaxLabel+p.Value-1]++
-			if got := e.best(slot, idx+1, st2, occ+1); got > out {
-				out = got
-			}
-		}
-	} else {
-		st2 := append([]byte(nil), st...)
-		sent, cnt := e.transmit(st2)
-		out = sent + e.best(slot+1, 0, st2, occ-cnt)
-	}
-	e.memo[key] = out
-	return out
-}
-
-// transmit pops up to Speedup maximum values from each queue, returning
-// (total value, packet count).
-func (e *exactVal) transmit(st []byte) (int64, int) {
-	var (
-		value int64
-		count int
-	)
-	k := e.cfg.MaxLabel
-	for q := 0; q < e.cfg.Ports; q++ {
-		budget := e.cfg.Speedup
-		for v := k; v >= 1 && budget > 0; v-- {
-			idx := q*k + v - 1
-			for st[idx] > 0 && budget > 0 {
-				st[idx]--
-				value += int64(v)
-				count++
-				budget--
-			}
-		}
-	}
-	return value, count
-}
-
-func (e *exactVal) drain(st []byte) int64 {
-	st2 := append([]byte(nil), st...)
-	var total int64
-	for {
-		v, c := e.transmit(st2)
-		total += v
-		if c == 0 {
-			return total
-		}
-	}
-}
-
-func checkExact(cfg core.Config, trace [][]pkt.Packet, want core.Model) error {
+// checkExact refuses configurations over the caps and packets the
+// engine's arrival check refuses.
+func checkExact(cfg core.Config, trace [][]pkt.Packet) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.Model != want {
-		return fmt.Errorf("%w: exact solver model mismatch: have %v, want %v", core.ErrBadConfig, cfg.Model, want)
+	if cfg.Ports > maxExactPorts || cfg.Buffer > maxExactBuffer || cfg.MaxLabel > maxExactLabel {
+		return fmt.Errorf("opt: instance too large for the exact solver (ports<=%d, B<=%d, k<=%d)",
+			maxExactPorts, maxExactBuffer, maxExactLabel)
 	}
-	if cfg.Ports > maxExactPorts || cfg.Buffer > maxExactBuffer || cfg.MaxLabel > maxExactLabel || len(trace) > maxExactSlots {
-		return fmt.Errorf("opt: instance too large for exact search (ports<=%d, B<=%d, k<=%d, slots<=%d)",
-			maxExactPorts, maxExactBuffer, maxExactLabel, maxExactSlots)
-	}
-	var arrivals int
-	for _, slot := range trace {
-		arrivals += len(slot)
-		for _, p := range slot {
-			if err := p.Validate(cfg.Ports, cfg.MaxLabel); err != nil {
+	check := core.NewPacketCheck(cfg)
+	for _, burst := range trace {
+		for _, p := range burst {
+			if err := check.Check(p); err != nil {
 				return err
 			}
 		}
-	}
-	if arrivals > maxExactArrivals {
-		return fmt.Errorf("opt: %d arrivals exceed exact search cap %d", arrivals, maxExactArrivals)
 	}
 	return nil
 }

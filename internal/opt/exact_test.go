@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,13 @@ func tinyProcCfg() core.Config {
 	}
 }
 
+func tinyCombCfg() core.Config {
+	cfg := tinyProcCfg()
+	cfg.Model = core.ModelCombined
+	cfg.MaxLabel = 4
+	return cfg
+}
+
 func tinyValCfg() core.Config {
 	return core.Config{
 		Model:    core.ModelValue,
@@ -37,7 +45,7 @@ func TestExactProcessingHandComputed(t *testing.T) {
 
 	t.Run("everything fits", func(t *testing.T) {
 		tr := traffic.Slots([]pkt.Packet{pkt.NewWork(0, 1), pkt.NewWork(1, 2)})
-		got, err := ExactProcessing(cfg, tr)
+		got, err := Exact(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +58,7 @@ func TestExactProcessingHandComputed(t *testing.T) {
 		// 6 unit-work packets into B=4, one slot, then drain: OPT
 		// transmits 1 during the slot and 3 more from the buffer.
 		tr := traffic.Slots(pkt.Burst(pkt.NewWork(0, 1), 6))
-		got, err := ExactProcessing(cfg, tr)
+		got, err := Exact(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +85,7 @@ func TestExactProcessingHandComputed(t *testing.T) {
 			[]pkt.Packet{pkt.NewWork(0, 1)},
 			[]pkt.Packet{pkt.NewWork(0, 1)},
 		)
-		got, err := ExactProcessing(small, tr)
+		got, err := Exact(small, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +107,7 @@ func TestExactValueHandComputed(t *testing.T) {
 		pkt.NewValue(0, 4), pkt.NewValue(0, 3), pkt.NewValue(0, 2),
 		pkt.NewValue(0, 1), pkt.NewValue(0, 1),
 	})
-	got, err := ExactValue(cfg, tr)
+	got, err := Exact(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +120,7 @@ func TestExactValueHandComputed(t *testing.T) {
 		pkt.NewValue(0, 4), pkt.NewValue(1, 4), pkt.NewValue(2, 4),
 		pkt.NewValue(0, 4), pkt.NewValue(1, 4),
 	})
-	got, err = ExactValue(cfg, tr)
+	got, err = Exact(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,28 +134,223 @@ func TestExactCaps(t *testing.T) {
 	big.Ports = 5
 	big.PortWork = []int{1, 1, 1, 1, 1}
 	big.Buffer = 8
-	if _, err := ExactProcessing(big, nil); err == nil {
+	if _, err := Exact(big, nil); err == nil {
 		t.Error("ports over cap accepted")
 	}
+	// The solver refuses what the engine refuses: a port out of range,
+	// and a work other than its port's (not re-costed at the port's).
 	cfg := tinyProcCfg()
-	long := make(traffic.Trace, maxExactSlots+1)
-	if _, err := ExactProcessing(cfg, long); err == nil {
-		t.Error("slots over cap accepted")
+	for _, p := range []pkt.Packet{pkt.NewWork(9, 1), pkt.NewWork(0, 3)} {
+		tr := traffic.Slots([]pkt.Packet{p})
+		if err := core.MustNew(cfg, policy.Greedy{}).Step(tr[0]); err == nil {
+			t.Fatalf("engine accepted %v", p)
+		}
+		if got, err := Exact(cfg, tr); err == nil {
+			t.Errorf("Exact accepted %v, which the engine refuses (objective %d)", p, got)
+		}
 	}
-	dense := traffic.Slots(pkt.Burst(pkt.NewWork(0, 1), maxExactArrivals+1))
-	if _, err := ExactProcessing(cfg, dense); err == nil {
-		t.Error("arrivals over cap accepted")
+	// The trace length is not capped: a 200-slot, 600-arrival instance
+	// is solved in every model, and no roster policy beats it.
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		cfg    core.Config
+		roster []core.Policy
+	}{
+		{tinyProcCfg(), policy.ForProcessing()},
+		{tinyValCfg(), policy.ForValueByPort()},
+		{tinyCombCfg(), policy.ForCombined()},
+	} {
+		tr := make(traffic.Trace, 200)
+		for s := range tr {
+			tr[s] = []pkt.Packet{randomPacket(rng, c.cfg), randomPacket(rng, c.cfg), randomPacket(rng, c.cfg)}
+		}
+		exact, err := Exact(c.cfg, tr)
+		if err != nil {
+			t.Fatalf("%v: %v", c.cfg.Model, err)
+		}
+		for _, p := range c.roster {
+			if got := runPolicy(t, c.cfg, p, tr); got > exact {
+				t.Errorf("%v: %s scored %d > exact %d", c.cfg.Model, p.Name(), got, exact)
+			}
+		}
 	}
-	if _, err := ExactProcessing(tinyValCfg(), nil); err == nil {
-		t.Error("model mismatch accepted")
+}
+
+// decodeInstance turns bytes into a valid switch of one of models and
+// a trace of at most maxArrivals arrivals. Byte 0 picks the model, 1 the
+// ports (1–4), 2 the buffer (ports–8), 3 the labels k (1–8) and the
+// speedup (1–2), and the next ports bytes the port works (sorted into a
+// non-decreasing configuration). Every later byte is a slot boundary
+// when it is 0xe0 or more, and otherwise one arrival.
+func decodeInstance(data []byte, models []core.Model, maxArrivals int) (core.Config, traffic.Trace) {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
 	}
-	if _, err := ExactValue(tinyProcCfg(), nil); err == nil {
-		t.Error("model mismatch accepted")
+	n := 1 + at(1)%maxExactPorts
+	cfg := core.Config{
+		Model:    models[at(0)%len(models)],
+		Ports:    n,
+		Buffer:   n + at(2)%(maxExactBuffer-n+1),
+		MaxLabel: 1 + at(3)%maxExactLabel,
+		Speedup:  1 + at(3)/maxExactLabel%2,
 	}
-	bad := traffic.Slots([]pkt.Packet{pkt.NewWork(9, 1)})
-	if _, err := ExactProcessing(cfg, bad); err == nil {
-		t.Error("invalid packet accepted")
+	works := make([]int, n)
+	for i := range works {
+		works[i] = 1 + at(4+i)%cfg.MaxLabel
 	}
+	slices.Sort(works)
+	if cfg.Model != core.ModelValue {
+		cfg.PortWork = works
+	}
+	tr := traffic.Trace{nil}
+	arrivals := 0
+	for _, b := range data[min(len(data), 4+n):] {
+		if b >= 0xe0 {
+			tr = append(tr, nil)
+			continue
+		}
+		if arrivals == maxArrivals {
+			break
+		}
+		arrivals++
+		port, label := int(b)%n, 1+int(b)/n%cfg.MaxLabel
+		var p pkt.Packet
+		switch cfg.Model {
+		case core.ModelProcessing:
+			p = pkt.NewWork(port, works[port])
+		case core.ModelValue:
+			p = pkt.NewValue(port, label)
+		default:
+			p = pkt.NewWorkValue(port, works[port], label)
+		}
+		tr[len(tr)-1] = append(tr[len(tr)-1], p)
+	}
+	return cfg, tr
+}
+
+// randomInstanceBytes draws an input for decodeInstance: a header, then
+// body bytes of which about one in four is a slot boundary.
+func randomInstanceBytes(rng *rand.Rand, body int) []byte {
+	data := make([]byte, 4+maxExactPorts+rng.Intn(body+1))
+	for i := range data {
+		data[i] = byte(rng.Intn(0xe0))
+		if i >= 4+maxExactPorts && rng.Intn(4) == 0 {
+			data[i] = 0xe0
+		}
+	}
+	return data
+}
+
+// checkExactVsSearch decodes data into a processing or value instance
+// of at most 20 arrivals and requires Exact to equal the per-arrival
+// search.
+func checkExactVsSearch(t *testing.T, data []byte) {
+	cfg, tr := decodeInstance(data, []core.Model{core.ModelProcessing, core.ModelValue}, 20)
+	got, err := Exact(cfg, tr)
+	if err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
+	}
+	want := searchValue(cfg, tr)
+	if cfg.Model == core.ModelProcessing {
+		want = searchProcessing(cfg, tr)
+	}
+	if got != want {
+		t.Fatalf("%+v on %v: Exact = %d, search = %d", cfg, tr, got, want)
+	}
+}
+
+// TestExactMatchesSearch pins the slot-level DP to the per-arrival
+// search on random in-cap processing and value instances.
+func TestExactMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		checkExactVsSearch(t, randomInstanceBytes(rng, 32))
+	}
+}
+
+// FuzzExactVsSearch is TestExactMatchesSearch driven by the fuzzer.
+func FuzzExactVsSearch(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 2, 0, 1, 2, 0, 1, 2, 0xe0, 0, 1, 2, 0xe0, 2, 2})
+	f.Add([]byte{1, 3, 7, 8 + 3, 0, 0, 0, 0, 5, 9, 13, 17, 0xe0, 0xe0, 21, 25, 29, 33, 37})
+	f.Add([]byte{0, 1, 0, 2, 0, 7, 1, 1, 0xe0, 1, 1, 1, 1, 0xe0, 0xe0, 1})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkExactVsSearch(t, data)
+	})
+}
+
+// bestFeasibleSubset is Exact's second oracle: the largest objective
+// over the subsets of tr's arrivals that the engine under Greedy admits
+// with no drop and no push-out, i.e. the schedules that keep every
+// packet they accept. It enumerates every subset.
+func bestFeasibleSubset(t *testing.T, cfg core.Config, tr traffic.Trace) int64 {
+	t.Helper()
+	type arrival struct {
+		slot int
+		p    pkt.Packet
+	}
+	var all []arrival
+	for s, burst := range tr {
+		for _, p := range burst {
+			all = append(all, arrival{s, p})
+		}
+	}
+	sw := core.MustNew(cfg, policy.Greedy{})
+	sub := make(traffic.Trace, len(tr))
+	var best int64
+	for mask := 0; mask < 1<<len(all); mask++ {
+		for s := range sub {
+			sub[s] = sub[s][:0]
+		}
+		for j, a := range all {
+			if mask&(1<<j) != 0 {
+				sub[a.slot] = append(sub[a.slot], a.p)
+			}
+		}
+		sw.Reset()
+		for _, burst := range sub {
+			if err := sw.Step(burst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sw.Drain()
+		if st := sw.Stats(); st.Dropped == 0 && st.PushedOut == 0 {
+			best = max(best, st.Throughput(cfg.Model))
+		}
+	}
+	return best
+}
+
+// TestExactMatchesBestFeasibleSubset pins the DP to the subset oracle
+// on tiny instances of all three models.
+func TestExactMatchesBestFeasibleSubset(t *testing.T) {
+	models := []core.Model{core.ModelProcessing, core.ModelValue, core.ModelCombined}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 1500; i++ {
+		cfg, tr := decodeInstance(randomInstanceBytes(rng, 14), models, 10)
+		got, err := Exact(cfg, tr)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if want := bestFeasibleSubset(t, cfg, tr); got != want {
+			t.Fatalf("%+v on %v: Exact = %d, best feasible subset = %d", cfg, tr, got, want)
+		}
+	}
+}
+
+// randomPacket draws a packet legal for cfg.
+func randomPacket(rng *rand.Rand, cfg core.Config) pkt.Packet {
+	port := rng.Intn(cfg.Ports)
+	switch cfg.Model {
+	case core.ModelValue:
+		return pkt.NewValue(port, 1+rng.Intn(cfg.MaxLabel))
+	case core.ModelCombined:
+		return pkt.NewWorkValue(port, cfg.PortWork[port], 1+rng.Intn(cfg.MaxLabel))
+	}
+	return pkt.NewWork(port, cfg.PortWork[port])
 }
 
 // randomTinyTrace builds a small random trace legal for cfg.
@@ -156,12 +359,7 @@ func randomTinyTrace(rng *rand.Rand, cfg core.Config, slots, maxBurst int) traff
 	for s := range tr {
 		burst := make([]pkt.Packet, rng.Intn(maxBurst+1))
 		for i := range burst {
-			port := rng.Intn(cfg.Ports)
-			if cfg.Model == core.ModelValue {
-				burst[i] = pkt.NewValue(port, 1+rng.Intn(cfg.MaxLabel))
-			} else {
-				burst[i] = pkt.NewWork(port, cfg.PortWork[port])
-			}
+			burst[i] = randomPacket(rng, cfg)
 		}
 		tr[s] = burst
 	}
@@ -189,7 +387,7 @@ func TestQuickExactDominatesOnlinePolicies(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := tinyProcCfg()
 		tr := randomTinyTrace(rng, cfg, 4, 4)
-		exact, err := ExactProcessing(cfg, tr)
+		exact, err := Exact(cfg, tr)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -226,7 +424,7 @@ func TestSPQProxyIsNotAStrictUpperBound(t *testing.T) {
 		[]pkt.Packet{pkt.NewWork(2, 3)},
 		[]pkt.Packet{pkt.NewWork(0, 1), pkt.NewWork(0, 1), pkt.NewWork(1, 2)},
 	)
-	exact, err := ExactProcessing(cfg, tr)
+	exact, err := Exact(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +451,7 @@ func TestQuickLWDTwoCompetitive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := tinyProcCfg()
 		tr := randomTinyTrace(rng, cfg, 5, 4)
-		exact, err := ExactProcessing(cfg, tr)
+		exact, err := Exact(cfg, tr)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -276,7 +474,7 @@ func TestQuickValueExactDominates(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := tinyValCfg()
 		tr := randomTinyTrace(rng, cfg, 4, 4)
-		exact, err := ExactValue(cfg, tr)
+		exact, err := Exact(cfg, tr)
 		if err != nil {
 			t.Log(err)
 			return false

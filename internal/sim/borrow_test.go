@@ -66,7 +66,7 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := &countingProvider{Provider: prov}
-			memo := traffic.Memoize(src, sim.DefaultMemoBytes)
+			memo := traffic.Memoize(src, sim.MemoBytes)
 			// The recording pass installs the trace; Record copies every
 			// burst, so want is independent of the installed slots.
 			cur, err := memo.Open()

@@ -9,7 +9,7 @@
 // independent of the trace length for generator- and file-backed
 // providers — the property that makes the paper's 2·10⁶-slot runs fit
 // on ordinary machines. Within one instance run the stream is
-// additionally memoized under a byte budget (Instance.MemoBytes), so
+// additionally memoized under a byte budget (MemoBytes), so
 // the OPT proxy and the policy replays share one generation pass when
 // the trace fits; over-budget traces keep streaming.
 package sim
@@ -106,10 +106,11 @@ type RunOptions struct {
 	// (only safe for Systems known to terminate). Instance runs derive
 	// a tighter default from the configuration via DrainBound.
 	DrainMax int
-	// CheckEvery is the slot interval between context-cancellation and
-	// cursor-failure checks (0 = every 64 slots).
-	CheckEvery int
 }
+
+// checkEvery is RunTraceContext's slot interval between
+// context-cancellation and cursor-failure checks.
+const checkEvery = 64
 
 // RunTrace drives sys over the arrival stream, draining the buffer
 // every flushEvery slots (0 disables periodic flushouts) and once more
@@ -129,10 +130,6 @@ func RunTrace(sys System, src traffic.Provider, flushEvery int) (core.Stats, err
 // if any drain exceeds the (defaulted) DrainMax cap instead of looping
 // forever on a System that never empties.
 func RunTraceContext(ctx context.Context, sys System, src traffic.Provider, o RunOptions) (core.Stats, error) {
-	checkEvery := o.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = 64
-	}
 	cur, err := src.Open()
 	if err != nil {
 		return core.Stats{}, fmt.Errorf("sim: %s: opening arrivals: %w", sys.Name(), err)
@@ -233,33 +230,23 @@ type Instance struct {
 	// events per replay. The OPT proxies are not instrumented. A nil Obs
 	// keeps the engine in its zero-overhead detached state.
 	Obs *obs.Options
-	// MemoBytes bounds the in-memory arrival cache one run may build to
-	// amortize stream generation across its replays (traffic.Memoize):
-	// the first replay records the stream and later replays play it
-	// back, which removes the dominant per-replay cost of generator
-	// regeneration in multi-policy cells while staying bit-identical.
-	// 0 applies DefaultMemoBytes; negative disables caching so every
-	// replay regenerates (the bounded-memory streaming behavior, which
-	// also remains the fallback for any stream over budget).
-	MemoBytes int
 }
 
-// DefaultMemoBytes is the per-run arrival-cache budget applied when
-// Instance.MemoBytes is zero: generous enough to cover every Fig. 5
-// panel cell at report scale, small enough that paper-scale traces
-// (2·10⁶ slots) fall back to streaming regeneration.
-const DefaultMemoBytes = 32 << 20
+// MemoBytes bounds the in-memory arrival cache one instance run builds
+// to amortize stream generation across its replays (traffic.Memoize):
+// the first replay records the stream and later replays play it back,
+// which removes the dominant per-replay cost of generator regeneration
+// in multi-policy cells while staying bit-identical. It covers every
+// Fig. 5 panel cell at report scale; paper-scale traces (2·10⁶ slots)
+// are over budget and keep the bounded-memory streaming regeneration.
+const MemoBytes = 32 << 20
 
-// provider returns the arrival stream for one run, memoized per the
-// instance's MemoBytes budget. Called once per run so the cache spans
-// exactly that run's replays (the OPT proxy plus every policy), never
-// leaking memory across cells.
+// provider returns the arrival stream for one run, memoized under
+// MemoBytes. Called once per run so the cache spans exactly that run's
+// replays (the OPT proxy plus every policy), never leaking memory
+// across cells.
 func (inst Instance) provider() traffic.Provider {
-	budget := inst.MemoBytes
-	if budget == 0 {
-		budget = DefaultMemoBytes
-	}
-	return traffic.Memoize(inst.Provider, budget)
+	return traffic.Memoize(inst.Provider, MemoBytes)
 }
 
 // Result reports one policy's performance on an instance.
