@@ -150,6 +150,10 @@ func main() {
 	}
 	scaleOpts.Parallelism = *workers
 
+	if *traceOut != "" && *traceEvents <= 0 {
+		fmt.Fprintln(os.Stderr, "smbsim: -trace-out needs -trace-events")
+		os.Exit(exitFailure)
+	}
 	if *checkpoint != "" {
 		if fi, err := os.Stat(*checkpoint); err == nil && !fi.IsDir() {
 			fmt.Fprintf(os.Stderr, "smbsim: -checkpoint %s is a file: a pre-ledger checkpoint journal, which this build cannot resume; finish it with the previous build or move it aside\n", *checkpoint)

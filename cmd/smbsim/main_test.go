@@ -153,6 +153,17 @@ func smbsimFails(t *testing.T, args []string, wants ...string) {
 	}
 }
 
+// TestTraceOutNeedsTraceEvents pins that -trace-out without
+// -trace-events, which would write nothing, is refused with an error
+// naming both flags, and that no file is created.
+func TestTraceOutNeedsTraceEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.txt")
+	smbsimFails(t, sweepArgs("-trace-out", path), "-trace-out needs -trace-events")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("refused run touched %s: %v", path, err)
+	}
+}
+
 // TestCheckpointRefusesPreLedgerJournal pins the no-upgrade contract: a
 // -checkpoint path holding a regular file is a journal from a build
 // before -checkpoint became a journal directory, and smbsim refuses it

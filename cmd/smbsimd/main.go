@@ -108,29 +108,17 @@ func parseWorks(s string, ports, maxLabel int) ([]int, error) {
 // lookupPolicy resolves a roster policy by name within a model. The
 // returned factory builds a fresh instance per shard.
 func lookupPolicy(model core.Model, name string) (func() core.Policy, error) {
-	var probe core.Policy
+	byName := policy.CombinedByName
 	switch model {
 	case core.ModelProcessing:
-		probe = policy.ByName(name)
+		byName = policy.ByName
 	case core.ModelValue:
-		probe = policy.ValueByName(name)
-	default:
-		probe = policy.CombinedByName(name)
+		byName = policy.ValueByName
 	}
-	if probe == nil {
+	if byName(name) == nil {
 		return nil, fmt.Errorf("no %s-model policy named %q", model, name)
 	}
-	factory := func() core.Policy {
-		switch model {
-		case core.ModelProcessing:
-			return policy.ByName(name)
-		case core.ModelValue:
-			return policy.ValueByName(name)
-		default:
-			return policy.CombinedByName(name)
-		}
-	}
-	return factory, nil
+	return func() core.Policy { return byName(name) }, nil
 }
 
 // splitListen parses a -listen spec "unix:/path" or "tcp:host:port".

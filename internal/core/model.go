@@ -90,6 +90,37 @@ type Config struct {
 	CheckInvariants bool
 }
 
+// DrainCeiling is the absolute per-drain slot cap, applied when no
+// configuration-derived bound (Config.DrainBound) tightens it. Any
+// correct switch empties in at most B·MaxLabel slots, orders of
+// magnitude below this cap, so hitting it means a wedged system rather
+// than a slow one.
+const DrainCeiling = 1 << 20
+
+// drainSlack pads the configuration-derived drain bound so boundary
+// effects (a head-of-line packet mid-service at the drain's start,
+// fault overrides cleared one slot late) can never trip the bound on a
+// correct system.
+const drainSlack = 64
+
+// DrainBound returns the drain-slot budget implied by the
+// configuration: a full buffer of B packets, each needing at most
+// MaxLabel work, empties in at most B·MaxLabel slots even on a single
+// unit-speed core, so the bound is B·MaxLabel plus slack. It turns a
+// wedged system into a prompt error instead of a 2²⁰-slot spin, and
+// can never change a correct drain's outcome. Degenerate
+// configurations (a zero or overflowing product) get DrainCeiling.
+func (c Config) DrainBound() int {
+	b := c.Buffer * c.MaxLabel
+	if c.Buffer > 0 && c.MaxLabel > 0 && b/c.Buffer != c.MaxLabel {
+		return DrainCeiling // product overflowed
+	}
+	if b <= 0 || b > DrainCeiling-drainSlack {
+		return DrainCeiling
+	}
+	return b + drainSlack
+}
+
 // ContiguousWorks returns the paper's canonical lower-bound configuration:
 // k ports with required work 1..k ("contiguous case").
 func ContiguousWorks(k int) []int {

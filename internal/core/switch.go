@@ -215,9 +215,10 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	return s, nil
 }
 
-// SetPolicy swaps the driving policy on an empty switch, enabling engine
-// reuse across policies within a sweep cell (see sim.Run). It fails when
-// packets are buffered: admission state belongs to exactly one policy.
+// SetPolicy swaps the driving policy on an empty switch, so the sharded
+// runtime's live policy swap (shard.Runtime.SetPolicy) keeps its engines
+// between streams. It fails when packets are buffered: admission state
+// belongs to exactly one policy.
 func (s *Switch) SetPolicy(policy Policy) error {
 	if policy == nil {
 		return fmt.Errorf("%w: nil policy", ErrBadConfig)

@@ -10,31 +10,6 @@ import (
 	"smbm/internal/pkt"
 )
 
-// drainCeiling is the absolute per-drain slot cap, matching the sim
-// harness's DefaultDrainMax: any correct switch empties in at most
-// B·MaxLabel slots, so hitting the ceiling means a wedged shard, not a
-// slow one. The bound only turns a hang into an error — it can never
-// change a correct drain's outcome, so it does not affect oracle
-// bit-identity.
-const drainCeiling = 1 << 20
-
-// drainSlack pads the configuration-derived drain bound, mirroring the
-// sim harness's slack for boundary effects.
-const drainSlack = 64
-
-// drainBound returns the drain-slot budget for one shard's
-// configuration: B·MaxLabel plus slack, under the absolute ceiling.
-func drainBound(cfg core.Config) int {
-	b := cfg.Buffer * cfg.MaxLabel
-	if cfg.Buffer > 0 && cfg.MaxLabel > 0 && b/cfg.Buffer != cfg.MaxLabel {
-		return drainCeiling
-	}
-	if b <= 0 || b > drainCeiling-drainSlack {
-		return drainCeiling
-	}
-	return b + drainSlack
-}
-
 // LiveSnapshot is the progress part of a shard's published cut: the
 // engine counters and the buffer occupancy as of one slot boundary.
 type LiveSnapshot struct {
@@ -357,7 +332,7 @@ func (sh *Shard) drain() {
 	if sh.err != nil {
 		return
 	}
-	if slots, ok := sh.sw.DrainMax(drainBound(sh.cfg)); !ok {
+	if slots, ok := sh.sw.DrainMax(sh.cfg.DrainBound()); !ok {
 		sh.err = fmt.Errorf("shard %d: drain did not empty the buffer within %d slots", sh.id, slots)
 	}
 }

@@ -7,23 +7,25 @@ import (
 	"smbm/internal/core"
 )
 
-// TestDrainBound pins the configuration-derived drain budget: the
-// nominal bound is B·MaxLabel plus slack, degenerate or overflowing
-// shapes fall back to the DefaultDrainMax ceiling, and the bound never
-// exceeds that ceiling.
+// TestDrainBound pins the configuration-derived drain budget, defined
+// once by core.Config.DrainBound and shared by the harness and the
+// sharded runtime: the nominal bound is B·MaxLabel plus 64 slots of
+// slack, degenerate or overflowing shapes fall back to the
+// core.DrainCeiling ceiling, and the bound never exceeds that ceiling.
 func TestDrainBound(t *testing.T) {
+	const slack = 64
 	cases := []struct {
 		name   string
 		buffer int
 		label  int
 		want   int
 	}{
-		{"nominal", 12, 4, 12*4 + drainSlack},
-		{"tiny", 1, 1, 1 + drainSlack},
-		{"zero-buffer", 0, 4, DefaultDrainMax},
-		{"zero-label", 12, 0, DefaultDrainMax},
-		{"near-ceiling", DefaultDrainMax, 1, DefaultDrainMax},
-		{"overflow", math.MaxInt / 2, 8, DefaultDrainMax},
+		{"nominal", 12, 4, 12*4 + slack},
+		{"tiny", 1, 1, 1 + slack},
+		{"zero-buffer", 0, 4, core.DrainCeiling},
+		{"zero-label", 12, 0, core.DrainCeiling},
+		{"near-ceiling", core.DrainCeiling, 1, core.DrainCeiling},
+		{"overflow", math.MaxInt / 2, 8, core.DrainCeiling},
 	}
 	for _, c := range cases {
 		cfg := core.Config{Buffer: c.buffer, MaxLabel: c.label}
@@ -31,14 +33,14 @@ func TestDrainBound(t *testing.T) {
 			t.Errorf("%s: DrainBound(B=%d, L=%d) = %d, want %d",
 				c.name, c.buffer, c.label, got, c.want)
 		}
-		if got := DrainBound(cfg); got > DefaultDrainMax {
+		if got := DrainBound(cfg); got > core.DrainCeiling {
 			t.Errorf("%s: bound %d exceeds ceiling", c.name, got)
 		}
 	}
 }
 
-// TestInstanceUsesDrainBound checks runOptions derives the tighter
-// default while an explicit DrainMax wins.
+// TestInstanceUsesDrainBound checks every instance replay drains under
+// the configuration-derived bound.
 func TestInstanceUsesDrainBound(t *testing.T) {
 	cfg := core.Config{
 		Model:    core.ModelProcessing,
@@ -51,9 +53,5 @@ func TestInstanceUsesDrainBound(t *testing.T) {
 	inst := Instance{Cfg: cfg}
 	if got := inst.runOptions().DrainMax; got != DrainBound(cfg) {
 		t.Errorf("derived DrainMax %d, want %d", got, DrainBound(cfg))
-	}
-	inst.DrainMax = 7
-	if got := inst.runOptions().DrainMax; got != 7 {
-		t.Errorf("explicit DrainMax %d, want 7", got)
 	}
 }

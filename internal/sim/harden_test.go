@@ -10,6 +10,7 @@ import (
 
 	"smbm/internal/core"
 	"smbm/internal/pkt"
+	"smbm/internal/policy"
 	"smbm/internal/traffic"
 )
 
@@ -33,11 +34,6 @@ func TestRunTraceBoundsDrains(t *testing.T) {
 	// An empty stuck system drains trivially.
 	if _, err := RunTrace(&stuckSystem{}, traffic.Slots(nil), 0); err != nil {
 		t.Errorf("empty system: %v", err)
-	}
-	// A negative DrainMax disables the bound and trusts the System.
-	if _, err := RunTraceContext(context.Background(), &stuckSystem{}, tr,
-		RunOptions{DrainMax: -1}); err != nil {
-		t.Errorf("unbounded drain: %v", err)
 	}
 }
 
@@ -161,5 +157,52 @@ func TestSweepValidatesDuplicatesAndParallelism(t *testing.T) {
 	s.Parallelism = -3
 	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "Parallelism") {
 		t.Errorf("negative parallelism: got %v", err)
+	}
+}
+
+// panicAdmit is a policy whose Admit panics. It has no batch kernel, so
+// the engine calls Admit on the first arrival.
+type panicAdmit struct{}
+
+func (panicAdmit) Name() string { return "PanicAdmit" }
+func (panicAdmit) Admit(core.View, pkt.Packet) core.Decision {
+	panic("injected admit panic")
+}
+
+// TestReplayPanicConfined pins panic confinement on every replay path:
+// a policy that panics inside a replay yields a *CellError carrying the
+// panic text and the panicking goroutine's stack whether the cell's
+// replays run one at a time or fan out over the intra-cell workers, and
+// a plain error from Instance.Run.
+func TestReplayPanicConfined(t *testing.T) {
+	build := func(x int, seed int64) (Instance, error) {
+		inst, err := buildCell(x, seed)
+		inst.Policies = []core.Policy{policy.Greedy{}, panicAdmit{}, policy.LWD{}}
+		return inst, err
+	}
+	for _, par := range []int{8, 1} {
+		s := testSweep()
+		s.Xs, s.Seeds, s.Parallelism, s.Build = []int{2}, 1, par, build
+		_, err := s.Run()
+		var ce *CellError
+		if !errors.As(err, &ce) {
+			t.Fatalf("Parallelism %d: error %v carries no *CellError", par, err)
+		}
+		if !strings.Contains(ce.Error(), "PanicAdmit: panic: injected admit panic") {
+			t.Errorf("Parallelism %d: error %q lacks the panic text", par, ce.Error())
+		}
+		if !strings.Contains(string(ce.Stack), "panicAdmit.Admit") {
+			t.Errorf("Parallelism %d: stack does not reach the panicking Admit:\n%s", par, ce.Stack)
+		}
+	}
+	inst, _ := build(2, 1)
+	inst.Parallelism = 4
+	_, err := inst.Run()
+	if err == nil || !strings.Contains(err.Error(), "PanicAdmit: panic: injected admit panic") {
+		t.Fatalf("Instance.Run: got %v, want the panic text", err)
+	}
+	var rp *replayPanic
+	if !errors.As(err, &rp) || !strings.Contains(string(rp.stack), "panicAdmit.Admit") {
+		t.Errorf("Instance.Run: error %v carries no panicking stack", err)
 	}
 }

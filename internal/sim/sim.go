@@ -12,6 +12,14 @@
 // additionally memoized under a byte budget (MemoBytes), so
 // the OPT proxy and the policy replays share one generation pass when
 // the trace fits; over-budget traces keep streaming.
+//
+// Instance.RunContext is the one replay runner: every replay of a cell
+// runs on a freshly built system on one of the instance's worker
+// goroutines (Parallelism, at least one), and no system is reused
+// across replays or cells. A panic in a replay is recovered on the
+// worker that raised it, so a sweep confines it to its cell as a
+// *CellError carrying the panicking goroutine's stack at any
+// parallelism.
 package sim
 
 import (
@@ -19,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 
 	"smbm/internal/core"
@@ -64,47 +73,19 @@ var (
 	_ BoundedDrainer = (*opt.SPQ)(nil)
 )
 
-// DefaultDrainMax is the absolute per-drain slot ceiling, applied when
-// neither the caller nor a configuration-derived bound (DrainBound)
-// tightens it. Any correct System empties in at most B·MaxLabel slots,
-// orders of magnitude below this cap, so hitting it indicates a
-// misbehaving System rather than a slow one.
-const DefaultDrainMax = 1 << 20
-
-// drainSlack pads the configuration-derived drain bound so boundary
-// effects (a head-of-line packet mid-service at the drain's start,
-// fault overrides cleared one slot late) can never trip the bound on a
-// correct System.
-const drainSlack = 64
-
-// DrainBound returns the drain-slot budget implied by cfg: a full
-// buffer of B packets, each needing at most MaxLabel work, empties in
-// at most B·MaxLabel slots even on a single unit-speed core, so the
-// bound is B·MaxLabel plus slack — far tighter than DefaultDrainMax
-// for realistic configurations, which turns a wedged System into a
-// prompt error instead of a 2²⁰-slot spin. DefaultDrainMax remains the
-// absolute ceiling for degenerate configurations (zero or huge
-// products).
-func DrainBound(cfg core.Config) int {
-	b := cfg.Buffer * cfg.MaxLabel
-	if cfg.Buffer > 0 && cfg.MaxLabel > 0 && b/cfg.Buffer != cfg.MaxLabel {
-		return DefaultDrainMax // product overflowed
-	}
-	if b <= 0 || b > DefaultDrainMax-drainSlack {
-		return DefaultDrainMax
-	}
-	return b + drainSlack
-}
+// DrainBound returns the drain-slot budget implied by cfg
+// (core.Config.DrainBound): B·MaxLabel plus slack, under the absolute
+// ceiling core.DrainCeiling.
+func DrainBound(cfg core.Config) int { return cfg.DrainBound() }
 
 // RunOptions tunes RunTraceContext beyond the arrival stream itself.
 type RunOptions struct {
 	// FlushEvery drains the buffer every so many slots (0 = only the
 	// final drain).
 	FlushEvery int
-	// DrainMax caps the slots any single drain may consume: 0 applies
-	// DefaultDrainMax, a negative value disables the bound entirely
-	// (only safe for Systems known to terminate). Instance runs derive
-	// a tighter default from the configuration via DrainBound.
+	// DrainMax caps the slots any single drain may consume (below 1 =
+	// core.DrainCeiling). Instance runs derive a tighter bound from the
+	// configuration via DrainBound.
 	DrainMax int
 }
 
@@ -117,7 +98,7 @@ const checkEvery = 64
 // at the end, so buffered inventory never biases throughput
 // comparisons. A materialized traffic.Trace is itself a Provider, so
 // existing call sites pass traces unchanged. Drains are bounded by
-// DefaultDrainMax; see RunTraceContext for cancellation and custom
+// core.DrainCeiling; see RunTraceContext for cancellation and custom
 // bounds.
 func RunTrace(sys System, src traffic.Provider, flushEvery int) (core.Stats, error) {
 	return RunTraceContext(context.Background(), sys, src, RunOptions{FlushEvery: flushEvery})
@@ -164,21 +145,17 @@ func RunTraceContext(ctx context.Context, sys System, src traffic.Provider, o Ru
 }
 
 // drain empties sys, bounding the drain via BoundedDrainer when the
-// system supports it (max 0 = DefaultDrainMax, negative = unbounded).
+// system supports it (max below 1 = core.DrainCeiling).
 func drain(sys System, max int) error {
-	if max < 0 {
-		sys.Drain()
-		return nil
-	}
-	if max == 0 {
-		max = DefaultDrainMax
-	}
 	bd, ok := sys.(BoundedDrainer)
 	if !ok {
 		// No bounded drain available; fall back to the plain drain and
 		// trust the System's own termination argument.
 		sys.Drain()
 		return nil
+	}
+	if max < 1 {
+		max = core.DrainCeiling
 	}
 	slots, drained := bd.DrainMax(max)
 	if !drained {
@@ -208,15 +185,12 @@ type Instance struct {
 	// materialized traffic.Trace is itself a Provider.
 	Provider traffic.Provider
 	// FlushEvery drains all systems every so many slots (0 = only at
-	// the end).
+	// the end). Every drain is bounded by DrainBound(Cfg).
 	FlushEvery int
-	// DrainMax caps the slots any single drain may consume (0 = the
-	// configuration-derived DrainBound, negative = unbounded).
-	DrainMax int
-	// Parallelism fans the OPT proxy and the per-policy replays out
-	// over a bounded worker pool (0 or 1 = sequential). Because every
-	// replay opens its own cursor, results are bit-identical to the
-	// sequential order either way.
+	// Parallelism is the number of workers the OPT proxy and the
+	// per-policy replays fan out over (0 or 1 = one replay at a time,
+	// in order). Because every replay builds its own system and opens
+	// its own cursor, results are bit-identical at any width.
 	Parallelism int
 	// Wrap, when non-nil, wraps every system — the OPT proxy and each
 	// policy switch — before it runs, e.g. with a fault injector
@@ -267,211 +241,51 @@ type Result struct {
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 
-// Run executes the instance: the OPT proxy once, then every policy on
-// the same arrival stream.
+// Run executes the instance: the OPT proxy and every policy replay the
+// same arrival stream.
 func (inst Instance) Run() ([]Result, error) {
 	return inst.RunContext(context.Background())
 }
 
 // RunContext is Run with cancellation: the run aborts between slots
 // once ctx is done, returning an error wrapping ctx.Err.
+//
+// It is the harness's one replay runner. max(1, min(Parallelism,
+// replays)) workers pull replay indices in order — 0 is the OPT proxy,
+// 1+i is policy i — and each replay builds, wraps and runs a fresh
+// system over its own cursor, so replays share no mutable state and
+// the index-addressed results are bit-identical at every width. A
+// replay's panic is recovered on its own worker into an error that
+// carries that goroutine's stack (a sweep cell reports it as a
+// *CellError with Stack), and the first failure cancels the replays
+// still running.
 func (inst Instance) RunContext(ctx context.Context) ([]Result, error) {
-	var sc Scratch
-	return inst.RunScratch(ctx, &sc)
-}
-
-// Scratch caches the systems an instance run builds — the OPT proxy and
-// one switch reused across the competing policies — keyed by the switch
-// configuration. A sweep worker that replays many (x, seed) cells with
-// the same Config (the common case: only the trace seed varies) then
-// reuses warmed buffers instead of reallocating every queue for every
-// cell. Systems are Reset before reuse, so results are identical to
-// building fresh ones; a configuration change simply rebuilds. Not safe
-// for concurrent use: keep one Scratch per goroutine (parallel instance
-// runs build their own per-replay systems and bypass it).
-type Scratch struct {
-	key string
-	opt System
-	sw  *core.Switch
-}
-
-// fingerprint renders cfg into a cache key (Config carries a slice, so
-// it is not comparable directly).
-func fingerprint(cfg core.Config) string {
-	return fmt.Sprintf("%v|%d|%d|%d|%d|%v|%t",
-		cfg.Model, cfg.Ports, cfg.Buffer, cfg.MaxLabel, cfg.Speedup, cfg.PortWork, cfg.CheckInvariants)
-}
-
-// runOptions resolves the per-replay RunOptions for the instance,
-// deriving the drain bound from the configuration when unset.
-func (inst Instance) runOptions() RunOptions {
-	opts := RunOptions{FlushEvery: inst.FlushEvery, DrainMax: inst.DrainMax}
-	if opts.DrainMax == 0 {
-		opts.DrainMax = DrainBound(inst.Cfg)
-	}
-	return opts
-}
-
-// RunScratch is RunContext reusing systems cached in sc across calls
-// that share a configuration. A fresh Scratch reproduces RunContext
-// exactly (RunContext is implemented on top of it). With Parallelism
-// above one the replays fan out over their own freshly built systems
-// instead, leaving sc untouched.
-func (inst Instance) RunScratch(ctx context.Context, sc *Scratch) ([]Result, error) {
-	if inst.Parallelism > 1 {
-		return inst.runParallel(ctx)
-	}
-	opts := inst.runOptions()
-	src := inst.provider()
-	if key := fingerprint(inst.Cfg); sc.key != key {
-		sc.key, sc.opt, sc.sw = key, nil, nil
-	}
-	if sc.opt == nil {
-		optSys, err := NewOptProxy(inst.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		sc.opt = optSys
-	} else {
-		// Reset at acquire time, not release time: a panic or error in a
-		// previous cell may have left the system mid-run.
-		sc.opt.Reset()
-	}
-	wrapped, err := inst.wrap(sc.opt)
-	if err != nil {
-		return nil, err
-	}
-	optStats, err := RunTraceContext(ctx, wrapped, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	optThroughput := optStats.Throughput(inst.Cfg.Model)
-
-	results := make([]Result, 0, len(inst.Policies))
-	for _, p := range inst.Policies {
-		if sc.sw == nil {
-			sw, err := core.New(inst.Cfg, p)
-			if err != nil {
-				return nil, err
-			}
-			sc.sw = sw
-		} else {
-			sc.sw.Reset()
-			if err := sc.sw.SetPolicy(p); err != nil {
-				return nil, err
-			}
-		}
-		sys, err := inst.wrap(sc.sw)
-		if err != nil {
-			return nil, err
-		}
-		rec := inst.newRecorder()
-		attached := attachRecorder(sys, rec)
-		stats, err := RunTraceContext(ctx, sys, src, opts)
-		if attached {
-			// Detach before reuse or error return: the cached switch must
-			// not carry a recorder into the next cell.
-			sys.(obs.Target).SetRecorder(nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		throughput := stats.Throughput(inst.Cfg.Model)
-		res := Result{
-			Policy:        p.Name(),
-			Throughput:    throughput,
-			OptThroughput: optThroughput,
-			Ratio:         ratio(optThroughput, throughput),
-			Stats:         stats,
-		}
-		if attached {
-			res.Obs = rec.Snapshot()
-		}
-		results = append(results, res)
-	}
-	return results, nil
-}
-
-// newRecorder builds the per-replay recorder implied by inst.Obs, or
-// nil when observability is disabled.
-func (inst Instance) newRecorder() *obs.Recorder {
-	if inst.Obs == nil {
-		return nil
-	}
-	return obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
-}
-
-// attachRecorder attaches rec to sys when both sides are capable,
-// reporting whether an attachment happened so the caller can detach
-// and snapshot.
-func attachRecorder(sys System, rec *obs.Recorder) bool {
-	if rec == nil {
-		return false
-	}
-	t, ok := sys.(obs.Target)
-	if !ok {
-		return false
-	}
-	t.SetRecorder(rec)
-	return true
-}
-
-// runParallel fans the OPT proxy and the per-policy replays out over a
-// bounded worker pool. Every replay builds its own system and opens
-// its own cursor over the Provider, so nothing mutable is shared and
-// the results are bit-identical to the sequential path; the fan-out is
-// how a paper-scale cell (long trace, full roster) uses the sweep's
-// worker budget when there are fewer cells than workers.
-func (inst Instance) runParallel(ctx context.Context) ([]Result, error) {
 	opts := inst.runOptions()
 	src := inst.provider()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Replay 0 is the OPT proxy; replay 1+i is policy i.
 	n := len(inst.Policies) + 1
 	stats := make([]core.Stats, n)
 	snaps := make([]*obs.Snapshot, n)
 	errs := make([]error, n)
-	build := func(i int) (System, error) {
-		if i == 0 {
-			return NewOptProxy(inst.Cfg)
-		}
-		return core.New(inst.Cfg, inst.Policies[i-1])
+	replays := make(chan int, n)
+	for i := range n {
+		replays <- i
 	}
-
-	sem := make(chan struct{}, inst.Parallelism)
+	close(replays)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for w := min(max(inst.Parallelism, 1), n); w > 0; w-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				errs[i] = ctx.Err()
-				return
-			}
-			sys, err := build(i)
-			if err == nil {
-				sys, err = inst.wrap(sys)
-			}
-			if err == nil {
-				var rec *obs.Recorder
-				if i > 0 { // the OPT proxy is not instrumented
-					rec = inst.newRecorder()
-				}
-				attached := attachRecorder(sys, rec)
-				stats[i], err = RunTraceContext(ctx, sys, src, opts)
-				if attached && err == nil {
-					snaps[i] = rec.Snapshot()
+			for i := range replays {
+				stats[i], snaps[i], errs[i] = inst.replay(ctx, i, src, opts)
+				if errs[i] != nil {
+					cancel() // stop the sibling replays promptly
 				}
 			}
-			if err != nil {
-				errs[i] = err
-				cancel() // stop the sibling replays promptly
-			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 
@@ -479,17 +293,9 @@ func (inst Instance) runParallel(ctx context.Context) ([]Result, error) {
 	// cancellation noise it induced in sibling replays.
 	var firstErr error
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
+		if err != nil && (firstErr == nil ||
+			errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
 			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
 		}
 	}
 	if firstErr != nil {
@@ -511,6 +317,67 @@ func (inst Instance) runParallel(ctx context.Context) ([]Result, error) {
 		})
 	}
 	return results, nil
+}
+
+// runOptions resolves the per-replay RunOptions for the instance: its
+// flush interval and the configuration-derived drain bound.
+func (inst Instance) runOptions() RunOptions {
+	return RunOptions{FlushEvery: inst.FlushEvery, DrainMax: DrainBound(inst.Cfg)}
+}
+
+// replayPanic is a panic recovered from one replay, with the stack of
+// the goroutine that raised it.
+type replayPanic struct {
+	replay string
+	value  any
+	stack  []byte
+}
+
+// Error implements error, naming the replay that panicked.
+func (p *replayPanic) Error() string {
+	return fmt.Sprintf("sim: %s: panic: %v", p.replay, p.value)
+}
+
+// replay runs replay i (0 = the OPT proxy, 1+i = policy i) on a freshly
+// built system, attaching a recorder to policy replays when inst.Obs is
+// set, and recovers a panic into a *replayPanic.
+func (inst Instance) replay(ctx context.Context, i int, src traffic.Provider, opts RunOptions) (st core.Stats, snap *obs.Snapshot, err error) {
+	name := "OPT proxy"
+	if i > 0 {
+		name = inst.Policies[i-1].Name()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = &replayPanic{replay: name, value: r, stack: debug.Stack()}
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		return core.Stats{}, nil, err
+	}
+	var sys System
+	if i == 0 {
+		sys, err = NewOptProxy(inst.Cfg)
+	} else {
+		sys, err = core.New(inst.Cfg, inst.Policies[i-1])
+	}
+	if err == nil {
+		sys, err = inst.wrap(sys)
+	}
+	if err != nil {
+		return core.Stats{}, nil, err
+	}
+	var rec *obs.Recorder
+	if t, ok := sys.(obs.Target); ok && i > 0 && inst.Obs != nil { // the OPT proxy is not instrumented
+		rec = obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
+		t.SetRecorder(rec)
+	}
+	if st, err = RunTraceContext(ctx, sys, src, opts); err != nil {
+		return core.Stats{}, nil, err
+	}
+	if rec != nil {
+		snap = rec.Snapshot()
+	}
+	return st, snap, nil
 }
 
 // wrap applies the instance's Wrap hook when set.

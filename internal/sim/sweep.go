@@ -93,7 +93,7 @@ type SweepProgress struct {
 }
 
 // CellError is a failure confined to one (x, seed) sweep cell: a Build
-// or Run error, a blown per-cell deadline, or a recovered worker panic.
+// or Run error, a blown per-cell deadline, or a recovered panic.
 // The sweep keeps running the remaining cells and reports the failure —
 // carrying the full cell identity so the offending replication can be
 // reproduced in isolation.
@@ -106,8 +106,8 @@ type CellError struct {
 	SeedIndex int
 	// Seed is the exact seed passed to Build, for standalone replay.
 	Seed int64
-	// Stack holds the goroutine stack when the cell panicked (nil for
-	// ordinary errors).
+	// Stack holds the panicking goroutine's stack when the cell's
+	// Build or one of its replays panicked (nil for ordinary errors).
 	Stack []byte
 	// Err is the underlying failure.
 	Err error
@@ -196,12 +196,12 @@ func (s *Sweep) validate() error {
 }
 
 // runCell executes one (x, seed) cell, converting failures — including
-// worker panics and blown per-cell deadlines — into a *CellError that
-// names the cell, so one bad replication cannot kill a multi-hour run.
-// intra is the cell's share of the sweep's worker budget for fanning
-// its replays out in parallel; a Build that sets Parallelism itself
-// wins over the split.
-func (s *Sweep) runCell(ctx context.Context, sc *Scratch, xi, si, intra int) (res []Result, err error) {
+// panics in Build or in any replay and blown per-cell deadlines — into
+// a *CellError that names the cell, so one bad replication cannot kill
+// a multi-hour run. intra is the cell's share of the sweep's worker
+// budget for fanning its replays out in parallel; a Build that sets
+// Parallelism itself wins over the split.
+func (s *Sweep) runCell(ctx context.Context, xi, si, intra int) (res []Result, err error) {
 	x, seed := s.Xs[xi], s.cellSeed(xi, si)
 	fail := func(e error) *CellError {
 		return &CellError{Sweep: s.Name, XLabel: s.XLabel, X: x, SeedIndex: si, Seed: seed, Err: e}
@@ -229,12 +229,17 @@ func (s *Sweep) runCell(ctx context.Context, sc *Scratch, xi, si, intra int) (re
 	if s.Obs != nil && inst.Obs == nil {
 		inst.Obs = s.Obs
 	}
-	res, err = inst.RunScratch(cellCtx, sc)
+	res, err = inst.RunContext(cellCtx)
 	if err != nil {
 		if ctx.Err() == nil && cellCtx.Err() != nil {
 			err = fmt.Errorf("cell deadline %v exceeded: %w", s.CellTimeout, err)
 		}
-		return nil, fail(err)
+		ce := fail(err)
+		var rp *replayPanic
+		if errors.As(err, &rp) {
+			ce.Stack = rp.stack
+		}
+		return nil, ce
 	}
 	return res, nil
 }
@@ -293,10 +298,11 @@ func joinSweepErrs(ctx context.Context, cellErrs []*CellError, harness error) er
 // RunContext executes all (x, seed) cells on a bounded worker pool and
 // folds replications in deterministic order. Robustness semantics:
 //
-//   - A cell failure (Build/Run error, blown CellTimeout, or worker
-//     panic) is confined to that cell: the remaining cells complete and
-//     the failures come back joined in the returned error, each a
-//     *CellError naming its (x, seed) cell.
+//   - A cell failure (Build/Run error, blown CellTimeout, or a panic in
+//     Build or any replay, at any Parallelism) is confined to that
+//     cell: the remaining cells complete and the failures come back
+//     joined in the returned error, each a *CellError naming its
+//     (x, seed) cell.
 //   - Canceling ctx stops dispatching new cells; cells already running
 //     abort at their next slot boundary. The completed cells are
 //     returned as a Partial SweepResult alongside ctx's error, instead
@@ -401,16 +407,13 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One Scratch per worker: cells sharing a configuration
-			// reuse its systems; runCell resets them before each use.
-			var sc Scratch
 			for c := range jobs {
 				for {
 					if runCtx.Err() != nil {
 						outcomes <- outcome{cell: c, err: runCtx.Err()}
 						break
 					}
-					res, err, jerr := s.attempt(runCtx, j, &sc, c.xi, c.si, c.failed+1, intra)
+					res, err, jerr := s.attempt(runCtx, j, c.xi, c.si, c.failed+1, intra)
 					if jerr != nil {
 						abort(jerr)
 						break
@@ -493,16 +496,16 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 // when j is non-nil: a lease record before the run, then a complete,
 // an abandon, or — when ctx interrupted it — a release. A journal write
 // failure comes back as jerr.
-func (s *Sweep) attempt(ctx context.Context, j *journal, sc *Scratch, xi, si, n, intra int) (res []Result, err, jerr error) {
+func (s *Sweep) attempt(ctx context.Context, j *journal, xi, si, n, intra int) (res []Result, err, jerr error) {
 	if j == nil {
-		res, err = s.runCell(ctx, sc, xi, si, intra)
+		res, err = s.runCell(ctx, xi, si, intra)
 		return res, err, nil
 	}
 	rec := record{Kind: kindLease, X: s.Xs[xi], SeedIndex: si, Attempt: n}
 	if jerr = j.append(rec); jerr != nil {
 		return nil, nil, jerr
 	}
-	res, err = s.runCell(ctx, sc, xi, si, intra)
+	res, err = s.runCell(ctx, xi, si, intra)
 	switch {
 	case err == nil:
 		rec.Kind = kindComplete
