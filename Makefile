@@ -37,7 +37,7 @@ test-race:
 # instead of as one-in-N failures of the plain test run.
 stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 ./internal/shard ./internal/obs ./cmd/smbsimd
-	$(GO) test -race -count=20 -cpu 1,2,8 -run 'Journal|Checkpoint|Leased|ReplayPanicConfined|ParallelMatchesSequential|SweepIntraCellSplit' ./internal/sim
+	$(GO) test -race -count=20 -cpu 1,2,8 -run 'Journal|Checkpoint|Leased|ReplayPanicConfined|ParallelMatchesSequential|SweepIntraCellSplit|InstanceRecordsArrivalsOnce' ./internal/sim
 
 # The benchmark module (benchsuite/, its own go.mod) sits outside ./...,
 # so the plain test run never compiles it; vet and short-test it here so

@@ -4,6 +4,7 @@
 package cli
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -196,35 +197,56 @@ func panelReport(ctx context.Context, w io.Writer, id string, o PanelOptions) er
 
 // harden applies the robustness and observability options — fault
 // injection, per-cell deadline, checkpoint journal, decision counters,
-// event tracing, progress publication — to a sweep before it runs.
-func harden(sweep *sim.Sweep, o PanelOptions) {
+// event tracing, progress publication — to a sweep before it runs. It
+// returns the function that writes the held per-cell event dumps to
+// TraceWriter in grid order (Xs order, then seed), to be called once
+// the sweep has returned: cells complete in any order at more than one
+// worker, and a dump file must not depend on scheduling.
+func harden(sweep *sim.Sweep, o PanelOptions) (writeTraces func()) {
 	sweep.CellTimeout = o.CellTimeout
 	sweep.Checkpoint = o.Checkpoint
 	sweep.CellRetries = o.CellRetries
 	if o.Obs || o.TraceEvents > 0 {
 		sweep.Obs = &obs.Options{TraceEvents: o.TraceEvents}
 	}
+	writeTraces = func() {}
 	if o.Progress != nil || (o.TraceEvents > 0 && o.TraceWriter != nil) {
 		name, xlabel := sweep.Name, sweep.XLabel
+		type cellKey struct{ x, seed int }
+		dumps := make(map[cellKey][]byte)
 		sweep.Progress = func(p sim.SweepProgress) {
 			if o.TraceEvents > 0 && o.TraceWriter != nil {
+				var buf bytes.Buffer
 				for _, r := range p.Results {
 					if r.Obs == nil || len(r.Obs.Events) == 0 {
 						continue
 					}
 					label := fmt.Sprintf("%s:%s=%d:seed%d:%s", name, xlabel, p.X, p.SeedIndex, r.Policy)
-					// Best effort: a failing trace sink must not abort
-					// the sweep that is being debugged through it.
-					_ = obs.DumpEvents(o.TraceWriter, label, r.Obs.Events, r.Obs.DroppedEvents)
+					_ = obs.DumpEvents(&buf, label, r.Obs.Events, r.Obs.DroppedEvents) // a bytes.Buffer write cannot fail
+				}
+				if buf.Len() > 0 {
+					dumps[cellKey{p.X, p.SeedIndex}] = buf.Bytes()
 				}
 			}
 			if o.Progress != nil {
 				o.Progress(p)
 			}
 		}
+		writeTraces = func() {
+			for _, x := range sweep.Xs {
+				for si := 0; si < sweep.Seeds; si++ {
+					if d, ok := dumps[cellKey{x, si}]; ok {
+						// Best effort: a failing trace sink must not
+						// fail the sweep that is being debugged
+						// through it.
+						_, _ = o.TraceWriter.Write(d)
+					}
+				}
+			}
+		}
 	}
 	if o.Faults.Empty() {
-		return
+		return writeTraces
 	}
 	// The fault plan shapes every cell, so it belongs in the checkpoint
 	// fingerprint: resuming a faulted checkpoint without -faults (or vice
@@ -244,15 +266,17 @@ func harden(sweep *sim.Sweep, o PanelOptions) {
 		inst.Wrap = faults.Wrapper(fs, inst.Cfg.Ports, seed)
 		return inst, nil
 	}
+	return writeTraces
 }
 
 // renderSweep runs the sweep and renders its report. On interruption
 // or per-cell failures, any completed points are still rendered —
 // marked partial — before the error is propagated.
 func renderSweep(ctx context.Context, w io.Writer, sweep *sim.Sweep, o PanelOptions) error {
-	harden(sweep, o)
+	writeTraces := harden(sweep, o)
 	start := time.Now()
 	result, err := sweep.RunContext(ctx)
+	writeTraces()
 	if result == nil {
 		return err
 	}

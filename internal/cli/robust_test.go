@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"smbm/internal/core"
 	"smbm/internal/faults"
+	"smbm/internal/pkt"
+	"smbm/internal/policy"
+	"smbm/internal/sim"
+	"smbm/internal/traffic"
 )
 
 func TestPanelsFaultsExperiment(t *testing.T) {
@@ -168,4 +174,41 @@ func stripTimings(s string) string {
 		out = append(out, line)
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestTraceDumpsInGridOrder pins that per-cell event dumps come out in
+// grid order whatever order the cells complete in: at two workers, cell
+// x=1's Build blocks until Progress has seen cell x=2 complete, and the
+// dumps must still read x=1 then x=2.
+func TestTraceDumpsInGridOrder(t *testing.T) {
+	cfg := core.Config{Model: core.ModelValue, Ports: 2, Buffer: 2, MaxLabel: 2, Speedup: 1}
+	arrivals := traffic.Slots([]pkt.Packet{pkt.NewValue(0, 1), pkt.NewValue(1, 2), pkt.NewValue(0, 2)})
+	secondDone := make(chan struct{})
+	sweep := &sim.Sweep{
+		Name: "order", XLabel: "x", Xs: []int{1, 2}, Seeds: 1, Parallelism: 2,
+		Build: func(x int, _ int64) (sim.Instance, error) {
+			if x == 1 {
+				<-secondDone
+			}
+			return sim.Instance{Cfg: cfg, Policies: []core.Policy{policy.Greedy{}}, Provider: arrivals}, nil
+		},
+	}
+	var dumps bytes.Buffer
+	o := PanelOptions{
+		TraceEvents: 4,
+		TraceWriter: &dumps,
+		Progress: func(p sim.SweepProgress) {
+			if p.X == 2 {
+				close(secondDone)
+			}
+		},
+	}
+	if err := renderSweep(context.Background(), io.Discard, sweep, o); err != nil {
+		t.Fatal(err)
+	}
+	out := dumps.String()
+	first, second := strings.Index(out, "label=order:x=1:seed0:Greedy"), strings.Index(out, "label=order:x=2:seed0:Greedy")
+	if first < 0 || second < 0 || first > second {
+		t.Errorf("dumps not in grid order (x=1 at %d, x=2 at %d):\n%s", first, second, out)
+	}
 }

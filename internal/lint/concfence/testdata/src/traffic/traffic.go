@@ -7,9 +7,9 @@ package traffic
 //smb:conc-ok cross-replay memo guard, results replayed bit-identically
 import "sync"
 
-// Memo is a cross-replay cache in the style of traffic.Memoize: the
-// mutex serializes installs but the recorded stream is bit-identical
-// to the generator's, so no concurrency reaches results.
+// Memo is a cross-replay cache: the mutex serializes installs but the
+// cached value is the same for every caller, so no concurrency reaches
+// results.
 type Memo struct {
 	mu sync.Mutex //smb:conc-ok guards the install race only, never ordering
 	v  int

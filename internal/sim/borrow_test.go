@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"smbm/internal/core"
@@ -13,29 +12,17 @@ import (
 	"smbm/internal/traffic"
 )
 
-// countingProvider counts the cursors opened on the wrapped provider,
-// telling replays of a memoized recording apart from regenerations.
-type countingProvider struct {
-	traffic.Provider
-	opens atomic.Int64
-}
-
-// Open implements traffic.Provider.
-func (p *countingProvider) Open() (traffic.Cursor, error) {
-	p.opens.Add(1)
-	return p.Provider.Open()
-}
-
 // TestReplaysLeaveMemoizedTraceIntact pins the read side of the
-// borrowed-burst contract: a replay of a memoized trace lends each
+// borrowed-burst contract: a replay of a recorded trace lends each
 // recorded slot to the System in place, so no System may write to a
-// burst. One memoized MMPP cell per model replays to completion through
-// every System a cell can hold — core.Switch under every roster
-// policy, the OPT proxy, a fault injector that amplifies bursts and
-// squeezes the buffer around both, and singleq.Switch — at Parallelism
-// 1 and 4, and with the three runs concurrent on the shared trace.
-// After every run the installed trace must equal, packet for packet,
-// the deep copy taken while it was recorded.
+// burst. An instance run lends a traffic.Trace provider's slots the
+// same way it lends its own recording's, so one recorded MMPP cell per
+// model replays to completion as a Trace through every System a cell
+// can hold — core.Switch under every roster policy, the OPT proxy, a
+// fault injector that amplifies bursts and squeezes the buffer around
+// both, and singleq.Switch — at Parallelism 1 and 4, and with the
+// three runs concurrent on the shared trace. After every run the trace
+// must equal, packet for packet, a deep copy taken before the runs.
 func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 	const slots = 300
 	cells := streamCells(11)
@@ -61,40 +48,23 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 	for _, cell := range cells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
-			prov, err := traffic.NewMMPPProvider(cell.mcfg, slots)
+			gen, err := traffic.NewMMPP(cell.mcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := &countingProvider{Provider: prov}
-			memo := traffic.Memoize(src, sim.MemoBytes)
-			// The recording pass installs the trace; Record copies every
-			// burst, so want is independent of the installed slots.
-			cur, err := memo.Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := traffic.Record(cur, slots)
-			if err := cur.Close(); err != nil {
-				t.Fatal(err)
-			}
+			// Record copies every burst, so want shares no slot with tr.
+			tr := traffic.Record(gen, slots)
+			want := traffic.Record(tr.Replay(), slots)
 
-			// intact reads the installed trace back through a replay
-			// cursor, which lends the installed slots themselves.
 			intact := func(after string) {
 				t.Helper()
-				cur, err := memo.Open()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cur.Close()
-				for s := 0; s < slots; s++ {
-					got := cur.Next()
-					if len(got) != len(want[s]) {
-						t.Fatalf("after %s: slot %d: installed trace holds %d packets, recorded %d", after, s, len(got), len(want[s]))
+				for s := range want {
+					if len(tr[s]) != len(want[s]) {
+						t.Fatalf("after %s: slot %d: trace holds %d packets, recorded %d", after, s, len(tr[s]), len(want[s]))
 					}
-					for i := range got {
-						if got[i] != want[s][i] {
-							t.Fatalf("after %s: slot %d packet %d: installed trace holds %+v, recorded %+v", after, s, i, got[i], want[s][i])
+					for i := range tr[s] {
+						if tr[s][i] != want[s][i] {
+							t.Fatalf("after %s: slot %d packet %d: trace holds %+v, recorded %+v", after, s, i, tr[s][i], want[s][i])
 						}
 					}
 				}
@@ -108,11 +78,11 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 					run  func() error
 				}{
 					{"OPT proxy and roster", func() error {
-						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: memo, FlushEvery: 64, Parallelism: par}.Run()
+						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par}.Run()
 						return err
 					}},
 					{"faulted OPT proxy and roster", func() error {
-						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: memo, FlushEvery: 64, Parallelism: par, Wrap: wrap}.Run()
+						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par, Wrap: wrap}.Run()
 						return err
 					}},
 					{"singleq", func() error {
@@ -120,7 +90,7 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						_, err = sim.RunTrace(sw, memo, 64)
+						_, err = sim.RunTrace(sw, tr, 64)
 						return err
 					}},
 				}
@@ -151,9 +121,6 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 					}
 				}
 				intact("concurrent replays")
-			}
-			if n := src.opens.Load(); n != 1 {
-				t.Fatalf("generator opened %d times, want 1: replays regenerated instead of reading the installed trace", n)
 			}
 		})
 	}

@@ -169,11 +169,23 @@ func (panicAdmit) Admit(core.View, pkt.Packet) core.Decision {
 	panic("injected admit panic")
 }
 
+// panicSource is an arrival stream whose Next panics.
+type panicSource struct{}
+
+func (panicSource) Next() []pkt.Packet { panic("injected cursor panic") }
+
+// panicProvider is a 100-slot provider whose cursors panic.
+type panicProvider struct{}
+
+func (panicProvider) Slots() int                    { return 100 }
+func (panicProvider) Open() (traffic.Cursor, error) { return traffic.AsCursor(panicSource{}), nil }
+
 // TestReplayPanicConfined pins panic confinement on every replay path:
 // a policy that panics inside a replay yields a *CellError carrying the
 // panic text and the panicking goroutine's stack whether the cell's
 // replays run one at a time or fan out over the intra-cell workers, and
-// a plain error from Instance.Run.
+// a plain error from Instance.Run. A provider whose cursor panics while
+// the run records its arrivals is confined the same way.
 func TestReplayPanicConfined(t *testing.T) {
 	build := func(x int, seed int64) (Instance, error) {
 		inst, err := buildCell(x, seed)
@@ -204,5 +216,21 @@ func TestReplayPanicConfined(t *testing.T) {
 	var rp *replayPanic
 	if !errors.As(err, &rp) || !strings.Contains(string(rp.stack), "panicAdmit.Admit") {
 		t.Errorf("Instance.Run: error %v carries no panicking stack", err)
+	}
+
+	s := testSweep()
+	s.Xs, s.Seeds, s.Parallelism = []int{2}, 1, 8
+	s.Build = func(x int, seed int64) (Instance, error) {
+		inst, err := buildCell(x, seed)
+		inst.Provider = panicProvider{}
+		return inst, err
+	}
+	_, err = s.Run()
+	var ce *CellError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Error(), "recording arrivals: panic: injected cursor panic") {
+		t.Fatalf("panicking cursor: got %v, want a *CellError with the panic text", err)
+	}
+	if !strings.Contains(string(ce.Stack), "panicSource.Next") {
+		t.Errorf("panicking cursor: stack does not reach the panicking Next:\n%s", ce.Stack)
 	}
 }

@@ -8,10 +8,10 @@
 // file, or a materialized trace), so per-replay arrival memory is
 // independent of the trace length for generator- and file-backed
 // providers — the property that makes the paper's 2·10⁶-slot runs fit
-// on ordinary machines. Within one instance run the stream is
-// additionally memoized under a byte budget (MemoBytes), so
-// the OPT proxy and the policy replays share one generation pass when
-// the trace fits; over-budget traces keep streaming.
+// on ordinary machines. An instance run records its stream once,
+// before any replay starts, when the recording fits a byte budget
+// (MemoBytes): the OPT proxy and the policy replays then read that one
+// traffic.Trace; over budget, every replay streams its own cursor.
 //
 // Instance.RunContext is the one replay runner: every replay of a cell
 // runs on a freshly built system on one of the instance's worker
@@ -177,12 +177,15 @@ type Instance struct {
 	Cfg core.Config
 	// Policies compete on the arrival stream.
 	Policies []core.Policy
-	// Provider supplies the arrivals. Every replay — the OPT proxy and
-	// each policy — opens its own cursor, so runs are bit-identical
-	// and share no mutable state; a seeded generator spec
-	// (traffic.MMPPProvider) or trace file (traffic.FileProvider)
-	// keeps per-replay memory independent of the slot count. A
-	// materialized traffic.Trace is itself a Provider.
+	// Provider supplies the arrivals and must be set. A run records
+	// the stream once when it fits MemoBytes, and every replay — the
+	// OPT proxy and each policy — opens its own cursor of the
+	// recording, so runs are bit-identical and share no mutable state.
+	// Over budget, every replay opens its own cursor of Provider: a
+	// seeded generator spec (traffic.MMPPProvider) or trace file
+	// (traffic.FileProvider) then keeps per-replay memory independent
+	// of the slot count. A materialized traffic.Trace is itself a
+	// Provider, and replays read it as it is.
 	Provider traffic.Provider
 	// FlushEvery drains all systems every so many slots (0 = only at
 	// the end). Every drain is bounded by DrainBound(Cfg).
@@ -206,21 +209,75 @@ type Instance struct {
 	Obs *obs.Options
 }
 
-// MemoBytes bounds the in-memory arrival cache one instance run builds
-// to amortize stream generation across its replays (traffic.Memoize):
-// the first replay records the stream and later replays play it back,
-// which removes the dominant per-replay cost of generator regeneration
-// in multi-policy cells while staying bit-identical. It covers every
-// Fig. 5 panel cell at report scale; paper-scale traces (2·10⁶ slots)
-// are over budget and keep the bounded-memory streaming regeneration.
+// MemoBytes bounds the arrival trace one instance run records before
+// its replays fan out: a stream that fits is generated once and every
+// replay reads the recording, which removes the dominant per-replay
+// cost of generator regeneration in multi-policy cells while staying
+// bit-identical. It covers every Fig. 5 panel cell at report scale;
+// paper-scale traces (2·10⁶ slots) are over budget and every replay
+// streams its own cursor in bounded memory.
 const MemoBytes = 32 << 20
 
-// provider returns the arrival stream for one run, memoized under
-// MemoBytes. Called once per run so the cache spans exactly that run's
-// replays (the OPT proxy plus every policy), never leaking memory
-// across cells.
-func (inst Instance) provider() traffic.Provider {
-	return traffic.Memoize(inst.Provider, MemoBytes)
+// packetBytes is the memory charged per recorded packet, and slotBytes
+// the fixed charge per recorded slot (its slice header), when a
+// recording is accounted against MemoBytes. The figures are the
+// in-memory sizes on 64-bit platforms; exactness does not matter, only
+// that the budget scales with the materialized trace.
+const (
+	packetBytes = 24
+	slotBytes   = 24
+)
+
+// recordArrivals returns the arrival stream an instance run's replays
+// read: a traffic.Trace recorded from one cursor over src when it fits
+// within MemoBytes, and src itself when src is already a Trace, when
+// Slots alone is over budget (src is then never opened) or when the
+// packets overrun the budget mid-stream. Each burst is copied as
+// traffic.Record does, since a cursor may reuse its storage. The
+// recording checks ctx and the cursor's Err every checkEvery slots, a
+// stream failure comes back wrapped, and a panic is recovered as a
+// replay's is.
+func recordArrivals(ctx context.Context, src traffic.Provider) (rec traffic.Provider, err error) {
+	defer recoverPanic("recording arrivals", &err)
+	if tr, ok := src.(traffic.Trace); ok {
+		return tr, nil
+	}
+	slots := src.Slots()
+	left := MemoBytes - slotBytes*slots
+	if left < 0 {
+		return src, nil
+	}
+	cur, err := src.Open()
+	if err != nil {
+		return nil, fmt.Errorf("sim: recording arrivals: %w", err)
+	}
+	defer func() {
+		if cerr := cur.Close(); cerr != nil && err == nil {
+			rec, err = nil, fmt.Errorf("sim: recording arrivals: %w", cerr)
+		}
+	}()
+	tr := make(traffic.Trace, slots)
+	for t := range tr {
+		if t%checkEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("sim: recording arrivals at slot %d: %w", t, err)
+			}
+			if err := cur.Err(); err != nil {
+				return nil, fmt.Errorf("sim: recording arrivals at slot %d: %w", t, err)
+			}
+		}
+		burst := cur.Next()
+		if left -= packetBytes * len(burst); left < 0 {
+			return src, nil // over budget: every replay streams
+		}
+		if len(burst) > 0 {
+			tr[t] = append([]pkt.Packet(nil), burst...)
+		}
+	}
+	if err := cur.Err(); err != nil {
+		return nil, fmt.Errorf("sim: recording arrivals: %w", err)
+	}
+	return tr, nil
 }
 
 // Result reports one policy's performance on an instance.
@@ -250,18 +307,29 @@ func (inst Instance) Run() ([]Result, error) {
 // RunContext is Run with cancellation: the run aborts between slots
 // once ctx is done, returning an error wrapping ctx.Err.
 //
-// It is the harness's one replay runner. max(1, min(Parallelism,
-// replays)) workers pull replay indices in order — 0 is the OPT proxy,
-// 1+i is policy i — and each replay builds, wraps and runs a fresh
-// system over its own cursor, so replays share no mutable state and
-// the index-addressed results are bit-identical at every width. A
-// replay's panic is recovered on its own worker into an error that
-// carries that goroutine's stack (a sweep cell reports it as a
-// *CellError with Stack), and the first failure cancels the replays
+// It is the harness's one replay runner. After validating Cfg and
+// Provider it records the stream once (recordArrivals, under
+// MemoBytes). Then max(1, min(Parallelism, replays)) workers pull
+// replay indices in order — 0 is the OPT proxy, 1+i is policy i — and
+// each replay builds, wraps and runs a fresh system over its own cursor
+// of the recording (of Provider, when over budget), so replays share no
+// mutable state and the index-addressed results are bit-identical at
+// every width. A replay's panic is recovered on its own worker into an
+// error that carries that goroutine's stack (a sweep cell reports it as
+// a *CellError with Stack), and the first failure cancels the replays
 // still running.
 func (inst Instance) RunContext(ctx context.Context) ([]Result, error) {
+	if err := inst.Cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if inst.Provider == nil {
+		return nil, errors.New("sim: Instance.Provider is nil")
+	}
+	src, err := recordArrivals(ctx, inst.Provider)
+	if err != nil {
+		return nil, err
+	}
 	opts := inst.runOptions()
-	src := inst.provider()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -338,6 +406,14 @@ func (p *replayPanic) Error() string {
 	return fmt.Sprintf("sim: %s: panic: %v", p.replay, p.value)
 }
 
+// recoverPanic, deferred, recovers a panic raised by the named replay
+// (or the recording before it) into a *replayPanic in *err.
+func recoverPanic(name string, err *error) {
+	if r := recover(); r != nil {
+		*err = &replayPanic{replay: name, value: r, stack: debug.Stack()}
+	}
+}
+
 // replay runs replay i (0 = the OPT proxy, 1+i = policy i) on a freshly
 // built system, attaching a recorder to policy replays when inst.Obs is
 // set, and recovers a panic into a *replayPanic.
@@ -346,11 +422,7 @@ func (inst Instance) replay(ctx context.Context, i int, src traffic.Provider, op
 	if i > 0 {
 		name = inst.Policies[i-1].Name()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = &replayPanic{replay: name, value: r, stack: debug.Stack()}
-		}
-	}()
+	defer recoverPanic(name, &err)
 	if err := ctx.Err(); err != nil {
 		return core.Stats{}, nil, err
 	}

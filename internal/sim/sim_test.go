@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"smbm/internal/core"
@@ -156,6 +157,10 @@ func TestInstanceRunPropagatesErrors(t *testing.T) {
 	}
 	if !errors.Is(runErr, core.ErrBadConfig) {
 		t.Error("error does not wrap ErrBadConfig")
+	}
+	inst.Cfg = procCfg()
+	if _, err := inst.Run(); err == nil || !strings.Contains(err.Error(), "Instance.Provider") {
+		t.Errorf("nil Provider: got %v, want an error naming Instance.Provider", err)
 	}
 }
 

@@ -9,7 +9,9 @@ package sim_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -351,7 +353,8 @@ func TestSweepIntraCellSplit(t *testing.T) {
 
 // TestRunTraceReportsCursorFailure wires a corrupt stream into the
 // harness: a file truncated mid-record must fail the run, not silently
-// emit a shorter trace.
+// emit a shorter trace, both through RunTrace and through an instance
+// run, whose error wraps the cursor's.
 func TestRunTraceReportsCursorFailure(t *testing.T) {
 	gen, err := traffic.NewMMPP(streamCells(1)[0].mcfg)
 	if err != nil {
@@ -381,5 +384,9 @@ func TestRunTraceReportsCursorFailure(t *testing.T) {
 	}
 	if _, err := sim.RunTrace(sw, src, 64); err == nil {
 		t.Fatal("truncated stream did not fail the run")
+	}
+	inst := sim.Instance{Cfg: cell.cfg, Policies: cell.policies, Provider: src, FlushEvery: 64, Parallelism: 2}
+	if _, err := inst.Run(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("instance run over the truncated stream: got %v, want the cursor's %v", err, io.ErrUnexpectedEOF)
 	}
 }
