@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race stress benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples clean
+.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples clean
 
 all: build vet lint test test-race
 
@@ -32,12 +32,32 @@ test:
 test-race:
 	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/cli/... ./internal/traffic/... ./internal/adversary/... ./internal/shard ./internal/obs ./cmd/smbsimd
 
+# The internal/sim tests that `make stress` repeats, and those CI's
+# stream-smoke job runs: -run regexes, one alternative per test or
+# test family.
+STRESS_SIM_TESTS = Journal|Checkpoint|Leased|ReplayPanicConfined|ParallelMatchesSequential|SweepIntraCellSplit|InstanceRecordsArrivalsOnce|LockstepMatchesSoloReplays
+STREAM_SMOKE_TESTS = TestStreamedMatchesMaterialized|TestStreamedPortCountersMatch|TestParallelMatchesSequential|TestReplaysLeaveMemoizedTraceIntact|TestInstanceRecordsArrivalsOnce|TestInstanceOverBudgetStreams|TestLockstepMatchesSoloReplays
+
+# Fail when an alternative of either list above matches no test in
+# internal/sim (go test -list), so a renamed test cannot silently drop
+# out of the stress and smoke passes.
+run-lists:
+	@tests=$$($(GO) test -list . ./internal/sim) || { echo "$$tests"; exit 1; }; \
+	for name in $$(echo '$(STRESS_SIM_TESTS)|$(STREAM_SMOKE_TESTS)' | tr '|' ' '); do \
+		echo "$$tests" | grep -Eq -- "$$name" || { echo "run-lists: -run name $$name matches no test in ./internal/sim"; exit 1; }; \
+	done
+
 # Stress pass over the concurrent packages: the race detector, twenty
 # runs each at GOMAXPROCS 1, 2 and 8, so interleaving bugs surface here
 # instead of as one-in-N failures of the plain test run.
-stress:
+stress: run-lists
 	$(GO) test -race -count=20 -cpu 1,2,8 ./internal/shard ./internal/obs ./cmd/smbsimd
-	$(GO) test -race -count=20 -cpu 1,2,8 -run 'Journal|Checkpoint|Leased|ReplayPanicConfined|ParallelMatchesSequential|SweepIntraCellSplit|InstanceRecordsArrivalsOnce' ./internal/sim
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '$(STRESS_SIM_TESTS)' ./internal/sim
+
+# Streaming-pipeline guardrail (CI stream-smoke): the streamed runs,
+# the lockstep loop and the parallel fan-out against their references.
+stream-smoke: run-lists
+	$(GO) test -run '$(STREAM_SMOKE_TESTS)' ./internal/sim
 
 # The benchmark module (benchsuite/, its own go.mod) sits outside ./...,
 # so the plain test run never compiles it; vet and short-test it here so

@@ -40,7 +40,7 @@ type (
 	// is valid until the next call and must not be written to.
 	Source = traffic.Source
 	// Provider is a re-derivable arrival stream of known length; every
-	// replay opens its own cursor, so runs are bit-identical without
+	// cursor streams the same slots, so runs are bit-identical without
 	// sharing state.
 	Provider = traffic.Provider
 	// Cursor is an open read position over a Provider's slot stream.

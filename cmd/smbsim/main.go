@@ -105,7 +105,7 @@ func (v *progressVar) String() string {
 func main() {
 	var (
 		experiment  = flag.String("experiment", "", "experiment to run (fig5.1 ... fig5.9, arch, latency, faults); empty runs the nine panels")
-		scale       = flag.String("scale", "", `option preset: "laptop" (default) or "paper" (2000000 slots, 500 sources, streamed in O(1) trace memory per worker); explicit flags override the preset`)
+		scale       = flag.String("scale", "", `option preset: "laptop" (default) or "paper" (2000000 slots, 500 sources; each cell generates its stream once, a window of slots at a time, in memory independent of the slot count); explicit flags override the preset`)
 		slots       = flag.Int("slots", 0, "trace length per replication (default 4000; paper uses 2000000)")
 		seeds       = flag.Int("seeds", 0, "replications per point (default 3)")
 		sources     = flag.Int("sources", 0, "MMPP on-off sources (default 100; paper uses 500)")

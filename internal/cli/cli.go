@@ -99,8 +99,20 @@ func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 	return nil
 }
 
-// check refuses option combinations no run honours.
+// check refuses option combinations no run honours, and a negative
+// scale (which no run could honour either: -flush, for one, would
+// silently turn periodic flushouts off), naming the smbsim flag.
 func (o PanelOptions) check() error {
+	for _, f := range []struct {
+		flag string
+		v    int
+	}{
+		{"-slots", o.Opts.Slots}, {"-seeds", o.Opts.Seeds}, {"-sources", o.Opts.Sources}, {"-flush", o.Opts.FlushEvery},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("cli: %s %d is negative", f.flag, f.v)
+		}
+	}
 	if o.CellRetries != 0 && o.Checkpoint == "" {
 		return errors.New("cli: -cell-retries needs -checkpoint")
 	}

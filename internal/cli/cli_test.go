@@ -10,6 +10,7 @@ import (
 	"smbm/internal/adversary"
 	"smbm/internal/experiments"
 	"smbm/internal/faults"
+	"smbm/internal/sim"
 )
 
 func smallOpts() experiments.Options {
@@ -118,6 +119,43 @@ func TestPanelsRefusesIgnoredFlags(t *testing.T) {
 	if err := RunSpec(context.Background(), &bytes.Buffer{}, strings.NewReader("{}"), PanelOptions{CellRetries: 5}); err == nil ||
 		!strings.Contains(err.Error(), "-cell-retries needs -checkpoint") {
 		t.Errorf("RunSpec with -cell-retries and no -checkpoint: err = %v", err)
+	}
+}
+
+// TestPanelsRefusesNegativeScale: a negative -slots, -seeds, -sources
+// or -flush is an error naming the flag before any cell runs, on a
+// panel, a non-sweep experiment and a spec alike.
+func TestPanelsRefusesNegativeScale(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		set  func(*experiments.Options)
+	}{
+		{"-slots", func(o *experiments.Options) { o.Slots = -5 }},
+		{"-seeds", func(o *experiments.Options) { o.Seeds = -1 }},
+		{"-sources", func(o *experiments.Options) { o.Sources = -100 }},
+		{"-flush", func(o *experiments.Options) { o.FlushEvery = -3 }},
+	} {
+		for _, experiment := range []string{"fig5.1", "arch", "spec"} {
+			o := PanelOptions{Experiment: experiment, Opts: smallOpts(), CSV: experiment != "arch"}
+			c.set(&o.Opts)
+			o.Progress = func(p sim.SweepProgress) {
+				t.Errorf("%s with %s: cell x=%d ran", experiment, c.flag, p.X)
+			}
+			var buf bytes.Buffer
+			var err error
+			if experiment == "spec" {
+				o.Experiment = ""
+				err = RunSpec(context.Background(), &buf, strings.NewReader("{}"), o)
+			} else {
+				err = Panels(context.Background(), &buf, o)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+				t.Errorf("%s with %s: err = %v, want one naming %s", experiment, c.flag, err, c.flag)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("%s with %s: wrote output before refusing:\n%s", experiment, c.flag, buf.String())
+			}
+		}
 	}
 }
 

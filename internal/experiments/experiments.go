@@ -50,9 +50,9 @@ func Defaults() Options {
 
 // PaperScale returns the paper's Section V evaluation scale: 2·10⁶
 // slots and 500 MMPP on-off sources per replication, one seed. Panels
-// built at this scale stream arrivals from seeded generator specs, so
-// per-worker trace memory stays O(Sources) regardless of the slot
-// count.
+// built at this scale stream arrivals from seeded generator specs: a
+// cell generates its stream once, one window of slots at a time, so
+// its arrival memory stays O(Sources) regardless of the slot count.
 func PaperScale() Options {
 	return Options{
 		Slots:      2_000_000,

@@ -16,8 +16,8 @@
 // A deliberate exception carries //smb:conc-ok <reason> on the line
 // (or the line above, or the enclosing function's doc comment); the
 // reason is mandatory. No fenced package carries one today: the
-// arrival recording that replays share is built by internal/sim before
-// they start, so traffic needs no lock. The testdata traffic fixture
+// arrival window that replays share is filled by internal/sim while
+// no replay runs, so traffic needs no lock. The testdata traffic fixture
 // shows the form an exception takes, a cache guard that never
 // influences the bit stream cursors observe. The harness packages
 // (sim, cli, obs) are outside the fence: orchestrating goroutines is

@@ -1,28 +1,62 @@
 package sim_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"smbm/internal/core"
 	"smbm/internal/faults"
+	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
 	"smbm/internal/singleq"
 	"smbm/internal/traffic"
 )
 
+// burstGuard wraps a System and fails its Step when the wrapped system
+// wrote to the burst it was lent.
+type burstGuard struct {
+	sim.System
+	lent []pkt.Packet
+}
+
+// guard wraps sys in a burstGuard.
+func guard(sys sim.System) sim.System { return &burstGuard{System: sys} }
+
+// Step implements sim.System.
+func (g *burstGuard) Step(arrivals []pkt.Packet) error {
+	g.lent = append(g.lent[:0], arrivals...)
+	if err := g.System.Step(arrivals); err != nil {
+		return err
+	}
+	for i := range arrivals {
+		if arrivals[i] != g.lent[i] {
+			return fmt.Errorf("%s wrote packet %d of a lent burst: %+v, lent %+v", g.Name(), i, arrivals[i], g.lent[i])
+		}
+	}
+	return nil
+}
+
+// DrainMax implements sim.BoundedDrainer.
+func (g *burstGuard) DrainMax(max int) (int, bool) {
+	if bd, ok := g.System.(sim.BoundedDrainer); ok {
+		return bd.DrainMax(max)
+	}
+	return g.Drain(), true
+}
+
 // TestReplaysLeaveMemoizedTraceIntact pins the read side of the
-// borrowed-burst contract: a replay of a recorded trace lends each
-// recorded slot to the System in place, so no System may write to a
-// burst. An instance run lends a traffic.Trace provider's slots the
-// same way it lends its own recording's, so one recorded MMPP cell per
-// model replays to completion as a Trace through every System a cell
-// can hold — core.Switch under every roster policy, the OPT proxy, a
-// fault injector that amplifies bursts and squeezes the buffer around
-// both, and singleq.Switch — at Parallelism 1 and 4, and with the
-// three runs concurrent on the shared trace. After every run the trace
-// must equal, packet for packet, a deep copy taken before the runs.
+// borrowed-burst contract: a run lends each slot of its window to
+// every System in place, one after another, so no System may write to
+// a burst. One recorded MMPP cell per model runs as a traffic.Trace
+// through every System a cell can hold — core.Switch under every
+// roster policy, the OPT proxy, a fault injector that amplifies bursts
+// and squeezes the buffer around both, and singleq.Switch — each
+// behind a guard that compares every lent burst after Step with a copy
+// taken before it, at Parallelism 1 and 4, and with the three runs
+// concurrent on the shared trace. After every run the trace must
+// equal, packet for packet, a deep copy taken before the runs.
 func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 	const slots = 300
 	cells := streamCells(11)
@@ -71,18 +105,26 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 			}
 
 			sq := singleq.Config{Buffer: cell.cfg.Buffer, MaxWork: cell.cfg.MaxLabel, Cores: 1, Order: singleq.OrderPQ, PushOut: true}
+			guarded := func(sys sim.System) (sim.System, error) { return guard(sys), nil }
 			wrap := faults.Wrapper(amplifySqueeze, cell.cfg.Ports, 5)
+			guardedFaults := func(sys sim.System) (sim.System, error) {
+				sys, err := wrap(sys)
+				if err != nil {
+					return nil, err
+				}
+				return guard(sys), nil
+			}
 			for _, par := range []int{1, 4} {
 				runs := []struct {
 					name string
 					run  func() error
 				}{
 					{"OPT proxy and roster", func() error {
-						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par}.Run()
+						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par, Wrap: guarded}.Run()
 						return err
 					}},
 					{"faulted OPT proxy and roster", func() error {
-						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par, Wrap: wrap}.Run()
+						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par, Wrap: guardedFaults}.Run()
 						return err
 					}},
 					{"singleq", func() error {
@@ -90,7 +132,7 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						_, err = sim.RunTrace(sw, tr, 64)
+						_, err = sim.RunTrace(guard(sw), tr, 64)
 						return err
 					}},
 				}

@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"smbm/internal/pkt"
 )
 
 // ckptSweep is testSweep as a -checkpoint run: a journal in dir with a
@@ -338,10 +340,26 @@ func TestSweepCheckpointIgnoresOtherSweeps(t *testing.T) {
 	}
 }
 
+// firstStepProbe wraps a System and calls first before its first Step.
+type firstStepProbe struct {
+	System
+	first func()
+}
+
+// Step implements System.
+func (p *firstStepProbe) Step(arrivals []pkt.Packet) error {
+	if p.first != nil {
+		p.first()
+		p.first = nil
+	}
+	return p.System.Step(arrivals)
+}
+
 // TestCheckpointResumeFansOutFewCells pins the budget split on a
 // checkpointed resume: a resume with two cells left on eight workers must spend
 // the spare workers inside the cells (four each), observed as each
-// cell's first replay overlapping a sibling replay of the same cell.
+// cell's first stepping replay overlapping a sibling replay's first
+// Step in the same window.
 func TestCheckpointResumeFansOutFewCells(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -365,20 +383,21 @@ func TestCheckpointResumeFansOutFewCells(t *testing.T) {
 	s.Build = func(x int, seed int64) (Instance, error) {
 		atomic.AddInt32(&cells, 1)
 		inst, err := buildCell(x, seed)
-		var arrived int32
+		var started int32
 		inst.Wrap = func(sys System) (System, error) {
-			if atomic.AddInt32(&arrived, 1) > 1 {
-				return sys, nil
-			}
-			// Serial replays cannot reach a second Wrap while this
-			// one waits.
-			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-				if atomic.LoadInt32(&arrived) > 1 {
-					atomic.AddInt32(&fanned, 1)
-					break
+			return &firstStepProbe{System: sys, first: func() {
+				if atomic.AddInt32(&started, 1) > 1 {
+					return
 				}
-			}
-			return sys, nil
+				// Serial replays cannot reach a second Step while this
+				// one waits.
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if atomic.LoadInt32(&started) > 1 {
+						atomic.AddInt32(&fanned, 1)
+						break
+					}
+				}
+			}}, nil
 		}
 		return inst, err
 	}

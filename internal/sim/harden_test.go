@@ -185,7 +185,7 @@ func (panicProvider) Open() (traffic.Cursor, error) { return traffic.AsCursor(pa
 // panic text and the panicking goroutine's stack whether the cell's
 // replays run one at a time or fan out over the intra-cell workers, and
 // a plain error from Instance.Run. A provider whose cursor panics while
-// the run records its arrivals is confined the same way.
+// the run copies its arrivals is confined the same way.
 func TestReplayPanicConfined(t *testing.T) {
 	build := func(x int, seed int64) (Instance, error) {
 		inst, err := buildCell(x, seed)
@@ -227,7 +227,7 @@ func TestReplayPanicConfined(t *testing.T) {
 	}
 	_, err = s.Run()
 	var ce *CellError
-	if !errors.As(err, &ce) || !strings.Contains(ce.Error(), "recording arrivals: panic: injected cursor panic") {
+	if !errors.As(err, &ce) || !strings.Contains(ce.Error(), "sim: arrivals: panic: injected cursor panic") {
 		t.Fatalf("panicking cursor: got %v, want a *CellError with the panic text", err)
 	}
 	if !strings.Contains(string(ce.Stack), "panicSource.Next") {

@@ -3,23 +3,22 @@
 // the OPT proxy, and runs seeded parameter sweeps on a bounded worker
 // pool to regenerate the paper's evaluation series.
 //
-// Arrivals flow through traffic.Provider: every replay opens its own
-// cursor over a re-derivable source (a seeded generator spec, a trace
-// file, or a materialized trace), so per-replay arrival memory is
-// independent of the trace length for generator- and file-backed
-// providers — the property that makes the paper's 2·10⁶-slot runs fit
-// on ordinary machines. An instance run records its stream once,
-// before any replay starts, when the recording fits a byte budget
-// (MemoBytes): the OPT proxy and the policy replays then read that one
-// traffic.Trace; over budget, every replay streams its own cursor.
+// Arrivals flow through traffic.Provider. Every run opens one cursor
+// over a re-derivable source (a seeded generator spec, a trace file, or
+// a materialized trace), copies the next window of slots into one
+// reused buffer, and steps each of its systems — the OPT proxy and
+// every policy replay — through that window before it generates the
+// next. The stream is generated once per run, and arrival memory is
+// O(window) at any trace length: the property that makes the paper's
+// 2·10⁶-slot runs fit on ordinary machines.
 //
 // Instance.RunContext is the one replay runner: every replay of a cell
-// runs on a freshly built system on one of the instance's worker
-// goroutines (Parallelism, at least one), and no system is reused
-// across replays or cells. A panic in a replay is recovered on the
-// worker that raised it, so a sweep confines it to its cell as a
-// *CellError carrying the panicking goroutine's stack at any
-// parallelism.
+// runs on a freshly built system, a window's replays fan out over the
+// instance's worker goroutines (Parallelism, at least one), and no
+// system is reused across replays or cells. A panic in a replay is
+// recovered on the worker that raised it, so a sweep confines it to
+// its cell as a *CellError carrying the panicking goroutine's stack at
+// any parallelism.
 package sim
 
 import (
@@ -29,6 +28,7 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"smbm/internal/core"
 	"smbm/internal/obs"
@@ -89,9 +89,14 @@ type RunOptions struct {
 	DrainMax int
 }
 
-// checkEvery is RunTraceContext's slot interval between
-// context-cancellation and cursor-failure checks.
+// checkEvery is the slot interval between context-cancellation and
+// cursor-failure checks while a run copies its arrivals.
 const checkEvery = 64
+
+// window is the number of slots a run copies from its cursor before it
+// steps its systems through them: a multiple of checkEvery, sized by
+// measurement (DESIGN.md §Lockstep windows).
+const window = 256
 
 // RunTrace drives sys over the arrival stream, draining the buffer
 // every flushEvery slots (0 disables periodic flushouts) and once more
@@ -105,43 +110,149 @@ func RunTrace(sys System, src traffic.Provider, flushEvery int) (core.Stats, err
 }
 
 // RunTraceContext is RunTrace with cancellation and configurable drain
-// bounds: it opens one cursor over src and pulls slots from it, aborts
-// between slots once ctx is done (returning ctx.Err wrapped with the
-// system and slot), propagates cursor stream failures, and errors out
-// if any drain exceeds the (defaulted) DrainMax cap instead of looping
-// forever on a System that never empties.
+// bounds, and the one-system case of an instance run's lockstep loop:
+// it opens one cursor over src, aborts between slots once ctx is done
+// (returning ctx.Err wrapped with the system and slot), propagates
+// cursor stream failures, errors out if any drain exceeds the
+// (defaulted) DrainMax cap instead of looping forever on a System that
+// never empties, and returns a panic in sys as an error.
 func RunTraceContext(ctx context.Context, sys System, src traffic.Provider, o RunOptions) (core.Stats, error) {
+	l := &lane{name: sys.Name(), sys: sys}
+	if err := lockstep(ctx, sys.Name(), []*lane{l}, src, o, 1); err != nil {
+		return core.Stats{}, err
+	}
+	return l.stats, nil
+}
+
+// lane is one system of a lockstep run: its first failure, and its
+// counters once it has drained.
+type lane struct {
+	name  string
+	sys   System
+	rec   *obs.Recorder // attached decision recorder, or nil
+	err   error
+	stats core.Stats
+}
+
+// advance steps the lane through the window's slots, which start at
+// absolute slot base, draining after every slot that closes a flush
+// interval. It stops at the lane's first failure, and recovers a panic
+// into one.
+func (l *lane) advance(base int, bursts []pkt.Packet, ends []int, o RunOptions) {
+	defer recoverPanic(l.name, &l.err)
+	from := 0
+	for j, end := range ends {
+		t := base + j
+		if err := l.sys.Step(bursts[from:end:end]); err != nil {
+			l.err = fmt.Errorf("sim: %s at slot %d: %w", l.name, t, err)
+			return
+		}
+		from = end
+		if o.FlushEvery > 0 && (t+1)%o.FlushEvery == 0 {
+			if err := drain(l.sys, o.DrainMax); err != nil {
+				l.err = fmt.Errorf("sim: %s at slot %d: %w", l.name, t, err)
+				return
+			}
+		}
+	}
+}
+
+// finish drains the lane once more and snapshots its counters.
+func (l *lane) finish(o RunOptions) {
+	defer recoverPanic(l.name, &l.err)
+	if err := drain(l.sys, o.DrainMax); err != nil {
+		l.err = fmt.Errorf("sim: %s: %w", l.name, err)
+		return
+	}
+	l.stats = l.sys.Stats()
+}
+
+// lockstep is the harness's one slot loop. It opens one cursor over
+// src and copies the next window slots into one reused flat buffer,
+// then steps every lane through them, before it copies the next
+// window; at the end every lane drains and snapshots its counters.
+// With workers above 1 the lanes of each window (and of the final
+// drain) fan out over that many goroutines, which all finish before
+// the next window is copied, so lanes share nothing but the read-only
+// window and results are bit-identical at any width. Arrival memory is
+// O(window) at any stream length, and the stream is generated once.
+//
+// The copy checks ctx and the cursor's Err every checkEvery slots
+// (errors name the run by label), and recovers a panic in the cursor.
+// After a window in which any lane failed, the run stops and returns
+// the failure of the first such lane in order.
+func lockstep(ctx context.Context, label string, lanes []*lane, src traffic.Provider, o RunOptions, workers int) (err error) {
+	defer recoverPanic("arrivals", &err)
 	cur, err := src.Open()
 	if err != nil {
-		return core.Stats{}, fmt.Errorf("sim: %s: opening arrivals: %w", sys.Name(), err)
+		return fmt.Errorf("sim: %s: opening arrivals: %w", label, err)
 	}
-	defer cur.Close()
+	defer func() {
+		if cerr := cur.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("sim: %s: closing arrivals: %w", label, cerr)
+		}
+	}()
+	var (
+		bursts []pkt.Packet // the window's slots, back to back
+		ends   = make([]int, 0, window)
+	)
 	slots := src.Slots()
-	for t := 0; t < slots; t++ {
-		if t%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return core.Stats{}, fmt.Errorf("sim: %s at slot %d: %w", sys.Name(), t, err)
+	for base := 0; base < slots; base += window {
+		bursts, ends = bursts[:0], ends[:0]
+		for t := base; t < min(base+window, slots); t++ {
+			if t%checkEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("sim: %s at slot %d: %w", label, t, err)
+				}
+				if err := cur.Err(); err != nil {
+					return fmt.Errorf("sim: %s at slot %d: arrivals: %w", label, t, err)
+				}
 			}
-			if err := cur.Err(); err != nil {
-				return core.Stats{}, fmt.Errorf("sim: %s at slot %d: arrivals: %w", sys.Name(), t, err)
-			}
+			bursts = append(bursts, cur.Next()...)
+			ends = append(ends, len(bursts))
 		}
-		if err := sys.Step(cur.Next()); err != nil {
-			return core.Stats{}, fmt.Errorf("sim: %s at slot %d: %w", sys.Name(), t, err)
-		}
-		if o.FlushEvery > 0 && (t+1)%o.FlushEvery == 0 {
-			if err := drain(sys, o.DrainMax); err != nil {
-				return core.Stats{}, fmt.Errorf("sim: %s at slot %d: %w", sys.Name(), t, err)
-			}
+		if err := fanOut(lanes, workers, func(l *lane) { l.advance(base, bursts, ends, o) }); err != nil {
+			return err
 		}
 	}
 	if err := cur.Err(); err != nil {
-		return core.Stats{}, fmt.Errorf("sim: %s: arrivals: %w", sys.Name(), err)
+		return fmt.Errorf("sim: %s: arrivals: %w", label, err)
 	}
-	if err := drain(sys, o.DrainMax); err != nil {
-		return core.Stats{}, fmt.Errorf("sim: %s: %w", sys.Name(), err)
+	return fanOut(lanes, workers, func(l *lane) { l.finish(o) })
+}
+
+// fanOut runs step on every lane, over up to workers goroutines that
+// pull lanes in order, and returns once every lane is done — the
+// barrier between windows — with the first lane failure in order.
+func fanOut(lanes []*lane, workers int, step func(*lane)) error {
+	if workers <= 1 {
+		for _, l := range lanes {
+			step(l)
+		}
+	} else {
+		var next atomic.Int64
+		pull := func() {
+			for i := next.Add(1) - 1; i < int64(len(lanes)); i = next.Add(1) - 1 {
+				step(lanes[i])
+			}
+		}
+		var wg sync.WaitGroup
+		for range workers - 1 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pull()
+			}()
+		}
+		pull()
+		wg.Wait()
 	}
-	return sys.Stats(), nil
+	for _, l := range lanes {
+		if l.err != nil {
+			return l.err
+		}
+	}
+	return nil
 }
 
 // drain empties sys, bounding the drain via BoundedDrainer when the
@@ -177,23 +288,18 @@ type Instance struct {
 	Cfg core.Config
 	// Policies compete on the arrival stream.
 	Policies []core.Policy
-	// Provider supplies the arrivals and must be set. A run records
-	// the stream once when it fits MemoBytes, and every replay — the
-	// OPT proxy and each policy — opens its own cursor of the
-	// recording, so runs are bit-identical and share no mutable state.
-	// Over budget, every replay opens its own cursor of Provider: a
-	// seeded generator spec (traffic.MMPPProvider) or trace file
-	// (traffic.FileProvider) then keeps per-replay memory independent
-	// of the slot count. A materialized traffic.Trace is itself a
-	// Provider, and replays read it as it is.
+	// Provider supplies the arrivals and must be set. A run opens it
+	// once and steps every replay — the OPT proxy and each policy —
+	// through the same windows of its stream, so runs are bit-identical
+	// and arrival memory is independent of the slot count.
 	Provider traffic.Provider
 	// FlushEvery drains all systems every so many slots (0 = only at
 	// the end). Every drain is bounded by DrainBound(Cfg).
 	FlushEvery int
-	// Parallelism is the number of workers the OPT proxy and the
-	// per-policy replays fan out over (0 or 1 = one replay at a time,
-	// in order). Because every replay builds its own system and opens
-	// its own cursor, results are bit-identical at any width.
+	// Parallelism is the number of workers each window's replays fan
+	// out over (0 or 1 = one replay at a time, in order). Replays share
+	// only the read-only window, so results are bit-identical at any
+	// width.
 	Parallelism int
 	// Wrap, when non-nil, wraps every system — the OPT proxy and each
 	// policy switch — before it runs, e.g. with a fault injector
@@ -207,77 +313,6 @@ type Instance struct {
 	// events per replay. The OPT proxies are not instrumented. A nil Obs
 	// keeps the engine in its zero-overhead detached state.
 	Obs *obs.Options
-}
-
-// MemoBytes bounds the arrival trace one instance run records before
-// its replays fan out: a stream that fits is generated once and every
-// replay reads the recording, which removes the dominant per-replay
-// cost of generator regeneration in multi-policy cells while staying
-// bit-identical. It covers every Fig. 5 panel cell at report scale;
-// paper-scale traces (2·10⁶ slots) are over budget and every replay
-// streams its own cursor in bounded memory.
-const MemoBytes = 32 << 20
-
-// packetBytes is the memory charged per recorded packet, and slotBytes
-// the fixed charge per recorded slot (its slice header), when a
-// recording is accounted against MemoBytes. The figures are the
-// in-memory sizes on 64-bit platforms; exactness does not matter, only
-// that the budget scales with the materialized trace.
-const (
-	packetBytes = 24
-	slotBytes   = 24
-)
-
-// recordArrivals returns the arrival stream an instance run's replays
-// read: a traffic.Trace recorded from one cursor over src when it fits
-// within MemoBytes, and src itself when src is already a Trace, when
-// Slots alone is over budget (src is then never opened) or when the
-// packets overrun the budget mid-stream. Each burst is copied as
-// traffic.Record does, since a cursor may reuse its storage. The
-// recording checks ctx and the cursor's Err every checkEvery slots, a
-// stream failure comes back wrapped, and a panic is recovered as a
-// replay's is.
-func recordArrivals(ctx context.Context, src traffic.Provider) (rec traffic.Provider, err error) {
-	defer recoverPanic("recording arrivals", &err)
-	if tr, ok := src.(traffic.Trace); ok {
-		return tr, nil
-	}
-	slots := src.Slots()
-	left := MemoBytes - slotBytes*slots
-	if left < 0 {
-		return src, nil
-	}
-	cur, err := src.Open()
-	if err != nil {
-		return nil, fmt.Errorf("sim: recording arrivals: %w", err)
-	}
-	defer func() {
-		if cerr := cur.Close(); cerr != nil && err == nil {
-			rec, err = nil, fmt.Errorf("sim: recording arrivals: %w", cerr)
-		}
-	}()
-	tr := make(traffic.Trace, slots)
-	for t := range tr {
-		if t%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: recording arrivals at slot %d: %w", t, err)
-			}
-			if err := cur.Err(); err != nil {
-				return nil, fmt.Errorf("sim: recording arrivals at slot %d: %w", t, err)
-			}
-		}
-		burst := cur.Next()
-		if left -= packetBytes * len(burst); left < 0 {
-			return src, nil // over budget: every replay streams
-		}
-		if len(burst) > 0 {
-			tr[t] = append([]pkt.Packet(nil), burst...)
-		}
-	}
-	if err := cur.Err(); err != nil {
-		return nil, fmt.Errorf("sim: recording arrivals: %w", err)
-	}
-	return tr, nil
 }
 
 // Result reports one policy's performance on an instance.
@@ -308,16 +343,16 @@ func (inst Instance) Run() ([]Result, error) {
 // once ctx is done, returning an error wrapping ctx.Err.
 //
 // It is the harness's one replay runner. After validating Cfg and
-// Provider it records the stream once (recordArrivals, under
-// MemoBytes). Then max(1, min(Parallelism, replays)) workers pull
-// replay indices in order — 0 is the OPT proxy, 1+i is policy i — and
-// each replay builds, wraps and runs a fresh system over its own cursor
-// of the recording (of Provider, when over budget), so replays share no
-// mutable state and the index-addressed results are bit-identical at
-// every width. A replay's panic is recovered on its own worker into an
-// error that carries that goroutine's stack (a sweep cell reports it as
-// a *CellError with Stack), and the first failure cancels the replays
-// still running.
+// Provider it builds and wraps a fresh system per replay — 0 is the
+// OPT proxy, 1+i is policy i — and drives them all in lockstep over one
+// cursor of Provider: each window of slots is generated once and every
+// system steps through it, fanned out over max(1, min(Parallelism,
+// replays)) workers, before the next window is generated. Systems share
+// no mutable state and results are index-addressed, so they are
+// bit-identical at every width. A replay's panic is recovered on the
+// worker that raised it into an error that carries that goroutine's
+// stack (a sweep cell reports it as a *CellError with Stack), and the
+// first failure stops every replay at the end of its window.
 func (inst Instance) RunContext(ctx context.Context) ([]Result, error) {
 	if err := inst.Cfg.Validate(); err != nil {
 		return nil, err
@@ -325,64 +360,35 @@ func (inst Instance) RunContext(ctx context.Context) ([]Result, error) {
 	if inst.Provider == nil {
 		return nil, errors.New("sim: Instance.Provider is nil")
 	}
-	src, err := recordArrivals(ctx, inst.Provider)
-	if err != nil {
+	lanes := make([]*lane, len(inst.Policies)+1)
+	for i := range lanes {
+		l, err := inst.lane(i)
+		if err != nil {
+			return nil, err
+		}
+		lanes[i] = l
+	}
+	workers := min(max(inst.Parallelism, 1), len(lanes))
+	if err := lockstep(ctx, "instance", lanes, inst.Provider, inst.runOptions(), workers); err != nil {
 		return nil, err
 	}
-	opts := inst.runOptions()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
-	n := len(inst.Policies) + 1
-	stats := make([]core.Stats, n)
-	snaps := make([]*obs.Snapshot, n)
-	errs := make([]error, n)
-	replays := make(chan int, n)
-	for i := range n {
-		replays <- i
-	}
-	close(replays)
-	var wg sync.WaitGroup
-	for w := min(max(inst.Parallelism, 1), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range replays {
-				stats[i], snaps[i], errs[i] = inst.replay(ctx, i, src, opts)
-				if errs[i] != nil {
-					cancel() // stop the sibling replays promptly
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic error selection: a genuine failure beats the
-	// cancellation noise it induced in sibling replays.
-	var firstErr error
-	for _, err := range errs {
-		if err != nil && (firstErr == nil ||
-			errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	optThroughput := stats[0].Throughput(inst.Cfg.Model)
+	optThroughput := lanes[0].stats.Throughput(inst.Cfg.Model)
 	results := make([]Result, 0, len(inst.Policies))
 	for i, p := range inst.Policies {
-		st := stats[i+1]
-		throughput := st.Throughput(inst.Cfg.Model)
-		results = append(results, Result{
+		l := lanes[i+1]
+		throughput := l.stats.Throughput(inst.Cfg.Model)
+		r := Result{
 			Policy:        p.Name(),
 			Throughput:    throughput,
 			OptThroughput: optThroughput,
 			Ratio:         ratio(optThroughput, throughput),
-			Stats:         st,
-			Obs:           snaps[i+1],
-		})
+			Stats:         l.stats,
+		}
+		if l.rec != nil {
+			r.Obs = l.rec.Snapshot()
+		}
+		results = append(results, r)
 	}
 	return results, nil
 }
@@ -407,25 +413,22 @@ func (p *replayPanic) Error() string {
 }
 
 // recoverPanic, deferred, recovers a panic raised by the named replay
-// (or the recording before it) into a *replayPanic in *err.
+// (or by the arrival cursor) into a *replayPanic in *err.
 func recoverPanic(name string, err *error) {
 	if r := recover(); r != nil {
 		*err = &replayPanic{replay: name, value: r, stack: debug.Stack()}
 	}
 }
 
-// replay runs replay i (0 = the OPT proxy, 1+i = policy i) on a freshly
-// built system, attaching a recorder to policy replays when inst.Obs is
-// set, and recovers a panic into a *replayPanic.
-func (inst Instance) replay(ctx context.Context, i int, src traffic.Provider, opts RunOptions) (st core.Stats, snap *obs.Snapshot, err error) {
+// lane builds replay i (0 = the OPT proxy, 1+i = policy i) on a fresh
+// system, attaching a recorder to policy replays when inst.Obs is set,
+// and recovers a panic into a *replayPanic.
+func (inst Instance) lane(i int) (l *lane, err error) {
 	name := "OPT proxy"
 	if i > 0 {
 		name = inst.Policies[i-1].Name()
 	}
 	defer recoverPanic(name, &err)
-	if err := ctx.Err(); err != nil {
-		return core.Stats{}, nil, err
-	}
 	var sys System
 	if i == 0 {
 		sys, err = NewOptProxy(inst.Cfg)
@@ -436,20 +439,14 @@ func (inst Instance) replay(ctx context.Context, i int, src traffic.Provider, op
 		sys, err = inst.wrap(sys)
 	}
 	if err != nil {
-		return core.Stats{}, nil, err
+		return nil, err
 	}
-	var rec *obs.Recorder
+	l = &lane{name: name, sys: sys}
 	if t, ok := sys.(obs.Target); ok && i > 0 && inst.Obs != nil { // the OPT proxy is not instrumented
-		rec = obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
-		t.SetRecorder(rec)
+		l.rec = obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
+		t.SetRecorder(l.rec)
 	}
-	if st, err = RunTraceContext(ctx, sys, src, opts); err != nil {
-		return core.Stats{}, nil, err
-	}
-	if rec != nil {
-		snap = rec.Snapshot()
-	}
-	return st, snap, nil
+	return l, nil
 }
 
 // wrap applies the instance's Wrap hook when set.

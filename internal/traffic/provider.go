@@ -11,9 +11,10 @@ import (
 // fresh, independent cursor positioned at slot zero; every cursor of
 // one Provider streams the identical slot sequence, so concurrent
 // replays are bit-identical without sharing any mutable state. The
-// simulation harness (internal/sim) replays every system over its own
-// cursor, which keeps per-replay arrival memory independent of the
-// trace length for generator- and file-backed providers.
+// simulation harness (internal/sim) opens one cursor per run and steps
+// every system through it a window of slots at a time, which keeps
+// arrival memory independent of the trace length for generator- and
+// file-backed providers.
 type Provider interface {
 	// Slots is the stream length in slots.
 	Slots() int

@@ -25,8 +25,8 @@ type Source interface {
 	// same source, and the caller must not write to it. A generator
 	// reuses one buffer across slots and a trace replay hands out the
 	// recorded slot itself, so a caller that keeps a burst past the
-	// next call (Record, an instance run's recording in internal/sim)
-	// copies it.
+	// next call (Record, the harness's window in internal/sim) copies
+	// it.
 	Next() []pkt.Packet
 }
 
