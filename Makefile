@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples clean
+.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples loc clean
 
 all: build vet lint test test-race
 
@@ -122,6 +122,12 @@ examples:
 	$(GO) run ./examples/valuetiers
 	$(GO) run ./examples/adversarial
 	$(GO) run ./examples/theorem7
+
+# Lines of Go, non-test and test, as ROADMAP.md counts them: every
+# tracked .go file outside benchsuite/.
+loc:
+	@git ls-files '*.go' | grep -v '^benchsuite/' | grep -v '_test\.go$$' | xargs cat | wc -l | sed 's/^/non-test: /'
+	@git ls-files '*.go' | grep -v '^benchsuite/' | grep '_test\.go$$' | xargs cat | wc -l | sed 's/^/test:     /'
 
 clean:
 	$(GO) clean ./...

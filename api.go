@@ -192,11 +192,12 @@ func CombinedPolicies() []Policy { return policy.ForCombined() }
 // priority queue over the whole buffer with Ports·Speedup cores.
 func NewOptProxy(cfg Config) (System, error) { return sim.NewOptProxy(cfg) }
 
-// ExactOptimum returns the true offline optimum objective of trace on a
-// small switch (at most 4 ports, B ≤ 8, k ≤ 8; the trace may be long):
+// ExactOptimum returns the true offline optimum objective of trace:
 // transmitted packets in the processing model, transmitted value in the
 // value and combined models. It refuses every packet the engine
-// refuses.
+// refuses, and errors, naming the slot, once the solver's state space
+// outgrows its memory budget (the trace may be long; the switch should
+// be small).
 func ExactOptimum(cfg Config, trace Trace) (int64, error) { return opt.Exact(cfg, trace) }
 
 // Traffic and experiment plumbing.

@@ -26,7 +26,7 @@ func main() {
 		policyName = flag.String("policy", "", "single policy to hunt (default: LWD and MRD)")
 		trials     = flag.Int("trials", 500, "random starting instances")
 		climb      = flag.Int("climb", 50, "hill-climb steps per improvement")
-		slots      = flag.Int("slots", 6, "trace length (exact-solver capped)")
+		slots      = flag.Int("slots", 6, "trace length in slots")
 		seed       = flag.Int64("seed", 1, "RNG seed")
 	)
 	flag.Parse()

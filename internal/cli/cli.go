@@ -100,18 +100,23 @@ func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 }
 
 // check refuses option combinations no run honours, and a negative
-// scale (which no run could honour either: -flush, for one, would
-// silently turn periodic flushouts off), naming the smbsim flag.
+// scale, worker count, event ring or deadline (which no run could
+// honour either: -flush, for one, would silently turn periodic
+// flushouts off), naming the smbsim flag.
 func (o PanelOptions) check() error {
 	for _, f := range []struct {
 		flag string
 		v    int
 	}{
 		{"-slots", o.Opts.Slots}, {"-seeds", o.Opts.Seeds}, {"-sources", o.Opts.Sources}, {"-flush", o.Opts.FlushEvery},
+		{"-workers", o.Opts.Parallelism}, {"-trace-events", o.TraceEvents},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("cli: %s %d is negative", f.flag, f.v)
 		}
+	}
+	if o.CellTimeout < 0 {
+		return fmt.Errorf("cli: -cell-timeout %v is negative", o.CellTimeout)
 	}
 	if o.CellRetries != 0 && o.Checkpoint == "" {
 		return errors.New("cli: -cell-retries needs -checkpoint")

@@ -122,22 +122,26 @@ func TestPanelsRefusesIgnoredFlags(t *testing.T) {
 	}
 }
 
-// TestPanelsRefusesNegativeScale: a negative -slots, -seeds, -sources
-// or -flush is an error naming the flag before any cell runs, on a
-// panel, a non-sweep experiment and a spec alike.
+// TestPanelsRefusesNegativeScale: a negative -slots, -seeds, -sources,
+// -flush, -workers, -trace-events or -cell-timeout is an error naming
+// the flag before any cell runs, on a panel, a non-sweep experiment and
+// a spec alike.
 func TestPanelsRefusesNegativeScale(t *testing.T) {
 	for _, c := range []struct {
 		flag string
-		set  func(*experiments.Options)
+		set  func(*PanelOptions)
 	}{
-		{"-slots", func(o *experiments.Options) { o.Slots = -5 }},
-		{"-seeds", func(o *experiments.Options) { o.Seeds = -1 }},
-		{"-sources", func(o *experiments.Options) { o.Sources = -100 }},
-		{"-flush", func(o *experiments.Options) { o.FlushEvery = -3 }},
+		{"-slots", func(o *PanelOptions) { o.Opts.Slots = -5 }},
+		{"-seeds", func(o *PanelOptions) { o.Opts.Seeds = -1 }},
+		{"-sources", func(o *PanelOptions) { o.Opts.Sources = -100 }},
+		{"-flush", func(o *PanelOptions) { o.Opts.FlushEvery = -3 }},
+		{"-workers", func(o *PanelOptions) { o.Opts.Parallelism = -3 }},
+		{"-trace-events", func(o *PanelOptions) { o.TraceEvents = -4 }},
+		{"-cell-timeout", func(o *PanelOptions) { o.CellTimeout = -time.Second }},
 	} {
 		for _, experiment := range []string{"fig5.1", "arch", "spec"} {
 			o := PanelOptions{Experiment: experiment, Opts: smallOpts(), CSV: experiment != "arch"}
-			c.set(&o.Opts)
+			c.set(&o)
 			o.Progress = func(p sim.SweepProgress) {
 				t.Errorf("%s with %s: cell x=%d ran", experiment, c.flag, p.X)
 			}
@@ -149,8 +153,8 @@ func TestPanelsRefusesNegativeScale(t *testing.T) {
 			} else {
 				err = Panels(context.Background(), &buf, o)
 			}
-			if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
-				t.Errorf("%s with %s: err = %v, want one naming %s", experiment, c.flag, err, c.flag)
+			if err == nil || !strings.Contains(err.Error(), c.flag+" ") || !strings.Contains(err.Error(), "negative") {
+				t.Errorf("%s with %s: err = %v, want one naming %s as negative", experiment, c.flag, err, c.flag)
 			}
 			if buf.Len() != 0 {
 				t.Errorf("%s with %s: wrote output before refusing:\n%s", experiment, c.flag, buf.String())

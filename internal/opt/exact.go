@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -8,14 +9,10 @@ import (
 	"smbm/internal/pkt"
 )
 
-// Exact solver limits. They bound the per-slot state space, a (queue
-// length, head-of-line residual) pair per port; the trace length only
-// scales the cost linearly.
-const (
-	maxExactPorts  = 4
-	maxExactBuffer = 8
-	maxExactLabel  = 8
-)
+// exactFrontier bounds the number of states Exact keeps after a slot,
+// and so its memory: about 100 bytes per state, under 30 MB at the
+// bound. The trace length only scales the time linearly.
+const exactFrontier = 1 << 18
 
 // Exact returns the largest objective any offline algorithm achieves on
 // the per-slot arrival trace, including a full drain after the last
@@ -26,33 +23,44 @@ const (
 // would later evict), and the final drain transmits every accepted
 // packet, so a packet's reward is credited when it is accepted. The
 // packets of one port differ only in reward: in the FIFO models they
-// all need the port's work, in the value model unit work. A slot's only
-// decision is therefore how many of each port's arrivals to accept (the
-// highest-reward ones), with the total bounded by the free buffer, and
-// the state it leaves is each port's queue length and head-of-line
-// residual work. Exact is a forward dynamic program over slots on that
-// state.
+// all need the port's work w, in the value model unit work. A slot's
+// only decision is therefore how many of each port's arrivals to accept
+// (the highest-reward ones), with the total bounded by the free buffer.
+// The state it leaves is each port's remaining work W: accepting c
+// packets adds c·w, a transmission phase takes min(C, W) off (the
+// engine carries a finished packet's leftover cycles over to the next
+// one), and the port holds ⌈W/w⌉ packets. Exact is a forward dynamic
+// program over slots on that state.
 //
-// Only small switches are supported: an error is returned beyond the
-// port, buffer and label caps, and on any packet the engine refuses.
+// An error is returned on any packet the engine refuses, and when more
+// than exactFrontier states are reachable after some slot; the error
+// names that slot.
 func Exact(cfg core.Config, trace [][]pkt.Packet) (int64, error) {
-	if err := checkExact(cfg, trace); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
 	d := exactDP{
-		cfg:  cfg,
-		unit: cfg.Model == core.ModelProcessing,
-		cur:  map[exactState]int64{{}: 0},
-		next: make(map[exactState]int64),
+		cfg:   cfg,
+		unit:  cfg.Model == core.ModelProcessing,
+		works: cfg.PortWork,
+		rem:   make([]int, cfg.Ports),
+		gain:  make([][]int64, cfg.Ports),
+		cur:   map[string]int64{string(make([]byte, cfg.Ports)): 0},
+		next:  make(map[string]int64),
 	}
-	for i := range d.works[:cfg.Ports] {
-		d.works[i] = 1
-		if cfg.Model != core.ModelValue && cfg.PortWork != nil {
-			d.works[i] = uint8(cfg.PortWork[i])
+	if d.works == nil {
+		d.works = core.UniformWorks(cfg.Ports, 1)
+	}
+	check := core.NewPacketCheck(cfg)
+	for slot, burst := range trace {
+		for _, p := range burst {
+			if err := check.Check(p); err != nil {
+				return 0, err
+			}
 		}
-	}
-	for _, burst := range trace {
-		d.step(burst)
+		if !d.step(burst) {
+			return 0, fmt.Errorf("opt: exact solver frontier exceeds %d states at slot %d", exactFrontier, slot)
+		}
 	}
 	var best int64
 	//smb:nondet-ok the maximum over all states does not depend on their order
@@ -62,119 +70,87 @@ func Exact(cfg core.Config, trace [][]pkt.Packet) (int64, error) {
 	return best, nil
 }
 
-// exactState holds port i's queue length at 2i and its head-of-line
-// residual work at 2i+1 (0 when the queue is empty).
-type exactState [2 * maxExactPorts]uint8
-
 // exactDP carries Exact's frontier from slot to slot: cur maps every
 // reachable state after a slot's transmission to the best reward
-// credited on the way there.
+// credited on the way there. A state's key is its ports' remaining
+// work, as consecutive uvarints.
 type exactDP struct {
 	cfg   core.Config
-	works [maxExactPorts]uint8
+	works []int
 	// unit credits every packet 1 (processing model) instead of its
 	// value.
 	unit bool
-	// rewards[i] holds port i's arrival rewards this slot, and gain[i][c]
-	// the total of its c largest.
-	rewards   [maxExactPorts][]int64
-	gain      [maxExactPorts][]int64
-	cur, next map[exactState]int64
+	// rem is the remaining work of the state being expanded, and key
+	// its successor's key under construction.
+	rem []int
+	key []byte
+	// gain[i][c] is the total reward of port i's c best arrivals this
+	// slot.
+	gain      [][]int64
+	cur, next map[string]int64
 }
 
 // step advances the frontier over one slot's arrivals and transmission.
-func (d *exactDP) step(burst []pkt.Packet) {
-	ports := d.cfg.Ports
-	for i := range d.rewards[:ports] {
-		d.rewards[i] = d.rewards[i][:0]
+// It reports false when the next frontier would exceed exactFrontier.
+func (d *exactDP) step(burst []pkt.Packet) bool {
+	for i := range d.gain {
+		d.gain[i] = append(d.gain[i][:0], 0)
 	}
 	for _, p := range burst {
 		r := int64(p.Value)
 		if d.unit {
 			r = 1
 		}
-		d.rewards[p.Port] = append(d.rewards[p.Port], r)
+		d.gain[p.Port] = append(d.gain[p.Port], r)
 	}
-	for i, rs := range d.rewards[:ports] {
-		slices.Sort(rs)
-		g := append(d.gain[i][:0], 0)
-		for j := len(rs) - 1; j >= 0; j-- {
-			g = append(g, g[len(g)-1]+rs[j])
+	for _, g := range d.gain {
+		slices.Sort(g[1:])
+		slices.Reverse(g[1:])
+		for c := 1; c < len(g); c++ {
+			g[c] += g[c-1]
 		}
-		d.gain[i] = g
 	}
 	clear(d.next)
 	//smb:nondet-ok successors fold into next by maximum, which no order changes
 	for st, v := range d.cur {
 		free := d.cfg.Buffer
-		for i := 0; i < ports; i++ {
-			free -= int(st[2*i])
+		for i := range d.rem {
+			x, n := binary.Uvarint([]byte(st))
+			st = st[n:]
+			d.rem[i] = int(x)
+			free -= (d.rem[i] + d.works[i] - 1) / d.works[i]
 		}
-		d.expand(st, 0, free, v)
+		if !d.expand(0, free, v) {
+			return false
+		}
 	}
 	d.cur, d.next = d.next, d.cur
+	return true
 }
 
 // expand tries every count of port i's arrivals to accept, within the
-// free buffer, recursing over the later ports; a complete choice is
-// transmitted and folded into next.
-func (d *exactDP) expand(st exactState, i, free int, v int64) {
-	if i == d.cfg.Ports {
-		st = d.transmit(st)
-		if old, ok := d.next[st]; !ok || v > old {
-			d.next[st] = v
+// free buffer, appending the port's remaining work after the slot's
+// transmission to the key and recursing over the later ports; a
+// complete key is folded into next.
+func (d *exactDP) expand(i, free int, v int64) bool {
+	if i == len(d.rem) {
+		old, ok := d.next[string(d.key)]
+		switch {
+		case !ok && len(d.next) == exactFrontier:
+			return false
+		case !ok || v > old:
+			d.next[string(d.key)] = v
 		}
-		return
+		return true
 	}
-	g := d.gain[i]
+	g, at := d.gain[i], len(d.key)
 	for c := 0; c < len(g) && c <= free; c++ {
-		s := st
-		if c > 0 && s[2*i] == 0 {
-			s[2*i+1] = d.works[i]
-		}
-		s[2*i] += uint8(c)
-		d.expand(s, i+1, free-c, v+g[c])
-	}
-}
-
-// transmit applies one transmission phase as the engine does: each
-// port's Speedup cycles go to its head-of-line packets in FIFO order,
-// the cycles left by a finished packet carrying over to the next.
-func (d *exactDP) transmit(st exactState) exactState {
-	for i := 0; i < d.cfg.Ports; i++ {
-		for budget := d.cfg.Speedup; budget > 0 && st[2*i] > 0; {
-			use := min(budget, int(st[2*i+1]))
-			budget -= use
-			st[2*i+1] -= uint8(use)
-			if st[2*i+1] > 0 {
-				break
-			}
-			st[2*i]--
-			if st[2*i] > 0 {
-				st[2*i+1] = d.works[i]
-			}
+		w := d.rem[i] + c*d.works[i]
+		d.key = binary.AppendUvarint(d.key[:at], uint64(w-min(w, d.cfg.Speedup)))
+		if !d.expand(i+1, free-c, v+g[c]) {
+			return false
 		}
 	}
-	return st
-}
-
-// checkExact refuses configurations over the caps and packets the
-// engine's arrival check refuses.
-func checkExact(cfg core.Config, trace [][]pkt.Packet) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Ports > maxExactPorts || cfg.Buffer > maxExactBuffer || cfg.MaxLabel > maxExactLabel {
-		return fmt.Errorf("opt: instance too large for the exact solver (ports<=%d, B<=%d, k<=%d)",
-			maxExactPorts, maxExactBuffer, maxExactLabel)
-	}
-	check := core.NewPacketCheck(cfg)
-	for _, burst := range trace {
-		for _, p := range burst {
-			if err := check.Check(p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	d.key = d.key[:at]
+	return true
 }

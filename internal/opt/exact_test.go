@@ -3,6 +3,7 @@ package opt
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -130,12 +131,16 @@ func TestExactValueHandComputed(t *testing.T) {
 }
 
 func TestExactCaps(t *testing.T) {
-	big := tinyProcCfg()
-	big.Ports = 5
-	big.PortWork = []int{1, 1, 1, 1, 1}
-	big.Buffer = 8
-	if _, err := Exact(big, nil); err == nil {
-		t.Error("ports over cap accepted")
+	// One limit only: past the frontier budget the solver names the
+	// slot. Eight unit-value ports with room for everything reach 8^8
+	// distinct remaining-work vectors in the third slot.
+	wide := core.Config{Model: core.ModelValue, Ports: 8, Buffer: 64, MaxLabel: 1, Speedup: 1}
+	var burst []pkt.Packet
+	for i := 0; i < wide.Ports; i++ {
+		burst = append(burst, pkt.Burst(pkt.NewValue(i, 1), 8)...)
+	}
+	if _, err := Exact(wide, traffic.Slots(nil, nil, burst)); err == nil || !strings.Contains(err.Error(), "at slot 2") {
+		t.Errorf("frontier over budget: err = %v, want one naming slot 2", err)
 	}
 	// The solver refuses what the engine refuses: a port out of range,
 	// and a work other than its port's (not re-costed at the port's).
@@ -176,6 +181,85 @@ func TestExactCaps(t *testing.T) {
 	}
 }
 
+// burstyTrace draws an on-off trace legal for cfg: a source switches
+// state with probability 1/5 per slot and, while on, offers up to
+// 3B/2 packets per slot, so the buffer overflows again and again.
+func burstyTrace(rng *rand.Rand, cfg core.Config, slots int) traffic.Trace {
+	tr := make(traffic.Trace, slots)
+	on := false
+	for s := range tr {
+		if rng.Intn(5) == 0 {
+			on = !on
+		}
+		if on {
+			for range rng.Intn(3*cfg.Buffer/2 + 1) {
+				tr[s] = append(tr[s], randomPacket(rng, cfg))
+			}
+		}
+	}
+	return tr
+}
+
+// TestExactSinglePortOptimal: on one port, admitting greedily is
+// optimal in the processing model (all packets need the same work), and
+// keeping the most valuable packets (MVD) is optimal in the value
+// model. Exact must agree with both beyond the small switches the
+// per-arrival oracles can check.
+func TestExactSinglePortOptimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		k := 1 + rng.Intn(16)
+		cfg := core.Config{Ports: 1, Buffer: 1 + rng.Intn(24), MaxLabel: k, Speedup: 1 + rng.Intn(2)}
+		var p core.Policy = policy.MVD{}
+		if i%2 == 0 {
+			cfg.Model, cfg.PortWork, p = core.ModelProcessing, []int{1 + rng.Intn(k)}, policy.Greedy{}
+		} else {
+			cfg.Model = core.ModelValue
+		}
+		tr := burstyTrace(rng, cfg, 60)
+		exact, err := Exact(cfg, tr)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if got := runPolicy(t, cfg, p, tr); got != exact {
+			t.Fatalf("%+v on %v: %s = %d, Exact = %d", cfg, tr, p.Name(), got, exact)
+		}
+	}
+}
+
+// TestExactDominatesRosterManyPorts: on five- and six-port switches of
+// every model, no roster policy beats the offline optimum.
+func TestExactDominatesRosterManyPorts(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, c := range []struct {
+		model  core.Model
+		roster []core.Policy
+	}{
+		{core.ModelProcessing, policy.ForProcessing()},
+		{core.ModelValue, policy.ForValueByPort()},
+		{core.ModelCombined, policy.ForCombined()},
+	} {
+		for n := 5; n <= 6; n++ {
+			for i := 0; i < 10; i++ {
+				cfg := core.Config{Model: c.model, Ports: n, Buffer: n + rng.Intn(n), MaxLabel: n, Speedup: 1 + rng.Intn(2)}
+				if c.model != core.ModelValue {
+					cfg.PortWork = core.ContiguousWorks(n)
+				}
+				tr := randomTinyTrace(rng, cfg, 12, n)
+				exact, err := Exact(cfg, tr)
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				for _, p := range c.roster {
+					if got := runPolicy(t, cfg, p, tr); got > exact {
+						t.Errorf("%+v on %v: %s scored %d > exact %d", cfg, tr, p.Name(), got, exact)
+					}
+				}
+			}
+		}
+	}
+}
+
 // decodeInstance turns bytes into a valid switch of one of models and
 // a trace of at most maxArrivals arrivals. Byte 0 picks the model, 1 the
 // ports (1–4), 2 the buffer (ports–8), 3 the labels k (1–8) and the
@@ -189,13 +273,13 @@ func decodeInstance(data []byte, models []core.Model, maxArrivals int) (core.Con
 		}
 		return 0
 	}
-	n := 1 + at(1)%maxExactPorts
+	n := 1 + at(1)%4
 	cfg := core.Config{
 		Model:    models[at(0)%len(models)],
 		Ports:    n,
-		Buffer:   n + at(2)%(maxExactBuffer-n+1),
-		MaxLabel: 1 + at(3)%maxExactLabel,
-		Speedup:  1 + at(3)/maxExactLabel%2,
+		Buffer:   n + at(2)%(8-n+1),
+		MaxLabel: 1 + at(3)%8,
+		Speedup:  1 + at(3)/8%2,
 	}
 	works := make([]int, n)
 	for i := range works {
@@ -234,10 +318,10 @@ func decodeInstance(data []byte, models []core.Model, maxArrivals int) (core.Con
 // randomInstanceBytes draws an input for decodeInstance: a header, then
 // body bytes of which about one in four is a slot boundary.
 func randomInstanceBytes(rng *rand.Rand, body int) []byte {
-	data := make([]byte, 4+maxExactPorts+rng.Intn(body+1))
+	data := make([]byte, 8+rng.Intn(body+1))
 	for i := range data {
 		data[i] = byte(rng.Intn(0xe0))
-		if i >= 4+maxExactPorts && rng.Intn(4) == 0 {
+		if i >= 8 && rng.Intn(4) == 0 {
 			data[i] = 0xe0
 		}
 	}

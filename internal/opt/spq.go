@@ -9,10 +9,10 @@
 //     shared-memory OPT: with several cores smallest-first service is
 //     suboptimal, and TestSPQProxyIsNotAStrictUpperBound pins an
 //     instance the exact optimum wins.
-//   - Exact: the true offline optimum of all three models on small
-//     switches (any trace length), a slot-level dynamic program over
-//     each port's (queue length, head-of-line residual); tests and the
-//     worst-case hunter use it to check competitive bounds as
+//   - Exact: the true offline optimum of all three models (any trace
+//     length), a slot-level dynamic program over each port's remaining
+//     work, bounded by one budget on the number of states; tests and
+//     the worst-case hunter use it to check competitive bounds as
 //     executable invariants.
 package opt
 

@@ -96,24 +96,20 @@ func Exhaustive(spec ExhaustiveSpec, p core.Policy) (Worst, error) {
 	idx := make([]int, spec.Slots)
 	tr := make(traffic.Trace, spec.Slots)
 	for {
-		arrivals := 0
 		for s := range idx {
 			tr[s] = bursts[idx[s]]
-			arrivals += len(tr[s])
 		}
-		if arrivals <= 24 { // exact-solver cap
-			w, err := score(runSpec, tr)
-			if err != nil {
-				return Worst{}, err
+		w, err := score(runSpec, tr)
+		if err != nil {
+			return Worst{}, err
+		}
+		worst.Evaluated++
+		if w.Ratio > worst.Ratio {
+			witness := make(traffic.Trace, len(tr))
+			for s := range tr {
+				witness[s] = append([]pkt.Packet(nil), tr[s]...)
 			}
-			worst.Evaluated++
-			if w.Ratio > worst.Ratio {
-				witness := make(traffic.Trace, len(tr))
-				for s := range tr {
-					witness[s] = append([]pkt.Packet(nil), tr[s]...)
-				}
-				worst = Worst{Ratio: w.Ratio, Exact: w.Exact, Alg: w.Alg, Trace: witness, Evaluated: worst.Evaluated}
-			}
+			worst = Worst{Ratio: w.Ratio, Exact: w.Exact, Alg: w.Alg, Trace: witness, Evaluated: worst.Evaluated}
 		}
 		// Advance the mixed-radix counter.
 		pos := 0

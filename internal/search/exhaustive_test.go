@@ -55,6 +55,19 @@ func TestExhaustiveWorstCaseTable(t *testing.T) {
 	}
 }
 
+// TestExhaustiveScoresWholeSpace: every trace of the bounded space is
+// scored, however many arrivals it carries (here up to 25).
+func TestExhaustiveScoresWholeSpace(t *testing.T) {
+	cfg := core.Config{Model: core.ModelProcessing, Ports: 1, Buffer: 2, MaxLabel: 1, Speedup: 1}
+	w, err := Exhaustive(ExhaustiveSpec{Cfg: cfg, Slots: 5, MaxBurst: 5}, policy.Greedy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Evaluated != 6*6*6*6*6 {
+		t.Errorf("evaluated %d traces, want all 6^5 = %d", w.Evaluated, 6*6*6*6*6)
+	}
+}
+
 func TestExhaustiveValidation(t *testing.T) {
 	if _, err := Exhaustive(ExhaustiveSpec{Cfg: exhaustiveCfg(), Slots: 0, MaxBurst: 1}, policy.LWD{}); err == nil {
 		t.Error("zero slots accepted")

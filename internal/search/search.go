@@ -11,8 +11,9 @@
 //
 // Every instance is scored against opt.Exact, the true offline optimum
 // of all three models, so every reported ratio is certified, not
-// measured against a proxy. The switch itself must fit the exact
-// solver's port, buffer and label caps; the trace length is free.
+// measured against a proxy. The switch should be small, so that the
+// exact solver's state space stays within its budget; the trace length
+// is free.
 package search
 
 import (
@@ -27,8 +28,7 @@ import (
 
 // Spec parameterizes a hunt.
 type Spec struct {
-	// Cfg is the (tiny) switch configuration; must satisfy the exact
-	// solver's port, buffer and label caps.
+	// Cfg is the (tiny) switch configuration.
 	Cfg core.Config
 	// Policy is the online policy under attack.
 	Policy core.Policy

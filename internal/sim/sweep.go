@@ -261,8 +261,9 @@ func (s *Sweep) cellError(xi, si int, err error) *CellError {
 // cells than workers — the paper-scale shape, one long cell per panel
 // point, or a resume with few cells left — the spare workers go inside
 // the cells, fanning each cell's OPT proxy and per-policy replays out
-// in parallel. Results stay bit-identical because every replay opens
-// its own cursor over the cell's Provider.
+// in parallel. Results stay bit-identical because a cell opens its
+// Provider once and steps every system through one shared window of
+// slots, which every worker finishes before the next is generated.
 func (s *Sweep) budget(pending int) (cellWorkers, intra int) {
 	workers := s.Parallelism
 	if workers == 0 {
