@@ -35,8 +35,8 @@ test-race:
 # The internal/sim tests that `make stress` repeats, and those CI's
 # stream-smoke job runs: -run regexes, one alternative per test or
 # test family.
-STRESS_SIM_TESTS = Journal|Checkpoint|Leased|ReplayPanicConfined|ParallelMatchesSequential|SweepIntraCellSplit|InstanceRecordsArrivalsOnce|LockstepMatchesSoloReplays
-STREAM_SMOKE_TESTS = TestStreamedMatchesMaterialized|TestStreamedPortCountersMatch|TestParallelMatchesSequential|TestReplaysLeaveMemoizedTraceIntact|TestInstanceRecordsArrivalsOnce|TestInstanceOverBudgetStreams|TestLockstepMatchesSoloReplays
+STRESS_SIM_TESTS = Journal|Checkpoint|Leased|ReplayPanicConfined|ParallelMatchesSequential|SweepIntraCellSplit|InstanceRecordsArrivalsOnce|LockstepMatchesSoloReplays|LockstepMixedSystems
+STREAM_SMOKE_TESTS = TestStreamedMatchesMaterialized|TestStreamedPortCountersMatch|TestParallelMatchesSequential|TestReplaysLeaveMemoizedTraceIntact|TestInstanceRecordsArrivalsOnce|TestInstanceOverBudgetStreams|TestLockstepMatchesSoloReplays|TestLockstepMixedSystems
 
 # Fail when an alternative of either list above matches no test in
 # internal/sim (go test -list), so a renamed test cannot silently drop

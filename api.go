@@ -389,16 +389,7 @@ func CanonicalFaultMix(ports, buffer, speedup int, horizon int64) FaultSpec {
 // Degradation reports how one policy's empirical competitive ratio
 // erodes when a fault schedule is injected symmetrically into the
 // policy and the OPT proxy.
-type Degradation struct {
-	// Policy is the policy name.
-	Policy string
-	// Nominal is the competitive ratio without faults.
-	Nominal float64
-	// Faulted is the competitive ratio under the fault schedule.
-	Faulted float64
-	// Penalty is Faulted / Nominal (1.0 = fully graceful degradation).
-	Penalty float64
-}
+type Degradation = experiments.FaultRow
 
 // DegradationReport runs every policy and the OPT proxy on the same
 // arrival stream twice — once nominal and once under spec, injected
@@ -406,26 +397,5 @@ type Degradation struct {
 // per-policy ratio erosion. A zero spec Horizon defaults to the stream
 // length.
 func DegradationReport(cfg Config, policies []Policy, src Provider, flushEvery int, spec FaultSpec, seed int64) ([]Degradation, error) {
-	inst := Instance{Cfg: cfg, Policies: policies, Provider: src, FlushEvery: flushEvery}
-	base, err := inst.Run()
-	if err != nil {
-		return nil, err
-	}
-	if spec.Horizon == 0 {
-		spec.Horizon = int64(src.Slots())
-	}
-	inst.Wrap = faults.Wrapper(spec, cfg.Ports, seed)
-	degraded, err := inst.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Degradation, len(base))
-	for i, r := range base {
-		d := Degradation{Policy: r.Policy, Nominal: r.Ratio, Faulted: degraded[i].Ratio}
-		if d.Nominal > 0 {
-			d.Penalty = d.Faulted / d.Nominal
-		}
-		out[i] = d
-	}
-	return out, nil
+	return experiments.Degrade(Instance{Cfg: cfg, Policies: policies, Provider: src, FlushEvery: flushEvery}, spec, seed)
 }

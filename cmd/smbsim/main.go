@@ -111,7 +111,7 @@ func main() {
 		sources     = flag.Int("sources", 0, "MMPP on-off sources (default 100; paper uses 500)")
 		flushEvery  = flag.Int("flush", 0, "slots between periodic flushouts (default 1000)")
 		seed        = flag.Int64("seed", 0, "base RNG seed (default 1)")
-		workers     = flag.Int("workers", 0, "parallel simulation workers (default GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "parallel simulation workers: a sweep's concurrent cells, or the systems -experiment arch, latency and faults step through each window of their streams (default GOMAXPROCS)")
 		asPlot      = flag.Bool("plot", false, "render each panel as an ASCII chart as well")
 		asCSV       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		specPath    = flag.String("spec", "", "run a custom JSON experiment spec instead of the paper's panels")
@@ -125,6 +125,12 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", `serve net/http/pprof and expvar on this address (e.g. "localhost:6060")`)
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := cli.RefuseIgnoredFlags(*experiment, *specPath != "", set); err != nil {
+		fmt.Fprintln(os.Stderr, "smbsim:", err)
+		os.Exit(exitFailure)
+	}
 
 	// Resolve the scale preset first, then let explicit flags override
 	// its fields.

@@ -164,6 +164,16 @@ func TestTraceOutNeedsTraceEvents(t *testing.T) {
 	}
 }
 
+// TestRefusesIgnoredScaleFlags pins the command line's set-flag checks:
+// -spec refuses a scale flag its spec overrides, and arch refuses
+// -seeds, which it ignores, each naming the flag.
+func TestRefusesIgnoredScaleFlags(t *testing.T) {
+	spec := filepath.Join("..", "..", "examples", "specs", "custom.json")
+	smbsimFails(t, []string{"-spec", spec, "-csv", "-slots", "50"}, "-slots does not apply to -spec")
+	smbsimFails(t, []string{"-spec", spec, "-scale", "paper"}, "-scale does not apply to -spec")
+	smbsimFails(t, []string{"-experiment", "arch", "-seeds", "1"}, "-seeds does not apply to -experiment arch")
+}
+
 // TestCheckpointRefusesPreLedgerJournal pins the no-upgrade contract: a
 // -checkpoint path holding a regular file is a journal from a build
 // before -checkpoint became a journal directory, and smbsim refuses it

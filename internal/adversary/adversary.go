@@ -17,8 +17,10 @@ package adversary
 
 import (
 	"fmt"
+	"strconv"
 
 	"smbm/internal/core"
+	"smbm/internal/tablefmt"
 	"smbm/internal/traffic"
 )
 
@@ -63,6 +65,31 @@ type Outcome struct {
 	Ratio float64
 	// Predicted and AsymptoticValue echo the construction.
 	Predicted, AsymptoticValue float64
+}
+
+// Table runs each construction and renders the theorem table: both
+// systems' objectives, the measured ratio scripted-OPT / policy, the
+// proof's finite-parameter prediction, and the asymptotic bound
+// evaluated at the construction's parameters.
+func Table(cs []Construction) (string, error) {
+	headers := []string{"theorem", "policy", "alg", "opt(script)", "measured", "predicted", "asymptotic"}
+	rows := make([][]string, 0, len(cs))
+	for _, c := range cs {
+		o, err := c.Run()
+		if err != nil {
+			return "", err
+		}
+		rows = append(rows, []string{
+			o.Theorem,
+			o.PolicyName,
+			strconv.FormatInt(o.AlgThroughput, 10),
+			strconv.FormatInt(o.OptThroughput, 10),
+			fmt.Sprintf("%.3f", o.Ratio),
+			fmt.Sprintf("%.3f", o.Predicted),
+			fmt.Sprintf("%s = %.3f", c.Asymptotic, o.AsymptoticValue),
+		})
+	}
+	return tablefmt.Render(headers, rows), nil
 }
 
 // Run executes the construction: both systems replay Warmup uncounted

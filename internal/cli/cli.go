@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"smbm/internal/adversary"
@@ -18,7 +17,6 @@ import (
 	"smbm/internal/obs"
 	"smbm/internal/sim"
 	"smbm/internal/spec"
-	"smbm/internal/tablefmt"
 )
 
 // PanelOptions drives Panels (cmd/smbsim).
@@ -67,8 +65,7 @@ func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 	if err := o.check(); err != nil {
 		return err
 	}
-	switch o.Experiment {
-	case "arch", "latency", "faults":
+	if _, ok := tables[o.Experiment]; ok {
 		if flag := o.sweepOnly(); flag != "" {
 			return fmt.Errorf("cli: %s applies only to sweeps, not to -experiment %s", flag, o.Experiment)
 		}
@@ -82,14 +79,9 @@ func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 			return err
 		}
 		var err error
-		switch id {
-		case "arch":
-			err = archReport(w, o.Opts)
-		case "latency":
-			err = latencyReport(w, o.Opts)
-		case "faults":
-			err = faultsReport(w, o.Opts)
-		default:
+		if _, ok := tables[id]; ok {
+			err = tableReport(w, id, o.Opts)
+		} else {
 			err = panelReport(ctx, w, id, o)
 		}
 		if err != nil {
@@ -148,39 +140,65 @@ func (o PanelOptions) sweepOnly() string {
 	return ""
 }
 
-// faultsReport runs the fault-degradation experiment.
-func faultsReport(w io.Writer, opts experiments.Options) error {
-	start := time.Now()
-	rows, err := experiments.FaultDegradation(opts)
-	if err != nil {
-		return err
+// RefuseIgnoredFlags refuses an explicitly set smbsim flag that the
+// run would silently ignore, naming it: -seeds on arch and latency,
+// which run the base seed (-seed) only, and every scale flag on a
+// -spec run, whose spec fixes its own scale. set holds the flags given
+// on the command line, named without their dash as flag.Visit names
+// them: a preset fills the options either way, so their values cannot
+// tell.
+func RefuseIgnoredFlags(experiment string, spec bool, set map[string]bool) error {
+	var ignored []string
+	switch {
+	case spec:
+		ignored = []string{"experiment", "scale", "slots", "seeds", "sources", "flush", "seed"}
+	case experiment == "arch" || experiment == "latency":
+		ignored = []string{"seeds"}
 	}
-	if _, err := fmt.Fprintf(w, "== faults: graceful degradation under the canonical fault mix (%s) ==\n",
-		time.Since(start).Round(time.Millisecond)); err != nil {
-		return err
+	for _, name := range ignored {
+		if !set[name] {
+			continue
+		}
+		if spec {
+			return fmt.Errorf("cli: -%s does not apply to -spec, whose spec fixes its own scale", name)
+		}
+		return fmt.Errorf("cli: -%s does not apply to -experiment %s, which runs the base seed (-seed) only", name, experiment)
 	}
-	if _, err := io.WriteString(w, experiments.FaultTable(rows)); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w)
-	return err
+	return nil
 }
 
-// latencyReport runs the buffer-size/latency trade-off experiment.
-func latencyReport(w io.Writer, opts experiments.Options) error {
+// tables holds the experiments that are not sweeps, by id: each runs
+// at the panel options' scale and renders one titled table.
+var tables = map[string]struct {
+	title string
+	run   func(experiments.Options) (string, error)
+}{
+	"arch":    {"single-queue vs shared-memory architectures", table(experiments.Architectures, experiments.ArchTable)},
+	"latency": {"delay/throughput trade-off vs B", table(experiments.Latency, experiments.LatencyTable)},
+	"faults":  {"graceful degradation under the canonical fault mix", table(experiments.FaultDegradation, experiments.FaultTable)},
+}
+
+// table composes an experiment with its table renderer.
+func table[R any](run func(experiments.Options) ([]R, error), render func([]R) string) func(experiments.Options) (string, error) {
+	return func(o experiments.Options) (string, error) {
+		rows, err := run(o)
+		if err != nil {
+			return "", err
+		}
+		return render(rows), nil
+	}
+}
+
+// tableReport runs the non-sweep experiment id and writes its titled
+// table, with the run time in the title line.
+func tableReport(w io.Writer, id string, opts experiments.Options) error {
+	t := tables[id]
 	start := time.Now()
-	rows, err := experiments.Latency(opts)
+	out, err := t.run(opts)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "== latency: delay/throughput trade-off vs B (%s) ==\n",
-		time.Since(start).Round(time.Millisecond)); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, experiments.LatencyTable(rows)); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w)
+	_, err = fmt.Fprintf(w, "== %s: %s (%s) ==\n%s\n", id, t.title, time.Since(start).Round(time.Millisecond), out)
 	return err
 }
 
@@ -345,23 +363,6 @@ func writeSweepReport(w io.Writer, result *sim.SweepResult, o PanelOptions, elap
 	return err
 }
 
-func archReport(w io.Writer, opts experiments.Options) error {
-	start := time.Now()
-	rows, err := experiments.Architectures(opts)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "== arch: single-queue vs shared-memory architectures (%s) ==\n",
-		time.Since(start).Round(time.Millisecond)); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, experiments.ArchTable(rows)); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w)
-	return err
-}
-
 // LowerBoundOptions drives LowerBounds (cmd/lowerbound).
 type LowerBoundOptions struct {
 	// Theorem selects one construction ("1".."11"); empty runs all.
@@ -391,23 +392,10 @@ func LowerBounds(w io.Writer, o LowerBoundOptions) error {
 		constructions = []adversary.Construction{c}
 	}
 
-	headers := []string{"theorem", "policy", "alg", "opt(script)", "measured", "predicted", "asymptotic"}
-	rows := make([][]string, 0, len(constructions))
-	for _, c := range constructions {
-		out, err := c.Run()
-		if err != nil {
-			return err
-		}
-		rows = append(rows, []string{
-			out.Theorem,
-			out.PolicyName,
-			strconv.FormatInt(out.AlgThroughput, 10),
-			strconv.FormatInt(out.OptThroughput, 10),
-			fmt.Sprintf("%.3f", out.Ratio),
-			fmt.Sprintf("%.3f", out.Predicted),
-			fmt.Sprintf("%s = %.3f", c.Asymptotic, out.AsymptoticValue),
-		})
+	table, err := adversary.Table(constructions)
+	if err != nil {
+		return err
 	}
-	_, err := io.WriteString(w, tablefmt.Render(headers, rows))
+	_, err = io.WriteString(w, table)
 	return err
 }

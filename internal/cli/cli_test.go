@@ -120,6 +120,38 @@ func TestPanelsRefusesIgnoredFlags(t *testing.T) {
 		!strings.Contains(err.Error(), "-cell-retries needs -checkpoint") {
 		t.Errorf("RunSpec with -cell-retries and no -checkpoint: err = %v", err)
 	}
+	// A scale preset fills every scale option, so a flag those runs
+	// ignore is told by whether it was set, not by its value.
+	for _, c := range []struct{ experiment, flag string }{
+		{"arch", "seeds"},
+		{"latency", "seeds"},
+	} {
+		err := RefuseIgnoredFlags(c.experiment, false, map[string]bool{c.flag: true, "slots": true, "workers": true})
+		if err == nil || !strings.Contains(err.Error(), "-"+c.flag) {
+			t.Errorf("%s with -%s: err = %v, want one naming -%s", c.experiment, c.flag, err, c.flag)
+		}
+	}
+}
+
+// TestRefuseIgnoredFlags: a -spec run refuses every scale flag, naming
+// it, and accepts the flags it honours; -seeds is refused only where
+// it is ignored.
+func TestRefuseIgnoredFlags(t *testing.T) {
+	for _, flag := range []string{"experiment", "scale", "slots", "seeds", "sources", "flush", "seed"} {
+		err := RefuseIgnoredFlags("", true, map[string]bool{flag: true, "csv": true})
+		if err == nil || !strings.Contains(err.Error(), "-"+flag+" does not apply to -spec") {
+			t.Errorf("-spec with -%s: err = %v, want one naming -%s", flag, err, flag)
+		}
+	}
+	honoured := map[string]bool{"workers": true, "csv": true, "plot": true, "faults": true, "checkpoint": true, "obs": true}
+	if err := RefuseIgnoredFlags("", true, honoured); err != nil {
+		t.Errorf("-spec with the flags it honours: %v", err)
+	}
+	for _, experiment := range []string{"", "fig5.1", "faults"} {
+		if err := RefuseIgnoredFlags(experiment, false, map[string]bool{"seeds": true, "slots": true}); err != nil {
+			t.Errorf("-experiment %q with -seeds: %v", experiment, err)
+		}
+	}
 }
 
 // TestPanelsRefusesNegativeScale: a negative -slots, -seeds, -sources,

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -145,9 +146,9 @@ type ReplayOptions struct {
 	// Mode matches GenerateOptions.Mode.
 	Mode string
 	// Input, when non-empty, streams the trace from this file path
-	// instead of materializing r: each replay (policy and OPT proxy)
-	// re-reads the file through its own cursor, so memory stays
-	// O(peak burst) regardless of trace length.
+	// instead of materializing r: the policy and the OPT proxy step
+	// through one pass over the file a window of slots at a time, so
+	// memory stays O(window) regardless of trace length.
 	Input string
 }
 
@@ -208,18 +209,15 @@ func Replay(w io.Writer, r io.Reader, o ReplayOptions) error {
 	if err != nil {
 		return err
 	}
-	st, err := sim.RunTrace(sw, src, o.Flush)
-	if err != nil {
-		return err
-	}
 	opt, err := sim.NewOptProxy(cfg)
 	if err != nil {
 		return err
 	}
-	optStats, err := sim.RunTrace(opt, src, o.Flush)
+	stats, err := sim.Lockstep(context.TODO(), src, sim.RunOptions{FlushEvery: o.Flush}, 1, sw, opt)
 	if err != nil {
 		return err
 	}
+	st, optStats := stats[0], stats[1]
 	obj, optObj := st.Throughput(cfg.Model), optStats.Throughput(cfg.Model)
 	if _, err := fmt.Fprintf(w, `policy:       %s (%s model)
 arrived:      %d

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -56,108 +57,58 @@ func Architectures(o Options) ([]ArchRow, error) {
 		return nil, err
 	}
 
-	singleCfg := func(order singleq.Order, pushOut bool) singleq.Config {
-		return singleq.Config{Buffer: b, MaxWork: k, Cores: k, Order: order, PushOut: pushOut}
-	}
-
-	type entry struct {
-		sys   sim.System
-		heavy func() (mean float64, maxLat int64, delivery float64)
-		rates func() []float64
-	}
-	var entries []entry
-
-	addSingle := func(order singleq.Order, pushOut bool) error {
-		s, err := singleq.New(singleCfg(order, pushOut))
+	var systems []sim.System
+	for _, q := range []struct {
+		order   singleq.Order
+		pushOut bool
+	}{{singleq.OrderPQ, true}, {singleq.OrderFIFO, true}, {singleq.OrderFIFO, false}} {
+		s, err := singleq.New(singleq.Config{Buffer: b, MaxWork: k, Cores: k, Order: q.order, PushOut: q.pushOut})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		entries = append(entries, entry{
-			sys: s,
-			heavy: func() (float64, int64, float64) {
-				c := s.ClassCounters()[k]
-				delivery := 1.0
-				if c.Arrived > 0 {
-					delivery = float64(c.Transmitted) / float64(c.Arrived)
-				}
-				return c.MeanLatency(), c.MaxLatency, delivery
-			},
-			rates: func() []float64 {
-				cs := s.ClassCounters()
-				rates := make([]float64, 0, k)
-				for w := 1; w <= k; w++ {
-					r := 1.0
-					if cs[w].Arrived > 0 {
-						r = float64(cs[w].Transmitted) / float64(cs[w].Arrived)
-					}
-					rates = append(rates, r)
-				}
-				return rates
-			},
-		})
-		return nil
-	}
-	addShared := func(p core.Policy) error {
-		sw, err := core.New(inst.Cfg, p)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, entry{
-			sys: sw,
-			heavy: func() (float64, int64, float64) {
-				c := sw.PortCounters()[k-1]
-				return c.MeanLatency(), c.MaxLatency, c.DeliveryRate()
-			},
-			rates: func() []float64 {
-				rates := make([]float64, 0, k)
-				for _, c := range sw.PortCounters() {
-					rates = append(rates, c.DeliveryRate())
-				}
-				return rates
-			},
-		})
-		return nil
-	}
-
-	if err := addSingle(singleq.OrderPQ, true); err != nil {
-		return nil, err
-	}
-	if err := addSingle(singleq.OrderFIFO, true); err != nil {
-		return nil, err
-	}
-	if err := addSingle(singleq.OrderFIFO, false); err != nil {
-		return nil, err
+		systems = append(systems, s)
 	}
 	for _, p := range inst.Policies {
-		if err := addShared(p); err != nil {
-			return nil, err
-		}
-	}
-
-	rows := make([]ArchRow, 0, len(entries))
-	var best int64
-	for _, e := range entries {
-		stats, err := sim.RunTrace(e.sys, inst.Provider, inst.FlushEvery)
+		sw, err := core.New(inst.Cfg, p)
 		if err != nil {
 			return nil, err
 		}
-		hm, hx, hd := e.heavy()
-		name := e.sys.Name()
-		if _, ok := e.sys.(*core.Switch); ok {
-			name = "SM-" + name // shared-memory systems named by policy
+		systems = append(systems, sw)
+	}
+	stats, err := sim.Lockstep(context.TODO(), inst.Provider, sim.RunOptions{FlushEvery: inst.FlushEvery}, o.workers(), systems...)
+	if err != nil {
+		return nil, err
+	}
+
+	rows := make([]ArchRow, len(systems))
+	var best int64
+	for i, sys := range systems {
+		// classes holds the per-work-class counters, lightest first.
+		name, classes := sys.Name(), []core.PortCounters(nil)
+		switch s := sys.(type) {
+		case *singleq.Switch:
+			for _, c := range s.ClassCounters()[1:] {
+				classes = append(classes, core.PortCounters{Arrived: c.Arrived, Transmitted: c.Transmitted,
+					LatencySlots: c.LatencySlots, MaxLatency: c.MaxLatency})
+			}
+		case *core.Switch:
+			name, classes = "SM-"+name, s.PortCounters() // shared-memory systems named by policy
 		}
-		rows = append(rows, ArchRow{
+		rates := make([]float64, len(classes))
+		for j, c := range classes {
+			rates[j] = c.DeliveryRate()
+		}
+		heavy := classes[k-1]
+		rows[i] = ArchRow{
 			System:        name,
-			Transmitted:   stats.Transmitted,
-			MeanLatency:   stats.MeanLatency(),
-			HeavyMean:     hm,
-			HeavyMax:      hx,
-			HeavyDelivery: hd,
-			Fairness:      metrics.JainIndex(e.rates()),
-		})
-		if stats.Transmitted > best {
-			best = stats.Transmitted
+			Transmitted:   stats[i].Transmitted,
+			MeanLatency:   stats[i].MeanLatency(),
+			HeavyMean:     heavy.MeanLatency(),
+			HeavyMax:      heavy.MaxLatency,
+			HeavyDelivery: heavy.DeliveryRate(),
+			Fairness:      metrics.JainIndex(rates),
 		}
+		best = max(best, stats[i].Transmitted)
 	}
 	for i := range rows {
 		if rows[i].Transmitted > 0 {

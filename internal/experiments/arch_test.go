@@ -10,10 +10,23 @@ import (
 // most expensive class; the shared-memory switch under LWD trades a
 // bounded amount of throughput for bounded per-class latency; greedy
 // FIFO single queue is far behind both.
+// Every system steps through one stream, so the table is identical
+// at every Parallelism.
 func TestArchitectures(t *testing.T) {
 	rows, err := Architectures(smallOpts())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		o := smallOpts()
+		o.Parallelism = par
+		other, err := Architectures(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ArchTable(other), ArchTable(rows); got != want {
+			t.Errorf("Parallelism %d table differs from the default's:\n%s\nwant:\n%s", par, got, want)
+		}
 	}
 	if len(rows) != 6 {
 		t.Fatalf("%d rows", len(rows))

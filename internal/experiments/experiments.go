@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"smbm/internal/hmath"
 	"smbm/internal/sim"
@@ -33,7 +34,9 @@ type Options struct {
 	FlushEvery int
 	// BaseSeed makes the whole panel deterministic.
 	BaseSeed int64
-	// Parallelism bounds worker goroutines (0 = GOMAXPROCS).
+	// Parallelism bounds worker goroutines (0 = GOMAXPROCS): a panel's
+	// concurrent cells, or the systems the arch, latency and faults
+	// experiments step through each window of their streams.
 	Parallelism int
 }
 
@@ -74,6 +77,15 @@ func ScaleOptions(name string) (Options, error) {
 	default:
 		return Options{}, fmt.Errorf("experiments: unknown scale %q (want laptop or paper)", name)
 	}
+}
+
+// workers resolves Parallelism for a run outside a sweep: 0 means
+// GOMAXPROCS, as it does for a panel's sweep.
+func (o Options) workers() int {
+	if o.Parallelism > 0 {
+		return o.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) withDefaults() Options {

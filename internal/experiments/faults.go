@@ -6,23 +6,23 @@ import (
 
 	"smbm/internal/faults"
 	"smbm/internal/metrics"
+	"smbm/internal/sim"
 	"smbm/internal/spec"
 	"smbm/internal/tablefmt"
 )
 
-// FaultRow reports how one processing-model policy degrades when the
-// canonical fault mix is injected into both the policy and the OPT
-// proxy: the mean empirical competitive ratio on the nominal switch,
-// the same under faults, and the multiplicative penalty.
+// FaultRow reports how one policy's empirical competitive ratio erodes
+// when a fault schedule is injected symmetrically into the policy and
+// the OPT proxy. The faults panel averages both ratios over its seeds.
 type FaultRow struct {
 	// Policy is the policy name.
 	Policy string
-	// Nominal is the mean competitive ratio without faults.
+	// Nominal is the competitive ratio without faults.
 	Nominal float64
-	// Faulted is the mean competitive ratio under the canonical mix.
+	// Faulted is the competitive ratio under the fault schedule.
 	Faulted float64
 	// Penalty is Faulted / Nominal: how much of the policy's
-	// competitiveness the fault mix costs (1.0 = fully graceful).
+	// competitiveness the faults cost (1.0 = fully graceful).
 	Penalty float64
 }
 
@@ -57,41 +57,64 @@ func FaultDegradation(o Options) ([]FaultRow, error) {
 		if err != nil {
 			return nil, err
 		}
-
-		base, err := inst.Run()
+		inst.Parallelism = o.workers()
+		rows, err := Degrade(inst, mix, seed)
 		if err != nil {
 			return nil, err
 		}
-		inst.Wrap = faults.Wrapper(mix, faultPanelK, seed)
-		degraded, err := inst.Run()
-		if err != nil {
-			return nil, err
-		}
-		if len(degraded) != len(base) {
-			return nil, fmt.Errorf("experiments: fault run returned %d results, nominal %d", len(degraded), len(base))
-		}
-		for i, r := range base {
+		for _, r := range rows {
 			if nominal[r.Policy] == nil {
 				nominal[r.Policy] = &metrics.Welford{}
 				faulted[r.Policy] = &metrics.Welford{}
 				order = append(order, r.Policy)
 			}
-			nominal[r.Policy].Add(r.Ratio)
-			faulted[r.Policy].Add(degraded[i].Ratio)
+			nominal[r.Policy].Add(r.Nominal)
+			faulted[r.Policy].Add(r.Faulted)
 		}
 	}
 
 	rows := make([]FaultRow, 0, len(order))
 	for _, name := range order {
-		n := nominal[name].Summary().Mean
-		f := faulted[name].Summary().Mean
-		penalty := 0.0
-		if n > 0 {
-			penalty = f / n
-		}
-		rows = append(rows, FaultRow{Policy: name, Nominal: n, Faulted: f, Penalty: penalty})
+		rows = append(rows, faultRow(name, nominal[name].Summary().Mean, faulted[name].Summary().Mean))
 	}
 	return rows, nil
+}
+
+// Degrade runs inst twice on the same arrival stream — once nominal
+// and once with fs injected, under one schedule seeded by seed, into
+// every system (faults.Wrapper over Cfg.Ports) — and reports each
+// policy's ratio erosion. A zero fs Horizon covers the whole stream.
+func Degrade(inst sim.Instance, fs faults.Spec, seed int64) ([]FaultRow, error) {
+	base, err := inst.Run()
+	if err != nil {
+		return nil, err
+	}
+	if fs.Horizon == 0 {
+		fs.Horizon = int64(inst.Provider.Slots())
+	}
+	inst.Wrap = faults.Wrapper(fs, inst.Cfg.Ports, seed)
+	degraded, err := inst.Run()
+	if err != nil {
+		return nil, err
+	}
+	if len(degraded) != len(base) {
+		return nil, fmt.Errorf("experiments: fault run returned %d results, nominal %d", len(degraded), len(base))
+	}
+	rows := make([]FaultRow, len(base))
+	for i, r := range base {
+		rows[i] = faultRow(r.Policy, r.Ratio, degraded[i].Ratio)
+	}
+	return rows, nil
+}
+
+// faultRow builds a row from the two ratios; the penalty is 0 when the
+// nominal ratio is.
+func faultRow(policy string, nominal, faulted float64) FaultRow {
+	r := FaultRow{Policy: policy, Nominal: nominal, Faulted: faulted}
+	if nominal > 0 {
+		r.Penalty = faulted / nominal
+	}
+	return r
 }
 
 // FaultTable renders the fault-degradation rows as an aligned table.

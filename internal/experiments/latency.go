@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -43,29 +44,30 @@ func Latency(o Options) ([]LatencyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		optStats, err := sim.RunTrace(optSys, inst.Provider, inst.FlushEvery)
-		if err != nil {
-			return nil, err
-		}
+		systems := []sim.System{optSys}
 		for _, p := range inst.Policies {
 			sw, err := core.New(inst.Cfg, p)
 			if err != nil {
 				return nil, err
 			}
-			stats, err := sim.RunTrace(sw, inst.Provider, inst.FlushEvery)
-			if err != nil {
-				return nil, err
-			}
+			systems = append(systems, sw)
+		}
+		stats, err := sim.Lockstep(context.TODO(), inst.Provider, sim.RunOptions{FlushEvery: inst.FlushEvery}, o.workers(), systems...)
+		if err != nil {
+			return nil, err
+		}
+		for i, sys := range systems[1:] {
+			st := stats[i+1]
 			ratio := 0.0
-			if stats.Transmitted > 0 {
-				ratio = float64(optStats.Transmitted) / float64(stats.Transmitted)
+			if st.Transmitted > 0 {
+				ratio = float64(stats[0].Transmitted) / float64(st.Transmitted)
 			}
 			rows = append(rows, LatencyRow{
 				B:                b,
-				Policy:           p.Name(),
+				Policy:           sys.Name(),
 				Ratio:            ratio,
-				MeanLatency:      stats.MeanLatency(),
-				HeavyMeanLatency: sw.PortCounters()[k-1].MeanLatency(),
+				MeanLatency:      st.MeanLatency(),
+				HeavyMeanLatency: sys.(*core.Switch).PortCounters()[k-1].MeanLatency(),
 			})
 		}
 	}

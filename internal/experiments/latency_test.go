@@ -8,11 +8,23 @@ import (
 // TestLatencySweep executes the paper's closing observation: smaller
 // buffers sharpen the processing-delay effect. Mean latency must grow
 // with B (more queueing headroom) while the ratio falls; and LWD's
-// latency advantage over Greedy must be visible at every size.
+// latency advantage over Greedy must be visible at every size. The
+// table is identical at every Parallelism.
 func TestLatencySweep(t *testing.T) {
 	rows, err := Latency(smallOpts())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		o := smallOpts()
+		o.Parallelism = par
+		other, err := Latency(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := LatencyTable(other), LatencyTable(rows); got != want {
+			t.Errorf("Parallelism %d table differs from the default's:\n%s\nwant:\n%s", par, got, want)
+		}
 	}
 	if len(rows) != 5*3 {
 		t.Fatalf("%d rows", len(rows))

@@ -9,11 +9,9 @@ package report
 import (
 	"fmt"
 	"io"
-	"strconv"
 
 	"smbm/internal/adversary"
 	"smbm/internal/experiments"
-	"smbm/internal/tablefmt"
 )
 
 // analyses holds the per-panel paper-vs-measured commentary, keyed by
@@ -258,23 +256,11 @@ func lowerBoundSection(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	headers := []string{"theorem", "policy", "alg", "opt(script)", "measured", "predicted", "asymptotic"}
-	rows := make([][]string, 0, len(all))
-	for _, c := range all {
-		o, err := c.Run()
-		if err != nil {
-			return err
-		}
-		rows = append(rows, []string{
-			o.Theorem, o.PolicyName,
-			strconv.FormatInt(o.AlgThroughput, 10),
-			strconv.FormatInt(o.OptThroughput, 10),
-			fmt.Sprintf("%.3f", o.Ratio),
-			fmt.Sprintf("%.3f", o.Predicted),
-			fmt.Sprintf("%s = %.3f", c.Asymptotic, o.AsymptoticValue),
-		})
+	table, err := adversary.Table(all)
+	if err != nil {
+		return err
 	}
-	if _, err := io.WriteString(w, tablefmt.Render(headers, rows)); err != nil {
+	if _, err := io.WriteString(w, table); err != nil {
 		return err
 	}
 	_, err = io.WriteString(w, "```\n\n"+theoremVerdicts+"\n")

@@ -37,11 +37,13 @@ func TestRunTraceBoundsDrains(t *testing.T) {
 	}
 }
 
-func TestRunTraceContextCancellation(t *testing.T) {
+// TestLockstepCancellation: a canceled context stops a run before its
+// first slot, naming the system and the slot.
+func TestLockstepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := traffic.Slots(nil, nil)
-	_, err := RunTraceContext(ctx, &stuckSystem{}, tr, RunOptions{})
+	_, err := Lockstep(ctx, tr, RunOptions{}, 1, &stuckSystem{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

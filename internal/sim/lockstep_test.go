@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"smbm/internal/faults"
 	"smbm/internal/pkt"
 	"smbm/internal/sim"
+	"smbm/internal/singleq"
 	"smbm/internal/traffic"
 )
 
@@ -143,12 +145,15 @@ func (c *scribbleCursor) Next() []pkt.Packet {
 }
 
 // soloRun steps sys alone over the materialized trace with the
-// plainest loop there is: Step per slot, a bounded drain after every
-// slot that closes a flush interval and once at the end.
+// plainest loop there is: Step per slot, a drain (bounded, where sys
+// supports it) after every slot that closes a flush interval and once
+// at the end.
 func soloRun(t *testing.T, sys sim.System, tr traffic.Trace, flushEvery, drainMax int) core.Stats {
 	t.Helper()
 	drain := func() {
-		if _, ok := sys.(sim.BoundedDrainer).DrainMax(drainMax); !ok {
+		if bd, ok := sys.(sim.BoundedDrainer); !ok {
+			sys.Drain()
+		} else if _, ok := bd.DrainMax(drainMax); !ok {
 			t.Fatalf("%s: drain did not empty", sys.Name())
 		}
 	}
@@ -214,6 +219,70 @@ func TestLockstepMatchesSoloReplays(t *testing.T) {
 						t.Errorf("%s: %s: OPT proxy objective %d, solo %d", name, p.Name(), got[i].OptThroughput, opt)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestLockstepMixedSystems is the exported runner's differential over
+// unlike systems: single-queue switches of both orders, the OPT proxy
+// and shared-memory switches stepped by one Lockstep call must each end
+// with the Stats of that system run alone over a materialized copy of
+// the stream, at 1 and 4 workers. The cursor overwrites its previous
+// burst on every Next, and neither the window nor the flush interval
+// divides the slot count.
+func TestLockstepMixedSystems(t *testing.T) {
+	const slots, flushEvery = 2*256 + 31, 100
+	cell := streamCells(11)[0] // processing: single queues take work labels
+	gen, err := traffic.NewMMPP(cell.mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := traffic.Record(gen, slots)
+	build := func() []sim.System {
+		var systems []sim.System
+		for _, order := range []singleq.Order{singleq.OrderPQ, singleq.OrderFIFO} {
+			for _, pushOut := range []bool{true, false} {
+				q, err := singleq.New(singleq.Config{Buffer: cell.cfg.Buffer, MaxWork: cell.cfg.MaxLabel,
+					Cores: cell.cfg.Ports * cell.cfg.Speedup, Order: order, PushOut: pushOut})
+				if err != nil {
+					t.Fatal(err)
+				}
+				systems = append(systems, q)
+			}
+		}
+		optSys, err := sim.NewOptProxy(cell.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, optSys)
+		for _, p := range cell.policies {
+			systems = append(systems, core.MustNew(cell.cfg, p))
+		}
+		return systems
+	}
+	drainMax := sim.DrainBound(cell.cfg)
+	var want []core.Stats
+	for _, sys := range build() {
+		st := soloRun(t, sys, tr, flushEvery, drainMax)
+		if st.Transmitted == 0 {
+			t.Fatalf("%s transmitted nothing: the differential would be vacuous", sys.Name())
+		}
+		want = append(want, st)
+	}
+	for _, workers := range []int{1, 4} {
+		systems := build()
+		got, err := sim.Lockstep(context.Background(), scribbleProvider{tr},
+			sim.RunOptions{FlushEvery: flushEvery, DrainMax: drainMax}, workers, systems...)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers %d: %d Stats for %d systems", workers, len(got), len(want))
+		}
+		for i, sys := range systems {
+			if got[i] != want[i] {
+				t.Errorf("workers %d: %s: lockstep Stats %+v, solo %+v", workers, sys.Name(), got[i], want[i])
 			}
 		}
 	}

@@ -3,22 +3,23 @@
 // the OPT proxy, and runs seeded parameter sweeps on a bounded worker
 // pool to regenerate the paper's evaluation series.
 //
-// Arrivals flow through traffic.Provider. Every run opens one cursor
-// over a re-derivable source (a seeded generator spec, a trace file, or
-// a materialized trace), copies the next window of slots into one
-// reused buffer, and steps each of its systems — the OPT proxy and
-// every policy replay — through that window before it generates the
-// next. The stream is generated once per run, and arrival memory is
-// O(window) at any trace length: the property that makes the paper's
-// 2·10⁶-slot runs fit on ordinary machines.
+// Arrivals flow through traffic.Provider. Lockstep is the one slot
+// loop: it opens one cursor over a re-derivable source (a seeded
+// generator spec, a trace file, or a materialized trace), copies the
+// next window of slots into one reused buffer, and steps each of its
+// systems — for an instance, the OPT proxy and every policy replay —
+// through that window before it generates the next. The stream is
+// generated once per run, and arrival memory is O(window) at any trace
+// length: the property that makes the paper's 2·10⁶-slot runs fit on
+// ordinary machines. RunTrace is its one-system case.
 //
-// Instance.RunContext is the one replay runner: every replay of a cell
-// runs on a freshly built system, a window's replays fan out over the
-// instance's worker goroutines (Parallelism, at least one), and no
-// system is reused across replays or cells. A panic in a replay is
-// recovered on the worker that raised it, so a sweep confines it to
-// its cell as a *CellError carrying the panicking goroutine's stack at
-// any parallelism.
+// Instance.RunContext is the one replay runner on top of it: every
+// replay of a cell runs on a freshly built system, a window's replays
+// fan out over the instance's worker goroutines (Parallelism, at least
+// one), and no system is reused across replays or cells. A panic in a
+// replay is recovered on the worker that raised it, so a sweep
+// confines it to its cell as a *CellError carrying the panicking
+// goroutine's stack at any parallelism.
 package sim
 
 import (
@@ -78,7 +79,7 @@ var (
 // ceiling core.DrainCeiling.
 func DrainBound(cfg core.Config) int { return cfg.DrainBound() }
 
-// RunOptions tunes RunTraceContext beyond the arrival stream itself.
+// RunOptions tunes a Lockstep run beyond the arrival stream itself.
 type RunOptions struct {
 	// FlushEvery drains the buffer every so many slots (0 = only the
 	// final drain).
@@ -98,30 +99,19 @@ const checkEvery = 64
 // measurement (DESIGN.md §Lockstep windows).
 const window = 256
 
-// RunTrace drives sys over the arrival stream, draining the buffer
-// every flushEvery slots (0 disables periodic flushouts) and once more
-// at the end, so buffered inventory never biases throughput
+// RunTrace drives sys alone over the arrival stream, draining the
+// buffer every flushEvery slots (0 disables periodic flushouts) and
+// once more at the end, so buffered inventory never biases throughput
 // comparisons. A materialized traffic.Trace is itself a Provider, so
-// existing call sites pass traces unchanged. Drains are bounded by
-// core.DrainCeiling; see RunTraceContext for cancellation and custom
-// bounds.
+// existing call sites pass traces unchanged. It is Lockstep over one
+// system, with drains bounded by core.DrainCeiling; call Lockstep for
+// cancellation, custom bounds or several systems on one stream.
 func RunTrace(sys System, src traffic.Provider, flushEvery int) (core.Stats, error) {
-	return RunTraceContext(context.Background(), sys, src, RunOptions{FlushEvery: flushEvery})
-}
-
-// RunTraceContext is RunTrace with cancellation and configurable drain
-// bounds, and the one-system case of an instance run's lockstep loop:
-// it opens one cursor over src, aborts between slots once ctx is done
-// (returning ctx.Err wrapped with the system and slot), propagates
-// cursor stream failures, errors out if any drain exceeds the
-// (defaulted) DrainMax cap instead of looping forever on a System that
-// never empties, and returns a panic in sys as an error.
-func RunTraceContext(ctx context.Context, sys System, src traffic.Provider, o RunOptions) (core.Stats, error) {
-	l := &lane{name: sys.Name(), sys: sys}
-	if err := lockstep(ctx, sys.Name(), []*lane{l}, src, o, 1); err != nil {
+	stats, err := Lockstep(context.Background(), src, RunOptions{FlushEvery: flushEvery}, 1, sys)
+	if err != nil {
 		return core.Stats{}, err
 	}
-	return l.stats, nil
+	return stats[0], nil
 }
 
 // lane is one system of a lockstep run: its first failure, and its
@@ -129,7 +119,6 @@ func RunTraceContext(ctx context.Context, sys System, src traffic.Provider, o Ru
 type lane struct {
 	name  string
 	sys   System
-	rec   *obs.Recorder // attached decision recorder, or nil
 	err   error
 	stats core.Stats
 }
@@ -167,29 +156,45 @@ func (l *lane) finish(o RunOptions) {
 	l.stats = l.sys.Stats()
 }
 
-// lockstep is the harness's one slot loop. It opens one cursor over
-// src and copies the next window slots into one reused flat buffer,
-// then steps every lane through them, before it copies the next
-// window; at the end every lane drains and snapshots its counters.
-// With workers above 1 the lanes of each window (and of the final
-// drain) fan out over that many goroutines, which all finish before
-// the next window is copied, so lanes share nothing but the read-only
-// window and results are bit-identical at any width. Arrival memory is
-// O(window) at any stream length, and the stream is generated once.
+// Lockstep is the harness's one slot loop: the one way to step several
+// systems over one arrival stream. It opens one cursor over src and
+// copies the next window slots into one reused flat buffer, then steps
+// every system through them, before it copies the next window; at the
+// end every system drains and the counters of each are returned in the
+// order of systems. With workers above 1 the systems of each window
+// (and of the final drain) fan out over up to that many goroutines,
+// which all finish before the next window is copied, so systems share
+// nothing but the read-only window and results are bit-identical at
+// any width (below 1 = one system at a time, in order). Arrival memory
+// is O(window) at any stream length, and the stream is generated once.
 //
-// The copy checks ctx and the cursor's Err every checkEvery slots
-// (errors name the run by label), and recovers a panic in the cursor.
-// After a window in which any lane failed, the run stops and returns
-// the failure of the first such lane in order.
-func lockstep(ctx context.Context, label string, lanes []*lane, src traffic.Provider, o RunOptions, workers int) (err error) {
+// The copy checks ctx and the cursor's Err every checkEvery slots and
+// aborts between slots once ctx is done, returning ctx.Err wrapped
+// with the run's name (the system's, for a single system) and the
+// slot; it propagates cursor stream failures, and errors out if any
+// drain exceeds the (defaulted) DrainMax cap instead of looping
+// forever on a System that never empties. A panic in a system or in
+// the cursor is recovered into an error carrying the panicking
+// goroutine's stack. After a window in which any system failed, the
+// run stops and returns the failure of the first such system in order.
+func Lockstep(ctx context.Context, src traffic.Provider, o RunOptions, workers int, systems ...System) (stats []core.Stats, err error) {
+	lanes := make([]*lane, len(systems))
+	for i, sys := range systems {
+		lanes[i] = &lane{name: sys.Name(), sys: sys}
+	}
+	label := "lockstep"
+	if len(lanes) == 1 {
+		label = lanes[0].name
+	}
+	workers = min(max(workers, 1), len(lanes))
 	defer recoverPanic("arrivals", &err)
 	cur, err := src.Open()
 	if err != nil {
-		return fmt.Errorf("sim: %s: opening arrivals: %w", label, err)
+		return nil, fmt.Errorf("sim: %s: opening arrivals: %w", label, err)
 	}
 	defer func() {
 		if cerr := cur.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("sim: %s: closing arrivals: %w", label, cerr)
+			stats, err = nil, fmt.Errorf("sim: %s: closing arrivals: %w", label, cerr)
 		}
 	}()
 	var (
@@ -202,23 +207,30 @@ func lockstep(ctx context.Context, label string, lanes []*lane, src traffic.Prov
 		for t := base; t < min(base+window, slots); t++ {
 			if t%checkEvery == 0 {
 				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("sim: %s at slot %d: %w", label, t, err)
+					return nil, fmt.Errorf("sim: %s at slot %d: %w", label, t, err)
 				}
 				if err := cur.Err(); err != nil {
-					return fmt.Errorf("sim: %s at slot %d: arrivals: %w", label, t, err)
+					return nil, fmt.Errorf("sim: %s at slot %d: arrivals: %w", label, t, err)
 				}
 			}
 			bursts = append(bursts, cur.Next()...)
 			ends = append(ends, len(bursts))
 		}
 		if err := fanOut(lanes, workers, func(l *lane) { l.advance(base, bursts, ends, o) }); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := cur.Err(); err != nil {
-		return fmt.Errorf("sim: %s: arrivals: %w", label, err)
+		return nil, fmt.Errorf("sim: %s: arrivals: %w", label, err)
 	}
-	return fanOut(lanes, workers, func(l *lane) { l.finish(o) })
+	if err := fanOut(lanes, workers, func(l *lane) { l.finish(o) }); err != nil {
+		return nil, err
+	}
+	stats = make([]core.Stats, len(lanes))
+	for i, l := range lanes {
+		stats[i] = l.stats
+	}
+	return stats, nil
 }
 
 // fanOut runs step on every lane, over up to workers goroutines that
@@ -344,15 +356,15 @@ func (inst Instance) Run() ([]Result, error) {
 //
 // It is the harness's one replay runner. After validating Cfg and
 // Provider it builds and wraps a fresh system per replay — 0 is the
-// OPT proxy, 1+i is policy i — and drives them all in lockstep over one
-// cursor of Provider: each window of slots is generated once and every
-// system steps through it, fanned out over max(1, min(Parallelism,
-// replays)) workers, before the next window is generated. Systems share
-// no mutable state and results are index-addressed, so they are
-// bit-identical at every width. A replay's panic is recovered on the
-// worker that raised it into an error that carries that goroutine's
-// stack (a sweep cell reports it as a *CellError with Stack), and the
-// first failure stops every replay at the end of its window.
+// OPT proxy, 1+i is policy i — and hands them all to Lockstep over
+// Provider, fanned out over Parallelism workers: each window of slots
+// is generated once and every system steps through it before the next
+// is generated. Systems share no mutable state and results are
+// index-addressed, so they are bit-identical at every width. A
+// replay's panic is recovered on the worker that raised it into an
+// error that carries that goroutine's stack (a sweep cell reports it
+// as a *CellError with Stack), and the first failure stops every
+// replay at the end of its window.
 func (inst Instance) RunContext(ctx context.Context) ([]Result, error) {
 	if err := inst.Cfg.Validate(); err != nil {
 		return nil, err
@@ -360,41 +372,42 @@ func (inst Instance) RunContext(ctx context.Context) ([]Result, error) {
 	if inst.Provider == nil {
 		return nil, errors.New("sim: Instance.Provider is nil")
 	}
-	lanes := make([]*lane, len(inst.Policies)+1)
-	for i := range lanes {
-		l, err := inst.lane(i)
+	systems := make([]System, len(inst.Policies)+1)
+	recs := make([]*obs.Recorder, len(systems))
+	for i := range systems {
+		sys, rec, err := inst.replay(i)
 		if err != nil {
 			return nil, err
 		}
-		lanes[i] = l
+		systems[i], recs[i] = sys, rec
 	}
-	workers := min(max(inst.Parallelism, 1), len(lanes))
-	if err := lockstep(ctx, "instance", lanes, inst.Provider, inst.runOptions(), workers); err != nil {
+	stats, err := Lockstep(ctx, inst.Provider, inst.runOptions(), inst.Parallelism, systems...)
+	if err != nil {
 		return nil, err
 	}
 
-	optThroughput := lanes[0].stats.Throughput(inst.Cfg.Model)
+	optThroughput := stats[0].Throughput(inst.Cfg.Model)
 	results := make([]Result, 0, len(inst.Policies))
 	for i, p := range inst.Policies {
-		l := lanes[i+1]
-		throughput := l.stats.Throughput(inst.Cfg.Model)
+		st := stats[i+1]
+		throughput := st.Throughput(inst.Cfg.Model)
 		r := Result{
 			Policy:        p.Name(),
 			Throughput:    throughput,
 			OptThroughput: optThroughput,
 			Ratio:         ratio(optThroughput, throughput),
-			Stats:         l.stats,
+			Stats:         st,
 		}
-		if l.rec != nil {
-			r.Obs = l.rec.Snapshot()
+		if rec := recs[i+1]; rec != nil {
+			r.Obs = rec.Snapshot()
 		}
 		results = append(results, r)
 	}
 	return results, nil
 }
 
-// runOptions resolves the per-replay RunOptions for the instance: its
-// flush interval and the configuration-derived drain bound.
+// runOptions resolves the instance's Lockstep options: its flush
+// interval and the configuration-derived drain bound.
 func (inst Instance) runOptions() RunOptions {
 	return RunOptions{FlushEvery: inst.FlushEvery, DrainMax: DrainBound(inst.Cfg)}
 }
@@ -420,16 +433,16 @@ func recoverPanic(name string, err *error) {
 	}
 }
 
-// lane builds replay i (0 = the OPT proxy, 1+i = policy i) on a fresh
-// system, attaching a recorder to policy replays when inst.Obs is set,
-// and recovers a panic into a *replayPanic.
-func (inst Instance) lane(i int) (l *lane, err error) {
+// replay builds replay i (0 = the OPT proxy, 1+i = policy i) on a
+// fresh, wrapped system, with the recorder it attached to a policy
+// replay when inst.Obs is set, and recovers a panic into a
+// *replayPanic.
+func (inst Instance) replay(i int) (sys System, rec *obs.Recorder, err error) {
 	name := "OPT proxy"
 	if i > 0 {
 		name = inst.Policies[i-1].Name()
 	}
 	defer recoverPanic(name, &err)
-	var sys System
 	if i == 0 {
 		sys, err = NewOptProxy(inst.Cfg)
 	} else {
@@ -439,14 +452,13 @@ func (inst Instance) lane(i int) (l *lane, err error) {
 		sys, err = inst.wrap(sys)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	l = &lane{name: name, sys: sys}
 	if t, ok := sys.(obs.Target); ok && i > 0 && inst.Obs != nil { // the OPT proxy is not instrumented
-		l.rec = obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
-		t.SetRecorder(l.rec)
+		rec = obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
+		t.SetRecorder(rec)
 	}
-	return l, nil
+	return sys, rec, nil
 }
 
 // wrap applies the instance's Wrap hook when set.
