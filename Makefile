@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples loc clean
+.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint init-check chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples loc clean
 
 all: build vet lint test test-race
 
@@ -22,6 +22,21 @@ lint: build
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/smblint ./...
+
+# Start-up budget: every smbm package init in smbsim, smbsimd, tracegen
+# and report must finish within INIT_BUDGET_MS, as GODEBUG=inittrace=1
+# times it on a -h run (each exits 0 before doing any work). Every CLI
+# launch, daemon start and test binary pays these inits.
+INIT_BUDGET_MS = 2
+init-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./cmd/smbsim ./cmd/smbsimd ./cmd/tracegen ./cmd/report && \
+	for c in smbsim smbsimd tracegen report; do \
+		out=$$(GODEBUG=inittrace=1 "$$dir/$$c" -h 2>&1) || { echo "$$out"; echo "init-check: $$c -h failed"; exit 1; }; \
+		echo "$$out" | awk -v bin=$$c -v budget=$(INIT_BUDGET_MS) \
+			'$$1 == "init" && $$2 ~ /^smbm\// && $$5 + 0 > budget { print "init-check: " bin ": " $$0 " (budget " budget " ms)"; bad = 1 } END { exit bad }' || exit 1; \
+	done; \
+	echo "init-check: every smbm package init within $(INIT_BUDGET_MS) ms"
 
 test:
 	$(GO) test ./...

@@ -8,8 +8,9 @@
 //	tracegen -replay LWD -ports 16 -mode work -buffer 256 < trace.txt
 //	tracegen -replay LWD -ports 16 -mode work -in trace.txt   # streamed
 //
-// With -in, -stats and -replay stream the trace from the file instead
-// of materializing stdin, so arbitrarily long traces are processed in
+// Generation writes each slot as the generator draws it, and with -in,
+// -stats and -replay stream the trace from the file instead of
+// materializing stdin, so arbitrarily long traces are processed in
 // O(peak burst) memory.
 package main
 

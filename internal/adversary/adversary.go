@@ -156,7 +156,8 @@ func (c Construction) measure(p core.Policy) (int64, error) {
 	return sw.Stats().Throughput(c.Cfg.Model) - before, nil
 }
 
-// Params tunes a construction. Zero fields take per-theorem defaults.
+// Params tunes a construction. Zero fields take per-theorem defaults;
+// a negative field is an error.
 type Params struct {
 	// K is the maximum work/value label.
 	K int
@@ -168,7 +169,18 @@ type Params struct {
 	Warmup int
 }
 
-func (p Params) withDefaults(k, b, rounds, warmup int) Params {
+// withDefaults fills the zero fields with a construction's defaults,
+// after refusing a negative field, which would otherwise size a slice
+// below zero or run no round and print a row of zeros as a result.
+func (p Params) withDefaults(k, b, rounds, warmup int) (Params, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"k", p.K}, {"B", p.B}, {"rounds", p.Rounds}, {"warmup", p.Warmup}} {
+		if f.v < 0 {
+			return p, fmt.Errorf("adversary: %s %d is negative", f.name, f.v)
+		}
+	}
 	if p.K == 0 {
 		p.K = k
 	}
@@ -181,7 +193,7 @@ func (p Params) withDefaults(k, b, rounds, warmup int) Params {
 	if p.Warmup == 0 {
 		p.Warmup = warmup
 	}
-	return p
+	return p, nil
 }
 
 // All returns every construction at its default parameters.

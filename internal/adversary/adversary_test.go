@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -110,6 +111,30 @@ func TestParameterValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ByID(c.id, c.p); err == nil {
 			t.Errorf("%s with %+v accepted", c.id, c.p)
+		}
+	}
+}
+
+// TestNegativeParamsRefused: a negative override is an error naming the
+// field, in every construction. Zero takes the default, so without the
+// check a negative rounds or warmup ran no round and reported ratio 0,
+// and a negative k or B sized a slice below zero.
+func TestNegativeParamsRefused(t *testing.T) {
+	ids := []string{"thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "thm9", "thm10", "thm11"}
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"k", Params{K: -6}},
+		{"B", Params{B: -3}},
+		{"rounds", Params{Rounds: -2}},
+		{"warmup", Params{Warmup: -3}},
+	} {
+		for _, id := range ids {
+			_, err := ByID(id, c.p)
+			if err == nil || !strings.Contains(err.Error(), c.name+" ") || !strings.Contains(err.Error(), "negative") {
+				t.Errorf("%s with %+v: err = %v, want one naming %s as negative", id, c.p, err, c.name)
+			}
 		}
 	}
 }

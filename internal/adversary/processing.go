@@ -33,7 +33,10 @@ func workPkt(w int) pkt.Packet { return pkt.NewWork(w-1, w) }
 // only ~B/(k·H_k) of the burst while OPT takes all B, so the ratio
 // approaches kZ = k·H_k.
 func Theorem1(p Params) (Construction, error) {
-	p = p.withDefaults(12, 1200, 3, 1)
+	p, err := p.withDefaults(12, 1200, 3, 1)
+	if err != nil {
+		return Construction{}, err
+	}
 	k, b := p.K, p.B
 	if k < 2 {
 		return Construction{}, fmt.Errorf("adversary: theorem 1 needs k >= 2, got %d", k)
@@ -62,7 +65,10 @@ func Theorem1(p Params) (Construction, error) {
 // so the equal thresholds waste (n-1)/n of the buffer and the ratio
 // approaches n.
 func Theorem2(p Params) (Construction, error) {
-	p = p.withDefaults(8, 800, 3, 1)
+	p, err := p.withDefaults(8, 800, 3, 1)
+	if err != nil {
+		return Construction{}, err
+	}
 	k, b := p.K, p.B
 	if k < 2 {
 		return Construction{}, fmt.Errorf("adversary: theorem 2 needs k >= 2, got %d", k)
@@ -92,7 +98,10 @@ func Theorem2(p Params) (Construction, error) {
 // packets; a trickle then keeps the expensive queues of both systems
 // saturated while OPT rides its hoard of unit-work packets.
 func Theorem3(p Params) (Construction, error) {
-	p = p.withDefaults(64, 4096, 3, 2)
+	p, err := p.withDefaults(64, 4096, 3, 2)
+	if err != nil {
+		return Construction{}, err
+	}
 	k, b := p.K, p.B
 	if k < 8 {
 		return Construction{}, fmt.Errorf("adversary: theorem 3 needs k >= 8, got %d", k)
@@ -155,7 +164,10 @@ func Theorem3(p Params) (Construction, error) {
 // rest of the round, while a trickle keeps the expensive queues of both
 // systems saturated.
 func Theorem4(p Params) (Construction, error) {
-	p = p.withDefaults(100, 2000, 3, 2)
+	p, err := p.withDefaults(100, 2000, 3, 2)
+	if err != nil {
+		return Construction{}, err
+	}
 	k, b := p.K, p.B
 	if k < 4 {
 		return Construction{}, fmt.Errorf("adversary: theorem 4 needs k >= 4, got %d", k)
@@ -212,7 +224,10 @@ func Theorem4(p Params) (Construction, error) {
 // every slot, BPD hoards unit-work packets and serves one port, while
 // OPT partitions the buffer and serves all k ports for an H_k-fold gain.
 func Theorem5(p Params) (Construction, error) {
-	p = p.withDefaults(10, 0, 3, 1)
+	p, err := p.withDefaults(10, 0, 3, 1)
+	if err != nil {
+		return Construction{}, err
+	}
 	k := p.K
 	if k < 2 {
 		return Construction{}, fmt.Errorf("adversary: theorem 5 needs k >= 2, got %d", k)
@@ -262,7 +277,10 @@ func Theorem5(p Params) (Construction, error) {
 // balances total work and keeps only B/2 unit-work packets where OPT
 // keeps B-3, costing a 4/3 − 6/B factor.
 func Theorem6(p Params) (Construction, error) {
-	p = p.withDefaults(6, 1200, 3, 2)
+	p, err := p.withDefaults(6, 1200, 3, 2)
+	if err != nil {
+		return Construction{}, err
+	}
 	if p.K != 6 {
 		return Construction{}, fmt.Errorf("adversary: theorem 6 is defined for k = 6, got %d", p.K)
 	}

@@ -26,7 +26,10 @@ func valueCfg(n, k, b int) core.Config {
 // bursts of values 1..a plus a burst of value k; LQD balances queue
 // lengths and keeps only B/(a+1) of the value-k packets OPT hoards.
 func Theorem9(p Params) (Construction, error) {
-	p = p.withDefaults(27, 1080, 3, 2)
+	p, err := p.withDefaults(27, 1080, 3, 2)
+	if err != nil {
+		return Construction{}, err
+	}
 	k, b := p.K, p.B
 	if k < 8 {
 		return Construction{}, fmt.Errorf("adversary: theorem 9 needs k >= 8, got %d", k)
@@ -81,7 +84,10 @@ func Theorem9(p Params) (Construction, error) {
 // every slot; MVD ends each slot holding only maximal-value packets and
 // serves one port, while OPT partitions the buffer and serves all m.
 func Theorem10(p Params) (Construction, error) {
-	p = p.withDefaults(8, 64, 3, 1)
+	p, err := p.withDefaults(8, 64, 3, 1)
+	if err != nil {
+		return Construction{}, err
+	}
 	k, b := p.K, p.B
 	if k < 2 {
 		return Construction{}, fmt.Errorf("adversary: theorem 10 needs k >= 2, got %d", k)
@@ -131,7 +137,10 @@ func Theorem10(p Params) (Construction, error) {
 // port): MRD balances |Q|/avg and keeps only B/2 of the value-6 packets
 // OPT hoards, costing a 4/3 factor.
 func Theorem11(p Params) (Construction, error) {
-	p = p.withDefaults(6, 1200, 3, 2)
+	p, err := p.withDefaults(6, 1200, 3, 2)
+	if err != nil {
+		return Construction{}, err
+	}
 	if p.K != 6 {
 		return Construction{}, fmt.Errorf("adversary: theorem 11 is defined for k = 6, got %d", p.K)
 	}

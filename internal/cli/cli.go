@@ -96,22 +96,33 @@ func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 // honour either: -flush, for one, would silently turn periodic
 // flushouts off), naming the smbsim flag.
 func (o PanelOptions) check() error {
-	for _, f := range []struct {
-		flag string
-		v    int
-	}{
-		{"-slots", o.Opts.Slots}, {"-seeds", o.Opts.Seeds}, {"-sources", o.Opts.Sources}, {"-flush", o.Opts.FlushEvery},
-		{"-workers", o.Opts.Parallelism}, {"-trace-events", o.TraceEvents},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("cli: %s %d is negative", f.flag, f.v)
-		}
+	if err := checkNonNegative(
+		flagValue{"-slots", o.Opts.Slots}, flagValue{"-seeds", o.Opts.Seeds}, flagValue{"-sources", o.Opts.Sources}, flagValue{"-flush", o.Opts.FlushEvery},
+		flagValue{"-workers", o.Opts.Parallelism}, flagValue{"-trace-events", o.TraceEvents},
+	); err != nil {
+		return err
 	}
 	if o.CellTimeout < 0 {
 		return fmt.Errorf("cli: -cell-timeout %v is negative", o.CellTimeout)
 	}
 	if o.CellRetries != 0 && o.Checkpoint == "" {
 		return errors.New("cli: -cell-retries needs -checkpoint")
+	}
+	return nil
+}
+
+// flagValue pairs a command-line flag with the value it was given.
+type flagValue struct {
+	flag string
+	v    int
+}
+
+// checkNonNegative refuses the first negative value, naming its flag.
+func checkNonNegative(flags ...flagValue) error {
+	for _, f := range flags {
+		if f.v < 0 {
+			return fmt.Errorf("cli: %s %d is negative", f.flag, f.v)
+		}
 	}
 	return nil
 }

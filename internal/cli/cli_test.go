@@ -3,6 +3,9 @@ package cli
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -357,6 +360,64 @@ func TestReplayValidation(t *testing.T) {
 	}
 	if err := Stats(&bytes.Buffer{}, strings.NewReader("garbage")); err == nil {
 		t.Error("stats on garbage accepted")
+	}
+}
+
+// TestTracegenRefusesNegativeFlags: Generate refuses a negative -slots
+// (which sized a slice below zero) and Replay a negative -buffer or
+// -flush (which silently turned periodic flushouts off), naming the
+// flag before any output is written.
+func TestTracegenRefusesNegativeFlags(t *testing.T) {
+	trace := "# smbm-trace v1 slots=1\n0 0 1 1\n"
+	for _, c := range []struct {
+		flag string
+		run  func(w io.Writer) error
+	}{
+		{"-slots", func(w io.Writer) error {
+			return Generate(w, GenerateOptions{Slots: -5, Ports: 4, Sources: 5, Mode: "work", Seed: 1})
+		}},
+		{"-ports", func(w io.Writer) error {
+			return Generate(w, GenerateOptions{Slots: 10, Ports: -3, Sources: 5, Mode: "work", Seed: 1})
+		}},
+		{"-buffer", func(w io.Writer) error {
+			return Replay(w, strings.NewReader(trace), ReplayOptions{Policy: "LWD", Ports: 2, Buffer: -5, Mode: "work"})
+		}},
+		{"-flush", func(w io.Writer) error {
+			return Replay(w, strings.NewReader(trace), ReplayOptions{Policy: "LWD", Ports: 2, Flush: -5, Mode: "work"})
+		}},
+	} {
+		var out bytes.Buffer
+		err := c.run(&out)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: err = %v, want one naming %s as negative", c.flag, err, c.flag)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%s: wrote %q before refusing", c.flag, out.String())
+		}
+	}
+}
+
+// TestGenerateGolden pins Generate's bytes, text and binary, in every
+// mode: streaming the generator straight to the writer must emit
+// exactly what recording the whole trace first did.
+func TestGenerateGolden(t *testing.T) {
+	golden := map[string][2]string{ // mode -> sha256 of {text, binary}
+		"work":          {"fbad96e70b9792ebe80d81bbea11888728502bb7ff18769e83c37ba8c41b5106", "fe09d0e25606b5e02dc6f5d0e204f8341ad2ddced1e30e173aec0b8aa2f9fb47"},
+		"value":         {"57c73773ce25c096843826b403a767ea49ab62648c0b22e6f21b8da90ccfc8b8", "85dedf17026cb51116f4063fbc8e31aa384814a9548aaee355afacd8a167727a"},
+		"value-by-port": {"decb27b5a99eb1407b03e8627f1b8b4e5d1f5543a6c71e44dd827274f091bcd8", "2e1ea3fd4f60cdf570a91e84ec32f0712486d5742a5820c370e62eac6e033f33"},
+		"work-value":    {"710ee794591ee86d0498df62752723cad21e5c0445f596708db1282e99519134", "baa39bdad7f05a89e029c13cff10b1533d593788589c41d8ba22ad433373c051"},
+	}
+	for mode, want := range golden {
+		for i, binary := range []bool{false, true} {
+			o := GenerateOptions{Slots: 300, Ports: 4, Sources: 20, Mode: mode, Affinity: mode != "value", Seed: 5, Binary: binary}
+			h := sha256.New()
+			if err := Generate(h, o); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[i] {
+				t.Errorf("mode %s binary %v: sha256 %s, want %s", mode, binary, got, want[i])
+			}
+		}
 	}
 }
 

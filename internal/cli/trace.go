@@ -79,8 +79,12 @@ func checkWorkLabel(maxLabel, ports int) error {
 	return nil
 }
 
-// Generate writes a synthetic trace to w.
+// Generate writes a synthetic trace to w, slot by slot as the
+// generator draws it, so memory stays O(burst) at any trace length.
 func Generate(w io.Writer, o GenerateOptions) error {
+	if err := checkNonNegative(flagValue{"-slots", o.Slots}, flagValue{"-ports", o.Ports}, flagValue{"-k", o.MaxLabel}); err != nil {
+		return err
+	}
 	cfg, err := o.buildMMPP()
 	if err != nil {
 		return err
@@ -89,11 +93,10 @@ func Generate(w io.Writer, o GenerateOptions) error {
 	if err != nil {
 		return err
 	}
-	tr := traffic.Record(gen, o.Slots)
 	if o.Binary {
-		return tr.WriteBinary(w)
+		return traffic.WriteBinary(w, gen, o.Slots)
 	}
-	return tr.Write(w)
+	return traffic.WriteText(w, gen, o.Slots)
 }
 
 // Stats reads a trace (text or binary) from r and writes summary
@@ -156,6 +159,9 @@ type ReplayOptions struct {
 // drives the named policy and the OPT proxy over it, and writes the
 // outcome to w.
 func Replay(w io.Writer, r io.Reader, o ReplayOptions) error {
+	if err := checkNonNegative(flagValue{"-ports", o.Ports}, flagValue{"-k", o.MaxLabel}, flagValue{"-buffer", o.Buffer}, flagValue{"-flush", o.Flush}); err != nil {
+		return err
+	}
 	var src traffic.Provider
 	if o.Input != "" {
 		fp, err := traffic.OpenFile(o.Input)

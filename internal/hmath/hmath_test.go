@@ -87,3 +87,46 @@ func TestEulerGammaRelation(t *testing.T) {
 func qcfg(n int) *quick.Config {
 	return &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(7))}
 }
+
+// TestHarmonicBitIdentical pins Harmonic, for every n in [0, 1<<17],
+// to a naive backward summation 1/n + 1/(n−1) + … + 1/1: bit for bit
+// wherever Harmonic sums (the table and the direct-sum branch, n <=
+// 1<<16), and within 1e-9 on the first asymptotic values above it.
+func TestHarmonicBitIdentical(t *testing.T) {
+	const summed, last = 1 << 16, 1 << 17
+	// One backward pass builds every naive sum at once: sums[n] takes
+	// 1/i for each i from n down to 1, in that order.
+	sums := make([]float64, summed+1)
+	for i := summed; i >= 1; i-- {
+		x := 1 / float64(i)
+		row := sums[i:]
+		for n := range row {
+			row[n] += x
+		}
+	}
+	for n, want := range sums {
+		if got := Harmonic(n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Harmonic(%d) = %v (bits %#x), naive backward sum %v (bits %#x)",
+				n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	// Above the direct-sum branch a forward running sum stands in for
+	// the backward one: its rounding error stays below n·ε·H_n < 2e-10.
+	h := sums[summed]
+	for n := summed + 1; n <= last; n++ {
+		h += 1 / float64(n)
+		if got := Harmonic(n); math.Abs(got-h) > 1e-9 {
+			t.Fatalf("Harmonic(%d) = %.12f, summation %.12f", n, got, h)
+		}
+	}
+}
+
+// BenchmarkHarmonicTable times the table build every process pays at
+// package init.
+func BenchmarkHarmonicTable(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tableSink = buildHarmonicTable()
+	}
+}
+
+var tableSink [harmonicTableSize]float64

@@ -57,6 +57,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("search: max burst %d < 1", s.MaxBurst)
 	case s.Trials < 1:
 		return fmt.Errorf("search: trials %d < 1", s.Trials)
+	case s.Climb < 0:
+		return fmt.Errorf("search: climb %d is negative", s.Climb)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"strings"
 	"testing"
 
 	"smbm/internal/core"
@@ -64,6 +65,12 @@ func TestSpecValidation(t *testing.T) {
 	s.MaxBurst = 0
 	if _, err := Run(s); err == nil {
 		t.Error("zero burst accepted")
+	}
+	// A negative climb would silently act as 0 (no hill-climbing).
+	s = procSpec(policy.LWD{})
+	s.Climb = -3
+	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "climb") {
+		t.Errorf("climb -3: err = %v, want one naming climb", err)
 	}
 }
 

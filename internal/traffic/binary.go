@@ -22,18 +22,24 @@ const (
 	maxBinaryLabel = 1<<8 - 1
 )
 
-// WriteBinary serializes the trace in the binary format.
-func (tr Trace) WriteBinary(w io.Writer) error {
+// WriteBinary serializes the trace in the binary format, through the
+// package-level WriteBinary.
+func (tr Trace) WriteBinary(w io.Writer) error { return WriteBinary(w, tr.Replay(), len(tr)) }
+
+// WriteBinary writes the next slots slots of src to w in the binary
+// format. Each burst is written as it is drawn, so memory stays
+// O(burst) at any slot count.
+func WriteBinary(w io.Writer, src Source, slots int) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(binaryMagic); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(tr))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(slots)); err != nil {
 		return err
 	}
-	var rec [8]byte
-	for t, slot := range tr {
-		for _, p := range slot {
+	var rec [recordSize]byte
+	for t := 0; t < slots; t++ {
+		for _, p := range src.Next() {
 			if p.Port < 0 || p.Port > maxBinaryPort || p.Work < 0 || p.Work > maxBinaryLabel || p.Value < 0 || p.Value > maxBinaryLabel {
 				return fmt.Errorf("traffic: packet %v exceeds the binary format's field widths", p)
 			}

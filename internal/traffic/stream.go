@@ -16,7 +16,7 @@ import (
 // hold one slot's packets at a time, so replaying a 2·10⁶-slot file
 // costs O(peak burst) memory. The price is an ordering requirement:
 // records must be grouped by non-decreasing slot — exactly the order
-// Write and WriteBinary emit — and an out-of-order record is a stream
+// WriteText and WriteBinary emit — and an out-of-order record is a stream
 // error rather than a backward insert.
 
 // StreamText opens a streaming cursor over the v1 text format,

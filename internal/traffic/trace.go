@@ -80,19 +80,24 @@ func checkMaterializedSlots(slots int) error {
 // traceHeader is the first line of the v1 text format.
 const traceHeader = "# smbm-trace v1"
 
-// Write serializes the trace in a line-oriented text format:
+// Write serializes the trace in the text format, through WriteText.
+func (tr Trace) Write(w io.Writer) error { return WriteText(w, tr.Replay(), len(tr)) }
+
+// WriteText writes the next slots slots of src to w in a line-oriented
+// text format:
 //
 //	# smbm-trace v1 slots=<n>
 //	<slot> <port> <work> <value>
 //
-// one line per packet, slots ascending.
-func (tr Trace) Write(w io.Writer) error {
+// one line per packet, slots ascending. Each burst is written as it is
+// drawn, so memory stays O(burst) at any slot count.
+func WriteText(w io.Writer, src Source, slots int) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s slots=%d\n", traceHeader, len(tr)); err != nil {
+	if _, err := fmt.Fprintf(bw, "%s slots=%d\n", traceHeader, slots); err != nil {
 		return err
 	}
-	for t, slot := range tr {
-		for _, p := range slot {
+	for t := 0; t < slots; t++ {
+		for _, p := range src.Next() {
 			if _, err := fmt.Fprintf(bw, "%d %d %d %d\n", t, p.Port, p.Work, p.Value); err != nil {
 				return err
 			}
@@ -101,7 +106,7 @@ func (tr Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses the text format produced by Write.
+// ReadTrace parses the text format produced by WriteText.
 func ReadTrace(r io.Reader) (Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

@@ -223,6 +223,9 @@ func (g *MMPP) Next() []pkt.Packet {
 
 // emit labels one packet from source i.
 func (g *MMPP) emit(i int) pkt.Packet {
+	// Under PortAffinity the drawn port is discarded, but the draw is
+	// kept on purpose: it advances the RNG, and removing it would shift
+	// every seeded stream and every pinned digest.
 	port := g.drawPort()
 	if g.cfg.PortAffinity {
 		port = g.sourcePort[i]
