@@ -19,7 +19,7 @@ import (
 type (
 	// Config describes a shared-memory switch instance.
 	Config = core.Config
-	// Model selects the processing, value or combined generalization.
+	// Model selects the processing or the value generalization.
 	Model = core.Model
 	// Packet is a unit-sized packet with port, work and value labels.
 	Packet = pkt.Packet
@@ -67,10 +67,6 @@ const (
 	// ModelValue is the Section IV model: heterogeneous values,
 	// priority queues, throughput in total value.
 	ModelValue = core.ModelValue
-	// ModelCombined is the work×value model the paper never ran:
-	// FIFO queues with per-port work AND per-packet intrinsic value,
-	// objective = transmitted value (per cycle).
-	ModelCombined = core.ModelCombined
 )
 
 // Traffic labeling modes.
@@ -83,9 +79,6 @@ const (
 	// LabelValueByPort sets value = port+1 (the value≡port special
 	// case).
 	LabelValueByPort = traffic.LabelValueByPort
-	// LabelWorkValue stamps combined-model packets with their port's
-	// configured work and a value drawn uniformly from [1,k].
-	LabelWorkValue = traffic.LabelWorkValue
 )
 
 // NewSwitch builds a switch simulator from cfg driven by p.
@@ -98,10 +91,6 @@ func WorkPacket(port, work int) Packet { return pkt.NewWork(port, work) }
 // ValuePacket returns a value-model packet with the given intrinsic
 // value, destined to port.
 func ValuePacket(port, value int) Packet { return pkt.NewValue(port, value) }
-
-// WorkValuePacket returns a combined-model packet carrying both a
-// required work and an intrinsic value, destined to port.
-func WorkValuePacket(port, work, value int) Packet { return pkt.NewWorkValue(port, work, value) }
 
 // ContiguousWorks returns the canonical configuration of k ports with
 // required works 1..k.
@@ -165,12 +154,6 @@ func ValueLQD() Policy { return policy.VLQD{} }
 // value-by-port special case.
 func NHSTV() Policy { return policy.NHSTV{} }
 
-// Combined-model policies (the open work×value model).
-
-// RVD returns Ratio-Value-Drop, the combined-model hybrid: push out
-// the tail of the queue buffering the most work per unit of value.
-func RVD() Policy { return policy.RVD{} }
-
 // ProcessingPolicies returns the full processing-model roster in the
 // paper's order.
 func ProcessingPolicies() []Policy { return policy.ForProcessing() }
@@ -182,10 +165,6 @@ func ValuePolicies() []Policy { return policy.ForValueUniform() }
 // special case (adds NHSTV).
 func ValueByPortPolicies() []Policy { return policy.ForValueByPort() }
 
-// CombinedPolicies returns the combined work×value roster: the
-// carried-over disciplines plus the LWD/MRD/RVD push-out family.
-func CombinedPolicies() []Policy { return policy.ForCombined() }
-
 // References.
 
 // NewOptProxy returns the paper's OPT reference for cfg: a single
@@ -194,7 +173,7 @@ func NewOptProxy(cfg Config) (System, error) { return sim.NewOptProxy(cfg) }
 
 // ExactOptimum returns the true offline optimum objective of trace:
 // transmitted packets in the processing model, transmitted value in the
-// value and combined models. It refuses every packet the engine
+// value model. It refuses every packet the engine
 // refuses, and errors, naming the slot, once the solver's state space
 // outgrows its memory budget (the trace may be long; the switch should
 // be small).

@@ -134,17 +134,6 @@ func TestExactOptimumFacade(t *testing.T) {
 	if gotV != 6 {
 		t.Errorf("exact value = %d, want 6", gotV)
 	}
-	// Combined: B = 2 holds two of the three packets; the optimum keeps
-	// the values 4 and 3.
-	ccfg := smbm.Config{Model: smbm.ModelCombined, Ports: 2, Buffer: 2, MaxLabel: 4, Speedup: 1, PortWork: []int{1, 2}}
-	ctr := smbm.Trace{{smbm.WorkValuePacket(1, 2, 4), smbm.WorkValuePacket(1, 2, 1), smbm.WorkValuePacket(0, 1, 3)}}
-	gotC, err := smbm.ExactOptimum(ccfg, ctr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotC != 7 {
-		t.Errorf("exact combined value = %d, want 7", gotC)
-	}
 }
 
 func TestLowerBoundsFacade(t *testing.T) {

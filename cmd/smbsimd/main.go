@@ -65,10 +65,8 @@ func parseModel(s string) (core.Model, error) {
 		return core.ModelProcessing, nil
 	case "value":
 		return core.ModelValue, nil
-	case "combined":
-		return core.ModelCombined, nil
 	}
-	return 0, fmt.Errorf("unknown model %q (want proc, value or combined)", s)
+	return 0, fmt.Errorf("unknown model %q (want proc or value)", s)
 }
 
 // parseWorks maps the -works flag to a PortWork configuration: "" for
@@ -108,11 +106,8 @@ func parseWorks(s string, ports, maxLabel int) ([]int, error) {
 // lookupPolicy resolves a roster policy by name within a model. The
 // returned factory builds a fresh instance per shard.
 func lookupPolicy(model core.Model, name string) (func() core.Policy, error) {
-	byName := policy.CombinedByName
-	switch model {
-	case core.ModelProcessing:
-		byName = policy.ByName
-	case core.ModelValue:
+	byName := policy.ByName
+	if model == core.ModelValue {
 		byName = policy.ValueByName
 	}
 	if byName(name) == nil {
@@ -134,7 +129,7 @@ func splitListen(spec string) (network, addr string, err error) {
 
 func main() {
 	var (
-		model    = flag.String("model", "proc", "switch model: proc, value or combined")
+		model    = flag.String("model", "proc", "switch model: proc or value")
 		ports    = flag.Int("ports", 16, "output ports n")
 		buffer   = flag.Int("buffer", 64, "shared buffer size B (>= ports)")
 		maxLabel = flag.Int("k", 4, "per-packet work/value bound k (<= 255)")
@@ -157,6 +152,9 @@ func main() {
 	m, err := parseModel(*model)
 	if err != nil {
 		fail(err)
+	}
+	if *ringCap < 0 {
+		fail(fmt.Errorf("-ring %d is negative", *ringCap))
 	}
 	pw, err := parseWorks(*works, *ports, *maxLabel)
 	if err != nil {

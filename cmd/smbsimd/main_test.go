@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -215,6 +217,37 @@ func (d *daemonProc) adminGet(t *testing.T, path string) (int, string) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, string(body)
+}
+
+// TestDaemonRefusesBadFlags: the retired combined model, a negative
+// -ring and a -ring with no power-of-two round-up each exit 1 with a
+// message naming the problem, before the daemon listens.
+func TestDaemonRefusesBadFlags(t *testing.T) {
+	bin, err := binary()
+	if err != nil {
+		t.Fatalf("building smbsimd: %v", err)
+	}
+	for _, c := range []struct {
+		flags []string
+		want  []string
+	}{
+		{[]string{"-model", "combined"}, []string{`"combined"`, "proc", "value"}},
+		{[]string{"-ring", "-5"}, []string{"-ring -5"}},
+		{[]string{"-ring", fmt.Sprint(math.MaxInt)}, []string{"ring capacity"}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, bin, append(c.flags, "-listen", "tcp:127.0.0.1:0")...)
+		out, err := cmd.CombinedOutput()
+		cancel()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("%v: exit %d (%v), want 1", c.flags, code, err)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(string(out), w) {
+				t.Errorf("%v: output %q does not name %s", c.flags, out, w)
+			}
+		}
+	}
 }
 
 // TestDaemonStreamPolicySwapSIGTERM covers the daemon lifecycle end to

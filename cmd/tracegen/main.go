@@ -27,10 +27,10 @@ func main() {
 	var (
 		slots    = flag.Int("slots", 10000, "trace length in slots")
 		ports    = flag.Int("ports", 16, "number of output ports")
-		maxLabel = flag.Int("k", 0, "max label (default: ports); -mode work requires k = ports, -mode work-value bounds values only (works are 1..ports)")
+		maxLabel = flag.Int("k", 0, "max label (default: ports); -mode work requires k = ports")
 		sources  = flag.Int("sources", 100, "MMPP on-off sources")
 		rate     = flag.Float64("rate", 0, "mean packets per slot (default: 1.5x ports)")
-		mode     = flag.String("mode", "work", `labeling: "work" (processing model, contiguous works), "value" (uniform values), "value-by-port", "work-value" (combined model)`)
+		mode     = flag.String("mode", "work", `labeling: "work" (processing model, contiguous works), "value" (uniform values) or "value-by-port"`)
 		affinity = flag.Bool("affinity", true, "pin each source to one port")
 		seed     = flag.Int64("seed", 1, "RNG seed")
 		binFmt   = flag.Bool("binary", false, "emit the compact binary trace format")

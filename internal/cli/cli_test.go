@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -340,9 +341,14 @@ func TestGenerateValueModes(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsBadMode: an unknown -mode, the retired combined
+// model's "work-value" included, is refused by name.
 func TestGenerateRejectsBadMode(t *testing.T) {
-	if err := Generate(&bytes.Buffer{}, GenerateOptions{Slots: 1, Ports: 2, Sources: 1, Mode: "bogus"}); err == nil {
-		t.Error("bad mode accepted")
+	for _, mode := range []string{"bogus", "work-value"} {
+		err := Generate(&bytes.Buffer{}, GenerateOptions{Slots: 1, Ports: 2, Sources: 1, Mode: mode})
+		if want := fmt.Sprintf("unknown -mode %q", mode); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("mode %s: err = %v, want %s", mode, err, want)
+		}
 	}
 }
 
@@ -350,6 +356,7 @@ func TestReplayValidation(t *testing.T) {
 	trace := "# smbm-trace v1 slots=1\n0 0 1 1\n"
 	cases := []ReplayOptions{
 		{Policy: "LWD", Ports: 2, Mode: "bogus"},
+		{Policy: "LWD", Ports: 2, Mode: "work-value"}, // the retired combined model
 		{Policy: "NOPE", Ports: 2, Mode: "work"},
 		{Policy: "MRD", Ports: 2, Mode: "work"}, // value policy in work mode
 	}
@@ -364,9 +371,10 @@ func TestReplayValidation(t *testing.T) {
 }
 
 // TestTracegenRefusesNegativeFlags: Generate refuses a negative -slots
-// (which sized a slice below zero) and Replay a negative -buffer or
-// -flush (which silently turned periodic flushouts off), naming the
-// flag before any output is written.
+// (which sized a slice below zero) or a negative or non-finite -rate
+// (which surfaced as the generator's derived on-rate), and Replay a
+// negative -buffer or -flush (which silently turned periodic flushouts
+// off), naming the flag before any output is written.
 func TestTracegenRefusesNegativeFlags(t *testing.T) {
 	trace := "# smbm-trace v1 slots=1\n0 0 1 1\n"
 	for _, c := range []struct {
@@ -378,6 +386,15 @@ func TestTracegenRefusesNegativeFlags(t *testing.T) {
 		}},
 		{"-ports", func(w io.Writer) error {
 			return Generate(w, GenerateOptions{Slots: 10, Ports: -3, Sources: 5, Mode: "work", Seed: 1})
+		}},
+		{"-rate", func(w io.Writer) error {
+			return Generate(w, GenerateOptions{Slots: 10, Ports: 4, Sources: 5, Rate: -2, Mode: "work", Seed: 1})
+		}},
+		{"-rate", func(w io.Writer) error {
+			return Generate(w, GenerateOptions{Slots: 10, Ports: 4, Sources: 5, Rate: math.NaN(), Mode: "work", Seed: 1})
+		}},
+		{"-rate", func(w io.Writer) error {
+			return Generate(w, GenerateOptions{Slots: 10, Ports: 4, Sources: 5, Rate: math.Inf(1), Mode: "work", Seed: 1})
 		}},
 		{"-buffer", func(w io.Writer) error {
 			return Replay(w, strings.NewReader(trace), ReplayOptions{Policy: "LWD", Ports: 2, Buffer: -5, Mode: "work"})
@@ -405,7 +422,6 @@ func TestGenerateGolden(t *testing.T) {
 		"work":          {"fbad96e70b9792ebe80d81bbea11888728502bb7ff18769e83c37ba8c41b5106", "fe09d0e25606b5e02dc6f5d0e204f8341ad2ddced1e30e173aec0b8aa2f9fb47"},
 		"value":         {"57c73773ce25c096843826b403a767ea49ab62648c0b22e6f21b8da90ccfc8b8", "85dedf17026cb51116f4063fbc8e31aa384814a9548aaee355afacd8a167727a"},
 		"value-by-port": {"decb27b5a99eb1407b03e8627f1b8b4e5d1f5543a6c71e44dd827274f091bcd8", "2e1ea3fd4f60cdf570a91e84ec32f0712486d5742a5820c370e62eac6e033f33"},
-		"work-value":    {"710ee794591ee86d0498df62752723cad21e5c0445f596708db1282e99519134", "baa39bdad7f05a89e029c13cff10b1533d593788589c41d8ba22ad433373c051"},
 	}
 	for mode, want := range golden {
 		for i, binary := range []bool{false, true} {
@@ -423,7 +439,7 @@ func TestGenerateGolden(t *testing.T) {
 
 // TestWorkModeRejectsMismatchedK: in work mode the works are 1..ports,
 // so Generate and Replay refuse an explicit -k other than -ports rather
-// than silently ignoring it. work-value keeps -k as its value bound.
+// than silently ignoring it.
 func TestWorkModeRejectsMismatchedK(t *testing.T) {
 	trace := "# smbm-trace v1 slots=1\n0 0 1 1\n"
 	for _, k := range []int{4, 20} {
@@ -439,7 +455,6 @@ func TestWorkModeRejectsMismatchedK(t *testing.T) {
 	for _, o := range []GenerateOptions{
 		{Slots: 10, Ports: 8, MaxLabel: 8, Sources: 5, Mode: "work", Seed: 1},
 		{Slots: 10, Ports: 8, Sources: 5, Mode: "work", Seed: 1},
-		{Slots: 10, Ports: 8, MaxLabel: 4, Sources: 5, Mode: "work-value", Seed: 1},
 	} {
 		if err := Generate(&bytes.Buffer{}, o); err != nil {
 			t.Errorf("Generate %+v: %v", o, err)

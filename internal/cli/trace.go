@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"smbm/internal/core"
 	"smbm/internal/policy"
@@ -17,8 +18,7 @@ type GenerateOptions struct {
 	Slots, Ports, MaxLabel, Sources int
 	// Rate is the mean packets per slot (0 = 1.5x ports).
 	Rate float64
-	// Mode selects labeling: "work", "value", "value-by-port" or
-	// "work-value" (combined model).
+	// Mode selects labeling: "work", "value" or "value-by-port".
 	Mode string
 	// Affinity pins each source to one port.
 	Affinity bool
@@ -35,6 +35,9 @@ func (o GenerateOptions) buildMMPP() (traffic.MMPPConfig, error) {
 		maxLabel = o.Ports
 	}
 	rate := o.Rate
+	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return traffic.MMPPConfig{}, fmt.Errorf("cli: -rate %v is not a finite non-negative rate", rate)
+	}
 	if rate == 0 {
 		rate = 1.5 * float64(o.Ports)
 	}
@@ -59,9 +62,6 @@ func (o GenerateOptions) buildMMPP() (traffic.MMPPConfig, error) {
 		cfg.Label = traffic.LabelValueUniform
 	case "value-by-port":
 		cfg.Label = traffic.LabelValueByPort
-	case "work-value":
-		cfg.Label = traffic.LabelWorkValue
-		cfg.PortWork = core.ContiguousWorks(o.Ports)
 	default:
 		return cfg, fmt.Errorf("unknown -mode %q", o.Mode)
 	}
@@ -198,13 +198,6 @@ func Replay(w io.Writer, r io.Reader, o ReplayOptions) error {
 	case "value", "value-by-port":
 		cfg.Model = core.ModelValue
 		pol = policy.ValueByName(o.Policy)
-	case "work-value":
-		cfg.Model = core.ModelCombined
-		cfg.PortWork = core.ContiguousWorks(o.Ports)
-		if cfg.MaxLabel < o.Ports {
-			cfg.MaxLabel = o.Ports
-		}
-		pol = policy.CombinedByName(o.Policy)
 	default:
 		return fmt.Errorf("unknown -mode %q", o.Mode)
 	}

@@ -208,8 +208,7 @@ func (b *Batch) KnownDrop(p pkt.Packet) bool {
 }
 
 // PushOut evicts one packet from queue victim (the FIFO tail in the
-// processing and combined models, the minimum value in the value
-// model) and admits p in its place. The victim and the buffer bound
+// processing model, the minimum value in the value model) and admits p in its place. The victim and the buffer bound
 // are checked before the eviction, so a violating decision mutates
 // nothing. A push-out admission is occupancy-neutral, so during a
 // buffer squeeze it only needs the physical bound.

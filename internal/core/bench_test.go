@@ -75,33 +75,28 @@ func BenchmarkInvariantCheckingOverhead(b *testing.B) {
 // non-empty, at C = 1 (most slots only shorten a head-of-line residual)
 // and C = 4 (low-work ports finish several packets per slot). Queues
 // are refilled outside the timed region every transmitBatch slots, deep
-// enough that none empties in between; the combined model cycles
-// packet values so completions also refresh the queue minimum.
+// enough that none empties in between.
 func BenchmarkTransmit(b *testing.B) {
-	for _, model := range []Model{ModelProcessing, ModelCombined} {
-		for _, c := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%v/C%d", model, c), func(b *testing.B) {
-				benchTransmit(b, model, c)
-			})
-		}
+	for _, c := range []int{1, 4} {
+		b.Run(fmt.Sprintf("processing/C%d", c), func(b *testing.B) {
+			benchTransmit(b, c)
+		})
 	}
 }
 
 const transmitBatch = 64
 
-func benchTransmit(b *testing.B, model Model, c int) {
+func benchTransmit(b *testing.B, c int) {
 	const ports = 32
 	cfg := Config{
-		Model: model, Ports: ports, Buffer: ports * transmitBatch * c,
+		Model: ModelProcessing, Ports: ports, Buffer: ports * transmitBatch * c,
 		MaxLabel: ports, Speedup: c, PortWork: ContiguousWorks(ports),
 	}
 	sw := MustNew(cfg, PolicyFunc{PolicyName: "none", Func: func(View, pkt.Packet) Decision { return Drop() }})
-	var n int
 	refill := func() {
 		for i, w := range cfg.PortWork {
 			for sw.qLen[i] <= transmitBatch*c/w {
-				n++
-				sw.insert(pkt.NewWorkValue(i, w, 1+n%cfg.MaxLabel))
+				sw.insert(pkt.NewWork(i, w))
 			}
 		}
 	}

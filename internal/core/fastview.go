@@ -21,8 +21,8 @@ type FastView interface {
 
 	// QueueTotalWorks returns the live per-queue total residual work,
 	// mirroring View.QueueWork: (|Q_i|-1)·w_i + hol_i under the FIFO
-	// disciplines (processing and combined models), |Q_i| in the value
-	// model (unit works).
+	// discipline (processing model), |Q_i| in the value model (unit
+	// works).
 	//smb:hotpath
 	QueueTotalWorks() []int
 

@@ -77,30 +77,31 @@ func FuzzDecisionExecutor(f *testing.F) {
 }
 
 // refArriveCheck is the two-step arrival validation PacketCheck fuses:
-// pkt.Validate's range checks, then the FIFO models' per-port work
-// match. It is the reference FuzzArriveValidation holds ArriveBatch to.
+// pkt.Validate's range checks, then the processing model's per-port
+// work match. It is the reference FuzzArriveValidation holds ArriveBatch to.
 func refArriveCheck(cfg Config, p pkt.Packet) error {
 	if err := p.Validate(cfg.Ports, cfg.MaxLabel); err != nil {
 		return err
 	}
-	if cfg.Model != ModelValue && p.Work != cfg.portWork()[p.Port] {
+	if cfg.Model == ModelProcessing && p.Work != cfg.portWork()[p.Port] {
 		return fmt.Errorf("core: packet work %d does not match port %d configuration %d", p.Work, p.Port, cfg.portWork()[p.Port])
 	}
 	return nil
 }
 
 // validationConfig derives a small switch configuration from the fuzz
-// selectors: model = sel%3, unit works (nil PortWork) when sel/3 is
-// odd, n and MaxLabel in [1,4].
+// selectors: the processing model when sel is even, with unit works
+// (nil PortWork) when sel/2 is odd, the value model when sel is odd; n
+// and MaxLabel in [1,4].
 func validationConfig(sel, n, ml uint8) Config {
 	cfg := Config{
-		Model:    Model(1 + sel%3),
+		Model:    []Model{ModelProcessing, ModelValue}[sel%2],
 		Ports:    1 + int(n%4),
 		MaxLabel: 1 + int(ml%4),
 		Speedup:  1,
 	}
 	cfg.Buffer = 2 * cfg.Ports
-	if cfg.Model != ModelValue && sel/3%2 == 0 {
+	if cfg.Model == ModelProcessing && sel/2%2 == 0 {
 		cfg.PortWork = make([]int, cfg.Ports)
 		for i := range cfg.PortWork {
 			cfg.PortWork[i] = min(1+i, cfg.MaxLabel)
@@ -110,11 +111,12 @@ func validationConfig(sel, n, ml uint8) Config {
 }
 
 // FuzzArriveValidation holds ArriveBatch's one-branch arrival check to
-// the two-step reference, in every model: the same packets pass, and a
+// the two-step reference, in both models: the same packets pass, and a
 // refused one fails with the same *BurstError text. The seed corpus
-// covers, exhaustively for two configurations per model, every port in
-// [-1, n], every work and value in [-1, MaxLabel+1], and the int
-// extremes.
+// covers, exhaustively for two configurations per selector (selectors
+// 0–5: processing with port works, with unit works, and value), every
+// port in [-1, n], every work and value in [-1, MaxLabel+1], and the
+// int extremes.
 func FuzzArriveValidation(f *testing.F) {
 	for sel := uint8(0); sel < 6; sel++ {
 		for _, dims := range [][2]uint8{{0, 0}, {2, 3}} {

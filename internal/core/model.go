@@ -39,13 +39,9 @@ const (
 	// ModelValue is the Section IV model: heterogeneous values, unit
 	// work, priority queues, throughput = total value transmitted.
 	ModelValue
-	// ModelCombined is the combined work×value model the paper never
-	// studied: packets carry both a required work (fixed per port, like
-	// the processing model) and an intrinsic value drawn from [1,k].
-	// Queues are FIFO and push-out evicts the tail, exactly like the
-	// processing model, so every processing-style discipline carries
-	// over; the objective is the total value transmitted (equivalently,
-	// value per processing cycle — see Stats.ValuePerCycle).
+	// ModelCombined is reserved: it named a combined work×value model
+	// that has been retired, and Config.Validate refuses it. Its only
+	// user is benchsuite/layers.go, which still names it.
 	ModelCombined
 )
 
@@ -56,8 +52,6 @@ func (m Model) String() string {
 		return "processing"
 	case ModelValue:
 		return "value"
-	case ModelCombined:
-		return "combined"
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
 	}
@@ -80,7 +74,7 @@ type Config struct {
 	// model); C packets are transmitted per queue per slot (value model).
 	Speedup int
 	// PortWork gives w_i, the required work of packets destined to port
-	// i (processing and combined models; the paper's "configuration").
+	// i (processing model; the paper's "configuration").
 	// A nil slice means unit work on every port, which recovers the
 	// classical shared-memory switch of Aiello et al. Must be
 	// non-decreasing: the paper sorts queues by processing requirement.
@@ -146,7 +140,7 @@ var ErrBadConfig = errors.New("core: invalid config")
 // Validate checks internal consistency of the configuration.
 func (c Config) Validate() error {
 	switch {
-	case c.Model != ModelProcessing && c.Model != ModelValue && c.Model != ModelCombined:
+	case c.Model != ModelProcessing && c.Model != ModelValue:
 		return fmt.Errorf("%w: unknown model %d", ErrBadConfig, int(c.Model))
 	case c.Ports < 1:
 		return fmt.Errorf("%w: ports %d < 1", ErrBadConfig, c.Ports)
@@ -194,7 +188,7 @@ func (c Config) portWork() []int {
 // PacketCheck is the engine's arrival validation for one configuration,
 // shared by Switch.ArriveBatch and the sharded runtime's producer side:
 // a packet is accepted when its port, work and value are in range
-// (pkt.Validate) and, in the FIFO models, its work matches its port's
+// (pkt.Validate) and, in the processing model, its work matches its port's
 // configured work. Build one with NewPacketCheck.
 type PacketCheck struct {
 	ports    uint

@@ -43,6 +43,7 @@ func TestConfigValidate(t *testing.T) {
 		{"valid nil PortWork", mutate(func(c *Config) { c.PortWork = nil }), false},
 		{"zero model", mutate(func(c *Config) { c.Model = 0 }), true},
 		{"unknown model", mutate(func(c *Config) { c.Model = 9 }), true},
+		{"retired combined model", mutate(func(c *Config) { c.Model = ModelCombined }), true},
 		{"zero ports", mutate(func(c *Config) { c.Ports = 0 }), true},
 		{"buffer below ports", mutate(func(c *Config) { c.Buffer = 3 }), true},
 		{"zero max label", mutate(func(c *Config) { c.MaxLabel = 0 }), true},

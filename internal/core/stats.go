@@ -32,26 +32,12 @@ type Stats struct {
 }
 
 // Throughput returns the model objective: transmitted packets in the
-// processing model, transmitted value in the value and combined models.
-// In the combined model the competitive comparison divides both sides'
-// value by the same cycle budget, so total transmitted value is the
-// value-per-cycle objective up to that shared normalization (see
-// ValuePerCycle for the normalized figure).
+// processing model, transmitted value in the value model.
 func (s Stats) Throughput(m Model) int64 {
 	if m == ModelProcessing {
 		return s.Transmitted
 	}
 	return s.TransmittedValue
-}
-
-// ValuePerCycle returns the combined-model objective normalized by the
-// processing cycles actually consumed: transmitted value per cycle, or
-// 0 when no cycle was spent.
-func (s Stats) ValuePerCycle() float64 {
-	if s.CyclesUsed == 0 {
-		return 0
-	}
-	return float64(s.TransmittedValue) / float64(s.CyclesUsed)
 }
 
 // LossRate returns the fraction of arrived packets that were not

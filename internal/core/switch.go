@@ -11,10 +11,9 @@ import (
 
 // Switch is a shared-memory switch instance driven by a Policy. Create
 // with New; not safe for concurrent use (run one Switch per goroutine).
-// The three models share one engine parameterized by two traits, fifo
-// and valued (fields below): one arrival path (ArriveBatch) and one
-// transmission phase per queue discipline, FIFO or priority
-// (Transmit).
+// The two models share one engine parameterized by one trait, fifo
+// (field below): one arrival path (ArriveBatch) and one transmission
+// phase per queue discipline, FIFO or priority (Transmit).
 type Switch struct {
 	cfg    Config
 	policy Policy
@@ -45,20 +44,14 @@ type Switch struct {
 	occ  int
 	slot int64
 
-	// Model traits, fixed at construction, that drive every mutator's
-	// dispatch instead of per-site model enumeration:
-	//
-	//   - fifo (processing, combined): FIFO queue discipline — head-of-
-	//     line residuals, per-port work requirements, tail push-out, and
-	//     the arrivals deques for latency accounting;
-	//   - valued (value, combined): heterogeneous intrinsic values — one
-	//     bounded multiset per queue backing the min/max/sum mirrors.
-	//
-	// The pure value model is valued-only (priority-queue discipline:
-	// transmission pops the max, push-out pops the min); the combined
-	// model is both (FIFO discipline over work-and-value packets).
-	fifo   bool
-	valued bool
+	// fifo is the model trait, fixed at construction, that drives every
+	// mutator's dispatch. It is true in the processing model: FIFO queue
+	// discipline, with head-of-line residuals, per-port work
+	// requirements, tail push-out, and the arrivals deques for latency
+	// accounting. It is false in the value model: priority-queue
+	// discipline over one bounded multiset of values per queue, where
+	// transmission pops the max and push-out pops the min.
+	fifo bool
 
 	// Per-queue state. qLen is the packet count (every model). A FIFO
 	// queue holding len packets with head-of-line residual hol has total
@@ -67,24 +60,21 @@ type Switch struct {
 	// exactly when FIFO queue i is empty (verify checks it), which lets
 	// transmitFIFO's hot tier skip empty queues without reading qLen.
 	// arrivals records the arrival slot of each buffered packet in FIFO
-	// order for latency accounting (fifo models only).
+	// order for latency accounting (processing model only).
 	qLen     []int
 	holRes   []int
 	qWork    []int
 	arrivals []deque.Deque
 
-	// Value state (valued models): one bounded multiset per queue; vMin
+	// Value state (value model): one bounded multiset per queue; vMin
 	// and vSum mirror the per-queue minimum (0 when empty) and value sum
 	// so FastView consumers read lanes instead of querying each
 	// multiset. The processing model maintains the degenerate mirrors
 	// (vMin 1 when non-empty, vSum ≡ qLen), matching its per-queue
-	// View semantics. vals additionally mirrors each combined-model FIFO
-	// queue's per-packet values in arrival order, so the tail eviction
-	// and head-of-line completion know which value leaves the multiset.
+	// View semantics.
 	vq   []*bmset.Set
 	vMin []int
 	vSum []int64
-	vals []deque.Deque
 
 	// Incrementally maintained argmax caches over the per-queue length
 	// and total-work keys, and the precomputed NHST normalizer
@@ -163,11 +153,10 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	// Carve the per-port hot lanes out of one contiguous allocation
 	// (full-capacity subslices, so an append on one lane can never bleed
 	// into the next). The work table is an engine-private copy of the
-	// configuration. The lane layout is identical for every model; the
-	// traits only decide which side structures (arrival deques, value
-	// multisets) exist.
-	s.fifo = cfg.Model != ModelValue
-	s.valued = cfg.Model != ModelProcessing
+	// configuration. The lane layout is identical for both models; the
+	// trait only decides which side structure (arrival deques or value
+	// multisets) exists.
+	s.fifo = cfg.Model == ModelProcessing
 	s.soa = make([]int, 6*n)
 	s.qLen = s.soa[0*n : 1*n : 1*n]
 	s.holRes = s.soa[1*n : 2*n : 2*n]
@@ -176,23 +165,15 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	s.works = s.soa[4*n : 5*n : 5*n]
 	s.speedTab = s.soa[5*n : 6*n : 6*n]
 	s.vSum = make([]int64, n)
-	reserve := min(cfg.Buffer, reserveCap)
 	if s.fifo {
 		s.arrivals = make([]deque.Deque, n)
 		for i := range s.arrivals {
-			s.arrivals[i].Reserve(reserve)
+			s.arrivals[i].Reserve(min(cfg.Buffer, reserveCap))
 		}
-	}
-	if s.valued {
+	} else {
 		s.vq = make([]*bmset.Set, n)
 		for i := range s.vq {
 			s.vq[i] = bmset.New(cfg.MaxLabel)
-		}
-	}
-	if s.fifo && s.valued {
-		s.vals = make([]deque.Deque, n)
-		for i := range s.vals {
-			s.vals[i].Reserve(reserve)
 		}
 	}
 	s.cfgWorks = append([]int(nil), cfg.portWork()...)
@@ -409,7 +390,7 @@ func (s *Switch) QueueMinValue(i int) int { return s.vMin[i] }
 
 // QueueMaxValue implements View.
 func (s *Switch) QueueMaxValue(i int) int {
-	if !s.valued {
+	if s.fifo {
 		if s.qLen[i] == 0 {
 			return 0
 		}
@@ -541,9 +522,9 @@ func (e *BurstError) Error() string {
 func (e *BurstError) Unwrap() error { return e.Err }
 
 // Transmit runs one transmission phase: every non-empty queue receives
-// Speedup processing cycles (the fifo models, processing and combined,
-// through transmitFIFO) or transmits up to Speedup packets (the value
-// model, through transmitValue). It advances the slot counter.
+// Speedup processing cycles (the processing model, through
+// transmitFIFO) or transmits up to Speedup packets (the value model,
+// through transmitValue). It advances the slot counter.
 //
 //smb:hotpath
 func (s *Switch) Transmit() {
@@ -562,13 +543,13 @@ func (s *Switch) Transmit() {
 	}
 }
 
-// transmitFIFO is the fifo models' transmission phase: each port spends
-// its speedTab cycles on its head-of-line packet. It runs in two tiers.
-// The hot tier relies on the invariant holRes[i] == 0 exactly when
-// queue i is empty (verify checks it), so use = min(speedup, holRes) is
-// 0 for empty and blacked-out ports; when use falls short of the
-// residual, the port only loses use cycles of residual work, with no
-// counter, deque or perPort traffic. Only a finished head-of-line
+// transmitFIFO is the processing model's transmission phase: each port
+// spends its speedTab cycles on its head-of-line packet. It runs in two
+// tiers. The hot tier relies on the invariant holRes[i] == 0 exactly
+// when queue i is empty (verify checks it), so use = min(speedup,
+// holRes) is 0 for empty and blacked-out ports; when use falls short of
+// the residual, the port only loses use cycles of residual work, with
+// no counter, deque or perPort traffic. Only a finished head-of-line
 // packet enters the completion tier, completeFIFO.
 //
 //smb:hotpath
@@ -608,9 +589,8 @@ func (s *Switch) transmitFIFO() {
 // transmits that packet, carries the leftover budget into the next
 // ones, transmitting each that finishes, and returns the cycles spent
 // past the first. Counters are batched into Stats and perPort once per
-// call. The combined model credits each packet's intrinsic value from
-// the vals deque; the processing model credits unit values and keeps
-// its degenerate value mirrors.
+// call. Every packet credits unit value, and the degenerate value
+// mirrors follow the queue length.
 //
 //smb:hotpath
 func (s *Switch) completeFIFO(i, budget int) int64 {
@@ -620,8 +600,6 @@ func (s *Switch) completeFIFO(i, budget int) int64 {
 		cycles    int64
 		completed int64
 		latSum    int64
-		valSum    int64
-		minHit    bool
 	)
 	for {
 		s.qLen[i]--
@@ -631,17 +609,6 @@ func (s *Switch) completeFIFO(i, budget int) int64 {
 		latSum += latency
 		if latency > pc.MaxLatency {
 			pc.MaxLatency = latency
-		}
-		if s.valued {
-			v := int(s.vals[i].PopFront())
-			s.vq[i].Remove(v)
-			valSum += int64(v)
-			// s.vMin[i] is not touched inside the loop, so comparing the
-			// popped value against it detects whether any completion may
-			// have removed the last copy of the pre-phase minimum.
-			if v == s.vMin[i] {
-				minHit = true
-			}
 		}
 		if s.qLen[i] == 0 {
 			break
@@ -655,22 +622,17 @@ func (s *Switch) completeFIFO(i, budget int) int64 {
 			break
 		}
 	}
-	if !s.valued {
-		valSum = completed
-	}
-	s.vSum[i] -= valSum
+	s.vSum[i] -= completed
 	if s.qLen[i] == 0 {
 		s.vMin[i] = 0
-	} else if minHit {
-		s.vMin[i] = s.vq[i].Min()
 	}
 	s.lenMax.drop(i)
 	s.stats.Transmitted += completed
-	s.stats.TransmittedValue += valSum
+	s.stats.TransmittedValue += completed
 	s.stats.TransmittedWork += completed * int64(w)
 	s.stats.LatencySlots += latSum
 	pc.Transmitted += completed
-	pc.TransmittedValue += valSum
+	pc.TransmittedValue += completed
 	pc.LatencySlots += latSum
 	if s.rec != nil {
 		s.rec.Add(i, obs.KindHOLTransmit, uint64(completed))
@@ -782,9 +744,6 @@ func (s *Switch) Reset() {
 	for _, q := range s.vq {
 		q.Clear()
 	}
-	for i := range s.vals {
-		s.vals[i].Clear()
-	}
 	s.lenMax = argmax{}
 	s.workMax = argmax{}
 	s.recomputeSpeedTab()
@@ -821,16 +780,15 @@ func (s *Switch) canEvict(victim int) error {
 	return nil
 }
 
-// evict removes one packet from queue victim — the FIFO tail (fifo
-// models: processing and combined) or the minimum value (pure value
-// model) — and returns the residual work and intrinsic value the
-// eviction discarded: in the fifo models the evicted tail's remaining
-// cycles (the whole remaining queue work when the tail is also the
-// head-of-line packet, whose partial progress is wasted) plus, in the
-// combined model, the tail's intrinsic value; in the value model the
-// popped minimum. The victim must have been validated with canEvict
-// first. Counter and recorder updates belong to the caller,
-// Batch.PushOut.
+// evict removes one packet from queue victim — the FIFO tail
+// (processing model) or the minimum value (value model) — and returns
+// the residual work and intrinsic value the eviction discarded: in the
+// processing model the evicted tail's remaining cycles (the whole
+// remaining queue work when the tail is also the head-of-line packet,
+// whose partial progress is wasted) and unit value; in the value model
+// unit work and the popped minimum. The victim must have been
+// validated with canEvict first. Counter and recorder updates belong to
+// the caller, Batch.PushOut.
 //
 //smb:hotpath
 func (s *Switch) evict(victim int) (remWork, remValue int) {
@@ -843,29 +801,15 @@ func (s *Switch) evict(victim int) (remWork, remValue int) {
 		}
 		s.qLen[victim]--
 		s.arrivals[victim].PopBack()
+		s.vSum[victim]--
 		if s.qLen[victim] == 0 {
 			// The evicted tail was also the head-of-line packet; any
 			// cycles already spent on it are wasted.
 			s.holRes[victim] = 0
 			s.qWork[victim] = 0
+			s.vMin[victim] = 0
 		} else {
 			s.qWork[victim] -= s.works[victim]
-		}
-		if s.valued {
-			v := int(s.vals[victim].PopBack())
-			remValue = v
-			s.vq[victim].Remove(v)
-			s.vSum[victim] -= int64(v)
-			if s.qLen[victim] == 0 {
-				s.vMin[victim] = 0
-			} else if v == s.vMin[victim] {
-				s.vMin[victim] = s.vq[victim].Min()
-			}
-		} else {
-			s.vSum[victim]--
-			if s.qLen[victim] == 0 {
-				s.vMin[victim] = 0
-			}
 		}
 	} else {
 		m := s.vq[victim].PopMin()
@@ -897,21 +841,15 @@ func (s *Switch) insert(p pkt.Packet) {
 			s.holRes[i] = s.works[i]
 		}
 		s.qWork[i] += s.works[i]
+		s.vSum[i]++
+		s.vMin[i] = 1
 	} else {
 		s.qWork[i]++
-	}
-	if s.valued {
 		s.vq[i].Add(p.Value)
 		s.vSum[i] += int64(p.Value)
 		if s.qLen[i] == 1 || p.Value < s.vMin[i] {
 			s.vMin[i] = p.Value
 		}
-		if s.vals != nil {
-			s.vals[i].PushBack(int64(p.Value))
-		}
-	} else {
-		s.vSum[i]++
-		s.vMin[i] = 1
 	}
 	s.lenMax.bump(s.qLen, i)
 	s.workMax.bump(s.qWork, i)
@@ -957,10 +895,20 @@ func (s *Switch) verify() error {
 			if s.qWork[i] != want {
 				return fmt.Errorf("core: queue %d incremental work %d != recomputed %d", i, s.qWork[i], want)
 			}
-		} else if s.qWork[i] != l {
-			return fmt.Errorf("core: queue %d work mirror %d != len %d (unit works)", i, s.qWork[i], l)
-		}
-		if s.valued {
+			if s.vSum[i] != int64(l) {
+				return fmt.Errorf("core: queue %d sum mirror %d != len %d (unit values)", i, s.vSum[i], l)
+			}
+			wantMin := 0
+			if l > 0 {
+				wantMin = 1
+			}
+			if s.vMin[i] != wantMin {
+				return fmt.Errorf("core: queue %d min mirror %d != degenerate %d", i, s.vMin[i], wantMin)
+			}
+		} else {
+			if s.qWork[i] != l {
+				return fmt.Errorf("core: queue %d work mirror %d != len %d (unit works)", i, s.qWork[i], l)
+			}
 			if l != s.vq[i].Len() {
 				return fmt.Errorf("core: queue %d incremental len %d != multiset %d", i, l, s.vq[i].Len())
 			}
@@ -973,20 +921,6 @@ func (s *Switch) verify() error {
 			}
 			if s.vMin[i] != wantMin {
 				return fmt.Errorf("core: queue %d incremental min %d != multiset %d", i, s.vMin[i], wantMin)
-			}
-			if s.vals != nil && s.vals[i].Len() != l {
-				return fmt.Errorf("core: queue %d value log len %d != len %d", i, s.vals[i].Len(), l)
-			}
-		} else {
-			if s.vSum[i] != int64(l) {
-				return fmt.Errorf("core: queue %d sum mirror %d != len %d (unit values)", i, s.vSum[i], l)
-			}
-			wantMin := 0
-			if l > 0 {
-				wantMin = 1
-			}
-			if s.vMin[i] != wantMin {
-				return fmt.Errorf("core: queue %d min mirror %d != degenerate %d", i, s.vMin[i], wantMin)
 			}
 		}
 		sum += l

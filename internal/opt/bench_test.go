@@ -50,32 +50,9 @@ func BenchmarkSPQValStep(b *testing.B) {
 	}
 }
 
-func BenchmarkSPQCombStep(b *testing.B) {
-	cfg := core.Config{
-		Model: core.ModelCombined, Ports: 16, Buffer: 256,
-		MaxLabel: 16, Speedup: 1, PortWork: core.ContiguousWorks(16),
-	}
-	s, err := NewSPQ(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	burst := make([]pkt.Packet, 32)
-	for i := range burst {
-		port := rng.Intn(16)
-		burst[i] = pkt.NewWorkValue(port, port+1, 1+rng.Intn(16))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(burst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExactProcessing, BenchmarkExactValue and
-// BenchmarkExactCombined track the exact solver's cost on a small
-// instance (it guards the property-test budget).
+// BenchmarkExactProcessing and BenchmarkExactValue track the exact
+// solver's cost on a small instance (it guards the property-test
+// budget).
 func BenchmarkExactProcessing(b *testing.B) {
 	benchExact(b, core.Config{
 		Model: core.ModelProcessing, Ports: 3, Buffer: 4,
@@ -85,13 +62,6 @@ func BenchmarkExactProcessing(b *testing.B) {
 
 func BenchmarkExactValue(b *testing.B) {
 	benchExact(b, core.Config{Model: core.ModelValue, Ports: 3, Buffer: 4, MaxLabel: 4, Speedup: 1})
-}
-
-func BenchmarkExactCombined(b *testing.B) {
-	benchExact(b, core.Config{
-		Model: core.ModelCombined, Ports: 3, Buffer: 4,
-		MaxLabel: 4, Speedup: 1, PortWork: []int{1, 2, 3},
-	})
 }
 
 func benchExact(b *testing.B, cfg core.Config) {

@@ -17,15 +17,16 @@ const exactFrontier = 1 << 18
 // Exact returns the largest objective any offline algorithm achieves on
 // the per-slot arrival trace, including a full drain after the last
 // slot: packets transmitted in the processing model, value transmitted
-// in the value and combined models.
+// in the value model.
 //
 // Offline OPT never benefits from push-out (it can decline a packet it
 // would later evict), and the final drain transmits every accepted
 // packet, so a packet's reward is credited when it is accepted. The
-// packets of one port differ only in reward: in the FIFO models they
-// all need the port's work w, in the value model unit work. A slot's
-// only decision is therefore how many of each port's arrivals to accept
-// (the highest-reward ones), with the total bounded by the free buffer.
+// packets of one port differ only in reward: in the processing model
+// they all need the port's work w, in the value model unit work. A
+// slot's only decision is therefore how many of each port's arrivals to
+// accept (the highest-reward ones), with the total bounded by the free
+// buffer.
 // The state it leaves is each port's remaining work W: accepting c
 // packets adds c·w, a transmission phase takes min(C, W) off (the
 // engine carries a finished packet's leftover cycles over to the next

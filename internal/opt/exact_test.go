@@ -24,13 +24,6 @@ func tinyProcCfg() core.Config {
 	}
 }
 
-func tinyCombCfg() core.Config {
-	cfg := tinyProcCfg()
-	cfg.Model = core.ModelCombined
-	cfg.MaxLabel = 4
-	return cfg
-}
-
 func tinyValCfg() core.Config {
 	return core.Config{
 		Model:    core.ModelValue,
@@ -163,7 +156,6 @@ func TestExactCaps(t *testing.T) {
 	}{
 		{tinyProcCfg(), policy.ForProcessing()},
 		{tinyValCfg(), policy.ForValueByPort()},
-		{tinyCombCfg(), policy.ForCombined()},
 	} {
 		tr := make(traffic.Trace, 200)
 		for s := range tr {
@@ -237,12 +229,11 @@ func TestExactDominatesRosterManyPorts(t *testing.T) {
 	}{
 		{core.ModelProcessing, policy.ForProcessing()},
 		{core.ModelValue, policy.ForValueByPort()},
-		{core.ModelCombined, policy.ForCombined()},
 	} {
 		for n := 5; n <= 6; n++ {
 			for i := 0; i < 10; i++ {
 				cfg := core.Config{Model: c.model, Ports: n, Buffer: n + rng.Intn(n), MaxLabel: n, Speedup: 1 + rng.Intn(2)}
-				if c.model != core.ModelValue {
+				if c.model == core.ModelProcessing {
 					cfg.PortWork = core.ContiguousWorks(n)
 				}
 				tr := randomTinyTrace(rng, cfg, 12, n)
@@ -260,13 +251,13 @@ func TestExactDominatesRosterManyPorts(t *testing.T) {
 	}
 }
 
-// decodeInstance turns bytes into a valid switch of one of models and
-// a trace of at most maxArrivals arrivals. Byte 0 picks the model, 1 the
-// ports (1–4), 2 the buffer (ports–8), 3 the labels k (1–8) and the
-// speedup (1–2), and the next ports bytes the port works (sorted into a
-// non-decreasing configuration). Every later byte is a slot boundary
+// decodeInstance turns bytes into a valid processing or value switch
+// and a trace of at most maxArrivals arrivals. Byte 0 picks the model,
+// 1 the ports (1–4), 2 the buffer (ports–8), 3 the labels k (1–8) and
+// the speedup (1–2), and the next ports bytes the port works (sorted
+// into a non-decreasing configuration). Every later byte is a slot boundary
 // when it is 0xe0 or more, and otherwise one arrival.
-func decodeInstance(data []byte, models []core.Model, maxArrivals int) (core.Config, traffic.Trace) {
+func decodeInstance(data []byte, maxArrivals int) (core.Config, traffic.Trace) {
 	at := func(i int) int {
 		if i < len(data) {
 			return int(data[i])
@@ -275,7 +266,7 @@ func decodeInstance(data []byte, models []core.Model, maxArrivals int) (core.Con
 	}
 	n := 1 + at(1)%4
 	cfg := core.Config{
-		Model:    models[at(0)%len(models)],
+		Model:    []core.Model{core.ModelProcessing, core.ModelValue}[at(0)%2],
 		Ports:    n,
 		Buffer:   n + at(2)%(8-n+1),
 		MaxLabel: 1 + at(3)%8,
@@ -286,7 +277,7 @@ func decodeInstance(data []byte, models []core.Model, maxArrivals int) (core.Con
 		works[i] = 1 + at(4+i)%cfg.MaxLabel
 	}
 	slices.Sort(works)
-	if cfg.Model != core.ModelValue {
+	if cfg.Model == core.ModelProcessing {
 		cfg.PortWork = works
 	}
 	tr := traffic.Trace{nil}
@@ -301,14 +292,9 @@ func decodeInstance(data []byte, models []core.Model, maxArrivals int) (core.Con
 		}
 		arrivals++
 		port, label := int(b)%n, 1+int(b)/n%cfg.MaxLabel
-		var p pkt.Packet
-		switch cfg.Model {
-		case core.ModelProcessing:
+		p := pkt.NewValue(port, label)
+		if cfg.Model == core.ModelProcessing {
 			p = pkt.NewWork(port, works[port])
-		case core.ModelValue:
-			p = pkt.NewValue(port, label)
-		default:
-			p = pkt.NewWorkValue(port, works[port], label)
 		}
 		tr[len(tr)-1] = append(tr[len(tr)-1], p)
 	}
@@ -332,7 +318,7 @@ func randomInstanceBytes(rng *rand.Rand, body int) []byte {
 // of at most 20 arrivals and requires Exact to equal the per-arrival
 // search.
 func checkExactVsSearch(t *testing.T, data []byte) {
-	cfg, tr := decodeInstance(data, []core.Model{core.ModelProcessing, core.ModelValue}, 20)
+	cfg, tr := decodeInstance(data, 20)
 	got, err := Exact(cfg, tr)
 	if err != nil {
 		t.Fatalf("%+v: %v", cfg, err)
@@ -409,12 +395,11 @@ func bestFeasibleSubset(t *testing.T, cfg core.Config, tr traffic.Trace) int64 {
 }
 
 // TestExactMatchesBestFeasibleSubset pins the DP to the subset oracle
-// on tiny instances of all three models.
+// on tiny instances of both models.
 func TestExactMatchesBestFeasibleSubset(t *testing.T) {
-	models := []core.Model{core.ModelProcessing, core.ModelValue, core.ModelCombined}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 1500; i++ {
-		cfg, tr := decodeInstance(randomInstanceBytes(rng, 14), models, 10)
+		cfg, tr := decodeInstance(randomInstanceBytes(rng, 14), 10)
 		got, err := Exact(cfg, tr)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
@@ -428,11 +413,8 @@ func TestExactMatchesBestFeasibleSubset(t *testing.T) {
 // randomPacket draws a packet legal for cfg.
 func randomPacket(rng *rand.Rand, cfg core.Config) pkt.Packet {
 	port := rng.Intn(cfg.Ports)
-	switch cfg.Model {
-	case core.ModelValue:
+	if cfg.Model == core.ModelValue {
 		return pkt.NewValue(port, 1+rng.Intn(cfg.MaxLabel))
-	case core.ModelCombined:
-		return pkt.NewWorkValue(port, cfg.PortWork[port], 1+rng.Intn(cfg.MaxLabel))
 	}
 	return pkt.NewWork(port, cfg.PortWork[port])
 }

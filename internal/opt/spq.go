@@ -9,7 +9,7 @@
 //     shared-memory OPT: with several cores smallest-first service is
 //     suboptimal, and TestSPQProxyIsNotAStrictUpperBound pins an
 //     instance the exact optimum wins.
-//   - Exact: the true offline optimum of all three models (any trace
+//   - Exact: the true offline optimum of both models (any trace
 //     length), a slot-level dynamic program over each port's remaining
 //     work, bounded by one budget on the number of states; tests and
 //     the worst-case hunter use it to check competitive bounds as
@@ -19,42 +19,38 @@ package opt
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"smbm/internal/core"
 	"smbm/internal/pkt"
 )
 
-// SPQ is the OPT proxy of every model: one shared priority queue over
+// SPQ is the OPT proxy of both models: one shared priority queue over
 // the whole buffer with n·C cores, ordered by value density — intrinsic
 // value per remaining processing cycle. Each slot every core applies one
 // cycle to a distinct densest packet, crediting the packet's value on
 // completion; push-out admission evicts a least-dense packet when a
 // strictly denser one arrives to a full buffer.
 //
-// The model picks the labels a packet carries: a processing packet
+// The model picks the label a packet is ordered by: a processing packet
 // counts as value 1 and a value packet as work 1, whatever its other
 // field holds. Density order is then smallest residual first in the
 // processing model and largest value first in the value model.
 //
-// State is a histogram over (value, residual) cells laid out densest
-// first — k cells in the processing and value models, k² in the
-// combined one — so a transmission phase costs O(cells + cores)
-// regardless of occupancy. Equal densities prefer the higher value,
-// then the smaller residual, so they complete sooner rather than later.
+// State is a histogram over k cells laid out densest first: cell i
+// holds the packets of residual i+1 (processing model) or of value k−i
+// (value model), so a transmission phase costs O(k + cores) regardless
+// of occupancy. In one dimension no two cells share a density, so the
+// cell index is the density rank.
 type SPQ struct {
-	cfg  core.Config
-	cnt  []int64 // cnt[i] = buffered packets in cell i
-	val  []int64 // val[i] = the value of cell i
-	down []int   // down[i] = the cell one cycle closer to completion, -1 at residual 1
-	rank []int   // rank[i] = density rank of cell i; equal densities share a rank
-	// pos[p.Value*va + p.Work*wa] is packet p's cell. The weight of a
-	// label the model does not carry is 0.
-	pos    []int
-	va, wa int
-	occ    int
-	hi     int // upper bound on the last non-empty cell (lazily tightened)
-	stats  core.Stats
+	cfg core.Config
+	// fifo is true in the processing model, whose cycles move a packet
+	// one cell closer to completion; a value-model packet completes on
+	// its one cycle.
+	fifo  bool
+	cnt   []int64 // cnt[i] = buffered packets in cell i
+	occ   int
+	hi    int // upper bound on the last non-empty cell (lazily tightened)
+	stats core.Stats
 
 	// Fault-injection overrides, mirroring core.Switch: speedOv holds
 	// per-port speedup overrides (negative = nominal) that shrink the
@@ -69,63 +65,27 @@ func NewSPQ(cfg core.Config) (*SPQ, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	vmax, rmax := cfg.MaxLabel, cfg.MaxLabel
-	switch cfg.Model {
-	case core.ModelProcessing:
-		vmax = 1
-	case core.ModelValue:
-		rmax = 1
-	}
-	type cell struct{ v, r int }
-	cells := make([]cell, 0, vmax*rmax)
-	for v := 1; v <= vmax; v++ {
-		for r := 1; r <= rmax; r++ {
-			cells = append(cells, cell{v, r})
-		}
-	}
-	// Densest first (v/r descending, compared by cross-multiplying);
-	// ties prefer the higher value, then the smaller residual.
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if d := a.v*b.r - b.v*a.r; d != 0 {
-			return d > 0
-		}
-		if a.v != b.v {
-			return a.v > b.v
-		}
-		return a.r < b.r
-	})
-	s := &SPQ{
+	return &SPQ{
 		cfg:  cfg,
-		cnt:  make([]int64, len(cells)),
-		val:  make([]int64, len(cells)),
-		down: make([]int, len(cells)),
-		rank: make([]int, len(cells)),
+		fifo: cfg.Model == core.ModelProcessing,
+		cnt:  make([]int64, cfg.MaxLabel),
+	}, nil
+}
+
+// cell returns the histogram cell of packet p.
+func (s *SPQ) cell(p pkt.Packet) int {
+	if s.fifo {
+		return p.Work - 1
 	}
-	if vmax > 1 {
-		s.va = rmax + 1
+	return s.cfg.MaxLabel - p.Value
+}
+
+// value returns the value a packet completing from cell i credits.
+func (s *SPQ) value(i int) int64 {
+	if s.fifo {
+		return 1
 	}
-	if rmax > 1 {
-		s.wa = 1
-	}
-	s.pos = make([]int, vmax*s.va+rmax*s.wa+1)
-	for i, c := range cells {
-		s.pos[c.v*s.va+c.r*s.wa] = i
-		s.val[i] = int64(c.v)
-		if i > 0 {
-			s.rank[i] = s.rank[i-1]
-			if p := cells[i-1]; p.v*c.r != c.v*p.r {
-				s.rank[i]++
-			}
-		}
-	}
-	for i, c := range cells {
-		s.down[i] = -1
-		if c.r > 1 {
-			s.down[i] = s.pos[c.v*s.va+(c.r-1)*s.wa]
-		}
-	}
-	return s, nil
+	return int64(s.cfg.MaxLabel - i)
 }
 
 // Name implements the sim.System contract.
@@ -197,7 +157,7 @@ func (s *SPQ) Arrive(p pkt.Packet) error {
 		return err
 	}
 	s.stats.Arrived++
-	c := s.pos[p.Value*s.va+p.Work*s.wa]
+	c := s.cell(p)
 	if s.occ >= s.effBuffer() {
 		// The sparsest packet sits in the last non-empty cell. Cells
 		// above hi are empty by invariant, so the scan starts there and
@@ -208,7 +168,7 @@ func (s *SPQ) Arrive(p pkt.Packet) error {
 		}
 		s.hi = w
 		// Evict only for a strictly denser arrival.
-		if s.rank[c] >= s.rank[w] {
+		if c >= w {
 			s.stats.Dropped++
 			return nil
 		}
@@ -249,15 +209,15 @@ func (s *SPQ) Transmit() {
 		budget -= n
 		s.cnt[i] -= n
 		s.stats.CyclesUsed += n
-		if d := s.down[i]; d >= 0 {
-			// d is strictly denser than i, so it was already passed this
+		if s.fifo && i > 0 {
+			// Cell i-1 is denser than i, so it was already passed this
 			// slot: the moved packets cannot receive a second cycle now.
-			s.cnt[d] += n
-		} else {
-			s.occ -= int(n)
-			s.stats.Transmitted += n
-			s.stats.TransmittedValue += n * s.val[i]
+			s.cnt[i-1] += n
+			continue
 		}
+		s.occ -= int(n)
+		s.stats.Transmitted += n
+		s.stats.TransmittedValue += n * s.value(i)
 	}
 	s.stats.Slots++
 }

@@ -14,9 +14,7 @@ import (
 //
 //   - processing model: Work ∈ [1,k] is the required processing in cycles,
 //     Value is 1;
-//   - value model: Value ∈ [1,k] is the intrinsic value, Work is 1;
-//   - combined model: both Work (fixed per port) and Value are drawn
-//     from [1,k].
+//   - value model: Value ∈ [1,k] is the intrinsic value, Work is 1.
 //
 // Port is the destination output port, 0-based.
 type Packet struct {
@@ -43,15 +41,9 @@ func NewValue(port, value int) Packet {
 	return Packet{Port: port, Work: 1, Value: value}
 }
 
-// NewWorkValue returns a combined-model packet carrying both a required
-// work and an intrinsic value.
-func NewWorkValue(port, work, value int) Packet {
-	return Packet{Port: port, Work: work, Value: value}
-}
-
 // String implements fmt.Stringer in the paper's boxed notation, e.g.
-// "[w=3 -> 2]" for a packet with work 3 destined to port 2. Combined
-// work×value packets render both labels.
+// "[w=3 -> 2]" for a packet with work 3 destined to port 2. A packet
+// carrying both labels renders both.
 func (p Packet) String() string {
 	if p.Value > 1 && p.Work > 1 {
 		return fmt.Sprintf("[w=%d v=%d -> %d]", p.Work, p.Value, p.Port)

@@ -25,7 +25,7 @@ import (
 //
 // Every kernel must reproduce its Admit decision sequence bit for bit;
 // the batch differential and fuzz suites replay both paths on every
-// roster policy — processing, value and combined — and require
+// roster policy — processing and value — and require
 // identical Stats, PortCounters and obs counters.
 
 // AdmitBatch implements core.BatchPolicy: the accept/drop split of a

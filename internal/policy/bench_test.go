@@ -23,21 +23,17 @@ func benchAdmit(b *testing.B, model core.Model, p core.Policy) {
 		burst = 16
 	)
 	cfg := core.Config{Model: model, Ports: n, Buffer: 4 * n, MaxLabel: n, Speedup: 1}
-	if model != core.ModelValue {
+	if model == core.ModelProcessing {
 		cfg.PortWork = core.ContiguousWorks(n)
 	}
 	sw := core.MustNew(cfg, p)
 	rng := rand.New(rand.NewSource(1))
 	mk := func() pkt.Packet {
 		port := rng.Intn(n)
-		switch model {
-		case core.ModelProcessing:
+		if model == core.ModelProcessing {
 			return pkt.NewWork(port, port+1)
-		case core.ModelValue:
-			return pkt.NewValue(port, 1+rng.Intn(n))
-		default:
-			return pkt.NewWorkValue(port, port+1, 1+rng.Intn(n))
 		}
+		return pkt.NewValue(port, 1+rng.Intn(n))
 	}
 	arrivals := make([]pkt.Packet, 1024)
 	for i := range arrivals {
@@ -75,8 +71,3 @@ func BenchmarkAdmitMVD(b *testing.B)      { benchAdmit(b, core.ModelValue, MVD{}
 func BenchmarkAdmitMVD1(b *testing.B)     { benchAdmit(b, core.ModelValue, MVD1{}) }
 func BenchmarkAdmitMRD(b *testing.B)      { benchAdmit(b, core.ModelValue, MRD{}) }
 func BenchmarkAdmitNHSTV(b *testing.B)    { benchAdmit(b, core.ModelValue, NHSTV{}) }
-
-// Combined work×value roster.
-func BenchmarkAdmitCombinedLWD(b *testing.B) { benchAdmit(b, core.ModelCombined, LWD{}) }
-func BenchmarkAdmitCombinedMRD(b *testing.B) { benchAdmit(b, core.ModelCombined, MRD{}) }
-func BenchmarkAdmitRVD(b *testing.B)         { benchAdmit(b, core.ModelCombined, RVD{}) }

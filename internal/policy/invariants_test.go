@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,7 +12,7 @@ import (
 
 // This file holds the cross-model invariant suite: conservation and
 // engine-consistency properties every roster policy must satisfy on
-// the unified engine, in all three models, plus the value-model
+// the unified engine, in both models, plus the value-model
 // greedy-maximization properties that motivated MVD.
 
 // invariantCell is one (model, roster, packet generator) cell of the
@@ -36,10 +35,6 @@ func invariantCells() []invariantCell {
 		Model: core.ModelValue, Ports: 4, Buffer: 8, MaxLabel: 8,
 		Speedup: 1, CheckInvariants: true,
 	}
-	combCfg := core.Config{
-		Model: core.ModelCombined, Ports: 4, Buffer: 8, MaxLabel: 8,
-		Speedup: 1, PortWork: []int{1, 2, 3, 4}, CheckInvariants: true,
-	}
 	return []invariantCell{
 		{
 			name:     "processing",
@@ -56,15 +51,6 @@ func invariantCells() []invariantCell {
 			policies: append(ForValueByPort(), ValueExperimental()...),
 			gen: func(rng *rand.Rand, cfg core.Config) pkt.Packet {
 				return pkt.NewValue(rng.Intn(cfg.Ports), 1+rng.Intn(cfg.MaxLabel))
-			},
-		},
-		{
-			name:     "combined",
-			cfg:      combCfg,
-			policies: ForCombined(),
-			gen: func(rng *rand.Rand, cfg core.Config) pkt.Packet {
-				port := rng.Intn(cfg.Ports)
-				return pkt.NewWorkValue(port, cfg.PortWork[port], 1+rng.Intn(cfg.MaxLabel))
 			},
 		},
 	}
@@ -185,76 +171,5 @@ func TestMVDBeatsLQDOnBufferedValue(t *testing.T) {
 	}
 	if m, l := sum(mvd), sum(lqd); m != 32 || m <= l {
 		t.Errorf("MVD buffered value %d (want 32), LQD %d", m, l)
-	}
-}
-
-// TestRVDEvictsWorkDenseQueue pins RVD's ordering in the combined
-// model: the victim is the queue buffering the most work per unit of
-// value, not the longest or the most work-laden in absolute terms.
-func TestRVDEvictsWorkDenseQueue(t *testing.T) {
-	cfg := core.Config{
-		Model: core.ModelCombined, Ports: 4, Buffer: 6, MaxLabel: 8,
-		Speedup: 1, PortWork: []int{1, 1, 4, 4},
-	}
-	sw := core.MustNew(cfg, RVD{})
-	// Queue 2: 3 packets of work 4, value 1 each -> W=12, V=3, ratio 4.
-	// Queue 3: 3 packets of work 4, value 8 each -> W=12, V=24, ratio 0.5.
-	for i := 0; i < 3; i++ {
-		if err := sw.Arrive(pkt.NewWorkValue(2, 4, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Arrive(pkt.NewWorkValue(3, 4, 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := (RVD{}).Admit(sw, pkt.NewWorkValue(0, 1, 5))
-	if !d.Push || d.Victim != 2 {
-		t.Errorf("got %+v, want push-out from the work-dense queue 2", d)
-	}
-	// An arrival cheaper than the global minimum is dropped instead.
-	if d := (RVD{}).Admit(sw, pkt.NewWorkValue(0, 1, 1)); !d.Push && d.Accept {
-		t.Errorf("got %+v, want non-accept", d)
-	}
-}
-
-// TestCombinedRosterAgainstGreedy sanity-checks the combined objective
-// plumbing end to end: every combined push-out policy must deliver at
-// least as much value as it would transmitting nothing, and the stats'
-// value-per-cycle figure must be consistent with its parts.
-func TestCombinedRosterAgainstGreedy(t *testing.T) {
-	cfg := core.Config{
-		Model: core.ModelCombined, Ports: 4, Buffer: 8, MaxLabel: 8,
-		Speedup: 1, PortWork: []int{1, 2, 3, 4}, CheckInvariants: true,
-	}
-	rng := rand.New(rand.NewSource(11))
-	slots := make([][]pkt.Packet, 40)
-	for s := range slots {
-		burst := make([]pkt.Packet, rng.Intn(6))
-		for i := range burst {
-			port := rng.Intn(cfg.Ports)
-			burst[i] = pkt.NewWorkValue(port, cfg.PortWork[port], 1+rng.Intn(cfg.MaxLabel))
-		}
-		slots[s] = burst
-	}
-	for _, pol := range ForCombined() {
-		sw := core.MustNew(cfg, pol)
-		for _, burst := range slots {
-			if err := sw.Step(burst); err != nil {
-				t.Fatalf("%s: %v", pol.Name(), err)
-			}
-		}
-		sw.Drain()
-		st := sw.Stats()
-		if st.TransmittedValue <= 0 {
-			t.Errorf("%s: transmitted value %d, want > 0", pol.Name(), st.TransmittedValue)
-		}
-		if st.Throughput(cfg.Model) != st.TransmittedValue {
-			t.Errorf("%s: combined throughput %d != transmitted value %d", pol.Name(), st.Throughput(cfg.Model), st.TransmittedValue)
-		}
-		vpc := st.ValuePerCycle()
-		want := float64(st.TransmittedValue) / float64(st.CyclesUsed)
-		if fmt.Sprintf("%.9f", vpc) != fmt.Sprintf("%.9f", want) {
-			t.Errorf("%s: value/cycle %v != %v", pol.Name(), vpc, want)
-		}
 	}
 }

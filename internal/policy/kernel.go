@@ -7,8 +7,8 @@ import (
 
 // This file holds the three generic admission kernels every roster
 // policy but Greedy and BPD/BPD1 instantiates — the admit/push-out
-// skeletons the unified engine exposes across the processing, value and
-// combined models. A policy supplies its cost trait as a small rule
+// skeletons the unified engine exposes across the processing and value
+// models. A policy supplies its cost trait as a small rule
 // struct (its per-packet admission predicate or its push-out victim
 // ordering, with the FastView slices hoisted at construction); the
 // kernels own the shared skeleton: the free-space prefix, the
@@ -108,8 +108,8 @@ type summary struct {
 }
 
 // victimRule is the cost trait of a push-out policy whose victim
-// ordering is an O(n) scan over the queues (VLQD, MVD/MVD1, MRD, TVD,
-// RVD), split in two: summarize is the scan over the current state,
+// ordering is an O(n) scan over the queues (VLQD, MVD/MVD1, MRD, TVD),
+// split in two: summarize is the scan over the current state,
 // and victim folds a congested arrival's own port — the only queue its
 // virtual add changes — into that summary in O(1), returning the queue
 // to push out of or -1 to drop the arrival. Whenever the top candidate
@@ -154,7 +154,7 @@ func pushOutBatch[R victimRule](b *core.Batch, ps []pkt.Packet, r R) {
 	}
 }
 
-// guardedVictim is the closing case split MRD, TVD and RVD share over
+// guardedVictim is the closing case split MRD and TVD share over
 // their max-rank queue: a cross-queue push-out requires the arrival to
 // be worth at least the cheapest buffered value anywhere (globalMin),
 // and an arrival for the max-rank queue itself only displaces a

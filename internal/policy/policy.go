@@ -1,10 +1,9 @@
-// Package policy implements the buffer management policies for all
-// three switch models on the unified engine: Section III of the paper
-// (heterogeneous processing requirements, roster ForProcessing),
+// Package policy implements the buffer management policies for both
+// switch models on the unified engine: Section III of the paper
+// (heterogeneous processing requirements, roster ForProcessing) and
 // Section IV (heterogeneous packet values, rosters ForValueUniform and
-// ForValueByPort), and the combined work×value model the unification
-// opens (roster ForCombined). Model-agnostic length-based policies
-// (Greedy, NEST, NHDT) are shared across every roster.
+// ForValueByPort). Model-agnostic length-based policies (Greedy, NEST,
+// NHDT) are shared across every roster.
 //
 // Every policy is a pure core.Policy: it inspects the read-only switch
 // view and returns a decision; the engine executes it. Tie-breaking rules
@@ -42,3 +41,8 @@ func ByName(name string) core.Policy {
 	}
 	return nil
 }
+
+// CombinedByName is a compile shim for the retired combined work×value
+// model: it returns nil for every name. Its only user is
+// benchsuite/layers.go, which still names it.
+func CombinedByName(string) core.Policy { return nil }

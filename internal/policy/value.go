@@ -406,7 +406,7 @@ func (MRD) Admit(v core.View, p pkt.Packet) core.Decision {
 	return mrdDecide(v, p, victim, globalMin)
 }
 
-// mrdDecide turns the max-rank scan result of MRD, TVD or RVD into a
+// mrdDecide turns the max-rank scan result of MRD or TVD into a
 // decision — the plain-View reference twin of guardedVictim.
 //
 //smb:hotpath

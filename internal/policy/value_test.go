@@ -250,17 +250,19 @@ func TestValueRegistries(t *testing.T) {
 	}
 }
 
+// TestCombinedRegistry: the retired combined model's registry resolves
+// no name, not even one from the other models' rosters.
 func TestCombinedRegistry(t *testing.T) {
-	if got := len(ForCombined()); got != 7 {
-		t.Errorf("ForCombined: %d policies, want 7", got)
-	}
-	for _, p := range ForCombined() {
-		if got := CombinedByName(p.Name()); got == nil {
-			t.Errorf("CombinedByName(%q) = nil", p.Name())
+	names := []string{"RVD", "bogus", ""}
+	for _, roster := range [][]core.Policy{ForProcessing(), Experimental(), ForValueByPort(), ValueExperimental()} {
+		for _, p := range roster {
+			names = append(names, p.Name())
 		}
 	}
-	if CombinedByName("bogus") != nil {
-		t.Error("CombinedByName(bogus) != nil")
+	for _, name := range names {
+		if got := CombinedByName(name); got != nil {
+			t.Errorf("CombinedByName(%q) = %s, want nil", name, got.Name())
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 //     model — the hunt reports the largest ratio it can construct.
 //
 // Every instance is scored against opt.Exact, the true offline optimum
-// of all three models, so every reported ratio is certified, not
+// of both models, so every reported ratio is certified, not
 // measured against a proxy. The switch should be small, so that the
 // exact solver's state space stays within its budget; the trace length
 // is free.

@@ -24,6 +24,8 @@
 package shard
 
 import (
+	"fmt"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -153,9 +155,18 @@ type Ring struct {
 	_          pad
 }
 
+// maxRingCap is the largest ring capacity: the largest power of two an
+// int holds.
+const maxRingCap = 1 << (bits.UintSize - 2)
+
 // NewRing builds a ring with at least the given capacity (rounded up
-// to a power of two, minimum 2).
+// to a power of two, minimum 2). It panics on a capacity above
+// maxRingCap, which has no power-of-two round-up; NewRuntime refuses
+// one with an error instead.
 func NewRing(capacity int) *Ring {
+	if capacity > maxRingCap {
+		panic(fmt.Sprintf("shard: ring capacity %d exceeds %d", capacity, maxRingCap))
+	}
 	n := 2
 	for n < capacity {
 		n <<= 1

@@ -88,7 +88,8 @@ func FilterTrace(tr traffic.Trace, p Partition) traffic.Trace {
 // Options tunes a Runtime beyond the engine configuration.
 type Options struct {
 	// RingCap is each shard's ingress-ring capacity in entries
-	// (rounded up to a power of two; default 1<<14).
+	// (rounded up to a power of two; default 1<<14). NewRuntime refuses
+	// a capacity whose round-up does not fit an int.
 	RingCap int
 }
 
@@ -97,7 +98,7 @@ type Options struct {
 // core.Switch, fed through per-shard SPSC rings.
 //
 // Producer-side methods (BeginStream, IngestSlot, Ingest, Advance,
-// Finish, EndStream, SetPolicy, Stop) must be called from one goroutine
+// Finish, SetPolicy, Stop) must be called from one goroutine
 // at a time — the stream's producer — which keeps every ring
 // single-producer.
 type Runtime struct {
@@ -139,6 +140,9 @@ func NewRuntime(cfg core.Config, shards int, factory func() core.Policy, opt Opt
 	ringCap := opt.RingCap
 	if ringCap <= 0 {
 		ringCap = 1 << 14
+	}
+	if ringCap > maxRingCap {
+		return nil, fmt.Errorf("shard: ring capacity %d has no power-of-two round-up in an int (max %d)", ringCap, maxRingCap)
 	}
 	rt := &Runtime{
 		cfg:   cfg,
@@ -223,11 +227,6 @@ func (rt *Runtime) BeginStream() error {
 		sh.reset()
 	}
 	return nil
-}
-
-// EndStream disarms the runtime after a stream's drain barrier.
-func (rt *Runtime) EndStream() {
-	rt.streaming.Store(false)
 }
 
 // Streaming reports whether a stream is active.
@@ -320,7 +319,7 @@ func (rt *Runtime) Finish(upto int64) ([]Result, error) {
 		}
 		results[i] = sh.result()
 	}
-	rt.EndStream()
+	rt.streaming.Store(false)
 	return results, errors.Join(errs...)
 }
 

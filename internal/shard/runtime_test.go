@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -63,11 +64,8 @@ func TestShardConfigBufferSplit(t *testing.T) {
 func testTrace(t *testing.T, cfg core.Config, slots int, seed int64) traffic.Trace {
 	t.Helper()
 	label := traffic.LabelWorkByPort
-	switch cfg.Model {
-	case core.ModelValue:
+	if cfg.Model == core.ModelValue {
 		label = traffic.LabelValueUniform
-	case core.ModelCombined:
-		label = traffic.LabelWorkValue
 	}
 	mc := traffic.MMPPConfig{
 		Sources:  2 * cfg.Ports,
@@ -135,8 +133,6 @@ func TestRuntimeOracleDifferential(t *testing.T) {
 	proc := testConfig()
 	value := proc
 	value.Model, value.PortWork = core.ModelValue, nil
-	combined := proc
-	combined.Model = core.ModelCombined
 	models := []struct {
 		name    string
 		cfg     core.Config
@@ -144,7 +140,6 @@ func TestRuntimeOracleDifferential(t *testing.T) {
 	}{
 		{"proc", proc, func() core.Policy { return policy.LQD{} }},
 		{"value", value, func() core.Policy { return policy.MRD{} }},
-		{"combined", combined, func() core.Policy { return policy.RVD{} }},
 	}
 	for _, shards := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -540,4 +535,28 @@ func BenchmarkRuntimeIngestSlot(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/pkt")
+}
+
+// TestNewRuntimeRefusesHugeRing: a ring capacity with no power-of-two
+// round-up in an int is refused before any shard is built, so the
+// refusal allocates only its error: a small fraction of what building
+// one shard of the same configuration allocates.
+func TestNewRuntimeRefusesHugeRing(t *testing.T) {
+	cfg := testConfig()
+	factory := func() core.Policy { return policy.LQD{} }
+	var err error
+	refused := testing.AllocsPerRun(10, func() {
+		_, err = NewRuntime(cfg, 1, factory, Options{RingCap: math.MaxInt})
+	})
+	if err == nil {
+		t.Fatal("RingCap math.MaxInt accepted")
+	}
+	built := testing.AllocsPerRun(10, func() {
+		if _, err := NewRuntime(cfg, 1, factory, Options{RingCap: 2}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if 4*refused > built {
+		t.Errorf("refusal made %.0f allocations, building one shard %.0f: the refusal built part of a shard", refused, built)
+	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestSteadyStateZeroAllocs replays the congested micro trace through
-// every roster policy of all three models, and through each model's OPT
+// every roster policy of both models, and through each model's OPT
 // proxy (one of the replays in every sweep cell), and requires the warm
 // steady state (Step per slot, then Drain and Reset) to allocate
 // nothing. The first replay grows the deques and multisets to their
@@ -27,15 +27,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	value := core.Config{
 		Model: core.ModelValue, Ports: 16, Buffer: 128, MaxLabel: 16, Speedup: 1,
 	}
-	combined := proc
-	combined.Model = core.ModelCombined
 	rosters := []struct {
 		cfg      core.Config
 		policies []core.Policy
 	}{
 		{proc, append(policy.ForProcessing(), policy.Experimental()...)},
 		{value, append(policy.ForValueByPort(), policy.ValueExperimental()...)},
-		{combined, policy.ForCombined()},
 	}
 
 	checked := 0
@@ -59,8 +56,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			requireZeroAllocReplay(t, proxy, tr)
 		})
 	}
-	if checked != 28 {
-		t.Fatalf("checked %d systems, want 25 roster policies and 3 OPT proxies", checked)
+	if checked != 20 {
+		t.Fatalf("checked %d systems, want 18 roster policies and 2 OPT proxies", checked)
 	}
 }
 

@@ -165,7 +165,7 @@ func TestBatchDifferentialValue(t *testing.T) {
 	t.Run("ties", func(t *testing.T) {
 		pols := append(policy.ForValueUniform(), policy.ValueExperimental()...)
 		for _, seed := range []int64{1, 2, 3} {
-			cfg, tr := tieSetup(t, core.ModelValue, seed, 300)
+			cfg, tr := tieSetup(t, seed, 300)
 			for _, p := range pols {
 				p := p
 				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
@@ -190,68 +190,21 @@ func TestBatchDifferentialValue(t *testing.T) {
 	})
 }
 
-// TestBatchDifferentialCombined drives the combined work×value roster
-// through batch kernels vs per-packet Admit, nominal and under a dense
-// fault mix.
-func TestBatchDifferentialCombined(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		cfg, tr := combSetup(t, seed, 300)
-		for _, p := range policy.ForCombined() {
-			p := p
-			t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-				batchDiffRun(t, cfg, p, tr, faults.Spec{}, seed)
-			})
-		}
-	}
-	t.Run("ties", func(t *testing.T) {
-		for _, seed := range []int64{1, 2, 3} {
-			cfg, tr := tieSetup(t, core.ModelCombined, seed, 300)
-			for _, p := range policy.ForCombined() {
-				p := p
-				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					batchDiffRun(t, cfg, p, tr, faults.Spec{}, seed)
-				})
-			}
-		}
-	})
-	t.Run("faulted", func(t *testing.T) {
-		const slots = 400
-		spec := denseFaults(slots)
-		for _, seed := range []int64{11, 12} {
-			cfg, tr := combSetup(t, seed, slots)
-			for _, p := range policy.ForCombined() {
-				p := p
-				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					batchDiffRun(t, cfg, p, tr, spec, seed)
-				})
-			}
-		}
-	})
-}
-
-// tieSetup is a tie-heavy value or combined cell: k = 2 values over six
-// ports whose works come in two equal triples, with a buffer of two
-// packets per port, so queues often share a length, a minimum, an MRD
-// ratio |Q|²/sum or an RVD ratio W/V, and the push-out summaries'
-// tie-breaks and runner-ups decide most congested arrivals.
-func tieSetup(t *testing.T, model core.Model, seed int64, slots int) (core.Config, traffic.Trace) {
+// tieSetup is a tie-heavy value cell: k = 2 values over six ports,
+// with a buffer of two packets per port, so queues often share a
+// length, a minimum or an MRD ratio |Q|²/sum, and the push-out
+// summaries' tie-breaks and runner-ups decide most congested arrivals.
+func tieSetup(t *testing.T, seed int64, slots int) (core.Config, traffic.Trace) {
 	t.Helper()
-	cfg := core.Config{Model: model, Ports: 6, Buffer: 12, MaxLabel: 2, Speedup: 1}
-	label := traffic.LabelValueUniform
-	if model == core.ModelCombined {
-		cfg.PortWork = []int{1, 1, 1, 2, 2, 2}
-		cfg.Speedup = 2
-		label = traffic.LabelWorkValue
-	}
+	cfg := core.Config{Model: core.ModelValue, Ports: 6, Buffer: 12, MaxLabel: 2, Speedup: 1}
 	tr := diffTrace(t, traffic.MMPPConfig{
 		Sources:      40,
 		LambdaOn:     0.4,
 		POnOff:       0.2,
 		POffOn:       0.3,
-		Label:        label,
+		Label:        traffic.LabelValueUniform,
 		Ports:        cfg.Ports,
 		MaxLabel:     cfg.MaxLabel,
-		PortWork:     cfg.PortWork,
 		PortAffinity: true,
 		Seed:         seed,
 	}, slots)

@@ -15,58 +15,37 @@ import (
 // batch kernel and one through its per-packet Admit (admitOnly), both
 // with invariant checking on. Stats must agree after every slot
 // and per-port counters at the end. The roster byte picks the policy,
-// covering every processing-, value- and combined-model kernel
-// (combined takes precedence over valueModel when both bools are set),
-// and its high nibble sizes the value and combined switches at 1–6
-// ports (3 when zero), so the push-out summaries see a single queue
+// covering every processing- and value-model kernel, and its high
+// nibble sizes the value switches at 1–6 ports (3 when zero), so the push-out summaries see a single queue
 // (no runner-up) and enough queues for the runner-up to stand in
 // whenever the top candidate is the arrival's own port.
 func FuzzArriveBatchDifferential(f *testing.F) {
-	f.Add(uint8(0), []byte{1, 2, 3, 0x84, 5, 6, 0x81}, false, false)
-	f.Add(uint8(4), []byte{9, 9, 9, 9, 0x89, 9, 9, 0x80}, false, false)
-	f.Add(uint8(3), []byte{7, 1, 0xff, 2, 2, 2, 0x82}, true, false)
-	f.Add(uint8(6), []byte{0x80, 0x80, 13, 21, 34, 0x85}, true, false)
-	f.Add(uint8(5), []byte{3, 1, 4, 0x81, 5, 9, 2, 0x86}, false, true)
-	f.Add(uint8(6), []byte{0x8f, 7, 7, 7, 0x80, 1, 0x82}, true, true)
+	f.Add(uint8(0), []byte{1, 2, 3, 0x84, 5, 6, 0x81}, false)
+	f.Add(uint8(4), []byte{9, 9, 9, 9, 0x89, 9, 9, 0x80}, false)
+	f.Add(uint8(3), []byte{7, 1, 0xff, 2, 2, 2, 0x82}, true)
+	f.Add(uint8(6), []byte{0x80, 0x80, 13, 21, 34, 0x85}, true)
 	// Ties: equal-length, equal-minimum value queues under VLQD, MVD and
 	// MVD1 (all value 1), and equal MRD ratios (|Q|²/sum: two 1s and
 	// four 2s both give 2) at 6 ports.
-	f.Add(uint8(3), []byte{0, 1, 2, 0, 1, 2, 1, 0, 2, 0x80, 0, 1, 2, 0x81}, true, false)
-	f.Add(uint8(4), []byte{0, 1, 2, 2, 1, 0, 0x81, 0, 1, 2, 2, 0x80}, true, false)
-	f.Add(uint8(5), []byte{0, 1, 2, 0, 1, 2, 0x82, 2, 1, 0, 0x80}, true, false)
-	f.Add(uint8(51), []byte{0, 0, 7, 7, 7, 7, 1, 13, 13, 0x86, 0, 7, 1, 0x80}, true, false)
-	// Equal RVD ratios (W/V) across equal-work ports 0 and 1 at 6 ports,
-	// and a single port (VLQD; MRD and RVD), where the summary has no
-	// runner-up.
-	f.Add(uint8(48), []byte{0, 1, 0, 1, 6, 7, 12, 13, 0x80, 0, 1, 0x81}, false, true)
-	f.Add(uint8(66), []byte{0, 4, 8, 12, 0, 4, 8, 0x80, 12, 0, 0x84}, true, false)
-	f.Add(uint8(69), []byte{0, 4, 8, 12, 0, 4, 8, 0x80, 12, 0, 0x84}, true, false)
-	f.Add(uint8(69), []byte{0, 4, 8, 12, 0, 4, 8, 0x80, 12, 0, 0x84}, false, true)
-	f.Fuzz(func(t *testing.T, polIdx uint8, stream []byte, valueModel, combined bool) {
+	f.Add(uint8(3), []byte{0, 1, 2, 0, 1, 2, 1, 0, 2, 0x80, 0, 1, 2, 0x81}, true)
+	f.Add(uint8(4), []byte{0, 1, 2, 2, 1, 0, 0x81, 0, 1, 2, 2, 0x80}, true)
+	f.Add(uint8(5), []byte{0, 1, 2, 0, 1, 2, 0x82, 2, 1, 0, 0x80}, true)
+	f.Add(uint8(51), []byte{0, 0, 7, 7, 7, 7, 1, 13, 13, 0x86, 0, 7, 1, 0x80}, true)
+	// A single port (VLQD; MRD), where the summary has no runner-up.
+	f.Add(uint8(66), []byte{0, 4, 8, 12, 0, 4, 8, 0x80, 12, 0, 0x84}, true)
+	f.Add(uint8(69), []byte{0, 4, 8, 12, 0, 4, 8, 0x80, 12, 0, 0x84}, true)
+	f.Fuzz(func(t *testing.T, polIdx uint8, stream []byte, valueModel bool) {
 		var pol core.Policy
 		var cfg core.Config
-		ports := 1 + (int(polIdx>>4)+2)%6
-		switch {
-		case combined:
-			pols := policy.ForCombined()
-			pol = pols[int(polIdx)%len(pols)]
-			works := make([]int, ports)
-			for i := range works {
-				works[i] = 1 + i*3/ports // {1, 2, 3} at 3 ports, pairs at 6
-			}
-			cfg = core.Config{
-				Model: core.ModelCombined, Ports: ports, Buffer: ports + 2,
-				MaxLabel: 4, Speedup: 2, PortWork: works,
-				CheckInvariants: true,
-			}
-		case valueModel:
+		if valueModel {
 			pols := append(policy.ForValueUniform(), policy.NHSTV{}, policy.TVD{})
 			pol = pols[int(polIdx)%len(pols)]
+			ports := 1 + (int(polIdx>>4)+2)%6
 			cfg = core.Config{
 				Model: core.ModelValue, Ports: ports, Buffer: ports + 2,
 				MaxLabel: 4, Speedup: 1, CheckInvariants: true,
 			}
-		default:
+		} else {
 			pols := append(policy.ForProcessing(),
 				policy.NHDTW{}, policy.StaticThreshold{T: []int{3, 2, 1}})
 			pol = pols[int(polIdx)%len(pols)]
@@ -93,12 +72,9 @@ func FuzzArriveBatchDifferential(f *testing.F) {
 		}
 		for _, b := range stream {
 			port := int(b) % cfg.Ports
-			switch {
-			case combined:
-				burst = append(burst, pkt.NewWorkValue(port, cfg.PortWork[port], 1+int(b>>2)%cfg.MaxLabel))
-			case valueModel:
+			if valueModel {
 				burst = append(burst, pkt.NewValue(port, 1+int(b>>2)%cfg.MaxLabel))
-			default:
+			} else {
 				burst = append(burst, pkt.NewWork(port, cfg.PortWork[port]))
 			}
 			if b&0x80 != 0 {

@@ -61,16 +61,15 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 	const slots = 300
 	cells := streamCells(11)
 	// The value cell takes by-port labels so its roster can include
-	// NHSTV: the three rosters then hold all 25 policies.
+	// NHSTV: the two rosters then hold all 18 policies.
 	val := &cells[1]
 	val.cfg.MaxLabel, val.mcfg.MaxLabel, val.mcfg.Label = val.cfg.Ports, val.cfg.Ports, traffic.LabelValueByPort
 	rosters := map[string][]core.Policy{
 		"processing": append(policy.ForProcessing(), policy.Experimental()...),
 		"value":      append(policy.ForValueByPort(), policy.ValueExperimental()...),
-		"combined":   policy.ForCombined(),
 	}
-	if n := len(rosters["processing"]) + len(rosters["value"]) + len(rosters["combined"]); n != 25 {
-		t.Fatalf("rosters hold %d policies, want 25", n)
+	if n := len(rosters["processing"]) + len(rosters["value"]); n != 18 {
+		t.Fatalf("rosters hold %d policies, want 18", n)
 	}
 	amplifySqueeze := faults.Spec{
 		Horizon: slots,

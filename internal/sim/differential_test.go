@@ -47,15 +47,11 @@ type refSwitch struct {
 	occ  int
 	slot int64
 
-	// FIFO disciplines (processing and combined models): queues[i]
-	// holds the arrival slot of each buffered packet in FIFO order;
-	// holRes[i] is the head-of-line residual.
+	// FIFO discipline (processing model): queues[i] holds the arrival
+	// slot of each buffered packet in FIFO order; holRes[i] is the
+	// head-of-line residual.
 	queues [][]int64
 	holRes []int
-
-	// Combined model: qvals[i] mirrors queues[i] with each packet's
-	// intrinsic value, in the same FIFO order.
-	qvals [][]int
 
 	// Value model: vals[i] is the unordered multiset of buffered values.
 	vals [][]int
@@ -95,9 +91,6 @@ func newRefSwitch(t *testing.T, cfg core.Config, p core.Policy) *refSwitch {
 	} else {
 		r.queues = make([][]int64, cfg.Ports)
 		r.holRes = make([]int, cfg.Ports)
-		if cfg.Model == core.ModelCombined {
-			r.qvals = make([][]int, cfg.Ports)
-		}
 	}
 	return r
 }
@@ -142,13 +135,6 @@ func (r *refSwitch) QueueWork(i int) int {
 	return (len(r.queues[i])-1)*r.works[i] + r.holRes[i]
 }
 
-func (r *refSwitch) buffered(i int) []int {
-	if r.cfg.Model == core.ModelCombined {
-		return r.qvals[i]
-	}
-	return r.vals[i]
-}
-
 func (r *refSwitch) QueueMinValue(i int) int {
 	if r.cfg.Model == core.ModelProcessing {
 		if len(r.queues[i]) == 0 {
@@ -156,7 +142,7 @@ func (r *refSwitch) QueueMinValue(i int) int {
 		}
 		return 1
 	}
-	vs := r.buffered(i)
+	vs := r.vals[i]
 	if len(vs) == 0 {
 		return 0
 	}
@@ -176,7 +162,7 @@ func (r *refSwitch) QueueMaxValue(i int) int {
 		}
 		return 1
 	}
-	vs := r.buffered(i)
+	vs := r.vals[i]
 	if len(vs) == 0 {
 		return 0
 	}
@@ -194,7 +180,7 @@ func (r *refSwitch) QueueValueSum(i int) int64 {
 		return int64(len(r.queues[i]))
 	}
 	var s int64
-	for _, v := range r.buffered(i) {
+	for _, v := range r.vals[i] {
 		s += int64(v)
 	}
 	return s
@@ -278,9 +264,6 @@ func (r *refSwitch) arrive(p pkt.Packet) error {
 		if len(r.queues[i]) == 1 {
 			r.holRes[i] = r.works[i]
 		}
-		if r.cfg.Model == core.ModelCombined {
-			r.qvals[i] = append(r.qvals[i], p.Value)
-		}
 	}
 	r.occ++
 	r.stats.Accepted++
@@ -303,9 +286,6 @@ func (r *refSwitch) evict(victim int) error {
 		r.queues[victim] = q[:len(q)-1]
 		if len(r.queues[victim]) == 0 {
 			r.holRes[victim] = 0
-		}
-		if r.cfg.Model == core.ModelCombined {
-			r.qvals[victim] = r.qvals[victim][:len(r.qvals[victim])-1]
 		}
 	} else {
 		// Remove one instance of the minimum value: the multiset
@@ -342,20 +322,15 @@ func (r *refSwitch) transmit() {
 				}
 				arrivedAt := r.queues[i][0]
 				r.queues[i] = r.queues[i][1:]
-				val := int64(1)
-				if r.cfg.Model == core.ModelCombined {
-					val = int64(r.qvals[i][0])
-					r.qvals[i] = r.qvals[i][1:]
-				}
 				r.occ--
 				lat := r.slot - arrivedAt
 				r.stats.Transmitted++
-				r.stats.TransmittedValue += val
+				r.stats.TransmittedValue++
 				r.stats.TransmittedWork += int64(r.works[i])
 				r.stats.LatencySlots += lat
 				pc := &r.perPort[i]
 				pc.Transmitted++
-				pc.TransmittedValue += val
+				pc.TransmittedValue++
 				pc.LatencySlots += lat
 				if lat > pc.MaxLatency {
 					pc.MaxLatency = lat
@@ -439,9 +414,6 @@ func (r *refSwitch) Reset() {
 	for i := range r.queues {
 		r.queues[i] = nil
 		r.holRes[i] = 0
-	}
-	for i := range r.qvals {
-		r.qvals[i] = nil
 	}
 	for i := range r.vals {
 		r.vals[i] = nil
@@ -555,23 +527,19 @@ func valSetup(t *testing.T, seed int64, slots int) (core.Config, traffic.Trace) 
 	return cfg, tr
 }
 
-// TestDifferentialProcessing replays fixed-seed heterogeneous-work traces
-// through the full processing-model roster on both engines.
+// TestDifferentialProcessing replays fixed-seed heterogeneous-work
+// traces through the full processing-model roster on both engines at
+// the setup's speedup C = 2 (subtests policy/seedN) and again at C = 1
+// and C = MaxLabel+1 (subtests under C1/ and C<MaxLabel+1>/). The
+// speedup exercises the two tiers of the engine's transmit phase: at
+// C = 1 almost every slot only shortens a head-of-line residual; at
+// C = 2 unit-work ports finish two packets per slot; at C = MaxLabel+1
+// every busy port finishes its head-of-line packet each slot and
+// carries the leftover cycles into the next.
 func TestDifferentialProcessing(t *testing.T) {
-	diffFIFO(t, append(policy.ForProcessing(), policy.Experimental()...), procSetup)
-}
-
-// diffFIFO replays the fixed-seed traces of a FIFO-model setup through
-// pols on both engines at the setup's speedup C = 2 (subtests
-// policy/seedN) and again at C = 1 and C = MaxLabel+1 (subtests under
-// C1/ and C<MaxLabel+1>/). The speedup exercises the two tiers of the
-// engine's transmit phase: at C = 1 almost every slot only shortens a
-// head-of-line residual; at C = 2 unit-work ports finish two packets
-// per slot; at C = MaxLabel+1 every busy port finishes its head-of-line
-// packet each slot and carries the leftover cycles into the next.
-func diffFIFO(t *testing.T, pols []core.Policy, setup func(*testing.T, int64, int) (core.Config, traffic.Trace)) {
+	pols := append(policy.ForProcessing(), policy.Experimental()...)
 	for _, seed := range []int64{1, 2, 3} {
-		cfg, tr := setup(t, seed, 300)
+		cfg, tr := procSetup(t, seed, 300)
 		for _, c := range []int{cfg.Speedup, 1, cfg.MaxLabel + 1} {
 			cfg := cfg
 			prefix := ""
@@ -643,39 +611,6 @@ func denseFaults(slots int) faults.Spec {
 	}
 }
 
-// combSetup is the combined work×value differential cell: FIFO queues
-// with heterogeneous works, packets also carrying uniform values.
-func combSetup(t *testing.T, seed int64, slots int) (core.Config, traffic.Trace) {
-	t.Helper()
-	cfg := core.Config{
-		Model:    core.ModelCombined,
-		Ports:    4,
-		Buffer:   12,
-		MaxLabel: 6,
-		Speedup:  2,
-		PortWork: core.ContiguousWorks(4),
-	}
-	tr := diffTrace(t, traffic.MMPPConfig{
-		Sources:      40,
-		LambdaOn:     0.35,
-		POnOff:       0.2,
-		POffOn:       0.3,
-		Label:        traffic.LabelWorkValue,
-		Ports:        cfg.Ports,
-		MaxLabel:     cfg.MaxLabel,
-		PortWork:     cfg.PortWork,
-		PortAffinity: true,
-		Seed:         seed,
-	}, slots)
-	return cfg, tr
-}
-
-// TestDifferentialCombined replays fixed-seed work×value traces through
-// the combined roster on both engines.
-func TestDifferentialCombined(t *testing.T) {
-	diffFIFO(t, policy.ForCombined(), combSetup)
-}
-
 // TestDifferentialUnderFaults pins engine equivalence off the nominal
 // point: both engines wrapped in identical deterministic fault schedules
 // (slowdown, blackout, squeeze, burst amplification) must still agree
@@ -700,18 +635,6 @@ func TestDifferentialUnderFaults(t *testing.T) {
 		pols := []core.Policy{policy.VLQD{}, policy.MRD{}, policy.MVD{}, policy.TVD{}}
 		for _, seed := range []int64{11, 12} {
 			cfg, tr := valSetup(t, seed, slots)
-			for _, p := range pols {
-				p := p
-				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					diffRun(t, cfg, p, tr, spec, seed)
-				})
-			}
-		}
-	})
-	t.Run("combined", func(t *testing.T) {
-		pols := []core.Policy{policy.LQD{}, policy.LWD{}, policy.MRD{}, policy.RVD{}}
-		for _, seed := range []int64{11, 12} {
-			cfg, tr := combSetup(t, seed, slots)
 			for _, p := range pols {
 				p := p
 				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {

@@ -47,15 +47,12 @@ func newCountingPolicy(p core.Policy, ports int) *countingPolicy {
 }
 
 // Admit delegates the decision and then mirrors the engine's recording
-// semantics against the still-unmutated View: in the FIFO disciplines
-// (processing and combined) the evicted tail's residual work is the
-// whole queue work when the victim queue holds one packet (head-of-line
-// progress included), one port-work quantum otherwise; in the value
-// model the evicted value is the victim queue's minimum. The combined
-// model's evicted tail value is invisible to the plain View (it exposes
-// only min/max/sum aggregates), so the shim cannot recompute
-// PushedOutValue there; obsRun copies it from the recorder like
-// HOLTransmits.
+// semantics against the still-unmutated View: in the processing model
+// the evicted tail's residual work is the whole queue work when the
+// victim queue holds one packet (head-of-line progress included), one
+// port-work quantum otherwise, and its value is 1; in the value model
+// the evicted work is 1 and the evicted value is the victim queue's
+// minimum.
 func (c *countingPolicy) Admit(v core.View, p pkt.Packet) core.Decision {
 	d := c.Policy.Admit(v, p)
 	if !d.Accept {
@@ -74,9 +71,7 @@ func (c *countingPolicy) Admit(v core.View, p pkt.Packet) core.Decision {
 			} else {
 				c.poWork[d.Victim] += uint64(v.PortWork(d.Victim))
 			}
-			if v.Model() == core.ModelProcessing {
-				c.poValue[d.Victim]++
-			}
+			c.poValue[d.Victim]++
 		}
 	}
 	return d
@@ -124,9 +119,6 @@ func obsRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, sp
 			HOLTransmits:   c.HOLTransmits, // shim cannot see transmissions
 			FaultEvents:    c.FaultEvents,  // nor fault windows
 		}
-		if cfg.Model == core.ModelCombined {
-			ref.PushedOutValue = c.PushedOutValue // tail value invisible to the plain View
-		}
 		if c != ref {
 			t.Errorf("%s: port %d counters diverged from recomputation\n  rec: %+v\n  ref: %+v", pol.Name(), i, c, ref)
 		}
@@ -166,7 +158,6 @@ func obsRosters() []struct {
 	}{
 		{"processing", append(policy.ForProcessing(), policy.Experimental()...), procSetup},
 		{"value", append(policy.ForValueUniform(), policy.ValueExperimental()...), valSetup},
-		{"combined", policy.ForCombined(), combSetup},
 	}
 }
 

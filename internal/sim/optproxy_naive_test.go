@@ -172,7 +172,7 @@ func optVsNaive(t *testing.T, cfg core.Config, ops []byte) {
 		default:
 			if b < 0xf0 {
 				x := arg()
-				burst = append(burst, pkt.NewWorkValue(int(b)%cfg.Ports, 1+x%k, 1+x/k%k))
+				burst = append(burst, pkt.Packet{Port: int(b) % cfg.Ports, Work: 1 + x%k, Value: 1 + x/k%k})
 				continue
 			}
 			if err := sys.Step(burst); err != nil {
@@ -208,7 +208,7 @@ func optVsNaive(t *testing.T, cfg core.Config, ops []byte) {
 func optFuzzCfg(model, shape uint8) core.Config {
 	ports := 1 + int(shape)%4
 	return core.Config{
-		Model:    []core.Model{core.ModelProcessing, core.ModelValue, core.ModelCombined}[model%3],
+		Model:    []core.Model{core.ModelProcessing, core.ModelValue}[model%2],
 		Ports:    ports,
 		Buffer:   ports + int(shape/4)%6,
 		MaxLabel: 1 + int(shape/24)%5,

@@ -20,12 +20,9 @@ func microTraceB(cfg core.Config, slots, burst int) [][]pkt.Packet {
 		bs := make([]pkt.Packet, burst)
 		for i := range bs {
 			port := rng.Intn(cfg.Ports)
-			switch cfg.Model {
-			case core.ModelValue:
+			if cfg.Model == core.ModelValue {
 				bs[i] = pkt.NewValue(port, 1+rng.Intn(cfg.MaxLabel))
-			case core.ModelCombined:
-				bs[i] = pkt.NewWorkValue(port, cfg.PortWork[port], 1+rng.Intn(cfg.MaxLabel))
-			default:
+			} else {
 				bs[i] = pkt.NewWork(port, cfg.PortWork[port])
 			}
 		}

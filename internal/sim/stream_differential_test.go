@@ -32,8 +32,8 @@ type streamCell struct {
 	policies []core.Policy
 }
 
-// streamCells builds the processing-, value- and combined-model cells
-// at one seed.
+// streamCells builds the processing- and value-model cells at one
+// seed.
 func streamCells(seed int64) []streamCell {
 	procCfg := core.Config{
 		Model:    core.ModelProcessing,
@@ -49,14 +49,6 @@ func streamCells(seed int64) []streamCell {
 		Buffer:   12,
 		MaxLabel: 6,
 		Speedup:  1,
-	}
-	combCfg := core.Config{
-		Model:    core.ModelCombined,
-		Ports:    4,
-		Buffer:   12,
-		MaxLabel: 6,
-		Speedup:  2,
-		PortWork: core.ContiguousWorks(4),
 	}
 	return []streamCell{
 		{
@@ -91,23 +83,6 @@ func streamCells(seed int64) []streamCell {
 				Seed:         seed,
 			},
 			policies: []core.Policy{policy.MRD{}, policy.MVD{}, policy.VLQD{}},
-		},
-		{
-			name: "combined",
-			cfg:  combCfg,
-			mcfg: traffic.MMPPConfig{
-				Sources:      40,
-				LambdaOn:     0.35,
-				POnOff:       0.2,
-				POffOn:       0.3,
-				Label:        traffic.LabelWorkValue,
-				Ports:        combCfg.Ports,
-				MaxLabel:     combCfg.MaxLabel,
-				PortWork:     combCfg.PortWork,
-				PortAffinity: true,
-				Seed:         seed,
-			},
-			policies: []core.Policy{policy.LWD{}, policy.MRD{}, policy.RVD{}},
 		},
 	}
 }

@@ -108,8 +108,8 @@ func (e *Experiment) validate() error {
 	switch {
 	case e.Name == "":
 		return fmt.Errorf("spec: missing name")
-	case e.Model != "processing" && e.Model != "value" && e.Model != "combined":
-		return fmt.Errorf("spec: model must be \"processing\", \"value\" or \"combined\", got %q", e.Model)
+	case e.Model != "processing" && e.Model != "value":
+		return fmt.Errorf("spec: model must be \"processing\" or \"value\", got %q", e.Model)
 	case e.Sweep != "k" && e.Sweep != "B" && e.Sweep != "C":
 		return fmt.Errorf("spec: sweep must be \"k\", \"B\" or \"C\", got %q", e.Sweep)
 	case len(e.Values) == 0:
@@ -118,8 +118,6 @@ func (e *Experiment) validate() error {
 		return fmt.Errorf("spec: port_work is a processing-model field")
 	case e.Model == "value" && e.Label != "" && e.Label != "uniform" && e.Label != "by-port":
 		return fmt.Errorf("spec: label must be \"uniform\" or \"by-port\", got %q", e.Label)
-	case e.Model == "combined" && e.Label != "":
-		return fmt.Errorf("spec: label is a value-model field")
 	case e.Sweep == "k" && e.PortWork != nil:
 		return fmt.Errorf("spec: cannot sweep k with explicit port_work")
 	case e.Traffic.Load != 0 && e.Traffic.Rate != 0:
@@ -142,16 +140,12 @@ func (e *Experiment) validate() error {
 func (e *Experiment) resolvePolicies() ([]core.Policy, error) {
 	roster := policy.ForProcessing()
 	byName := policy.ByName
-	switch e.Model {
-	case "value":
+	if e.Model == "value" {
 		roster = policy.ForValueUniform()
 		if e.Label == "by-port" {
 			roster = policy.ForValueByPort()
 		}
 		byName = policy.ValueByName
-	case "combined":
-		roster = policy.ForCombined()
-		byName = policy.CombinedByName
 	}
 	if len(e.Policies) == 0 {
 		return roster, nil
@@ -288,7 +282,7 @@ func (e *Experiment) buildConfigs(k, b, c int, seed int64) (core.Config, traffic
 		Seed:         seed,
 	}
 	var capacity float64
-	if e.Model == "processing" || e.Model == "combined" {
+	if e.Model == "processing" {
 		works := e.PortWork
 		if works == nil {
 			// Contiguous works serve C·H_k packets per slot. Harmonic sums
@@ -299,19 +293,15 @@ func (e *Experiment) buildConfigs(k, b, c int, seed int64) (core.Config, traffic
 		} else {
 			capacity = float64(c) * hmath.InverseWorkSum(works)
 		}
-		model, label := core.ModelProcessing, traffic.LabelWorkByPort
-		if e.Model == "combined" {
-			model, label = core.ModelCombined, traffic.LabelWorkValue
-		}
 		cfg = core.Config{
-			Model:    model,
+			Model:    core.ModelProcessing,
 			Ports:    len(works),
 			Buffer:   b,
 			MaxLabel: k,
 			Speedup:  c,
 			PortWork: works,
 		}
-		mcfg.Label = label
+		mcfg.Label = traffic.LabelWorkByPort
 		mcfg.Ports = len(works)
 		mcfg.PortWork = works
 	} else {

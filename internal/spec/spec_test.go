@@ -34,6 +34,7 @@ func TestLoadRejections(t *testing.T) {
 		{"unknown field", `{"name":"x","model":"processing","sweep":"B","values":[1],"bogus":1}`},
 		{"missing name", `{"model":"processing","sweep":"B","values":[8]}`},
 		{"bad model", `{"name":"x","model":"quantum","sweep":"B","values":[8]}`},
+		{"retired combined model", `{"name":"x","model":"combined","sweep":"B","values":[8]}`},
 		{"bad sweep", `{"name":"x","model":"processing","sweep":"q","values":[8]}`},
 		{"no values", `{"name":"x","model":"processing","sweep":"B","values":[]}`},
 		{"nonpositive value", `{"name":"x","model":"processing","sweep":"B","values":[0]}`},

@@ -303,9 +303,6 @@ func OpenFile(path string) (*FileProvider, error) {
 	return p, nil
 }
 
-// Path returns the backing file path.
-func (p *FileProvider) Path() string { return p.path }
-
 // Slots implements Provider.
 func (p *FileProvider) Slots() int { return p.slots }
 

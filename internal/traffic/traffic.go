@@ -46,11 +46,6 @@ const (
 	// uniquely determined by the port: value = port+1. Requires
 	// Ports == MaxLabel (panels 7–9).
 	LabelValueByPort
-	// LabelWorkValue generates combined-model packets: the port is
-	// sampled, the packet's work is the port's configured requirement
-	// and its value is drawn uniformly from [1,k] — the work×value
-	// workload the paper never ran.
-	LabelWorkValue
 )
 
 // MMPPConfig parameterizes an interleaving of independent on-off MMPP
@@ -100,7 +95,7 @@ func (c MMPPConfig) Validate() error {
 		return fmt.Errorf("traffic: ports %d < 1", c.Ports)
 	case c.MaxLabel < 1:
 		return fmt.Errorf("traffic: max label %d < 1", c.MaxLabel)
-	case c.Label < LabelWorkByPort || c.Label > LabelWorkValue:
+	case c.Label < LabelWorkByPort || c.Label > LabelValueByPort:
 		return fmt.Errorf("traffic: unknown label mode %d", int(c.Label))
 	case c.Label == LabelValueByPort && c.Ports != c.MaxLabel:
 		return fmt.Errorf("traffic: value-by-port labeling needs ports == k, got %d != %d", c.Ports, c.MaxLabel)
@@ -241,12 +236,6 @@ func (g *MMPP) emit(i int) pkt.Packet {
 		return pkt.NewValue(port, 1+g.rng.Intn(g.cfg.MaxLabel))
 	case LabelValueByPort:
 		return pkt.NewValue(port, port+1)
-	case LabelWorkValue:
-		work := 1
-		if g.cfg.PortWork != nil {
-			work = g.cfg.PortWork[port]
-		}
-		return pkt.NewWorkValue(port, work, 1+g.rng.Intn(g.cfg.MaxLabel))
 	default:
 		panic(fmt.Sprintf("traffic: unreachable label mode %d", int(g.cfg.Label)))
 	}
