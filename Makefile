@@ -54,12 +54,20 @@ STRESS_SIM_TESTS = Journal|Checkpoint|Leased|ReplayPanicConfined|ParallelMatches
 STREAM_SMOKE_TESTS = TestStreamedMatchesMaterialized|TestStreamedPortCountersMatch|TestParallelMatchesSequential|TestReplaysLeaveMemoizedTraceIntact|TestInstanceRecordsArrivalsOnce|TestInstanceOverBudgetStreams|TestLockstepMatchesSoloReplays|TestLockstepMixedSystems
 
 # Fail when an alternative of either list above matches no test in
-# internal/sim (go test -list), so a renamed test cannot silently drop
-# out of the stress and smoke passes.
+# internal/sim (go test -list), or when a `-fuzz=Name ./pkg/` of CI's
+# fuzz smoke names no fuzz target of that package, so a renamed test
+# cannot silently drop out of the stress, smoke and fuzz passes (`go
+# test -fuzz` on an unknown name prints "no fuzz tests to fuzz" and
+# exits 0).
+CI_WORKFLOW = .github/workflows/ci.yml
 run-lists:
 	@tests=$$($(GO) test -list . ./internal/sim) || { echo "$$tests"; exit 1; }; \
 	for name in $$(echo '$(STRESS_SIM_TESTS)|$(STREAM_SMOKE_TESTS)' | tr '|' ' '); do \
 		echo "$$tests" | grep -Eq -- "$$name" || { echo "run-lists: -run name $$name matches no test in ./internal/sim"; exit 1; }; \
+	done
+	@sed -nE 's/.*-fuzz=([A-Za-z0-9_]+) .* (\.\/[^ ]+).*/\1 \2/p' $(CI_WORKFLOW) | while read -r name pkg; do \
+		fuzz=$$($(GO) test -list '^Fuzz' "$$pkg") || { echo "$$fuzz"; exit 1; }; \
+		echo "$$fuzz" | grep -qx -- "$$name" || { echo "run-lists: $(CI_WORKFLOW) fuzzes $$name, which matches no fuzz target in $$pkg"; exit 1; }; \
 	done
 
 # Stress pass over the concurrent packages: the race detector, twenty

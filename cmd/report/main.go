@@ -1,7 +1,8 @@
 // Command report regenerates EXPERIMENTS.md: it runs the full evaluation
 // (lower-bound constructions, the nine Fig. 5 panels, the architecture
 // comparison) at the committed default scale and writes the
-// paper-vs-measured document to stdout.
+// paper-vs-measured document to stdout. It takes no flags: the
+// document's prose quotes numbers measured at that scale.
 //
 // Usage:
 //
@@ -18,19 +19,8 @@ import (
 )
 
 func main() {
-	var (
-		slots   = flag.Int("slots", 0, "trace length per replication (default 4000)")
-		seeds   = flag.Int("seeds", 0, "replications per point (default 3)")
-		sources = flag.Int("sources", 0, "MMPP sources (default 100)")
-	)
 	flag.Parse()
-
-	err := report.Generate(os.Stdout, experiments.Options{
-		Slots:   *slots,
-		Seeds:   *seeds,
-		Sources: *sources,
-	})
-	if err != nil {
+	if err := report.Generate(os.Stdout, experiments.Options{}); err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
 	}

@@ -6,12 +6,12 @@
 //	tracegen -slots 10000 -ports 16 -mode work > trace.txt
 //	tracegen -stats < trace.txt
 //	tracegen -replay LWD -ports 16 -mode work -buffer 256 < trace.txt
-//	tracegen -replay LWD -ports 16 -mode work -in trace.txt   # streamed
+//	tracegen -replay LWD -ports 16 -mode work -in trace.txt
 //
-// Generation writes each slot as the generator draws it, and with -in,
-// -stats and -replay stream the trace from the file instead of
-// materializing stdin, so arbitrarily long traces are processed in
-// O(peak burst) memory.
+// Generation writes each slot as the generator draws it, and -stats and
+// -replay stream the trace, text or binary, from stdin or from the -in
+// file, so arbitrarily long traces are processed in O(peak burst)
+// memory.
 package main
 
 import (
@@ -34,37 +34,38 @@ func main() {
 		affinity = flag.Bool("affinity", true, "pin each source to one port")
 		seed     = flag.Int64("seed", 1, "RNG seed")
 		binFmt   = flag.Bool("binary", false, "emit the compact binary trace format")
-		stats    = flag.Bool("stats", false, "read a trace from stdin and print summary statistics instead")
-		replay   = flag.String("replay", "", "read a trace from stdin and replay it under the named policy")
+		stats    = flag.Bool("stats", false, "read a trace (stdin or -in) and print summary statistics instead")
+		replay   = flag.String("replay", "", "read a trace (stdin or -in) and replay it under the named policy")
 		buffer   = flag.Int("buffer", 0, "buffer size for -replay (default 2x ports)")
 		flush    = flag.Int("flush", 0, "flushout period for -replay (0 = final drain only)")
-		input    = flag.String("in", "", "stream the trace from this file instead of reading stdin (-stats, -replay)")
+		input    = flag.String("in", "", "read the trace from this file instead of stdin (-stats, -replay)")
 	)
 	flag.Parse()
+
+	// -stats and -replay read the trace from -in, or else from stdin.
+	in := io.Reader(os.Stdin)
+	if *input != "" {
+		f, err := os.Open(*input)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tracegen:", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		in = f
+	}
 
 	var err error
 	switch {
 	case *stats:
-		r := io.Reader(os.Stdin)
-		if *input != "" {
-			f, ferr := os.Open(*input)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", ferr)
-				os.Exit(1)
-			}
-			defer f.Close()
-			r = f
-		}
-		err = cli.Stats(os.Stdout, r)
+		err = cli.Stats(os.Stdout, in)
 	case *replay != "":
-		err = cli.Replay(os.Stdout, os.Stdin, cli.ReplayOptions{
+		err = cli.Replay(os.Stdout, in, cli.ReplayOptions{
 			Policy:   *replay,
 			Ports:    *ports,
 			MaxLabel: *maxLabel,
 			Buffer:   *buffer,
 			Flush:    *flush,
 			Mode:     *mode,
-			Input:    *input,
 		})
 	default:
 		err = cli.Generate(os.Stdout, cli.GenerateOptions{

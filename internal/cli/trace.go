@@ -1,7 +1,7 @@
 package cli
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -148,33 +148,15 @@ type ReplayOptions struct {
 	Ports, MaxLabel, Buffer, Flush int
 	// Mode matches GenerateOptions.Mode.
 	Mode string
-	// Input, when non-empty, streams the trace from this file path
-	// instead of materializing r: the policy and the OPT proxy step
-	// through one pass over the file a window of slots at a time, so
-	// memory stays O(window) regardless of trace length.
-	Input string
 }
 
-// Replay reads a trace from r — or streams it from o.Input when set —
-// drives the named policy and the OPT proxy over it, and writes the
-// outcome to w.
+// Replay streams a trace (text or binary) from r, drives the named
+// policy and the OPT proxy over it in one pass, a window of slots at a
+// time, and writes the outcome to w. Memory stays O(window) at any
+// trace length.
 func Replay(w io.Writer, r io.Reader, o ReplayOptions) error {
 	if err := checkNonNegative(flagValue{"-ports", o.Ports}, flagValue{"-k", o.MaxLabel}, flagValue{"-buffer", o.Buffer}, flagValue{"-flush", o.Flush}); err != nil {
 		return err
-	}
-	var src traffic.Provider
-	if o.Input != "" {
-		fp, err := traffic.OpenFile(o.Input)
-		if err != nil {
-			return err
-		}
-		src = fp
-	} else {
-		tr, err := traffic.ReadAnyTrace(r)
-		if err != nil {
-			return err
-		}
-		src = tr
 	}
 	maxLabel := o.MaxLabel
 	if maxLabel == 0 {
@@ -204,30 +186,51 @@ func Replay(w io.Writer, r io.Reader, o ReplayOptions) error {
 	if pol == nil {
 		return fmt.Errorf("unknown policy %q for mode %q", o.Policy, o.Mode)
 	}
-	sw, err := core.New(cfg, pol)
+	cur, slots, err := traffic.StreamAny(r)
 	if err != nil {
 		return err
 	}
-	opt, err := sim.NewOptProxy(cfg)
+	src := &streamOnce{cur: cur, slots: slots}
+	results, err := sim.Instance{Cfg: cfg, Policies: []core.Policy{pol}, Provider: src, FlushEvery: o.Flush}.Run()
 	if err != nil {
 		return err
 	}
-	stats, err := sim.Lockstep(context.TODO(), src, sim.RunOptions{FlushEvery: o.Flush}, 1, sw, opt)
-	if err != nil {
-		return err
-	}
-	st, optStats := stats[0], stats[1]
-	obj, optObj := st.Throughput(cfg.Model), optStats.Throughput(cfg.Model)
+	res := results[0]
+	st := res.Stats
 	if _, err := fmt.Fprintf(w, `policy:       %s (%s model)
 arrived:      %d
 transmitted:  %d packets (objective %d)
 dropped:      %d, pushed out: %d
 opt proxy:    %d
-`, pol.Name(), cfg.Model, st.Arrived, st.Transmitted, obj, st.Dropped, st.PushedOut, optObj); err != nil {
+`, res.Policy, cfg.Model, st.Arrived, st.Transmitted, res.Throughput, st.Dropped, st.PushedOut, res.OptThroughput); err != nil {
 		return err
 	}
-	if obj > 0 {
-		_, err = fmt.Fprintf(w, "ratio:        %.4f\n", float64(optObj)/float64(obj))
+	if res.Throughput > 0 {
+		_, err = fmt.Fprintf(w, "ratio:        %.4f\n", res.Ratio)
 	}
 	return err
+}
+
+// streamOnce is the Provider over a trace read once from a stream (a
+// file or stdin), which cannot be rewound: its first Open hands out the
+// cursor, and any later Open fails. A sim.Instance run opens its
+// Provider exactly once. The cursor owns no resources (the reader
+// belongs to the caller), so a run that fails before its Open leaks
+// nothing.
+type streamOnce struct {
+	cur   traffic.Cursor
+	slots int
+}
+
+// Slots implements traffic.Provider.
+func (p *streamOnce) Slots() int { return p.slots }
+
+// Open implements traffic.Provider, once.
+func (p *streamOnce) Open() (traffic.Cursor, error) {
+	if p.cur == nil {
+		return nil, errors.New("cli: streamOnce: the trace stream was already opened")
+	}
+	cur := p.cur
+	p.cur = nil
+	return cur, nil
 }

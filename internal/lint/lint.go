@@ -1,6 +1,6 @@
 // Package lint is a self-contained static-analysis framework that
 // mechanically enforces the engine's determinism, seeding and hot-path
-// contracts (DESIGN.md §11). It mirrors the golang.org/x/tools
+// contracts (DESIGN.md §11 and §16). It mirrors the golang.org/x/tools
 // go/analysis API shape — Analyzer, Pass, positional diagnostics —
 // so the suite can migrate onto the real module with a mechanical
 // rewrite once external dependencies are available; the build
@@ -9,23 +9,25 @@
 // go/importer) with package loading delegated to `go list -export`
 // (see load.go).
 //
-// The analyzers themselves live in subpackages (detmap, seedrand,
-// wallclock, hotalloc, cursorerr, exporteddoc);
-// internal/lint/suite aggregates them for cmd/smblint, `make lint`
-// and the CI lint job.
+// The ten analyzers live in subpackages (concfence, cursorerr,
+// detmap, escapecheck, exporteddoc, fastviewro, hotalloc, hotcall,
+// seedrand, wallclock); internal/lint/suite aggregates them for
+// cmd/smblint, `make lint` and the CI lint job.
 //
 // Four source annotations steer the suite:
 //
 //   - //smb:hotpath — placed in a function's doc comment, marks the
-//     function as an allocation-free hot path checked by hotalloc;
+//     function as an allocation-free hot path: hotalloc checks its
+//     body, escapecheck proves it free of heap escapes from the
+//     compiler's own diagnostics, and hotcall restricts what it calls;
 //   - //smb:nondet-ok <reason> — placed on (or immediately above) a map
 //     range statement in an engine package, records why the iteration
 //     order provably cannot leak into simulation results. The reason is
 //     mandatory.
 //   - //smb:alloc-ok <reason> — placed on (or immediately above) a line
-//     inside a //smb:hotpath function, exempts that line from hotalloc
-//     (for provably cold branches such as error exits). The reason is
-//     mandatory.
+//     inside a //smb:hotpath function, exempts that line from hotalloc,
+//     escapecheck and hotcall (for provably cold branches such as error
+//     exits). The reason is mandatory.
 //   - //smb:conc-ok <reason> — placed on (or immediately above) a line
 //     in a deterministic engine package, or in a function's doc
 //     comment, exempts that line (or function) from the concfence

@@ -116,12 +116,26 @@ func (e *Experiment) validate() error {
 		return fmt.Errorf("spec: no sweep values")
 	case e.Model == "value" && e.PortWork != nil:
 		return fmt.Errorf("spec: port_work is a processing-model field")
+	case e.Model == "processing" && e.Label != "":
+		return fmt.Errorf("spec: label is a value-model field")
 	case e.Model == "value" && e.Label != "" && e.Label != "uniform" && e.Label != "by-port":
 		return fmt.Errorf("spec: label must be \"uniform\" or \"by-port\", got %q", e.Label)
 	case e.Sweep == "k" && e.PortWork != nil:
 		return fmt.Errorf("spec: cannot sweep k with explicit port_work")
 	case e.Traffic.Load != 0 && e.Traffic.Rate != 0:
 		return fmt.Errorf("spec: traffic.load and traffic.rate are mutually exclusive")
+	}
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{
+		{"k", float64(e.K)}, {"B", float64(e.B)}, {"C", float64(e.C)},
+		{"slots", float64(e.Slots)}, {"seeds", float64(e.Seeds)}, {"flush_every", float64(e.FlushEvery)},
+		{"traffic.sources", float64(e.Traffic.Sources)}, {"traffic.load", e.Traffic.Load}, {"traffic.rate", e.Traffic.Rate},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("spec: %s %v is negative", f.field, f.v)
+		}
 	}
 	for _, v := range e.Values {
 		if v < 1 {

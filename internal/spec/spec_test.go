@@ -30,26 +30,41 @@ func TestLoadMinimal(t *testing.T) {
 func TestLoadRejections(t *testing.T) {
 	cases := []struct {
 		name, json string
+		want       string // a substring of the error, when set
 	}{
-		{"unknown field", `{"name":"x","model":"processing","sweep":"B","values":[1],"bogus":1}`},
-		{"missing name", `{"model":"processing","sweep":"B","values":[8]}`},
-		{"bad model", `{"name":"x","model":"quantum","sweep":"B","values":[8]}`},
-		{"retired combined model", `{"name":"x","model":"combined","sweep":"B","values":[8]}`},
-		{"bad sweep", `{"name":"x","model":"processing","sweep":"q","values":[8]}`},
-		{"no values", `{"name":"x","model":"processing","sweep":"B","values":[]}`},
-		{"nonpositive value", `{"name":"x","model":"processing","sweep":"B","values":[0]}`},
-		{"unknown policy", `{"name":"x","model":"processing","sweep":"B","values":[8],"policies":["NOPE"]}`},
-		{"value policy in processing", `{"name":"x","model":"processing","sweep":"B","values":[8],"policies":["MRD"]}`},
-		{"portwork in value model", `{"name":"x","model":"value","sweep":"B","values":[8],"port_work":[1,2]}`},
-		{"sweep k with portwork", `{"name":"x","model":"processing","sweep":"k","values":[8],"port_work":[1,2]}`},
-		{"load and rate", `{"name":"x","model":"processing","sweep":"B","values":[8],"traffic":{"load":2,"rate":5}}`},
-		{"bad value label", `{"name":"x","model":"value","sweep":"B","values":[8],"label":"nope"}`},
-		{"not json", `hello`},
+		{"unknown field", `{"name":"x","model":"processing","sweep":"B","values":[1],"bogus":1}`, ""},
+		{"missing name", `{"model":"processing","sweep":"B","values":[8]}`, ""},
+		{"bad model", `{"name":"x","model":"quantum","sweep":"B","values":[8]}`, ""},
+		{"retired combined model", `{"name":"x","model":"combined","sweep":"B","values":[8]}`, ""},
+		{"bad sweep", `{"name":"x","model":"processing","sweep":"q","values":[8]}`, ""},
+		{"no values", `{"name":"x","model":"processing","sweep":"B","values":[]}`, ""},
+		{"nonpositive value", `{"name":"x","model":"processing","sweep":"B","values":[0]}`, ""},
+		{"unknown policy", `{"name":"x","model":"processing","sweep":"B","values":[8],"policies":["NOPE"]}`, ""},
+		{"value policy in processing", `{"name":"x","model":"processing","sweep":"B","values":[8],"policies":["MRD"]}`, ""},
+		{"portwork in value model", `{"name":"x","model":"value","sweep":"B","values":[8],"port_work":[1,2]}`, ""},
+		{"sweep k with portwork", `{"name":"x","model":"processing","sweep":"k","values":[8],"port_work":[1,2]}`, ""},
+		{"load and rate", `{"name":"x","model":"processing","sweep":"B","values":[8],"traffic":{"load":2,"rate":5}}`, ""},
+		{"bad value label", `{"name":"x","model":"value","sweep":"B","values":[8],"label":"nope"}`, ""},
+		{"not json", `hello`, ""},
+		{"label in processing model", `{"name":"x","model":"processing","label":"by-port","sweep":"B","values":[8]}`, "label"},
+		{"negative k", `{"name":"x","model":"processing","sweep":"B","values":[8],"k":-3}`, "k -3"},
+		{"negative B", `{"name":"x","model":"processing","sweep":"k","values":[8],"B":-1}`, "B -1"},
+		{"negative C", `{"name":"x","model":"value","sweep":"B","values":[8],"C":-1}`, "C -1"},
+		{"negative slots", `{"name":"x","model":"processing","sweep":"B","values":[8],"slots":-5}`, "slots -5"},
+		{"negative seeds", `{"name":"x","model":"processing","sweep":"B","values":[8],"seeds":-1}`, "seeds -1"},
+		{"negative flush_every", `{"name":"x","model":"processing","sweep":"B","values":[8],"flush_every":-1}`, "flush_every -1"},
+		{"negative sources", `{"name":"x","model":"processing","sweep":"B","values":[8],"traffic":{"sources":-2}}`, "traffic.sources -2"},
+		{"negative load", `{"name":"x","model":"processing","sweep":"B","values":[8],"traffic":{"load":-0.5}}`, "traffic.load -0.5"},
+		{"negative rate", `{"name":"x","model":"value","sweep":"B","values":[8],"traffic":{"rate":-3}}`, "traffic.rate -3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(c.json)); err == nil {
-				t.Errorf("accepted: %s", c.json)
+			_, err := Load(strings.NewReader(c.json))
+			if err == nil {
+				t.Fatalf("accepted: %s", c.json)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want one naming %q", err, c.want)
 			}
 		})
 	}

@@ -84,42 +84,3 @@ func decodeRecord(rec []byte) (uint32, pkt.Packet) {
 		Value: int(rec[7]),
 	}
 }
-
-// ReadBinaryTrace parses the binary format produced by WriteBinary.
-// Unlike the streaming cursor it accepts records in any slot order.
-func ReadBinaryTrace(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
-	slots, err := readBinaryHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkMaterializedSlots(int(slots)); err != nil {
-		return nil, err
-	}
-	tr := make(Trace, slots)
-	var rec [recordSize]byte
-	for {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			if err == io.EOF {
-				return tr, nil
-			}
-			return nil, fmt.Errorf("traffic: reading record: %w", err)
-		}
-		t, p := decodeRecord(rec[:])
-		if t >= slots {
-			return nil, fmt.Errorf("traffic: record slot %d out of [0,%d)", t, slots)
-		}
-		tr[t] = append(tr[t], p)
-	}
-}
-
-// ReadAnyTrace sniffs the input and parses either the text or the binary
-// format.
-func ReadAnyTrace(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
-	if err == nil && string(head) == string(binaryMagic) {
-		return ReadBinaryTrace(br)
-	}
-	return ReadTrace(br)
-}

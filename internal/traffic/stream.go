@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -11,13 +12,17 @@ import (
 	"smbm/internal/pkt"
 )
 
-// Streaming readers for the two trace serializations. Unlike ReadTrace
-// and ReadBinaryTrace, which materialize the whole trace, these cursors
-// hold one slot's packets at a time, so replaying a 2·10⁶-slot file
-// costs O(peak burst) memory. The price is an ordering requirement:
-// records must be grouped by non-decreasing slot — exactly the order
-// WriteText and WriteBinary emit — and an out-of-order record is a stream
-// error rather than a backward insert.
+// The trace readers: one streaming cursor per serialization. A cursor
+// holds one slot's packets at a time, so replaying a 2·10⁶-slot file
+// costs O(peak burst) memory. Records must be grouped by non-decreasing
+// slot — exactly the order WriteText and WriteBinary emit — and an
+// out-of-order record is a stream error rather than a backward insert.
+
+// maxSlots bounds the slot count a trace header may declare: the binary
+// format's 32-bit slot field, which the text format shares so both
+// formats accept the same horizons. An unbounded text header of a few
+// bytes could otherwise make a replay step empty slots for hours.
+const maxSlots int64 = math.MaxUint32
 
 // StreamText opens a streaming cursor over the v1 text format,
 // returning the cursor and the declared slot count. The reader is
@@ -40,8 +45,8 @@ func StreamText(r io.Reader) (Cursor, int, error) {
 	if _, err := fmt.Sscanf(header[len(traceHeader):], " slots=%d", &slots); err != nil {
 		return nil, 0, fmt.Errorf("traffic: bad trace header %q: %v", header, err)
 	}
-	if slots < 0 {
-		return nil, 0, fmt.Errorf("traffic: negative slot count %d", slots)
+	if slots < 0 || int64(slots) > maxSlots {
+		return nil, 0, fmt.Errorf("traffic: trace header declares %d slots, outside [0,%d]", slots, maxSlots)
 	}
 	return &textStream{sc: sc, slots: slots, line: 1, pendingSlot: -1}, slots, nil
 }
@@ -123,6 +128,9 @@ func (s *textStream) Next() []pkt.Packet {
 	for {
 		slot, p, ok := s.readRecord()
 		if !ok {
+			if s.err != nil {
+				return nil // a failing slot is never emitted in part
+			}
 			return out
 		}
 		switch {

@@ -2,9 +2,9 @@ package traffic
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -122,6 +122,11 @@ func TestStreamAnySniffsFormat(t *testing.T) {
 			}
 		})
 	}
+	t.Run("junk", func(t *testing.T) {
+		if _, _, err := StreamAny(strings.NewReader("junk")); err == nil {
+			t.Error("junk accepted")
+		}
+	})
 }
 
 func TestStreamTextRejectsOutOfOrder(t *testing.T) {
@@ -332,9 +337,9 @@ func TestRepeatProvider(t *testing.T) {
 	}
 }
 
-// TestStreamedEqualsMaterializedFormats is the format-level differential:
-// for a seeded MMPP trace, the streaming readers must reproduce exactly
-// what the materializing readers parse, over both serializations.
+// TestStreamedEqualsMaterializedFormats is the format-level
+// differential: a seeded MMPP trace, recorded in memory, must stream
+// back exactly from both serializations.
 func TestStreamedEqualsMaterializedFormats(t *testing.T) {
 	cfg := MMPPConfig{
 		Sources:      30,
@@ -353,54 +358,28 @@ func TestStreamedEqualsMaterializedFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := Record(gen, 300)
-
-	var text, bin bytes.Buffer
-	if err := tr.Write(&text); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-
-	mat, err := ReadTrace(bytes.NewReader(text.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, slots, err := StreamText(bytes.NewReader(text.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := drainCursor(t, cur, slots)
-	cur.Close()
-	if !reflect.DeepEqual(Trace(nilNormalize(mat)), Trace(nilNormalize(streamed))) {
-		t.Fatal("text: streamed != materialized")
-	}
-
-	matB, err := ReadBinaryTrace(bytes.NewReader(bin.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	curB, slotsB, err := StreamBinary(bytes.NewReader(bin.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamedB := drainCursor(t, curB, slotsB)
-	curB.Close()
-	if !equalTraces(matB, streamedB) {
-		t.Fatal("binary: streamed != materialized")
-	}
-}
-
-// nilNormalize maps empty bursts to nil so DeepEqual compares content,
-// not allocation shape.
-func nilNormalize(tr Trace) Trace {
-	out := make(Trace, len(tr))
-	for i, s := range tr {
-		if len(s) > 0 {
-			out[i] = s
+	for _, format := range []struct {
+		name  string
+		write func(Trace, io.Writer) error
+		open  func(io.Reader) (Cursor, int, error)
+	}{
+		{"text", Trace.Write, StreamText},
+		{"binary", Trace.WriteBinary, StreamBinary},
+	} {
+		var buf bytes.Buffer
+		if err := format.write(tr, &buf); err != nil {
+			t.Fatal(err)
+		}
+		cur, slots, err := format.open(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed := drainCursor(t, cur, slots)
+		cur.Close()
+		if !equalTraces(tr, streamed) {
+			t.Fatalf("%s: streamed != recorded", format.name)
 		}
 	}
-	return out
 }
 
 // longBinaryTrace encodes a seeded MMPP trace of the given length in the

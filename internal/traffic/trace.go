@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"smbm/internal/pkt"
 )
@@ -60,23 +58,6 @@ func (r *replay) Next() []pkt.Packet {
 	return slot[:len(slot):len(slot)]
 }
 
-// MaxMaterializedSlots bounds the slot count ReadTrace and
-// ReadBinaryTrace accept from a trace header. Both allocate the whole
-// slot table before the first record, so an unchecked header of a few
-// bytes could demand any amount of memory. The bound is 8× the paper's
-// 2·10⁶-slot traces; longer traces stream through OpenFile in memory
-// independent of their length.
-const MaxMaterializedSlots = 1 << 24
-
-// checkMaterializedSlots refuses a header slot count above
-// MaxMaterializedSlots, pointing at the streaming path.
-func checkMaterializedSlots(slots int) error {
-	if slots > MaxMaterializedSlots {
-		return fmt.Errorf("traffic: trace header declares %d slots, above the %d a materialized trace may hold; stream the file instead (tracegen -in, traffic.OpenFile)", slots, MaxMaterializedSlots)
-	}
-	return nil
-}
-
 // traceHeader is the first line of the v1 text format.
 const traceHeader = "# smbm-trace v1"
 
@@ -104,59 +85,6 @@ func WriteText(w io.Writer, src Source, slots int) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadTrace parses the text format produced by WriteText.
-func ReadTrace(r io.Reader) (Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("traffic: empty trace input")
-	}
-	header := sc.Text()
-	if !strings.HasPrefix(header, traceHeader) {
-		return nil, fmt.Errorf("traffic: bad trace header %q", header)
-	}
-	var slots int
-	if _, err := fmt.Sscanf(header[len(traceHeader):], " slots=%d", &slots); err != nil {
-		return nil, fmt.Errorf("traffic: bad trace header %q: %v", header, err)
-	}
-	if slots < 0 {
-		return nil, fmt.Errorf("traffic: negative slot count %d", slots)
-	}
-	if err := checkMaterializedSlots(slots); err != nil {
-		return nil, err
-	}
-	tr := make(Trace, slots)
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("traffic: line %d: want 4 fields, got %d", line, len(fields))
-		}
-		nums := make([]int, 4)
-		for i, f := range fields {
-			n, err := strconv.Atoi(f)
-			if err != nil {
-				return nil, fmt.Errorf("traffic: line %d: %v", line, err)
-			}
-			nums[i] = n
-		}
-		t := nums[0]
-		if t < 0 || t >= slots {
-			return nil, fmt.Errorf("traffic: line %d: slot %d out of [0,%d)", line, t, slots)
-		}
-		tr[t] = append(tr[t], pkt.Packet{Port: nums[1], Work: nums[2], Value: nums[3]})
-	}
-	return tr, sc.Err()
 }
 
 // Concat concatenates traces in time.

@@ -3,6 +3,8 @@ package traffic
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -62,31 +64,42 @@ func TestReplay(t *testing.T) {
 	}
 }
 
+// streamAll opens r with open (StreamText, StreamBinary or StreamAny)
+// and records the first min(slots, limit) slots of the stream, copying
+// each borrowed burst. It returns the recorded trace, the header's slot
+// count and the header or stream error, if any.
+func streamAll(open func(io.Reader) (Cursor, int, error), r io.Reader, limit int) (Trace, int, error) {
+	cur, slots, err := open(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer cur.Close()
+	tr := make(Trace, min(slots, limit))
+	for t := range tr {
+		if burst := cur.Next(); len(burst) > 0 {
+			tr[t] = append([]pkt.Packet(nil), burst...)
+		}
+	}
+	return tr, slots, cur.Err()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, _, err := streamAll(StreamText, &buf, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(tr) {
-		t.Fatalf("slots %d, want %d", len(got), len(tr))
-	}
-	for s := range tr {
-		if len(got[s]) != len(tr[s]) {
-			t.Fatalf("slot %d: %d packets, want %d", s, len(got[s]), len(tr[s]))
-		}
-		for i := range tr[s] {
-			if got[s][i] != tr[s][i] {
-				t.Fatalf("slot %d packet %d differs", s, i)
-			}
-		}
+	if !equalTraces(got, tr) {
+		t.Fatalf("round trip: got %v, want %v", got, tr)
 	}
 }
 
+// TestReadTraceErrors: the text reader refuses a bad header when it
+// opens and a bad record as a sticky stream error.
 func TestReadTraceErrors(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -100,20 +113,24 @@ func TestReadTraceErrors(t *testing.T) {
 		{"non-numeric", "# smbm-trace v1 slots=1\n0 a 1 1\n"},
 		{"slot out of range", "# smbm-trace v1 slots=1\n5 0 1 1\n"},
 		{"slot count beyond makeslice", "# smbm-trace v1 slots=99999999999999\n"},
-		{"slot count above bound", fmt.Sprintf("# smbm-trace v1 slots=%d\n", MaxMaterializedSlots+1)},
+		{"slot count above uint32", fmt.Sprintf("# smbm-trace v1 slots=%d\n", maxSlots+1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ReadTrace(strings.NewReader(c.input)); err == nil {
+			if _, _, err := streamAll(StreamText, strings.NewReader(c.input), math.MaxInt); err == nil {
 				t.Error("no error")
 			}
 		})
+	}
+	// The bound is the binary format's slot field: a header at it opens.
+	if _, slots, err := StreamText(strings.NewReader(fmt.Sprintf("# smbm-trace v1 slots=%d\n", maxSlots))); err != nil || int64(slots) != maxSlots {
+		t.Errorf("header at the bound: slots %d, err %v", slots, err)
 	}
 }
 
 func TestReadTraceSkipsCommentsAndBlanks(t *testing.T) {
 	input := "# smbm-trace v1 slots=2\n\n# comment\n1 0 1 1\n"
-	tr, err := ReadTrace(strings.NewReader(input))
+	tr, _, err := streamAll(StreamText, strings.NewReader(input), math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
