@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint init-check chaos bench-daemon bench panels lowerbounds arch faults obs-demo report report-check examples loc clean
+.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint init-check chaos bench-daemon bench panels lowerbounds arch obs-demo report report-check examples loc clean
 
 all: build vet lint test test-race
 
@@ -45,7 +45,7 @@ test:
 # the shared-state providers they drive, including the sharded runtime
 # and its daemon.
 test-race:
-	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/cli/... ./internal/traffic/... ./internal/adversary/... ./internal/shard ./internal/obs ./cmd/smbsimd
+	$(GO) test -race ./internal/sim/... ./internal/cli/... ./internal/traffic/... ./internal/adversary/... ./internal/shard ./internal/obs ./cmd/smbsimd
 
 # The internal/sim tests that `make stress` repeats, and those CI's
 # stream-smoke job runs: -run regexes, one alternative per test or
@@ -118,9 +118,6 @@ lowerbounds:
 
 arch:
 	$(GO) run ./cmd/smbsim -experiment arch
-
-faults:
-	$(GO) run ./cmd/smbsim -experiment faults
 
 # Observability demo: one small panel with decision counters, the last
 # 32 decision events per replay dumped to stderr, and the pprof/expvar

@@ -4,7 +4,6 @@ import (
 	"smbm/internal/adversary"
 	"smbm/internal/core"
 	"smbm/internal/experiments"
-	"smbm/internal/faults"
 	"smbm/internal/mapcheck"
 	"smbm/internal/opt"
 	"smbm/internal/pkt"
@@ -305,76 +304,4 @@ func CheckTheorem7Mapping(cfg Config, opponent Policy, tr Trace) (MappingReport,
 // documented in DESIGN.md.
 func CheckTheorem7MappingLiteral(cfg Config, opponent Policy, tr Trace) (MappingReport, error) {
 	return mapcheck.RunLiteral(cfg, opponent, tr)
-}
-
-// Fault injection and graceful degradation (the robustness study the
-// competitive analysis cannot answer: how far the nominal guarantees
-// erode when the switch itself misbehaves).
-type (
-	// FaultSpec is a set of periodic faults plus the horizon they are
-	// scheduled over. Identical (spec, ports, seed) triples materialize
-	// byte-identical schedules.
-	FaultSpec = faults.Spec
-	// Fault is one periodic degradation: a kind, an optional target
-	// port (-1 rotates deterministically), a kind-specific value, and a
-	// period/duration pair.
-	Fault = faults.Fault
-	// FaultEvent is one materialized fault window [Start, End) of a
-	// schedule.
-	FaultEvent = faults.Event
-	// FaultKind enumerates the supported fault kinds.
-	FaultKind = faults.Kind
-	// FaultInjector wraps a System with a deterministic fault schedule;
-	// it is itself a System, so it drops into RunTrace and Instance
-	// unchanged.
-	FaultInjector = faults.Injector
-)
-
-// Fault kinds.
-const (
-	// FaultCoreSlowdown drops a port's speedup to C' for a window.
-	FaultCoreSlowdown = faults.CoreSlowdown
-	// FaultPortBlackout stops a port's transmission entirely.
-	FaultPortBlackout = faults.PortBlackout
-	// FaultBufferSqueeze transiently shrinks the effective shared
-	// buffer; push-out policies evict via their own rule, non-push-out
-	// policies tail-drop.
-	FaultBufferSqueeze = faults.BufferSqueeze
-	// FaultBurstAmplify duplicates and deterministically reorders
-	// arrival bursts.
-	FaultBurstAmplify = faults.BurstAmplify
-)
-
-// ParseFaultSpec parses the CLI fault syntax, e.g.
-// "blackout;squeeze:b=32:period=500:dur=100". The caller sets the
-// returned spec's Horizon (smbsim uses the run's slot count).
-func ParseFaultSpec(s string) (FaultSpec, error) { return faults.ParseSpec(s) }
-
-// NewFaultInjector wraps sys with the spec's schedule for a switch with
-// the given port count. It fails when sys lacks a capability the spec
-// needs (port throttling or buffer squeezing).
-func NewFaultInjector(sys System, spec FaultSpec, ports int, seed int64) (*FaultInjector, error) {
-	return faults.New(sys, spec, ports, seed)
-}
-
-// CanonicalFaultMix returns the fault mix behind the "faults"
-// experiment panel for a switch with the given geometry: rotating core
-// slowdowns and port blackouts, transient buffer squeezes, and burst
-// amplification.
-func CanonicalFaultMix(ports, buffer, speedup int, horizon int64) FaultSpec {
-	return faults.CanonicalMix(ports, buffer, speedup, horizon)
-}
-
-// Degradation reports how one policy's empirical competitive ratio
-// erodes when a fault schedule is injected symmetrically into the
-// policy and the OPT proxy.
-type Degradation = experiments.FaultRow
-
-// DegradationReport runs every policy and the OPT proxy on the same
-// arrival stream twice — once nominal and once under spec, injected
-// with the identical schedule into each system — and reports the
-// per-policy ratio erosion. A zero spec Horizon defaults to the stream
-// length.
-func DegradationReport(cfg Config, policies []Policy, src Provider, flushEvery int, spec FaultSpec, seed int64) ([]Degradation, error) {
-	return experiments.Degrade(Instance{Cfg: cfg, Policies: policies, Provider: src, FlushEvery: flushEvery}, spec, seed)
 }

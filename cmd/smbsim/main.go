@@ -3,16 +3,14 @@
 // MMPP traffic and prints the mean empirical competitive ratio of every
 // policy against the OPT proxy (a single priority queue with n·C cores).
 // The "arch" experiment additionally compares the shared-memory switch
-// against the Fig. 1 single-queue architecture, and the "faults"
-// experiment measures graceful degradation under the canonical fault
-// mix.
+// against the Fig. 1 single-queue architecture, and the "latency"
+// experiment reports the delay/throughput trade-off as B varies.
 //
 // Usage:
 //
 //	smbsim                          # run all nine panels at default scale
 //	smbsim -experiment fig5.1       # one panel
 //	smbsim -experiment arch         # architecture comparison
-//	smbsim -experiment faults       # fault-degradation comparison
 //	smbsim -scale paper             # paper scale: 2·10⁶ slots, 500 sources
 //	smbsim -slots 2000000 -seeds 5  # custom scale
 //	smbsim -plot                    # append ASCII charts
@@ -23,7 +21,6 @@
 //	smbsim -checkpoint run.ckpt     # journal cells to run.ckpt/local.jsonl; re-run to resume
 //	smbsim -checkpoint run.ckpt -cell-retries 5  # retry a failing cell 5 times, then degrade it
 //	smbsim -cell-timeout 5m         # fail runaway cells, keep the rest
-//	smbsim -faults "blackout;squeeze:b=32"  # inject faults into a sweep
 //
 // SIGINT cancels the run gracefully: completed points are printed as a
 // partial table and the process exits with code 2, so a checkpointed
@@ -57,7 +54,6 @@ import (
 
 	"smbm/internal/cli"
 	"smbm/internal/experiments"
-	"smbm/internal/faults"
 	"smbm/internal/sim"
 )
 
@@ -104,18 +100,17 @@ func (v *progressVar) String() string {
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "", "experiment to run (fig5.1 ... fig5.9, arch, latency, faults); empty runs the nine panels")
+		experiment  = flag.String("experiment", "", "experiment to run (fig5.1 ... fig5.9, arch, latency); empty runs the nine panels")
 		scale       = flag.String("scale", "", `option preset: "laptop" (default) or "paper" (2000000 slots, 500 sources; each cell generates its stream once, a window of slots at a time, in memory independent of the slot count); explicit flags override the preset`)
 		slots       = flag.Int("slots", 0, "trace length per replication (default 4000; paper uses 2000000)")
 		seeds       = flag.Int("seeds", 0, "replications per point (default 3)")
 		sources     = flag.Int("sources", 0, "MMPP on-off sources (default 100; paper uses 500)")
 		flushEvery  = flag.Int("flush", 0, "slots between periodic flushouts (default 1000)")
 		seed        = flag.Int64("seed", 0, "base RNG seed (default 1)")
-		workers     = flag.Int("workers", 0, "parallel simulation workers: a sweep's concurrent cells, or the systems -experiment arch, latency and faults step through each window of their streams (default GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "parallel simulation workers: a sweep's concurrent cells, or the systems -experiment arch and latency step through each window of their streams (default GOMAXPROCS)")
 		asPlot      = flag.Bool("plot", false, "render each panel as an ASCII chart as well")
 		asCSV       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		specPath    = flag.String("spec", "", "run a custom JSON experiment spec instead of the paper's panels")
-		faultSpec   = flag.String("faults", "", `inject a fault plan into every sweep cell, e.g. "blackout;squeeze:b=32:period=500:dur=100" (see internal/faults)`)
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell deadline; a timed-out cell fails without killing the sweep (0 = unbounded)")
 		checkpoint  = flag.String("checkpoint", "", "journal every sweep cell to `DIR`/local.jsonl and resume from it on re-runs")
 		cellRetries = flag.Int("cell-retries", 0, "with -checkpoint: retries of a failed cell before it is reported degraded (default 3; negative = no retries)")
@@ -206,15 +201,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "smbsim: pprof server:", err)
 			}
 		}()
-	}
-
-	if *faultSpec != "" {
-		fs, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smbsim:", err)
-			os.Exit(exitFailure)
-		}
-		opts.Faults = fs
 	}
 
 	// SIGINT cancels the context; sweeps return their completed points

@@ -11,7 +11,9 @@
 // Generation writes each slot as the generator draws it, and -stats and
 // -replay stream the trace, text or binary, from stdin or from the -in
 // file, so arbitrarily long traces are processed in O(peak burst)
-// memory.
+// memory. A flag the chosen action would ignore (-buffer when
+// generating, -slots under -replay, ...) is refused by name with exit
+// status 1 before anything is read or written.
 package main
 
 import (
@@ -41,6 +43,19 @@ func main() {
 		input    = flag.String("in", "", "read the trace from this file instead of stdin (-stats, -replay)")
 	)
 	flag.Parse()
+	action := "generate"
+	switch {
+	case *stats:
+		action = "stats"
+	case *replay != "":
+		action = "replay"
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := cli.RefuseTracegenFlags(action, set); err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
 
 	// -stats and -replay read the trace from -in, or else from stdin.
 	in := io.Reader(os.Stdin)
@@ -55,10 +70,10 @@ func main() {
 	}
 
 	var err error
-	switch {
-	case *stats:
+	switch action {
+	case "stats":
 		err = cli.Stats(os.Stdout, in)
-	case *replay != "":
+	case "replay":
 		err = cli.Replay(os.Stdout, in, cli.ReplayOptions{
 			Policy:   *replay,
 			Ports:    *ports,

@@ -13,7 +13,6 @@ import (
 
 	"smbm/internal/adversary"
 	"smbm/internal/experiments"
-	"smbm/internal/faults"
 	"smbm/internal/obs"
 	"smbm/internal/sim"
 	"smbm/internal/spec"
@@ -21,18 +20,14 @@ import (
 
 // PanelOptions drives Panels (cmd/smbsim).
 type PanelOptions struct {
-	// Experiment selects one panel, "arch", "latency" or "faults";
-	// empty runs the nine Fig. 5 panels.
+	// Experiment selects one panel, "arch" or "latency"; empty runs the
+	// nine Fig. 5 panels.
 	Experiment string
 	// Opts scales the runs.
 	Opts experiments.Options
 	// Plot appends an ASCII chart per panel; CSV replaces tables with
 	// CSV blocks.
 	Plot, CSV bool
-	// Faults, when non-empty, wraps every sweep cell's systems (each
-	// policy and the OPT proxy) with this fault plan; its Horizon
-	// defaults to each cell's trace length.
-	Faults faults.Spec
 	// CellTimeout bounds each sweep cell (0 = unbounded).
 	CellTimeout time.Duration
 	// Checkpoint journals every sweep's cells to this directory, and a
@@ -58,9 +53,9 @@ type PanelOptions struct {
 // Panels runs the requested evaluation experiments, writing reports to
 // w. Canceling ctx stops the run gracefully: the in-flight sweep
 // returns its completed points, which are rendered as a partial table
-// before the context's error is returned. The "arch", "latency" and
-// "faults" experiments are not sweeps: an option only a sweep honours
-// is an error there, naming its smbsim flag.
+// before the context's error is returned. The "arch" and "latency"
+// experiments are not sweeps: an option only a sweep honours is an
+// error there, naming its smbsim flag.
 func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 	if err := o.check(); err != nil {
 		return err
@@ -137,8 +132,6 @@ func (o PanelOptions) sweepOnly() string {
 		return "-cell-retries"
 	case o.CellTimeout != 0:
 		return "-cell-timeout"
-	case !o.Faults.Empty():
-		return "-faults"
 	case o.Obs:
 		return "-obs"
 	case o.TraceEvents != 0:
@@ -186,7 +179,6 @@ var tables = map[string]struct {
 }{
 	"arch":    {"single-queue vs shared-memory architectures", table(experiments.Architectures, experiments.ArchTable)},
 	"latency": {"delay/throughput trade-off vs B", table(experiments.Latency, experiments.LatencyTable)},
-	"faults":  {"graceful degradation under the canonical fault mix", table(experiments.FaultDegradation, experiments.FaultTable)},
 }
 
 // table composes an experiment with its table renderer.
@@ -241,13 +233,13 @@ func panelReport(ctx context.Context, w io.Writer, id string, o PanelOptions) er
 	return renderSweep(ctx, w, sweep, o)
 }
 
-// harden applies the robustness and observability options — fault
-// injection, per-cell deadline, checkpoint journal, decision counters,
-// event tracing, progress publication — to a sweep before it runs. It
-// returns the function that writes the held per-cell event dumps to
-// TraceWriter in grid order (Xs order, then seed), to be called once
-// the sweep has returned: cells complete in any order at more than one
-// worker, and a dump file must not depend on scheduling.
+// harden applies the robustness and observability options — per-cell
+// deadline, checkpoint journal, decision counters, event tracing,
+// progress publication — to a sweep before it runs. It returns the
+// function that writes the held per-cell event dumps to TraceWriter in
+// grid order (Xs order, then seed), to be called once the sweep has
+// returned: cells complete in any order at more than one worker, and a
+// dump file must not depend on scheduling.
 func harden(sweep *sim.Sweep, o PanelOptions) (writeTraces func()) {
 	sweep.CellTimeout = o.CellTimeout
 	sweep.Checkpoint = o.Checkpoint
@@ -290,27 +282,6 @@ func harden(sweep *sim.Sweep, o PanelOptions) (writeTraces func()) {
 				}
 			}
 		}
-	}
-	if o.Faults.Empty() {
-		return writeTraces
-	}
-	// The fault plan shapes every cell, so it belongs in the checkpoint
-	// fingerprint: resuming a faulted checkpoint without -faults (or vice
-	// versa) must fail loudly. An unset horizon renders as 0; each cell
-	// then covers its own trace, whose length the digest already holds.
-	sweep.ConfigDigest += ";faults=" + o.Faults.String()
-	build := sweep.Build
-	sweep.Build = func(x int, seed int64) (sim.Instance, error) {
-		inst, err := build(x, seed)
-		if err != nil {
-			return inst, err
-		}
-		fs := o.Faults
-		if fs.Horizon == 0 {
-			fs.Horizon = int64(inst.Provider.Slots())
-		}
-		inst.Wrap = faults.Wrapper(fs, inst.Cfg.Ports, seed)
-		return inst, nil
 	}
 	return writeTraces
 }

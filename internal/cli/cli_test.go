@@ -13,7 +13,6 @@ import (
 
 	"smbm/internal/adversary"
 	"smbm/internal/experiments"
-	"smbm/internal/faults"
 	"smbm/internal/sim"
 )
 
@@ -91,20 +90,15 @@ func TestPanelsLatency(t *testing.T) {
 // TestPanelsRefusesIgnoredFlags: an option no run of the requested
 // experiment honours is an error naming its flag, before anything runs.
 func TestPanelsRefusesIgnoredFlags(t *testing.T) {
-	blackout, err := faults.ParseSpec("blackout")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		experiment, flag string
 		set              func(*PanelOptions)
 	}{
 		{"arch", "-checkpoint", func(o *PanelOptions) { o.Checkpoint = t.TempDir() }},
 		{"latency", "-cell-retries", func(o *PanelOptions) { o.CellRetries = 2 }},
-		{"faults", "-cell-timeout", func(o *PanelOptions) { o.CellTimeout = time.Nanosecond }},
-		{"arch", "-faults", func(o *PanelOptions) { o.Faults = blackout }},
+		{"arch", "-cell-timeout", func(o *PanelOptions) { o.CellTimeout = time.Nanosecond }},
 		{"latency", "-obs", func(o *PanelOptions) { o.Obs = true }},
-		{"faults", "-trace-events", func(o *PanelOptions) { o.TraceEvents = 8 }},
+		{"latency", "-trace-events", func(o *PanelOptions) { o.TraceEvents = 8 }},
 		{"arch", "-csv", func(o *PanelOptions) { o.CSV = true }},
 		{"latency", "-plot", func(o *PanelOptions) { o.Plot = true }},
 		{"fig5.1", "-cell-retries needs -checkpoint", func(o *PanelOptions) { o.CellRetries = 5 }},
@@ -147,11 +141,11 @@ func TestRefuseIgnoredFlags(t *testing.T) {
 			t.Errorf("-spec with -%s: err = %v, want one naming -%s", flag, err, flag)
 		}
 	}
-	honoured := map[string]bool{"workers": true, "csv": true, "plot": true, "faults": true, "checkpoint": true, "obs": true}
+	honoured := map[string]bool{"workers": true, "csv": true, "plot": true, "checkpoint": true, "obs": true}
 	if err := RefuseIgnoredFlags("", true, honoured); err != nil {
 		t.Errorf("-spec with the flags it honours: %v", err)
 	}
-	for _, experiment := range []string{"", "fig5.1", "faults"} {
+	for _, experiment := range []string{"", "fig5.1", "fig5.4"} {
 		if err := RefuseIgnoredFlags(experiment, false, map[string]bool{"seeds": true, "slots": true}); err != nil {
 			t.Errorf("-experiment %q with -seeds: %v", experiment, err)
 		}
@@ -410,6 +404,56 @@ func TestTracegenRefusesNegativeFlags(t *testing.T) {
 		}
 		if out.Len() > 0 {
 			t.Errorf("%s: wrote %q before refusing", c.flag, out.String())
+		}
+	}
+}
+
+// TestRefuseTracegenFlags: every flag an action ignores is refused,
+// naming it and the action, and the flags each action honours pass.
+func TestRefuseTracegenFlags(t *testing.T) {
+	honoured := map[string][]string{
+		"generate": {"slots", "ports", "k", "sources", "rate", "mode", "affinity", "seed", "binary"},
+		"stats":    {"stats", "in"},
+		"replay":   {"replay", "ports", "k", "mode", "buffer", "flush", "in"},
+	}
+	for _, c := range []struct{ action, flag, want string }{
+		{"generate", "buffer", "-buffer applies only to -stats or -replay"},
+		{"generate", "flush", "-flush applies only to -stats or -replay"},
+		{"generate", "in", "-in applies only to -stats or -replay"},
+		{"stats", "slots", "-slots does not apply to -stats"},
+		{"stats", "sources", "-sources does not apply to -stats"},
+		{"stats", "rate", "-rate does not apply to -stats"},
+		{"stats", "seed", "-seed does not apply to -stats"},
+		{"stats", "affinity", "-affinity does not apply to -stats"},
+		{"stats", "binary", "-binary does not apply to -stats"},
+		{"stats", "ports", "-ports does not apply to -stats"},
+		{"stats", "k", "-k does not apply to -stats"},
+		{"stats", "mode", "-mode does not apply to -stats"},
+		{"stats", "buffer", "-buffer does not apply to -stats"},
+		{"stats", "flush", "-flush does not apply to -stats"},
+		{"stats", "replay", "-replay does not apply to -stats"},
+		{"replay", "slots", "-slots does not apply to -replay"},
+		{"replay", "sources", "-sources does not apply to -replay"},
+		{"replay", "rate", "-rate does not apply to -replay"},
+		{"replay", "seed", "-seed does not apply to -replay"},
+		{"replay", "affinity", "-affinity does not apply to -replay"},
+		{"replay", "binary", "-binary does not apply to -replay"},
+	} {
+		set := map[string]bool{c.flag: true}
+		for _, name := range honoured[c.action] {
+			set[name] = true
+		}
+		if err := RefuseTracegenFlags(c.action, set); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s with -%s: err = %v, want one containing %q", c.action, c.flag, err, c.want)
+		}
+	}
+	for action, flags := range honoured {
+		set := map[string]bool{}
+		for _, name := range flags {
+			set[name] = true
+		}
+		if err := RefuseTracegenFlags(action, set); err != nil {
+			t.Errorf("%s with the flags it honours: %v", action, err)
 		}
 	}
 }

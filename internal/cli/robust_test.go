@@ -12,74 +12,11 @@ import (
 	"time"
 
 	"smbm/internal/core"
-	"smbm/internal/faults"
 	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
 	"smbm/internal/traffic"
 )
-
-func TestPanelsFaultsExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	opts := smallOpts()
-	opts.Seeds = 1
-	if err := Panels(context.Background(), &buf, PanelOptions{Experiment: "faults", Opts: opts}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"graceful degradation", "penalty", "LWD", "Greedy"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("faults report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPanelsWithFaultInjection(t *testing.T) {
-	spec, err := faults.ParseSpec("blackout:period=100:dur=40;amplify:factor=2:period=100:dur=30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	o := PanelOptions{Experiment: "fig5.1", Opts: smallOpts(), Faults: spec}
-	if err := Panels(context.Background(), &buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "fig5.1") {
-		t.Errorf("faulted sweep output:\n%s", buf.String())
-	}
-	// The same panel without faults must not agree everywhere with the
-	// degraded one on ratios — but both render; just sanity-check the
-	// faulted run produced a complete, non-partial table.
-	if strings.Contains(buf.String(), "partial") {
-		t.Errorf("faulted sweep reported partial:\n%s", buf.String())
-	}
-}
-
-// TestSpecFaultHorizonIsTraceLength: a fault plan without a horizon
-// covers each cell's whole trace, so on a spec longer than the default
-// 4000 slots it matches the same plan with the spec's length spelled out.
-func TestSpecFaultHorizonIsTraceLength(t *testing.T) {
-	const specJSON = `{
-	  "name": "horizon", "model": "processing", "sweep": "C", "values": [1],
-	  "k": 4, "B": 16, "policies": ["LWD"], "slots": 4800, "seeds": 1,
-	  "traffic": {"sources": 10}
-	}`
-	fs, err := faults.ParseSpec("blackout:period=100:dur=40")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(horizon int64) string {
-		fs.Horizon = horizon
-		var buf bytes.Buffer
-		if err := RunSpec(context.Background(), &buf, strings.NewReader(specJSON), PanelOptions{CSV: true, Faults: fs}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if unset, full := run(0), run(4800); unset != full {
-		t.Errorf("unset horizon:\n%s\nwant the spec's 4800 slots:\n%s", unset, full)
-	}
-}
 
 func TestPanelsCanceledSweepRendersPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

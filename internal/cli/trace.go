@@ -12,6 +12,34 @@ import (
 	"smbm/internal/traffic"
 )
 
+// tracegenIgnored lists, per tracegen action, the flags that action
+// would silently ignore: generation reads no trace and replays
+// nothing, -stats only reads one, and -replay reads one instead of
+// generating it. The keys are the action names RefuseTracegenFlags
+// takes.
+var tracegenIgnored = map[string][]string{
+	"generate": {"buffer", "flush", "in"},
+	"stats":    {"slots", "sources", "rate", "seed", "affinity", "binary", "ports", "k", "mode", "buffer", "flush", "replay"},
+	"replay":   {"slots", "sources", "rate", "seed", "affinity", "binary"},
+}
+
+// RefuseTracegenFlags refuses an explicitly set tracegen flag that
+// action ("generate", "stats" or "replay") would silently ignore,
+// naming the flag. set holds the flags given on the command line,
+// named without their dash as flag.Visit names them.
+func RefuseTracegenFlags(action string, set map[string]bool) error {
+	for _, name := range tracegenIgnored[action] {
+		if !set[name] {
+			continue
+		}
+		if action == "generate" {
+			return fmt.Errorf("cli: -%s applies only to -stats or -replay, not to trace generation", name)
+		}
+		return fmt.Errorf("cli: -%s does not apply to -%s", name, action)
+	}
+	return nil
+}
+
 // GenerateOptions drives Generate (cmd/tracegen).
 type GenerateOptions struct {
 	// Slots, Ports, MaxLabel and Sources shape the trace.

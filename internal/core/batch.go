@@ -107,21 +107,16 @@ func (b *Batch) View() FastView { return b.s }
 // it is set.
 func (b *Batch) Err() error { return b.err }
 
-// Free returns the free space below the effective buffer, matching
-// View.Free. Non-push-out kernels can drop an entire burst suffix once
-// it reaches zero (free space never grows during an arrival phase).
+// Free returns the free buffer space, matching View.Free. Non-push-out
+// kernels can drop an entire burst suffix once it reaches zero (free
+// space never grows during an arrival phase).
 //
 //smb:hotpath
-func (b *Batch) Free() int {
-	if free := b.s.effBuf - b.s.occ; free > 0 {
-		return free
-	}
-	return 0
-}
+func (b *Batch) Free() int { return b.s.cfg.Buffer - b.s.occ }
 
 // Accept admits the next packet into its destination queue without an
-// eviction. A plain accept needs room below the effective (possibly
-// squeezed) buffer; without it the op fails and mutates nothing.
+// eviction. A plain accept needs room in the buffer; without it the op
+// fails and mutates nothing.
 //
 //smb:hotpath
 func (b *Batch) Accept(p pkt.Packet) {
@@ -129,8 +124,8 @@ func (b *Batch) Accept(p pkt.Packet) {
 		return
 	}
 	s := b.s
-	if s.occ >= s.effBuf {
-		b.failFull(s.occ, s.effBuf)
+	if s.occ >= s.cfg.Buffer {
+		b.failFull(s.occ, s.cfg.Buffer)
 		return
 	}
 	b.admit(p)
@@ -210,8 +205,7 @@ func (b *Batch) KnownDrop(p pkt.Packet) bool {
 // PushOut evicts one packet from queue victim (the FIFO tail in the
 // processing model, the minimum value in the value model) and admits p in its place. The victim and the buffer bound
 // are checked before the eviction, so a violating decision mutates
-// nothing. A push-out admission is occupancy-neutral, so during a
-// buffer squeeze it only needs the physical bound.
+// nothing. A push-out admission is occupancy-neutral.
 //
 //smb:hotpath
 func (b *Batch) PushOut(victim int, p pkt.Packet) {

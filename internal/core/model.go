@@ -92,9 +92,8 @@ type Config struct {
 const DrainCeiling = 1 << 20
 
 // drainSlack pads the configuration-derived drain bound so boundary
-// effects (a head-of-line packet mid-service at the drain's start,
-// fault overrides cleared one slot late) can never trip the bound on a
-// correct system.
+// effects (a head-of-line packet mid-service at the drain's start) can
+// never trip the bound on a correct system.
 const drainSlack = 64
 
 // DrainBound returns the drain-slot budget implied by the

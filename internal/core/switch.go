@@ -21,7 +21,7 @@ type Switch struct {
 	// soa is the contiguous structure-of-arrays backing for the per-port
 	// hot lanes: the admission and transmission loops walk parallel
 	// arrays carved out of this one allocation
-	// (qLen|holRes|qWork|vMin|works|speedTab — the same six lanes for
+	// (qLen|holRes|qWork|vMin|works — the same five lanes for
 	// every model), so a scan over all ports is cache-linear instead of
 	// hopping between separately allocated slices. Models that lack a
 	// heterogeneity dimension maintain the degenerate mirror instead of
@@ -84,22 +84,6 @@ type Switch struct {
 	workMax    argmax
 	invWorkSum float64
 
-	// Fault-injection overrides (see SetPortSpeedup / SetBufferLimit).
-	// speedOv, when non-nil, holds a per-port speedup override; a
-	// negative entry means "nominal". bufLimit, when positive, caps the
-	// effective shared buffer below the configured B.
-	speedOv  []int
-	bufLimit int
-
-	// Precomputed effective-configuration tables: speedTab[i] is port
-	// i's effective per-slot speedup and effBuf the effective shared
-	// buffer, refreshed whenever an override changes (New,
-	// SetPortSpeedup, ResetSpeedups, SetBufferLimit, Reset) so the
-	// per-slot hot loops read a table instead of re-branching on the
-	// override state per port per slot.
-	speedTab []int
-	effBuf   int
-
 	stats   Stats
 	perPort []PortCounters
 
@@ -157,13 +141,12 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	// trait only decides which side structure (arrival deques or value
 	// multisets) exists.
 	s.fifo = cfg.Model == ModelProcessing
-	s.soa = make([]int, 6*n)
+	s.soa = make([]int, 5*n)
 	s.qLen = s.soa[0*n : 1*n : 1*n]
 	s.holRes = s.soa[1*n : 2*n : 2*n]
 	s.qWork = s.soa[2*n : 3*n : 3*n]
 	s.vMin = s.soa[3*n : 4*n : 4*n]
 	s.works = s.soa[4*n : 5*n : 5*n]
-	s.speedTab = s.soa[5*n : 6*n : 6*n]
 	s.vSum = make([]int64, n)
 	if s.fifo {
 		s.arrivals = make([]deque.Deque, n)
@@ -178,8 +161,6 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	}
 	s.cfgWorks = append([]int(nil), cfg.portWork()...)
 	copy(s.works, s.cfgWorks)
-	s.recomputeSpeedTab()
-	s.recomputeEffBuf()
 	// Same ascending-port summation order as NHST's Admit scan so
 	// FastView thresholds are bit-identical to the plain-View path.
 	for _, w := range s.works {
@@ -245,67 +226,11 @@ func (s *Switch) PortCounters() []PortCounters {
 // Slot returns the current slot number (completed transmission phases).
 func (s *Switch) Slot() int64 { return s.slot }
 
-// --- Fault-injection overrides -------------------------------------------
-//
-// The methods below are the degradation knobs used by internal/faults:
-// they transiently override the nominal configuration without touching
-// Config, so a fault window can slow a port's cores, black a port out,
-// or squeeze the effective shared buffer, and clearing the override
-// restores nominal behaviour exactly.
-
-// SetPortSpeedup overrides port i's per-slot processing cycles
-// (processing model) or per-slot transmissions (value model). c == 0
-// blacks the port out; a negative c restores the configured Speedup.
-// While a port is blacked out Drain cannot terminate if that port holds
-// packets — fault injectors clear overrides before draining (see
-// internal/faults), and sim.RunTrace bounds drains via DrainMax.
-func (s *Switch) SetPortSpeedup(i, c int) {
-	if i < 0 || i >= s.cfg.Ports {
-		panic(fmt.Sprintf("core: SetPortSpeedup port %d out of [0,%d)", i, s.cfg.Ports))
-	}
-	if s.speedOv == nil {
-		if c < 0 {
-			return
-		}
-		s.speedOv = make([]int, s.cfg.Ports)
-		for j := range s.speedOv {
-			s.speedOv[j] = -1
-		}
-	}
-	s.speedOv[i] = c
-	s.recomputeSpeedTab()
-}
-
-// ResetSpeedups clears all per-port speedup overrides, restoring the
-// configured Speedup on every port.
-func (s *Switch) ResetSpeedups() {
-	for i := range s.speedOv {
-		s.speedOv[i] = -1
-	}
-	s.recomputeSpeedTab()
-}
-
-// SetBufferLimit transiently caps the effective shared buffer at b
-// packets. Policies observe the squeezed value through View.Buffer and
-// View.Free, so push-out policies evict via their own rule and
-// non-push-out policies tail-drop. Occupancy already above the limit is
-// not force-evicted: push-out admissions stay occupancy-neutral and the
-// excess drains through transmission. b <= 0 (or b >= the configured B)
-// restores the nominal buffer.
-func (s *Switch) SetBufferLimit(b int) {
-	if b <= 0 {
-		s.bufLimit = 0
-	} else {
-		s.bufLimit = b
-	}
-	s.recomputeEffBuf()
-}
-
-// SetRecorder attaches an observability recorder (nil detaches),
-// implementing obs.Target. While attached, every admission decision the
-// engine executes — admit, tail-drop, push-out (with the discarded
-// residual work and value), head-of-line transmission — is counted per
-// port and, when the recorder traces, ringed as an event. The recorder
+// SetRecorder attaches an observability recorder (nil detaches). While
+// attached, every admission decision the engine executes — admit,
+// tail-drop, push-out (with the discarded residual work and value),
+// head-of-line transmission — is counted per port and, when the
+// recorder traces, ringed as an event. The recorder
 // must be sized for this switch's port count. Reset does not detach:
 // the recorder's lifecycle belongs to the caller (see sim).
 func (s *Switch) SetRecorder(r *obs.Recorder) {
@@ -313,38 +238,6 @@ func (s *Switch) SetRecorder(r *obs.Recorder) {
 		panic(fmt.Sprintf("core: SetRecorder sized for %d ports on a %d-port switch", r.Ports(), s.cfg.Ports))
 	}
 	s.rec = r
-}
-
-// effSpeedup returns port i's effective per-slot speedup under any
-// active override, by reading the precomputed table.
-func (s *Switch) effSpeedup(i int) int { return s.speedTab[i] }
-
-// effBuffer returns the effective shared buffer under any active
-// squeeze, by reading the precomputed value.
-func (s *Switch) effBuffer() int { return s.effBuf }
-
-// recomputeSpeedTab refreshes the per-port effective-speedup table
-// from the configured speedup and any active overrides. Called on
-// every override change (a cold path) so the per-slot loops never
-// re-branch on the override state.
-func (s *Switch) recomputeSpeedTab() {
-	for i := range s.speedTab {
-		if s.speedOv != nil && s.speedOv[i] >= 0 {
-			s.speedTab[i] = s.speedOv[i]
-		} else {
-			s.speedTab[i] = s.cfg.Speedup
-		}
-	}
-}
-
-// recomputeEffBuf refreshes the cached effective buffer from the
-// configured B and any active squeeze.
-func (s *Switch) recomputeEffBuf() {
-	if s.bufLimit > 0 && s.bufLimit < s.cfg.Buffer {
-		s.effBuf = s.bufLimit
-	} else {
-		s.effBuf = s.cfg.Buffer
-	}
 }
 
 // --- View implementation -------------------------------------------------
@@ -355,9 +248,8 @@ func (s *Switch) Model() Model { return s.cfg.Model }
 // Ports implements View.
 func (s *Switch) Ports() int { return s.cfg.Ports }
 
-// Buffer implements View. It reports the effective buffer, which a
-// transient SetBufferLimit squeeze may hold below the configured B.
-func (s *Switch) Buffer() int { return s.effBuffer() }
+// Buffer implements View.
+func (s *Switch) Buffer() int { return s.cfg.Buffer }
 
 // MaxLabel implements View.
 func (s *Switch) MaxLabel() int { return s.cfg.MaxLabel }
@@ -365,14 +257,8 @@ func (s *Switch) MaxLabel() int { return s.cfg.MaxLabel }
 // Occupancy implements View.
 func (s *Switch) Occupancy() int { return s.occ }
 
-// Free implements View. Under a buffer squeeze it never goes negative:
-// occupancy above the transient limit reads as a full buffer.
-func (s *Switch) Free() int {
-	if free := s.effBuffer() - s.occ; free > 0 {
-		return free
-	}
-	return 0
-}
+// Free implements View.
+func (s *Switch) Free() int { return s.cfg.Buffer - s.occ }
 
 // QueueLen implements View.
 func (s *Switch) QueueLen(i int) int { return s.qLen[i] }
@@ -544,31 +430,32 @@ func (s *Switch) Transmit() {
 }
 
 // transmitFIFO is the processing model's transmission phase: each port
-// spends its speedTab cycles on its head-of-line packet. It runs in two
+// spends Speedup cycles on its head-of-line packet. It runs in two
 // tiers. The hot tier relies on the invariant holRes[i] == 0 exactly
 // when queue i is empty (verify checks it), so use = min(speedup,
-// holRes) is 0 for empty and blacked-out ports; when use falls short of
-// the residual, the port only loses use cycles of residual work, with
-// no counter, deque or perPort traffic. Only a finished head-of-line
-// packet enters the completion tier, completeFIFO.
+// holRes) is 0 exactly for empty ports (Config.Validate enforces
+// Speedup >= 1); when use falls short of the residual, the port only
+// loses use cycles of residual work, with no counter, deque or perPort
+// traffic. Only a finished head-of-line packet enters the completion
+// tier, completeFIFO.
 //
 //smb:hotpath
 func (s *Switch) transmitFIFO() {
 	var (
-		holRes   = s.holRes
-		speedTab = s.speedTab[:len(holRes)]
-		qWork    = s.qWork[:len(holRes)]
-		cycles   int64
+		holRes  = s.holRes
+		qWork   = s.qWork[:len(holRes)]
+		speedup = s.cfg.Speedup
+		cycles  int64
 	)
 	// Every served port's total work (the workMax key) falls, but only
 	// the cached argmax's fall can invalidate the cache: one check per
 	// slot instead of one per port. A queue's length (the lenMax key)
 	// only changes on a completion.
-	if wm := &s.workMax; wm.ok && min(speedTab[wm.idx], holRes[wm.idx]) > 0 {
+	if wm := &s.workMax; wm.ok && holRes[wm.idx] > 0 {
 		wm.ok = false
 	}
 	for i, res := range holRes {
-		use := min(speedTab[i], res)
+		use := min(speedup, res)
 		if use == 0 {
 			continue
 		}
@@ -579,7 +466,7 @@ func (s *Switch) transmitFIFO() {
 			continue
 		}
 		holRes[i] = 0
-		cycles += s.completeFIFO(i, speedTab[i]-use)
+		cycles += s.completeFIFO(i, speedup-use)
 	}
 	s.stats.CyclesUsed += cycles
 }
@@ -642,10 +529,10 @@ func (s *Switch) completeFIFO(i, budget int) int64 {
 
 //smb:hotpath
 func (s *Switch) transmitValue() {
+	speedup := s.cfg.Speedup
 	for i := 0; i < s.cfg.Ports; i++ {
-		// The speedup override cannot change mid-phase, so hoist it and
-		// pop the exact count instead of re-testing per packet.
-		pops := min(s.speedTab[i], s.qLen[i])
+		// Pop the exact count instead of re-testing per packet.
+		pops := min(speedup, s.qLen[i])
 		if pops == 0 {
 			continue
 		}
@@ -691,11 +578,9 @@ func (s *Switch) Step(arrivalsInOrder []pkt.Packet) error {
 }
 
 // Drain runs transmission phases with no arrivals until the buffer is
-// empty, returning the number of slots consumed. Total residual work is
-// finite and strictly decreases, so Drain always terminates — unless a
-// SetPortSpeedup(i, 0) blackout override is active on a non-empty port;
-// callers that inject faults should clear overrides first or use
-// DrainMax.
+// empty, returning the number of slots consumed. Every non-empty port
+// spends Speedup >= 1 cycles per slot, so total residual work strictly
+// decreases and Drain always terminates.
 func (s *Switch) Drain() int {
 	var slots int
 	for s.occ > 0 {
@@ -720,14 +605,12 @@ func (s *Switch) DrainMax(max int) (int, bool) {
 	return slots, true
 }
 
-// Reset empties the buffer and zeroes all statistics and fault
-// overrides, keeping the configuration and policy.
+// Reset empties the buffer and zeroes all statistics, keeping the
+// configuration and policy.
 func (s *Switch) Reset() {
 	s.occ = 0
 	s.slot = 0
 	s.stats = Stats{}
-	s.speedOv = nil
-	s.bufLimit = 0
 	for i := range s.perPort {
 		s.perPort[i] = PortCounters{}
 	}
@@ -746,8 +629,6 @@ func (s *Switch) Reset() {
 	}
 	s.lenMax = argmax{}
 	s.workMax = argmax{}
-	s.recomputeSpeedTab()
-	s.recomputeEffBuf()
 	// Restore the work table from the pristine configuration so a Reset
 	// also clears any corruption a rogue FastView-slice write left
 	// behind. The memo epoch stays monotone: stale stamps can never
@@ -867,13 +748,6 @@ func (s *Switch) verify() error {
 		if s.works[i] != s.cfgWorks[i] {
 			return fmt.Errorf("core: port %d work table %d != configured %d (write through a read-only FastView slice?)", i, s.works[i], s.cfgWorks[i])
 		}
-		wantSpeed := s.cfg.Speedup
-		if s.speedOv != nil && s.speedOv[i] >= 0 {
-			wantSpeed = s.speedOv[i]
-		}
-		if s.speedTab[i] != wantSpeed {
-			return fmt.Errorf("core: port %d speedup table %d != effective %d", i, s.speedTab[i], wantSpeed)
-		}
 		l := s.QueueLen(i)
 		if l < 0 {
 			return fmt.Errorf("core: queue %d negative length %d", i, l)
@@ -927,13 +801,6 @@ func (s *Switch) verify() error {
 	}
 	if sum != s.occ {
 		return fmt.Errorf("core: occupancy %d != queue sum %d", s.occ, sum)
-	}
-	wantBuf := s.cfg.Buffer
-	if s.bufLimit > 0 && s.bufLimit < s.cfg.Buffer {
-		wantBuf = s.bufLimit
-	}
-	if s.effBuf != wantBuf {
-		return fmt.Errorf("core: effective buffer cache %d != recomputed %d", s.effBuf, wantBuf)
 	}
 	if s.occ > s.cfg.Buffer {
 		return fmt.Errorf("core: occupancy %d exceeds buffer %d", s.occ, s.cfg.Buffer)

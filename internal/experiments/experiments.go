@@ -1,7 +1,7 @@
 // Package experiments defines the paper's evaluation as runnable
 // artifacts: the nine panels of Fig. 5 as spec.Experiment values, which
 // spec.ToSweep compiles into seeded parameter sweeps over MMPP traffic,
-// and the arch, latency and faults experiments, whose cells come from
+// and the arch and latency experiments, whose cells come from
 // spec.Experiment.Instance too. cmd/smbsim, cmd/report and the benchmark
 // harness are thin wrappers over this package.
 //
@@ -35,8 +35,8 @@ type Options struct {
 	// BaseSeed makes the whole panel deterministic.
 	BaseSeed int64
 	// Parallelism bounds worker goroutines (0 = GOMAXPROCS): a panel's
-	// concurrent cells, or the systems the arch, latency and faults
-	// experiments step through each window of their streams.
+	// concurrent cells, or the systems the arch and latency experiments
+	// step through each window of their streams.
 	Parallelism int
 }
 

@@ -239,7 +239,7 @@ func FuncAnnotated(tag string, fn *ast.FuncDecl) bool {
 // enginePackages names the packages whose code feeds simulation
 // results and must therefore stay bit-deterministic: the replay
 // engines, the policies, the OPT proxies, the harness, the traffic
-// and fault schedules, and the proof checkers. Matching is by final
+// generators, and the proof checkers. Matching is by final
 // import-path element so analyzer fixtures (testdata/src/core) exercise
 // the same predicate as the real tree (smbm/internal/core).
 var enginePackages = map[string]bool{
@@ -247,7 +247,6 @@ var enginePackages = map[string]bool{
 	"policy":    true,
 	"opt":       true,
 	"sim":       true,
-	"faults":    true,
 	"traffic":   true,
 	"adversary": true,
 	"singleq":   true,

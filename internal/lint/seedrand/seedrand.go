@@ -1,8 +1,8 @@
 // Package seedrand implements the seeding analyzer: all randomness in
 // the repository must flow from an explicitly seeded *rand.Rand carried
-// through a config or spec, so the MMPP traffic and fault schedules the
-// Section V simulation study depends on are exactly reproducible from
-// their recorded seeds.
+// through a config or spec, so the MMPP traffic the Section V
+// simulation study depends on is exactly reproducible from its
+// recorded seeds.
 //
 // It forbids, in every package:
 //

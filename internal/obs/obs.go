@@ -5,10 +5,10 @@
 // The paper's claims are statements about *why* policies win — LQD
 // evicting from the longest queue, BPD dropping the biggest packet,
 // NHDT's thresholds adapting — and end-of-run Stats only show the
-// aggregate outcome. A Recorder attached to a core.Switch (and to a
-// faults.Injector) counts every admission, tail-drop, push-out (with
-// the work and value it discarded), head-of-line transmission and
-// fault-window activation, per port, in one flat pre-sized []uint64.
+// aggregate outcome. A Recorder attached to a core.Switch counts every
+// admission, tail-drop, push-out (with the work and value it
+// discarded) and head-of-line transmission, per port, in one flat
+// pre-sized []uint64.
 //
 // The overhead contract (DESIGN.md §12): recording is branch-on-nil at
 // every instrumentation site, so a run without a Recorder attached pays
@@ -45,9 +45,6 @@ const (
 	// KindHOLTransmit counts head-of-line completions: packets fully
 	// processed and transmitted through the port.
 	KindHOLTransmit
-	// KindFaultEvent counts fault-schedule window activations hitting
-	// the port (switch-wide windows are attributed to port 0).
-	KindFaultEvent
 
 	// NumKinds is the number of counter lanes; it sizes the flat slab.
 	NumKinds
@@ -68,20 +65,9 @@ func (k Kind) String() string {
 		return "pushout-value"
 	case KindHOLTransmit:
 		return "transmit"
-	case KindFaultEvent:
-		return "fault"
 	default:
 		return "kind?"
 	}
-}
-
-// Target is the capability interface of engine components that can
-// record into a Recorder: core.Switch (decision counters) and
-// faults.Injector (fault-event hits) implement it. Passing nil detaches
-// the recorder, restoring the zero-overhead disabled state.
-type Target interface {
-	// SetRecorder attaches r (nil detaches).
-	SetRecorder(r *Recorder)
 }
 
 // Options configures observability for a replay (see sim.Instance.Obs).
@@ -210,7 +196,6 @@ func SlabCounts(counts []uint64, port int) KindCounts {
 		PushedOutWork:  counts[base+int(KindPushedOutWork)],
 		PushedOutValue: counts[base+int(KindPushedOutValue)],
 		HOLTransmits:   counts[base+int(KindHOLTransmit)],
-		FaultEvents:    counts[base+int(KindFaultEvent)],
 	}
 }
 
@@ -229,8 +214,6 @@ type KindCounts struct {
 	PushedOutValue uint64 `json:"pushed_out_value"`
 	// HOLTransmits counts head-of-line completions.
 	HOLTransmits uint64 `json:"hol_transmits"`
-	// FaultEvents counts fault-window activations.
-	FaultEvents uint64 `json:"fault_events"`
 }
 
 // Accumulate adds o into c lane by lane.
@@ -241,7 +224,6 @@ func (c *KindCounts) Accumulate(o KindCounts) {
 	c.PushedOutWork += o.PushedOutWork
 	c.PushedOutValue += o.PushedOutValue
 	c.HOLTransmits += o.HOLTransmits
-	c.FaultEvents += o.FaultEvents
 }
 
 // Snapshot is the JSON-serializable export of one replay's observability

@@ -15,7 +15,7 @@ type Event struct {
 	Slot int64 `json:"slot"`
 	// Port is the affected queue's port.
 	Port int `json:"port"`
-	// Kind is the decision lane (admit, drop, pushout, fault).
+	// Kind is the decision lane (admit, drop or pushout).
 	Kind Kind `json:"kind"`
 	// Work is the packet's required work (processing model; 1 in the
 	// value model).

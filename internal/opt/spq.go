@@ -17,7 +17,6 @@
 package opt
 
 import (
-	"fmt"
 	"math"
 
 	"smbm/internal/core"
@@ -51,13 +50,6 @@ type SPQ struct {
 	occ   int
 	hi    int // upper bound on the last non-empty cell (lazily tightened)
 	stats core.Stats
-
-	// Fault-injection overrides, mirroring core.Switch: speedOv holds
-	// per-port speedup overrides (negative = nominal) that shrink the
-	// proxy's aggregate core budget, bufLimit transiently caps the
-	// effective buffer.
-	speedOv  []int
-	bufLimit int
 }
 
 // NewSPQ builds the proxy for the given switch configuration.
@@ -98,59 +90,6 @@ func (s *SPQ) Stats() core.Stats { return s.stats }
 // Occupancy returns the buffered packet count.
 func (s *SPQ) Occupancy() int { return s.occ }
 
-// SetPortSpeedup overrides port i's contribution to the proxy's core
-// budget (c == 0 removes it, negative restores the configured Speedup),
-// so the OPT proxy degrades by exactly the capacity a faulted
-// shared-memory switch loses.
-func (s *SPQ) SetPortSpeedup(i, c int) {
-	if i < 0 || i >= s.cfg.Ports {
-		panic(fmt.Sprintf("opt: SetPortSpeedup port %d out of [0,%d)", i, s.cfg.Ports))
-	}
-	if s.speedOv == nil {
-		if c < 0 {
-			return
-		}
-		s.speedOv = make([]int, s.cfg.Ports)
-		s.ResetSpeedups()
-	}
-	s.speedOv[i] = c
-}
-
-// ResetSpeedups clears all per-port speedup overrides.
-func (s *SPQ) ResetSpeedups() {
-	for i := range s.speedOv {
-		s.speedOv[i] = -1
-	}
-}
-
-// SetBufferLimit transiently caps the proxy's effective buffer at b
-// packets; b <= 0 restores the configured B.
-func (s *SPQ) SetBufferLimit(b int) { s.bufLimit = max(b, 0) }
-
-// coreBudget returns the aggregate cores per slot under any active
-// overrides.
-func (s *SPQ) coreBudget() int {
-	if s.speedOv == nil {
-		return s.cfg.Ports * s.cfg.Speedup
-	}
-	var total int
-	for _, c := range s.speedOv {
-		if c < 0 {
-			c = s.cfg.Speedup
-		}
-		total += c
-	}
-	return total
-}
-
-// effBuffer returns the effective buffer under any active squeeze.
-func (s *SPQ) effBuffer() int {
-	if s.bufLimit > 0 && s.bufLimit < s.cfg.Buffer {
-		return s.bufLimit
-	}
-	return s.cfg.Buffer
-}
-
 // Arrive admits p greedily with push-out of a least-dense packet.
 func (s *SPQ) Arrive(p pkt.Packet) error {
 	if err := p.Validate(s.cfg.Ports, s.cfg.MaxLabel); err != nil {
@@ -158,7 +97,7 @@ func (s *SPQ) Arrive(p pkt.Packet) error {
 	}
 	s.stats.Arrived++
 	c := s.cell(p)
-	if s.occ >= s.effBuffer() {
+	if s.occ >= s.cfg.Buffer {
 		// The sparsest packet sits in the last non-empty cell. Cells
 		// above hi are empty by invariant, so the scan starts there and
 		// tightens hi for the next congested arrival.
@@ -198,7 +137,7 @@ func (s *SPQ) Step(arrivals []pkt.Packet) error {
 // Transmit applies one cycle to each of the min(occupancy, cores)
 // densest packets, crediting the values of the packets that complete.
 func (s *SPQ) Transmit() {
-	budget := int64(s.coreBudget())
+	budget := int64(s.cfg.Ports * s.cfg.Speedup)
 	// Cycles only move packets to earlier cells, so hi stays a valid
 	// upper bound and the scan never visits the empty cells above it.
 	for i := 0; i <= s.hi && budget > 0; i++ {
@@ -223,8 +162,6 @@ func (s *SPQ) Transmit() {
 }
 
 // Drain transmits with no arrivals until empty, returning slots used.
-// Like core.Switch.Drain it cannot terminate while every port is
-// blacked out; fault injectors clear overrides before draining.
 func (s *SPQ) Drain() int {
 	slots, _ := s.DrainMax(math.MaxInt)
 	return slots
@@ -244,12 +181,10 @@ func (s *SPQ) DrainMax(max int) (int, bool) {
 	return slots, true
 }
 
-// Reset clears all buffered packets, statistics and fault overrides.
+// Reset clears all buffered packets and statistics.
 func (s *SPQ) Reset() {
 	clear(s.cnt)
 	s.occ = 0
 	s.hi = 0
 	s.stats = core.Stats{}
-	s.speedOv = nil
-	s.bufLimit = 0
 }

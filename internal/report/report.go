@@ -172,21 +172,17 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
   multi-panel run; -cell-timeout bounds runaway cells without killing
   the sweep. The journal carries a fingerprint of each sweep's
   configuration (swept values, seeds, base seed, fixed parameters,
-  policy roster, fault spec): resuming after a flag change fails loudly
+  policy roster): resuming after a flag change fails loudly
   naming the changed field, so cells computed under different
   configurations can never merge into one table. DESIGN.md §13 has the
   record grammar and crash matrix.
-- **Fault injection** (cmd/smbsim -experiment faults, -faults "<spec>")
-  wraps every system — each policy and the OPT proxy — in an identical
-  seeded fault schedule, so the degraded ratio stays an apples-to-apples
-  comparison. DESIGN.md §8 documents the fault model.
 - **Observability recipes** (DESIGN.md §12). Decision counters explain
   *why* a policy's ratio moved — which ports it starved, how much work
   its push-outs discarded:
 
   ` + "```" + `
   go run ./cmd/smbsim -experiment fig5.1 -obs           # counters per report
-  go run ./cmd/smbsim -experiment fig5.3 -obs -faults "blackout" \
+  go run ./cmd/smbsim -experiment fig5.3 -obs \
       -trace-events 64 -trace-out events.txt            # + last-64-events dump
   go run ./cmd/smbsim -scale paper -checkpoint paper.ckpt \
       -pprof localhost:6060                             # watch a long run:

@@ -4,9 +4,7 @@
 // and once through admitOnly, which hides the kernel so ArriveBatch
 // falls back to one Admit call per packet — and the two runs must
 // agree bit for bit on Stats, per-port counters, obs decision counters
-// and traced events. The fault-injected variants pin the equivalence
-// off the nominal point, where buffer squeezes force Free() == 0
-// mid-burst and burst amplification stretches the batches.
+// and traced events.
 //
 // Admit is each policy's plain-View reference scan and shares no code
 // with the kernel's rule struct, so this suite checks every kernel —
@@ -22,7 +20,6 @@ import (
 	"testing"
 
 	"smbm/internal/core"
-	"smbm/internal/faults"
 	"smbm/internal/obs"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
@@ -38,7 +35,7 @@ type admitOnly struct{ core.Policy }
 // per-packet Admit (CheckInvariants on, recorders with tracing
 // attached), and requires bit-identical Stats, per-port counters and
 // obs snapshots.
-func batchDiffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, spec faults.Spec, seed int64) {
+func batchDiffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace) {
 	t.Helper()
 	cfg.CheckInvariants = true
 
@@ -56,21 +53,12 @@ func batchDiffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Tra
 	batched.SetRecorder(recB)
 	perPkt.SetRecorder(recP)
 
-	var sysB, sysP sim.System = batched, perPkt
-	if !spec.Empty() {
-		if sysB, err = faults.New(sysB, spec, cfg.Ports, seed); err != nil {
-			t.Fatal(err)
-		}
-		if sysP, err = faults.New(sysP, spec, cfg.Ports, seed); err != nil {
-			t.Fatal(err)
-		}
-	}
 	const flushEvery = 64
-	sb, err := sim.RunTrace(sysB, tr, flushEvery)
+	sb, err := sim.RunTrace(batched, tr, flushEvery)
 	if err != nil {
 		t.Fatalf("batch kernel: %v", err)
 	}
-	sp, err := sim.RunTrace(sysP, tr, flushEvery)
+	sp, err := sim.RunTrace(perPkt, tr, flushEvery)
 	if err != nil {
 		t.Fatalf("per-packet Admit: %v", err)
 	}
@@ -97,36 +85,22 @@ func batchRosterProcessing() []core.Policy {
 }
 
 // TestBatchDifferentialProcessing drives the full processing-model
-// roster through batch kernels vs per-packet Admit, nominal and under a
-// dense fault mix.
+// roster through batch kernels vs per-packet Admit.
 func TestBatchDifferentialProcessing(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg, tr := procSetup(t, seed, 300)
 		for _, p := range batchRosterProcessing() {
 			p := p
 			t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-				batchDiffRun(t, cfg, p, tr, faults.Spec{}, seed)
+				batchDiffRun(t, cfg, p, tr)
 			})
 		}
 	}
-	t.Run("faulted", func(t *testing.T) {
-		const slots = 400
-		spec := denseFaults(slots)
-		for _, seed := range []int64{11, 12} {
-			cfg, tr := procSetup(t, seed, slots)
-			for _, p := range batchRosterProcessing() {
-				p := p
-				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					batchDiffRun(t, cfg, p, tr, spec, seed)
-				})
-			}
-		}
-	})
 }
 
 // TestBatchDifferentialValue drives the value-model rosters (uniform
 // values, value-by-port, and the experimental set) through batch
-// kernels vs per-packet Admit, nominal and under a dense fault mix.
+// kernels vs per-packet Admit.
 func TestBatchDifferentialValue(t *testing.T) {
 	t.Run("uniform", func(t *testing.T) {
 		pols := append(policy.ForValueUniform(), policy.ValueExperimental()...)
@@ -135,7 +109,7 @@ func TestBatchDifferentialValue(t *testing.T) {
 			for _, p := range pols {
 				p := p
 				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					batchDiffRun(t, cfg, p, tr, faults.Spec{}, seed)
+					batchDiffRun(t, cfg, p, tr)
 				})
 			}
 		}
@@ -157,7 +131,7 @@ func TestBatchDifferentialValue(t *testing.T) {
 			for _, p := range policy.ForValueByPort() {
 				p := p
 				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					batchDiffRun(t, cfg, p, tr, faults.Spec{}, seed)
+					batchDiffRun(t, cfg, p, tr)
 				})
 			}
 		}
@@ -169,21 +143,7 @@ func TestBatchDifferentialValue(t *testing.T) {
 			for _, p := range pols {
 				p := p
 				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					batchDiffRun(t, cfg, p, tr, faults.Spec{}, seed)
-				})
-			}
-		}
-	})
-	t.Run("faulted", func(t *testing.T) {
-		const slots = 400
-		spec := denseFaults(slots)
-		pols := append(policy.ForValueUniform(), policy.ValueExperimental()...)
-		for _, seed := range []int64{11, 12} {
-			cfg, tr := valSetup(t, seed, slots)
-			for _, p := range pols {
-				p := p
-				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					batchDiffRun(t, cfg, p, tr, spec, seed)
+					batchDiffRun(t, cfg, p, tr)
 				})
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"smbm/internal/core"
-	"smbm/internal/faults"
 	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
@@ -51,11 +50,10 @@ func (g *burstGuard) DrainMax(max int) (int, bool) {
 // every System in place, one after another, so no System may write to
 // a burst. One recorded MMPP cell per model runs as a traffic.Trace
 // through every System a cell can hold — core.Switch under every
-// roster policy, the OPT proxy, a fault injector that amplifies bursts
-// and squeezes the buffer around both, and singleq.Switch — each
-// behind a guard that compares every lent burst after Step with a copy
-// taken before it, at Parallelism 1 and 4, and with the three runs
-// concurrent on the shared trace. After every run the trace must
+// roster policy, the OPT proxy, and singleq.Switch — each behind a
+// guard that compares every lent burst after Step with a copy taken
+// before it, at Parallelism 1 and 4, and with the two runs concurrent
+// on the shared trace. After every run the trace must
 // equal, packet for packet, a deep copy taken before the runs.
 func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 	const slots = 300
@@ -70,13 +68,6 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 	}
 	if n := len(rosters["processing"]) + len(rosters["value"]); n != 18 {
 		t.Fatalf("rosters hold %d policies, want 18", n)
-	}
-	amplifySqueeze := faults.Spec{
-		Horizon: slots,
-		Faults: []faults.Fault{
-			{Kind: faults.BufferSqueeze, Value: 4, Period: 80, Duration: 30},
-			{Kind: faults.BurstAmplify, Value: 3, Period: 70, Duration: 20},
-		},
 	}
 	for _, cell := range cells {
 		cell := cell
@@ -105,14 +96,6 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 
 			sq := singleq.Config{Buffer: cell.cfg.Buffer, MaxWork: cell.cfg.MaxLabel, Cores: 1, Order: singleq.OrderPQ, PushOut: true}
 			guarded := func(sys sim.System) (sim.System, error) { return guard(sys), nil }
-			wrap := faults.Wrapper(amplifySqueeze, cell.cfg.Ports, 5)
-			guardedFaults := func(sys sim.System) (sim.System, error) {
-				sys, err := wrap(sys)
-				if err != nil {
-					return nil, err
-				}
-				return guard(sys), nil
-			}
 			for _, par := range []int{1, 4} {
 				runs := []struct {
 					name string
@@ -120,10 +103,6 @@ func TestReplaysLeaveMemoizedTraceIntact(t *testing.T) {
 				}{
 					{"OPT proxy and roster", func() error {
 						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par, Wrap: guarded}.Run()
-						return err
-					}},
-					{"faulted OPT proxy and roster", func() error {
-						_, err := sim.Instance{Cfg: cell.cfg, Policies: rosters[cell.name], Provider: tr, FlushEvery: 64, Parallelism: par, Wrap: guardedFaults}.Run()
 						return err
 					}},
 					{"singleq", func() error {

@@ -75,7 +75,7 @@ func TestCheckpointResumeRejectsChangedConfig(t *testing.T) {
 		{"xs", func(s *Sweep) { s.Xs = []int{2, 4} }},
 		{"seeds", func(s *Sweep) { s.Seeds = 5 }},
 		{"base_seed", func(s *Sweep) { s.BaseSeed = 99 }},
-		{"config", func(s *Sweep) { s.ConfigDigest += ";faults=blackout" }},
+		{"config", func(s *Sweep) { s.ConfigDigest = strings.Replace(s.ConfigDigest, "B=4", "B=8", 1) }},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -14,12 +14,7 @@
 //
 // The production switch additionally runs with CheckInvariants enabled,
 // so its incremental state is also cross-checked against recomputation
-// every slot. The fault-injected variants wrap both engines in identical
-// deterministic fault schedules (slowdown, blackout, squeeze, burst
-// amplification), pinning equivalence off the nominal point too.
-//
-// This file is package sim_test (external) so it can import
-// internal/faults, which itself imports package sim.
+// every slot.
 package sim_test
 
 import (
@@ -27,7 +22,6 @@ import (
 	"testing"
 
 	"smbm/internal/core"
-	"smbm/internal/faults"
 	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
@@ -56,9 +50,6 @@ type refSwitch struct {
 	// Value model: vals[i] is the unordered multiset of buffered values.
 	vals [][]int
 
-	speedOv  []int
-	bufLimit int
-
 	stats   core.Stats
 	perPort []core.PortCounters
 }
@@ -67,8 +58,6 @@ var (
 	_ sim.System         = (*refSwitch)(nil)
 	_ sim.BoundedDrainer = (*refSwitch)(nil)
 	_ core.View          = (*refSwitch)(nil)
-	_ faults.Throttled   = (*refSwitch)(nil)
-	_ faults.Squeezed    = (*refSwitch)(nil)
 )
 
 func newRefSwitch(t *testing.T, cfg core.Config, p core.Policy) *refSwitch {
@@ -102,19 +91,8 @@ func (r *refSwitch) Ports() int        { return r.cfg.Ports }
 func (r *refSwitch) MaxLabel() int     { return r.cfg.MaxLabel }
 func (r *refSwitch) Occupancy() int    { return r.occ }
 
-func (r *refSwitch) Buffer() int {
-	if r.bufLimit > 0 && r.bufLimit < r.cfg.Buffer {
-		return r.bufLimit
-	}
-	return r.cfg.Buffer
-}
-
-func (r *refSwitch) Free() int {
-	if free := r.Buffer() - r.occ; free > 0 {
-		return free
-	}
-	return 0
-}
+func (r *refSwitch) Buffer() int { return r.cfg.Buffer }
+func (r *refSwitch) Free() int   { return r.cfg.Buffer - r.occ }
 
 func (r *refSwitch) QueueLen(i int) int {
 	if r.cfg.Model == core.ModelValue {
@@ -186,42 +164,6 @@ func (r *refSwitch) QueueValueSum(i int) int64 {
 	return s
 }
 
-// --- fault-injection capabilities ----------------------------------------
-
-func (r *refSwitch) SetPortSpeedup(i, c int) {
-	if r.speedOv == nil {
-		if c < 0 {
-			return
-		}
-		r.speedOv = make([]int, r.cfg.Ports)
-		for j := range r.speedOv {
-			r.speedOv[j] = -1
-		}
-	}
-	r.speedOv[i] = c
-}
-
-func (r *refSwitch) ResetSpeedups() {
-	for i := range r.speedOv {
-		r.speedOv[i] = -1
-	}
-}
-
-func (r *refSwitch) SetBufferLimit(b int) {
-	if b <= 0 {
-		r.bufLimit = 0
-		return
-	}
-	r.bufLimit = b
-}
-
-func (r *refSwitch) effSpeedup(i int) int {
-	if r.speedOv != nil && r.speedOv[i] >= 0 {
-		return r.speedOv[i]
-	}
-	return r.cfg.Speedup
-}
-
 // --- simulation ----------------------------------------------------------
 
 func (r *refSwitch) Name() string { return "ref(" + r.policy.Name() + ")" }
@@ -248,12 +190,8 @@ func (r *refSwitch) arrive(p pkt.Packet) error {
 			return fmt.Errorf("ref: policy %s: %w", r.policy.Name(), err)
 		}
 	}
-	limit := r.Buffer()
-	if d.Push {
-		limit = r.cfg.Buffer
-	}
-	if r.occ >= limit {
-		return fmt.Errorf("ref: policy %s accepted into a full buffer (occ=%d, B=%d)", r.policy.Name(), r.occ, limit)
+	if r.occ >= r.cfg.Buffer {
+		return fmt.Errorf("ref: policy %s accepted into a full buffer (occ=%d, B=%d)", r.policy.Name(), r.occ, r.cfg.Buffer)
 	}
 	// insert
 	i := p.Port
@@ -308,7 +246,7 @@ func (r *refSwitch) evict(victim int) error {
 func (r *refSwitch) transmit() {
 	if r.cfg.Model != core.ModelValue {
 		for i := 0; i < r.cfg.Ports; i++ {
-			budget := r.effSpeedup(i)
+			budget := r.cfg.Speedup
 			for budget > 0 && len(r.queues[i]) > 0 {
 				use := budget
 				if r.holRes[i] < use {
@@ -342,7 +280,7 @@ func (r *refSwitch) transmit() {
 		}
 	} else {
 		for i := 0; i < r.cfg.Ports; i++ {
-			pops := r.effSpeedup(i)
+			pops := r.cfg.Speedup
 			if l := len(r.vals[i]); pops > l {
 				pops = l
 			}
@@ -406,8 +344,6 @@ func (r *refSwitch) Reset() {
 	r.occ = 0
 	r.slot = 0
 	r.stats = core.Stats{}
-	r.speedOv = nil
-	r.bufLimit = 0
 	for i := range r.perPort {
 		r.perPort[i] = core.PortCounters{}
 	}
@@ -423,10 +359,9 @@ func (r *refSwitch) Reset() {
 // --- the differential harness --------------------------------------------
 
 // diffRun replays tr through the optimized engine (with CheckInvariants
-// on) and the naive reference engine, optionally wrapping both in
-// identical fault injectors, and requires bit-identical Stats and
-// per-port counters.
-func diffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, spec faults.Spec, seed int64) {
+// on) and the naive reference engine, and requires bit-identical Stats
+// and per-port counters.
+func diffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace) {
 	t.Helper()
 	fastCfg := cfg
 	fastCfg.CheckInvariants = true
@@ -436,21 +371,12 @@ func diffRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, s
 	}
 	ref := newRefSwitch(t, cfg, pol)
 
-	var sysF, sysR sim.System = fast, ref
-	if !spec.Empty() {
-		if sysF, err = faults.New(fast, spec, cfg.Ports, seed); err != nil {
-			t.Fatal(err)
-		}
-		if sysR, err = faults.New(ref, spec, cfg.Ports, seed); err != nil {
-			t.Fatal(err)
-		}
-	}
 	const flushEvery = 64
-	sf, err := sim.RunTrace(sysF, tr, flushEvery)
+	sf, err := sim.RunTrace(fast, tr, flushEvery)
 	if err != nil {
 		t.Fatalf("optimized engine: %v", err)
 	}
-	sr, err := sim.RunTrace(sysR, tr, flushEvery)
+	sr, err := sim.RunTrace(ref, tr, flushEvery)
 	if err != nil {
 		t.Fatalf("reference engine: %v", err)
 	}
@@ -548,7 +474,7 @@ func TestDifferentialProcessing(t *testing.T) {
 			}
 			for _, p := range pols {
 				t.Run(fmt.Sprintf("%s%s/seed%d", prefix, p.Name(), seed), func(t *testing.T) {
-					diffRun(t, cfg, p, tr, faults.Spec{}, seed)
+					diffRun(t, cfg, p, tr)
 				})
 			}
 		}
@@ -566,7 +492,7 @@ func TestDifferentialValue(t *testing.T) {
 			for _, p := range pols {
 				p := p
 				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					diffRun(t, cfg, p, tr, faults.Spec{}, seed)
+					diffRun(t, cfg, p, tr)
 				})
 			}
 		}
@@ -590,70 +516,9 @@ func TestDifferentialValue(t *testing.T) {
 			for _, p := range policy.ForValueByPort() {
 				p := p
 				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					diffRun(t, cfg, p, tr, faults.Spec{}, seed)
+					diffRun(t, cfg, p, tr)
 				})
 			}
-		}
-	})
-}
-
-// denseFaults is a fault mix with short periods so a 400-slot trace sees
-// many windows of every kind, including overlaps.
-func denseFaults(slots int) faults.Spec {
-	return faults.Spec{
-		Horizon: int64(slots),
-		Faults: []faults.Fault{
-			{Kind: faults.CoreSlowdown, Port: -1, Value: 1, Period: 60, Duration: 25},
-			{Kind: faults.PortBlackout, Port: -1, Period: 90, Duration: 15},
-			{Kind: faults.BufferSqueeze, Value: 4, Period: 80, Duration: 30},
-			{Kind: faults.BurstAmplify, Value: 2, Period: 70, Duration: 20},
-		},
-	}
-}
-
-// TestDifferentialUnderFaults pins engine equivalence off the nominal
-// point: both engines wrapped in identical deterministic fault schedules
-// (slowdown, blackout, squeeze, burst amplification) must still agree
-// bit for bit.
-func TestDifferentialUnderFaults(t *testing.T) {
-	const slots = 400
-	spec := denseFaults(slots)
-
-	t.Run("processing", func(t *testing.T) {
-		pols := []core.Policy{policy.LQD{}, policy.LWD{}, policy.NHST{}, policy.NHDT{}, policy.Greedy{}}
-		for _, seed := range []int64{11, 12} {
-			cfg, tr := procSetup(t, seed, slots)
-			for _, p := range pols {
-				p := p
-				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					diffRun(t, cfg, p, tr, spec, seed)
-				})
-			}
-		}
-	})
-	t.Run("value", func(t *testing.T) {
-		pols := []core.Policy{policy.VLQD{}, policy.MRD{}, policy.MVD{}, policy.TVD{}}
-		for _, seed := range []int64{11, 12} {
-			cfg, tr := valSetup(t, seed, slots)
-			for _, p := range pols {
-				p := p
-				t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-					diffRun(t, cfg, p, tr, spec, seed)
-				})
-			}
-		}
-	})
-	t.Run("canonical-mix", func(t *testing.T) {
-		// The production fault panel's exact mix, over a horizon long
-		// enough to contain its windows.
-		const longSlots = 1200
-		cfg, tr := procSetup(t, 21, longSlots)
-		mix := faults.CanonicalMix(cfg.Ports, cfg.Buffer, cfg.Speedup, int64(longSlots))
-		for _, p := range []core.Policy{policy.LQD{}, policy.LWD{}} {
-			p := p
-			t.Run(p.Name(), func(t *testing.T) {
-				diffRun(t, cfg, p, tr, mix, 21)
-			})
 		}
 	})
 }

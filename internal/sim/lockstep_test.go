@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"smbm/internal/core"
-	"smbm/internal/faults"
 	"smbm/internal/pkt"
 	"smbm/internal/sim"
 	"smbm/internal/singleq"
@@ -175,8 +174,7 @@ func soloRun(t *testing.T, sys sim.System, tr traffic.Trace, flushEvery, drainMa
 // of that system run on its own over a materialized copy of the
 // stream. The cursor overwrites its previous burst on every Next, the
 // slot count is not a multiple of the 256-slot window and the flush
-// interval does not divide it; nominal and faulted systems, at
-// Parallelism 1 and 4.
+// interval does not divide it; at Parallelism 1 and 4.
 func TestLockstepMatchesSoloReplays(t *testing.T) {
 	const slots, flushEvery = 3*256 + 77, 100
 	for _, cell := range streamCells(7) {
@@ -185,39 +183,30 @@ func TestLockstepMatchesSoloReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := traffic.Record(gen, slots)
-		for _, faulted := range []bool{false, true} {
-			wrap := func(sys sim.System) (sim.System, error) { return sys, nil }
-			if faulted {
-				wrap = faults.Wrapper(denseFaults(slots), cell.cfg.Ports, 3)
+		solo := func(sys sim.System, err error) core.Stats {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
 			}
-			solo := func(sys sim.System, err error) core.Stats {
-				t.Helper()
-				if err == nil {
-					sys, err = wrap(sys)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return soloRun(t, sys, tr, flushEvery, sim.DrainBound(cell.cfg))
+			return soloRun(t, sys, tr, flushEvery, sim.DrainBound(cell.cfg))
+		}
+		optStats := solo(sim.NewOptProxy(cell.cfg))
+		for _, par := range []int{1, 4} {
+			name := fmt.Sprintf("%s/parallelism=%d", cell.name, par)
+			got, err := sim.Instance{
+				Cfg: cell.cfg, Policies: cell.policies, Provider: scribbleProvider{tr},
+				FlushEvery: flushEvery, Parallelism: par,
+			}.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			optStats := solo(sim.NewOptProxy(cell.cfg))
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("%s/faulted=%v/parallelism=%d", cell.name, faulted, par)
-				got, err := sim.Instance{
-					Cfg: cell.cfg, Policies: cell.policies, Provider: scribbleProvider{tr},
-					FlushEvery: flushEvery, Parallelism: par, Wrap: wrap,
-				}.Run()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			for i, p := range cell.policies {
+				want := solo(core.New(cell.cfg, p))
+				if got[i].Stats != want {
+					t.Errorf("%s: %s: lockstep Stats %+v, solo %+v", name, p.Name(), got[i].Stats, want)
 				}
-				for i, p := range cell.policies {
-					want := solo(core.New(cell.cfg, p))
-					if got[i].Stats != want {
-						t.Errorf("%s: %s: lockstep Stats %+v, solo %+v", name, p.Name(), got[i].Stats, want)
-					}
-					if opt := optStats.Throughput(cell.cfg.Model); got[i].OptThroughput != opt {
-						t.Errorf("%s: %s: OPT proxy objective %d, solo %d", name, p.Name(), got[i].OptThroughput, opt)
-					}
+				if opt := optStats.Throughput(cell.cfg.Model); got[i].OptThroughput != opt {
+					t.Errorf("%s: %s: OPT proxy objective %d, solo %d", name, p.Name(), got[i].OptThroughput, opt)
 				}
 			}
 		}

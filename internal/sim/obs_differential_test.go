@@ -4,11 +4,10 @@
 // at decision time. The two bookkeepings — the engine's instrumentation
 // sites and the shim's first-principles recomputation — must agree
 // exactly, and both must reconcile with the engine's own Stats and
-// per-port counters, nominal and under dense fault schedules.
+// per-port counters.
 //
 // This file is package sim_test (external) so it can reuse the
-// differential harness helpers (procSetup, valSetup, denseFaults) and
-// import internal/faults.
+// differential harness helpers (procSetup, valSetup).
 package sim_test
 
 import (
@@ -16,7 +15,6 @@ import (
 	"testing"
 
 	"smbm/internal/core"
-	"smbm/internal/faults"
 	"smbm/internal/obs"
 	"smbm/internal/pkt"
 	"smbm/internal/policy"
@@ -82,7 +80,7 @@ func (c *countingPolicy) Admit(v core.View, p pkt.Packet) core.Decision {
 // Recorder's snapshot, the shim's recomputation, and the engine's
 // Stats/PortCounters. After the final drain the snapshot must also
 // balance (admits = push-outs + transmits on every port).
-func obsRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, spec faults.Spec, seed int64) {
+func obsRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace) {
 	t.Helper()
 	cp := newCountingPolicy(pol, cfg.Ports)
 	chkCfg := cfg
@@ -91,18 +89,10 @@ func obsRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sys sim.System = sw
-	if !spec.Empty() {
-		if sys, err = faults.New(sw, spec, cfg.Ports, seed); err != nil {
-			t.Fatal(err)
-		}
-	}
 	rec := obs.NewRecorder(cfg.Ports, 0)
-	// One attach at the outermost system instruments the whole stack:
-	// the injector propagates the recorder to the wrapped switch.
-	sys.(obs.Target).SetRecorder(rec)
+	sw.SetRecorder(rec)
 
-	stats, err := sim.RunTrace(sys, tr, 64)
+	stats, err := sim.RunTrace(sw, tr, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +107,6 @@ func obsRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, sp
 			PushedOutWork:  cp.poWork[i],
 			PushedOutValue: cp.poValue[i],
 			HOLTransmits:   c.HOLTransmits, // shim cannot see transmissions
-			FaultEvents:    c.FaultEvents,  // nor fault windows
 		}
 		if c != ref {
 			t.Errorf("%s: port %d counters diverged from recomputation\n  rec: %+v\n  ref: %+v", pol.Name(), i, c, ref)
@@ -135,12 +124,6 @@ func obsRun(t *testing.T, cfg core.Config, pol core.Policy, tr traffic.Trace, sp
 	}
 	if p := snap.Balanced(); p != -1 {
 		t.Errorf("%s: port %d unbalanced after final drain: %+v", pol.Name(), p, snap.PerPort[p])
-	}
-	if spec.Empty() && snap.Totals.FaultEvents != 0 {
-		t.Errorf("%s: nominal run recorded %d fault events", pol.Name(), snap.Totals.FaultEvents)
-	}
-	if !spec.Empty() && snap.Totals.FaultEvents == 0 {
-		t.Errorf("%s: faulted run recorded no fault events", pol.Name())
 	}
 }
 
@@ -163,7 +146,7 @@ func obsRosters() []struct {
 
 // TestObsDifferentialNominal cross-checks the recorder against the
 // counting shim and the engine's own counters for every roster policy
-// of every model on the nominal (fault-free) differential cells.
+// of every model on the differential cells.
 func TestObsDifferentialNominal(t *testing.T) {
 	for _, r := range obsRosters() {
 		r := r
@@ -173,31 +156,7 @@ func TestObsDifferentialNominal(t *testing.T) {
 				for _, p := range r.pols {
 					p := p
 					t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-						obsRun(t, cfg, p, tr, faults.Spec{}, seed)
-					})
-				}
-			}
-		})
-	}
-}
-
-// TestObsDifferentialUnderFaults repeats the cross-check with the dense
-// fault mix wrapped around the instrumented switch, pinning that the
-// recorder stays consistent through blackout, slowdown, squeeze and
-// burst-amplification windows, and that fault-window activations are
-// counted.
-func TestObsDifferentialUnderFaults(t *testing.T) {
-	const slots = 400
-	spec := denseFaults(slots)
-	for _, r := range obsRosters() {
-		r := r
-		t.Run(r.name, func(t *testing.T) {
-			for _, seed := range []int64{11, 12} {
-				cfg, tr := r.setup(t, seed, slots)
-				for _, p := range r.pols {
-					p := p
-					t.Run(fmt.Sprintf("%s/seed%d", p.Name(), seed), func(t *testing.T) {
-						obsRun(t, cfg, p, tr, spec, seed)
+						obsRun(t, cfg, p, tr)
 					})
 				}
 			}

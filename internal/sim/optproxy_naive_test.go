@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smbm/internal/core"
+	"smbm/internal/opt"
 	"smbm/internal/pkt"
 	"smbm/internal/sim"
 )
@@ -17,8 +18,6 @@ import (
 type naiveOpt struct {
 	cfg   core.Config
 	pkts  []naivePkt
-	speed []int // per-port speedup override, -1 = nominal
-	limit int   // transient buffer cap, 0 = none
 	stats core.Stats
 }
 
@@ -28,27 +27,11 @@ type naivePkt struct{ v, r int }
 // cycle than b.
 func (a naivePkt) denser(b naivePkt) bool { return a.v*b.r > b.v*a.r }
 
-func newNaiveOpt(cfg core.Config) *naiveOpt {
-	n := &naiveOpt{cfg: cfg, speed: make([]int, cfg.Ports)}
-	n.ResetSpeedups()
-	return n
-}
+func newNaiveOpt(cfg core.Config) *naiveOpt { return &naiveOpt{cfg: cfg} }
 
-func (n *naiveOpt) SetPortSpeedup(i, c int) { n.speed[i] = c }
-func (n *naiveOpt) SetBufferLimit(b int)    { n.limit = max(b, 0) }
-func (n *naiveOpt) Occupancy() int          { return len(n.pkts) }
-func (n *naiveOpt) Stats() core.Stats       { return n.stats }
-
-func (n *naiveOpt) ResetSpeedups() {
-	for i := range n.speed {
-		n.speed[i] = -1
-	}
-}
-
-func (n *naiveOpt) Reset() {
-	n.pkts, n.limit, n.stats = nil, 0, core.Stats{}
-	n.ResetSpeedups()
-}
+func (n *naiveOpt) Occupancy() int    { return len(n.pkts) }
+func (n *naiveOpt) Stats() core.Stats { return n.stats }
+func (n *naiveOpt) Reset()            { n.pkts, n.stats = nil, core.Stats{} }
 
 func (n *naiveOpt) arrive(p pkt.Packet) {
 	a := naivePkt{p.Value, p.Work}
@@ -59,11 +42,7 @@ func (n *naiveOpt) arrive(p pkt.Packet) {
 		a.r = 1
 	}
 	n.stats.Arrived++
-	buf := n.cfg.Buffer
-	if n.limit > 0 && n.limit < buf {
-		buf = n.limit
-	}
-	if len(n.pkts) >= buf {
+	if len(n.pkts) >= n.cfg.Buffer {
 		// The sparsest packet: lowest density, then lowest value, then
 		// largest residual.
 		w := 0
@@ -96,13 +75,7 @@ func (n *naiveOpt) transmit() {
 		}
 		return a.r < b.r
 	})
-	budget := 0
-	for _, c := range n.speed {
-		if c < 0 {
-			c = n.cfg.Speedup
-		}
-		budget += c
-	}
+	budget := n.cfg.Ports * n.cfg.Speedup
 	kept := n.pkts[:0]
 	for i, q := range n.pkts {
 		if i < budget {
@@ -119,31 +92,18 @@ func (n *naiveOpt) transmit() {
 	n.stats.Slots++
 }
 
-// optOverrides is the fault-override surface the proxy shares with
-// core.Switch.
-type optOverrides interface {
-	SetPortSpeedup(i, c int)
-	ResetSpeedups()
-	SetBufferLimit(b int)
-	Occupancy() int
-}
-
 // optVsNaive replays an op stream through sim.NewOptProxy and naiveOpt,
 // comparing Stats and Occupancy after every op and after a final drain.
 // Each op byte below 0xf0 is a packet whose port it picks and whose
-// labels the following byte picks; 0xf8 sets a port's speedup (two
-// argument bytes), 0xf9 resets speedups, 0xfa sets a buffer limit (one
-// argument byte), 0xfb resets both, and every other byte ends the slot.
+// labels the following byte picks; 0xfb resets both, and every other
+// byte ends the slot.
 func optVsNaive(t *testing.T, cfg core.Config, ops []byte) {
 	t.Helper()
 	sys, err := sim.NewOptProxy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy, ok := sys.(optOverrides)
-	if !ok {
-		t.Fatalf("%T lacks the fault-override methods", sys)
-	}
+	proxy := sys.(*opt.SPQ)
 	ref := newNaiveOpt(cfg)
 	k := cfg.MaxLabel
 	var burst []pkt.Packet
@@ -155,17 +115,6 @@ func optVsNaive(t *testing.T, cfg core.Config, ops []byte) {
 			return 0
 		}
 		switch b := ops[i]; b {
-		case 0xf8:
-			port, c := arg()%cfg.Ports, arg()%4-1
-			proxy.SetPortSpeedup(port, c)
-			ref.SetPortSpeedup(port, c)
-		case 0xf9:
-			proxy.ResetSpeedups()
-			ref.ResetSpeedups()
-		case 0xfa:
-			lim := arg()%(cfg.Buffer+2) - 1
-			proxy.SetBufferLimit(lim)
-			ref.SetBufferLimit(lim)
 		case 0xfb:
 			sys.Reset()
 			ref.Reset()
@@ -191,8 +140,6 @@ func optVsNaive(t *testing.T, cfg core.Config, ops []byte) {
 			t.Fatalf("op %d: occupancy %d, naive %d", i, got, want)
 		}
 	}
-	proxy.ResetSpeedups()
-	ref.ResetSpeedups()
 	drained := sys.Drain()
 	var want int
 	for ; ref.Occupancy() > 0; want++ {
@@ -218,22 +165,14 @@ func optFuzzCfg(model, shape uint8) core.Config {
 
 // TestOptProxyMatchesNaive drives the OPT proxy of every model against
 // naiveOpt over random configurations and op streams: bursts of packets
-// carrying both labels, interleaved with speedup overrides, buffer
-// squeezes and resets.
+// carrying both labels, interleaved with resets.
 func TestOptProxyMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for n := 0; n < 1500; n++ {
 		cfg := optFuzzCfg(uint8(n), uint8(rng.Intn(256)))
 		var ops []byte
 		for slot := 0; slot < 200; slot++ {
-			switch r := rng.Intn(100); {
-			case r < 4:
-				ops = append(ops, 0xf8, byte(rng.Intn(256)), byte(rng.Intn(256)))
-			case r < 6:
-				ops = append(ops, 0xf9)
-			case r < 9:
-				ops = append(ops, 0xfa, byte(rng.Intn(256)))
-			case r < 10:
+			if rng.Intn(100) == 0 {
 				ops = append(ops, 0xfb)
 			}
 			for i := rng.Intn(2 * cfg.Buffer); i > 0; i-- {

@@ -58,8 +58,8 @@ type System interface {
 // BoundedDrainer is optionally implemented by Systems whose drain can
 // be capped: DrainMax transmits without arrivals for at most max slots
 // and reports whether the buffer actually emptied. RunTrace uses it to
-// turn a System that never drains (a simulation bug, or a blackout
-// fault left active) into an error instead of an infinite loop.
+// turn a System that never drains (a simulation bug) into an error
+// instead of an infinite loop.
 type BoundedDrainer interface {
 	// DrainMax drains for at most max slots, returning the slots used
 	// and whether the system emptied.
@@ -314,13 +314,11 @@ type Instance struct {
 	// width.
 	Parallelism int
 	// Wrap, when non-nil, wraps every system — the OPT proxy and each
-	// policy switch — before it runs, e.g. with a fault injector
-	// (internal/faults). The wrapper must be deterministic so every
-	// system sees the same degradations.
+	// policy switch — before it runs, e.g. with a timing shim. The
+	// wrapper must leave the system's results unchanged.
 	Wrap func(System) (System, error)
 	// Obs, when non-nil, attaches a fresh obs.Recorder to every policy
-	// replay (recorders attach through obs.Target, so fault-injector
-	// wrappers are instrumented too) and snapshots it into Result.Obs.
+	// switch (before Wrap) and snapshots it into Result.Obs.
 	// Obs.TraceEvents > 0 additionally rings the last that many decision
 	// events per replay. The OPT proxies are not instrumented. A nil Obs
 	// keeps the engine in its zero-overhead detached state.
@@ -446,17 +444,20 @@ func (inst Instance) replay(i int) (sys System, rec *obs.Recorder, err error) {
 	if i == 0 {
 		sys, err = NewOptProxy(inst.Cfg)
 	} else {
-		sys, err = core.New(inst.Cfg, inst.Policies[i-1])
+		var sw *core.Switch
+		if sw, err = core.New(inst.Cfg, inst.Policies[i-1]); err == nil {
+			if inst.Obs != nil { // the OPT proxy is not instrumented
+				rec = obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
+				sw.SetRecorder(rec)
+			}
+			sys = sw
+		}
 	}
 	if err == nil {
 		sys, err = inst.wrap(sys)
 	}
 	if err != nil {
 		return nil, nil, err
-	}
-	if t, ok := sys.(obs.Target); ok && i > 0 && inst.Obs != nil { // the OPT proxy is not instrumented
-		rec = obs.NewRecorder(inst.Cfg.Ports, inst.Obs.TraceEvents)
-		t.SetRecorder(rec)
 	}
 	return sys, rec, nil
 }

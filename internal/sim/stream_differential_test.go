@@ -1,10 +1,10 @@
 // Streaming-pipeline differential tests: every Provider shape — seeded
 // MMPP regeneration, file-backed text and binary streaming, and the
 // materialized-trace adapter — must drive an Instance to bit-identical
-// results, with and without fault injection; and the parallel replay
-// fan-out must reproduce the sequential order exactly. Together these
-// pin the ISSUE 3 acceptance criterion: streamed runs reproduce
-// materialized runs' Stats and per-port counters on fixed seeds.
+// results; and the parallel replay fan-out must reproduce the
+// sequential order exactly. Together these pin that streamed runs
+// reproduce materialized runs' Stats and per-port counters on fixed
+// seeds.
 package sim_test
 
 import (
@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"smbm/internal/core"
-	"smbm/internal/faults"
 	"smbm/internal/policy"
 	"smbm/internal/sim"
 	"smbm/internal/traffic"
@@ -146,7 +145,7 @@ func providerShapes(t *testing.T, mcfg traffic.MMPPConfig, slots int) map[string
 
 // runShape executes one Instance over the given provider and returns
 // its results.
-func runShape(t *testing.T, cell streamCell, src traffic.Provider, wrap func(sim.System) (sim.System, error), parallelism int) []sim.Result {
+func runShape(t *testing.T, cell streamCell, src traffic.Provider, parallelism int) []sim.Result {
 	t.Helper()
 	inst := sim.Instance{
 		Cfg:         cell.cfg,
@@ -154,7 +153,6 @@ func runShape(t *testing.T, cell streamCell, src traffic.Provider, wrap func(sim
 		Provider:    src,
 		FlushEvery:  64,
 		Parallelism: parallelism,
-		Wrap:        wrap,
 	}
 	res, err := inst.Run()
 	if err != nil {
@@ -179,7 +177,7 @@ func requireSameResults(t *testing.T, label string, got, want []sim.Result) {
 
 // TestStreamedMatchesMaterialized is the tentpole differential: every
 // streaming Provider shape must reproduce the materialized run exactly —
-// same Stats, same ratios — on fixed seeds, nominal and faulted.
+// same Stats, same ratios — on fixed seeds.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	const slots = 400
 	for _, seed := range []int64{1, 2} {
@@ -187,21 +185,13 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 			cell := cell
 			t.Run(fmt.Sprintf("%s/seed%d", cell.name, seed), func(t *testing.T) {
 				shapes := providerShapes(t, cell.mcfg, slots)
-				for _, faulted := range []bool{false, true} {
-					var wrap func(sim.System) (sim.System, error)
-					label := "nominal"
-					if faulted {
-						label = "faulted"
-						wrap = faults.Wrapper(denseFaults(slots), cell.cfg.Ports, seed)
+				want := runShape(t, cell, shapes["materialized"], 0)
+				for name, src := range shapes {
+					if name == "materialized" {
+						continue
 					}
-					want := runShape(t, cell, shapes["materialized"], wrap, 0)
-					for name, src := range shapes {
-						if name == "materialized" {
-							continue
-						}
-						got := runShape(t, cell, src, wrap, 0)
-						requireSameResults(t, label+"/"+name, got, want)
-					}
+					got := runShape(t, cell, src, 0)
+					requireSameResults(t, name, got, want)
 				}
 			})
 		}
@@ -250,25 +240,17 @@ func TestStreamedPortCountersMatch(t *testing.T) {
 
 // TestParallelMatchesSequential pins the intra-cell fan-out: an
 // Instance run with Parallelism > 1 must produce exactly the sequential
-// results, nominal and faulted, across provider shapes.
+// results across provider shapes.
 func TestParallelMatchesSequential(t *testing.T) {
 	const slots = 300
 	for _, cell := range streamCells(9) {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
 			shapes := providerShapes(t, cell.mcfg, slots)
-			for _, faulted := range []bool{false, true} {
-				var wrap func(sim.System) (sim.System, error)
-				label := "nominal"
-				if faulted {
-					label = "faulted"
-					wrap = faults.Wrapper(denseFaults(slots), cell.cfg.Ports, 9)
-				}
-				for name, src := range shapes {
-					seq := runShape(t, cell, src, wrap, 0)
-					par := runShape(t, cell, src, wrap, 4)
-					requireSameResults(t, label+"/"+name, par, seq)
-				}
+			for name, src := range shapes {
+				seq := runShape(t, cell, src, 0)
+				par := runShape(t, cell, src, 4)
+				requireSameResults(t, name, par, seq)
 			}
 		})
 	}

@@ -41,10 +41,9 @@ type Sweep struct {
 	CellTimeout time.Duration
 	// ConfigDigest canonically renders everything Build bakes into a
 	// cell that the sweep struct cannot see — B, C, speedup, policy
-	// roster, fault spec, trace shape. It rides in the checkpoint
-	// fingerprint so a resume after a flag change is refused instead of
-	// silently merging stale cells. Leave empty to fingerprint the
-	// sweep identity only.
+	// roster, trace shape. It rides in the checkpoint fingerprint so a
+	// resume after a flag change is refused instead of silently merging
+	// stale cells. Leave empty to fingerprint the sweep identity only.
 	ConfigDigest string
 	// Checkpoint, when non-empty, journals every cell attempt to
 	// Checkpoint/local.jsonl, and a re-run resumes from the journal,
@@ -669,7 +668,7 @@ func (r *SweepResult) ObsTable() string {
 	if len(r.Obs) == 0 {
 		return ""
 	}
-	headers := []string{"policy", "admits", "drops", "pushouts", "po-work", "po-value", "transmits", "faults"}
+	headers := []string{"policy", "admits", "drops", "pushouts", "po-work", "po-value", "transmits"}
 	rows := make([][]string, 0, len(r.Obs))
 	for _, name := range r.Policies {
 		c, ok := r.Obs[name]
@@ -684,7 +683,6 @@ func (r *SweepResult) ObsTable() string {
 			strconv.FormatUint(c.PushedOutWork, 10),
 			strconv.FormatUint(c.PushedOutValue, 10),
 			strconv.FormatUint(c.HOLTransmits, 10),
-			strconv.FormatUint(c.FaultEvents, 10),
 		})
 	}
 	return tablefmt.Render(headers, rows)

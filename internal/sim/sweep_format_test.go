@@ -121,14 +121,14 @@ func TestSweepObsTable(t *testing.T) {
 	}
 	r.Obs = map[string]obs.KindCounts{
 		"B": {Admits: 7, TailDrops: 2, HOLTransmits: 7},
-		"A": {Admits: 10, PushOuts: 3, PushedOutWork: 9, PushedOutValue: 3, HOLTransmits: 7, FaultEvents: 1},
+		"A": {Admits: 10, PushOuts: 3, PushedOutWork: 9, PushedOutValue: 3, HOLTransmits: 7},
 	}
 	table := r.ObsTable()
 	ai, bi := strings.Index(table, "A "), strings.Index(table, "B ")
 	if ai < 0 || bi < 0 || ai > bi {
 		t.Errorf("ObsTable rows not in roster order:\n%s", table)
 	}
-	for _, want := range []string{"admits", "po-work", "faults", "10", "9"} {
+	for _, want := range []string{"admits", "po-work", "transmits", "10", "9"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("ObsTable missing %q:\n%s", want, table)
 		}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"smbm/internal/pkt"
 )
@@ -60,6 +62,7 @@ type textStream struct {
 
 	pendingSlot int // slot of the stashed look-ahead record (-1 = none)
 	pending     pkt.Packet
+	scratch     []pkt.Packet // the slot Next is collecting
 
 	err error
 }
@@ -73,27 +76,40 @@ func (s *textStream) fail(err error) {
 }
 
 // readRecord scans forward to the next packet record, returning its
-// slot. ok is false at end of stream or on error.
+// slot. ok is false at end of stream or on error. It parses the
+// scanner's bytes in place: fields are runs of non-space runes, split
+// as strings.Fields splits, a line whose first field starts with '#'
+// is a comment, and each number goes through strconv.Atoi on a
+// conversion that does not escape, so a well-formed record allocates
+// nothing and a malformed one fails with Atoi's own error.
 func (s *textStream) readRecord() (slot int, p pkt.Packet, ok bool) {
 	for s.sc.Scan() {
 		s.line++
-		text := strings.TrimSpace(s.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		var (
+			fields [4][]byte
+			n      int
+		)
+		for f, rest := nextField(s.sc.Bytes()); f != nil; f, rest = nextField(rest) {
+			if n < len(fields) {
+				fields[n] = f
+			}
+			n++
+		}
+		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) != 4 {
-			s.fail(fmt.Errorf("traffic: line %d: want 4 fields, got %d", s.line, len(fields)))
+		if n != len(fields) {
+			s.fail(fmt.Errorf("traffic: line %d: want 4 fields, got %d", s.line, n))
 			return 0, pkt.Packet{}, false
 		}
 		var nums [4]int
 		for i, f := range fields {
-			n, err := strconv.Atoi(f)
+			v, err := strconv.Atoi(string(f))
 			if err != nil {
 				s.fail(fmt.Errorf("traffic: line %d: %v", s.line, err))
 				return 0, pkt.Packet{}, false
 			}
-			nums[i] = n
+			nums[i] = v
 		}
 		t := nums[0]
 		if t < 0 || t >= s.slots {
@@ -108,21 +124,52 @@ func (s *textStream) readRecord() (slot int, p pkt.Packet, ok bool) {
 	return 0, pkt.Packet{}, false
 }
 
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// nextField returns the first field of b — its first run of runes
+// that are not unicode.IsSpace, with invalid UTF-8 bytes counting as
+// non-space as in strings.Fields — and the bytes after it, or a nil
+// field when b holds none.
+func nextField(b []byte) (field, rest []byte) {
+	start := -1
+	for i := 0; i < len(b); {
+		space, size := asciiSpace[b[i]] != 0, 1
+		if b[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(b[i:])
+			space = unicode.IsSpace(r)
+		}
+		if start < 0 && !space {
+			start = i
+		} else if start >= 0 && space {
+			return b[start:i], b[i:]
+		}
+		i += size
+	}
+	if start < 0 {
+		return nil, nil
+	}
+	return b[start:], nil
+}
+
 // Next implements Source: the packets of the next slot, in file order,
 // in a fresh slice. That is more than the Source contract promises, and
-// callers that keep bursts across calls may rely on it.
+// callers that keep bursts across calls may rely on it. The packets
+// collect in a scratch buffer the cursor keeps, so each non-empty slot
+// costs one exact-size allocation.
 func (s *textStream) Next() []pkt.Packet {
 	if s.err != nil || s.cur >= s.slots {
 		return nil
 	}
 	t := s.cur
 	s.cur++
-	var out []pkt.Packet
+	s.scratch = s.scratch[:0]
 	if s.pendingSlot >= 0 {
 		if s.pendingSlot > t {
 			return nil // stashed record belongs to a later slot
 		}
-		out = append(out, s.pending)
+		s.scratch = append(s.scratch, s.pending)
 		s.pendingSlot = -1
 	}
 	for {
@@ -131,19 +178,27 @@ func (s *textStream) Next() []pkt.Packet {
 			if s.err != nil {
 				return nil // a failing slot is never emitted in part
 			}
-			return out
+			return s.emit()
 		}
 		switch {
 		case slot == t:
-			out = append(out, p)
+			s.scratch = append(s.scratch, p)
 		case slot > t:
 			s.pendingSlot, s.pending = slot, p
-			return out
+			return s.emit()
 		default:
 			s.fail(fmt.Errorf("traffic: line %d: slot %d after slot %d (streaming requires non-decreasing slots)", s.line, slot, t))
 			return nil
 		}
 	}
+}
+
+// emit copies the collected slot into a fresh slice (nil when empty).
+func (s *textStream) emit() []pkt.Packet {
+	if len(s.scratch) == 0 {
+		return nil
+	}
+	return append([]pkt.Packet(nil), s.scratch...)
 }
 
 // Err implements Cursor.

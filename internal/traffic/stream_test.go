@@ -2,10 +2,13 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -445,5 +448,82 @@ func TestBinaryNextResultsDoNotAlias(t *testing.T) {
 	}
 	if !equalTraces(got, tr) {
 		t.Fatal("Next results changed after later slots were read")
+	}
+}
+
+// TestTextRecordMatchesFieldsReference drives seeded random record
+// lines — ASCII and Unicode spaces, invalid UTF-8, signs, comments,
+// long digit runs — through StreamText and requires the outcome of the
+// strings.TrimSpace/strings.Fields/strconv.Atoi statement of the text
+// format: the same packet in the same slot, or the same error text.
+func TestTextRecordMatchesFieldsReference(t *testing.T) {
+	const slots = 4
+	// ref states the format over one line: skip it, refuse it with the
+	// returned error, or emit p in slot.
+	ref := func(line string) (skip bool, slot int, p pkt.Packet, err string) {
+		text := strings.TrimSpace(line)
+		if text == "" || strings.HasPrefix(text, "#") {
+			return true, 0, p, ""
+		}
+		fields := strings.Fields(text)
+		if len(fields) != 4 {
+			return false, 0, p, fmt.Sprintf("traffic: line 2: want 4 fields, got %d", len(fields))
+		}
+		var nums [4]int
+		for i, f := range fields {
+			n, e := strconv.Atoi(f)
+			if e != nil {
+				return false, 0, p, fmt.Sprintf("traffic: line 2: %v", e)
+			}
+			nums[i] = n
+		}
+		if nums[0] < 0 || nums[0] >= slots {
+			return false, 0, p, fmt.Sprintf("traffic: line 2: slot %d out of [0,%d)", nums[0], slots)
+		}
+		return false, nums[0], pkt.Packet{Port: nums[1], Work: nums[2], Value: nums[3]}, ""
+	}
+	pieces := []string{" ", "  ", "\t", "\v", "\f", "\r", "\u0085", " ", " ", "　",
+		"#", "-", "+", "0", "1", "3", "42", "007", "9223372036854775807", "99999999999999999999",
+		"x", "_", "1_0", "\xff", "\xc2", "\xe2\x80", "é", "0x1"}
+	rng := rand.New(rand.NewSource(36))
+	for n := 0; n < 20000; n++ {
+		var b strings.Builder
+		for k := rng.Intn(12); k > 0; k-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+			if rng.Intn(2) == 0 {
+				b.WriteByte(' ')
+			}
+		}
+		line := b.String()
+		if n%3 == 0 { // bias towards four numeric fields
+			line = fmt.Sprintf("%s%d%s%s %s\t%s%s", pieces[rng.Intn(10)], rng.Intn(slots+1), pieces[rng.Intn(10)],
+				pieces[10+rng.Intn(10)], pieces[10+rng.Intn(10)], pieces[10+rng.Intn(10)], pieces[rng.Intn(10)])
+		}
+		skip, slot, want, wantErr := ref(line)
+		cur, _, err := StreamText(strings.NewReader(fmt.Sprintf("%s slots=%d\n%s\n", traceHeader, slots, line)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []pkt.Packet
+		gotSlot := -1
+		for s := 0; s < slots; s++ {
+			if burst := cur.Next(); len(burst) > 0 {
+				got, gotSlot = burst, s
+			}
+		}
+		gotErr := ""
+		if cur.Err() != nil {
+			gotErr = cur.Err().Error()
+		}
+		switch {
+		case gotErr != wantErr:
+			t.Fatalf("line %q: error %q, want %q", line, gotErr, wantErr)
+		case wantErr != "" || skip:
+			if got != nil {
+				t.Fatalf("line %q: emitted %+v in slot %d, want nothing", line, got, gotSlot)
+			}
+		case len(got) != 1 || got[0] != want || gotSlot != slot:
+			t.Fatalf("line %q: emitted %+v in slot %d, want %+v in slot %d", line, got, gotSlot, want, slot)
+		}
 	}
 }
