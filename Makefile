@@ -26,17 +26,26 @@ lint: build
 # Start-up budget: every smbm package init in smbsim, smbsimd, tracegen
 # and report must finish within INIT_BUDGET_MS, as GODEBUG=inittrace=1
 # times it on a -h run (each exits 0 before doing any work). Every CLI
-# launch, daemon start and test binary pays these inits.
+# launch, daemon start and test binary pays these inits. The reading is
+# wall-clock, so a loaded machine can inflate one launch: each binary
+# runs 5 times, a package fails only when its fastest launch is
+# over budget, and a failure prints every sample. A slow init is slow on
+# every launch.
 INIT_BUDGET_MS = 2
 init-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/" ./cmd/smbsim ./cmd/smbsimd ./cmd/tracegen ./cmd/report && \
 	for c in smbsim smbsimd tracegen report; do \
-		out=$$(GODEBUG=inittrace=1 "$$dir/$$c" -h 2>&1) || { echo "$$out"; echo "init-check: $$c -h failed"; exit 1; }; \
-		echo "$$out" | awk -v bin=$$c -v budget=$(INIT_BUDGET_MS) \
-			'$$1 == "init" && $$2 ~ /^smbm\// && $$5 + 0 > budget { print "init-check: " bin ": " $$0 " (budget " budget " ms)"; bad = 1 } END { exit bad }' || exit 1; \
+		for i in $$(seq 5); do \
+			out=$$(GODEBUG=inittrace=1 "$$dir/$$c" -h 2>&1) || { echo "$$out"; echo "init-check: $$c -h failed"; exit 1; }; \
+			echo "$$out" >> "$$dir/$$c.trace"; \
+		done; \
+		awk -v bin=$$c -v budget=$(INIT_BUDGET_MS) \
+			'$$1 == "init" && $$2 ~ /^smbm\// { ms = $$5 + 0; seen[$$2] = seen[$$2] " " $$5; if (!($$2 in low) || ms < low[$$2]) low[$$2] = ms } \
+			END { for (p in low) if (low[p] > budget) { print "init-check: " bin ": " p " took at least " low[p] " ms clock in 5 launches (budget " budget " ms); samples:" seen[p]; bad = 1 } exit bad }' \
+			"$$dir/$$c.trace" || exit 1; \
 	done; \
-	echo "init-check: every smbm package init within $(INIT_BUDGET_MS) ms"
+	echo "init-check: every smbm package init within $(INIT_BUDGET_MS) ms (fastest of 5 launches)"
 
 test:
 	$(GO) test ./...

@@ -1,8 +1,11 @@
 // Package seedrand implements the seeding analyzer: all randomness in
-// the repository must flow from an explicitly seeded *rand.Rand carried
-// through a config or spec, so the MMPP traffic the Section V
-// simulation study depends on is exactly reproducible from its
-// recorded seeds.
+// the repository must flow from an explicit seed carried through a
+// config or spec, so the MMPP traffic the Section V simulation study
+// depends on is exactly reproducible from its recorded seeds. A seed
+// reaches its draws through rand.NewSource: either wrapped in a
+// *rand.Rand, or, in the MMPP generator (internal/traffic), copied into
+// the generator's own register, which reproduces that source's stream
+// draw for draw.
 //
 // It forbids, in every package:
 //
@@ -29,7 +32,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "seedrand",
 	Doc: "forbid top-level math/rand functions and wall-clock seeding; " +
-		"randomness must flow from an explicitly seeded *rand.Rand",
+		"randomness must flow from an explicit seed through rand.NewSource",
 	Run: run,
 }
 

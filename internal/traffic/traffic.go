@@ -11,7 +11,6 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"smbm/internal/pkt"
 )
@@ -134,11 +133,13 @@ func (c MMPPConfig) LambdaForRate(rate float64) float64 {
 // MMPP is the interleaving of independent on-off sources.
 type MMPP struct {
 	cfg        MMPPConfig
-	rng        *rand.Rand
+	src        lagged // the stream of rand.NewSource(cfg.Seed)
 	on         []bool
 	sourcePort []int        // fixed port per source when PortAffinity is set
 	portCDF    []float64    // cumulative Zipf weights when PortZipf > 0
 	expNeg     float64      // e^−LambdaOn, the Poisson product threshold
+	offAt      int64        // lagThreshold(POnOff): an on source turns off on a draw below it
+	onAt       int64        // lagThreshold(POffOn): an off source turns on on a draw below it
 	buf        []pkt.Packet // burst storage reused by every Next
 }
 
@@ -150,13 +151,18 @@ func NewMMPP(cfg MMPPConfig) (*MMPP, error) {
 	}
 	g := &MMPP{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		on:     make([]bool, cfg.Sources),
 		expNeg: math.Exp(-cfg.LambdaOn),
+		offAt:  lagThreshold(cfg.POnOff),
+		onAt:   lagThreshold(cfg.POffOn),
 	}
+	g.src.Seed(cfg.Seed)
+	t := g.src.tap
 	pOn := cfg.StationaryOnFraction()
 	for i := range g.on {
-		g.on[i] = g.rng.Float64() < pOn
+		var u float64
+		u, t = g.src.float64(t)
+		g.on[i] = u < pOn
 	}
 	if cfg.PortZipf > 0 {
 		g.portCDF = make([]float64, cfg.Ports)
@@ -172,18 +178,20 @@ func NewMMPP(cfg MMPPConfig) (*MMPP, error) {
 	if cfg.PortAffinity {
 		g.sourcePort = make([]int, cfg.Sources)
 		for i := range g.sourcePort {
-			g.sourcePort[i] = g.drawPort()
+			g.sourcePort[i], t = g.drawPort(t)
 		}
 	}
+	g.src.tap = t
 	return g, nil
 }
 
-// drawPort samples a destination port (uniform or Zipf-skewed).
-func (g *MMPP) drawPort() int {
+// drawPort samples a destination port (uniform or Zipf-skewed) from tap
+// index t and returns it with the advanced index.
+func (g *MMPP) drawPort(t uint) (int, uint) {
 	if g.portCDF == nil {
-		return g.rng.Intn(g.cfg.Ports)
+		return g.src.intn(t, g.cfg.Ports)
 	}
-	u := g.rng.Float64()
+	u, t := g.src.float64(t)
 	lo, hi := 0, len(g.portCDF)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -193,35 +201,55 @@ func (g *MMPP) drawPort() int {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, t
 }
 
 // Next implements Source. The burst is built in a buffer the generator
-// keeps and overwrites on the next call.
+// keeps and overwrites on the next call. Every draw of the slot runs
+// from one local tap index, stored back once at the end.
 func (g *MMPP) Next() []pkt.Packet {
 	out := g.buf[:0]
-	for i := 0; i < g.cfg.Sources; i++ {
-		if g.on[i] {
-			for n := poisson(g.rng, g.cfg.LambdaOn, g.expNeg); n > 0; n-- {
-				out = append(out, g.emit(i))
+	src, t := &g.src, g.src.tap
+	onAt, on := g.onAt, g.on
+	for i := 0; i < len(on); i++ {
+		// The off sources before the next on one, one draw each. One
+		// unsigned compare catches both rare draws: one below onAt
+		// (the source turns on) and one that Float64 would redraw.
+		for ; i < len(on) && !on[i]; i++ {
+			var x int64
+			if x, t = src.int63(t); uint64(x-onAt) >= uint64(redrawAt-onAt) {
+				if x >= redrawAt {
+					x, t = src.kept(t)
+				}
+				on[i] = x < onAt
 			}
-			if g.rng.Float64() < g.cfg.POnOff {
-				g.on[i] = false
-			}
-		} else if g.rng.Float64() < g.cfg.POffOn {
-			g.on[i] = true
+		}
+		if i == len(on) {
+			break
+		}
+		var n int
+		n, t = poisson(src, t, g.cfg.LambdaOn, g.expNeg)
+		for ; n > 0; n-- {
+			var p pkt.Packet
+			p, t = g.emit(i, t)
+			out = append(out, p)
+		}
+		var x int64
+		if x, t = src.kept(t); x < g.offAt {
+			on[i] = false
 		}
 	}
+	g.src.tap = t
 	g.buf = out
 	return out
 }
 
-// emit labels one packet from source i.
-func (g *MMPP) emit(i int) pkt.Packet {
+// emit labels one packet from source i, drawing from tap index t.
+func (g *MMPP) emit(i int, t uint) (pkt.Packet, uint) {
 	// Under PortAffinity the drawn port is discarded, but the draw is
 	// kept on purpose: it advances the RNG, and removing it would shift
 	// every seeded stream and every pinned digest.
-	port := g.drawPort()
+	port, t := g.drawPort(t)
 	if g.cfg.PortAffinity {
 		port = g.sourcePort[i]
 	}
@@ -231,37 +259,36 @@ func (g *MMPP) emit(i int) pkt.Packet {
 		if g.cfg.PortWork != nil {
 			work = g.cfg.PortWork[port]
 		}
-		return pkt.NewWork(port, work)
+		return pkt.NewWork(port, work), t
 	case LabelValueUniform:
-		return pkt.NewValue(port, 1+g.rng.Intn(g.cfg.MaxLabel))
+		v, t := g.src.intn(t, g.cfg.MaxLabel)
+		return pkt.NewValue(port, 1+v), t
 	case LabelValueByPort:
-		return pkt.NewValue(port, port+1)
+		return pkt.NewValue(port, port+1), t
 	default:
 		panic(fmt.Sprintf("traffic: unreachable label mode %d", int(g.cfg.Label)))
 	}
 }
 
-// poisson samples a Poisson variate by Knuth's product method for small
-// means and a clipped normal approximation for large ones (λ in this
-// package stays small; the fallback only guards against misuse). The
-// caller passes expNeg = e^−λ, the product method's threshold, so a
-// generator computes it once rather than once per draw.
-func poisson(rng *rand.Rand, lambda, expNeg float64) int {
+// poisson samples a Poisson variate from tap index t of src by Knuth's
+// product method for small means and a clipped normal approximation for
+// large ones (the megaburst sources of Fig. 5 panels 6 and 9 run at
+// λ ≈ 320). The caller passes expNeg = e^−λ, the product method's
+// threshold, so a generator computes it once rather than once per draw.
+func poisson(src *lagged, t uint, lambda, expNeg float64) (int, uint) {
 	if lambda <= 0 {
-		return 0
+		return 0, t
 	}
 	if lambda > 30 {
-		n := int(math.Round(rng.NormFloat64()*math.Sqrt(lambda) + lambda))
-		if n < 0 {
-			return 0
-		}
-		return n
+		x, t := src.normFloat64(t)
+		return max(0, int(math.Round(x*math.Sqrt(lambda)+lambda))), t
 	}
 	k, p := 0, 1.0
 	for {
-		p *= rng.Float64()
-		if p <= expNeg {
-			return k
+		var x int64
+		x, t = src.kept(t)
+		if p *= float64(x) / (1 << 63); p <= expNeg {
+			return k, t
 		}
 		k++
 	}

@@ -247,18 +247,22 @@ func TestPortZipfValidation(t *testing.T) {
 }
 
 func TestPoisson(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if got := poisson(rng, 0, 1); got != 0 {
+	var src lagged
+	src.Seed(3)
+	at := src.tap
+	var got int
+	if got, at = poisson(&src, at, 0, 1); got != 0 {
 		t.Errorf("poisson(0) = %d", got)
 	}
-	if got := poisson(rng, -2, math.Exp(2)); got != 0 {
+	if got, at = poisson(&src, at, -2, math.Exp(2)); got != 0 {
 		t.Errorf("poisson(-2) = %d", got)
 	}
 	for _, lambda := range []float64{0.5, 3, 12, 50} {
 		var sum float64
 		const n = 20000
 		for i := 0; i < n; i++ {
-			sum += float64(poisson(rng, lambda, math.Exp(-lambda)))
+			got, at = poisson(&src, at, lambda, math.Exp(-lambda))
+			sum += float64(got)
 		}
 		mean := sum / n
 		if math.Abs(mean-lambda) > 0.15*lambda {
@@ -268,10 +272,13 @@ func TestPoisson(t *testing.T) {
 }
 
 func TestQuickPoissonNonNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	var src lagged
+	src.Seed(9)
 	f := func(l float64) bool {
 		lambda := math.Mod(math.Abs(l), 100)
-		return poisson(rng, lambda, math.Exp(-lambda)) >= 0
+		n, at := poisson(&src, src.tap, lambda, math.Exp(-lambda))
+		src.tap = at
+		return n >= 0
 	}
 	if err := quick.Check(f, qcfg(200)); err != nil {
 		t.Error(err)
@@ -356,6 +363,29 @@ func TestWarmSourcesZeroAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(runs, read(g)); allocs != 0 {
 			t.Errorf("warm MMPP generator allocates %.0f times per %d slots, want 0", allocs, slotsPerRun)
+		}
+	})
+	// The fig5.6/5.9 megaburst shape: λ ≈ 323 puts every on-source slot
+	// through poisson's normal approximation, whose NormFloat64 draw
+	// builds a rand.Rand over the generator's own register.
+	t.Run("mmpp-megaburst", func(t *testing.T) {
+		c := MMPPConfig{
+			Sources: 20, POnOff: 0.5, POffOn: 0.005,
+			Label: LabelValueUniform, Ports: 16, MaxLabel: 16, Seed: 1,
+		}
+		c.LambdaOn = c.LambdaForRate(4 * 16)
+		if c.LambdaOn <= 30 {
+			t.Fatalf("λ = %.1f does not reach poisson's normal branch", c.LambdaOn)
+		}
+		g, err := NewMMPP(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < slots; i++ {
+			g.Next()
+		}
+		if allocs := testing.AllocsPerRun(runs, read(g)); allocs != 0 {
+			t.Errorf("warm megaburst generator allocates %.0f times per %d slots, want 0", allocs, slotsPerRun)
 		}
 	})
 }
