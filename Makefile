@@ -108,8 +108,8 @@ bench-daemon:
 
 # Crash-chaos harness for -checkpoint: SIGKILL a real smbsim process
 # mid-cell, tear its journal inside the final record, resume, and
-# require the -csv output to be byte-identical to an uninterrupted run;
-# repeated kills on one cell must degrade it (DESIGN.md §13). Replay a
+# require the -csv output to be byte-identical to an uninterrupted run,
+# also after repeated kills on one cell (DESIGN.md §13). Replay a
 # schedule with SMBM_CHAOS_SEED=<n> make chaos.
 chaos:
 	$(GO) test ./cmd/smbsim -count=1 -v -run TestChaos

@@ -234,9 +234,9 @@ func PanelIDs() []string { return experiments.PanelIDs() }
 type (
 	// Sweep describes a one-dimensional parameter sweep replicated over
 	// seeds. Set Checkpoint to a directory for a resumable run: every
-	// cell attempt is journaled there, and a re-run after a crash, kill
-	// or interrupt skips the completed cells and resumes to a result
-	// bit-identical to an uninterrupted run.
+	// completed cell is journaled there, and a re-run after a crash,
+	// kill or interrupt skips those cells, runs every other cell once,
+	// and resumes to a result bit-identical to an uninterrupted run.
 	Sweep = sim.Sweep
 	// SweepResult is a completed — or gracefully partial — sweep.
 	SweepResult = sim.SweepResult

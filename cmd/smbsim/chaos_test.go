@@ -10,7 +10,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -54,24 +53,23 @@ func journalTail(path string) (int64, string) {
 	return int64(len(raw)), string(body[bytes.LastIndexByte(body, '\n')+1:])
 }
 
-// leaseRecord is the part of a journal record the harness reads.
-type leaseRecord struct {
-	Kind      string `json:"kind"`
-	X         int    `json:"x"`
-	SeedIndex int    `json:"seed_index"`
-}
-
-// asLease parses line as an intact lease record.
-func asLease(line string) (leaseRecord, bool) {
-	var r leaseRecord
-	err := json.Unmarshal([]byte(line), &r)
-	return r, err == nil && r.Kind == "lease"
+// completes counts the journal's intact complete records: lines ended
+// by their newline, so a record torn mid-append does not count.
+func completes(path string) int {
+	raw, _ := os.ReadFile(path)
+	n := 0
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		if bytes.HasSuffix(line, []byte("\n")) && bytes.Contains(line, []byte(`"kind":"complete"`)) {
+			n++
+		}
+	}
+	return n
 }
 
 // runUntilKilled starts smbsim with args and SIGKILLs it once ready
-// reports true for the journal's size and final line, or gives up
-// when the process exits first. It reports whether the kill landed.
-func runUntilKilled(t *testing.T, bin, journal string, args []string, ready func(size int64, last string) bool) bool {
+// reports true, polling every few milliseconds, or gives up when the
+// process exits first. It reports whether the kill landed.
+func runUntilKilled(t *testing.T, bin string, args []string, ready func() bool) bool {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	var errOut bytes.Buffer
@@ -92,10 +90,10 @@ func runUntilKilled(t *testing.T, bin, journal string, args []string, ready func
 		case <-deadline:
 			cmd.Process.Kill()
 			<-done
-			t.Fatalf("journal never became ready to kill\n%s", errOut.String())
-		case <-time.After(5 * time.Millisecond):
+			t.Fatalf("smbsim never became ready to kill\n%s", errOut.String())
+		case <-time.After(2 * time.Millisecond):
 		}
-		if size, last := journalTail(journal); ready(size, last) {
+		if ready() {
 			cmd.Process.Kill()
 			<-done
 			return true
@@ -132,7 +130,7 @@ func finish(t *testing.T, bin string, args []string) string {
 }
 
 // TestChaosConvergesBitIdentical kills a checkpointed run three times
-// at seeded moments after it has started journaling, tears the journal
+// at seeded moments after it has journaled a cell, tears the journal
 // inside its final record after each kill, and requires the run that
 // finally completes to print the uninterrupted run's -csv bytes.
 func TestChaosConvergesBitIdentical(t *testing.T) {
@@ -148,25 +146,20 @@ func TestChaosConvergesBitIdentical(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	journal := filepath.Join(ckpt, "local.jsonl")
-	// Each kill costs the cells in flight one attempt, and the tear can
-	// cost the cell whose record it cuts one more, so the budget covers
-	// every kill landing on one cell.
-	args := sweepArgs("-checkpoint", ckpt, "-cell-retries", strconv.Itoa(2*chaosKills))
+	args := sweepArgs("-checkpoint", ckpt)
 	for kill := 1; kill <= chaosKills; kill++ {
-		// The journal's size changes once the new process has opened it
-		// (dropping the torn tail) or appended to it; from the first
-		// moment after that when a lease is the final record — a cell is
-		// in flight — the kill waits a seeded delay.
-		start, _ := journalTail(journal)
-		var running time.Time
-		delay := time.Duration(rng.Intn(400)) * time.Millisecond
-		killed := runUntilKilled(t, bin, journal, args, func(size int64, last string) bool {
-			if _, ok := asLease(last); ok && running.IsZero() && size != start {
-				running = time.Now()
+		// Once the new process has journaled a cell, other cells are in
+		// flight; the kill waits a seeded delay after that.
+		start := completes(journal)
+		var grown time.Time
+		delay := time.Duration(rng.Intn(100)) * time.Millisecond
+		killed := runUntilKilled(t, bin, args, func() bool {
+			if grown.IsZero() && completes(journal) > start {
+				grown = time.Now()
 			}
-			return !running.IsZero() && time.Since(running) >= delay
+			return !grown.IsZero() && time.Since(grown) >= delay
 		})
-		t.Logf("kill %d: %v after a cell was in flight, landed=%v", kill, delay, killed)
+		t.Logf("kill %d: %v after a cell was journaled, landed=%v", kill, delay, killed)
 		tearFinalRecord(t, journal, rng)
 	}
 	if got := finish(t, bin, args); got != oracle {
@@ -174,60 +167,52 @@ func TestChaosConvergesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosRepeatedCrashDegradesCell kills a one-worker checkpointed
-// run whenever a cell is in flight until one cell has died twice. With
-// -cell-retries 1 that spends its budget, so the next run skips it and
-// reports it degraded, and the partial table still renders every swept
-// value from the remaining cells.
-func TestChaosRepeatedCrashDegradesCell(t *testing.T) {
+// TestChaosRepeatedKillsOnOneCellConverge kills a one-worker
+// checkpointed run four times while the same cell is in flight: each
+// kill lands a seeded delay after the process starts, before its first
+// cell can finish, so the journal does not grow; a round in which a
+// cell completed anyway is not counted, and the count starts over on
+// the next cell. A cell is a pure function of the sweep, so kills never
+// use up a cell: the run that finally completes prints the
+// uninterrupted run's -csv bytes, every row and no partial marker.
+func TestChaosRepeatedKillsOnOneCellConverge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second subprocess harness; skipped with -short")
 	}
+	rng := chaosRNG(t)
 	bin, err := binary()
 	if err != nil {
 		t.Fatalf("building smbsim: %v", err)
 	}
+	// About 0.2 s per cell on one worker: room for a kill before the
+	// first cell of a run finishes.
+	base := []string{"-experiment", "fig5.1", "-slots", "60000", "-seeds", "1", "-workers", "1", "-csv"}
+	oracle := finish(t, bin, base)
+
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	journal := filepath.Join(ckpt, "local.jsonl")
-	args := sweepArgs("-checkpoint", ckpt, "-cell-retries", "1", "-workers", "1")
-
-	// One worker runs cells in grid order, so a final lease record is the
-	// one cell in flight, and the cell a kill lands on is the first the
-	// restart runs again.
-	crashes := map[leaseRecord]int{}
-	var victim leaseRecord
-	for round := 1; crashes[victim] < 2; round++ {
-		if round > 8 {
-			t.Fatalf("no cell died twice in 8 kills: %v", crashes)
+	args := append(base[:len(base):len(base)], "-checkpoint", ckpt)
+	for kills, round := 0, 1; kills < 4; round++ {
+		if round > 12 {
+			t.Fatalf("only %d kills in a row landed on one cell in 12 rounds", kills)
 		}
-		start, _ := journalTail(journal)
-		runUntilKilled(t, bin, journal, args, func(size int64, last string) bool {
-			_, ok := asLease(last)
-			return ok && size != start
-		})
-		// The cell may have completed between the poll and the kill;
-		// only a lease that is still the final record died.
-		_, last := journalTail(journal)
-		if c, ok := asLease(last); ok {
-			crashes[c]++
-			victim = c
+		before := completes(journal)
+		delay := time.Duration(20+rng.Intn(60)) * time.Millisecond
+		start := time.Now()
+		killed := runUntilKilled(t, bin, args, func() bool { return time.Since(start) >= delay })
+		if grew := completes(journal) - before; !killed || grew != 0 {
+			t.Logf("round %d: killed=%v, %d cells completed first; the next cell starts the count over", round, killed, grew)
+			kills = 0
+			continue
 		}
+		kills++
+		t.Logf("round %d: killed %v after start, journal unchanged (kill %d on this cell)", round, delay, kills)
 	}
-	t.Logf("cell %+v died twice", victim)
-
 	out := finish(t, bin, args)
-	oracle := finish(t, bin, sweepArgs())
-	want := "# warning: checkpoint " + ckpt + ": cell k=" + strconv.Itoa(victim.X) +
-		" seed[" + strconv.Itoa(victim.SeedIndex) + "] degraded after 2 failed attempts"
-	if !strings.Contains(out, want) {
-		t.Fatalf("output lacks %q:\n%s", want, out)
+	if strings.Contains(out, "partial") {
+		t.Fatalf("resumed run is partial:\n%s", out)
 	}
-	if !strings.Contains(out, "# fig5.1, partial\n") {
-		t.Fatalf("output lacks the partial table marker:\n%s", out)
-	}
-	// Every swept value keeps a row: the degraded cell's other seed
-	// still folds.
-	if got, want := strings.Count(out, "\n"), strings.Count(oracle, "\n")+1; got != want {
-		t.Fatalf("partial output has %d lines, want %d (the oracle's plus one warning):\n%s", got, want, out)
+	if out != oracle {
+		t.Fatalf("resumed output differs from the uninterrupted run:\n got:\n%s\nwant:\n%s", out, oracle)
 	}
 }

@@ -16,18 +16,17 @@
 //	smbsim -plot                    # append ASCII charts
 //	smbsim -csv > panels.csv        # machine-readable output
 //
-// Robustness flags for long runs:
+// Long runs resume:
 //
-//	smbsim -checkpoint run.ckpt     # journal cells to run.ckpt/local.jsonl; re-run to resume
-//	smbsim -checkpoint run.ckpt -cell-retries 5  # retry a failing cell 5 times, then degrade it
-//	smbsim -cell-timeout 5m         # fail runaway cells, keep the rest
+//	smbsim -checkpoint run.ckpt     # journal completed cells to run.ckpt/local.jsonl; re-run to resume
 //
 // SIGINT cancels the run gracefully: completed points are printed as a
 // partial table and the process exits with code 2, so a checkpointed
 // run can be resumed later. A checkpointed run killed outright (kill -9,
-// power loss) resumes too: the attempt it died in counts against
-// -cell-retries, and the resumed output is byte-identical to an
-// uninterrupted run's.
+// power loss) resumes too: the resume skips the journaled cells and
+// runs every other cell once, and its output is byte-identical to an
+// uninterrupted run's. A cell that fails is reported, and the run
+// exits 1; the next resume runs that cell again.
 //
 // Observability flags:
 //
@@ -57,8 +56,9 @@ import (
 	"smbm/internal/sim"
 )
 
-// Exit codes: 0 success, 1 failure, 2 interrupted (partial results
-// printed, resumable via -checkpoint).
+// Exit codes: 0 success (every cell printed), 1 failure (a bad flag or
+// a failed cell), 2 interrupted (partial results printed, resumable via
+// -checkpoint).
 const (
 	exitFailure     = 1
 	exitInterrupted = 2
@@ -111,15 +111,21 @@ func main() {
 		asPlot      = flag.Bool("plot", false, "render each panel as an ASCII chart as well")
 		asCSV       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		specPath    = flag.String("spec", "", "run a custom JSON experiment spec instead of the paper's panels")
-		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell deadline; a timed-out cell fails without killing the sweep (0 = unbounded)")
-		checkpoint  = flag.String("checkpoint", "", "journal every sweep cell to `DIR`/local.jsonl and resume from it on re-runs")
-		cellRetries = flag.Int("cell-retries", 0, "with -checkpoint: retries of a failed cell before it is reported degraded (default 3; negative = no retries)")
+		checkpoint  = flag.String("checkpoint", "", "journal every completed sweep cell to `DIR`/local.jsonl and resume from it on re-runs")
 		obsFlag     = flag.Bool("obs", false, "record per-policy decision counters and append them to each report")
 		traceEvents = flag.Int("trace-events", 0, "ring-buffer the last N decision events per replay and dump them after each cell (implies -obs)")
 		traceOut    = flag.String("trace-out", "", "write -trace-events dumps to this file instead of stderr")
 		pprofAddr   = flag.String("pprof", "", `serve net/http/pprof and expvar on this address (e.g. "localhost:6060")`)
 	)
-	flag.Parse()
+	// A bad flag exits 1, not flag's default 2, which here means
+	// "interrupted, resumable"; -h still exits 0.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(exitFailure)
+	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := cli.RefuseIgnoredFlags(*experiment, *specPath != "", set); err != nil {
@@ -167,9 +173,7 @@ func main() {
 		Opts:        scaleOpts,
 		Plot:        *asPlot,
 		CSV:         *asCSV,
-		CellTimeout: *cellTimeout,
 		Checkpoint:  *checkpoint,
-		CellRetries: *cellRetries,
 		Obs:         *obsFlag,
 		TraceEvents: *traceEvents,
 	}

@@ -65,8 +65,8 @@ func waitForCellRecord(t *testing.T, path string) {
 // contract end to end: a checkpointed run killed with SIGINT mid-sweep
 // must exit with code 2 and announce partial results and the resume
 // path on stderr; a second run on the same checkpoint must complete —
-// the interrupted run released its in-flight cells, so they cost no
-// retry — and print output bit-identical to an uninterrupted run.
+// running the cells the interrupted run did not journal — and print
+// output bit-identical to an uninterrupted run.
 func TestSIGINTPartialThenResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second subprocess test; skipped with -short")
@@ -187,5 +187,27 @@ func TestCheckpointRefusesPreLedgerJournal(t *testing.T) {
 	smbsimFails(t, sweepArgs("-checkpoint", path), "pre-ledger checkpoint journal", "previous build", "move it aside")
 	if raw, err := os.ReadFile(path); err != nil || string(raw) != old {
 		t.Fatalf("refused journal was modified: %q, %v", raw, err)
+	}
+}
+
+// TestFlagErrorsExitOne pins flag parsing's exit codes against the real
+// binary: an unknown flag or a malformed value exits 1, since 2 means
+// "interrupted, resumable via -checkpoint", and -h prints the usage and
+// exits 0.
+func TestFlagErrorsExitOne(t *testing.T) {
+	smbsimFails(t, []string{"-bogus"}, "flag provided but not defined: -bogus")
+	smbsimFails(t, []string{"-slots", "abc"}, `invalid value "abc" for flag -slots`)
+	bin, err := binary()
+	if err != nil {
+		t.Fatalf("building smbsim: %v", err)
+	}
+	var out, errOut bytes.Buffer
+	cmd := exec.Command(bin, "-h")
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("smbsim -h: %v, want exit 0\nstderr: %s", err, errOut.String())
+	}
+	if out.Len() != 0 || !strings.Contains(errOut.String(), "-checkpoint DIR") {
+		t.Fatalf("smbsim -h: stdout %q, stderr lacks the usage:\n%s", out.String(), errOut.String())
 	}
 }

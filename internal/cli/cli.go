@@ -6,7 +6,6 @@ package cli
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -28,14 +27,9 @@ type PanelOptions struct {
 	// Plot appends an ASCII chart per panel; CSV replaces tables with
 	// CSV blocks.
 	Plot, CSV bool
-	// CellTimeout bounds each sweep cell (0 = unbounded).
-	CellTimeout time.Duration
 	// Checkpoint journals every sweep's cells to this directory, and a
 	// re-run resumes from it (sim.Sweep.Checkpoint).
 	Checkpoint string
-	// CellRetries is a checkpointed run's per-cell retry budget before a
-	// cell is reported degraded (0 = 3, negative = none).
-	CellRetries int
 	// Obs attaches decision-counter recorders to every policy replay
 	// and appends the aggregated counter table to each report.
 	Obs bool
@@ -86,24 +80,14 @@ func Panels(ctx context.Context, w io.Writer, o PanelOptions) error {
 	return nil
 }
 
-// check refuses option combinations no run honours, and a negative
-// scale, worker count, event ring or deadline (which no run could
-// honour either: -flush, for one, would silently turn periodic
+// check refuses a negative scale, worker count or event ring, which no
+// run could honour (-flush, for one, would silently turn periodic
 // flushouts off), naming the smbsim flag.
 func (o PanelOptions) check() error {
-	if err := checkNonNegative(
+	return checkNonNegative(
 		flagValue{"-slots", o.Opts.Slots}, flagValue{"-seeds", o.Opts.Seeds}, flagValue{"-sources", o.Opts.Sources}, flagValue{"-flush", o.Opts.FlushEvery},
 		flagValue{"-workers", o.Opts.Parallelism}, flagValue{"-trace-events", o.TraceEvents},
-	); err != nil {
-		return err
-	}
-	if o.CellTimeout < 0 {
-		return fmt.Errorf("cli: -cell-timeout %v is negative", o.CellTimeout)
-	}
-	if o.CellRetries != 0 && o.Checkpoint == "" {
-		return errors.New("cli: -cell-retries needs -checkpoint")
-	}
-	return nil
+	)
 }
 
 // flagValue pairs a command-line flag with the value it was given.
@@ -128,10 +112,6 @@ func (o PanelOptions) sweepOnly() string {
 	switch {
 	case o.Checkpoint != "":
 		return "-checkpoint"
-	case o.CellRetries != 0:
-		return "-cell-retries"
-	case o.CellTimeout != 0:
-		return "-cell-timeout"
 	case o.Obs:
 		return "-obs"
 	case o.TraceEvents != 0:
@@ -233,17 +213,15 @@ func panelReport(ctx context.Context, w io.Writer, id string, o PanelOptions) er
 	return renderSweep(ctx, w, sweep, o)
 }
 
-// harden applies the robustness and observability options — per-cell
-// deadline, checkpoint journal, decision counters, event tracing,
-// progress publication — to a sweep before it runs. It returns the
+// harden applies the robustness and observability options — checkpoint
+// journal, decision counters, event tracing, progress publication — to
+// a sweep before it runs. It returns the
 // function that writes the held per-cell event dumps to TraceWriter in
 // grid order (Xs order, then seed), to be called once the sweep has
 // returned: cells complete in any order at more than one worker, and a
 // dump file must not depend on scheduling.
 func harden(sweep *sim.Sweep, o PanelOptions) (writeTraces func()) {
-	sweep.CellTimeout = o.CellTimeout
 	sweep.Checkpoint = o.Checkpoint
-	sweep.CellRetries = o.CellRetries
 	if o.Obs || o.TraceEvents > 0 {
 		sweep.Obs = &obs.Options{TraceEvents: o.TraceEvents}
 	}
@@ -303,22 +281,13 @@ func renderSweep(ctx context.Context, w io.Writer, sweep *sim.Sweep, o PanelOpti
 	return err
 }
 
-// writeSweepReport renders one (possibly partial) sweep result:
-// harness warnings first, then the ratio table (or CSV), then — when
-// recorded — the aggregated decision counters.
+// writeSweepReport renders one (possibly partial) sweep result: the
+// ratio table (or CSV), then — when recorded — the aggregated decision
+// counters.
 func writeSweepReport(w io.Writer, result *sim.SweepResult, o PanelOptions, elapsed time.Duration) error {
 	marker := ""
 	if result.Partial {
 		marker = ", partial"
-	}
-	warnPrefix := "warning: "
-	if o.CSV {
-		warnPrefix = "# warning: "
-	}
-	for _, warn := range result.Warnings {
-		if _, err := fmt.Fprintf(w, "%s%s\n", warnPrefix, warn); err != nil {
-			return err
-		}
 	}
 	if o.CSV {
 		_, err := fmt.Fprintf(w, "# %s%s\n%s\n", result.Name, marker, result.CSV())

@@ -9,7 +9,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"smbm/internal/adversary"
 	"smbm/internal/experiments"
@@ -95,13 +94,10 @@ func TestPanelsRefusesIgnoredFlags(t *testing.T) {
 		set              func(*PanelOptions)
 	}{
 		{"arch", "-checkpoint", func(o *PanelOptions) { o.Checkpoint = t.TempDir() }},
-		{"latency", "-cell-retries", func(o *PanelOptions) { o.CellRetries = 2 }},
-		{"arch", "-cell-timeout", func(o *PanelOptions) { o.CellTimeout = time.Nanosecond }},
 		{"latency", "-obs", func(o *PanelOptions) { o.Obs = true }},
 		{"latency", "-trace-events", func(o *PanelOptions) { o.TraceEvents = 8 }},
 		{"arch", "-csv", func(o *PanelOptions) { o.CSV = true }},
 		{"latency", "-plot", func(o *PanelOptions) { o.Plot = true }},
-		{"fig5.1", "-cell-retries needs -checkpoint", func(o *PanelOptions) { o.CellRetries = 5 }},
 	} {
 		o := PanelOptions{Experiment: c.experiment, Opts: smallOpts()}
 		c.set(&o)
@@ -113,10 +109,6 @@ func TestPanelsRefusesIgnoredFlags(t *testing.T) {
 		if buf.Len() != 0 {
 			t.Errorf("%s with %s: wrote output before refusing:\n%s", c.experiment, c.flag, buf.String())
 		}
-	}
-	if err := RunSpec(context.Background(), &bytes.Buffer{}, strings.NewReader("{}"), PanelOptions{CellRetries: 5}); err == nil ||
-		!strings.Contains(err.Error(), "-cell-retries needs -checkpoint") {
-		t.Errorf("RunSpec with -cell-retries and no -checkpoint: err = %v", err)
 	}
 	// A scale preset fills every scale option, so a flag those runs
 	// ignore is told by whether it was set, not by its value.
@@ -153,7 +145,7 @@ func TestRefuseIgnoredFlags(t *testing.T) {
 }
 
 // TestPanelsRefusesNegativeScale: a negative -slots, -seeds, -sources,
-// -flush, -workers, -trace-events or -cell-timeout is an error naming
+// -flush, -workers or -trace-events is an error naming
 // the flag before any cell runs, on a panel, a non-sweep experiment and
 // a spec alike.
 func TestPanelsRefusesNegativeScale(t *testing.T) {
@@ -167,7 +159,6 @@ func TestPanelsRefusesNegativeScale(t *testing.T) {
 		{"-flush", func(o *PanelOptions) { o.Opts.FlushEvery = -3 }},
 		{"-workers", func(o *PanelOptions) { o.Opts.Parallelism = -3 }},
 		{"-trace-events", func(o *PanelOptions) { o.TraceEvents = -4 }},
-		{"-cell-timeout", func(o *PanelOptions) { o.CellTimeout = -time.Second }},
 	} {
 		for _, experiment := range []string{"fig5.1", "arch", "spec"} {
 			o := PanelOptions{Experiment: experiment, Opts: smallOpts(), CSV: experiment != "arch"}

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"smbm/internal/core"
 	"smbm/internal/pkt"
@@ -85,18 +84,6 @@ func TestPanelsCheckpointResume(t *testing.T) {
 		if want == "" || stripTimings(got) != want {
 			t.Errorf("%s report differs from a plain run's:\n%s\nvs\n%s", name, got, plain.String())
 		}
-	}
-}
-
-func TestPanelsCellTimeoutFailsCells(t *testing.T) {
-	var buf bytes.Buffer
-	o := PanelOptions{Experiment: "fig5.1", Opts: smallOpts(), CellTimeout: time.Nanosecond}
-	err := Panels(context.Background(), &buf, o)
-	if err == nil || !strings.Contains(err.Error(), "cell deadline") {
-		t.Fatalf("got %v, want cell-deadline failures", err)
-	}
-	if !strings.Contains(buf.String(), "partial") {
-		t.Errorf("timed-out sweep did not render a partial report:\n%s", buf.String())
 	}
 }
 

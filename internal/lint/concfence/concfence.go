@@ -2,11 +2,12 @@
 // engine. The packages inside the fence (core, policy, opt, pkt,
 // traffic, deque, bmset, singleq — lint.ConcFencePackage) are the
 // bit-reproducible replay engine the differential suites treat as an
-// oracle; the planned sharded runtime (ROADMAP `smbsimd`) wraps
-// concurrency *around* them, never inside. Until that boundary is
-// load-bearing, nothing stops a PR from dropping a `go` statement or
-// a mutex into internal/core and silently breaking bit reproduction —
-// so the fence is enforced at the source level:
+// oracle; the sharded runtime (internal/shard, cmd/smbsimd) and the
+// sweep harness (internal/sim) wrap concurrency *around* them, never
+// inside. The shard oracle differential (TestRuntimeOracleDifferential)
+// relies on that boundary: a `go` statement or a mutex dropped into
+// internal/core would silently break bit reproduction, so the fence is
+// enforced at the source level:
 //
 //   - no `go` statements;
 //   - no channel operations: sends, receives, close, select, range

@@ -158,19 +158,19 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
   internal/sim/stream_differential_test.go). DESIGN.md §10 documents
   the Provider contract.
 - **Checkpointed resume.** Paper-scale sweeps (-scale paper -seeds 5)
-  run for hours; smbsim -checkpoint run.ckpt journals every (x, seed)
-  sweep cell attempt to run.ckpt/local.jsonl (fsynced completions,
+  run for hours; smbsim -checkpoint run.ckpt journals every completed
+  (x, seed) sweep cell to run.ckpt/local.jsonl (fsynced,
   torn-tail-tolerant append-only lines), and a re-run with the same
-  flag skips finished cells. A Ctrl-C prints the completed points as a
-  partial table and exits with code 2; it and a kill -9 both cost only
-  the in-flight cells, and the resumed tables are bit-identical to an
-  uninterrupted run — the chaos harness (make chaos) asserts exactly
-  that under seeded kills and torn journals. An attempt the process
-  died in counts as failed, and a cell failing more than -cell-retries
-  times is reported degraded while the remaining tables still render.
-  The journal is keyed by sweep name, so one directory serves a whole
-  multi-panel run; -cell-timeout bounds runaway cells without killing
-  the sweep. The journal carries a fingerprint of each sweep's
+  flag skips those cells and runs every other cell once. A Ctrl-C
+  prints the completed points as a partial table and exits with code
+  2; it and a kill -9 both cost only the in-flight cells, and the
+  resumed tables are bit-identical to an uninterrupted run — the chaos
+  harness (make chaos) asserts exactly that under seeded kills and torn
+  journals. A cell that fails is reported and the run exits 1; the
+  remaining tables still render, and the next resume runs that cell
+  again. A run that exits 0 has printed every cell. The journal is
+  keyed by sweep name, so one directory serves a whole multi-panel
+  run. The journal carries a fingerprint of each sweep's
   configuration (swept values, seeds, base seed, fixed parameters,
   policy roster): resuming after a flag change fails loudly
   naming the changed field, so cells computed under different

@@ -51,7 +51,7 @@ func journalLines(t *testing.T, dir string) []string {
 }
 
 // plainResult runs testSweep in memory, the oracle every resumed run
-// must equal once warnings are stripped.
+// must equal.
 func plainResult(t *testing.T) *SweepResult {
 	t.Helper()
 	res, err := testSweep().Run()
@@ -101,8 +101,8 @@ func TestCheckpointResumeRejectsChangedConfig(t *testing.T) {
 }
 
 // TestCheckpointResumeMatchingConfigIsClean asserts the happy path: an
-// unchanged re-run resumes every cell without warnings or recomputation
-// and produces a full result.
+// unchanged re-run resumes every cell without recomputation or journal
+// writes and produces a full result.
 func TestCheckpointResumeMatchingConfigIsClean(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := ckptSweep(dir).Run(); err != nil {
@@ -112,9 +112,6 @@ func TestCheckpointResumeMatchingConfigIsClean(t *testing.T) {
 	res, err := ckptSweep(dir).Run()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.Warnings) != 0 {
-		t.Errorf("clean resume warned: %q", res.Warnings)
 	}
 	if after := len(journalLines(t, dir)); len(res.Points) != 3 || res.Partial || after != before {
 		t.Errorf("resumed result: %d points, partial=%v, journal %d → %d lines; want 3, false, no journal writes", len(res.Points), res.Partial, before, after)
@@ -171,7 +168,7 @@ func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 	if builds != 1 {
 		t.Errorf("resume rebuilt %d cells, want only the torn one", builds)
 	}
-	if !reflect.DeepEqual(stripHarness(resumed), plainResult(t)) {
+	if !reflect.DeepEqual(resumed, plainResult(t)) {
 		t.Error("resumed result differs from a plain run")
 	}
 	for _, line := range journalLines(t, dir) {
@@ -240,8 +237,8 @@ func TestCheckpointForeignHeaderIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d alongside a foreign header: %v", run, err)
 		}
-		if len(res.Warnings) != 0 || res.Partial {
-			t.Fatalf("run %d: warnings %q, partial %v", run, res.Warnings, res.Partial)
+		if res.Partial {
+			t.Fatalf("run %d came back partial", run)
 		}
 	}
 }
@@ -258,7 +255,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	if builds != 9 {
 		t.Fatalf("first run built %d cells, want 9", builds)
 	}
-	if !reflect.DeepEqual(stripHarness(first), clean) {
+	if !reflect.DeepEqual(first, clean) {
 		t.Error("checkpointed run differs from plain run")
 	}
 
@@ -270,15 +267,15 @@ func TestSweepCheckpointResume(t *testing.T) {
 	if builds != 9 {
 		t.Fatalf("resumed run rebuilt cells: %d total builds, want 9", builds)
 	}
-	if !reflect.DeepEqual(stripHarness(second), clean) {
+	if !reflect.DeepEqual(second, clean) {
 		t.Error("resumed result differs from plain run")
 	}
 }
 
 // TestSweepCheckpointResumesInterruptedRun pins the SIGINT contract:
-// the interrupted run releases its in-flight cell, so the resume spends
-// no retry on it — it rebuilds exactly the lost cells, well inside its
-// deadline — and its progress still adds up to the full grid.
+// the interrupted run journals nothing for its in-flight cell, so the
+// resume rebuilds exactly the lost cells, and its progress still adds
+// up to the full grid.
 func TestSweepCheckpointResumesInterruptedRun(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -315,7 +312,7 @@ func TestSweepCheckpointResumesInterruptedRun(t *testing.T) {
 	if resumed.Partial {
 		t.Error("resumed run still partial")
 	}
-	if !reflect.DeepEqual(stripHarness(resumed), plainResult(t)) {
+	if !reflect.DeepEqual(resumed, plainResult(t)) {
 		t.Error("resumed result differs from an uninterrupted run")
 	}
 	if last.Skipped != 3 || last.Done+last.Skipped != last.Total {
@@ -409,15 +406,6 @@ func TestCheckpointResumeFansOutFewCells(t *testing.T) {
 	}
 }
 
-// stripHarness zeroes the warnings, the one field that legitimately
-// differs between a checkpointed and a plain run: a harness-level
-// observation that never enters the points.
-func stripHarness(r *SweepResult) *SweepResult {
-	cp := *r
-	cp.Warnings = nil
-	return &cp
-}
-
 // countRecords counts the journal records of one kind in dir.
 func countRecords(t *testing.T, dir, kind string) int {
 	t.Helper()
@@ -436,15 +424,15 @@ func TestLeasedMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	leased, err := ckptSweep(dir).Run()
+	checkpointed, err := ckptSweep(dir).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := countRecords(t, dir, kindComplete); n != 9 {
 		t.Fatalf("journal holds %d complete records, want 9", n)
 	}
-	want, _ := json.Marshal(stripHarness(plain))
-	got, _ := json.Marshal(stripHarness(leased))
+	want, _ := json.Marshal(plain)
+	got, _ := json.Marshal(checkpointed)
 	if string(got) != string(want) {
 		t.Fatalf("checkpointed result differs from plain run:\n got %s\nwant %s", got, want)
 	}
@@ -493,8 +481,8 @@ func TestLeasedResumesAfterAbandonedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := json.Marshal(stripHarness(plain))
-	got, _ := json.Marshal(stripHarness(res2))
+	want, _ := json.Marshal(plain)
+	got, _ := json.Marshal(res2)
 	if string(got) != string(want) {
 		t.Fatalf("resumed result differs from plain run:\n got %s\nwant %s", got, want)
 	}
@@ -503,70 +491,39 @@ func TestLeasedResumesAfterAbandonedRun(t *testing.T) {
 	}
 }
 
-func TestLeasedTransientFailureRetries(t *testing.T) {
-	var failures atomic.Int32
+// TestCheckpointFailingCellRunsOncePerRun pins the run-once contract
+// of a checkpointed run: a cell whose Build always fails is built once,
+// fails the run with a *CellError naming it, and leaves the rest of the
+// grid rendered as a partial table. Nothing is journaled for it, so a
+// resume builds it exactly once more and skips every other cell.
+func TestCheckpointFailingCellRunsOncePerRun(t *testing.T) {
 	dir := t.TempDir()
-	s := ckptSweep(dir)
-	build := s.Build
-	s.Build = func(x int, seed int64) (Instance, error) {
-		// The first attempt at x=4 fails; the retry succeeds.
-		if x == 4 && failures.CompareAndSwap(0, 1) {
-			return Instance{}, errors.New("transient build failure")
+	for run, wantBuilds := range []int32{8, 0} {
+		var failing, builds int32
+		s := countBuilds(ckptSweep(dir), &builds)
+		victim := s.cellSeed(1, 1) // x=4, seed[1]
+		build := s.Build
+		s.Build = func(x int, seed int64) (Instance, error) {
+			if seed == victim {
+				atomic.AddInt32(&failing, 1)
+				return Instance{}, errors.New("permanent failure")
+			}
+			return build(x, seed)
 		}
-		return build(x, seed)
-	}
-	res, err := s.Run()
-	if err == nil || !strings.Contains(err.Error(), "transient build failure") {
-		t.Fatalf("err = %v, want the transient failure reported", err)
-	}
-	if res.Partial {
-		t.Fatal("partial despite successful retry")
-	}
-	if n := countRecords(t, dir, kindAbandon); n != 1 {
-		t.Fatalf("abandons = %d, want 1", n)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points %d, want 3 (retry completed the cell)", len(res.Points))
-	}
-}
-
-func TestLeasedDegradedCellStillRendersPartialTables(t *testing.T) {
-	s := ckptSweep(t.TempDir())
-	s.CellRetries = -1 // no retries: first failure degrades
-	build := s.Build
-	s.Build = func(x int, seed int64) (Instance, error) {
-		if x == 4 {
-			return Instance{}, errors.New("permanent failure")
+		res, err := s.Run()
+		var ce *CellError
+		if !errors.As(err, &ce) || ce.X != 4 || ce.SeedIndex != 1 || !strings.Contains(err.Error(), "permanent failure") {
+			t.Fatalf("run %d: err = %v, want the x=4 seed[1] cell's failure", run, err)
 		}
-		return build(x, seed)
-	}
-	res, err := s.Run()
-	if err == nil {
-		t.Fatal("want cell errors reported")
-	}
-	if !res.Partial {
-		t.Fatal("degraded run must be partial")
-	}
-	// x=4 is omitted; the other points still render.
-	if len(res.Points) != 2 {
-		t.Fatalf("points %d, want 2", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.X == 4 {
-			t.Fatal("degraded x=4 leaked into the points")
+		if failing != 1 || builds != wantBuilds {
+			t.Errorf("run %d built the failing cell %d times and %d others, want 1 and %d", run, failing, builds, wantBuilds)
 		}
-	}
-	var degradedWarnings int
-	for _, w := range res.Warnings {
-		if strings.Contains(w, "degraded") {
-			degradedWarnings++
+		if !res.Partial || len(res.Points) != 3 || res.Points[1].Ratio["Greedy"].N != 2 || res.Table() == "" {
+			t.Errorf("run %d: partial=%v, %d points; want a partial table of all 3 points, x=4 from 2 seeds", run, res.Partial, len(res.Points))
 		}
-	}
-	if degradedWarnings != 3 {
-		t.Fatalf("degraded warnings = %d (%q), want 3 (one per seed)", degradedWarnings, res.Warnings)
-	}
-	if res.Table() == "" {
-		t.Fatal("partial table did not render")
+		if n := countRecords(t, dir, kindComplete); n != 8 {
+			t.Errorf("run %d: journal holds %d completes, want 8", run, n)
+		}
 	}
 }
 
@@ -607,41 +564,5 @@ func TestLeasedProgressSerializedDelivery(t *testing.T) {
 	}
 	if res.Partial {
 		t.Fatalf("checkpointed run came back partial")
-	}
-}
-
-// TestCheckpointCrashedAttemptSpendsRetry pins the fold's crash rule
-// end to end: a lease record that nothing closes — the process died
-// running the cell — spends one attempt, so with no retries left the
-// resume reports the cell degraded instead of running it, and the rest
-// of the grid still renders.
-func TestCheckpointCrashedAttemptSpendsRetry(t *testing.T) {
-	dir := t.TempDir()
-	s := ckptSweep(dir)
-	j, err := openJournal(dir, s.fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.append(record{Kind: kindLease, X: 4, SeedIndex: 1, Attempt: 1}); err != nil {
-		t.Fatal(err)
-	}
-	j.close()
-
-	var builds int32
-	s = countBuilds(ckptSweep(dir), &builds)
-	s.CellRetries = -1
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds != 8 {
-		t.Errorf("resume built %d cells, want 8 (the crashed cell is spent)", builds)
-	}
-	if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "x=4 seed[1] degraded after 1 failed attempts") ||
-		!strings.Contains(res.Warnings[0], "died") {
-		t.Errorf("warnings %q, want one naming x=4 seed[1] as degraded by a crash", res.Warnings)
-	}
-	if !res.Partial || len(res.Points) != 3 || res.Table() == "" {
-		t.Errorf("partial=%v, %d points; want a partial result with all 3 points", res.Partial, len(res.Points))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"smbm/internal/core"
 	"smbm/internal/pkt"
@@ -128,24 +127,6 @@ func TestSweepCancellationReturnsPartial(t *testing.T) {
 	}
 	if n := res.Points[0].Ratio["Greedy"].N; n != 3 {
 		t.Errorf("x=2 has %d replications, want 3", n)
-	}
-}
-
-func TestSweepCellTimeout(t *testing.T) {
-	s := testSweep()
-	s.CellTimeout = time.Nanosecond // every cell blows its deadline
-	res, err := s.Run()
-	if err == nil {
-		t.Fatal("blown deadlines reported no error")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("got %v, want wrapped DeadlineExceeded", err)
-	}
-	if !strings.Contains(err.Error(), "cell deadline") {
-		t.Errorf("error %v does not mention the cell deadline", err)
-	}
-	if res == nil || !res.Partial || len(res.Points) != 0 {
-		t.Errorf("result %+v, want empty partial", res)
 	}
 }
 

@@ -1,28 +1,24 @@
 package sim
 
-// The checkpoint journal behind Sweep.Checkpoint: RunContext records
-// every cell attempt in DIR/local.jsonl, and a re-run folds the file to
-// skip what is done. One process writes the file — an exclusive flock
-// enforces it — so a cell's state is a fold of its records in file
-// order, and a malformed line can only be the final one, torn by a
-// crash mid-append.
+// The checkpoint journal behind Sweep.Checkpoint: RunContext appends a
+// record to DIR/local.jsonl for every cell it completes, and a re-run
+// folds the file to skip those cells. One process writes the file — an
+// exclusive flock enforces it — so a malformed line can only be the
+// final one, torn by a crash mid-append.
 //
 // Each line is one JSON record, "v": 1, discriminated by "kind":
 //
 //	header    the sweep's fingerprint; a resume checks it field by field
-//	lease     an attempt at cell (x, seed_index) started
-//	complete  the attempt finished; results holds the cell's per-policy
-//	          results, fsynced before the run moves on
-//	abandon   the attempt failed; error says why; one attempt is spent
-//	release   the attempt was interrupted; no attempt is spent
+//	complete  cell (x, seed_index) finished; results holds its
+//	          per-policy results, fsynced before the run moves on
 //
-// A lease that no complete, abandon or release closes is an attempt the
-// process died in, and it spends one attempt too. Every record carries
-// its sweep's name, so one file holds several sweeps. Journals written
-// for the retired multi-process ledger carry token, deadline_ms and
-// worker fields and repeat a lease record on every heartbeat under the
-// same attempt number; the fold ignores the fields and reads a repeated
-// attempt as one attempt, so those journals still resume.
+// Every record carries its sweep's name, so one file holds several
+// sweeps. A cell with no complete record runs on the next resume, once,
+// like any cell of a plain run. Older builds also wrote lease, abandon
+// and release records, around every attempt at a cell, and extra
+// fields (attempt, error, and the retired multi-process ledger's
+// token, deadline_ms and worker); the fold skips those records and
+// fields, so their journals still resume.
 
 import (
 	"bytes"
@@ -47,18 +43,10 @@ const journalFile = "local.jsonl"
 // journalV is the record schema version this build writes.
 const journalV = 1
 
-// defaultCellRetries is the retry budget a zero Sweep.CellRetries
-// selects: a cell is degraded after 1+defaultCellRetries failed
-// attempts.
-const defaultCellRetries = 3
-
 // Record kinds (the "kind" discriminator of every journal line).
 const (
 	kindHeader   = "header"
-	kindLease    = "lease"
 	kindComplete = "complete"
-	kindAbandon  = "abandon"
-	kindRelease  = "release"
 )
 
 // sweepFingerprint pins a sweep's journal records to one configuration: its
@@ -126,59 +114,18 @@ type record struct {
 	Header    *sweepFingerprint `json:"header,omitempty"`
 	X         int               `json:"x"`
 	SeedIndex int               `json:"seed_index"`
-	Attempt   int               `json:"attempt,omitempty"`
 	Results   json.RawMessage   `json:"results,omitempty"`
-	Error     string            `json:"error,omitempty"`
 }
 
 // cellKey identifies one (x, seed index) cell in the journal.
 type cellKey struct{ x, si int }
 
-// cellState is one cell's fold over its journal records.
-type cellState struct {
-	// results is the completed cell's payload, nil until a complete.
-	results json.RawMessage
-	// failed counts the attempts spent: abandoned or died in.
-	failed int
-	// lastErr is the most recent failed attempt's reason.
-	lastErr string
-	// open is the attempt number of a lease no record has closed yet
-	// (0 = none).
-	open int
-}
-
-// died spends the open attempt as one the process died in.
-func (c *cellState) died() {
-	c.failed++
-	c.lastErr = "the process died while running the cell"
-	c.open = 0
-}
-
-// apply folds one cell record into the state.
-func (c *cellState) apply(rec *record) {
-	switch rec.Kind {
-	case kindLease:
-		if c.open != 0 && c.open != rec.Attempt {
-			c.died()
-		}
-		c.open = rec.Attempt
-	case kindComplete:
-		c.results, c.open = rec.Results, 0
-	case kindAbandon:
-		c.failed++
-		c.lastErr = rec.Error
-		c.open = 0
-	case kindRelease:
-		c.open = 0
-	}
-}
-
 // journal is an open checkpoint journal for one sweep.
 type journal struct {
 	fp sweepFingerprint
-	// cells is the fold of the sweep's records as of opening, with the
-	// attempts a dead process left open already spent.
-	cells map[cellKey]*cellState
+	// done holds the payload of every cell the journal held completed
+	// when it was opened.
+	done map[cellKey]json.RawMessage
 
 	mu sync.Mutex
 	f  *os.File
@@ -199,7 +146,7 @@ func openJournal(dir string, fp sweepFingerprint) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	j := &journal{fp: fp, cells: map[cellKey]*cellState{}, f: f}
+	j := &journal{fp: fp, done: map[cellKey]json.RawMessage{}, f: f}
 	if err := j.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -253,12 +200,11 @@ func (j *journal) load() error {
 				return fmt.Errorf("sim: checkpoint %s: sweep %q configuration changed since the journal was written — %w; finish with the original flags or move the checkpoint aside to start over", path, j.fp.Sweep, err)
 			}
 			hasHeader = true
-		case kindLease, kindComplete, kindAbandon, kindRelease:
-			k := cellKey{rec.X, rec.SeedIndex}
-			if j.cells[k] == nil {
-				j.cells[k] = &cellState{}
-			}
-			j.cells[k].apply(&rec)
+		case kindComplete:
+			j.done[cellKey{rec.X, rec.SeedIndex}] = rec.Results
+		case "lease", "abandon", "release":
+			// An older build's bookkeeping around an attempt: only
+			// completes decide what a resume skips.
 		default:
 			return fmt.Errorf("sim: checkpoint %s:%d: unknown record kind %q (written by a newer build?); refusing to read past it", path, lineNo, rec.Kind)
 		}
@@ -268,12 +214,6 @@ func (j *journal) load() error {
 			return fmt.Errorf("sim: checkpoint %s: dropping torn final record: %w", path, err)
 		}
 	}
-	//smb:nondet-ok each cell's own state is updated in place, so iteration order cannot reach results
-	for _, c := range j.cells {
-		if c.open != 0 {
-			c.died()
-		}
-	}
 	if hasHeader {
 		return nil
 	}
@@ -281,8 +221,17 @@ func (j *journal) load() error {
 	return j.append(record{Kind: kindHeader, Header: &fp})
 }
 
-// append writes rec as one journal line, fsyncing a complete record
-// before returning so an acknowledged cell survives a crash.
+// complete journals cell (x, si) as finished with results.
+func (j *journal) complete(x, si int, results []Result) error {
+	raw, err := encodeCellResults(results)
+	if err != nil {
+		return err
+	}
+	return j.append(record{Kind: kindComplete, X: x, SeedIndex: si, Results: raw})
+}
+
+// append writes rec as one journal line and fsyncs it before
+// returning, so an acknowledged cell survives a crash.
 func (j *journal) append(rec record) error {
 	rec.V, rec.Sweep = journalV, j.fp.Sweep
 	line, err := json.Marshal(rec)
@@ -295,10 +244,8 @@ func (j *journal) append(rec record) error {
 	if n, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("sim: checkpoint %s: wrote %d of %d bytes of a %s record: %w", j.f.Name(), n, len(line), rec.Kind, err)
 	}
-	if rec.Kind == kindComplete {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("sim: checkpoint %s: fsync after complete: %w", j.f.Name(), err)
-		}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("sim: checkpoint %s: fsync after %s: %w", j.f.Name(), rec.Kind, err)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,28 +31,20 @@ func openTestJournal(t *testing.T, dir string) *journal {
 	return j
 }
 
-// write appends one cell record, failing the test on error.
-func write(t *testing.T, j *journal, kind string, x, si, attempt int, payload string) {
+// writeComplete appends a complete record for cell (x, si) whose
+// payload is the JSON string payload, failing the test on error.
+func writeComplete(t *testing.T, j *journal, x, si int, payload string) {
 	t.Helper()
-	rec := record{Kind: kind, X: x, SeedIndex: si, Attempt: attempt}
-	switch kind {
-	case kindComplete:
-		rec.Results = json.RawMessage(strconv.Quote(payload))
-	case kindAbandon:
-		rec.Error = payload
-	}
+	rec := record{Kind: kindComplete, X: x, SeedIndex: si, Results: json.RawMessage(strconv.Quote(payload))}
 	if err := j.append(rec); err != nil {
-		t.Fatalf("append %s: %v", kind, err)
+		t.Fatalf("append complete: %v", err)
 	}
 }
 
-// state returns the fold of cell (x, si), the zero state for a cell
-// with no records.
-func state(j *journal, x, si int) cellState {
-	if c := j.cells[cellKey{x, si}]; c != nil {
-		return *c
-	}
-	return cellState{}
+// done returns the payload the fold holds for cell (x, si), "" for a
+// cell with no complete record.
+func done(j *journal, x, si int) string {
+	return string(j.done[cellKey{x, si}])
 }
 
 func TestJournalLifecycle(t *testing.T) {
@@ -59,51 +52,21 @@ func TestJournalLifecycle(t *testing.T) {
 	j := openTestJournal(t, dir)
 	cells := []cellKey{{1, 0}, {1, 1}, {2, 0}}
 	for _, c := range cells {
-		if st := state(j, c.x, c.si); st.failed+1 != 1 {
-			t.Fatalf("first claim of %v is attempt %d, want 1", c, st.failed+1)
+		if got := done(j, c.x, c.si); got != "" {
+			t.Fatalf("cell %v done in a fresh journal: %s", c, got)
 		}
-		write(t, j, kindLease, c.x, c.si, 1, "")
-		write(t, j, kindComplete, c.x, c.si, 1, strconv.Itoa(c.x)+"/"+strconv.Itoa(c.si))
+		writeComplete(t, j, c.x, c.si, strconv.Itoa(c.x)+"/"+strconv.Itoa(c.si))
 	}
 	j.close()
 
 	j = openTestJournal(t, dir)
 	for _, c := range cells {
-		st := state(j, c.x, c.si)
-		if want := strconv.Quote(strconv.Itoa(c.x) + "/" + strconv.Itoa(c.si)); string(st.results) != want || st.failed != 0 {
-			t.Fatalf("cell %v: payload %s, %d failed; want %s, 0", c, st.results, st.failed, want)
+		if want := strconv.Quote(strconv.Itoa(c.x) + "/" + strconv.Itoa(c.si)); done(j, c.x, c.si) != want {
+			t.Fatalf("cell %v: payload %s, want %s", c, done(j, c.x, c.si), want)
 		}
 	}
-	if leases, completes := countRecords(t, dir, kindLease), countRecords(t, dir, kindComplete); leases != 3 || completes != 3 {
-		t.Fatalf("journal holds %d leases / %d completes, want 3/3", leases, completes)
-	}
-}
-
-func TestJournalAbandonRetryAndDegradation(t *testing.T) {
-	dir := t.TempDir()
-	const retries = 1 // two attempts in all
-	j := openTestJournal(t, dir)
-	write(t, j, kindLease, 1, 0, 1, "")
-	write(t, j, kindAbandon, 1, 0, 1, "boom 1")
-	j.close()
-
-	j = openTestJournal(t, dir)
-	st := state(j, 1, 0)
-	if st.failed+1 != 2 || st.failed > retries {
-		t.Fatalf("retry claim = attempt %d, degraded %v; want attempt 2, not degraded", st.failed+1, st.failed > retries)
-	}
-	write(t, j, kindLease, 1, 0, 2, "")
-	write(t, j, kindAbandon, 1, 0, 2, "boom 2")
-	j.close()
-
-	// Two failures against a budget of one retry: degraded.
-	j = openTestJournal(t, dir)
-	st = state(j, 1, 0)
-	if st.results != nil || st.failed <= retries {
-		t.Fatalf("cell after two abandons: completed %v, %d failed; want degraded", st.results != nil, st.failed)
-	}
-	if st.failed != 2 || st.lastErr != "boom 2" {
-		t.Fatalf("degraded = %d attempts, last error %q", st.failed, st.lastErr)
+	if lines, completes := len(journalLines(t, dir)), countRecords(t, dir, kindComplete); lines != 4 || completes != 3 {
+		t.Fatalf("journal holds %d lines, %d completes; want the header and 3 completes", lines, completes)
 	}
 }
 
@@ -121,8 +84,8 @@ func TestJournalFingerprintMismatchRefused(t *testing.T) {
 func TestJournalTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
-	write(t, j, kindLease, 1, 0, 1, "")
-	write(t, j, kindComplete, 1, 0, 1, "ok")
+	writeComplete(t, j, 1, 0, "ok")
+	writeComplete(t, j, 2, 0, "torn")
 	j.close()
 
 	// Tear the final record: a crash mid-append leaves a partial line.
@@ -135,13 +98,13 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The reopen keeps the intact lease before the tear — an attempt
-	// that never finished — and truncates the torn tail away.
+	// The reopen keeps the intact complete before the tear and
+	// truncates the torn tail away, so its cell is not done.
 	j = openTestJournal(t, dir)
-	if st := state(j, 1, 0); st.results != nil || st.failed != 1 {
-		t.Fatalf("intact lease before the tear lost: %+v", st)
+	if done(j, 1, 0) != `"ok"` || done(j, 2, 0) != "" {
+		t.Fatalf("after the tear: cell 1 %q, cell 2 %q; want \"ok\" and not done", done(j, 1, 0), done(j, 2, 0))
 	}
-	write(t, j, kindLease, 1, 0, 2, "")
+	writeComplete(t, j, 2, 0, "again")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +123,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 func TestJournalUnterminatedFinalRecordIsTorn(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
-	write(t, j, kindLease, 1, 0, 1, "")
-	write(t, j, kindComplete, 1, 0, 1, "ok")
+	writeComplete(t, j, 1, 0, "ok")
 	j.close()
 	path := filepath.Join(dir, journalFile)
 	fi, err := os.Stat(path)
@@ -172,18 +134,20 @@ func TestJournalUnterminatedFinalRecordIsTorn(t *testing.T) {
 		t.Fatal(err)
 	}
 	j = openTestJournal(t, dir)
-	if st := state(j, 1, 0); st.results != nil {
-		t.Fatalf("unterminated complete record counted: %+v", st)
+	if got := done(j, 1, 0); got != "" {
+		t.Fatalf("unterminated complete record counted: %s", got)
 	}
-	write(t, j, kindLease, 1, 0, 2, "")
+	writeComplete(t, j, 1, 0, "again")
 	j.close()
-	openTestJournal(t, dir)
+	if j = openTestJournal(t, dir); done(j, 1, 0) != `"again"` {
+		t.Fatalf("rewritten cell reads %s", done(j, 1, 0))
+	}
 }
 
 func TestJournalMidFileCorruptionIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
-	write(t, j, kindLease, 1, 0, 1, "")
+	writeComplete(t, j, 1, 0, "ok")
 	j.close()
 
 	path := filepath.Join(dir, journalFile)
@@ -195,13 +159,32 @@ func TestJournalMidFileCorruptionIsHardError(t *testing.T) {
 	if _, err := f.WriteString("{garbage\n"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"kind":"abandon","v":1,"sweep":"t","x":1,"seed_index":0,"attempt":1}` + "\n"); err != nil {
+	if _, err := f.WriteString(`{"kind":"complete","v":1,"sweep":"t","x":2,"seed_index":0,"results":"b"}` + "\n"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
 	if _, err := openJournal(dir, testFP()); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("open over mid-file corruption = %v, want corruption error", err)
+	}
+}
+
+// TestJournalRefusesUnknownKind pins the forward-compatibility guard: a
+// record kind this build does not know may change what a cell's state
+// is, so the open refuses to read past it.
+func TestJournalRefusesUnknownKind(t *testing.T) {
+	dir := t.TempDir()
+	openTestJournal(t, dir).close()
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"kind":"merge","v":1,"sweep":"t","x":1,"seed_index":0}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := openJournal(dir, testFP()); err == nil || !strings.Contains(err.Error(), `unknown record kind "merge"`) {
+		t.Fatalf("open over an unknown kind = %v, want an error naming it", err)
 	}
 }
 
@@ -232,58 +215,15 @@ func TestJournalRejectsSecondLiveWriter(t *testing.T) {
 	reopened.close()
 }
 
-// TestJournalReleaseSpendsNoAttempt pins the interrupted-run contract:
-// a released cell counts no failed attempt, and its next claim is
-// attempt 1 again.
-func TestJournalReleaseSpendsNoAttempt(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir)
-	write(t, j, kindLease, 1, 0, 1, "")
-	write(t, j, kindRelease, 1, 0, 1, "")
-	j.close()
-
-	j = openTestJournal(t, dir)
-	if st := state(j, 1, 0); st.failed != 0 || st.failed+1 != 1 || st.open != 0 {
-		t.Fatalf("after release: %d failed, next attempt %d, open %d; want 0/1/0", st.failed, st.failed+1, st.open)
-	}
-}
-
-// TestJournalReopenCountsCrashedAttempt pins the restart contract: a
-// run that dies holding a cell (close without a closing record stands
-// in for the crash) spends that attempt, so the reopen offers the cell
-// as attempt 2 while its completed cells are left alone; once attempt
-// 2 completes, later reopens count the crash exactly once.
-func TestJournalReopenCountsCrashedAttempt(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir)
-	write(t, j, kindLease, 0, 0, 1, "")
-	write(t, j, kindComplete, 0, 0, 1, "done")
-	write(t, j, kindLease, 1, 0, 1, "")
-	j.close()
-
-	j = openTestJournal(t, dir)
-	st := state(j, 1, 0)
-	if st.results != nil || st.failed != 1 || st.open != 0 || !strings.Contains(st.lastErr, "died") {
-		t.Fatalf("crashed cell after reopen: %+v, want one spent attempt, none open", st)
-	}
-	if done := state(j, 0, 0); string(done.results) != `"done"` || done.failed != 0 {
-		t.Fatalf("completed cell disturbed by the reopen: %+v", done)
-	}
-	write(t, j, kindLease, 1, 0, st.failed+1, "")
-	write(t, j, kindComplete, 1, 0, st.failed+1, "retried")
-	j.close()
-
-	j = openTestJournal(t, dir)
-	if st := state(j, 1, 0); string(st.results) != `"retried"` || st.failed != 1 {
-		t.Fatalf("retried cell: %+v, want completed with one spent attempt", st)
-	}
-}
-
-// TestJournalReadsLedgerRecords pins compatibility with journals the
-// retired multi-process ledger wrote for a -checkpoint run: the token,
-// worker and deadline_ms fields are ignored, a heartbeat's repeated
-// lease under the same attempt is one attempt, and a restart's abandon
-// and a release close their attempts as usual.
+// TestJournalReadsLedgerRecords pins compatibility with journals older
+// builds wrote: the retired multi-process ledger's records (token,
+// worker and deadline_ms fields, heartbeat leases) and the lease,
+// abandon and release records a checkpointed run wrote around every
+// attempt, including a cell that failed often enough that those builds
+// stopped running it. The fold reads only the completes, so every
+// other cell is pending; a sweep resumed over such a journal runs
+// exactly those cells, appends nothing but their completes, and
+// matches a plain run.
 func TestJournalReadsLedgerRecords(t *testing.T) {
 	dir := t.TempDir()
 	header, err := json.Marshal(record{Kind: kindHeader, V: 1, Sweep: "t", Header: &sweepFingerprint{Sweep: "t", XLabel: "k", XsHash: "abc", Seeds: 2, BaseSeed: 42, Config: "cfg"}})
@@ -298,17 +238,79 @@ func TestJournalReadsLedgerRecords(t *testing.T) {
 		`{"kind":"lease","v":1,"sweep":"t","x":2,"seed_index":0,"worker":"local","token":1,"attempt":1,"deadline_ms":1000}`,
 		`{"kind":"abandon","v":1,"sweep":"t","x":2,"seed_index":0,"worker":"local","token":1,"attempt":2,"error":"worker local restarted"}`,
 		`{"kind":"lease","v":1,"sweep":"t","x":2,"seed_index":0,"worker":"local","token":2,"attempt":2,"deadline_ms":2000}`,
-		`{"kind":"lease","v":1,"sweep":"t","x":2,"seed_index":0,"worker":"local","token":2,"attempt":2,"deadline_ms":22000}`,
 		`{"kind":"release","v":1,"sweep":"t","x":2,"seed_index":0,"worker":"local","token":2,"deadline_ms":23000}`,
+		`{"kind":"lease","v":1,"sweep":"t","x":3,"seed_index":1,"attempt":1}`,
+		`{"kind":"abandon","v":1,"sweep":"t","x":3,"seed_index":1,"attempt":1,"error":"boom"}`,
+		`{"kind":"lease","v":1,"sweep":"t","x":3,"seed_index":1,"attempt":2}`,
+		`{"kind":"complete","v":1,"sweep":"t","x":3,"seed_index":1,"attempt":2,"results":"c"}`,
+		`{"kind":"lease","v":1,"sweep":"t","x":4,"seed_index":0,"attempt":1}`,
 	}
 	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j := openTestJournal(t, dir)
-	if st := state(j, 1, 0); string(st.results) != `"a"` || st.failed != 0 {
-		t.Errorf("renewed then completed cell: %+v, want completed with no spent attempt", st)
+	want := map[cellKey]json.RawMessage{{1, 0}: json.RawMessage(`"a"`), {3, 1}: json.RawMessage(`"c"`)}
+	if !reflect.DeepEqual(j.done, want) {
+		t.Errorf("fold = %v, want only the two completes", j.done)
 	}
-	if st := state(j, 2, 0); st.results != nil || st.failed != 1 || st.open != 0 {
-		t.Errorf("abandoned then released cell: %+v, want one spent attempt, none open", st)
+	j.close()
+
+	// The same shapes around the real cells of a checkpointed sweep:
+	// the cells of x=2 complete; x=4 seed[0] died once and was retried;
+	// x=4 seed[1] was abandoned four times, which those builds never
+	// ran again; x=8 seed[2] was released by a SIGINT; the rest never
+	// started.
+	ckpt := t.TempDir()
+	if _, err := ckptSweep(ckpt).Run(); err != nil {
+		t.Fatal(err)
+	}
+	var legacy []string
+	for i, line := range journalLines(t, ckpt) {
+		var rec record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		cell := `"sweep":"test","x":` + strconv.Itoa(rec.X) + `,"seed_index":` + strconv.Itoa(rec.SeedIndex)
+		lease := func(n int) string { return `{"kind":"lease","v":1,` + cell + `,"attempt":` + strconv.Itoa(n) + `}` }
+		switch {
+		case i == 0:
+			legacy = append(legacy, line)
+		case rec.X == 2:
+			legacy = append(legacy, lease(1), line)
+		case rec.X == 4 && rec.SeedIndex == 0:
+			legacy = append(legacy, lease(1), lease(2))
+		case rec.X == 4 && rec.SeedIndex == 1:
+			for n := 1; n <= 4; n++ {
+				legacy = append(legacy, lease(n), `{"kind":"abandon","v":1,`+cell+`,"attempt":`+strconv.Itoa(n)+`,"error":"boom"}`)
+			}
+		case rec.X == 8 && rec.SeedIndex == 2:
+			legacy = append(legacy, lease(1), `{"kind":"release","v":1,`+cell+`,"attempt":1}`)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(ckpt, journalFile), []byte(strings.Join(legacy, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var builds int32
+	res, err := countBuilds(ckptSweep(ckpt), &builds).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 6 {
+		t.Errorf("resume over a legacy journal built %d cells, want the 6 with no complete", builds)
+	}
+	if !reflect.DeepEqual(res, plainResult(t)) {
+		t.Error("resume over a legacy journal differs from a plain run")
+	}
+	after := journalLines(t, ckpt)
+	if !reflect.DeepEqual(after[:len(legacy)], legacy) {
+		t.Fatal("resume rewrote the legacy records")
+	}
+	for _, line := range after[len(legacy):] {
+		if !strings.Contains(line, `"kind":"complete"`) {
+			t.Errorf("resume appended %s; only completes may be appended", line)
+		}
+	}
+	if n := len(after) - len(legacy); n != 6 {
+		t.Errorf("resume appended %d records, want 6 completes", n)
 	}
 }

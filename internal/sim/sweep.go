@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -10,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"smbm/internal/metrics"
 	"smbm/internal/obs"
@@ -35,28 +35,18 @@ type Sweep struct {
 	Build func(x int, seed int64) (Instance, error)
 	// Parallelism bounds concurrent cells (default: GOMAXPROCS).
 	Parallelism int
-	// CellTimeout bounds each (x, seed) cell's wall-clock run (0 =
-	// unbounded). A timed-out cell fails with a CellError naming the
-	// cell; the remaining cells keep running.
-	CellTimeout time.Duration
 	// ConfigDigest canonically renders everything Build bakes into a
 	// cell that the sweep struct cannot see — B, C, speedup, policy
 	// roster, trace shape. It rides in the checkpoint fingerprint so a
 	// resume after a flag change is refused instead of silently merging
 	// stale cells. Leave empty to fingerprint the sweep identity only.
 	ConfigDigest string
-	// Checkpoint, when non-empty, journals every cell attempt to
-	// Checkpoint/local.jsonl, and a re-run resumes from the journal,
-	// skipping completed and degraded cells. The journal is keyed by
-	// sweep Name, so several sweeps share one directory; one process at
-	// a time may hold it.
+	// Checkpoint, when non-empty, journals every completed cell to
+	// Checkpoint/local.jsonl, and a re-run resumes from the journal:
+	// it skips the completed cells and runs every other cell once, as
+	// a plain run does. The journal is keyed by sweep Name, so several
+	// sweeps share one directory; one process at a time may hold it.
 	Checkpoint string
-	// CellRetries is the per-cell retry budget of a checkpointed run: a
-	// failed cell is retried in place, and a cell whose failed attempts
-	// exceed the budget is reported degraded and omitted from the grid,
-	// so partial tables still render (0 = 3, negative = no retries).
-	// An attempt the process died in counts as failed.
-	CellRetries int
 	// Progress, when non-nil, is called after every cell outcome
 	// (completed or failed) with a running progress snapshot — the hook
 	// smbsim's expvar publication and per-cell trace dumping hang off.
@@ -81,8 +71,8 @@ type SweepProgress struct {
 	X, SeedIndex int
 	// Done counts cells completed by this run so far; Failed counts
 	// confined cell failures; Skipped counts cells the checkpoint
-	// journal already held completed or degraded when the run started;
-	// Total is the full grid size.
+	// journal already held completed when the run started; Total is
+	// the full grid size.
 	Done, Failed, Skipped, Total int
 	// Err is the cell's failure (a *CellError), nil when it completed.
 	Err error
@@ -92,7 +82,7 @@ type SweepProgress struct {
 }
 
 // CellError is a failure confined to one (x, seed) sweep cell: a Build
-// or Run error, a blown per-cell deadline, or a recovered panic.
+// or Run error, or a recovered panic.
 // The sweep keeps running the remaining cells and reports the failure —
 // carrying the full cell identity so the offending replication can be
 // reproduced in isolation.
@@ -153,9 +143,6 @@ type SweepResult struct {
 	// completed cell, keyed by policy name; nil unless the instances
 	// attached recorders (Sweep.Obs / Instance.Obs).
 	Obs map[string]obs.KindCounts `json:"obs,omitempty"`
-	// Warnings carries non-fatal anomalies the run noticed — a degraded
-	// cell of a checkpointed run — for the caller to surface.
-	Warnings []string `json:"warnings,omitempty"`
 }
 
 // Run executes all (x, seed) cells on a bounded worker pool and folds
@@ -195,8 +182,7 @@ func (s *Sweep) validate() error {
 }
 
 // runCell executes one (x, seed) cell, converting failures — including
-// panics in Build or in any replay and blown per-cell deadlines — into
-// a *CellError that names the cell, so one bad replication cannot kill
+// panics in Build or in any replay — into a *CellError that names the cell, so one bad replication cannot kill
 // a multi-hour run. intra is the cell's share of the sweep's worker
 // budget for fanning its replays out in parallel; a Build that sets
 // Parallelism itself wins over the split.
@@ -212,12 +198,6 @@ func (s *Sweep) runCell(ctx context.Context, xi, si, intra int) (res []Result, e
 			res, err = nil, ce
 		}
 	}()
-	cellCtx := ctx
-	if s.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		cellCtx, cancel = context.WithTimeout(ctx, s.CellTimeout)
-		defer cancel()
-	}
 	inst, err := s.Build(x, seed)
 	if err != nil {
 		return nil, fail(err)
@@ -228,11 +208,8 @@ func (s *Sweep) runCell(ctx context.Context, xi, si, intra int) (res []Result, e
 	if s.Obs != nil && inst.Obs == nil {
 		inst.Obs = s.Obs
 	}
-	res, err = inst.RunContext(cellCtx)
+	res, err = inst.RunContext(ctx)
 	if err != nil {
-		if ctx.Err() == nil && cellCtx.Err() != nil {
-			err = fmt.Errorf("cell deadline %v exceeded: %w", s.CellTimeout, err)
-		}
 		ce := fail(err)
 		var rp *replayPanic
 		if errors.As(err, &rp) {
@@ -298,19 +275,18 @@ func joinSweepErrs(ctx context.Context, cellErrs []*CellError, harness error) er
 // RunContext executes all (x, seed) cells on a bounded worker pool and
 // folds replications in deterministic order. Robustness semantics:
 //
-//   - A cell failure (Build/Run error, blown CellTimeout, or a panic in
-//     Build or any replay, at any Parallelism) is confined to that
-//     cell: the remaining cells complete and the failures come back
-//     joined in the returned error, each a *CellError naming its
-//     (x, seed) cell.
+//   - A cell failure (Build/Run error, or a panic in Build or any
+//     replay, at any Parallelism) is confined to that cell: the
+//     remaining cells complete and the failures come back joined in
+//     the returned error, each a *CellError naming its (x, seed) cell.
 //   - Canceling ctx stops dispatching new cells; cells already running
 //     abort at their next slot boundary. The completed cells are
 //     returned as a Partial SweepResult alongside ctx's error, instead
 //     of being discarded.
-//   - With Checkpoint set, cells the journal holds completed or
-//     degraded are skipped, a failed cell is retried in place up to
-//     CellRetries times, and a cell that cancellation interrupts is
-//     released without spending an attempt; see the Checkpoint field.
+//   - With Checkpoint set, cells the journal holds completed are
+//     skipped, and every cell this run completes is journaled before
+//     it counts; see the Checkpoint field. Every other cell runs once,
+//     so a failed cell fails this run and runs again on the next.
 //
 // Whenever the returned SweepResult is non-nil its Points are valid
 // aggregates of every completed cell, even when err is non-nil.
@@ -326,16 +302,8 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		}
 		defer j.close() // the success path checks the first close
 	}
-	retries := s.CellRetries
-	switch {
-	case retries == 0:
-		retries = defaultCellRetries
-	case retries < 0:
-		retries = 0
-	}
 
-	// failed counts the cell's spent attempts, journaled or this run's.
-	type cell struct{ xi, si, failed int }
+	type cell struct{ xi, si int }
 	type outcome struct {
 		cell
 		results []Result
@@ -343,45 +311,30 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	}
 
 	// The grid gives the Welford fold a deterministic order regardless
-	// of scheduling; okGrid marks which cells actually completed, and
-	// warn holds each degraded cell's warning in grid order.
+	// of scheduling; okGrid marks which cells actually completed.
 	grid := make([][][]Result, len(s.Xs))
 	okGrid := make([][]bool, len(s.Xs))
 	total := len(s.Xs) * s.Seeds
-	var warn []string
-	if j != nil {
-		warn = make([]string, total)
-	}
 	todo := make([]cell, 0, total)
-	resumed, skipped := 0, 0
+	skipped := 0
 	for xi, x := range s.Xs {
 		grid[xi] = make([][]Result, s.Seeds)
 		okGrid[xi] = make([]bool, s.Seeds)
 		for si := 0; si < s.Seeds; si++ {
-			c := cell{xi: xi, si: si}
-			var st *cellState
+			var raw json.RawMessage
 			if j != nil {
-				st = j.cells[cellKey{x, si}]
+				raw = j.done[cellKey{x, si}]
 			}
-			if st != nil {
-				switch {
-				case st.results != nil:
-					res, err := decodeCellResults(st.results)
-					if err != nil {
-						return nil, fmt.Errorf("sim: checkpoint %s: cell %s=%d seed[%d]: %w", s.Checkpoint, s.XLabel, x, si, err)
-					}
-					grid[xi][si], okGrid[xi][si] = res, true
-					resumed++
-					skipped++
-					continue
-				case st.failed > retries:
-					warn[xi*s.Seeds+si] = s.degraded(xi, si, st.failed, st.lastErr)
-					skipped++
-					continue
-				}
-				c.failed = st.failed
+			if raw == nil {
+				todo = append(todo, cell{xi, si})
+				continue
 			}
-			todo = append(todo, c)
+			res, err := decodeCellResults(raw)
+			if err != nil {
+				return nil, fmt.Errorf("sim: checkpoint %s: cell %s=%d seed[%d]: %w", s.Checkpoint, s.XLabel, x, si, err)
+			}
+			grid[xi][si], okGrid[xi][si] = res, true
+			skipped++
 		}
 	}
 	cellWorkers, intra := s.budget(len(todo))
@@ -408,24 +361,17 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			for c := range jobs {
-				for {
-					if runCtx.Err() != nil {
-						outcomes <- outcome{cell: c, err: runCtx.Err()}
-						break
-					}
-					res, err, jerr := s.attempt(runCtx, j, c.xi, c.si, c.failed+1, intra)
-					if jerr != nil {
-						abort(jerr)
-						break
-					}
-					if err != nil && !interrupted(err) {
-						c.failed++
-					}
-					outcomes <- outcome{cell: c, results: res, err: err}
-					if j == nil || err == nil || interrupted(err) || c.failed > retries {
-						break
+				o := outcome{cell: c, err: runCtx.Err()}
+				if o.err == nil {
+					o.results, o.err = s.runCell(runCtx, c.xi, c.si, intra)
+				}
+				if j != nil && o.err == nil {
+					if err := j.complete(s.Xs[c.xi], c.si, o.results); err != nil {
+						abort(err)
+						continue
 					}
 				}
+				outcomes <- o
 			}
 		}()
 	}
@@ -468,9 +414,6 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 			ce := s.cellError(o.xi, o.si, o.err)
 			cellErrs = append(cellErrs, ce)
 			failed++
-			if j != nil && o.failed > retries {
-				warn[o.xi*s.Seeds+o.si] = s.degraded(o.xi, o.si, o.failed, ce.Error())
-			}
 			notify(outcome{cell: o.cell}, ce)
 			continue
 		}
@@ -479,53 +422,12 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		notify(o, nil)
 	}
 
-	out := &SweepResult{Name: s.Name, XLabel: s.XLabel, Partial: resumed+completed < total}
-	for _, w := range warn {
-		if w != "" {
-			out.Warnings = append(out.Warnings, w)
-		}
-	}
+	out := &SweepResult{Name: s.Name, XLabel: s.XLabel, Partial: skipped+completed < total}
 	s.fold(out, grid, okGrid)
 	if j != nil && journalErr == nil {
 		journalErr = j.close()
 	}
 	return out, joinSweepErrs(ctx, cellErrs, journalErr)
-}
-
-// attempt runs cell (xi, si) once, journaling it as attempt number n
-// when j is non-nil: a lease record before the run, then a complete,
-// an abandon, or — when ctx interrupted it — a release. A journal write
-// failure comes back as jerr.
-func (s *Sweep) attempt(ctx context.Context, j *journal, xi, si, n, intra int) (res []Result, err, jerr error) {
-	if j == nil {
-		res, err = s.runCell(ctx, xi, si, intra)
-		return res, err, nil
-	}
-	rec := record{Kind: kindLease, X: s.Xs[xi], SeedIndex: si, Attempt: n}
-	if jerr = j.append(rec); jerr != nil {
-		return nil, nil, jerr
-	}
-	res, err = s.runCell(ctx, xi, si, intra)
-	switch {
-	case err == nil:
-		rec.Kind = kindComplete
-		rec.Results, jerr = encodeCellResults(res)
-	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-		rec.Kind = kindRelease
-	default:
-		rec.Kind, rec.Error = kindAbandon, s.cellError(xi, si, err).Error()
-	}
-	if jerr == nil {
-		jerr = j.append(rec)
-	}
-	return res, err, jerr
-}
-
-// degraded renders the warning for cell (xi, si), whose failed
-// attempts exhausted the retry budget.
-func (s *Sweep) degraded(xi, si, attempts int, lastErr string) string {
-	return fmt.Sprintf("checkpoint %s: cell %s=%d seed[%d] degraded after %d failed attempts: last error: %s",
-		s.Checkpoint, s.XLabel, s.Xs[xi], si, attempts, lastErr)
 }
 
 // fold aggregates the completed cells of the (Xs × Seeds) grid into

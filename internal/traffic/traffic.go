@@ -88,7 +88,7 @@ func (c MMPPConfig) Validate() error {
 		return fmt.Errorf("traffic: sources %d < 1", c.Sources)
 	case c.LambdaOn < 0 || math.IsNaN(c.LambdaOn) || math.IsInf(c.LambdaOn, 0):
 		return fmt.Errorf("traffic: bad lambda %v", c.LambdaOn)
-	case c.POnOff < 0 || c.POnOff > 1 || c.POffOn < 0 || c.POffOn > 1:
+	case !(c.POnOff >= 0 && c.POnOff <= 1) || !(c.POffOn >= 0 && c.POffOn <= 1):
 		return fmt.Errorf("traffic: transition probabilities out of [0,1]: on->off %v, off->on %v", c.POnOff, c.POffOn)
 	case c.Ports < 1:
 		return fmt.Errorf("traffic: ports %d < 1", c.Ports)

@@ -41,6 +41,10 @@ func TestMMPPConfigValidate(t *testing.T) {
 		{"NaN lambda", mutate(func(c *MMPPConfig) { c.LambdaOn = math.NaN() }), true},
 		{"bad p on-off", mutate(func(c *MMPPConfig) { c.POnOff = 1.5 }), true},
 		{"bad p off-on", mutate(func(c *MMPPConfig) { c.POffOn = -0.1 }), true},
+		{"NaN p on-off", mutate(func(c *MMPPConfig) { c.POnOff = math.NaN() }), true},
+		{"NaN p off-on", mutate(func(c *MMPPConfig) { c.POffOn = math.NaN() }), true},
+		{"+Inf p on-off", mutate(func(c *MMPPConfig) { c.POnOff = math.Inf(1) }), true},
+		{"-Inf p off-on", mutate(func(c *MMPPConfig) { c.POffOn = math.Inf(-1) }), true},
 		{"zero ports", mutate(func(c *MMPPConfig) { c.Ports = 0 }), true},
 		{"zero max label", mutate(func(c *MMPPConfig) { c.MaxLabel = 0 }), true},
 		{"bad label mode", mutate(func(c *MMPPConfig) { c.Label = 0 }), true},
