@@ -148,7 +148,7 @@ func TestChaosConvergesBitIdentical(t *testing.T) {
 	journal := filepath.Join(ckpt, "local.jsonl")
 	args := sweepArgs("-checkpoint", ckpt)
 	for kill := 1; kill <= chaosKills; kill++ {
-		// Once the new process has journaled a cell, other cells are in
+		// Once the new process has journaled a cell, the next one is in
 		// flight; the kill waits a seeded delay after that.
 		start := completes(journal)
 		var grown time.Time

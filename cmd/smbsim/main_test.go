@@ -37,11 +37,13 @@ type buildError struct {
 
 func (e *buildError) Error() string { return e.err.Error() + "\n" + string(e.out) }
 
-// sweepArgs is the shared shape of the interrupted and oracle runs:
-// big enough (~0.3s per cell, 14 cells) that SIGINT reliably lands
-// mid-sweep, small enough to keep the test under a few seconds.
+// sweepArgs is the shared shape of the interrupted and oracle runs: 14
+// cells run one at a time, about 75 ms each on a 2-vCPU VM. The first
+// cell is journaled about 40 ms after the start and the sweep runs about
+// 1 s longer, 40 times the 25 ms journal poll, so SIGINT reliably lands
+// mid-sweep; the test still finishes in a few seconds.
 func sweepArgs(extra ...string) []string {
-	args := []string{"-experiment", "fig5.1", "-slots", "15000", "-seeds", "2", "-workers", "2", "-csv"}
+	args := []string{"-experiment", "fig5.1", "-slots", "15000", "-seeds", "2", "-workers", "1", "-csv"}
 	return append(args, extra...)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"smbm/internal/core"
+	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/traffic"
 )
@@ -21,7 +22,7 @@ type Report struct {
 
 // checker holds the lockstep simulation and the Fig. 3 mapping.
 type checker struct {
-	lwd, opt *shadow
+	lwd, opt *side
 
 	// a0/a1 map a live OPT packet id to its LWD image id; a0img/a1img
 	// are the inverses (per mode, each LWD packet holds at most one).
@@ -56,29 +57,34 @@ type checker struct {
 // otherwise; the A1-capacity existence claims are then re-checked
 // empirically on every event.
 func Run(cfg core.Config, opponent core.Policy, trace traffic.Trace) (Report, error) {
-	return run(cfg, opponent, trace, false)
+	return run(cfg, policy.LWD{}, opponent, trace, false)
 }
 
 // RunLiteral executes the mapping routine exactly as written in Fig. 3
 // of the paper. It fails on instances exercising the A3 corner; the
 // tests pin a minimal witness.
 func RunLiteral(cfg core.Config, opponent core.Policy, trace traffic.Trace) (Report, error) {
-	return run(cfg, opponent, trace, true)
+	return run(cfg, policy.LWD{}, opponent, trace, true)
 }
 
-func run(cfg core.Config, opponent core.Policy, trace traffic.Trace, literal bool) (Report, error) {
-	if err := cfg.Validate(); err != nil {
+// run checks the mapping with alg in LWD's place: Run and RunLiteral
+// pass LWD itself, and the negative-control test passes a policy the
+// mapping must fail for.
+func run(cfg core.Config, alg, opponent core.Policy, trace traffic.Trace, literal bool) (Report, error) {
+	lwd, err := newSide(cfg, alg)
+	if err != nil {
 		return Report{}, err
 	}
 	if cfg.Model != core.ModelProcessing || cfg.Speedup != 1 {
 		return Report{}, fmt.Errorf("mapcheck: the proof's model is processing with unit speedup")
 	}
-	if cfg.PortWork == nil {
-		cfg.PortWork = core.UniformWorks(cfg.Ports, 1)
+	opt, err := newSide(cfg, opponent)
+	if err != nil {
+		return Report{}, err
 	}
 	c := &checker{
-		lwd:            newShadow(cfg, policy.LWD{}),
-		opt:            newShadow(cfg, opponent),
+		lwd:            lwd,
+		opt:            opt,
 		a0:             map[int]int{},
 		a1:             map[int]int{},
 		a0img:          map[int]int{},
@@ -89,7 +95,7 @@ func run(cfg core.Config, opponent core.Policy, trace traffic.Trace, literal boo
 	}
 	for _, burst := range trace {
 		for _, p := range burst {
-			if err := c.arrival(p.Port); err != nil {
+			if err := c.arrival(p); err != nil {
 				return c.report, err
 			}
 		}
@@ -97,7 +103,7 @@ func run(cfg core.Config, opponent core.Policy, trace traffic.Trace, literal boo
 			return c.report, err
 		}
 	}
-	for c.lwd.occ > 0 || c.opt.occ > 0 {
+	for c.lwd.sw.Occupancy() > 0 || c.opt.sw.Occupancy() > 0 {
 		if err := c.transmission(); err != nil {
 			return c.report, err
 		}
@@ -127,11 +133,11 @@ func (c *checker) eligible(optID int) bool {
 }
 
 // eligibleInQueue returns queue j's eligible OPT packets in FIFO order.
-func (c *checker) eligibleInQueue(j int) []packet {
-	var out []packet
-	for _, p := range c.opt.queues[j] {
-		if c.eligible(p.id) {
-			out = append(out, p)
+func (c *checker) eligibleInQueue(j int) []int {
+	var out []int
+	for _, id := range c.opt.ids[j] {
+		if c.eligible(id) {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -157,13 +163,13 @@ func (c *checker) assignA1(optID int, why string) error {
 		return fmt.Errorf("mapcheck: %s: OPT packet %d not buffered", why, optID)
 	}
 	best, bestLat := -1, -1
-	for j := range c.lwd.queues {
-		for idx, q := range c.lwd.queues[j] {
-			if _, taken := c.a1img[q.id]; taken {
+	for j, q := range c.lwd.ids {
+		for idx, id := range q {
+			if _, taken := c.a1img[id]; taken {
 				continue
 			}
 			if lat := c.lwd.latency(j, idx); lat <= optLat && lat > bestLat {
-				best, bestLat = q.id, lat
+				best, bestLat = id, lat
 			}
 		}
 	}
@@ -179,20 +185,19 @@ func (c *checker) assignA1(optID int, why string) error {
 // arrival processes one packet arriving to both systems: the LWD side
 // first (push-out bookkeeping A2, the A3 release), then the OPT side
 // (A0/A1 mapping), then the full invariant.
-func (c *checker) arrival(port int) error {
-	work := c.lwd.cfg.PortWork[port]
+func (c *checker) arrival(p pkt.Packet) error {
+	port := p.Port
 
 	// --- LWD side ---
-	lp := packet{id: c.nextID, port: port, arrived: c.lwd.slot}
+	lp := c.nextID
 	c.nextID++
-	lres, err := c.lwd.admit(lp, work)
+	accepted, ev, err := c.lwd.arrive(p, lp)
 	if err != nil {
 		return err
 	}
 	var orphans []int
-	if lres.evicted != nil {
+	if ev >= 0 {
 		// A2: collect the evicted packet's images for remapping.
-		ev := lres.evicted.id
 		if r, ok := c.a0img[ev]; ok {
 			delete(c.a0img, ev)
 			delete(c.a0, r)
@@ -204,31 +209,31 @@ func (c *checker) arrival(port int) error {
 			orphans = append(orphans, r)
 		}
 	}
-	if lres.accepted {
+	if accepted {
 		// A3: the new LWD packet sits at raw position l of Q_port; if
 		// OPT's queue holds an l-th eligible packet it was necessarily
 		// A1-mapped (no positional counterpart existed) — upgrade it
 		// to a positional A0 mapping.
-		l := lres.queuePos
+		l := len(c.lwd.ids[port])
 		elig := c.eligibleInQueue(port)
 		if len(elig) >= l {
-			p := elig[l-1]
-			_, wasA0 := c.a0[p.id]
+			o := elig[l-1]
+			_, wasA0 := c.a0[o]
 			if c.literal && wasA0 {
 				return fmt.Errorf("mapcheck: A3: OPT packet %d at eligible position %d of queue %d already A0-mapped",
-					p.id, l, port)
+					o, l, port)
 			}
 			upgrade := !wasA0
 			if !c.literal && upgrade {
 				// Repaired A3: only upgrade when the latency constraint
 				// holds for the new pair; the existing A1 mapping
 				// remains valid otherwise.
-				upgrade = c.opt.latencyOf(p.id) >= c.lwd.latencyOf(lp.id)
+				upgrade = c.opt.latencyOf(o) >= c.lwd.latencyOf(lp)
 			}
 			if upgrade {
-				c.clearMapping(p.id)
-				c.a0[p.id] = lp.id
-				c.a0img[lp.id] = p.id
+				c.clearMapping(o)
+				c.a0[o] = lp
+				c.a0img[lp] = o
 			}
 		}
 	}
@@ -239,43 +244,43 @@ func (c *checker) arrival(port int) error {
 	}
 
 	// --- OPT side ---
-	op := packet{id: c.nextID, port: port, arrived: c.opt.slot}
+	op := c.nextID
 	c.nextID++
-	ores, err := c.opt.admit(op, work)
+	accepted, ev, err = c.opt.arrive(p, op)
 	if err != nil {
 		return err
 	}
-	if ores.evicted != nil {
+	if ev >= 0 {
 		return fmt.Errorf("mapcheck: opponent %s pushed out a packet; the proof assumes a non-push-out OPT",
-			c.opt.pol.Name())
+			c.opt.sw.Name())
 	}
-	if ores.accepted {
+	if accepted {
 		// A0: p lands at eligible position l of Q_port^OPT (it counts
 		// itself: it is about to be mapped, and eligibleInQueue skips
 		// it only because the mapping does not exist yet); map to the
 		// LWD packet at raw position l if it exists, else A1.
 		l := len(c.eligibleInQueue(port)) + 1
 		mapped := false
-		if len(c.lwd.queues[port]) >= l {
-			q := c.lwd.queues[port][l-1]
-			_, taken := c.a0img[q.id]
+		if len(c.lwd.ids[port]) >= l {
+			q := c.lwd.ids[port][l-1]
+			_, taken := c.a0img[q]
 			if c.literal && taken {
-				return fmt.Errorf("mapcheck: A0: LWD packet %d already carries an A0 image", q.id)
+				return fmt.Errorf("mapcheck: A0: LWD packet %d already carries an A0 image", q)
 			}
 			ok := !taken
 			if !c.literal && ok {
 				// Repaired A0: positional mapping only when the latency
 				// constraint holds, else fall through to A1.
-				ok = c.opt.latency(port, len(c.opt.queues[port])-1) >= c.lwd.latency(port, l-1)
+				ok = c.opt.latency(port, len(c.opt.ids[port])-1) >= c.lwd.latency(port, l-1)
 			}
 			if ok {
-				c.a0[op.id] = q.id
-				c.a0img[q.id] = op.id
+				c.a0[op] = q
+				c.a0img[q] = op
 				mapped = true
 			}
 		}
 		if !mapped {
-			if err := c.assignA1(op.id, "A1 accept"); err != nil {
+			if err := c.assignA1(op, "A1 accept"); err != nil {
 				return err
 			}
 		}
@@ -288,24 +293,19 @@ func (c *checker) arrival(port int) error {
 // transmission processes one transmission phase: LWD's ports first, then
 // OPT's (the proof's event order), checking T0 at each OPT completion.
 func (c *checker) transmission() error {
-	for j := 0; j < c.lwd.cfg.Ports; j++ {
-		if tx := c.lwd.serve(j); tx != nil {
-			c.lwdTransmitted[tx.id] = true
-			c.report.LwdSent++
-		}
-	}
-	for j := 0; j < c.opt.cfg.Ports; j++ {
-		tx := c.opt.serve(j)
-		if tx == nil {
-			continue
-		}
-		img, mode, ok := c.imageOf(tx.id)
+	c.lwd.transmit(func(id int) error {
+		c.lwdTransmitted[id] = true
+		c.report.LwdSent++
+		return nil
+	})
+	err := c.opt.transmit(func(id int) error {
+		img, mode, ok := c.imageOf(id)
 		if !ok {
-			return fmt.Errorf("mapcheck: OPT transmitted unmapped packet %d", tx.id)
+			return fmt.Errorf("mapcheck: OPT transmitted unmapped packet %d", id)
 		}
 		if !c.lwdTransmitted[img] {
 			return fmt.Errorf("mapcheck: T0 violated: OPT transmitted eligible packet %d (image %d via %s still buffered)",
-				tx.id, img, mode)
+				id, img, mode)
 		}
 		c.charges[img]++
 		if c.charges[img] > 2 {
@@ -314,11 +314,13 @@ func (c *checker) transmission() error {
 		if c.charges[img] > c.report.MaxCharge {
 			c.report.MaxCharge = c.charges[img]
 		}
-		c.clearMapping(tx.id)
+		c.clearMapping(id)
 		c.report.OptSent++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	c.lwd.slot++
-	c.opt.slot++
 	c.report.Events++
 	return c.verify("after transmission")
 }
@@ -327,15 +329,15 @@ func (c *checker) transmission() error {
 func (c *checker) verify(when string) error {
 	seenA0 := map[int]bool{}
 	seenA1 := map[int]bool{}
-	for j := range c.opt.queues {
-		for idx, p := range c.opt.queues[j] {
-			img, mode, ok := c.imageOf(p.id)
+	for j, q := range c.opt.ids {
+		for idx, id := range q {
+			img, mode, ok := c.imageOf(id)
 			if !ok {
-				return fmt.Errorf("mapcheck: %s: OPT packet %d (queue %d) unmapped", when, p.id, j)
+				return fmt.Errorf("mapcheck: %s: OPT packet %d (queue %d) unmapped", when, id, j)
 			}
-			if _, both := c.a0[p.id]; both {
-				if _, alsoA1 := c.a1[p.id]; alsoA1 {
-					return fmt.Errorf("mapcheck: %s: OPT packet %d mapped by both A0 and A1", when, p.id)
+			if _, both := c.a0[id]; both {
+				if _, alsoA1 := c.a1[id]; alsoA1 {
+					return fmt.Errorf("mapcheck: %s: OPT packet %d mapped by both A0 and A1", when, id)
 				}
 			}
 			if c.lwdTransmitted[img] {
@@ -344,11 +346,11 @@ func (c *checker) verify(when string) error {
 			lwdLat := c.lwd.latencyOf(img)
 			if lwdLat < 0 {
 				return fmt.Errorf("mapcheck: %s: image %d of OPT packet %d is neither buffered nor transmitted",
-					when, img, p.id)
+					when, img, id)
 			}
 			if optLat := c.opt.latency(j, idx); optLat < lwdLat {
 				return fmt.Errorf("mapcheck: %s: latency constraint violated: OPT packet %d lat %d < image %d (%s) lat %d",
-					when, p.id, optLat, img, mode, lwdLat)
+					when, id, optLat, img, mode, lwdLat)
 			}
 			switch mode {
 			case "A0":

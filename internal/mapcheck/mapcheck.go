@@ -18,7 +18,8 @@
 //
 // The checker follows the proof's model exactly: unit speedup, packets
 // processed one cycle per slot, LWD's ports served before OPT's within
-// a transmission phase.
+// a transmission phase. Both systems are core.Switch engines, the same
+// ones every experiment runs; the checker only tracks packet identities.
 package mapcheck
 
 import (
@@ -28,162 +29,88 @@ import (
 	"smbm/internal/pkt"
 )
 
-// packet is one identified packet inside a shadow switch.
-type packet struct {
-	id      int
-	port    int
-	arrived int64
+// side is one system of the mapping: an engine and the ids of the
+// packets it buffers, per port in FIFO order. The engine makes every
+// decision; the id lists follow its queue lengths.
+type side struct {
+	sw  *core.Switch
+	ids [][]int
 }
 
-// shadow is a minimal shared-memory switch with per-packet identity.
-// It re-implements the core engine's processing-model semantics (which
-// the core package's tests pin down) because the mapping needs stable
-// packet IDs, positions and per-packet latencies.
-type shadow struct {
-	cfg    core.Config
-	pol    core.Policy
-	queues [][]packet
-	hol    []int // residual work of each queue's head packet
-	occ    int
-	slot   int64
-}
-
-func newShadow(cfg core.Config, pol core.Policy) *shadow {
-	return &shadow{
-		cfg:    cfg,
-		pol:    pol,
-		queues: make([][]packet, cfg.Ports),
-		hol:    make([]int, cfg.Ports),
+func newSide(cfg core.Config, pol core.Policy) (*side, error) {
+	sw, err := core.New(cfg, pol)
+	if err != nil {
+		return nil, err
 	}
+	return &side{sw: sw, ids: make([][]int, cfg.Ports)}, nil
 }
 
-// --- core.View implementation over the shadow state ---
-
-// Model reports the processing model (mapcheck verifies Section III).
-func (s *shadow) Model() core.Model { return core.ModelProcessing }
-
-// Ports returns the port count.
-func (s *shadow) Ports() int { return s.cfg.Ports }
-
-// Buffer returns the shared buffer size.
-func (s *shadow) Buffer() int { return s.cfg.Buffer }
-
-// MaxLabel returns the largest work label k.
-func (s *shadow) MaxLabel() int { return s.cfg.MaxLabel }
-
-// Occupancy returns the buffered packet count.
-func (s *shadow) Occupancy() int { return s.occ }
-
-// Free returns the remaining buffer space.
-func (s *shadow) Free() int { return s.cfg.Buffer - s.occ }
-
-// QueueLen returns queue i's packet count.
-func (s *shadow) QueueLen(i int) int { return len(s.queues[i]) }
-
-// PortWork returns port i's per-packet work.
-func (s *shadow) PortWork(i int) int { return s.cfg.PortWork[i] }
-
-// QueueWork returns the residual work buffered for port i.
-func (s *shadow) QueueWork(i int) int {
-	n := len(s.queues[i])
-	if n == 0 {
-		return 0
+// arrive offers p, identified by id, to the engine, which refuses a
+// malformed packet before it decides; the error names the slot. It
+// reports whether the engine accepted p and the id of the packet a
+// push-out evicted (-1 if none). A push-out evicts the victim queue's
+// tail, which is the queue whose id list outgrew its length once p's own
+// admission is counted.
+func (s *side) arrive(p pkt.Packet, id int) (accepted bool, evicted int, err error) {
+	before := s.sw.Stats()
+	if err := s.sw.Arrive(p); err != nil {
+		return false, -1, fmt.Errorf("mapcheck: %s at slot %d: %w", s.sw.Name(), s.sw.Slot(), err)
 	}
-	return (n-1)*s.cfg.PortWork[i] + s.hol[i]
-}
-
-// QueueMinValue returns the minimum buffered value in queue i (unit in
-// the processing model).
-func (s *shadow) QueueMinValue(i int) int {
-	if len(s.queues[i]) == 0 {
-		return 0
+	after := s.sw.Stats()
+	evicted = -1
+	if after.PushedOut > before.PushedOut {
+		for j, q := range s.ids {
+			n := s.sw.QueueLen(j)
+			if j == p.Port {
+				n-- // a push-out always admits p
+			}
+			if len(q) > n {
+				evicted = q[len(q)-1]
+				s.ids[j] = q[:len(q)-1]
+				break
+			}
+		}
 	}
-	return 1
+	accepted = after.Accepted > before.Accepted
+	if accepted {
+		s.ids[p.Port] = append(s.ids[p.Port], id)
+	}
+	return accepted, evicted, nil
 }
 
-// QueueMaxValue returns the maximum buffered value in queue i.
-func (s *shadow) QueueMaxValue(i int) int { return s.QueueMinValue(i) }
+// transmit runs one transmission phase and calls sent with the id of
+// each packet it completed, in port order, stopping at sent's first
+// error. At unit speedup a port completes at most its head-of-line
+// packet per slot.
+func (s *side) transmit(sent func(id int) error) error {
+	s.sw.Transmit()
+	for j, q := range s.ids {
+		if len(q) > s.sw.QueueLen(j) {
+			s.ids[j] = q[1:]
+			if err := sent(q[0]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
-// QueueValueSum returns the summed value buffered in queue i.
-func (s *shadow) QueueValueSum(i int) int64 { return int64(len(s.queues[i])) }
-
-var _ core.View = (*shadow)(nil)
-
-// latency returns the slots until the packet at raw position idx of
-// queue j transmits, absent future push-outs (unit speedup).
-func (s *shadow) latency(j, idx int) int {
-	return s.hol[j] + idx*s.cfg.PortWork[j]
+// latency returns the slots until the packet at position idx of queue j
+// transmits, absent future push-outs (unit speedup): the queue's
+// residual work less the work queued behind the packet.
+func (s *side) latency(j, idx int) int {
+	return s.sw.QueueWork(j) - (s.sw.QueueLen(j)-1-idx)*s.sw.PortWork(j)
 }
 
 // latencyOf locates a packet by id and returns its latency, or -1 if it
 // is no longer buffered.
-func (s *shadow) latencyOf(id int) int {
-	for j := range s.queues {
-		for idx, p := range s.queues[j] {
-			if p.id == id {
+func (s *side) latencyOf(id int) int {
+	for j, q := range s.ids {
+		for idx, qid := range q {
+			if qid == id {
 				return s.latency(j, idx)
 			}
 		}
 	}
 	return -1
-}
-
-// admit runs the policy on one arrival and applies the decision,
-// returning what happened.
-type admitResult struct {
-	accepted bool
-	evicted  *packet // non-nil if a push-out occurred
-	queuePos int     // raw 1-based position of the accepted packet
-}
-
-func (s *shadow) admit(p packet, work int) (admitResult, error) {
-	d := s.pol.Admit(s, pkt.NewWork(p.port, work))
-	if !d.Accept {
-		return admitResult{}, nil
-	}
-	var res admitResult
-	res.accepted = true
-	if d.Push {
-		v := d.Victim
-		q := s.queues[v]
-		if len(q) == 0 {
-			return res, fmt.Errorf("mapcheck: %s evicts from empty queue %d", s.pol.Name(), v)
-		}
-		ev := q[len(q)-1]
-		s.queues[v] = q[:len(q)-1]
-		if len(s.queues[v]) == 0 {
-			s.hol[v] = 0
-		}
-		s.occ--
-		res.evicted = &ev
-	}
-	if s.occ >= s.cfg.Buffer {
-		return res, fmt.Errorf("mapcheck: %s accepted into a full buffer", s.pol.Name())
-	}
-	s.queues[p.port] = append(s.queues[p.port], p)
-	if len(s.queues[p.port]) == 1 {
-		s.hol[p.port] = s.cfg.PortWork[p.port]
-	}
-	s.occ++
-	res.queuePos = len(s.queues[p.port])
-	return res, nil
-}
-
-// serve applies one processing cycle to queue j's head; it returns the
-// transmitted packet, if any.
-func (s *shadow) serve(j int) *packet {
-	if len(s.queues[j]) == 0 {
-		return nil
-	}
-	s.hol[j]--
-	if s.hol[j] > 0 {
-		return nil
-	}
-	done := s.queues[j][0]
-	s.queues[j] = s.queues[j][1:]
-	s.occ--
-	if len(s.queues[j]) > 0 {
-		s.hol[j] = s.cfg.PortWork[j]
-	}
-	return &done
 }
