@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint init-check chaos bench-daemon bench panels lowerbounds arch obs-demo report report-check examples loc clean
+.PHONY: all build test test-race run-lists stress stream-smoke benchsuite-test vet lint init-check chaos bench-daemon bench-sweep bench panels lowerbounds arch obs-demo report report-check examples loc clean
 
 all: build vet lint test test-race
 
@@ -105,6 +105,13 @@ benchsuite-test:
 bench-daemon:
 	bash benchsuite/run.sh --workload daemon-stream,daemon-short --trace 0
 	@echo "results: $(CURDIR)/.bench_build/results/daemon-stream+daemon-short-seed1-trace0.json"
+
+# Sweep benchmark: the two sweep workloads of benchsuite/ (sweep-proc,
+# sweep-value) with end-to-end metrics only, built from this checkout.
+# Compare two checkouts the same way as bench-daemon.
+bench-sweep:
+	bash benchsuite/run.sh --workload sweep-proc,sweep-value --trace 0
+	@echo "results: $(CURDIR)/.bench_build/results/sweep-proc+sweep-value-seed1-trace0.json"
 
 # Crash-chaos harness for -checkpoint: SIGKILL a real smbsim process
 # mid-cell, tear its journal inside the final record, resume, and

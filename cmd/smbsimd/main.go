@@ -156,6 +156,12 @@ func main() {
 	if *ringCap < 0 {
 		fail(fmt.Errorf("-ring %d is negative", *ringCap))
 	}
+	// parseWorks sizes the work table by -ports, so refuse a port count
+	// it cannot size before core.Config.Validate gets to see it. With
+	// -ports positive, -works contiguous's ports == k check covers -k.
+	if *ports <= 0 {
+		fail(fmt.Errorf("-ports %d is not positive", *ports))
+	}
 	pw, err := parseWorks(*works, *ports, *maxLabel)
 	if err != nil {
 		fail(err)

@@ -234,6 +234,8 @@ func TestDaemonRefusesBadFlags(t *testing.T) {
 		{[]string{"-model", "combined"}, []string{`"combined"`, "proc", "value"}},
 		{[]string{"-ring", "-5"}, []string{"-ring -5"}},
 		{[]string{"-ring", fmt.Sprint(math.MaxInt)}, []string{"ring capacity"}},
+		{[]string{"-ports", "-1", "-works", "uniform:1"}, []string{"-ports -1"}},
+		{[]string{"-ports", "-2", "-k", "-2", "-works", "contiguous"}, []string{"-ports -2"}},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		cmd := exec.CommandContext(ctx, bin, append(c.flags, "-listen", "tcp:127.0.0.1:0")...)

@@ -17,6 +17,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"smbm/internal/core"
@@ -124,18 +125,20 @@ func (c Construction) Run() (Outcome, error) {
 // Provider — with the throughput snapshot taken at the warm-up
 // boundary.
 func (c Construction) measure(p core.Policy) (int64, error) {
+	slots, err := c.slots()
+	if err != nil {
+		return 0, err
+	}
 	sw, err := core.New(c.Cfg, p)
 	if err != nil {
 		return 0, fmt.Errorf("adversary %s: %w", c.ID, err)
 	}
-	prov := traffic.Repeat{Round: c.Round, Rounds: c.Warmup + c.Rounds}
-	cur, err := prov.Open()
+	cur, err := traffic.Repeat{Round: c.Round, Rounds: c.Warmup + c.Rounds}.Open()
 	if err != nil {
 		return 0, fmt.Errorf("adversary %s: %w", c.ID, err)
 	}
 	defer cur.Close()
 	warm := c.Warmup * len(c.Round)
-	slots := prov.Slots()
 	var before int64
 	took := false
 	for t := 0; t < slots; t++ {
@@ -154,6 +157,17 @@ func (c Construction) measure(p core.Policy) (int64, error) {
 		before = sw.Stats().Throughput(c.Cfg.Model)
 	}
 	return sw.Stats().Throughput(c.Cfg.Model) - before, nil
+}
+
+// slots returns the stream length, (Warmup+Rounds)·len(Round), and
+// refuses one that does not fit an int: wrapped, it would run no slot
+// and report a row of zeros.
+func (c Construction) slots() (int, error) {
+	n := len(c.Round)
+	if c.Rounds > math.MaxInt-c.Warmup || n > 0 && c.Warmup+c.Rounds > math.MaxInt/n {
+		return 0, fmt.Errorf("adversary %s: warmup %d + rounds %d, at %d slots a round, overflow an int", c.ID, c.Warmup, c.Rounds, n)
+	}
+	return (c.Warmup + c.Rounds) * n, nil
 }
 
 // Params tunes a construction. Zero fields take per-theorem defaults;

@@ -139,6 +139,34 @@ func TestNegativeParamsRefused(t *testing.T) {
 	}
 }
 
+// TestOverflowingRoundsRefused: a round count whose slot count
+// (Warmup+Rounds)·len(Round) does not fit an int is an error naming
+// rounds and warmup, in every construction. Without the check the
+// count wrapped below zero, no slot ran, and the row read all zeros.
+func TestOverflowingRoundsRefused(t *testing.T) {
+	ids := []string{"thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "thm9", "thm10", "thm11"}
+	for _, id := range ids {
+		base, err := ByID(id, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Params{
+			{Rounds: math.MaxInt},
+			{Warmup: math.MaxInt},
+			// The sum fits; the product with the round length does not.
+			{Rounds: math.MaxInt / len(base.Round), Warmup: 1},
+		} {
+			c, err := ByID(id, p)
+			if err == nil {
+				_, err = c.Run()
+			}
+			if err == nil || !strings.Contains(err.Error(), "rounds ") || !strings.Contains(err.Error(), "warmup ") {
+				t.Errorf("%s with %+v: err = %v, want one naming rounds and warmup", id, p, err)
+			}
+		}
+	}
+}
+
 // TestTheorem4GrowsWithK: the LQD gap must grow roughly like √k — check
 // monotonicity over a small ladder (the shape reproduction for the bound
 // table).

@@ -11,16 +11,15 @@ import (
 // whole slot's arrival burst through a Batch executor instead of one
 // Admit call per packet. A batch kernel sees the burst up front, so it
 // can hoist threshold computations, reuse argmax results across a
-// burst prefix, summarize a push-out victim ordering once per switch
-// state (a drop mutates nothing, so the summary stays valid until the
-// next accept or push-out), and memoize threshold drop decisions (see
-// Batch.KnownDrop) — the per-burst evaluation the per-packet interface
-// cannot express.
+// burst prefix, and summarize a push-out victim ordering once per
+// switch state (a drop mutates nothing, so the summary stays valid
+// until the next accept or push-out) — the per-burst evaluation the
+// per-packet interface cannot express.
 //
 // The contract is bit-identity: AdmitBatch must execute exactly the
 // decision sequence the policy's Admit would produce packet by packet,
 // in arrival order, calling exactly one executor op (Accept, Drop,
-// DropMemo, DropAll or PushOut) per packet. The differential and fuzz
+// DropAll or PushOut) per packet. The differential and fuzz
 // suites enforce this for every roster policy against the same policy
 // with its kernel hidden, which the engine drives through one Admit
 // call per packet. A kernel cannot route back into Admit: the
@@ -61,9 +60,6 @@ func (s *Switch) ArriveBatch(ps []pkt.Packet) error {
 			return &BurstError{Index: i, Err: chk.reject(ps[i])}
 		}
 	}
-	// The transmission phase since the previous burst mutated the
-	// queues, so no earlier drop-memo stamp may validate.
-	s.memoEpoch++
 	b := &s.batch
 	b.idx, b.err, b.errIdx = 0, nil, 0
 	if s.batchPol != nil {
@@ -83,7 +79,7 @@ func (s *Switch) ArriveBatch(ps []pkt.Packet) error {
 }
 
 // Batch executes one burst's admission decisions against the switch.
-// Exactly one op — Accept, Drop, DropMemo, DropAll or PushOut — must
+// Exactly one op — Accept, Drop, DropAll or PushOut — must
 // be called per packet, in arrival order. Errors are sticky: after a
 // failed op every further op is a no-op, Err reports the failure, and
 // ArriveBatch reports the decided prefix as applied. A Batch is only
@@ -163,45 +159,6 @@ func (b *Batch) DropAll(ps []pkt.Packet) {
 	}
 }
 
-// DropMemo is Drop plus memoization: it stamps (port, value) in the
-// engine's drop-memo table so KnownDrop short-circuits an identical
-// later arrival, as long as no state mutation intervened.
-//
-//smb:hotpath
-func (b *Batch) DropMemo(p pkt.Packet) {
-	if b.err != nil {
-		return
-	}
-	s := b.s
-	s.memoStamp[p.Port*s.memoStride+p.Value] = s.memoEpoch
-	b.Drop(p)
-}
-
-// KnownDrop reports whether an identical packet was dropped via
-// DropMemo with no state mutation since. Kernels whose admission
-// predicate is an O(n) scan (the NHDT family) use it; push-out kernels
-// instead hold a per-state summary, which already makes a repeated
-// drop O(1). The memo is sound because
-// policies are pure functions of (View, Packet), a packet is fully
-// determined by (port, value) given the switch configuration (work is
-// per-port), and the memo epoch advances on every accept and push-out
-// and at the start of every burst (covering the transmission phase in
-// between): a stamped drop therefore replays the exact same policy
-// evaluation.
-//
-// The epoch is monotone over the switch's whole lifetime — Reset and
-// SetPolicy leave it in place and the next burst advances past it, so
-// a stamp from before a reset or policy swap can never validate — and
-// its int64 width makes wraparound (the other way a stale stamp could
-// alias a live epoch) infeasible even for an unbounded daemon; see the
-// field docs in switch.go.
-//
-//smb:hotpath
-func (b *Batch) KnownDrop(p pkt.Packet) bool {
-	s := b.s
-	return s.memoStamp[p.Port*s.memoStride+p.Value] == s.memoEpoch
-}
-
 // PushOut evicts one packet from queue victim (the FIFO tail in the
 // processing model, the minimum value in the value model) and admits p in its place. The victim and the buffer bound
 // are checked before the eviction, so a violating decision mutates
@@ -234,8 +191,8 @@ func (b *Batch) PushOut(victim int, p pkt.Packet) {
 }
 
 // admit inserts the next packet, already cleared for admission: the
-// arrival and acceptance counters move, the admit event records, the
-// occupancy high-water mark updates and the memo epoch advances.
+// arrival and acceptance counters move, the admit event records and
+// the occupancy high-water mark updates.
 //
 //smb:hotpath
 func (b *Batch) admit(p pkt.Packet) {
@@ -251,7 +208,6 @@ func (b *Batch) admit(p pkt.Packet) {
 		s.rec.Trace(s.slot, p.Port, obs.KindAdmit, p.Work, p.Value)
 	}
 	s.stats.observeOccupancy(s.occ)
-	s.memoEpoch++
 	b.idx++
 	if s.cfg.CheckInvariants {
 		b.checkInvariants()

@@ -89,25 +89,12 @@ type Switch struct {
 
 	// Arrival phase state (see batch.go): the reusable Batch executor,
 	// the policy's optional batch kernel, the packet check over the
-	// works lane, Arrive's one-packet burst, and the epoch-stamped
-	// drop-decision memo.
+	// works lane, and Arrive's one-packet burst. No decision state
+	// carries from one burst to the next.
 	batchPol BatchPolicy
 	batch    Batch
 	check    PacketCheck
 	one      [1]pkt.Packet
-	// memoEpoch is monotone for the lifetime of the Switch: it only
-	// ever increments (every burst start, accept and push-out advances
-	// it) and survives Reset and SetPolicy untouched, so a memoStamp
-	// written before either can never alias a stamp issued after — the
-	// stamp table never needs clearing. Overflow is a non-concern by
-	// construction: it is int64, advanced at most a few times per
-	// arriving packet, so even an unbounded daemon (cmd/smbsimd)
-	// stepping 10⁹ packets per second would take centuries to wrap. Do
-	// not "economize" by rezeroing it on Reset; that would revive stale
-	// stamps.
-	memoStamp  []int64
-	memoStride int
-	memoEpoch  int64
 
 	// Optional observability recorder (see SetRecorder). Every recording
 	// site is branch-on-nil, so a detached switch pays one predictable
@@ -172,8 +159,6 @@ func New(cfg Config, policy Policy) (*Switch, error) {
 	s.check = NewPacketCheck(cfg)
 	s.check.works = s.works
 	s.batchPol, _ = policy.(BatchPolicy)
-	s.memoStride = cfg.MaxLabel + 1
-	s.memoStamp = make([]int64, n*s.memoStride)
 	return s, nil
 }
 
@@ -631,8 +616,7 @@ func (s *Switch) Reset() {
 	s.workMax = argmax{}
 	// Restore the work table from the pristine configuration so a Reset
 	// also clears any corruption a rogue FastView-slice write left
-	// behind. The memo epoch stays monotone: stale stamps can never
-	// match a future burst.
+	// behind.
 	copy(s.works, s.cfgWorks)
 }
 

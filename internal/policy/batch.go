@@ -11,36 +11,33 @@ import (
 // evaluation its per-packet Admit cannot express — thresholds and
 // normalizers hoisted out of the loop, burst suffixes dropped
 // wholesale once free space is exhausted (free space never grows
-// during an arrival phase), repeated congested threshold drops
-// resolved through the engine's drop memo, push-out victim orderings
-// summarized once per switch state rather than rescanned per
-// congested arrival, and the BPD victim pointer maintained
-// incrementally across the burst.
+// during an arrival phase), and push-out victim orderings summarized
+// once per switch state rather than rescanned per congested arrival.
 //
 // With the engine unified across models, the kernels are too: every
-// policy instantiates one of the three generic skeletons in kernel.go
-// with its rule struct, except Greedy (whose accept/drop split is a
-// pure prefix) and BPD/BPD1 (whose maintained-victim repair invariant
-// is stronger than a per-packet victim ordering can express).
+// AdmitBatch is one call into one of the three generic skeletons in
+// kernel.go with the policy's rule struct.
 //
 // Every kernel must reproduce its Admit decision sequence bit for bit;
 // the batch differential and fuzz suites replay both paths on every
 // roster policy — processing and value — and require
 // identical Stats, PortCounters and obs counters.
 
-// AdmitBatch implements core.BatchPolicy: the accept/drop split of a
-// greedy burst is a pure prefix of length min(free, len).
+// greedyRule is Greedy's predicate: every arrival that finds free
+// space is accepted, so a greedy burst splits into an accepted prefix
+// of length min(free, len) and a dropped suffix.
+type greedyRule struct{}
+
+// admit implements thresholdRule.
+//
+//smb:hotpath
+func (greedyRule) admit(pkt.Packet) bool { return true }
+
+// AdmitBatch implements core.BatchPolicy.
 //
 //smb:hotpath
 func (Greedy) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
-	free := b.Free()
-	if free > len(ps) {
-		free = len(ps)
-	}
-	for i := 0; i < free; i++ {
-		b.Accept(ps[i])
-	}
-	b.DropAll(ps[free:])
+	thresholdBatch(b, ps, greedyRule{})
 }
 
 // nhstRule is NHST's admission predicate with Z, the work table and
@@ -66,9 +63,6 @@ func (r nhstRule) admit(p pkt.Packet) bool {
 	return float64(r.lens[p.Port])*float64(r.works[p.Port])*r.z < r.buf
 }
 
-// memo implements thresholdRule: the predicate is O(1).
-func (nhstRule) memo() bool { return false }
-
 // AdmitBatch implements core.BatchPolicy. The length slice is live, so
 // each accept is observed by the next threshold comparison exactly as
 // by consecutive Admit calls.
@@ -88,9 +82,6 @@ type nestRule struct {
 //
 //smb:hotpath
 func (r nestRule) admit(p pkt.Packet) bool { return r.lens[p.Port]*r.n < r.buf }
-
-// memo implements thresholdRule: the predicate is O(1).
-func (nestRule) memo() bool { return false }
 
 // AdmitBatch implements core.BatchPolicy.
 //
@@ -122,12 +113,6 @@ func (r nhdtRule) admit(p pkt.Packet) bool {
 	return float64(sum) < r.buf*hmath.Harmonic(m)/r.hn
 }
 
-// memo implements thresholdRule: the rank-and-sum scan only reruns
-// when the switch state changed since the same (port, value) was last
-// dropped — in a congested burst the engine's drop memo collapses the
-// repeated O(n) evaluations to O(1).
-func (nhdtRule) memo() bool { return true }
-
 // AdmitBatch implements core.BatchPolicy.
 //
 //smb:hotpath
@@ -136,8 +121,8 @@ func (NHDT) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 	thresholdBatch(b, ps, nhdtRule{f.QueueLens(), float64(f.Buffer()), hmath.Harmonic(f.Ports())})
 }
 
-// nhdtwRule is NHDT's memoized rank-and-sum structure on the work
-// ranking (see NHDTW).
+// nhdtwRule is NHDT's rank-and-sum predicate on the work ranking (see
+// NHDTW).
 type nhdtwRule struct {
 	qworks, lens, works []int
 	buf, hn             float64
@@ -162,9 +147,6 @@ func (r nhdtwRule) admit(p pkt.Packet) bool {
 	return float64(sum) < r.buf*hmath.Harmonic(m)/r.hn
 }
 
-// memo implements thresholdRule (see nhdtRule.memo).
-func (nhdtwRule) memo() bool { return true }
-
 // AdmitBatch implements core.BatchPolicy.
 //
 //smb:hotpath
@@ -184,9 +166,6 @@ type staticRule struct {
 func (r staticRule) admit(p pkt.Packet) bool {
 	return p.Port < len(r.t) && r.lens[p.Port] < r.t[p.Port]
 }
-
-// memo implements thresholdRule: the predicate is O(1).
-func (staticRule) memo() bool { return false }
 
 // AdmitBatch implements core.BatchPolicy.
 //
@@ -256,62 +235,50 @@ func (TVD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 	pushOutBatch(b, ps, newTVDRule(b.View()))
 }
 
+// bpdRule is BPD's victim ordering, shared with BPD1: the victim is the
+// largest-index queue holding at least minLen packets (1 for BPD, 2 for
+// BPD1), and an arrival pushes it out only when its own port does not
+// exceed the victim's. The arrival's virtual add never enters the
+// ordering, so victim only compares ports.
+type bpdRule struct {
+	lens   []int
+	minLen int
+}
+
+// summarize implements victimRule: the same downward scan as
+// biggestNonEmpty.
+//
+//smb:hotpath
+func (r bpdRule) summarize() summary {
+	j := len(r.lens) - 1
+	for j >= 0 && r.lens[j] < r.minLen {
+		j--
+	}
+	return summary{top: j, next: -1}
+}
+
+// victim implements victimRule.
+//
+//smb:hotpath
+func (bpdRule) victim(s summary, p pkt.Packet) int {
+	if p.Port <= s.top {
+		return s.top
+	}
+	return -1
+}
+
 // AdmitBatch implements core.BatchPolicy.
 //
 //smb:hotpath
 func (BPD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
-	bpdBatch(b, ps, 1)
+	pushOutBatch(b, ps, bpdRule{b.View().QueueLens(), 1})
 }
 
 // AdmitBatch implements core.BatchPolicy.
 //
 //smb:hotpath
 func (BPD1) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
-	bpdBatch(b, ps, 2)
-}
-
-// bpdBatch is the shared BPD/BPD1 kernel. Instead of rescanning for
-// the biggest non-empty queue on every congested arrival, it
-// maintains j = max{idx : lens[idx] >= minLen} across the burst:
-// an accept can only raise its own queue (j moves up to that port at
-// most), and a push-out only changes queues at or below j (the insert
-// port never exceeds the victim), so j is repaired by a downward scan
-// only when the victim's queue drops below the bar. The maintained j
-// always equals what biggestNonEmpty would recompute — a cross-packet
-// invariant the per-packet victim-rule shapes cannot express, so this
-// kernel stays outside the generic family.
-//
-//smb:hotpath
-func bpdBatch(b *core.Batch, ps []pkt.Packet, minLen int) {
-	f := b.View()
-	lens := f.QueueLens()
-	free := b.Free()
-	j := -2 // -2: not yet computed; -1: no qualifying queue
-	for x := range ps {
-		p := ps[x]
-		if free > 0 {
-			b.Accept(p)
-			free--
-			if j != -2 && p.Port > j && lens[p.Port] >= minLen {
-				j = p.Port
-			}
-			continue
-		}
-		if j == -2 {
-			j = len(lens) - 1
-			for j >= 0 && lens[j] < minLen {
-				j--
-			}
-		}
-		if j >= 0 && p.Port <= j {
-			b.PushOut(j, p)
-			for j >= 0 && lens[j] < minLen {
-				j--
-			}
-		} else {
-			b.Drop(p)
-		}
-	}
+	pushOutBatch(b, ps, bpdRule{b.View().QueueLens(), 2})
 }
 
 var (

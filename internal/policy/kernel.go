@@ -6,14 +6,13 @@ import (
 )
 
 // This file holds the three generic admission kernels every roster
-// policy but Greedy and BPD/BPD1 instantiates — the admit/push-out
-// skeletons the unified engine exposes across the processing and value
-// models. A policy supplies its cost trait as a small rule
-// struct (its per-packet admission predicate or its push-out victim
-// ordering, with the FastView slices hoisted at construction); the
-// kernels own the shared skeleton: the free-space prefix, the
-// burst-suffix wholesale drop, the engine drop memo (threshold rules),
-// the once-per-state summary (summarized push-out rules), and the
+// policy instantiates — the admit/push-out skeletons the unified engine
+// exposes across the processing and value models. A policy supplies its
+// cost trait as a small rule struct (its per-packet admission predicate
+// or its push-out victim ordering, with the FastView slices hoisted at
+// construction); the kernels own the shared skeleton: the free-space
+// prefix, the burst-suffix wholesale drop (threshold rules), the
+// once-per-state summary (summarized push-out rules), and the
 // accept/drop/push-out bookkeeping.
 //
 // Rules are value types and the kernels are generic over them, so the
@@ -28,13 +27,10 @@ import (
 
 // thresholdRule is the cost trait of a non-push-out policy: a pure
 // admission predicate over the rule's hoisted state and the arriving
-// packet. memo reports whether congested drops may be memoized in the
-// engine's drop-memo table (profitable only when admit is O(n)).
+// packet.
 type thresholdRule interface {
 	//smb:hotpath
 	admit(p pkt.Packet) bool
-	//smb:hotpath
-	memo() bool
 }
 
 // thresholdBatch decides a burst under a non-push-out rule: free space
@@ -44,22 +40,15 @@ type thresholdRule interface {
 //smb:hotpath
 func thresholdBatch[R thresholdRule](b *core.Batch, ps []pkt.Packet, r R) {
 	free := b.Free()
-	m := r.memo() // constant per rule: hoisted off the per-packet path
 	for i := range ps {
 		if free == 0 {
 			b.DropAll(ps[i:])
 			return
 		}
 		p := ps[i]
-		if m && b.KnownDrop(p) {
-			b.Drop(p)
-			continue
-		}
 		if r.admit(p) {
 			b.Accept(p)
 			free--
-		} else if m {
-			b.DropMemo(p)
 		} else {
 			b.Drop(p)
 		}
@@ -108,11 +97,11 @@ type summary struct {
 }
 
 // victimRule is the cost trait of a push-out policy whose victim
-// ordering is an O(n) scan over the queues (VLQD, MVD/MVD1, MRD, TVD),
-// split in two: summarize is the scan over the current state,
-// and victim folds a congested arrival's own port — the only queue its
-// virtual add changes — into that summary in O(1), returning the queue
-// to push out of or -1 to drop the arrival. Whenever the top candidate
+// ordering is an O(n) scan over the queues (BPD/BPD1, VLQD, MVD/MVD1,
+// MRD, TVD), split in two: summarize is the scan over the current
+// state, and victim folds a congested arrival's own port — the only
+// queue its virtual add changes — into that summary in O(1), returning
+// the queue to push out of or -1 to drop the arrival. Whenever the top candidate
 // is the arrival's own port, the runner-up is the best other queue.
 type victimRule interface {
 	//smb:hotpath

@@ -50,10 +50,6 @@ func (r nhstvRule) admit(p pkt.Packet) bool {
 	return float64(r.lens[p.Port])*float64(r.k-p.Value+1)*r.hk < r.buf
 }
 
-// memo implements thresholdRule: the predicate is O(1), cheaper than
-// the memo probe it would replace.
-func (nhstvRule) memo() bool { return false }
-
 // Admit implements core.Policy.
 //
 //smb:hotpath

@@ -213,9 +213,8 @@ func (rt *Runtime) Start() {
 
 // BeginStream arms the runtime for one arrival stream, resetting every
 // shard to its initial empty state. It fails if a stream is already
-// active. Each stream is an independent run: results and counters
-// start from zero, while the engine's internal batch serials and memo
-// epochs stay monotone across streams by design (see core.Reset).
+// active. Each stream is an independent run: results, counters and
+// queues start from zero (see core.Reset).
 func (rt *Runtime) BeginStream() error {
 	if !rt.started || rt.stopped {
 		return errors.New("shard: runtime not running")

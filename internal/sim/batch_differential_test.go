@@ -8,8 +8,8 @@
 //
 // Admit is each policy's plain-View reference scan and shares no code
 // with the kernel's rule struct, so this suite checks every kernel —
-// victim ordering, threshold predicate, drop memo and executor
-// bookkeeping — against an independent statement of the policy, on the
+// victim ordering, threshold predicate and executor bookkeeping —
+// against an independent statement of the policy, on the
 // same production engine. differential_test.go then checks that engine
 // against the naive refSwitch.
 package sim_test

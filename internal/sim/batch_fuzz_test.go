@@ -24,6 +24,19 @@ func FuzzArriveBatchDifferential(f *testing.F) {
 	f.Add(uint8(4), []byte{9, 9, 9, 9, 0x89, 9, 9, 0x80}, false)
 	f.Add(uint8(3), []byte{7, 1, 0xff, 2, 2, 2, 0x82}, true)
 	f.Add(uint8(6), []byte{0x80, 0x80, 13, 21, 34, 0x85}, true)
+	// Processing kernels on the generic family (port = byte mod 3).
+	// NHDT: seven arrivals for port 2 overrun its threshold at the
+	// fourth, then threshold drops on port 2 repeat, also after
+	// accepts on ports 0 and 1 between them.
+	f.Add(uint8(3), []byte{2, 2, 2, 2, 2, 2, 0x80, 2, 2, 2, 2, 0, 2, 2, 1, 2, 0x80}, false)
+	// BPD: a full buffer pushes port 2 out to empty mid-burst, so the
+	// summary moves its victim down to port 0, which then replaces
+	// its own tail.
+	f.Add(uint8(5), []byte{2, 0, 3, 6, 0, 3, 6, 0x81}, false)
+	// BPD1: the push-out leaves port 2 at one packet mid-burst, which
+	// no longer qualifies, so the next arrival for port 1 drops and the
+	// one for port 0 pushes port 0 out.
+	f.Add(uint8(6), []byte{2, 5, 0, 3, 6, 1, 4, 0x81}, false)
 	// Ties: equal-length, equal-minimum value queues under VLQD, MVD and
 	// MVD1 (all value 1), and equal MRD ratios (|Q|²/sum: two 1s and
 	// four 2s both give 2) at 6 ports.
