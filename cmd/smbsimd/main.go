@@ -45,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"smbm/internal/core"
@@ -52,7 +53,12 @@ import (
 	"smbm/internal/pkt"
 	"smbm/internal/policy"
 	"smbm/internal/shard"
+	"smbm/internal/traffic"
 )
+
+// streamBufSize is the daemon's socket read buffer: large enough that
+// reading a long stream costs few read calls per packet.
+const streamBufSize = 64 << 10
 
 // exitFailure is the only non-zero exit code: configuration or runtime
 // failure. Graceful signal shutdown exits 0.
@@ -137,12 +143,19 @@ func main() {
 		works    = flag.String("works", "", `per-port work: "" (unit), "contiguous", "uniform:W", or a comma list`)
 		polName  = flag.String("policy", "LQD", "admission policy name from the model's roster")
 		shardsN  = flag.Int("shards", 1, "switch shards (each owns a contiguous port partition)")
-		ringCap  = flag.Int("ring", 1<<14, "per-shard ingress-ring capacity (entries)")
 		listen   = flag.String("listen", "", `stream listener, "unix:/path" or "tcp:host:port"`)
 		httpAddr = flag.String("http", "", `admin/debug address for expvar, pprof, /policy, /results (e.g. "127.0.0.1:6060")`)
 		snapshot = flag.String("snapshot", "", "write the final obs snapshot JSON here on shutdown (default stdout)")
 	)
-	flag.Parse()
+	// A bad flag exits exitFailure, not flag's default 2; -h still
+	// exits 0.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(exitFailure)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "smbsimd:", err)
@@ -152,9 +165,6 @@ func main() {
 	m, err := parseModel(*model)
 	if err != nil {
 		fail(err)
-	}
-	if *ringCap < 0 {
-		fail(fmt.Errorf("-ring %d is negative", *ringCap))
 	}
 	// parseWorks sizes the work table by -ports, so refuse a port count
 	// it cannot size before core.Config.Validate gets to see it. With
@@ -187,12 +197,12 @@ func main() {
 		fail(err)
 	}
 
-	rt, err := shard.NewRuntime(cfg, *shardsN, factory, shard.Options{RingCap: *ringCap})
+	rt, err := shard.NewRuntime(cfg, *shardsN, factory, shard.Options{})
 	if err != nil {
 		fail(err)
 	}
 	d := &daemon{rt: rt, policyModel: m, in: bufio.NewReaderSize(nil, streamBufSize)}
-	d.policyName.Store(*polName)
+	d.policyName.Store(polName)
 	rt.Start()
 
 	expvar.Publish("smbsimd", expvar.Func(d.expvars))
@@ -252,7 +262,7 @@ type daemon struct {
 	policyModel core.Model
 	// policyName is the active roster policy, readable from admin
 	// handlers while a stream runs.
-	policyName syncedString
+	policyName atomic.Pointer[string]
 	// streamMu serializes streams: one client at a time drives the
 	// runtime's producer side. It also serializes shutdown against an
 	// active stream.
@@ -266,18 +276,6 @@ type daemon struct {
 	lastMu       sync.Mutex
 	lastResponse *streamResponse
 }
-
-// syncedString is a tiny mutex-guarded string cell.
-type syncedString struct {
-	mu sync.Mutex
-	s  string
-}
-
-// Store sets the string.
-func (a *syncedString) Store(s string) { a.mu.Lock(); a.s = s; a.mu.Unlock() }
-
-// Load reads the string.
-func (a *syncedString) Load() string { a.mu.Lock(); defer a.mu.Unlock(); return a.s }
 
 // streamResponse is the JSON answer to one arrival stream, and the
 // payload served at /results.
@@ -328,7 +326,13 @@ func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 
-	cur, slots, err := streamOpen(d.in, conn)
+	// The cursor reads the traffic binary framing ("SMBT1\n" magic,
+	// slot-count header, 8-byte records) through the reused reader. It
+	// fails mid-stream if the client disconnects or sends a malformed
+	// record, which the loop below turns into a clean cut at the last
+	// complete slot.
+	d.in.Reset(conn)
+	cur, slots, err := traffic.OpenBinary(d.in)
 	if err != nil {
 		fmt.Fprintf(conn, `{"error":%q}`+"\n", err.Error())
 		return
@@ -369,7 +373,7 @@ func (d *daemon) handleConn(ctx context.Context, conn net.Conn) {
 	}
 
 	resp := &streamResponse{
-		Policy:         d.policyName.Load(),
+		Policy:         *d.policyName.Load(),
 		Shards:         d.rt.Shards(),
 		RequestedSlots: slots,
 		ProcessedSlots: processed,
@@ -437,7 +441,7 @@ func (d *daemon) obsSnapshot() *obs.Snapshot {
 func (d *daemon) expvars() any {
 	live := d.rt.LiveTotal()
 	return map[string]any{
-		"policy":    d.policyName.Load(),
+		"policy":    *d.policyName.Load(),
 		"shards":    d.rt.Shards(),
 		"streaming": d.rt.Streaming(),
 		"live":      live,
@@ -469,7 +473,7 @@ func (d *daemon) handleResults(w http.ResponseWriter, r *http.Request) {
 func (d *daemon) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		fmt.Fprintf(w, `{"policy":%q}`+"\n", d.policyName.Load())
+		fmt.Fprintf(w, `{"policy":%q}`+"\n", *d.policyName.Load())
 	case http.MethodPost:
 		name := r.URL.Query().Get("name")
 		factory, err := lookupPolicy(d.policyModel, name)
@@ -490,7 +494,7 @@ func (d *daemon) handlePolicy(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		d.policyName.Store(name)
+		d.policyName.Store(&name)
 		fmt.Fprintf(w, `{"policy":%q}`+"\n", name)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

@@ -195,9 +195,6 @@ func (s *Switch) Config() Config { return s.cfg }
 // experiment reports.
 func (s *Switch) Name() string { return s.policy.Name() }
 
-// Policy returns the driving policy.
-func (s *Switch) Policy() Policy { return s.policy }
-
 // Stats returns a snapshot of the accumulated counters.
 func (s *Switch) Stats() Stats { return s.stats }
 
@@ -618,15 +615,6 @@ func (s *Switch) Reset() {
 	// also clears any corruption a rogue FastView-slice write left
 	// behind.
 	copy(s.works, s.cfgWorks)
-}
-
-// TotalWork returns the total residual work buffered across all queues.
-func (s *Switch) TotalWork() int {
-	var t int
-	for i := 0; i < s.cfg.Ports; i++ {
-		t += s.QueueWork(i)
-	}
-	return t
 }
 
 // canEvict validates a push-out victim without mutating anything, so

@@ -309,9 +309,6 @@ func TestViewAccessors(t *testing.T) {
 	if got := sw.QueueWork(2); got != 6 {
 		t.Errorf("QueueWork(2) = %d, want 6", got)
 	}
-	if got := sw.TotalWork(); got != 6 {
-		t.Errorf("TotalWork() = %d, want 6", got)
-	}
 	if got := sw.Free(); got != 6 {
 		t.Errorf("Free() = %d, want 6", got)
 	}
@@ -331,8 +328,8 @@ func TestViewAccessors(t *testing.T) {
 	if sw.Name() != "greedy" {
 		t.Errorf("Name() = %q", sw.Name())
 	}
-	if sw.Policy().Name() != "greedy" || sw.Config().Ports != 4 {
-		t.Error("Policy()/Config() accessors broken")
+	if sw.Config().Ports != 4 {
+		t.Error("Config() accessor broken")
 	}
 }
 

@@ -87,10 +87,7 @@ func Architectures(o Options) ([]ArchRow, error) {
 		name, classes := sys.Name(), []core.PortCounters(nil)
 		switch s := sys.(type) {
 		case *singleq.Switch:
-			for _, c := range s.ClassCounters()[1:] {
-				classes = append(classes, core.PortCounters{Arrived: c.Arrived, Transmitted: c.Transmitted,
-					LatencySlots: c.LatencySlots, MaxLatency: c.MaxLatency})
-			}
+			classes = s.PerClass()
 		case *core.Switch:
 			name, classes = "SM-"+name, s.PortCounters() // shared-memory systems named by policy
 		}

@@ -299,17 +299,6 @@ func EnginePackage(path string) bool { return enginePackages[PathBase(path)] }
 // operations and sync primitives without an annotation.
 func ConcFencePackage(path string) bool { return concFencePackages[PathBase(path)] }
 
-// ConcFencePackageList returns the sorted fenced package names, for
-// documentation and tests.
-func ConcFencePackageList() []string {
-	out := make([]string, 0, len(concFencePackages))
-	for name := range concFencePackages {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PolicyPackage reports whether the import path names a policy package
 // (matched on the final path element), whose code is bound by the
 // read-only FastView contract checked by fastviewro.
@@ -318,17 +307,6 @@ func PolicyPackage(path string) bool { return policyPackages[PathBase(path)] }
 // WallclockExempt reports whether the import path is allow-listed for
 // wall-clock reads (matched on the final path element).
 func WallclockExempt(path string) bool { return wallclockExempt[PathBase(path)] }
-
-// EnginePackageList returns the sorted engine package names, for
-// documentation and tests.
-func EnginePackageList() []string {
-	out := make([]string, 0, len(enginePackages))
-	for name := range enginePackages {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // PathBase returns the final element of an import path.
 func PathBase(path string) string {

@@ -32,18 +32,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the sample mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
-
 // Variance returns the unbiased sample variance (0 with fewer than two
 // observations).
 func (w *Welford) Variance() float64 {
@@ -55,52 +43,6 @@ func (w *Welford) Variance() float64 {
 
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.Std() / math.Sqrt(float64(w.n))
-}
-
-// tTable95 holds two-sided 95% Student-t critical values t_{0.975,df}
-// for df = 1..30 (index 0 unused). Sweeps replicate over a handful of
-// seeds, exactly the regime where the normal z = 1.96 understates the
-// interval badly (df=2: 4.30 vs 1.96).
-var tTable95 = [31]float64{0,
-	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-}
-
-// tCrit95 returns the two-sided 95% Student-t critical value for df
-// degrees of freedom: exact table values for df <= 30, the asymptotic
-// approximation 1.96 + 2.4/df beyond (absolute error < 0.003 there,
-// converging to the normal quantile as df grows).
-func tCrit95(df int64) float64 {
-	if df < 1 {
-		return 0
-	}
-	if df <= 30 {
-		return tTable95[df]
-	}
-	return 1.96 + 2.4/float64(df)
-}
-
-// CI95 returns a two-sided 95% Student-t confidence interval for the
-// mean: mean ± t_{0.975,n-1}·stderr. With fewer than two observations
-// the spread is undefined and the degenerate interval [mean, mean] is
-// returned. For the small seed counts sweeps actually use, the t
-// half-width is substantially wider — and honest — compared to the
-// fixed z = 1.96 normal approximation it replaces.
-func (w *Welford) CI95() (lo, hi float64) {
-	if w.n < 2 {
-		return w.mean, w.mean
-	}
-	half := tCrit95(w.n-1) * w.StdErr()
-	return w.mean - half, w.mean + half
-}
 
 // Summary is an immutable snapshot of a Welford accumulator.
 type Summary struct {

@@ -42,9 +42,6 @@ func NewTracer(cap int) *Tracer {
 	return &Tracer{buf: make([]Event, cap)}
 }
 
-// Cap returns the ring capacity.
-func (t *Tracer) Cap() int { return len(t.buf) }
-
 // Record appends one event, overwriting the oldest when full.
 //
 //smb:hotpath

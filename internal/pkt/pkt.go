@@ -4,10 +4,7 @@
 // (Section IV).
 package pkt
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Packet is a unit-sized packet. Which "heterogeneity" dimensions are
 // meaningful depends on the model:
@@ -24,11 +21,6 @@ type Packet struct {
 	Work int
 	// Value is the intrinsic value (value model).
 	Value int
-}
-
-// New returns a packet with the given port and unit work and value.
-func New(port int) Packet {
-	return Packet{Port: port, Work: 1, Value: 1}
 }
 
 // NewWork returns a processing-model packet: unit value, the given work.
@@ -74,11 +66,8 @@ func (p Packet) Validate(ports, maxLabel int) error {
 	return nil
 }
 
-// ErrEmptyBurst is returned by burst constructors invoked with a
-// non-positive count.
-var ErrEmptyBurst = errors.New("pkt: burst count must be positive")
-
-// Burst returns h copies of p, the paper's "h × [w]" notation.
+// Burst returns h copies of p, the paper's "h × [w]" notation, or nil
+// when h ≤ 0.
 func Burst(p Packet, h int) []Packet {
 	if h <= 0 {
 		return nil
@@ -101,13 +90,4 @@ func Concat(bursts ...[]Packet) []Packet {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// TotalWork sums the required work of the given packets.
-func TotalWork(ps []Packet) int {
-	var sum int
-	for _, p := range ps {
-		sum += p.Work
-	}
-	return sum
 }

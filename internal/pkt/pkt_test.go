@@ -12,7 +12,6 @@ func TestConstructors(t *testing.T) {
 		got  Packet
 		want Packet
 	}{
-		{"New", New(3), Packet{Port: 3, Work: 1, Value: 1}},
 		{"NewWork", NewWork(2, 5), Packet{Port: 2, Work: 5, Value: 1}},
 		{"NewValue", NewValue(1, 7), Packet{Port: 1, Work: 1, Value: 7}},
 	}
@@ -69,17 +68,17 @@ func TestBurst(t *testing.T) {
 			t.Errorf("burst element %+v differs", p)
 		}
 	}
-	if got := Burst(New(0), 0); got != nil {
+	if got := Burst(NewWork(0, 1), 0); got != nil {
 		t.Errorf("Burst with h=0 = %v, want nil", got)
 	}
-	if got := Burst(New(0), -3); got != nil {
+	if got := Burst(NewWork(0, 1), -3); got != nil {
 		t.Errorf("Burst with h<0 = %v, want nil", got)
 	}
 }
 
 func TestConcat(t *testing.T) {
-	a := Burst(New(0), 2)
-	b := Burst(New(1), 3)
+	a := Burst(NewWork(0, 1), 2)
+	b := Burst(NewWork(1, 1), 3)
 	all := Concat(a, b, nil)
 	if len(all) != 5 {
 		t.Fatalf("len = %d, want 5", len(all))
@@ -89,19 +88,20 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
-	ps := []Packet{NewWork(0, 2), NewWork(1, 3), NewValue(2, 7)}
-	if got := TotalWork(ps); got != 6 {
-		t.Errorf("TotalWork = %d, want 6", got)
-	}
-}
-
 func TestQuickBurstTotals(t *testing.T) {
 	f := func(port, work uint8, h uint8) bool {
 		p := NewWork(int(port), 1+int(work%16))
 		n := int(h % 64)
 		b := Burst(p, n)
-		return TotalWork(b) == n*p.Work
+		if len(b) != n {
+			return false
+		}
+		for _, q := range b {
+			if q != p {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, qcfg(100)); err != nil {
 		t.Error(err)

@@ -246,12 +246,18 @@ type bpdRule struct {
 }
 
 // summarize implements victimRule: the same downward scan as
-// biggestNonEmpty.
+// biggestNonEmpty, resumed at prev.top when there is one. That is
+// exact: a push-out from top j for an arrival on port p.Port ≤ j
+// changes no queue above j, and those were all below minLen.
 //
 //smb:hotpath
-func (r bpdRule) summarize() summary {
-	j := len(r.lens) - 1
-	for j >= 0 && r.lens[j] < r.minLen {
+func (r bpdRule) summarize(prev summary) summary {
+	lens := r.lens
+	if prev.top >= 0 {
+		lens = lens[:prev.top+1]
+	}
+	j := len(lens) - 1
+	for j >= 0 && lens[j] < r.minLen {
 		j--
 	}
 	return summary{top: j, next: -1}

@@ -63,6 +63,7 @@ func BenchmarkAdmitNEST(b *testing.B)   { benchAdmit(b, core.ModelProcessing, NE
 func BenchmarkAdmitNHDT(b *testing.B)   { benchAdmit(b, core.ModelProcessing, NHDT{}) }
 func BenchmarkAdmitLQD(b *testing.B)    { benchAdmit(b, core.ModelProcessing, LQD{}) }
 func BenchmarkAdmitBPD(b *testing.B)    { benchAdmit(b, core.ModelProcessing, BPD{}) }
+func BenchmarkAdmitBPD1(b *testing.B)   { benchAdmit(b, core.ModelProcessing, BPD1{}) }
 func BenchmarkAdmitLWD(b *testing.B)    { benchAdmit(b, core.ModelProcessing, LWD{}) }
 
 // Value-model roster.

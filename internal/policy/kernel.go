@@ -99,13 +99,15 @@ type summary struct {
 // victimRule is the cost trait of a push-out policy whose victim
 // ordering is an O(n) scan over the queues (BPD/BPD1, VLQD, MVD/MVD1,
 // MRD, TVD), split in two: summarize is the scan over the current
-// state, and victim folds a congested arrival's own port — the only
-// queue its virtual add changes — into that summary in O(1), returning
-// the queue to push out of or -1 to drop the arrival. Whenever the top candidate
-// is the arrival's own port, the runner-up is the best other queue.
+// state, given the summary of the burst's previous state (top -1 when
+// there is none), and victim folds a congested arrival's own port —
+// the only queue its virtual add changes — into that summary in O(1),
+// returning the queue to push out of or -1 to drop the arrival.
+// Whenever the top candidate is the arrival's own port, the runner-up
+// is the best other queue.
 type victimRule interface {
 	//smb:hotpath
-	summarize() summary
+	summarize(prev summary) summary
 	//smb:hotpath
 	victim(s summary, p pkt.Packet) int
 }
@@ -116,12 +118,13 @@ type victimRule interface {
 // the current state's summary. A drop mutates nothing, so the summary
 // is recomputed only when an accept or a push-out changed the state
 // since it was taken: one scan per state, not one per congested
-// arrival.
+// arrival. The free prefix ends before the first summary, so every
+// later one follows a push-out and may resume from its predecessor.
 //
 //smb:hotpath
 func pushOutBatch[R victimRule](b *core.Batch, ps []pkt.Packet, r R) {
 	free := b.Free()
-	var s summary
+	s := summary{top: -1, next: -1}
 	stale := true
 	for x := range ps {
 		p := ps[x]
@@ -131,7 +134,7 @@ func pushOutBatch[R victimRule](b *core.Batch, ps []pkt.Packet, r R) {
 			continue
 		}
 		if stale {
-			s = r.summarize()
+			s = r.summarize(s)
 			stale = false
 		}
 		if j := r.victim(s, p); j >= 0 {

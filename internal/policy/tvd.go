@@ -42,7 +42,7 @@ func newTVDRule(f core.FastView) tvdRule {
 // index) with the buffer's minimum value.
 //
 //smb:hotpath
-func (r tvdRule) summarize() summary {
+func (r tvdRule) summarize(summary) summary {
 	mins, sums := r.mins[:len(r.lens)], r.sums[:len(r.lens)]
 	s := summary{top: -1, next: -1}
 	bestSum := int64(-1) // every non-empty queue's sum exceeds it

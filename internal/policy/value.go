@@ -97,7 +97,7 @@ func newVLQDRule(f core.FastView) vlqdRule {
 // (a later queue must strictly outrank the earlier one to displace it).
 //
 //smb:hotpath
-func (r vlqdRule) summarize() summary {
+func (r vlqdRule) summarize(summary) summary {
 	mins := r.mins[:len(r.lens)]
 	top, next := -1, -1
 	tl, tm, nl, nm := -1, 0, -1, 0 // length −1: every queue outranks it
@@ -207,7 +207,7 @@ func newMVDRule(f core.FastView, minLen int) mvdRule {
 // longest queue, then the lower index — with that minimum.
 //
 //smb:hotpath
-func (r mvdRule) summarize() summary {
+func (r mvdRule) summarize(summary) summary {
 	mins := r.mins[:len(r.lens)]
 	victim, minVal, victimLen := -1, int(^uint(0)>>1), 0
 	for j, l := range r.lens {
@@ -319,7 +319,7 @@ func newMRDRule(f core.FastView) mrdRule {
 // ≤ B·k keep this far from overflow).
 //
 //smb:hotpath
-func (r mrdRule) summarize() summary {
+func (r mrdRule) summarize(summary) summary {
 	mins, sums := r.mins[:len(r.lens)], r.sums[:len(r.lens)]
 	s := summary{top: -1, next: -1}
 	// Running (|Q|², sum, min) keys of top and next; the ratio −1/1

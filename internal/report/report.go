@@ -193,7 +193,8 @@ go test -bench=. -benchmem ./...    # benchmark harness (ratios as custom metric
 
   Counters are recorded branch-on-nil in the engine, so runs without
   -obs pay one pointer compare per decision and remain allocation-free
-  (asserted for all 25 roster policies by TestSteadyStateZeroAllocs).
+  (asserted for the 18 roster policies and the 2 OPT proxies by
+  TestSteadyStateZeroAllocs).
   The OPT proxy is not instrumented: counters describe the policies
   under study.
 
@@ -319,6 +320,4 @@ ablations DESIGN.md calls out:
   records a negative result on the paper's NHDT-generalization question.
 - ` + "`internal/policy`" + `: per-packet admission cost of every policy's
   batch kernel (ns/pkt) in every model on a congested 64-port switch.
-
-See bench_output.txt for a recorded run.
 `

@@ -180,9 +180,6 @@ func (rt *Runtime) Shards() int { return len(rt.shards) }
 // Partition returns shard i's global port range.
 func (rt *Runtime) Partition(i int) Partition { return rt.parts[i] }
 
-// ShardConfig returns shard i's partition-local engine configuration.
-func (rt *Runtime) ShardConfig(i int) core.Config { return rt.shards[i].cfg }
-
 // Shard returns shard i, for its read-only observability surfaces
 // (Cut, Live).
 func (rt *Runtime) Shard(i int) *Shard { return rt.shards[i] }

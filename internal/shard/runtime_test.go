@@ -108,7 +108,7 @@ func checkOracle(t *testing.T, rt *Runtime, pol func() core.Policy, tr traffic.T
 	t.Helper()
 	for i, res := range results {
 		local := FilterTrace(tr, rt.Partition(i))
-		wantStats, wantPorts, wantCounts := oracle(t, rt.ShardConfig(i), pol(), local)
+		wantStats, wantPorts, wantCounts := oracle(t, ShardConfig(rt.Config(), rt.parts, i), pol(), local)
 		if diff := DiffResult(res, wantStats, wantPorts, wantCounts); diff != "" {
 			t.Fatalf("oracle differential: %s", diff)
 		}
@@ -416,12 +416,12 @@ func TestRuntimeGuards(t *testing.T) {
 	if err := rt.Ingest(0, pkt.Packet{Port: cfg.Ports, Work: 1, Value: 1}); err == nil {
 		t.Fatalf("out-of-range port ingested")
 	}
-	if err := rt.Ingest(1<<32, pkt.New(0)); err == nil {
+	if err := rt.Ingest(1<<32, pkt.NewWork(0, 1)); err == nil {
 		t.Fatalf("slot beyond 32 bits ingested")
 	}
 	// Both producer paths refuse slot 2^32-1: its advance and drain at
 	// 2^32 would wrap to slot 0 in the ring encoding.
-	if err := rt.Ingest(1<<32-1, pkt.New(0)); err == nil {
+	if err := rt.Ingest(1<<32-1, pkt.NewWork(0, 1)); err == nil {
 		t.Fatalf("arrival whose drain overflows 32 bits ingested")
 	}
 	if err := rt.IngestSlot(1<<32-1, nil); err == nil {

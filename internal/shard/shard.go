@@ -218,12 +218,6 @@ func newShard(id int, cfg core.Config, pol core.Policy, ringCap int) (*Shard, er
 	return sh, nil
 }
 
-// ID returns the shard index.
-func (sh *Shard) ID() int { return sh.id }
-
-// Config returns the shard's partition-local configuration.
-func (sh *Shard) Config() core.Config { return sh.cfg }
-
 // Cut reads the shard's latest published cut, from any goroutine.
 func (sh *Shard) Cut() Cut {
 	w := make([]uint64, len(sh.words))

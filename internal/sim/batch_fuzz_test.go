@@ -37,6 +37,11 @@ func FuzzArriveBatchDifferential(f *testing.F) {
 	// no longer qualifies, so the next arrival for port 1 drops and the
 	// one for port 0 pushes port 0 out.
 	f.Add(uint8(6), []byte{2, 5, 0, 3, 6, 1, 4, 0x81}, false)
+	// BPD and BPD1: port 2 still qualifies after the first push-out, so
+	// the next summary resumes at port 2 itself and the arrival for
+	// port 1 pushes port 2 out again.
+	f.Add(uint8(5), []byte{2, 5, 8, 0, 3, 6, 1, 0x80}, false)
+	f.Add(uint8(6), []byte{2, 5, 8, 0, 3, 6, 1, 0x80}, false)
 	// Ties: equal-length, equal-minimum value queues under VLQD, MVD and
 	// MVD1 (all value 1), and equal MRD ratios (|Q|²/sum: two 1s and
 	// four 2s both give 2) at 6 ports.

@@ -524,30 +524,6 @@ func (r *SweepResult) Table() string {
 	return tablefmt.Render(headers, rows)
 }
 
-// Series returns (x, mean ratio) pairs for one policy, convenient for
-// plotting or asserting trends in tests. The xs always cover every
-// point of the result: a point missing the policy yields a NaN
-// placeholder instead of being silently dropped, so series of
-// different policies stay aligned for plot and export consumers
-// (internal/plot skips NaN samples when rendering). A policy absent
-// from every point returns (nil, nil).
-func (r *SweepResult) Series(policy string) (xs []int, means []float64) {
-	var present bool
-	for _, p := range r.Points {
-		xs = append(xs, p.X)
-		if s, ok := p.Ratio[policy]; ok {
-			means = append(means, s.Mean)
-			present = true
-		} else {
-			means = append(means, math.NaN())
-		}
-	}
-	if !present {
-		return nil, nil
-	}
-	return xs, means
-}
-
 // formatRatio renders a ratio cell, normalizing the non-finite cases:
 // strconv would render NaN as "NaN" and -Inf as a misleading numeric
 // "-Inf" mid-table, so both are spelled out like "inf" already was.

@@ -73,29 +73,6 @@ func TestSweepTableNonFinite(t *testing.T) {
 	}
 }
 
-// TestSweepSeriesPlaceholders pins series alignment: the returned xs
-// cover every point, a point missing the policy yields NaN (not a
-// dropped sample), and a policy absent everywhere returns (nil, nil).
-func TestSweepSeriesPlaceholders(t *testing.T) {
-	r := formatResult()
-	xs, means := r.Series("B")
-	if len(xs) != 2 || len(means) != 2 {
-		t.Fatalf("series B: %d xs, %d means, want 2 and 2", len(xs), len(means))
-	}
-	if xs[0] != 1 || xs[1] != 2 {
-		t.Errorf("series B xs = %v, want [1 2]", xs)
-	}
-	if means[0] != 1.5 {
-		t.Errorf("series B means[0] = %v, want 1.5", means[0])
-	}
-	if !math.IsNaN(means[1]) {
-		t.Errorf("series B means[1] = %v, want NaN placeholder", means[1])
-	}
-	if xs, means := r.Series("absent"); xs != nil || means != nil {
-		t.Errorf("series for an absent policy = (%v, %v), want (nil, nil)", xs, means)
-	}
-}
-
 // TestSweepCSVPlaceholders pins the export side of the same contract:
 // the missing policy exports explicit NaN columns.
 func TestSweepCSVPlaceholders(t *testing.T) {

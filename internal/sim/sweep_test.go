@@ -122,6 +122,9 @@ func TestSweepPropagatesBuildErrors(t *testing.T) {
 	}
 }
 
+// TestSweepTableAndSeries checks the rendered table and the series of
+// points behind it: one point per x in order, each carrying every
+// policy's ratio.
 func TestSweepTableAndSeries(t *testing.T) {
 	res, err := testSweep().Run()
 	if err != nil {
@@ -135,14 +138,12 @@ func TestSweepTableAndSeries(t *testing.T) {
 	if len(lines) != 2+3 {
 		t.Errorf("table has %d lines:\n%s", len(lines), table)
 	}
-	xs, means := res.Series("LWD")
-	if len(xs) != 3 || len(means) != 3 {
-		t.Fatalf("series lengths %d/%d", len(xs), len(means))
+	if len(res.Points) != 3 || res.Points[0].X != 2 || res.Points[2].X != 8 {
+		t.Fatalf("points %+v, want xs 2..8", res.Points)
 	}
-	if xs[0] != 2 || xs[2] != 8 {
-		t.Errorf("series xs %v", xs)
-	}
-	if _, m := res.Series("nope"); m != nil {
-		t.Error("unknown policy yielded a series")
+	for _, pt := range res.Points {
+		if _, ok := pt.Ratio["LWD"]; !ok {
+			t.Errorf("point %d has no LWD ratio", pt.X)
+		}
 	}
 }

@@ -82,26 +82,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ClassCounters carries per-work-class statistics: the starvation
-// evidence the paper's shared-memory design responds to.
-type ClassCounters struct {
-	// Arrived, Dropped, PushedOut and Transmitted count the class's
-	// packets through the admission pipeline.
-	Arrived, Dropped, PushedOut, Transmitted int64
-	// LatencySlots sums transmitted packets' residence times.
-	LatencySlots int64
-	// MaxLatency is the largest single-packet residence observed.
-	MaxLatency int64
-}
-
-// MeanLatency returns the class's average transmitted-packet latency.
-func (c ClassCounters) MeanLatency() float64 {
-	if c.Transmitted == 0 {
-		return 0
-	}
-	return float64(c.LatencySlots) / float64(c.Transmitted)
-}
-
 // job is an in-service packet.
 type job struct {
 	residual int
@@ -124,8 +104,11 @@ type Switch struct {
 
 	cores []job // fixed length Cores; residual 0 = idle core
 
-	stats    core.Stats
-	perClass []ClassCounters
+	stats core.Stats
+	// perClass holds per-work-class counters (index = work; 0 unused):
+	// the starvation evidence the paper's shared-memory design responds
+	// to. A class plays the part of a core.Switch port.
+	perClass []core.PortCounters
 }
 
 // New builds a single-queue switch.
@@ -137,7 +120,7 @@ func New(cfg Config) (*Switch, error) {
 		cfg:      cfg,
 		byClass:  make([]deque.Deque, cfg.MaxWork+1),
 		cores:    make([]job, cfg.Cores),
-		perClass: make([]ClassCounters, cfg.MaxWork+1),
+		perClass: make([]core.PortCounters, cfg.MaxWork+1),
 	}, nil
 }
 
@@ -153,11 +136,10 @@ func (s *Switch) Name() string {
 // Stats returns the accumulated counters.
 func (s *Switch) Stats() core.Stats { return s.stats }
 
-// ClassCounters returns a copy of the per-class counters (index = work).
-func (s *Switch) ClassCounters() []ClassCounters {
-	out := make([]ClassCounters, len(s.perClass))
-	copy(out, s.perClass)
-	return out
+// PerClass returns a copy of the per-work-class counters, lightest
+// class first (index w-1 for work w).
+func (s *Switch) PerClass() []core.PortCounters {
+	return append([]core.PortCounters(nil), s.perClass[1:]...)
 }
 
 // Occupancy returns waiting plus in-service packets.
@@ -198,6 +180,7 @@ func (s *Switch) Arrive(p pkt.Packet) error {
 	}
 	s.waiting++
 	s.stats.Accepted++
+	s.perClass[p.Work].Accepted++
 	if occ := s.Occupancy(); occ > s.stats.MaxOccupancy {
 		s.stats.MaxOccupancy = occ
 	}
@@ -248,6 +231,7 @@ func (s *Switch) Transmit() {
 		s.stats.LatencySlots += latency
 		cc := &s.perClass[j.class]
 		cc.Transmitted++
+		cc.TransmittedValue++
 		cc.LatencySlots += latency
 		if latency > cc.MaxLatency {
 			cc.MaxLatency = latency
@@ -335,6 +319,6 @@ func (s *Switch) Reset() {
 	}
 	s.stats = core.Stats{}
 	for i := range s.perClass {
-		s.perClass[i] = ClassCounters{}
+		s.perClass[i] = core.PortCounters{}
 	}
 }

@@ -189,7 +189,7 @@ func TestFIFOLazyDeletionAfterEviction(t *testing.T) {
 		t.Errorf("transmitted %d, want 2 (one 4 + the 1)", st.Transmitted)
 	}
 	if s.perClass[4].Transmitted != 1 || s.perClass[1].Transmitted != 1 {
-		t.Errorf("per-class transmissions: %+v", s.ClassCounters())
+		t.Errorf("per-class transmissions: %+v", s.PerClass())
 	}
 }
 
@@ -235,7 +235,9 @@ func TestResetAndReuse(t *testing.T) {
 }
 
 // TestQuickConservation: arrivals = accepted + dropped; accepted =
-// transmitted + pushed out after a drain; occupancy never exceeds B.
+// transmitted + pushed out after a drain; occupancy never exceeds B;
+// the per-class accepted, transmitted and value counters sum to the
+// totals.
 func TestQuickConservation(t *testing.T) {
 	f := func(seed int64, pushOut bool, fifo bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -267,11 +269,14 @@ func TestQuickConservation(t *testing.T) {
 		if st.Accepted != st.Transmitted+st.PushedOut {
 			return false
 		}
-		var perClass int64
-		for _, c := range s.ClassCounters() {
-			perClass += c.Transmitted
+		var accepted, transmitted, value int64
+		for _, c := range s.PerClass() {
+			accepted += c.Accepted
+			transmitted += c.Transmitted
+			value += c.TransmittedValue
 		}
-		return perClass == st.Transmitted && s.Occupancy() == 0
+		return accepted == st.Accepted && transmitted == st.Transmitted &&
+			value == st.TransmittedValue && s.Occupancy() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Error(err)
@@ -297,7 +302,7 @@ func TestPQStarvesHeavyClasses(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s.ClassCounters()[4].Transmitted
+		return s.PerClass()[3].Transmitted
 	}
 	if got := run(OrderPQ); got != 0 {
 		t.Errorf("PQ served %d heavy packets under light overload, want 0", got)

@@ -33,7 +33,7 @@ func binaryRejects(tb testing.TB) []struct {
 } {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := Slots([]pkt.Packet{pkt.New(0)}).WriteBinary(&buf); err != nil {
+	if err := Slots([]pkt.Packet{pkt.NewWork(0, 1)}).WriteBinary(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	outOfRange := bytes.Clone(buf.Bytes())

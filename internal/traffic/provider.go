@@ -83,9 +83,6 @@ func NewMMPPProvider(cfg MMPPConfig, slots int) (*MMPPProvider, error) {
 	return &MMPPProvider{cfg: cfg, slots: slots}, nil
 }
 
-// Config returns the generator spec behind the provider.
-func (p *MMPPProvider) Config() MMPPConfig { return p.cfg }
-
 // Slots implements Provider.
 func (p *MMPPProvider) Slots() int { return p.slots }
 
