@@ -399,6 +399,41 @@ func TestTracegenRefusesNegativeFlags(t *testing.T) {
 	}
 }
 
+// TestGenerateRefusesBinaryOverflow: with -binary, Generate refuses a
+// label above 255 (-k, or -ports when -k defaults to it) or more ports
+// than the record's uint16 port field holds, naming the flag before
+// any output is written, where it used to fail at the first
+// out-of-range packet. The largest shapes the format holds pass.
+func TestGenerateRefusesBinaryOverflow(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		o    GenerateOptions
+	}{
+		{"-k", GenerateOptions{Slots: 10, Ports: 4, MaxLabel: 256, Sources: 5, Mode: "value"}},
+		{"-k", GenerateOptions{Slots: 10, Ports: 256, MaxLabel: 256, Sources: 5, Mode: "work"}},
+		{"-ports", GenerateOptions{Slots: 10, Ports: 256, Sources: 5, Mode: "work"}},
+		{"-ports", GenerateOptions{Slots: 10, Ports: 1<<16 + 1, MaxLabel: 4, Sources: 5, Mode: "value"}},
+	} {
+		c.o.Binary = true
+		var out bytes.Buffer
+		err := Generate(&out, c.o)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("%+v: err = %v, want one naming %s", c.o, err, c.flag)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%+v: wrote %d bytes before refusing", c.o, out.Len())
+		}
+	}
+	for _, o := range []GenerateOptions{
+		{Slots: 10, Ports: 255, Sources: 5, Mode: "work", Binary: true},
+		{Slots: 10, Ports: 1 << 16, MaxLabel: 255, Sources: 5, Mode: "value", Binary: true},
+	} {
+		if err := Generate(io.Discard, o); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
+	}
+}
+
 // TestRefuseTracegenFlags: every flag an action ignores is refused,
 // naming it and the action, and the flags each action honours pass.
 func TestRefuseTracegenFlags(t *testing.T) {

@@ -97,6 +97,23 @@ func (o GenerateOptions) buildMMPP() (traffic.MMPPConfig, error) {
 	return cfg, nil
 }
 
+// checkBinaryFields refuses, by flag name, a trace shape whose packets
+// the binary format's fixed-width records cannot hold: port indices
+// above traffic.MaxBinaryPort or labels above traffic.MaxBinaryLabel.
+// A zero maxLabel is -k left at its default, -ports.
+func checkBinaryFields(ports, maxLabel int) error {
+	if ports-1 > traffic.MaxBinaryPort {
+		return fmt.Errorf("cli: -ports %d exceeds the binary format's %d ports", ports, traffic.MaxBinaryPort+1)
+	}
+	if maxLabel == 0 && ports > traffic.MaxBinaryLabel {
+		return fmt.Errorf("cli: -ports %d, the default -k, exceeds the binary format's largest label %d", ports, traffic.MaxBinaryLabel)
+	}
+	if maxLabel > traffic.MaxBinaryLabel {
+		return fmt.Errorf("cli: -k %d exceeds the binary format's largest label %d", maxLabel, traffic.MaxBinaryLabel)
+	}
+	return nil
+}
+
 // checkWorkLabel rejects an explicit -k in work mode that differs from
 // -ports: there the works are contiguous, 1 through ports, so the
 // largest label is fixed.
@@ -116,6 +133,11 @@ func Generate(w io.Writer, o GenerateOptions) error {
 	cfg, err := o.buildMMPP()
 	if err != nil {
 		return err
+	}
+	if o.Binary {
+		if err := checkBinaryFields(o.Ports, o.MaxLabel); err != nil {
+			return err
+		}
 	}
 	gen, err := traffic.NewMMPP(cfg)
 	if err != nil {

@@ -10,11 +10,11 @@ import (
 // BatchPolicy is optionally implemented by policies that can decide a
 // whole slot's arrival burst through a Batch executor instead of one
 // Admit call per packet. A batch kernel sees the burst up front, so it
-// can hoist threshold computations, reuse argmax results across a
-// burst prefix, and summarize a push-out victim ordering once per
-// switch state (a drop mutates nothing, so the summary stays valid
-// until the next accept or push-out) — the per-burst evaluation the
-// per-packet interface cannot express.
+// can hoist threshold computations, drop a congested suffix wholesale,
+// and summarize a push-out victim ordering once per switch state (a
+// drop mutates nothing, so the summary stays valid until the next
+// accept or push-out) — the per-burst evaluation the per-packet
+// interface cannot express.
 //
 // The contract is bit-identity: AdmitBatch must execute exactly the
 // decision sequence the policy's Admit would produce packet by packet,

@@ -306,8 +306,8 @@ func TestArriveBatchValidationAppliesNothing(t *testing.T) {
 // TestQueueTotalWorksValueModel pins the value-model meaning of
 // QueueTotalWorks: every packet carries unit work, so the per-queue
 // total work is the queue length itself (the engine returns its live
-// length mirror). LWD's HeaviestQueue coincides with LongestQueue for
-// the same reason.
+// length mirror). LWD's victim on the total-work lane therefore
+// coincides with LQD's on the length lane in this model.
 func TestQueueTotalWorksValueModel(t *testing.T) {
 	sw := MustNew(validValCfg(), greedy)
 	if err := sw.ArriveBatch([]pkt.Packet{

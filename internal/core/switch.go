@@ -76,12 +76,9 @@ type Switch struct {
 	vMin []int
 	vSum []int64
 
-	// Incrementally maintained argmax caches over the per-queue length
-	// and total-work keys, and the precomputed NHST normalizer
-	// Z = sum_j 1/w_j (summed in ascending port order so FastView
-	// consumers match NHST's Admit scan bit for bit).
-	lenMax     argmax
-	workMax    argmax
+	// The precomputed NHST normalizer Z = sum_j 1/w_j (summed in
+	// ascending port order so FastView consumers match NHST's Admit
+	// scan bit for bit).
 	invWorkSum float64
 
 	stats   Stats
@@ -329,19 +326,6 @@ func (s *Switch) PortWorks() []int { return s.works }
 //smb:hotpath
 func (s *Switch) PortInvWorkSum() float64 { return s.invWorkSum }
 
-// LongestQueue implements FastView.
-//
-//smb:hotpath
-func (s *Switch) LongestQueue() (int, int) { return s.lenMax.top(s.qLen) }
-
-// HeaviestQueue implements FastView. In the value model the work lane
-// mirrors the queue lengths and the work argmax sees exactly the same
-// key movements as the length argmax, so the answer coincides with
-// LongestQueue bit for bit.
-//
-//smb:hotpath
-func (s *Switch) HeaviestQueue() (int, int) { return s.workMax.top(s.qWork) }
-
 var _ FastView = (*Switch)(nil)
 
 // --- Simulation -----------------------------------------------------------
@@ -429,13 +413,6 @@ func (s *Switch) transmitFIFO() {
 		speedup = s.cfg.Speedup
 		cycles  int64
 	)
-	// Every served port's total work (the workMax key) falls, but only
-	// the cached argmax's fall can invalidate the cache: one check per
-	// slot instead of one per port. A queue's length (the lenMax key)
-	// only changes on a completion.
-	if wm := &s.workMax; wm.ok && holRes[wm.idx] > 0 {
-		wm.ok = false
-	}
 	for i, res := range holRes {
 		use := min(speedup, res)
 		if use == 0 {
@@ -495,7 +472,6 @@ func (s *Switch) completeFIFO(i, budget int) int64 {
 	if s.qLen[i] == 0 {
 		s.vMin[i] = 0
 	}
-	s.lenMax.drop(i)
 	s.stats.Transmitted += completed
 	s.stats.TransmittedValue += completed
 	s.stats.TransmittedWork += completed * int64(w)
@@ -528,8 +504,6 @@ func (s *Switch) transmitValue() {
 		if s.qLen[i] == 0 {
 			s.vMin[i] = 0
 		}
-		s.lenMax.drop(i)
-		s.workMax.drop(i)
 		s.occ -= pops
 		p64 := int64(pops)
 		s.stats.Transmitted += p64
@@ -609,8 +583,6 @@ func (s *Switch) Reset() {
 	for _, q := range s.vq {
 		q.Clear()
 	}
-	s.lenMax = argmax{}
-	s.workMax = argmax{}
 	// Restore the work table from the pristine configuration so a Reset
 	// also clears any corruption a rogue FastView-slice write left
 	// behind.
@@ -676,8 +648,6 @@ func (s *Switch) evict(victim int) (remWork, remValue int) {
 			s.vMin[victim] = s.vq[victim].Min()
 		}
 	}
-	s.workMax.drop(victim)
-	s.lenMax.drop(victim)
 	s.occ--
 	return remWork, remValue
 }
@@ -704,8 +674,6 @@ func (s *Switch) insert(p pkt.Packet) {
 			s.vMin[i] = p.Value
 		}
 	}
-	s.lenMax.bump(s.qLen, i)
-	s.workMax.bump(s.qWork, i)
 	s.occ++
 }
 

@@ -182,22 +182,21 @@ func (NHSTV) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
 	thresholdBatch(b, ps, newNHSTVRule(b.View()))
 }
 
-// AdmitBatch implements core.BatchPolicy: the congested tail resolves
-// every push-out against the engine's incrementally maintained argmax
-// plus the analytic virtual add (lqdRule), and the free-space prefix is
-// accepted without any per-packet policy evaluation.
+// AdmitBatch implements core.BatchPolicy: the longest queue, with the
+// arrival counted virtually (maxKeyRule on the length lane).
 //
 //smb:hotpath
 func (LQD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
-	argmaxBatch(b, ps, newLQDRule(b.View()))
+	pushOutBatch(b, ps, maxKeyRule{keys: b.View().QueueLens()})
 }
 
-// AdmitBatch implements core.BatchPolicy (LQD's kernel on the
-// total-work key).
+// AdmitBatch implements core.BatchPolicy: LQD's rule on the total-work
+// lane, the arrival adding its port's work.
 //
 //smb:hotpath
 func (LWD) AdmitBatch(b *core.Batch, ps []pkt.Packet) {
-	argmaxBatch(b, ps, newLWDRule(b.View()))
+	f := b.View()
+	pushOutBatch(b, ps, maxKeyRule{f.QueueTotalWorks(), f.PortWorks()})
 }
 
 // AdmitBatch implements core.BatchPolicy.

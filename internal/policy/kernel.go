@@ -5,7 +5,7 @@ import (
 	"smbm/internal/pkt"
 )
 
-// This file holds the three generic admission kernels every roster
+// This file holds the two generic admission kernels every roster
 // policy instantiates — the admit/push-out skeletons the unified engine
 // exposes across the processing and value models. A policy supplies its
 // cost trait as a small rule struct (its per-packet admission predicate
@@ -55,37 +55,6 @@ func thresholdBatch[R thresholdRule](b *core.Batch, ps []pkt.Packet, r R) {
 	}
 }
 
-// argmaxRule is the cost trait of a push-out policy whose victim is an
-// O(1) read of the engine's incrementally maintained argmax (LQD, LWD):
-// given a congested arrival, the queue to push out of, or -1 to drop
-// the arrival.
-type argmaxRule interface {
-	//smb:hotpath
-	victim(p pkt.Packet) int
-}
-
-// argmaxBatch decides a burst under an argmax rule: the free-space
-// prefix is accepted without any policy evaluation, and every
-// congested arrival resolves through the rule's O(1) victim query.
-//
-//smb:hotpath
-func argmaxBatch[R argmaxRule](b *core.Batch, ps []pkt.Packet, r R) {
-	free := b.Free()
-	for x := range ps {
-		p := ps[x]
-		if free > 0 {
-			b.Accept(p)
-			free--
-			continue
-		}
-		if j := r.victim(p); j >= 0 {
-			b.PushOut(j, p)
-		} else {
-			b.Drop(p)
-		}
-	}
-}
-
 // summary is a push-out rule's digest of one switch state, computed by
 // a single O(n) scan that leaves the arrival's virtual add out: the
 // best and runner-up drop candidates under the rule's exact ordering,
@@ -97,14 +66,14 @@ type summary struct {
 }
 
 // victimRule is the cost trait of a push-out policy whose victim
-// ordering is an O(n) scan over the queues (BPD/BPD1, VLQD, MVD/MVD1,
-// MRD, TVD), split in two: summarize is the scan over the current
-// state, given the summary of the burst's previous state (top -1 when
-// there is none), and victim folds a congested arrival's own port —
-// the only queue its virtual add changes — into that summary in O(1),
-// returning the queue to push out of or -1 to drop the arrival.
-// Whenever the top candidate is the arrival's own port, the runner-up
-// is the best other queue.
+// ordering is an O(n) scan over the queues (LQD, LWD, BPD/BPD1, VLQD,
+// MVD/MVD1, MRD, TVD), split in two: summarize is the scan over the
+// current state, given the summary of the burst's previous state (top
+// -1 when there is none), and victim folds a congested arrival's own
+// port — the only queue its virtual add changes — into that summary in
+// O(1), returning the queue to push out of or -1 to drop the arrival.
+// A rule that keeps a runner-up keeps the best queue other than the
+// top, for when the top is the arrival's own port.
 type victimRule interface {
 	//smb:hotpath
 	summarize(prev summary) summary

@@ -17,35 +17,53 @@ type LQD struct{}
 // Name implements core.Policy.
 func (LQD) Name() string { return "LQD" }
 
-// lqdRule is LQD's victim ordering over the engine's incrementally
-// maintained argmax: fold in the virtual arrival analytically. With
-// real top (ti, tk) and p's queue at lens[i]+1: a strictly larger
-// virtual length wins outright; an equal one wins only on the index
-// tie-break; otherwise the real top stands (ti != i there, since
-// lens[i] == tk would put the virtual length above tk). This
-// reproduces LQD's reference scan exactly.
-type lqdRule struct {
-	f    core.FastView
-	lens []int
+// maxKeyRule is the victim ordering LQD and LWD share: push out the
+// queue with the largest key after the arrival's virtual add, ties to
+// the largest index. The key is the queue length for LQD (virtual add
+// 1) and the total residual work for LWD (virtual add w_i). The add
+// raises only the arrival's own key, so the real top (ti, tk) decides
+// with one comparison: a strictly larger virtual key wins outright, an
+// equal one only on the index tie-break, and otherwise the real top
+// stands. When ti is the arrival's own queue its virtual key beats tk,
+// so the arrival drops and no runner-up is needed. This reproduces
+// LQD's and LWD's reference scans exactly.
+type maxKeyRule struct {
+	keys []int // live per-queue key lane
+	adds []int // per-port virtual add; nil adds 1
 }
 
-// newLQDRule hoists the live length slice once.
-func newLQDRule(f core.FastView) lqdRule { return lqdRule{f, f.QueueLens()} }
-
-// victim implements argmaxRule.
+// summarize implements victimRule: the largest key, ties to the
+// largest index. The scan walks backward with a strict comparison —
+// the same result as a forward walk that takes ties, but on the
+// tie-heavy keys the equalizing policies produce its replacement
+// branch almost never fires.
 //
 //smb:hotpath
-func (r lqdRule) victim(p pkt.Packet) int {
-	i := p.Port
-	ti, tk := r.f.LongestQueue()
-	winner := ti
-	if li := r.lens[i] + 1; li > tk || (li == tk && i > ti) {
-		winner = i
+func (r maxKeyRule) summarize(summary) summary {
+	keys := r.keys
+	top := len(keys) - 1
+	tk := keys[top]
+	for j := top - 1; j >= 0; j-- {
+		if k := keys[j]; k > tk {
+			top, tk = j, k
+		}
 	}
-	if winner != i {
-		return winner
+	return summary{top: top, next: -1}
+}
+
+// victim implements victimRule.
+//
+//smb:hotpath
+func (r maxKeyRule) victim(s summary, p pkt.Packet) int {
+	i, ti := p.Port, s.top
+	vi := r.keys[i] + 1
+	if r.adds != nil {
+		vi = r.keys[i] + r.adds[i]
 	}
-	return -1
+	if tk := r.keys[ti]; vi > tk || (vi == tk && i > ti) {
+		return -1
+	}
+	return ti
 }
 
 // Admit implements core.Policy.
@@ -56,7 +74,7 @@ func (LQD) Admit(v core.View, p pkt.Packet) core.Decision {
 		return core.Accept()
 	}
 	// Reference scan: the executable definition of the ordering, which
-	// the differential suites replay against lqdRule's kernel.
+	// the differential suites replay against maxKeyRule's kernel.
 	i := p.Port
 	longest, longestLen := -1, -1
 	for j := 0; j < v.Ports(); j++ {
@@ -147,37 +165,6 @@ type LWD struct{}
 
 // Name implements core.Policy.
 func (LWD) Name() string { return "LWD" }
-
-// lwdRule is lqdRule's mirror on the total-work key: the engine's real
-// argmax plus the analytic virtual add of w_i.
-type lwdRule struct {
-	f      core.FastView
-	qworks []int
-	works  []int
-}
-
-// newLWDRule hoists the live work slices once.
-//
-//smb:hotpath
-func newLWDRule(f core.FastView) lwdRule {
-	return lwdRule{f, f.QueueTotalWorks(), f.PortWorks()}
-}
-
-// victim implements argmaxRule.
-//
-//smb:hotpath
-func (r lwdRule) victim(p pkt.Packet) int {
-	i := p.Port
-	ti, tk := r.f.HeaviestQueue()
-	winner := ti
-	if wi := r.qworks[i] + r.works[i]; wi > tk || (wi == tk && i > ti) {
-		winner = i
-	}
-	if winner != i {
-		return winner
-	}
-	return -1
-}
 
 // Admit implements core.Policy.
 //

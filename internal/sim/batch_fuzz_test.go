@@ -42,6 +42,27 @@ func FuzzArriveBatchDifferential(f *testing.F) {
 	// port 1 pushes port 2 out again.
 	f.Add(uint8(5), []byte{2, 5, 8, 0, 3, 6, 1, 0x80}, false)
 	f.Add(uint8(6), []byte{2, 5, 8, 0, 3, 6, 1, 0x80}, false)
+	// LQD and LWD (B = 5, works 1..3, C = 2). LQD: lengths [1,2,2], so
+	// the arrival for port 0 ties ports 1 and 2 and pushes port 2 out
+	// (largest index), and the one for port 1 is on top and drops.
+	f.Add(uint8(4), []byte{1, 4, 2, 5, 0, 0x81}, false)
+	f.Add(uint8(4), []byte{1, 4, 2, 5, 0, 0x82}, false)
+	// LWD: port 2's two packets fall to work 4 over a slot. Then works
+	// [1,4,4] tie ports 1 and 2 against an arrival for port 0; works
+	// [2,2,4] let an arrival for port 1 reach port 2's work 4 exactly,
+	// which pushes port 2 out, and an arrival for port 2 drops.
+	f.Add(uint8(7), []byte{2, 0x80, 1, 4, 0, 0x81}, false)
+	f.Add(uint8(7), []byte{2, 0x80, 1, 0, 3, 0x82}, false)
+	f.Add(uint8(7), []byte{2, 0x80, 1, 0, 3, 0x83}, false)
+	// Ties set up in one slot and first met in the next, where the
+	// burst's first summary recomputes them. LQD: a dropped arrival
+	// for port 2 on top of [1,2,2] ends slot 1, transmission leaves
+	// [0,1,2], and slot 2 refills to [1,2,2] before the congested
+	// arrival for port 0 pushes port 2 out. LWD: slot 1 fills works
+	// [0,6,6], transmission leaves [0,4,4], and an arrival for port 0
+	// after one accept pushes port 2 out.
+	f.Add(uint8(4), []byte{2, 5, 1, 4, 0, 0x83, 1, 0, 0x81}, false)
+	f.Add(uint8(7), []byte{2, 5, 1, 4, 0x82, 0, 0x81}, false)
 	// Ties: equal-length, equal-minimum value queues under VLQD, MVD and
 	// MVD1 (all value 1), and equal MRD ratios (|Q|²/sum: two 1s and
 	// four 2s both give 2) at 6 ports.

@@ -6,8 +6,8 @@
 // Two independent slow paths are exercised at once:
 //
 //   - refSwitch recomputes every View query from first principles (raw
-//     slices, per-call scans) instead of the incremental mirrors and
-//     argmax caches the production core.Switch maintains;
+//     slices, per-call scans) instead of the incremental mirrors the
+//     production core.Switch maintains;
 //   - refSwitch decides every arrival with the policy's Admit, its
 //     plain-View reference scan, while the production switch runs the
 //     policy's batch kernel over the FastView lanes.

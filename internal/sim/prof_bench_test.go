@@ -51,5 +51,6 @@ func benchMicro(b *testing.B, pol core.Policy) {
 }
 
 func BenchmarkMicroLQD(b *testing.B)    { benchMicro(b, policy.LQD{}) }
+func BenchmarkMicroLWD(b *testing.B)    { benchMicro(b, policy.LWD{}) }
 func BenchmarkMicroGreedy(b *testing.B) { benchMicro(b, policy.Greedy{}) }
 func BenchmarkMicroNHST(b *testing.B)   { benchMicro(b, policy.NHST{}) }

@@ -16,10 +16,11 @@ import (
 // the paper-scale 2·10⁶-slot traces.
 var binaryMagic = []byte("SMBT1\n")
 
-// binary format caps: the fixed-width record bounds ports and labels.
+// The binary format's caps: the fixed-width record bounds port
+// indices and labels.
 const (
-	maxBinaryPort  = 1<<16 - 1
-	maxBinaryLabel = 1<<8 - 1
+	MaxBinaryPort  = 1<<16 - 1
+	MaxBinaryLabel = 1<<8 - 1
 )
 
 // WriteBinary serializes the trace in the binary format, through the
@@ -28,8 +29,12 @@ func (tr Trace) WriteBinary(w io.Writer) error { return WriteBinary(w, tr.Replay
 
 // WriteBinary writes the next slots slots of src to w in the binary
 // format. Each burst is written as it is drawn, so memory stays
-// O(burst) at any slot count.
+// O(burst) at any slot count. A slot count the header's uint32 cannot
+// hold is refused before anything is written.
 func WriteBinary(w io.Writer, src Source, slots int) error {
+	if err := checkSlots(slots); err != nil {
+		return fmt.Errorf("traffic: cannot write %w", err)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(binaryMagic); err != nil {
 		return err
@@ -40,7 +45,7 @@ func WriteBinary(w io.Writer, src Source, slots int) error {
 	var rec [recordSize]byte
 	for t := 0; t < slots; t++ {
 		for _, p := range src.Next() {
-			if p.Port < 0 || p.Port > maxBinaryPort || p.Work < 0 || p.Work > maxBinaryLabel || p.Value < 0 || p.Value > maxBinaryLabel {
+			if p.Port < 0 || p.Port > MaxBinaryPort || p.Work < 0 || p.Work > MaxBinaryLabel || p.Value < 0 || p.Value > MaxBinaryLabel {
 				return fmt.Errorf("traffic: packet %v exceeds the binary format's field widths", p)
 			}
 			binary.LittleEndian.PutUint32(rec[0:], uint32(t))

@@ -26,6 +26,15 @@ import (
 // bytes could otherwise make a replay step empty slots for hours.
 const maxSlots int64 = math.MaxUint32
 
+// checkSlots refuses a slot count outside [0, maxSlots]. The readers
+// refuse such a header, and the writers refuse to write one.
+func checkSlots(slots int) error {
+	if slots < 0 || int64(slots) > maxSlots {
+		return fmt.Errorf("%d slots, outside [0,%d]", slots, maxSlots)
+	}
+	return nil
+}
+
 // StreamText opens a streaming cursor over the v1 text format,
 // returning the cursor and the declared slot count. The reader is
 // consumed as the cursor advances; it is not closed (wrap with a
@@ -47,8 +56,8 @@ func StreamText(r io.Reader) (Cursor, int, error) {
 	if _, err := fmt.Sscanf(header[len(traceHeader):], " slots=%d", &slots); err != nil {
 		return nil, 0, fmt.Errorf("traffic: bad trace header %q: %v", header, err)
 	}
-	if slots < 0 || int64(slots) > maxSlots {
-		return nil, 0, fmt.Errorf("traffic: trace header declares %d slots, outside [0,%d]", slots, maxSlots)
+	if err := checkSlots(slots); err != nil {
+		return nil, 0, fmt.Errorf("traffic: trace header declares %w", err)
 	}
 	return &textStream{sc: sc, slots: slots, line: 1, pendingSlot: -1}, slots, nil
 }

@@ -71,8 +71,13 @@ func (tr Trace) Write(w io.Writer) error { return WriteText(w, tr.Replay(), len(
 //	<slot> <port> <work> <value>
 //
 // one line per packet, slots ascending. Each burst is written as it is
-// drawn, so memory stays O(burst) at any slot count.
+// drawn, so memory stays O(burst) at any slot count. A slot count
+// outside [0, 2³²−1], which StreamText would refuse, is refused before
+// anything is written.
 func WriteText(w io.Writer, src Source, slots int) error {
+	if err := checkSlots(slots); err != nil {
+		return fmt.Errorf("traffic: cannot write %w", err)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%s slots=%d\n", traceHeader, slots); err != nil {
 		return err

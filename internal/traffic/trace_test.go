@@ -128,6 +128,34 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 }
 
+// failSource is a Source whose every draw fails the test.
+type failSource struct{ t *testing.T }
+
+func (s failSource) Next() []pkt.Packet {
+	s.t.Fatal("Next called")
+	return nil
+}
+
+// TestWritersRefuseSlotCounts: both writers refuse a slot count their
+// readers would refuse (negative, or beyond the binary header's uint32)
+// before they write a byte or draw a slot.
+func TestWritersRefuseSlotCounts(t *testing.T) {
+	for _, w := range []struct {
+		name  string
+		write func(io.Writer, Source, int) error
+	}{{"text", WriteText}, {"binary", WriteBinary}} {
+		for _, slots := range []int{-1, 1 << 32} {
+			var buf bytes.Buffer
+			if err := w.write(&buf, failSource{t}, slots); err == nil {
+				t.Errorf("%s writer accepted %d slots", w.name, slots)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("%s writer wrote %q for %d slots", w.name, buf.String(), slots)
+			}
+		}
+	}
+}
+
 func TestReadTraceSkipsCommentsAndBlanks(t *testing.T) {
 	input := "# smbm-trace v1 slots=2\n\n# comment\n1 0 1 1\n"
 	tr, _, err := streamAll(StreamText, strings.NewReader(input), math.MaxInt)
